@@ -55,15 +55,19 @@ _PREDICATE_ORDER = (
 
 
 def _cap(args) -> int:
-    if getattr(args, "max_order", None):
-        return args.max_order
-    env = os.environ.get("RINGLAB_MAX_ORDER")
-    if env:
+    """The order cap from --max-order, else RINGLAB_MAX_ORDER, else the default."""
+    value, source = getattr(args, "max_order", None), "--max-order"
+    if value is None:
+        value, source = os.environ.get("RINGLAB_MAX_ORDER"), "RINGLAB_MAX_ORDER"
+        if value is None:
+            return DEFAULT_MAX_ORDER
         try:
-            return int(env)
+            value = int(value)
         except ValueError:
-            pass
-    return DEFAULT_MAX_ORDER
+            raise ValueError(f"{source} must be a positive integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value}")
+    return value
 
 
 def _emit(payload: dict, as_json: bool, human: str) -> None:

@@ -15,6 +15,14 @@ witnesses and cached results are reproducible:
 * ``group ring``: coefficient of group element i is digit i, index =
   little-endian base-|R| value.
 * ``truncated skew polynomials``: coefficient of x^j is digit j.
+
+Matrices, triangular matrices, trivial extensions, group rings and
+truncated skew polynomials are all digit vectors over a base ring R with
+componentwise addition, and share one structure-constant builder. Each
+construction gives only the product (c*e_w)*b of a monomial with every
+element; the builder fills every other row by additive row extension:
+for x = x' + c*e_w with x' < |R|^w, add[x] = add[x'][add[c*e_w]] and
+mul[x] = add[mul[x'], mul[c*e_w]].
 """
 
 from __future__ import annotations
@@ -170,8 +178,10 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
 
 
 # ---------------------------------------------------------------------------
-# digit-vector helpers shared by the compound builders
+# the structure-constant builder shared by every digit-vector construction
 # ---------------------------------------------------------------------------
+
+_CHUNK_CELLS = 1 << 18  # table cells per gather, so temporaries stay ~2 MB
 
 
 def _all_digits(order: int, radix: int, width: int) -> np.ndarray:
@@ -190,13 +200,62 @@ def _encode_digits(digits: np.ndarray, radix: int) -> np.ndarray:
     return out.astype(np.int32)
 
 
-def _componentwise_add(base: TableRing, digits: np.ndarray) -> np.ndarray:
-    """Addition table for digit-vector elements over one base ring."""
-    n = digits.shape[0]
-    add = np.zeros((n, n), dtype=np.int32)
-    for a in range(n):
-        add[a, :] = _encode_digits(base.add[digits[a][None, :], digits], base.order)
-    return add
+def _sum_name(base: TableRing, coeffs, symbols) -> str:
+    """Name of sum(c_i s_i) over the nonzero coefficients; symbol None is the constant term."""
+    terms = []
+    for c, symbol in zip(coeffs, symbols):
+        if c == base.zero:
+            continue
+        cname = base.names[c]
+        if symbol is None:
+            terms.append(cname)
+        elif c == base.one:
+            terms.append(symbol)
+        elif any(ch in cname for ch in "+- "):
+            terms.append(f"({cname}){symbol}")
+        else:
+            terms.append(f"{cname}{symbol}")
+    return "+".join(terms) or base.names[base.zero]
+
+
+def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None):
+    """Digits, add and mul tables of a ring of `width`-digit vectors over `base`.
+
+    Element x has little-endian base-|R| digits and addition is
+    componentwise. `mono_rule(c, w, digits)` returns the digit matrix of
+    (c*e_w)*b for every element b (one row of `digits` each). Every other
+    row follows by row extension: x = x' + c*e_w with x' < |R|^w gives
+    add[x] = add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
+    """
+    if base.zero != 0:
+        raise RingError("digit-vector constructions need the base zero at index 0")
+    radix = base.order
+    order = radix**width
+    _check_cap(order, cap)
+    digits = _all_digits(order, radix, width)
+    add = np.empty((order, order), dtype=np.int32)
+    add[0] = np.arange(order)
+    mul = np.empty((order, order), dtype=np.int32)
+    mul[0] = 0
+    for w in range(width):
+        for c in range(1, radix):
+            add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
+            mul[c * radix**w] = _encode_digits(mono_rule(c, w, digits), radix)
+    # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
+    rows = max(1, _CHUNK_CELLS // order)
+    blocks = [
+        (c * radix**w, lo, min(radix**w, lo + rows))
+        for w in range(width)
+        for c in range(1, radix)
+        for lo in range(1, radix**w, rows)
+    ]
+    for x, lo, hi in blocks:
+        np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
+    flat_add = add.ravel()
+    for x, lo, hi in blocks:  # gathers from whole rows of add, so runs after it
+        cells = mul[lo:hi].astype(np.intp) * order + mul[x]
+        np.take(flat_add, cells, out=mul[x + lo : x + hi])
+    return digits, add, mul
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +264,28 @@ def _componentwise_add(base: TableRing, digits: np.ndarray) -> np.ndarray:
 
 
 def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap: int | None):
-    width = len(positions)
-    order = base.order**width
-    _check_cap(order, cap)
-    digits = _all_digits(order, base.order, width)
     pos_index = {pos: w for w, pos in enumerate(positions)}
-    add = _componentwise_add(base, digits)
 
-    mul = np.zeros((order, order), dtype=np.int32)
-    badd, bmul = base.add, base.mul
-    for a in range(order):
-        da = digits[a]
-        acc = np.zeros((order, width), dtype=np.int32)
-        acc[:, :] = base.zero
-        for w, (i, j) in enumerate(positions):
-            for l in range(k):
-                wa = pos_index.get((i, l))
-                wb = pos_index.get((l, j))
-                if wa is None or wb is None:
-                    continue  # structural zero below the diagonal
-                term = bmul[da[wa], digits[:, wb]]
-                acc[:, w] = badd[acc[:, w], term]
-        mul[a, :] = _encode_digits(acc, base.order)
+    def mono_rule(c, w, digits):
+        # row i of (c E_ij) B is c times row j of B; other rows are zero
+        i, j = positions[w]
+        out = np.zeros_like(digits)
+        for l in range(k):
+            if (i, l) in pos_index and (j, l) in pos_index:
+                out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
+        return out
 
-    one_digits = [base.zero] * width
-    for w, (i, j) in enumerate(positions):
-        if i == j:
-            one_digits[w] = base.one
-    one = int(_poly_index(one_digits, base.order))
+    digits, add, mul = _digit_vector_tables(base, len(positions), mono_rule, cap)
+    one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
-    def name(a: int) -> str:
+    def name(cells) -> str:
         grid = [[base.names[base.zero]] * k for _ in range(k)]
-        for w, (i, j) in enumerate(positions):
-            grid[i][j] = base.names[digits[a][w]]
+        for (i, j), c in zip(positions, cells):
+            grid[i][j] = base.names[c]
         return "[" + ",".join("[" + ",".join(row) + "]" for row in grid) + "]"
 
-    names = tuple(name(a) for a in range(order))
-    return add, mul, one, names, digits
+    names = tuple(name(cells) for cells in digits.tolist())
+    return add, mul, one, names
 
 
 def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -249,7 +293,7 @@ def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    add, mul, one, names, _ = _matrix_like(base, k, positions, cap)
+    add, mul, one, names = _matrix_like(base, k, positions, cap)
     return validate_ring(add, mul, 0, one, names=names, meta=MatrixMeta(base, k))
 
 
@@ -258,7 +302,7 @@ def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRi
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    add, mul, one, names, _ = _matrix_like(base, k, positions, cap)
+    add, mul, one, names = _matrix_like(base, k, positions, cap)
     return validate_ring(add, mul, 0, one, names=names, meta=TriangularMeta(base, k, tuple(positions)))
 
 
@@ -419,18 +463,18 @@ def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[Table
 
 def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRing:
     """T(R, R): pairs (r, m) with (r,m)(s,n) = (rs, rn + ms); index r*|R|+m."""
-    n = ring.order
-    order = n * n
-    _check_cap(order, cap)
-    r_part, m_part = np.divmod(np.arange(order), n)
-    add = np.zeros((order, order), dtype=np.int32)
-    mul = np.zeros((order, order), dtype=np.int32)
-    for a in range(order):
-        ra, ma = int(r_part[a]), int(m_part[a])
-        add[a, :] = ring.add[ra, r_part] * n + ring.add[ma, m_part]
-        mul[a, :] = ring.mul[ra, r_part] * n + ring.add[ring.mul[ra, m_part], ring.mul[ma, r_part]]
-    names = tuple(f"({ring.names[int(r_part[a])]}, {ring.names[int(m_part[a])]})" for a in range(order))
-    return validate_ring(add, mul, 0, ring.one * n, names=names, meta=TrivialExtMeta(ring))
+
+    def mono_rule(c, w, digits):
+        # digit 0 is m, digit 1 is r: (0,c)(s,n) = (0, cs) and (c,0)(s,n) = (cs, cn)
+        if w == 1:
+            return ring.mul[c, digits]
+        out = np.zeros_like(digits)
+        out[:, 0] = ring.mul[c, digits[:, 1]]
+        return out
+
+    digits, add, mul = _digit_vector_tables(ring, 2, mono_rule, cap)
+    names = tuple(f"({ring.names[r]}, {ring.names[m]})" for m, r in digits.tolist())
+    return validate_ring(add, mul, 0, ring.one * ring.order, names=names, meta=TrivialExtMeta(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -440,50 +484,19 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
 
 def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None) -> TableRing:
     """R[G]: functions G -> R with convolution product."""
-    order = base.order**group.order
-    _check_cap(order, cap)
-    gsize = group.order
-    digits = _all_digits(order, base.order, gsize)
-    add = _componentwise_add(base, digits)
 
-    mul = np.zeros((order, order), dtype=np.int32)
-    badd, bmul = base.add, base.mul
-    for a in range(order):
-        da = digits[a]
-        acc = np.full((order, gsize), base.zero, dtype=np.int32)
-        for gi in range(gsize):
-            ca = da[gi]
-            if ca == base.zero:
-                continue
-            for gj in range(gsize):
-                gk = int(group.op[gi, gj])
-                acc[:, gk] = badd[acc[:, gk], bmul[ca, digits[:, gj]]]
-        mul[a, :] = _encode_digits(acc, base.order)
+    def mono_rule(c, w, digits):
+        # (c g_w)(sum_j b_j g_j) = sum_j (c b_j) g_w g_j, and j -> g_w g_j is a bijection
+        out = np.empty_like(digits)
+        out[:, group.op[w]] = base.mul[c, digits]
+        return out
 
+    digits, add, mul = _digit_vector_tables(base, group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
-    zero = 0
-
-    def name(a: int) -> str:
-        terms = []
-        for gi in range(gsize):
-            c = int(digits[a, gi])
-            if c == base.zero:
-                continue
-            cname = base.names[c]
-            gname = group.names[gi]
-            if gi == group.identity:
-                terms.append(cname)
-            elif c == base.one:
-                terms.append(gname)
-            elif any(ch in cname for ch in "+- "):
-                terms.append(f"({cname}){gname}")
-            else:
-                terms.append(f"{cname}{gname}")
-        return "+".join(terms) or base.names[base.zero]
-
-    names = tuple(name(a) for a in range(order))
+    symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
+    names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
     meta = GroupRingMeta(base, group, digits)
-    return validate_ring(add, mul, zero, one, names=names, meta=meta)
+    return validate_ring(add, mul, 0, one, names=names, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -578,49 +591,19 @@ def build_truncated_skew_poly(
         raise ValueError("truncation exponent must be >= 1")
     if alpha.ring is not base:
         raise InvalidEndomorphismError("endomorphism belongs to a different ring")
-    order = base.order**k
-    _check_cap(order, cap)
-    digits = _all_digits(order, base.order, k)
-    add = _componentwise_add(base, digits)
-
     # alpha^i applied to every base element, i < k
     powers = [np.arange(base.order, dtype=np.int32)]
     for _ in range(1, k):
         powers.append(alpha.map[powers[-1]])
 
-    mul = np.zeros((order, order), dtype=np.int32)
-    badd, bmul = base.add, base.mul
-    for a in range(order):
-        da = digits[a]
-        acc = np.full((order, k), base.zero, dtype=np.int32)
-        for i in range(k):
-            ca = da[i]
-            if ca == base.zero:
-                continue
-            for j in range(k - i):
-                term = bmul[ca, powers[i][digits[:, j]]]  # a_i x^i * b_j x^j = a_i alpha^i(b_j) x^(i+j)
-                acc[:, i + j] = badd[acc[:, i + j], term]
-        mul[a, :] = _encode_digits(acc, base.order)
+    def mono_rule(c, i, digits):
+        # (c x^i)(b_j x^j) = c alpha^i(b_j) x^(i+j), truncated at degree k
+        out = np.zeros_like(digits)
+        out[:, i:] = base.mul[c, powers[i][digits[:, : k - i]]]
+        return out
 
-    def name(a: int) -> str:
-        terms = []
-        for i in range(k):
-            c = int(digits[a, i])
-            if c == base.zero:
-                continue
-            cname = base.names[c]
-            if i == 0:
-                terms.append(cname)
-                continue
-            var = "x" if i == 1 else f"x^{i}"
-            if c == base.one:
-                terms.append(var)
-            elif any(ch in cname for ch in "+- "):
-                terms.append(f"({cname}){var}")
-            else:
-                terms.append(f"{cname}{var}")
-        return "+".join(terms) or base.names[base.zero]
-
-    names = tuple(name(a) for a in range(order))
+    digits, add, mul = _digit_vector_tables(base, k, mono_rule, cap)
+    symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
+    names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
     meta = SkewPolyMeta(base, alpha.name, alpha.map, k, digits)
     return validate_ring(add, mul, 0, int(base.one), names=names, meta=meta)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElemSet, TableRing
+from .core import ElemSet, RingError, TableRing
 from .construct import build_quotient
 from .subsets import InvariantBundle, compute_bundle
 
@@ -318,8 +318,7 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
     }
     out.update(clean_family(ring, bundle))
     # implication lattice; a violation here is a computation bug
-    assert not out["uj"].value or out["ujsharp"].value
-    assert not out["uu"].value or out["ujsharp"].value
-    assert not out["boolean"].value or out["uu"].value
-    assert not out["local"].value or out["clean"].value
+    for stronger, weaker in (("uj", "ujsharp"), ("uu", "ujsharp"), ("boolean", "uu"), ("local", "clean")):
+        if out[stronger].value and not out[weaker].value:
+            raise RingError(f"classification bug: {stronger} holds but {weaker} does not")
     return out

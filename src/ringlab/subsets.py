@@ -209,16 +209,24 @@ def compute_bundle(ring: TableRing, with_prime_radical: bool = True) -> Invarian
 
 
 def _assert_bundle_sanity(b: InvariantBundle) -> None:
+    """Raise RingError if the bundle breaks an identity every ring satisfies."""
     ring = b.ring
-    assert ring.one in b.units and ring.zero not in b.units
-    assert ring.zero in b.idempotents and ring.one in b.idempotents
-    assert ring.zero in b.nilpotents and ring.zero in b.jacobson
-    assert b.jacobson.members <= b.jsharp.members
-    assert b.nilpotents.members <= b.jsharp.members
     one_plus_j = {int(ring.add[ring.one, j]) for j in b.jacobson}
-    assert one_plus_j <= b.units.members
-    if b.prime_radical is not None:
-        assert b.prime_radical.members <= b.nilpotents.members
+    broken = [
+        name
+        for name, ok in (
+            ("1 in U and 0 not in U", ring.one in b.units and ring.zero not in b.units),
+            ("0, 1 in Id", ring.zero in b.idempotents and ring.one in b.idempotents),
+            ("0 in Nil and 0 in J", ring.zero in b.nilpotents and ring.zero in b.jacobson),
+            ("J <= J#", b.jacobson.members <= b.jsharp.members),
+            ("Nil <= J#", b.nilpotents.members <= b.jsharp.members),
+            ("1 + J <= U", one_plus_j <= b.units.members),
+            ("Nil* <= Nil", b.prime_radical is None or b.prime_radical.members <= b.nilpotents.members),
+        )
+        if not ok
+    ]
+    if broken:
+        raise RingError(f"inconsistent invariant bundle: {', '.join(broken)} fails")
 
 
 # ---------------------------------------------------------------------------

@@ -155,3 +155,13 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("RINGLAB_MAX_ORDER", "128")
     code, _, _ = run_cli(capsys, "inspect", "z(100)")
     assert code == 0
+    # a bad or non-positive cap is a usage error, never a silent fallback
+    for flag in ("0", "-5"):
+        code, out, err = run_cli(capsys, "inspect", "z(4)", "--max-order", flag)
+        assert code == 2 and out == "" and "--max-order" in err and len(err.splitlines()) == 1
+    for env in ("lots", "", "0", "-1"):
+        monkeypatch.setenv("RINGLAB_MAX_ORDER", env)
+        code, out, err = run_cli(capsys, "inspect", "z(4)")
+        assert code == 2 and out == "" and "RINGLAB_MAX_ORDER" in err and len(err.splitlines()) == 1
+    code, _, _ = run_cli(capsys, "inspect", "z(4)", "--max-order", "8")
+    assert code == 0  # the flag still wins over the environment

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringlab import ElemSet, OutOfCapError, compile_text
+from ringlab.cache import table_checksum
 from ringlab.construct import (
     GF_MODULI,
     Endomorphism,
@@ -28,6 +29,7 @@ from ringlab.construct import (
     matrix_unit_index,
     validate_endomorphism,
 )
+from ringlab.core import GroupRingMeta, MatrixMeta, SkewPolyMeta, TriangularMeta, TrivialExtMeta, validate_ring
 from ringlab.groups import cyclic, quaternion8
 from ringlab.subsets import compute_bundle, is_two_sided_ideal
 
@@ -376,3 +378,122 @@ def test_every_builder_output_is_validated():
     for text in ("z(6)", "gf(9)", "m(2,z(2))", "t(2,z(2))", "prod(z(2),z(3))", "triv(z(2))", "poly(z(2),3)"):
         ring = compile_text(text)
         assert ring.validation == "exhaustive"
+
+
+def definitional_ring(ring):
+    """Oracle for the digit-vector builders: every product computed element by element.
+
+    Decodes both factors into base-ring digits, multiplies them with the
+    base ring's tables by the construction's own formula, and encodes the
+    result; the identity is read off the resulting table.
+    """
+    meta = ring.meta
+    base = meta.base
+    badd, bmul = base.add.tolist(), base.mul.tolist()
+
+    def total(terms):
+        acc = base.zero
+        for t in terms:
+            acc = badd[acc][t]
+        return acc
+
+    if isinstance(meta, (MatrixMeta, TriangularMeta)):
+        k = meta.size
+        positions = getattr(meta, "positions", [(i, j) for i in range(k) for j in range(k)])
+
+        def product(a, b):
+            ca, cb = dict(zip(positions, a)), dict(zip(positions, b))
+            return [total(bmul[ca.get((i, l), 0)][cb.get((l, j), 0)] for l in range(k)) for i, j in positions]
+
+        width = len(positions)
+    elif isinstance(meta, GroupRingMeta):
+        op, width = meta.group.op.tolist(), meta.group.order
+
+        def product(a, b):
+            out = [base.zero] * width
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    out[op[i][j]] = badd[out[op[i][j]]][bmul[ai][bj]]
+            return out
+
+    elif isinstance(meta, SkewPolyMeta):
+        width = meta.k
+        alpha_pow = [list(range(base.order))]
+        for _ in range(1, width):
+            alpha_pow.append([int(meta.endo_map[x]) for x in alpha_pow[-1]])
+
+        def product(a, b):  # (a_i x^i)(b_j x^j) = a_i alpha^i(b_j) x^(i+j)
+            out = [base.zero] * width
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b[: width - i]):
+                    out[i + j] = badd[out[i + j]][bmul[ai][alpha_pow[i][bj]]]
+            return out
+
+    else:
+        assert isinstance(meta, TrivialExtMeta)
+        width = 2
+
+        def product(a, b):  # digits are (m, r): (r,m)(s,n) = (rs, rn + ms)
+            (m, r), (n, s) = a, b
+            return [badd[bmul[r][n]][bmul[m][s]], bmul[r][s]]
+
+    def encode(digits):
+        return sum(d * base.order**w for w, d in enumerate(digits))
+
+    elems = [[x // base.order**w % base.order for w in range(width)] for x in range(base.order**width)]
+    add = np.array([[encode(badd[p][q] for p, q in zip(a, b)) for b in elems] for a in elems])
+    mul = np.array([[encode(product(a, b)) for b in elems] for a in elems])
+    idx = np.arange(len(elems))
+    (one,) = np.flatnonzero((mul == idx).all(axis=1) & (mul.T == idx).all(axis=1))
+    return validate_ring(add, mul, 0, int(one))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "m(2,z(3))",
+        "t(3,z(2))",
+        "m(2,gf(4))",
+        "group(z(2),d(3))",
+        "group(m(2,z(2)),c(2))",
+        "group(z(4),c(3))",
+        "poly(z(4),3)",
+        "skew(gf(4),frob,3)",
+        "triv(m(2,z(2)))",
+        "triv(z(6))",
+    ],
+)
+def test_digit_vector_builder_matches_definitional_product(text):
+    ring = compile_text(text)
+    assert ring.tables_equal(definitional_ring(ring))
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("t(2,z(16))", "5479323f94197daf"),
+        ("m(2,z(8))", "b8ec8debaa807511"),
+        ("group(z(2),c(12))", "b27c31c6ce737fc3"),
+        ("group(z(3),d(3))", "44770eb5d244da97"),
+        ("triv(m(2,z(2)))", "afc2e5d8b41f7f97"),
+        ("skew(gf(4),frob,3)", "70911f37071c16c5"),
+    ],
+)
+def test_element_encodings_are_pinned(text, prefix):
+    # cache entries and witnesses index elements, so these tables must never drift
+    assert table_checksum(compile_text(text)).hex()[:16] == prefix
+
+
+def test_matrix_monomials_keep_noncommutative_coefficient_order():
+    # (c E_ij)(d E_jl) = (cd) E_il with cd != dc in the base; too large for the oracle above
+    base = build_triangular(build_zmod(2), 2)
+    ring = build_triangular(base, 2)
+    positions = list(ring.meta.positions)
+    r = base.order
+    assert (base.mul != base.mul.T).any()
+    for w, (i, j) in enumerate(positions):
+        for v, (j2, l) in enumerate(positions):
+            for c in range(r):
+                for d in range(r):
+                    expected = int(base.mul[c, d]) * r ** positions.index((i, l)) if j == j2 else 0
+                    assert int(ring.mul[c * r**w, d * r**v]) == expected

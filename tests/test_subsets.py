@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ringlab import ElemSet, compile_text, compute_bundle
@@ -151,3 +156,37 @@ def test_lazy_prime_radical_flag():
     got = b.require_prime_radical()
     assert got.indices() == (0, 2, 4, 6)
     assert "prime_radical" in b.computed_flags
+
+
+GUARD_SCRIPT = """
+import dataclasses, sys
+from ringlab import ElemSet, compile_text, compute_bundle
+from ringlab import predicates
+from ringlab.core import RingError
+from ringlab.subsets import _assert_bundle_sanity
+
+assert sys.flags.optimize >= 1
+ring = compile_text("z(5)")
+bundle = compute_bundle(ring)
+corrupt = dataclasses.replace(bundle, units=ElemSet.of(ring, [2, 3, 4]))  # 1 dropped from U
+try:
+    _assert_bundle_sanity(corrupt)
+    sys.exit("corrupt bundle accepted")
+except RingError as exc:
+    print("bundle:", exc)
+predicates.is_uj = lambda ring, bundle: predicates.Verdict(True)  # UJ without UJ# breaks the lattice
+try:
+    predicates.classify(ring, bundle)
+    sys.exit("broken implication lattice accepted")
+except RingError as exc:
+    print("classify:", exc)
+"""
+
+
+def test_internal_guards_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
+    assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
