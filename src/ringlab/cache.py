@@ -1,9 +1,11 @@
 """Persistent invariant cache keyed by canonical expression digests.
 
-Entries are versioned little-endian binaries of bitsets; a stored entry
-is used only when the table checksum of the compiled ring matches, so a
-builder change silently invalidates old entries instead of poisoning
-results. Any malformed or mismatched file is a silent miss.
+Entries are versioned little-endian binaries of bitsets, closed by a
+SHA-256 over the whole payload; a stored entry is used only when that
+digest and the table checksum of the compiled ring both match, so a
+corrupted file or a builder change silently invalidates the entry
+instead of poisoning results. Any malformed or mismatched file is a
+silent miss.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from .core import ElemSet, TableRing
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _NO_INVERSE = 0xFFFFFFFF
 
-_SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
+_SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
+_HEAD = len(MAGIC) + 6 + 32  # magic, version and order, table checksum
+_DIGEST = 32
 
 
 def cache_dir() -> Path:
@@ -49,60 +53,39 @@ def _entry_path(ring: TableRing) -> Path | None:
     return cache_dir() / f"{digest}.v{FORMAT_VERSION}.bin"
 
 
-def _pack_set(es: ElemSet | None, order: int) -> bytes:
-    nbytes = (order + 7) // 8
-    if es is None:
-        return struct.pack("<B", 0) + b"\x00" * nbytes
-    bits = 0
-    for i in es.members:
-        bits |= 1 << i
-    return struct.pack("<B", 1) + bits.to_bytes(nbytes, "little")
-
-
-def _unpack_set(data: bytes, offset: int, ring: TableRing) -> tuple[ElemSet | None, int]:
-    nbytes = (ring.order + 7) // 8
-    present = data[offset]
-    raw = data[offset + 1 : offset + 1 + nbytes]
-    offset += 1 + nbytes
-    if not present:
-        return None, offset
-    bits = int.from_bytes(raw, "little")
-    members = frozenset(i for i in range(ring.order) if bits >> i & 1)
-    return ElemSet(ring, members), offset
-
-
 def serialize_bundle(bundle: InvariantBundle) -> bytes:
     ring = bundle.ring
     out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), table_checksum(ring)]
     for name in _SETS:
-        out.append(_pack_set(getattr(bundle, name), ring.order))
+        out.append(np.packbits(getattr(bundle, name).mask(), bitorder="little").tobytes())
     inv = np.full(ring.order, _NO_INVERSE, dtype="<u4")
     for a, b in bundle.inverse_map.items():
         inv[a] = b
     out.append(inv.tobytes())
-    return b"".join(out)
+    payload = b"".join(out)
+    return payload + hashlib.sha256(payload).digest()
 
 
 def deserialize_bundle(data: bytes, ring: TableRing) -> InvariantBundle | None:
-    head = len(MAGIC) + 6 + 32
-    if len(data) < head or data[:4] != MAGIC:
+    nbytes = (ring.order + 7) // 8
+    if len(data) != _HEAD + len(_SETS) * nbytes + 4 * ring.order + _DIGEST or data[:4] != MAGIC:
+        return None
+    if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
         return None
     version, order = struct.unpack_from("<HI", data, 4)
     if version != FORMAT_VERSION or order != ring.order:
         return None
-    if data[10:42] != table_checksum(ring):
+    if data[10:_HEAD] != table_checksum(ring):
         return None
-    offset = 42
     sets = {}
+    offset = _HEAD
     for name in _SETS:
-        es, offset = _unpack_set(data, offset, ring)
-        sets[name] = es
+        raw = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset)
+        sets[name] = ElemSet.from_mask(ring, np.unpackbits(raw, count=ring.order, bitorder="little"))
+        offset += nbytes
     inv_raw = np.frombuffer(data, dtype="<u4", count=ring.order, offset=offset)
-    if any(sets[name] is None for name in _SETS[:-1]):
-        return None
     inverse_map = {int(a): int(v) for a, v in enumerate(inv_raw) if v != _NO_INVERSE}
-    flags = frozenset(name for name in _SETS if sets[name] is not None)
-    return InvariantBundle(ring=ring, inverse_map=inverse_map, computed_flags=flags, **sets)
+    return InvariantBundle(ring=ring, inverse_map=inverse_map, prime_radical=sets["jacobson"], **sets)
 
 
 def load_bundle(ring: TableRing) -> InvariantBundle | None:

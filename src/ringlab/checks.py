@@ -87,7 +87,6 @@ class CheckContext:
         self.deep = deep
         self.cap = cap
         self._verdicts: dict[str, P.Verdict] | None = None
-        self._rj = None
         self._radical_ideals: list[ElemSet] | None = None
         self._corners = None
         self._aux: dict[int, InvariantBundle] = {}
@@ -104,15 +103,12 @@ class CheckContext:
     def bundle_of(self, ring: TableRing) -> InvariantBundle:
         key = id(ring)
         if key not in self._aux:
-            self._aux[key] = compute_bundle(ring, with_prime_radical=False)
+            self._aux[key] = compute_bundle(ring)
         return self._aux[key]
 
     def radical_quotient(self):
-        """(R/J, projection, bundle of R/J), computed once."""
-        if self._rj is None:
-            quotient, projection = build_quotient(self.ring, self.bundle.jacobson)
-            self._rj = (quotient, projection, compute_bundle(quotient, with_prime_radical=False))
-        return self._rj
+        """(R/J, projection, bundle of R/J), shared with the ring's bundle."""
+        return self.bundle.radical_quotient()
 
     def radical_ideals(self) -> list[ElemSet]:
         """Ideals inside J: always {0} and J, plus the principal ones on
@@ -932,10 +928,10 @@ def _chk_ojac(ctx: CheckContext) -> Outcome:
 
 def _chk_onilstar(ctx: CheckContext) -> Outcome:
     oracle = prime_radical_ideal_oracle(ctx.ring)
-    computed = ctx.bundle.require_prime_radical()
+    computed = ctx.bundle.prime_radical
     if oracle.members != computed.members:
         off = sorted(oracle.members ^ computed.members)[0]
-        return _fail(f"graph Nil* and prime-ideal Nil* differ at {ctx.ring.describe(off)}")
+        return _fail(f"Nil* = J and the prime-ideal intersection differ at {ctx.ring.describe(off)}")
     return _ok()
 
 

@@ -94,7 +94,7 @@ def cmd_inspect(args) -> int:
         "J": len(bundle.jacobson),
         "Jsharp": len(bundle.jsharp),
         "Nil": len(bundle.nilpotents),
-        "NilStar": len(bundle.require_prime_radical()),
+        "NilStar": len(bundle.prime_radical),
         "Id": len(bundle.idempotents),
         "Center": len(bundle.center),
     }
@@ -129,8 +129,6 @@ def _resolve_set(ring, bundle, name: str):
     attr = _SET_NAMES[key]
     if attr == "delta":
         return augmentation_ideal(ring)
-    if attr == "prime_radical":
-        return bundle.require_prime_radical()
     return getattr(bundle, attr)
 
 

@@ -87,16 +87,16 @@ def is_division(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 def is_dedekind_finite(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """ab = 1 forces ba = 1 (pigeonhole guarantees this on finite rings)."""
-    one_ab = ring.mul == ring.one
-    bad = np.argwhere(one_ab & ~one_ab.T)
+    a, b = np.nonzero(ring.mul == ring.one)  # row-major, as the first witness needs
+    bad = np.flatnonzero(ring.mul[b, a] != ring.one)
     if len(bad):
-        a, b = map(int, bad[0])
+        a, b = int(a[bad[0]]), int(b[bad[0]])
         return Verdict(False, f"ab = 1 but ba != 1 for a = {ring.describe(a)}, b = {ring.describe(b)}")
     return Verdict(True)
 
 
 def is_2primal(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    nilstar = bundle.require_prime_radical().members
+    nilstar = bundle.prime_radical.members
     nil = bundle.nilpotents.members
     if nilstar == nil:
         return Verdict(True)
@@ -114,26 +114,36 @@ def is_semipotent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
     Checking the principal ideals Ra and aR for a outside J suffices:
     any offending ideal contains such an a, hence such a principal one.
+    Only nilpotent a need a scan: some power a^k is idempotent in a
+    finite ring, it is nonzero unless a is nilpotent, and it lies in
+    both Ra and aR.
     """
     idem = bundle.idempotents.mask()
     idem[ring.zero] = False
-    jac = bundle.jacobson.members
-    for a in range(ring.order):
-        if a in jac:
-            continue
-        if not idem[ring.mul[:, a]].any():
-            return Verdict(False, f"left ideal R*{ring.describe(a)} has no nonzero idempotent")
-        if not idem[ring.mul[a, :]].any():
-            return Verdict(False, f"right ideal {ring.describe(a)}*R has no nonzero idempotent")
-    return Verdict(True)
+    scan = np.flatnonzero(bundle.nilpotents.mask() & ~bundle.jacobson.mask())
+    left = idem[ring.mul[:, scan]].any(axis=0)  # R*a
+    right = idem[ring.mul[scan, :]].any(axis=1)  # a*R
+    bad = np.flatnonzero(~(left & right))
+    if not len(bad):
+        return Verdict(True)
+    a = int(scan[bad[0]])
+    if not left[bad[0]]:
+        return Verdict(False, f"left ideal R*{ring.describe(a)} has no nonzero idempotent")
+    return Verdict(False, f"right ideal {ring.describe(a)}*R has no nonzero idempotent")
 
 
 def idempotents_lift(ring: TableRing, bundle: InvariantBundle, ideal: ElemSet) -> Verdict:
-    """Every idempotent of R/I is the image of an idempotent of R."""
-    quotient, projection = build_quotient(ring, ideal)
-    qidem = {int(q) for q in np.where(quotient.mul[np.arange(quotient.order), np.arange(quotient.order)] == np.arange(quotient.order))[0]}
+    """Every idempotent of R/I is the image of an idempotent of R.
+
+    Modulo J the bundle's shared R/J is used.
+    """
+    if ideal.members == bundle.jacobson.members:
+        quotient, projection, qbundle = bundle.radical_quotient()
+    else:
+        quotient, projection = build_quotient(ring, ideal)
+        qbundle = compute_bundle(quotient)
     lifted = {int(projection[e]) for e in bundle.idempotents}
-    missing = sorted(qidem - lifted)
+    missing = sorted(qbundle.idempotents.members - lifted)
     if missing:
         return Verdict(False, f"coset {quotient.describe(missing[0])} lifts to no idempotent")
     return Verdict(True)
@@ -174,14 +184,9 @@ def is_exchange(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     return Verdict(True)
 
 
-def _radical_quotient(ring: TableRing, bundle: InvariantBundle):
-    quotient, projection = build_quotient(ring, bundle.jacobson)
-    return quotient, projection, compute_bundle(quotient, with_prime_radical=False)
-
-
 def is_semiregular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """R/J regular and idempotents lift modulo J."""
-    quotient, _, qbundle = _radical_quotient(ring, bundle)
+    quotient, _, qbundle = bundle.radical_quotient()
     reg = is_regular(quotient, qbundle)
     if not reg:
         return Verdict(False, f"R/J not regular: {reg.witness}")
@@ -190,7 +195,7 @@ def is_semiregular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """R/J Boolean and idempotents lift modulo J."""
-    quotient, _, qbundle = _radical_quotient(ring, bundle)
+    quotient, _, qbundle = bundle.radical_quotient()
     boo = is_boolean(quotient, qbundle)
     if not boo:
         return Verdict(False, f"R/J not Boolean: {boo.witness}")

@@ -3,9 +3,19 @@
 The Jacobson radical is computed by the quasi-regularity criterion
 (j is in J iff 1 - r*j is a unit for every r); the maximal-left-ideal
 intersection is kept only as a cross-check oracle for small orders.
-J# membership scans the power orbit, whose cycle bounds the exponent
-search. The prime radical Nil* is the set of strongly nilpotent
-elements, computed by pruning the reachability graph x -> x*r*x.
+
+On a finite ring two of the radicals collapse (Lam, *A First Course in
+Noncommutative Rings*, GTM 131):
+
+- Nil*(R) = J(R). J is nilpotent, so it lies in every prime ideal; Nil*
+  is a nil ideal, so it lies in J. The prime radical is therefore J
+  itself; the prime-ideal intersection survives as a desk oracle.
+- J#(R) = Nil(R), since J is nilpotent.
+
+Nil and J# are still computed from their definitions ("some power of a
+lands in the ideal"), by repeated squaring: a power that enters an ideal
+stays there, and the first entry comes by a^n with n the ring order, so
+a^(2^k) with 2^k >= n decides membership in ceil(log2 n) table gathers.
 """
 
 from __future__ import annotations
@@ -23,11 +33,10 @@ class NotAGroupRingError(RingError):
 
 def units(ring: TableRing) -> tuple[ElemSet, dict[int, int]]:
     """The unit group and the (total on units) inverse map."""
-    one_hits = ring.mul == ring.one
-    two_sided = one_hits & one_hits.T
-    has_inv = two_sided.any(axis=1)
-    inverse = {int(a): int(np.argmax(two_sided[a])) for a in np.where(has_inv)[0]}
-    return ElemSet.from_mask(ring, has_inv), inverse
+    a, b = np.nonzero(ring.mul == ring.one)
+    two_sided = ring.mul[b, a] == ring.one
+    a, b = a[two_sided].tolist(), b[two_sided].tolist()  # a two-sided inverse is unique
+    return ElemSet.of(ring, a), dict(zip(a, b))
 
 
 def idempotents(ring: TableRing) -> ElemSet:
@@ -35,22 +44,21 @@ def idempotents(ring: TableRing) -> ElemSet:
     return ElemSet.from_mask(ring, ring.mul[idx, idx] == idx)
 
 
-def _orbit_masks(ring: TableRing, targets: np.ndarray) -> np.ndarray:
-    """For each element a: does some positive power of a land in `targets`?"""
-    n = ring.order
-    idx = np.arange(n)
-    hit = np.zeros(n, dtype=bool)
-    power = idx.copy()  # a^1
-    for _ in range(n):
-        hit |= targets[power]
-        power = ring.mul[power, idx]
-    return hit
+def _orbit_masks(ring: TableRing, ideal_mask: np.ndarray) -> np.ndarray:
+    """For each element a: does some positive power of a land in the ideal?
+
+    Exact for a two-sided ideal: a^(2^k) with 2^k >= n decides it.
+    """
+    power = np.arange(ring.order)  # a^1
+    for _ in range((ring.order - 1).bit_length()):  # ceil(log2 n) squarings
+        power = ring.mul[power, power]
+    return ideal_mask[power]
 
 
 def nilpotents(ring: TableRing) -> ElemSet:
-    targets = np.zeros(ring.order, dtype=bool)
-    targets[ring.zero] = True
-    return ElemSet.from_mask(ring, _orbit_masks(ring, targets))
+    zero = np.zeros(ring.order, dtype=bool)
+    zero[ring.zero] = True
+    return ElemSet.from_mask(ring, _orbit_masks(ring, zero))
 
 
 def center(ring: TableRing) -> ElemSet:
@@ -75,33 +83,9 @@ def jsharp(ring: TableRing, jacobson: ElemSet) -> ElemSet:
     return ElemSet.from_mask(ring, _orbit_masks(ring, jacobson.mask()))
 
 
-def prime_radical(ring: TableRing) -> ElemSet:
-    """Strongly nilpotent elements.
-
-    A nonzero element escapes Nil* exactly when the graph x -> x*r*x
-    (nonzero vertices only) gives it an infinite walk, i.e. when it can
-    reach a nonzero cycle; iterated sink-pruning finds those vertices.
-    """
-    n = ring.order
-    mul = ring.mul
-    zero = ring.zero
-    idx = np.arange(n)
-    succ: list[np.ndarray] = []
-    for v in range(n):
-        succ.append(np.unique(mul[v, mul[idx, v]]))  # {v*r*v : r in R}
-    alive = np.ones(n, dtype=bool)
-    alive[zero] = False
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if not alive[v]:
-                continue
-            nxt = succ[v]
-            if not alive[nxt].any():
-                alive[v] = False
-                changed = True
-    return ElemSet.from_mask(ring, ~alive)
+def prime_radical(ring: TableRing, jacobson: ElemSet | None = None) -> ElemSet:
+    """Nil*(R); J(R) on a finite ring (see the module docstring)."""
+    return jacobson if jacobson is not None else jacobson_radical(ring)
 
 
 def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | None]:
@@ -176,17 +160,20 @@ class InvariantBundle:
     center: ElemSet
     jacobson: ElemSet
     jsharp: ElemSet
-    prime_radical: ElemSet | None = None
-    computed_flags: frozenset[str] = field(default_factory=frozenset)
+    prime_radical: ElemSet
+    _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def require_prime_radical(self) -> ElemSet:
-        if self.prime_radical is None:
-            self.prime_radical = prime_radical(self.ring)
-            self.computed_flags = self.computed_flags | {"prime_radical"}
-        return self.prime_radical
+    def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
+        """(R/J, projection, bundle of R/J), computed on first use and kept."""
+        if self._radical_quotient is None:
+            from .construct import build_quotient  # local import; construct sits above
+
+            quotient, projection = build_quotient(self.ring, self.jacobson)
+            self._radical_quotient = (quotient, projection, compute_bundle(quotient))
+        return self._radical_quotient
 
 
-def compute_bundle(ring: TableRing, with_prime_radical: bool = True) -> InvariantBundle:
+def compute_bundle(ring: TableRing) -> InvariantBundle:
     u, inv = units(ring)
     jac = jacobson_radical(ring, u.mask())
     bundle = InvariantBundle(
@@ -198,11 +185,7 @@ def compute_bundle(ring: TableRing, with_prime_radical: bool = True) -> Invarian
         center=center(ring),
         jacobson=jac,
         jsharp=jsharp(ring, jac),
-        prime_radical=prime_radical(ring) if with_prime_radical else None,
-        computed_flags=frozenset(
-            ["units", "idempotents", "nilpotents", "center", "jacobson", "jsharp"]
-            + (["prime_radical"] if with_prime_radical else [])
-        ),
+        prime_radical=prime_radical(ring, jac),
     )
     _assert_bundle_sanity(bundle)
     return bundle
@@ -221,7 +204,7 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
             ("J <= J#", b.jacobson.members <= b.jsharp.members),
             ("Nil <= J#", b.nilpotents.members <= b.jsharp.members),
             ("1 + J <= U", one_plus_j <= b.units.members),
-            ("Nil* <= Nil", b.prime_radical is None or b.prime_radical.members <= b.nilpotents.members),
+            ("J <= Nil", b.jacobson.members <= b.nilpotents.members),
         )
         if not ok
     ]

@@ -36,7 +36,7 @@ def test_criterion_01_power_of_two():
     mismatches = []
     for n in range(2, 65):
         ring = build_zmod(n)
-        verdict = P.is_ujsharp(ring, compute_bundle(ring, with_prime_radical=False)).value
+        verdict = P.is_ujsharp(ring, compute_bundle(ring)).value
         if verdict != (n & (n - 1) == 0):
             mismatches.append(n)
     report_line(1, not mismatches, f"Z/n UJ# exactly for 2-power n, 2 <= n <= 64 (mismatches: {mismatches})")
@@ -44,7 +44,7 @@ def test_criterion_01_power_of_two():
 
 def test_criterion_02_matrix_exclusion():
     m2 = build_matrix(build_zmod(2), 2)
-    b = compute_bundle(m2, with_prime_radical=False)
+    b = compute_bundle(m2)
     witness = 2 + 4 + 8  # [[0,1],[1,1]] in the row-major little-endian encoding
     ok = not P.is_ujsharp(m2, b).value
     ok &= witness in b.units.members
@@ -52,10 +52,10 @@ def test_criterion_02_matrix_exclusion():
     ok &= um1 in b.units.members and um1 not in b.jsharp.members
 
     m2z4 = build_matrix(build_zmod(4), 2)
-    ok &= not P.is_ujsharp(m2z4, compute_bundle(m2z4, with_prime_radical=False)).value
+    ok &= not P.is_ujsharp(m2z4, compute_bundle(m2z4)).value
 
     corner, _ = build_corner(m2, 1 + 8)  # corner at the identity idempotent
-    ok &= not P.is_ujsharp(corner, compute_bundle(corner, with_prime_radical=False)).value
+    ok &= not P.is_ujsharp(corner, compute_bundle(corner)).value
     report_line(2, ok, "M2(F2) not UJ# with witness [[0,1],[1,1]]; M2(Z/4) and the embedded corner excluded")
 
 
@@ -103,11 +103,11 @@ def test_criterion_06_group_ring_suite():
     ok = True
     for text, expected in expectations.items():
         ring = compile_text(text)
-        bundle = compute_bundle(ring, with_prime_radical=False)
+        bundle = compute_bundle(ring)
         verdict = P.is_ujsharp(ring, bundle).value
         ok &= verdict == expected
         meta = ring.meta
-        base_bundle = compute_bundle(meta.base, with_prime_radical=False)
+        base_bundle = compute_bundle(meta.base)
         if meta.group.is_2group and P.is_ujsharp(meta.base, base_bundle).value:
             ok &= augmentation_ideal(ring).members <= bundle.jacobson.members
     report_line(6, ok, "F2[G] UJ# exactly for the 2-groups; Z/4[C2] UJ#; Delta(RG) inside J(RG)")
@@ -121,7 +121,7 @@ def test_criterion_07_finite_collapse(suite_report):
 
 def test_criterion_08_example_13_audit(suite_report):
     m2 = compile_text("m(2,z(2))")
-    b = compute_bundle(m2, with_prime_radical=False)
+    b = compute_bundle(m2)
     e12 = matrix_unit_index(m2, 0, 1)
     e21 = matrix_unit_index(m2, 1, 0)
     ok = b.jsharp.members == {0, e12, e21, 15} and len(b.jsharp) == 4
@@ -150,14 +150,14 @@ def test_criterion_10_truncated_series_proxy():
     cases = []
     for base_text, base_builder in (("z(2)", lambda: build_zmod(2)), ("z(4)", lambda: build_zmod(4)), ("gf(4)", lambda: build_gf(4))):
         base = base_builder()
-        base_verdict = P.is_ujsharp(base, compute_bundle(base, with_prime_radical=False)).value
+        base_verdict = P.is_ujsharp(base, compute_bundle(base)).value
         endos = [identity_endo(base)]
         if base_text == "gf(4)":
             endos.append(frobenius_endo(base))
         for alpha in endos:
             for k in (2, 3):
                 ring = build_truncated_skew_poly(base, alpha, k)
-                verdict = P.is_ujsharp(ring, compute_bundle(ring, with_prime_radical=False)).value
+                verdict = P.is_ujsharp(ring, compute_bundle(ring)).value
                 cases.append((base_text, alpha.name, k))
                 ok &= verdict == base_verdict
     report_line(10, ok, f"UJ#(R[x;a]/(x^k)) = UJ#(R) over {len(cases)} (base, endo, k) combinations")

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from ringlab import compile_text, compute_bundle
+from ringlab import ElemSet, compile_text, compute_bundle
 from ringlab.cache import (
     FORMAT_VERSION,
     cache_dir,
@@ -13,6 +15,8 @@ from ringlab.cache import (
     stats,
     table_checksum,
 )
+from ringlab.checks import CheckContext, get_check
+from ringlab.cli import main
 from ringlab.construct import build_zmod
 
 
@@ -50,6 +54,7 @@ def test_checksum_guards_against_builder_drift():
     rebuilt = compile_text("z(8)")
     assert table_checksum(ring) == table_checksum(rebuilt)
     assert deserialize_bundle(data, rebuilt) is not None  # identical tables: hit
+    assert deserialize_bundle(data, compile_text("gf(8)")) is None  # same order, other tables
     # an entry recorded against different tables must be a silent miss
     corrupted = bytearray(data)
     corrupted[12] ^= 0xFF  # inside the stored table checksum
@@ -89,3 +94,19 @@ def test_get_or_compute_populates_once():
     assert second.jsharp.members == first.jsharp.members
     assert clear() == 1
     assert stats()["entries"] == 0
+
+
+def test_flipped_bit_is_a_miss_not_a_false_verdict(capsys):
+    ring = compile_text("z(8)")
+    bundle = compute_bundle(ring)
+    save_bundle(bundle)
+    (entry,) = [p for p in cache_dir().iterdir() if p.suffix == ".bin"]
+    data = bytearray(entry.read_bytes())
+    data[42] ^= 1 << 2  # the units bitset follows the 42-byte header: add 2 to U
+    entry.write_bytes(bytes(data))
+    assert load_bundle(ring) is None
+    # accepted, the corrupted entry would turn C-Zn into a false fail
+    corrupt = dataclasses.replace(bundle, units=ElemSet.of(ring, [1, 2, 3, 5, 7]))
+    assert not get_check("C-Zn").body(CheckContext(ring, corrupt)).ok
+    assert main(["check", "C-Zn", "z(8)"]) == 0
+    assert "C-Zn on z(8): pass" in capsys.readouterr().out

@@ -226,7 +226,7 @@ def test_unit_counts_saturate_radical_fibers(corpus_bundles):
         for members in ({ring.zero}, bundle.jacobson.members):
             ideal = ElemSet.of(ring, members)
             quotient, _ = build_quotient(ring, ideal)
-            qunits = compute_bundle(quotient, with_prime_radical=False).units
+            qunits = compute_bundle(quotient).units
             assert len(qunits) * len(ideal) == len(bundle.units), text
 
 

@@ -1,5 +1,8 @@
-from ringlab import compile_text, compute_bundle
+import dataclasses
+
+from ringlab import ElemSet, compile_text, compute_bundle, construct
 from ringlab import predicates as P
+from ringlab.checks import CheckContext
 
 
 def ring_and_bundle(text):
@@ -161,3 +164,50 @@ def test_implication_suite_over_the_corpus(corpus_bundles):
             two = int(ring.add[ring.one, ring.one])
             assert two in b.jacobson.members, text
             assert P.is_dedekind_finite(ring, b).value, text
+
+
+def semipotent_oracle(ring, bundle):
+    """The definitional per-element scan: Ra, then aR, for each a outside J."""
+    idem = bundle.idempotents.mask()
+    idem[ring.zero] = False
+    for a in range(ring.order):
+        if a in bundle.jacobson.members:
+            continue
+        if not idem[ring.mul[:, a]].any():
+            return P.Verdict(False, f"left ideal R*{ring.describe(a)} has no nonzero idempotent")
+        if not idem[ring.mul[a, :]].any():
+            return P.Verdict(False, f"right ideal {ring.describe(a)}*R has no nonzero idempotent")
+    return P.Verdict(True)
+
+
+def test_semipotent_matches_the_per_element_oracle(corpus_bundles):
+    # Every finite ring is semipotent, so the failing path is reached by
+    # pretending J = 0: a nonzero j in the true J then needs a nonzero
+    # idempotent in Rj, which lies inside J and so has none.
+    failing = 0
+    for text, ring, b in corpus_bundles:
+        assert P.is_semipotent(ring, b) == semipotent_oracle(ring, b), text
+        no_radical = dataclasses.replace(b, jacobson=ElemSet.of(ring, [ring.zero]))
+        verdict = P.is_semipotent(ring, no_radical)
+        assert verdict == semipotent_oracle(ring, no_radical), text
+        failing += not verdict.value
+    assert failing == sum(len(b.jacobson) > 1 for _, _, b in corpus_bundles)
+
+
+def test_classify_builds_the_radical_quotient_once(monkeypatch):
+    calls = []
+    real = construct.build_quotient
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "build_quotient", counting)
+    monkeypatch.setattr(P, "build_quotient", counting)
+    for text in ("z(8)", "m(2,z(2))", "t(3,z(2))", "group(z(2),s(3))"):
+        ring, b = ring_and_bundle(text)
+        calls.clear()
+        P.classify(ring, b)
+        assert len(calls) == 1, text
+        CheckContext(ring, b).radical_quotient()  # the check context shares it
+        assert len(calls) == 1, text

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ringlab import ElemSet, compile_text, compute_bundle
+from ringlab import ElemSet, compile_text, compute_bundle, power_orbit
 from ringlab.construct import build_matrix, build_triangular, build_zmod, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
@@ -97,6 +97,31 @@ def test_prime_radical_matches_ideal_oracle():
         assert prime_radical(ring).members == prime_radical_ideal_oracle(ring).members, text
 
 
+def _power_orbit_oracle(ring, target):
+    """Elements some positive power of which lies in target, walking each orbit."""
+    return frozenset(a for a in range(ring.order) if not target.isdisjoint(power_orbit(ring, a)[0]))
+
+
+def test_squaring_orbits_match_power_orbit_oracle(corpus_bundles):
+    extra = [(text, compile_text(text)) for text in ("t(2,z(16))", "z(64)", "group(z(4),c(4))")]
+    for text, ring, bundle in corpus_bundles + [(text, ring, compute_bundle(ring)) for text, ring in extra]:
+        assert nilpotents(ring).members == _power_orbit_oracle(ring, {ring.zero}), text
+        assert jsharp(ring, bundle.jacobson).members == _power_orbit_oracle(ring, bundle.jacobson.members), text
+
+
+def test_prime_radical_is_jacobson_on_the_corpus(corpus_bundles):
+    for text, ring, bundle in corpus_bundles:
+        assert bundle.prime_radical.members == bundle.jacobson.members, text
+
+
+def test_units_and_inverses_match_the_definition(corpus_bundles):
+    for text, ring, bundle in corpus_bundles:
+        one = ring.one
+        inverses = {a: [b for b in range(ring.order) if ring.mul[a, b] == one == ring.mul[b, a]] for a in range(ring.order)}
+        assert bundle.units.members == {a for a, bs in inverses.items() if bs}, text
+        assert bundle.inverse_map == {a: bs[0] for a, bs in inverses.items() if bs}, text
+
+
 def test_is_two_sided_ideal():
     z8 = build_zmod(8)
     ok, witness = is_two_sided_ideal(z8, ElemSet.of(z8, [0, 2, 4, 6]))
@@ -147,15 +172,6 @@ def test_bundle_invariants_across_sample():
         one_plus_j = {int(ring.add[ring.one, j]) for j in b.jacobson}
         assert one_plus_j <= b.units.members
         assert set(b.inverse_map) == set(b.units.members)
-
-
-def test_lazy_prime_radical_flag():
-    ring = build_zmod(8)
-    b = compute_bundle(ring, with_prime_radical=False)
-    assert b.prime_radical is None and "prime_radical" not in b.computed_flags
-    got = b.require_prime_radical()
-    assert got.indices() == (0, 2, 4, 6)
-    assert "prime_radical" in b.computed_flags
 
 
 GUARD_SCRIPT = """
