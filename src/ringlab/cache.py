@@ -39,10 +39,15 @@ def cache_dir() -> Path:
 
 
 def table_checksum(ring: TableRing) -> bytes:
+    """SHA-256 of the order, zero, one and both tables as little-endian int32.
+
+    The tables are hashed in place; a copy is made only on a host whose
+    native byte order is not little-endian.
+    """
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, 0))
-    h.update(ring.add.astype("<i4").tobytes())
-    h.update(ring.mul.astype("<i4").tobytes())
+    h.update(np.ascontiguousarray(ring.add, dtype="<i4"))
+    h.update(np.ascontiguousarray(ring.mul, dtype="<i4"))
     return h.digest()
 
 

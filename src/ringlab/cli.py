@@ -30,29 +30,6 @@ _SET_NAMES = {
     "delta": "delta",
 }
 
-_PREDICATE_ORDER = (
-    "ujsharp",
-    "uj",
-    "uu",
-    "boolean",
-    "local",
-    "division",
-    "regular",
-    "exchange",
-    "semiregular",
-    "semiboolean",
-    "semipotent",
-    "potent",
-    "clean",
-    "strongly_clean",
-    "jsharp_clean",
-    "strongly_jsharp_clean",
-    "strongly_nil_clean",
-    "uniquely_clean",
-    "dedekind_finite",
-    "two_primal",
-)
-
 
 def _cap(args) -> int:
     """The order cap from --max-order, else RINGLAB_MAX_ORDER, else the default."""
@@ -105,10 +82,10 @@ def cmd_inspect(args) -> int:
         "sizes": sizes,
         "predicates": {
             name: {"verdict": verdicts[name].value, **({"witness": verdicts[name].witness} if verdicts[name].witness else {})}
-            for name in _PREDICATE_ORDER
+            for name in P.PREDICATE_NAMES
         },
     }
-    width = max(len(name) for name in _PREDICATE_ORDER) + 2
+    width = max(len(name) for name in P.PREDICATE_NAMES) + 2
     lines = [
         "ring".ljust(width) + str(ring.expr_text),
         "order".ljust(width) + str(ring.order),
@@ -116,7 +93,7 @@ def cmd_inspect(args) -> int:
     ]
     for key, value in sizes.items():
         lines.append(f"|{key}|".ljust(width) + str(value))
-    for name in _PREDICATE_ORDER:
+    for name in P.PREDICATE_NAMES:
         lines.append(name.ljust(width) + ("yes" if verdicts[name].value else "no"))
     _emit(payload, args.json, "\n".join(lines) + "\n")
     return 0

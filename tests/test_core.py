@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -14,7 +15,7 @@ from ringlab import (
     validate_ring,
 )
 from ringlab.construct import build_matrix, build_zmod, matrix_unit_index
-from ringlab.core import ElementIndexError
+from ringlab.core import ElementIndexError, Violation, rows_equal_columns, scan_axioms
 
 
 def raw_zmod_tables(n):
@@ -68,7 +69,36 @@ def test_validate_rejects_noncommutative_addition():
     add[1][2] = 1
     with pytest.raises(RingValidationError) as err:
         validate_ring(add, mul, 0, 1)
-    assert any(v.kind == "NotAbelianGroup" for v in err.value.violations)
+    # the row-major first (a, b) with a + b != b + a; (2, 1) is the mirror
+    assert err.value.violations[0] == Violation("NotAbelianGroup", (1, 2))
+
+
+def test_noncommutative_addition_witness_on_the_sampled_path():
+    # order 130 is past the exhaustive limit, and the bad entries sit past
+    # column 64, so the slab compare crosses a slab edge; the row-major
+    # witness (3, 100) is not the column-major one (100, 3)
+    add, mul = (np.array(t) for t in raw_zmod_tables(130))
+    add[3, 100] = 5
+    add[70, 5] = 9
+    violations, mode = scan_axioms(add, mul, 0, 1)
+    assert mode == "sampled"
+    assert violations[0] == Violation("NotAbelianGroup", tuple(map(int, np.argwhere(add != add.T)[0])))
+    assert violations[0].witness == (3, 100)
+    with pytest.raises(RingValidationError) as err:
+        validate_ring(add, mul, 0, 1)
+    assert err.value.violations[0] == violations[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_rows_equal_columns_matches_the_transpose_compare(n):
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        table = rng.integers(0, 5, size=(n, n))
+        table = np.triu(table) + np.triu(table, 1).T  # symmetric
+        for _ in range(trial * 3):  # then break a few rows
+            i, j = rng.integers(0, n, size=2)
+            table[i, j] += 1
+        assert np.array_equal(rows_equal_columns(table), (table == table.T).all(axis=1))
 
 
 def test_validate_rejects_broken_identity():

@@ -211,3 +211,65 @@ def test_classify_builds_the_radical_quotient_once(monkeypatch):
         assert len(calls) == 1, text
         CheckContext(ring, b).radical_quotient()  # the check context shares it
         assert len(calls) == 1, text
+
+
+def clean_family_oracle(ring, bundle):
+    """The per-element searches: one `*_witness` call per class and element."""
+    searches = {
+        "clean": P.clean_witness,
+        "strongly_clean": P.strongly_clean_witness,
+        "jsharp_clean": P.jsharp_clean_witness,
+        "strongly_jsharp_clean": P.strongly_jsharp_clean_witness,
+        "strongly_nil_clean": P.strongly_nil_clean_witness,
+    }
+    out = {}
+    for name, search in searches.items():
+        bad = next((a for a in range(ring.order) if search(ring, bundle, a) is None), None)
+        if bad is None:
+            out[name] = P.Verdict(True)
+        else:
+            out[name] = P.Verdict(False, f"{ring.describe(bad)} has no {name.replace('_', ' ')} decomposition")
+    counts = [P.clean_decomposition_count(ring, bundle, a) for a in range(ring.order)]
+    bad = next((a for a, k in enumerate(counts) if k != 1), None)
+    if bad is None:
+        out["uniquely_clean"] = P.Verdict(True)
+    else:
+        out["uniquely_clean"] = P.Verdict(False, f"{ring.describe(bad)} has {counts[bad]} clean decompositions")
+    return out
+
+
+def exchange_oracle(ring, bundle):
+    """For each a, walk the idempotents e for e in aR with 1 - e in (1-a)R."""
+    for a in range(ring.order):
+        in_aR = set(ring.mul[a, :].tolist())
+        in_bR = set(ring.mul[int(ring.add[ring.one, ring.neg[a]]), :].tolist())
+        if not any(e in in_aR and int(ring.add[ring.one, ring.neg[e]]) in in_bR for e in bundle.idempotents):
+            return P.Verdict(False, f"no exchange idempotent for a = {ring.describe(a)}")
+    return P.Verdict(True)
+
+
+def _trivial_idempotents(ring, bundle):
+    # Id cut to {0, 1}: the clean classes then need a or a - 1 in the pool,
+    # and exchange needs a or 1 - a to be a unit, which fails off local rings
+    return dataclasses.replace(bundle, idempotents=ElemSet.of(ring, [ring.zero, ring.one]))
+
+
+def test_clean_family_matches_the_per_element_oracle(corpus_bundles):
+    failed = set()
+    for text, ring, b in corpus_bundles:
+        for bundle in (b, _trivial_idempotents(ring, b)):
+            family = P.clean_family(ring, bundle)
+            assert family == clean_family_oracle(ring, bundle), text
+            failed |= {name for name, verdict in family.items() if not verdict.value}
+    assert failed == set(clean_family_oracle(ring, b))  # every class reaches its failing path
+
+
+def test_exchange_matches_the_per_element_oracle(corpus_bundles):
+    failing = 0
+    for text, ring, b in corpus_bundles:
+        assert P.is_exchange(ring, b) == exchange_oracle(ring, b), text
+        cut = _trivial_idempotents(ring, b)
+        verdict = P.is_exchange(ring, cut)
+        assert verdict == exchange_oracle(ring, cut), text
+        failing += not verdict.value
+    assert failing == sum(not P.is_local(ring, b).value for _, ring, b in corpus_bundles)

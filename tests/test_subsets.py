@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ringlab import ElemSet, compile_text, compute_bundle, power_orbit
@@ -136,6 +137,52 @@ def test_is_two_sided_ideal():
     assert kind == "add"
     _, a, b = witness
     assert int(M2.add[a, b]) not in sharp.members
+
+
+def test_center_and_jacobson_match_the_definitions(corpus_bundles):
+    extra = compile_text("t(2,z(16))")
+    for text, ring, bundle in corpus_bundles + [("t(2,z(16))", extra, compute_bundle(extra))]:
+        mul = ring.mul
+        assert np.array_equal(center(ring).mask(), (mul == mul.T).all(axis=1)), text
+        unit_mask = bundle.units.mask()
+        one_minus = ring.add[ring.one, ring.neg[mul]]  # (r, j) -> 1 - r*j, three n x n gathers
+        assert np.array_equal(jacobson_radical(ring, unit_mask).mask(), unit_mask[one_minus].all(axis=0)), text
+
+
+def _ideal_witness_oracle(ring, subset):
+    """The witness scans run unconditionally: the first failure in each test."""
+    members = sorted(subset.members)
+    if ring.zero not in subset.members:
+        return False, ("zero", ring.zero)
+    mask = subset.mask()
+    arr = np.array(members, dtype=np.int64)
+    bad = np.argwhere(~mask[ring.add[np.ix_(arr, arr)]])
+    if len(bad):
+        return False, ("add", members[bad[0][0]], members[bad[0][1]])
+    bad = np.argwhere(~mask[ring.mul[:, arr]])
+    if len(bad):
+        return False, ("left", int(bad[0][0]), members[bad[0][1]])
+    bad = np.argwhere(~mask[ring.mul[arr, :]])
+    if len(bad):
+        return False, ("right", members[bad[0][0]], int(bad[0][1]))
+    return True, None
+
+
+def test_is_two_sided_ideal_witnesses_match_the_oracle():
+    kinds = set()
+    for text in ("m(2,z(2))", "t(2,z(2))", "t(3,z(2))", "group(z(2),s(3))", "z(12)"):
+        ring = compile_text(text)
+        candidates = []
+        for a in range(ring.order):
+            candidates.append(ElemSet.of(ring, ring.mul[:, a]))  # R*a: a left ideal
+            candidates.append(ElemSet.of(ring, ring.mul[a, :]))  # a*R: a right ideal
+            candidates.append(ElemSet.of(ring, {ring.zero, a}))
+            candidates.append(ElemSet.of(ring, {a}))
+        for subset in candidates:
+            got = is_two_sided_ideal(ring, subset)
+            assert got == _ideal_witness_oracle(ring, subset), (text, subset.indices())
+            kinds.add(got[1][0] if got[1] else None)
+    assert kinds == {"zero", "add", "left", "right", None}
 
 
 def test_augmentation():
