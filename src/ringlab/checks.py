@@ -31,6 +31,8 @@ from .core import (
     validate_ring,
 )
 from .construct import (
+    _reindex,
+    additive_closure,
     build_corner,
     build_group_ring,
     build_quotient,
@@ -236,29 +238,12 @@ def _sumset(ring: TableRing, left, right) -> frozenset[int]:
     return frozenset(int(x) for x in ring.add[np.ix_(la, ra)].ravel())
 
 
-def _additive_closure(ring: TableRing, items) -> frozenset[int]:
-    members = set(items) | {ring.zero}
-    while True:
-        arr = np.array(sorted(members), dtype=np.int64)
-        total = {int(v) for v in ring.add[np.ix_(arr, arr)].ravel()}
-        if total <= members:
-            return frozenset(members)
-        members |= total
-
-
-def _ring_from_subset(ring: TableRing, subset: ElemSet, names_prefix: str = "") -> TableRing:
+def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
     """Reindex a unital subring (closed subset containing 0 and 1)."""
-    elems = sorted(subset.members)
-    back = {p: i for i, p in enumerate(elems)}
-    m = len(elems)
-    add = np.zeros((m, m), dtype=np.int32)
-    mul = np.zeros((m, m), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            add[i, j] = back[int(ring.add[p, q])]
-            mul[i, j] = back[int(ring.mul[p, q])]
-    names = tuple(names_prefix + ring.names[p] for p in elems)
-    return validate_ring(add, mul, back[ring.zero], back[ring.one], names=names)
+    elems = subset.indices()
+    add, mul, back = _reindex(ring, np.array(elems, dtype=np.int64))
+    names = tuple(ring.names[p] for p in elems)
+    return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +670,7 @@ def _chk_c27(ctx: CheckContext) -> Outcome:
         arr = np.array(sorted(b.jacobson.members), dtype=np.int64)
         cur = np.array(sorted(current), dtype=np.int64)
         products = {int(x) for x in ring.mul[np.ix_(arr, cur)].ravel()}
-        nxt = _additive_closure(ring, products)
+        nxt = additive_closure(ring, products)
         if nxt == current:
             return _fail("J is not nilpotent: ideal powers stabilise above zero")
         current = nxt

@@ -9,8 +9,10 @@ witnesses and cached results are reproducible:
 * ``matrix(k, R)`` / ``triangular(k, R)``: stored cells row-major, index =
   little-endian base-|R| digits over those cells.
 * ``product``: mixed radix, first factor least significant.
-* ``quotient``: cosets sorted by smallest member index.
-* ``corner``: elements of eRe sorted by parent index.
+* ``quotient``: cosets sorted by smallest member index; the tables on the
+  coset representatives go through the projection (``_reindex``).
+* ``corner``: elements of eRe sorted by parent index; the tables go through
+  the back-map elems[i] -> i (``_reindex``, shared with subrings).
 * ``trivial extension``: pair (r, m) at index r*|R| + m.
 * ``group ring``: coefficient of group element i is digit i, index =
   little-endian base-|R| value.
@@ -393,14 +395,34 @@ def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> El
         frontier.extend(fresh)
         if len(members) == n:
             break
-    # ensure additive closure after the generator sweep
-    changed = True
-    while changed:
+    return ElemSet.of(ring, additive_closure(ring, members))
+
+
+def additive_closure(ring: TableRing, items) -> frozenset[int]:
+    """The additive subgroup generated by `items` (fixpoint of pairwise sums)."""
+    members = set(items) | {ring.zero}
+    while True:
         arr = np.array(sorted(members), dtype=np.int64)
-        total = {int(v) for v in add[np.ix_(arr, arr)].ravel()}
-        changed = not total <= members
+        total = {int(v) for v in ring.add[np.ix_(arr, arr)].ravel()}
+        if total <= members:
+            return frozenset(members)
         members |= total
-    return ElemSet.of(ring, members)
+
+
+def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None):
+    """(add, mul, back): tables of a ring derived from the sorted parent
+    elements `elems`, through `back`, which maps each parent index to its
+    index in the derived ring.
+
+    `back` defaults to the subring map elems[i] -> i and -1 off `elems`; a
+    subset that is not closed then leaves -1 entries, which
+    `validate_ring`'s range check rejects.
+    """
+    if back is None:
+        back = np.full(ring.order, -1, dtype=np.int32)
+        back[elems] = np.arange(len(elems), dtype=np.int32)
+    cells = np.ix_(elems, elems)
+    return back[ring.add[cells]], back[ring.mul[cells]], back
 
 
 def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
@@ -413,25 +435,12 @@ def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> t
         raise NotAnIdealError(f"generating set is not a two-sided ideal: {witness}")
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
-    n = ring.order
     members = np.array(sorted(ideal.members), dtype=np.int64)
-    rep = np.full(n, -1, dtype=np.int64)
-    for x in range(n):
-        if rep[x] >= 0:
-            continue
-        coset = ring.add[x, members]
-        smallest = int(coset.min())
-        rep[coset] = smallest
-    reps = np.unique(rep)
-    coset_index = {int(r): i for i, r in enumerate(reps)}
-    projection = np.array([coset_index[int(r)] for r in rep], dtype=np.int32)
-    m = len(reps)
-    _check_cap(m, cap)
-    add = np.zeros((m, m), dtype=np.int32)
-    mul = np.zeros((m, m), dtype=np.int32)
-    for i, a in enumerate(reps):
-        add[i, :] = projection[ring.add[a, reps]]
-        mul[i, :] = projection[ring.mul[a, reps]]
+    # addition is commutative, so column x of add[members] is the coset x + I
+    reps, projection = np.unique(ring.add[members].min(axis=0), return_inverse=True)
+    projection = projection.astype(np.int32)
+    _check_cap(len(reps), cap)
+    add, mul, _ = _reindex(ring, reps, projection)
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
     meta = QuotientMeta(ring, tuple(sorted(ideal.members)), projection)
     out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)
@@ -448,16 +457,10 @@ def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[Table
     exe = np.unique(ring.mul[e, ring.mul[:, e]])
     embedding = exe.astype(np.int32)
     _check_cap(len(exe), cap)
-    back = {int(p): i for i, p in enumerate(exe)}
-    m = len(exe)
-    add = np.zeros((m, m), dtype=np.int32)
-    mul = np.zeros((m, m), dtype=np.int32)
-    for i, p in enumerate(exe):
-        add[i, :] = [back[int(v)] for v in ring.add[int(p), exe]]
-        mul[i, :] = [back[int(v)] for v in ring.mul[int(p), exe]]
+    add, mul, back = _reindex(ring, exe)
     names = tuple(ring.names[int(p)] for p in exe)
     meta = CornerMeta(ring, e, embedding)
-    out = validate_ring(add, mul, back[ring.zero], back[e], names=names, meta=meta)
+    out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=names, meta=meta)
     return out, embedding
 
 

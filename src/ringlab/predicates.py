@@ -36,29 +36,26 @@ def _first(iterable):
 # ---------------------------------------------------------------------------
 
 
+def _units_minus_one_in(ring: TableRing, bundle: InvariantBundle, pool: ElemSet, name: str) -> Verdict:
+    """Is u - 1 in `pool` for every unit u? The witness is the first unit that is not."""
+    units = np.array(bundle.units.indices(), dtype=np.int64)
+    outside = np.flatnonzero(~pool.mask()[ring.add[units, ring.neg[ring.one]]])
+    if len(outside):
+        return Verdict(False, f"unit u = {ring.describe(int(units[outside[0]]))} has u-1 outside {name}")
+    return Verdict(True)
+
+
 def is_ujsharp(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """Every unit is 1 + (element whose power orbit meets the radical)."""
-    jsharp = bundle.jsharp.members
-    for u in bundle.units:
-        if int(ring.add[u, ring.neg[ring.one]]) not in jsharp:
-            return Verdict(False, f"unit u = {ring.describe(u)} has u-1 outside J#")
-    return Verdict(True)
+    return _units_minus_one_in(ring, bundle, bundle.jsharp, "J#")
 
 
 def is_uj(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    jac = bundle.jacobson.members
-    for u in bundle.units:
-        if int(ring.add[u, ring.neg[ring.one]]) not in jac:
-            return Verdict(False, f"unit u = {ring.describe(u)} has u-1 outside J")
-    return Verdict(True)
+    return _units_minus_one_in(ring, bundle, bundle.jacobson, "J")
 
 
 def is_uu(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    nil = bundle.nilpotents.members
-    for u in bundle.units:
-        if int(ring.add[u, ring.neg[ring.one]]) not in nil:
-            return Verdict(False, f"unit u = {ring.describe(u)} has u-1 outside Nil")
-    return Verdict(True)
+    return _units_minus_one_in(ring, bundle, bundle.nilpotents, "Nil")
 
 
 def is_boolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:

@@ -226,9 +226,8 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
 # ---------------------------------------------------------------------------
 
 
-def left_ideals(ring: TableRing) -> list[frozenset[int]]:
-    """All left ideals, as the join-closure of the principal ones."""
-    principal = {frozenset(int(x) for x in ring.mul[:, a]) for a in range(ring.order)}
+def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[frozenset[int]]:
+    """Every sum of ideals from `principal`, sorted by (size, members)."""
     ideals = set(principal)
     frontier = list(principal)
     while frontier:
@@ -243,6 +242,12 @@ def left_ideals(ring: TableRing) -> list[frozenset[int]]:
                     nxt.append(s)
         frontier = nxt
     return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+
+def left_ideals(ring: TableRing) -> list[frozenset[int]]:
+    """All left ideals, as the join-closure of the principal ones."""
+    principal = {frozenset(int(x) for x in ring.mul[:, a]) for a in range(ring.order)}
+    return _join_closure(ring, principal)
 
 
 def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
@@ -262,20 +267,7 @@ def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
     principal = {
         frozenset(ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").members) for a in range(ring.order)
     }
-    ideals = set(principal)
-    frontier = list(principal)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            ia = np.array(sorted(i), dtype=np.int64)
-            for j in principal:
-                ja = np.array(sorted(j), dtype=np.int64)
-                s = frozenset(int(x) for x in ring.add[np.ix_(ia, ja)].ravel())
-                if s not in ideals:
-                    ideals.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+    return _join_closure(ring, principal)
 
 
 def prime_radical_ideal_oracle(ring: TableRing) -> ElemSet:

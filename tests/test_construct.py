@@ -3,6 +3,7 @@ import pytest
 
 from ringlab import ElemSet, OutOfCapError, compile_text
 from ringlab.cache import table_checksum
+from ringlab.checks import _ring_from_subset
 from ringlab.construct import (
     GF_MODULI,
     Endomorphism,
@@ -228,6 +229,51 @@ def test_unit_counts_saturate_radical_fibers(corpus_bundles):
             quotient, _ = build_quotient(ring, ideal)
             qunits = compute_bundle(quotient).units
             assert len(qunits) * len(ideal) == len(bundle.units), text
+
+
+def per_cell_ring(ring, elems, back, one, names):
+    """Re-index through a dict back-map, one table cell at a time: the
+    oracle for the derived-ring builders' shared table gather."""
+    m = len(elems)
+    add = np.zeros((m, m), dtype=np.int32)
+    mul = np.zeros((m, m), dtype=np.int32)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            add[i, j] = back[int(ring.add[p, q])]
+            mul[i, j] = back[int(ring.mul[p, q])]
+    return validate_ring(add, mul, back[ring.zero], back[one], names=names)
+
+
+def assert_same_ring(got, want, text):
+    assert got.tables_equal(want), text
+    assert (got.names, got.zero, got.one) == (want.names, want.zero, want.one), text
+
+
+def test_reindexed_rings_match_the_per_cell_oracle(corpus_bundles):
+    corners = 0
+    for text, ring, b in corpus_bundles:
+        n = ring.order
+        for e in sorted(b.idempotents.members - {ring.zero}):
+            elems = sorted({int(ring.mul[ring.mul[e, x], e]) for x in range(n)})
+            back = {p: i for i, p in enumerate(elems)}
+            corner, embedding = build_corner(ring, e)
+            assert_same_ring(corner, per_cell_ring(ring, elems, back, e, [ring.names[p] for p in elems]), text)
+            assert embedding.tolist() == elems and corner.meta.embedding is embedding, text
+            corners += 1
+        elems = sorted(b.center.members)
+        back = {p: i for i, p in enumerate(elems)}
+        centre = per_cell_ring(ring, elems, back, ring.one, [ring.names[p] for p in elems])
+        assert_same_ring(_ring_from_subset(ring, b.center), centre, text)
+        for ideal in ({ring.zero}, b.jacobson.members):
+            cosets = sorted({frozenset(int(ring.add[x, i]) for i in ideal) for x in range(n)}, key=min)
+            back = {x: k for k, coset in enumerate(cosets) for x in coset}
+            reps = [min(coset) for coset in cosets]
+            want = per_cell_ring(ring, reps, back, ring.one, [f"[{ring.names[r]}]" for r in reps])
+            quotient, projection = build_quotient(ring, ElemSet.of(ring, ideal))
+            assert_same_ring(quotient, want, text)
+            assert projection.tolist() == [back[x] for x in range(n)], text
+            assert quotient.meta.projection is projection, text
+    assert corners == 88
 
 
 def test_corner_at_identity_is_the_ring():
@@ -477,6 +523,8 @@ def test_digit_vector_builder_matches_definitional_product(text):
         ("group(z(3),d(3))", "44770eb5d244da97"),
         ("triv(m(2,z(2)))", "afc2e5d8b41f7f97"),
         ("skew(gf(4),frob,3)", "70911f37071c16c5"),
+        ("corner(m(3,z(2)),17)", "f030b5349ec595b9"),
+        ("quot(t(2,z(4)),[4])", "5942bb68c1bf638d"),
     ],
 )
 def test_element_encodings_are_pinned(text, prefix):

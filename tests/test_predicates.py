@@ -32,6 +32,30 @@ def test_uj_uu_examples():
     assert not P.is_uj(ring, b).value and not P.is_uu(ring, b).value
 
 
+def unit_shift_oracle(ring, bundle, pool, name):
+    """The per-unit loop: u - 1 looked up in the pool, unit by unit."""
+    for u in bundle.units:
+        if int(ring.add[u, ring.neg[ring.one]]) not in pool.members:
+            return P.Verdict(False, f"unit u = {ring.describe(u)} has u-1 outside {name}")
+    return P.Verdict(True)
+
+
+def test_unit_shift_classes_match_the_per_unit_oracle(corpus_bundles):
+    # with each pool cut to {0} only u = 1 passes, so every ring with
+    # another unit reaches the failing path of all three classes
+    classes = ((P.is_ujsharp, "jsharp", "J#"), (P.is_uj, "jacobson", "J"), (P.is_uu, "nilpotents", "Nil"))
+    failing = 0
+    for text, ring, b in corpus_bundles:
+        for predicate, field, name in classes:
+            assert predicate(ring, b) == unit_shift_oracle(ring, b, getattr(b, field), name), text
+            zero = ElemSet.of(ring, [ring.zero])
+            cut = dataclasses.replace(b, **{field: zero})
+            verdict = predicate(ring, cut)
+            assert verdict == unit_shift_oracle(ring, cut, zero, name), text
+            failing += not verdict.value
+    assert failing == 3 * sum(len(b.units) > 1 for _, _, b in corpus_bundles)
+
+
 def test_boolean_local_division():
     ring, b = ring_and_bundle("prod(z(2),z(2))")
     assert P.is_boolean(ring, b).value
