@@ -28,6 +28,7 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    distinct_indices,
     validate_ring,
 )
 from .construct import (
@@ -90,6 +91,7 @@ class CheckContext:
         self.cap = cap
         self._verdicts: dict[str, P.Verdict] | None = None
         self._radical_ideals: list[ElemSet] | None = None
+        self._radical_quotients: list[tuple[ElemSet, TableRing, np.ndarray]] | None = None
         self._corners = None
         self._aux: dict[int, InvariantBundle] = {}
 
@@ -129,6 +131,22 @@ class CheckContext:
                 ideals.append(jac)
             self._radical_ideals = ideals
         return self._radical_ideals
+
+    def radical_quotients(self) -> list[tuple[ElemSet, TableRing, np.ndarray]]:
+        """(I, R/I, projection) for every I in `radical_ideals()`. The
+        quotient by J is the bundle's R/J, whose bundle `bundle_of` then
+        reuses; every other quotient is built (and validated) once here."""
+        if self._radical_quotients is None:
+            jac = self.bundle.jacobson.members
+            self._radical_quotients = []
+            for ideal in self.radical_ideals():
+                if ideal.members == jac:
+                    quotient, projection, qb = self.radical_quotient()
+                    self._aux[id(quotient)] = qb
+                else:
+                    quotient, projection = build_quotient(self.ring, ideal)
+                self._radical_quotients.append((ideal, quotient, projection))
+        return self._radical_quotients
 
     def corners(self):
         """(e, eRe, embedding) for every nonzero idempotent e."""
@@ -231,11 +249,9 @@ def _u_minus_one(ring: TableRing, u: int) -> int:
 
 
 def _sumset(ring: TableRing, left, right) -> frozenset[int]:
-    la = np.array(sorted(left), dtype=np.int64)
-    ra = np.array(sorted(right), dtype=np.int64)
-    if len(la) == 0 or len(ra) == 0:
-        return frozenset()
-    return frozenset(int(x) for x in ring.add[np.ix_(la, ra)].ravel())
+    la = np.fromiter(left, dtype=np.int64, count=len(left))
+    ra = np.fromiter(right, dtype=np.int64, count=len(right))
+    return frozenset(distinct_indices(ring.order, ring.add[la[:, None], ra]).tolist())
 
 
 def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
@@ -294,11 +310,10 @@ def _chk_l124(ctx: CheckContext) -> Outcome:
 
 
 def _chk_l125(ctx: CheckContext) -> Outcome:
-    ring, b = ctx.ring, ctx.bundle
-    for ideal in ctx.radical_ideals():
-        quotient, projection = build_quotient(ring, ideal)
+    b = ctx.bundle
+    for ideal, quotient, projection in ctx.radical_quotients():
         qb = ctx.bundle_of(quotient)
-        image = {int(projection[a]) for a in b.jsharp}
+        image = frozenset(distinct_indices(quotient.order, projection[list(b.jsharp.members)]).tolist())
         if image != qb.jsharp.members:
             off = sorted(image ^ qb.jsharp.members)[0]
             return _fail(
@@ -443,10 +458,8 @@ def _chk_lcorner(ctx: CheckContext) -> Outcome:
 
 
 def _chk_t35(ctx: CheckContext) -> Outcome:
-    ring = ctx.ring
     whole = ctx.holds("ujsharp")
-    for ideal in ctx.radical_ideals():
-        quotient, _ = build_quotient(ring, ideal)
+    for ideal, quotient, _ in ctx.radical_quotients():
         part = P.is_ujsharp(quotient, ctx.bundle_of(quotient)).value
         if part != whole:
             return _fail(f"quotient by ideal of size {len(ideal)} flips the verdict to {part}")
@@ -664,13 +677,12 @@ def _chk_c27(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     # J is a nilpotent ideal: iterate ideal powers down to {0}
     current = frozenset(b.jacobson.members)
+    arr = np.array(sorted(current), dtype=np.int64)
     for _ in range(ring.order + 1):
         if current == {ring.zero}:
             break
-        arr = np.array(sorted(b.jacobson.members), dtype=np.int64)
         cur = np.array(sorted(current), dtype=np.int64)
-        products = {int(x) for x in ring.mul[np.ix_(arr, cur)].ravel()}
-        nxt = additive_closure(ring, products)
+        nxt = additive_closure(ring, ring.mul[arr[:, None], cur].ravel())
         if nxt == current:
             return _fail("J is not nilpotent: ideal powers stabilise above zero")
         current = nxt
@@ -804,19 +816,23 @@ def _chk_ptriv(ctx: CheckContext) -> Outcome:
 
 
 def _chk_gseq(ctx: CheckContext) -> Outcome:
+    """g_n = 1 + a + ... + a^n must be a unit for even n and in J# for odd
+    n, n = 1..2|R|; every unit a is stepped at once, and the witness is
+    the first failing unit with its first failing n."""
     ring, b = ctx.ring, ctx.bundle
-    units = b.units.members
-    jsharp = b.jsharp.members
-    for a in sorted(units):
-        g = ring.one
-        power = a
-        for n in range(1, 2 * ring.order + 1):
-            g = int(ring.add[g, power])
-            if n % 2 == 0 and g not in units:
-                return _fail(f"a = {ring.describe(a)}, n = {n}: g_n not a unit")
-            if n % 2 == 1 and g not in jsharp:
-                return _fail(f"a = {ring.describe(a)}, n = {n}: g_n outside J#")
-            power = int(ring.mul[power, a])
+    pools = (b.units.mask(), b.jsharp.mask())  # g_n must lie in pools[n % 2]
+    units = np.array(b.units.indices(), dtype=np.int64)
+    g = np.full(len(units), ring.one)
+    power = units
+    first_bad = np.zeros(len(units), dtype=np.int64)  # 0: no failing n yet
+    for n in range(1, 2 * ring.order + 1):
+        g = ring.add[g, power]
+        first_bad[(first_bad == 0) & ~pools[n % 2][g]] = n
+        power = ring.mul[power, units]
+    failing = np.flatnonzero(first_bad)
+    if len(failing):
+        a, n = int(units[failing[0]]), int(first_bad[failing[0]])
+        return _fail(f"a = {ring.describe(a)}, n = {n}: " + ("g_n outside J#" if n % 2 else "g_n not a unit"))
     return _ok()
 
 
@@ -1209,25 +1225,28 @@ def run_suite(
     use_cache: bool = False,
 ) -> SuiteReport:
     """Evaluate every matching check against every corpus ring."""
+    selected = [c for c in REGISTRY if fnmatch.fnmatchcase(c.id, filter_glob)]
+    if not selected:
+        raise ValueError(f"no check id matches the filter {filter_glob!r}")
     texts = list(corpus) if corpus is not None else list(default_corpus())
     if not texts:
         raise CorpusError("<empty>", ValueError("corpus is empty"))
-    contexts: list[tuple[str, CheckContext]] = []
+    rings = []
     for text in texts:
         try:
-            ring = compile_text(text, cap)
+            rings.append(compile_text(text, cap))
         except Exception as exc:  # annotate with the offending expression
             raise CorpusError(text, exc) from exc
-        contexts.append((text, make_context(ring, deep=deep, cap=cap, use_cache=use_cache)))
 
-    selected = [c for c in REGISTRY if fnmatch.fnmatchcase(c.id, filter_glob)]
-    entries = []
+    # ring by ring, so that one context (bundles, corners, quotients) is
+    # alive at a time; the report stays check by check
+    results: dict[str, list[CheckResult]] = {check.id: [] for check in selected}
     summary = {"pass": 0, "fail": 0, "skip": 0}
-    for check in selected:
-        results = []
-        for text, ctx in contexts:
+    for text, ring in zip(texts, rings):
+        ctx = make_context(ring, deep=deep, cap=cap, use_cache=use_cache)
+        for check in selected:
             result = _evaluate(check, ctx, text)
             summary[result.status] += 1
-            results.append(result)
-        entries.append({"id": check.id, "paper_ref": check.paper_ref, "results": results})
+            results[check.id].append(result)
+    entries = [{"id": check.id, "paper_ref": check.paper_ref, "results": results[check.id]} for check in selected]
     return SuiteReport(REPORT_VERSION, texts, entries, summary)

@@ -49,6 +49,7 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    distinct_indices,
     elem_pow,
     validate_ring,
 )
@@ -400,13 +401,12 @@ def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> El
 
 def additive_closure(ring: TableRing, items) -> frozenset[int]:
     """The additive subgroup generated by `items` (fixpoint of pairwise sums)."""
-    members = set(items) | {ring.zero}
+    members = distinct_indices(ring.order, np.append(np.fromiter(items, dtype=np.int64), ring.zero))
     while True:
-        arr = np.array(sorted(members), dtype=np.int64)
-        total = {int(v) for v in ring.add[np.ix_(arr, arr)].ravel()}
-        if total <= members:
-            return frozenset(members)
-        members |= total
+        total = distinct_indices(ring.order, ring.add[members[:, None], members])  # contains members, as 0 does
+        if len(total) == len(members):
+            return frozenset(members.tolist())
+        members = total
 
 
 def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None):

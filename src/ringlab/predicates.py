@@ -84,7 +84,7 @@ def is_division(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 def is_dedekind_finite(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """ab = 1 forces ba = 1 (pigeonhole guarantees this on finite rings)."""
-    a, b = np.nonzero(ring.mul == ring.one)  # row-major, as the first witness needs
+    a, b = bundle.right_inverse_pairs()  # row-major, as the first witness needs
     bad = np.flatnonzero(ring.mul[b, a] != ring.one)
     if len(bad):
         a, b = int(a[bad[0]]), int(b[bad[0]])

@@ -27,19 +27,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns
+from .core import ElemSet, GroupRingMeta, RingError, TableRing, distinct_indices, rows_equal_columns
 
 
 class NotAGroupRingError(RingError):
     """Augmentation requested on a ring without group-ring structure."""
 
 
-def units(ring: TableRing) -> tuple[ElemSet, dict[int, int]]:
-    """The unit group and the (total on units) inverse map."""
-    a, b = np.nonzero(ring.mul == ring.one)
+def units(ring: TableRing) -> tuple[ElemSet, dict[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The unit group, the (total on units) inverse map, and the pairs
+    (a, b) with ab = 1 in row-major order that it was read from."""
+    pairs = np.nonzero(ring.mul == ring.one)
+    a, b = pairs
     two_sided = ring.mul[b, a] == ring.one
     a, b = a[two_sided].tolist(), b[two_sided].tolist()  # a two-sided inverse is unique
-    return ElemSet.of(ring, a), dict(zip(a, b))
+    return ElemSet.of(ring, a), dict(zip(a, b)), pairs
 
 
 def idempotents(ring: TableRing) -> ElemSet:
@@ -171,6 +173,15 @@ class InvariantBundle:
     jsharp: ElemSet
     prime_radical: ElemSet
     _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _right_inverse_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def right_inverse_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (a, b) with ab = 1, row-major: those `units` found,
+        kept by `compute_bundle`; a bundle loaded from the cache has none
+        and scans for them on first use."""
+        if self._right_inverse_pairs is None:
+            self._right_inverse_pairs = np.nonzero(self.ring.mul == self.ring.one)
+        return self._right_inverse_pairs
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
         """(R/J, projection, bundle of R/J), computed on first use and kept."""
@@ -183,7 +194,7 @@ class InvariantBundle:
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    u, inv = units(ring)
+    u, inv, pairs = units(ring)
     jac = jacobson_radical(ring, u.mask())
     bundle = InvariantBundle(
         ring=ring,
@@ -196,6 +207,7 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
         jsharp=jsharp(ring, jac),
         prime_radical=prime_radical(ring, jac),
     )
+    bundle._right_inverse_pairs = pairs
     _assert_bundle_sanity(bundle)
     return bundle
 
@@ -230,13 +242,13 @@ def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[froze
     """Every sum of ideals from `principal`, sorted by (size, members)."""
     ideals = set(principal)
     frontier = list(principal)
+    arrays = [np.fromiter(j, dtype=np.int64, count=len(j)) for j in principal]
     while frontier:
         nxt = []
         for i in frontier:
-            ia = np.array(sorted(i), dtype=np.int64)
-            for j in principal:
-                ja = np.array(sorted(j), dtype=np.int64)
-                s = frozenset(int(x) for x in ring.add[np.ix_(ia, ja)].ravel())
+            ia = np.fromiter(i, dtype=np.int64, count=len(i))
+            for ja in arrays:
+                s = frozenset(distinct_indices(ring.order, ring.add[ia[:, None], ja]).tolist())
                 if s not in ideals:
                     ideals.add(s)
                     nxt.append(s)

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ringlab import checks, compile_text
+from ringlab import ElemSet, checks, compile_text
+from ringlab.construct import additive_closure, ideal_closure
+from ringlab.subsets import _join_closure
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
 
 from conftest import results_for
@@ -208,3 +213,162 @@ def test_fail_path_rendering_through_the_evaluator():
     assert result.millis >= 0
     again = _evaluate(broken, ctx, "z(8)")
     assert again.witness == result.witness  # fails reproduce their witness
+
+
+# ---------------------------------------------------------------------------
+# the rewritten check kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def gseq_oracle(ctx):
+    """The nested loop: unit by unit, n by n."""
+    ring, b = ctx.ring, ctx.bundle
+    for a in sorted(b.units.members):
+        g, power = ring.one, a
+        for n in range(1, 2 * ring.order + 1):
+            g = int(ring.add[g, power])
+            if n % 2 == 0 and g not in b.units.members:
+                return checks._fail(f"a = {ring.describe(a)}, n = {n}: g_n not a unit")
+            if n % 2 == 1 and g not in b.jsharp.members:
+                return checks._fail(f"a = {ring.describe(a)}, n = {n}: g_n outside J#")
+            power = int(ring.mul[power, a])
+    return checks._ok()
+
+
+def test_gseq_matches_the_nested_loop(corpus_bundles):
+    # U cut to {1} leaves g_n = n*1, which fails "not a unit" at n = 2 in
+    # characteristic 4; J# cut to {0} fails "outside J#" at n = 1 off
+    # characteristic 2
+    texts = set()
+    for text, ring, b in corpus_bundles:
+        for bundle in (
+            b,
+            dataclasses.replace(b, units=ElemSet.of(ring, [ring.one])),
+            dataclasses.replace(b, jsharp=ElemSet.of(ring, [ring.zero])),
+        ):
+            ctx = checks.CheckContext(ring, bundle)
+            outcome = checks._chk_gseq(ctx)
+            assert outcome == gseq_oracle(ctx), text
+            if not outcome.ok:
+                texts.add(outcome.witness.rsplit(": ", 1)[1])
+    assert texts == {"g_n not a unit", "g_n outside J#"}
+
+
+def sumset_oracle(ring, left, right):
+    la = np.array(sorted(left), dtype=np.int64)
+    ra = np.array(sorted(right), dtype=np.int64)
+    if len(la) == 0 or len(ra) == 0:
+        return frozenset()
+    return frozenset(int(x) for x in ring.add[np.ix_(la, ra)].ravel())
+
+
+def additive_closure_oracle(ring, items):
+    members = set(items) | {ring.zero}
+    while True:
+        arr = np.array(sorted(members), dtype=np.int64)
+        total = {int(v) for v in ring.add[np.ix_(arr, arr)].ravel()}
+        if total <= members:
+            return frozenset(members)
+        members |= total
+
+
+def join_closure_oracle(ring, principal):
+    ideals = set(principal)
+    frontier = list(principal)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            ia = np.array(sorted(i), dtype=np.int64)
+            for j in principal:
+                ja = np.array(sorted(j), dtype=np.int64)
+                s = frozenset(int(x) for x in ring.add[np.ix_(ia, ja)].ravel())
+                if s not in ideals:
+                    ideals.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+
+def test_set_kernels_match_their_generator_forms(corpus_bundles):
+    rng = np.random.default_rng(3)
+    for text, ring, b in corpus_bundles:
+        central_units = b.units.members & b.center.members
+        central_js = b.jsharp.members & b.center.members
+        for left, right in (
+            (b.nilpotents.members, b.jacobson.members),
+            (b.jsharp.members, b.jacobson.members),
+            (b.jsharp.members, central_js),
+            (b.units.members, central_units),
+            (b.units.members, frozenset()),
+        ):
+            assert checks._sumset(ring, left, right) == sumset_oracle(ring, left, right), text
+        jac = np.array(sorted(b.jacobson.members), dtype=np.int64)
+        generators = [{a} for a in range(ring.order)]
+        generators += [set(rng.integers(0, ring.order, 3).tolist()) for _ in range(5)]
+        generators.append(ring.mul[np.ix_(jac, jac)].ravel().tolist())  # J*J, as C2.7 closes it
+        for items in generators:
+            assert additive_closure(ring, items) == additive_closure_oracle(ring, items), text
+        principal_sets = [{frozenset(ring.mul[:, a].tolist()) for a in range(ring.order)}]
+        if ring.order <= 16:  # the orders O-nilstar joins two-sided ideals on
+            closures = (ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided") for a in range(ring.order))
+            principal_sets.append({frozenset(c.members) for c in closures})
+        for principal in principal_sets:
+            assert _join_closure(ring, principal) == join_closure_oracle(ring, principal), text
+
+
+def test_radical_quotients_are_built_once(corpus_bundles, monkeypatch):
+    calls = []
+    real = checks.build_quotient
+
+    def counting(ring, ideal, *args, **kwargs):
+        calls.append(ideal.members)
+        return real(ring, ideal, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "build_quotient", counting)
+    reused = 0
+    for text, ring, b in corpus_bundles:
+        calls.clear()
+        ctx = checks.CheckContext(ring, b)
+        checks._chk_l125(ctx)
+        checks._chk_t35(ctx)
+        others = [ideal.members for ideal in ctx.radical_ideals() if ideal.members != b.jacobson.members]
+        assert calls == others, text
+        by_j = [q for ideal, q, _ in ctx.radical_quotients() if ideal.members == b.jacobson.members]
+        if by_j:  # R/J is the bundle's, with its bundle
+            quotient, _, qb = b.radical_quotient()
+            assert by_j == [quotient] and ctx.bundle_of(quotient) is qb, text
+            reused += 1
+    assert reused == len(corpus_bundles)  # J is a radical ideal, also when J = 0
+
+
+GOLDEN_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_corpus.json"
+
+
+def test_deep_verify_report_matches_the_recorded_golden():
+    golden = json.loads(GOLDEN_VERIFY.read_text(encoding="utf-8"))
+    report = run_suite(deep=True).to_json_dict(include_millis=False)
+    # the golden is keyed by id and ring; the report lists them in order
+    assert [entry["id"] for entry in report["checks"]] == [c.id for c in registry()]
+    assert all([r["ring"] for r in entry["results"]] == report["corpus"] for entry in report["checks"])
+    view = {
+        "version": report["version"],
+        "corpus": sorted(report["corpus"]),
+        "summary": report["summary"],
+        "checks": {
+            entry["id"]: {
+                "paper_ref": entry["paper_ref"],
+                "results": {r["ring"]: {k: v for k, v in r.items() if k != "ring"} for r in entry["results"]},
+            }
+            for entry in report["checks"]
+        },
+    }
+    assert view["summary"] == golden["summary"]
+    assert view["checks"].keys() == golden["checks"].keys()
+    for check_id, want in golden["checks"].items():
+        assert view["checks"][check_id] == want, check_id
+    assert view == golden
+
+
+def test_run_suite_rejects_a_filter_matching_no_check():
+    with pytest.raises(ValueError, match="'ZZZ'"):
+        run_suite(["z(8)"], filter_glob="ZZZ")

@@ -137,6 +137,12 @@ def test_verify_empty_corpus_exits_2(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_verify_filter_matching_no_check_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--filter", "ZZZ")
+    assert code == 2 and out == ""
+    assert err == "error: no check id matches the filter 'ZZZ'\n"
+
+
 def test_verify_corpus_file(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# comment line\nz(8)\n\nz(12)  # trailing comment\n")

@@ -215,3 +215,69 @@ def test_tables_are_immutable():
         z4.add[0, 0] = 1
     with pytest.raises(ValueError):
         z4.mul[0, 0] = 1
+
+
+def cubic_scan_oracle(add, mul):
+    """The whole-cube n^3 scan the slab-wise one replaced (kept as oracle).
+
+    Returns (identity, Violation) for each identity that fails, with the
+    row-major first failing triple of the full n x n x n cube.
+    """
+    out = []
+    bad = np.argwhere(add[add, :] != add[:, add])
+    if len(bad):
+        out.append(("add-assoc", Violation("NotAbelianGroup", tuple(map(int, bad[0])))))
+    bad = np.argwhere(mul[mul, :] != mul[:, mul])
+    if len(bad):
+        out.append(("assoc", Violation("NonAssociative", tuple(map(int, bad[0])))))
+    bad = np.argwhere(mul[:, add] != add[mul[:, :, None], mul[:, None, :]])
+    if len(bad):
+        out.append(("ldist", Violation("NonDistributive", tuple(map(int, bad[0])))))
+    bad = np.argwhere(mul[add, :] != add[mul[:, None, :], mul[None, :, :]])  # axes (b, c, a)
+    if len(bad):
+        b, c, a = map(int, bad[0])
+        out.append(("rdist", Violation("NonDistributive", (a, b, c))))
+    return out
+
+
+def test_slab_scan_matches_the_whole_cube_scan():
+    from ringlab import compile_text
+
+    rng = np.random.default_rng(6)
+    reached: dict[str, set[bool]] = {}  # identity -> {witness row beyond the first slab?}
+
+    def compare(ring, add, mul):
+        expected = cubic_scan_oracle(add, mul)
+        got = [v for v in scan_axioms(add, mul, ring.zero, ring.one)[0] if len(v.witness) == 3]
+        assert got == [v for _, v in expected]
+        for identity, v in expected:
+            row = v.witness[1] if identity == "rdist" else v.witness[0]  # the slabbed axis
+            reached.setdefault(identity, set()).add(row >= 16)
+
+    texts = ["z(2)", "z(15)", "m(2,z(2))", "z(17)", "prod(z(16),z(3))", "t(3,z(2))", "prod(z(16),z(4))"]
+    for text in texts:
+        ring = compile_text(text)
+        n = ring.order
+        assert n in (2, 15, 16, 17, 48, 64)
+        compare(ring, ring.add, ring.mul)
+        for table in ("add", "mul"):
+            for _ in range(8):
+                add, mul = ring.add.copy(), ring.mul.copy()
+                i, j = (int(x) for x in rng.integers(n // 2 if n > 16 else 0, n, 2))
+                if table == "add":
+                    add[i, j] = add[j, i] = (add[i, j] + int(rng.integers(1, n))) % n
+                else:
+                    mul[i, j] = (mul[i, j] + int(rng.integers(1, n))) % n
+                compare(ring, add, mul)
+        if text.startswith("prod(z(16)"):
+            # a product that moves only the second factor: rows 0..15 are
+            # (r, 0) and annihilate it, so the first failing row is past them
+            for _ in range(4):
+                i, j = (int(x) for x in rng.integers(16, n, 2))
+                mul = ring.mul.copy()
+                mul[i, j] = (mul[i, j] + 16) % n
+                compare(ring, ring.add, mul)
+    assert set(reached) == {"add-assoc", "assoc", "ldist", "rdist"}
+    # one wrong sum fails (a+b)+c = a+(b+c) at the least nonzero a, so only
+    # the multiplicative identities can first fail past row 15
+    assert all(True in reached[identity] for identity in ("assoc", "ldist", "rdist"))

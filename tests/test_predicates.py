@@ -1,5 +1,7 @@
 import dataclasses
 
+import numpy as np
+
 from ringlab import ElemSet, compile_text, compute_bundle, construct
 from ringlab import predicates as P
 from ringlab.checks import CheckContext
@@ -297,3 +299,51 @@ def test_exchange_matches_the_per_element_oracle(corpus_bundles):
         assert verdict == exchange_oracle(ring, cut), text
         failing += not verdict.value
     assert failing == sum(not P.is_local(ring, b).value for _, ring, b in corpus_bundles)
+
+
+def dedekind_finite_oracle(ring):
+    """Its own scan for the pairs ab = 1, as before the bundle kept them."""
+    a, b = np.nonzero(ring.mul == ring.one)
+    bad = np.flatnonzero(ring.mul[b, a] != ring.one)
+    if len(bad):
+        a, b = int(a[bad[0]]), int(b[bad[0]])
+        return P.Verdict(False, f"ab = 1 but ba != 1 for a = {ring.describe(a)}, b = {ring.describe(b)}")
+    return P.Verdict(True)
+
+
+def test_dedekind_finite_reuses_the_unit_pairs(corpus_bundles):
+    from ringlab import cache
+
+    big = compile_text("t(2,z(16))")
+    for text, ring, b in [*corpus_bundles, ("t(2,z(16))", big, compute_bundle(big))]:
+        kept = b._right_inverse_pairs  # kept by compute_bundle
+        assert all(np.array_equal(x, y) for x, y in zip(kept, np.nonzero(ring.mul == ring.one))), text
+        loaded = cache.deserialize_bundle(cache.serialize_bundle(b), ring)
+        assert loaded._right_inverse_pairs is None, text  # not in the cache payload
+        for bundle in (b, loaded):
+            assert P.is_dedekind_finite(ring, bundle) == dedekind_finite_oracle(ring), text
+
+
+def test_dedekind_finite_witness_on_a_one_sided_inverse():
+    # Raw tables, not a ring: 2 * 4 = 1 and 3 * 2 = 1, but 4 * 2 = 2 * 3 = 0.
+    # Row-major, (2, 4) is the first one-sided pair; column-major, (3, 2).
+    from ringlab.core import TableRing
+    from ringlab.subsets import InvariantBundle, units
+
+    n = 5
+    add = np.add.outer(np.arange(n), np.arange(n)).astype(np.int32) % n
+    mul = np.zeros((n, n), dtype=np.int32)
+    mul[1, :] = mul[:, 1] = np.arange(n)
+    mul[2, 4] = mul[3, 2] = 1
+    ring = TableRing(n, add, mul, (-np.arange(n)) % n, 0, 1, tuple("01234"), None, "raw")
+    u, inverse, pairs = units(ring)
+    assert u.members == {1} and inverse == {1: 1}
+    empty = ElemSet.of(ring, [0])
+    fresh = InvariantBundle(ring, u, inverse, empty, empty, empty, empty, empty, empty)
+    fresh._right_inverse_pairs = pairs  # as compute_bundle leaves it
+    loaded = dataclasses.replace(fresh)  # as a cache load leaves it: no pairs
+    assert loaded._right_inverse_pairs is None
+    expected = P.Verdict(False, "ab = 1 but ba != 1 for a = 2 (#2), b = 4 (#4)")
+    assert dedekind_finite_oracle(ring) == expected
+    for bundle in (fresh, loaded):
+        assert P.is_dedekind_finite(ring, bundle) == expected

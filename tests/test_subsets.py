@@ -33,18 +33,19 @@ ONES = 1 + 2 + 4 + 8
 
 def test_units_examples():
     z8 = build_zmod(8)
-    u, inverse = units(z8)
+    u, inverse, (a, b) = units(z8)
     assert u.indices() == (1, 3, 5, 7)
+    assert list(zip(a.tolist(), b.tolist())) == [(1, 1), (3, 3), (5, 5), (7, 7)]  # every ab = 1, row-major
     assert all(inverse[x] == x for x in u)  # odd residues self-inverse mod 8
 
-    u, inverse = units(M2)
+    u, inverse, _ = units(M2)
     assert len(u) == 6
     for a in u:
         assert int(M2.mul[a, inverse[a]]) == M2.one
         assert int(M2.mul[inverse[a], a]) == M2.one
 
     fc2 = compile_text("group(z(2),c(2))")
-    u, _ = units(fc2)
+    u, _, _ = units(fc2)
     assert u.indices() == (1, 2)  # 1 and g
 
 
