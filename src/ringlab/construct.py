@@ -373,40 +373,41 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
 
 
 def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> ElemSet:
-    """Smallest one- or two-sided ideal containing `gens` (fixpoint)."""
+    """Smallest one- or two-sided ideal containing `gens`.
+
+    A fixpoint over the whole current set I: each round takes I with R*I
+    (left), I*R (right) or both as one gather, then the additive subgroup
+    they generate, until I no longer grows.
+    """
     if side not in ("left", "right", "two-sided"):
         raise ValueError("side must be left, right or two-sided")
-    add, mul = ring.add, ring.mul
-    n = ring.order
-    members = {ring.zero}
-    frontier = list(gens.members)
-    for g in frontier:
-        members.add(g)
-    while frontier:
-        x = frontier.pop()
-        new = set()
-        arr = np.array(sorted(members), dtype=np.int64)
-        new.update(int(v) for v in add[x, arr])
+    mul = ring.mul
+    members = _subgroup(ring, np.fromiter(gens.members, dtype=np.int64, count=len(gens)))
+    while True:
+        parts = [members]
         if side in ("left", "two-sided"):
-            new.update(int(v) for v in mul[:, x])
+            parts.append(np.take(mul, members, axis=1).ravel())  # R*I
         if side in ("right", "two-sided"):
-            new.update(int(v) for v in mul[x, :])
-        fresh = new - members
-        members |= fresh
-        frontier.extend(fresh)
-        if len(members) == n:
-            break
-    return ElemSet.of(ring, additive_closure(ring, members))
+            parts.append(mul[members, :].ravel())  # I*R
+        grown = _subgroup(ring, distinct_indices(ring.order, np.concatenate(parts)))
+        if len(grown) == len(members):
+            return ElemSet(ring, frozenset(members.tolist()))
+        members = grown
+
+
+def _subgroup(ring: TableRing, members: np.ndarray) -> np.ndarray:
+    """The additive subgroup generated by the index array `members`, ascending."""
+    members = distinct_indices(ring.order, np.append(members, ring.zero))
+    while True:
+        total = distinct_indices(ring.order, ring.add[members[:, None], members])  # contains members, as 0 does
+        if len(total) == len(members):
+            return members
+        members = total
 
 
 def additive_closure(ring: TableRing, items) -> frozenset[int]:
     """The additive subgroup generated by `items` (fixpoint of pairwise sums)."""
-    members = distinct_indices(ring.order, np.append(np.fromiter(items, dtype=np.int64), ring.zero))
-    while True:
-        total = distinct_indices(ring.order, ring.add[members[:, None], members])  # contains members, as 0 does
-        if len(total) == len(members):
-            return frozenset(members.tolist())
-        members = total
+    return frozenset(_subgroup(ring, np.fromiter(items, dtype=np.int64)).tolist())
 
 
 def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None):
@@ -433,6 +434,14 @@ def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> t
     ok, witness = is_two_sided_ideal(ring, ideal)
     if not ok:
         raise NotAnIdealError(f"generating set is not a two-sided ideal: {witness}")
+    return _build_quotient(ring, ideal, cap)
+
+
+def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
+    """`build_quotient` for an ideal the caller has already proved two-sided.
+
+    The quotient's tables still go through `validate_ring`.
+    """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
     members = np.array(sorted(ideal.members), dtype=np.int64)

@@ -247,16 +247,20 @@ _SLAB = 64  # columns per contiguous slab in rows_equal_columns
 def rows_equal_columns(table: np.ndarray) -> np.ndarray:
     """For each i: is row i of the square table equal to column i?
 
-    Same as `(table == table.T).all(axis=1)`, but each block of 64 rows is
-    compared with a contiguous copy of the matching 64 columns, so the
-    table is read once in row order instead of through a strided
-    transpose.
+    Same as `(table == table.T).all(axis=1)`, but only the upper triangle
+    is read: slab i compares rows `table[i:i+64, i:]` with a contiguous
+    copy of columns `table[i:, i:i+64]`, and a mismatch at (a, b) clears
+    both a and b, since it breaks row a against column a and row b
+    against column b. Every pair a <= b lies in the slab holding a, so
+    each symmetric pair is compared once and the answer is exact per row.
     """
     n = table.shape[0]
-    out = np.empty(n, dtype=bool)
+    out = np.ones(n, dtype=bool)
     for i in range(0, n, _SLAB):
-        cols = np.ascontiguousarray(table[:, i : i + _SLAB]).T  # cols[k] is column i+k
-        out[i : i + _SLAB] = (table[i : i + _SLAB, :] == cols).all(axis=1)
+        cols = np.ascontiguousarray(table[i:, i : i + _SLAB]).T  # cols[k, c] = table[i+c, i+k]
+        neq = table[i : i + _SLAB, i:] != cols
+        out[i : i + _SLAB] &= ~neq.any(axis=1)
+        out[i:] &= ~neq.any(axis=0)
     return out
 
 

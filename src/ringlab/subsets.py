@@ -1,8 +1,9 @@
 """Structural subsets of a finite ring: U, Id, Nil, Z, J, J#, Nil*.
 
 The Jacobson radical is computed by the quasi-regularity criterion
-(j is in J iff 1 - r*j is a unit for every r) in one table gather: the
-n-vector "1 - x is a unit" is looked up at every product r*j. The
+(j is in J iff 1 - r*j is a unit for every r): the n-vector "1 - x is a
+unit" is looked up at every product r*j, but only in the columns j where
+1 - j is a unit (the r = 1 case of the criterion), the candidates. The
 maximal-left-ideal intersection is kept only as a cross-check oracle
 for small orders. The center compares each row of the multiplication
 table with its column (`core.rows_equal_columns`).
@@ -71,17 +72,25 @@ def center(ring: TableRing) -> ElemSet:
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 
+_JAC_ROWS = 512  # rows of `mul` per slab in jacobson_radical
+
+
 def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None) -> ElemSet:
     """J(R) = {j : 1 - r*j is a unit for all r}; verified two-sided ideal.
 
-    `quasi[x]` says whether 1 - x is a unit, so one gather `quasi[mul]`
-    gives the (r, j) table of "1 - r*j is a unit".
+    `quasi[x]` says whether 1 - x is a unit, so `quasi[mul]` is the (r, j)
+    table of "1 - r*j is a unit". Its r = 1 row is `quasi` itself, so only
+    the columns j with `quasi[j]` are candidates. They are gathered in
+    slabs of 512 rows, and a column that fails one slab is dropped from
+    the next.
     """
     if unit_mask is None:
         unit_mask = units(ring)[0].mask()
     quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
-    jmask = quasi[ring.mul].all(axis=0)
-    jac = ElemSet.from_mask(ring, jmask)
+    cand = np.flatnonzero(quasi)
+    for r in range(0, ring.order, _JAC_ROWS):
+        cand = cand[quasi[np.take(ring.mul[r : r + _JAC_ROWS], cand, axis=1)].all(axis=0)]
+    jac = ElemSet(ring, frozenset(cand.tolist()))
     ok, witness = is_two_sided_ideal(ring, jac)
     if not ok:  # unreachable on a valid ring; guards table corruption
         raise RingError(f"radical failed the ideal check at {witness}")
@@ -184,11 +193,16 @@ class InvariantBundle:
         return self._right_inverse_pairs
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
-        """(R/J, projection, bundle of R/J), computed on first use and kept."""
-        if self._radical_quotient is None:
-            from .construct import build_quotient  # local import; construct sits above
+        """(R/J, projection, bundle of R/J), computed on first use and kept.
 
-            quotient, projection = build_quotient(self.ring, self.jacobson)
+        J is not re-proved an ideal here: `jacobson_radical` proved it, and
+        a cache-loaded J passed the payload digest. R/J's tables are still
+        validated.
+        """
+        if self._radical_quotient is None:
+            from .construct import _build_quotient  # local import; construct sits above
+
+            quotient, projection = _build_quotient(self.ring, self.jacobson)
             self._radical_quotient = (quotient, projection, compute_bundle(quotient))
         return self._radical_quotient
 

@@ -165,6 +165,12 @@ def test_parse_error_exit_2(capsys):
     assert "offset" in err
 
 
+def test_inspect_quotient_by_the_whole_ring_exits_2(capsys):
+    code, out, err = run_cli(capsys, "inspect", "quot(z(8),[1])")
+    assert code == 2
+    assert "quotient by the whole ring is the zero ring" in out + err
+
+
 def test_corpus_command(capsys):
     code, out, _ = run_cli(capsys, "corpus")
     assert code == 0

@@ -12,6 +12,7 @@ from ringlab.construct import (
     NotIdempotentError,
     UnsupportedOrderError,
     ZeroCornerError,
+    additive_closure,
     build_corner,
     build_gf,
     build_group_ring,
@@ -172,6 +173,47 @@ def test_ideal_closure_matrix():
     assert right.members == fixpoint_oracle(m2, [e12], False, True)
 
 
+def frontier_closure_oracle(ring, gens, side):
+    """The one-frontier-element-at-a-time closure `ideal_closure` replaced."""
+    members = {ring.zero, *gens}
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        new = set()
+        arr = np.array(sorted(members), dtype=np.int64)
+        new.update(int(v) for v in ring.add[x, arr])
+        if side in ("left", "two-sided"):
+            new.update(int(v) for v in ring.mul[:, x])
+        if side in ("right", "two-sided"):
+            new.update(int(v) for v in ring.mul[x, :])
+        fresh = new - members
+        members |= fresh
+        frontier.extend(fresh)
+        if len(members) == ring.order:
+            break
+    return additive_closure(ring, members)
+
+
+def test_ideal_closure_matches_the_frontier_loop(corpus_bundles):
+    # every element at order <= 16 (the O-nilstar oracle's principal
+    # ideals), every element of J at order <= 64 (the radical ideals)
+    closed = 0
+    for text, ring, bundle in corpus_bundles:
+        if ring.order <= 16:
+            gens = [[a] for a in range(ring.order)]
+        elif ring.order <= 64:
+            gens = [[j] for j in bundle.jacobson]
+        else:
+            continue
+        gens.append(sorted(bundle.idempotents.members)[:3])
+        for side in ("left", "right", "two-sided"):
+            for g in gens:
+                want = frontier_closure_oracle(ring, g, side)
+                assert ideal_closure(ring, ElemSet.of(ring, g), side).members == want, (text, g, side)
+                closed += 1
+    assert closed > 800
+
+
 def test_quotient_z8():
     z8 = build_zmod(8)
     ideal = ideal_closure(z8, ElemSet.of(z8, [4]), "two-sided")
@@ -194,14 +236,16 @@ def test_quotient_t2_is_boolean():
 
 def test_quotient_rejects_non_ideals():
     z8 = build_zmod(8)
-    with pytest.raises(NotAnIdealError):
+    with pytest.raises(NotAnIdealError) as err:
         build_quotient(z8, ElemSet.of(z8, [0, 1]))
+    assert str(err.value) == "generating set is not a two-sided ideal: ('add', 1, 1)"
     m2 = build_matrix(build_zmod(2), 2)
     jsharp = compute_bundle(m2).jsharp
     ok, witness = is_two_sided_ideal(m2, jsharp)
     assert not ok and witness is not None
-    with pytest.raises(NotAnIdealError):
+    with pytest.raises(NotAnIdealError) as err:
         build_quotient(m2, jsharp)
+    assert str(err.value) == f"generating set is not a two-sided ideal: {witness}"
 
 
 def test_quotient_by_whole_ring_rejected():

@@ -101,6 +101,26 @@ def test_rows_equal_columns_matches_the_transpose_compare(n):
         assert np.array_equal(rows_equal_columns(table), (table == table.T).all(axis=1))
 
 
+@pytest.mark.parametrize("n", [65, 130, 200])
+def test_rows_equal_columns_finds_mismatches_below_the_diagonal(n):
+    # only the upper triangle is read, so a cell below the diagonal must
+    # be caught through its mirror, also when the two sit in different slabs
+    rng = np.random.default_rng(n)
+    base = rng.integers(0, 7, size=(n, n))
+    base = np.triu(base) + np.triu(base, 1).T
+    for a, b in ((64, 63), (n - 1, 0), (n - 1, 63), (64, 0), (n - 1, n - 2)):
+        table = base.copy()
+        table[a, b] += 1
+        got = rows_equal_columns(table)
+        assert np.array_equal(got, (table == table.T).all(axis=1)), (a, b)
+        assert np.flatnonzero(~got).tolist() == [b, a]
+    table = base.copy()
+    below = [(int(a), int(b)) for a, b in zip(rng.integers(1, n, size=6), rng.integers(0, n, size=6)) if a > b]
+    for a, b in below:
+        table[a, b] += 1
+    assert np.array_equal(rows_equal_columns(table), (table == table.T).all(axis=1))
+
+
 def test_validate_rejects_broken_identity():
     add, mul = raw_zmod_tables(4)
     mul[1][3] = 2

@@ -221,15 +221,16 @@ def test_semipotent_matches_the_per_element_oracle(corpus_bundles):
 
 
 def test_classify_builds_the_radical_quotient_once(monkeypatch):
+    # R/J is built by the unchecked builder behind `build_quotient`, as J
+    # is already proved an ideal; every quotient passes through it
     calls = []
-    real = construct.build_quotient
+    real = construct._build_quotient
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(construct, "build_quotient", counting)
-    monkeypatch.setattr(P, "build_quotient", counting)
+    monkeypatch.setattr(construct, "_build_quotient", counting)
     for text in ("z(8)", "m(2,z(2))", "t(3,z(2))", "group(z(2),s(3))"):
         ring, b = ring_and_bundle(text)
         calls.clear()
@@ -299,6 +300,69 @@ def test_exchange_matches_the_per_element_oracle(corpus_bundles):
         assert verdict == exchange_oracle(ring, cut), text
         failing += not verdict.value
     assert failing == sum(not P.is_local(ring, b).value for _, ring, b in corpus_bundles)
+
+
+def test_exchange_witness_past_the_first_block():
+    # the remaining a are tested 64 at a time; on a Boolean ring only e = a
+    # serves a (e <= a and a <= e), so Id cut below index k makes the first
+    # a >= k other than 0 and 1 the witness, on either side of a block edge
+    ring, b = ring_and_bundle("prod(" + ",".join(["z(2)"] * 8) + ")")
+    rest = [a for a in range(ring.order) if a not in (ring.zero, ring.one)]  # U = {1}, 1 - a in U only at a = 0
+    positions = []
+    for k in (0, 64, 65, 129, 200):
+        cut = dataclasses.replace(b, idempotents=ElemSet.of(ring, [ring.zero, ring.one, *range(k)]))
+        verdict = P.is_exchange(ring, cut)
+        assert verdict == exchange_oracle(ring, cut), k
+        positions.append(next(i for i, a in enumerate(rest) if verdict.witness.endswith(f"(#{a})")))
+    assert positions == [0, 63, 64, 128, 199]
+    for text in ("m(2,z(4))", "t(2,z(8))"):  # orders 256 and 512
+        ring, b = ring_and_bundle(text)
+        assert P.is_exchange(ring, b) == exchange_oracle(ring, b) == P.Verdict(True), text
+        cut = _trivial_idempotents(ring, b)
+        verdict = P.is_exchange(ring, cut)
+        assert not verdict.value and verdict == exchange_oracle(ring, cut), text
+
+
+def test_classify_decides_semipotence_once(monkeypatch, corpus_bundles):
+    calls = {"is_semipotent": 0, "is_potent": 0}
+    for name in calls:
+
+        def counting(*args, _real=getattr(P, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(P, name, counting)
+    for text in ("z(8)", "m(2,z(2))", "t(3,z(2))"):
+        ring, b = ring_and_bundle(text)
+        calls.update(is_semipotent=0, is_potent=0)
+        assert P.classify(ring, b)["potent"] == P.is_potent(ring, b), text
+        assert calls == {"is_semipotent": 2, "is_potent": 2}, text  # one each in classify, one each above
+    monkeypatch.undo()
+    for text, ring, b in corpus_bundles:  # a handed-in verdict, also a failing one, is used as is
+        no_radical = dataclasses.replace(b, jacobson=ElemSet.of(ring, [ring.zero]))
+        for bundle in (b, no_radical):
+            semi = P.is_semipotent(ring, bundle)
+            assert P.is_potent(ring, bundle, semi) == P.is_potent(ring, bundle), text
+
+
+def test_classify_proves_the_radical_an_ideal_once(monkeypatch):
+    # jacobson_radical proves J two-sided; R/J does not check it again
+    from ringlab import subsets
+
+    seen = []
+    real = subsets.is_two_sided_ideal
+
+    def counting(on, subset):
+        seen.append((on, subset.members))
+        return real(on, subset)
+
+    monkeypatch.setattr(subsets, "is_two_sided_ideal", counting)
+    monkeypatch.setattr(construct, "is_two_sided_ideal", counting)
+    ring, b = ring_and_bundle("t(2,z(4))")
+    P.classify(ring, b)
+    assert [members for on, members in seen if on is ring] == [b.jacobson.members]
+    quotient = b.radical_quotient()[0]
+    assert [members for on, members in seen if on is not ring] == [frozenset({quotient.zero})]  # J(R/J), in its bundle
 
 
 def dedekind_finite_oracle(ring):

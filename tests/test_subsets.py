@@ -124,6 +124,18 @@ def test_units_and_inverses_match_the_definition(corpus_bundles):
         assert bundle.inverse_map == {a: bs[0] for a, bs in inverses.items() if bs}, text
 
 
+def test_jacobson_candidate_gather_matches_the_full_gather():
+    # J is gathered only over the columns j with 1 - j a unit, in row slabs;
+    # in prod(z(512),z(3)) the candidates (b, 2) with b even fail only at
+    # the rows (r, 2), the last slab, as the z(3) coordinate is the high digit
+    for text in ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "prod(z(512),z(3))"):
+        ring = compile_text(text)
+        unit_mask = units(ring)[0].mask()
+        quasi = unit_mask[ring.add[ring.one, ring.neg]]
+        full = np.flatnonzero(quasi[ring.mul].all(axis=0))
+        assert jacobson_radical(ring, unit_mask).indices() == tuple(full.tolist()), text
+
+
 def test_is_two_sided_ideal():
     z8 = build_zmod(8)
     ok, witness = is_two_sided_ideal(z8, ElemSet.of(z8, [0, 2, 4, 6]))
