@@ -221,6 +221,34 @@ def _sum_name(base: TableRing, coeffs, symbols) -> str:
     return "+".join(terms) or base.names[base.zero]
 
 
+def _field_high_bits(base: TableRing) -> int | None:
+    """The mask H of field top bits when `base.add` is bitwise, else None.
+
+    Bitwise means: the order is r = 2^K, and on every index pair
+    add[i, j] == ((i & L) + (j & L)) ^ ((i ^ j) & H) with L = ~H, where
+    H holds the top bit of each k-bit field of the K index bits. That
+    is, the index is K/k digits mod 2^k added independently. The formula
+    sends index 1 to additive order 2^k, so k is read off index 1 and one
+    exact comparison of the r x r table decides. If k does not divide K,
+    the top field is cut short and 2^(K-1) + 2^(K-1) reads 2^K, which is
+    out of range, so the comparison rejects it.
+    """
+    r = base.order
+    bits = r.bit_length() - 1
+    if r != 1 << bits:
+        return None
+    m, x = 1, 1  # x = m * (index 1) until m is its additive order, which divides r
+    while x != 0:
+        x = int(base.add[x, 1])
+        m += 1
+    k = m.bit_length() - 1
+    high = sum(1 << (f + k - 1) for f in range(0, bits, k))
+    i = np.arange(r, dtype=np.int32)
+    low = i & ~high
+    bitwise = (low[:, None] + low[None, :]) ^ ((i[:, None] ^ i[None, :]) & high)
+    return high if np.array_equal(bitwise, base.add) else None
+
+
 def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None):
     """Digits, add and mul tables of a ring of `width`-digit vectors over `base`.
 
@@ -229,6 +257,17 @@ def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None
     (c*e_w)*b for every element b (one row of `digits` each). Every other
     row follows by row extension: x = x' + c*e_w with x' < |R|^w gives
     add[x] = add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
+
+    The mul extension gathers each cell from the whole add table, unless
+    the base's addition is bitwise (see `_field_high_bits`: z(2^k),
+    gf(2^d), and digit vectors over those). Then, with |R| = 2^K, the
+    index x is the concatenation of the K-bit digits of x, each of them
+    k-bit fields added mod 2^k, and k divides K, so no field crosses a
+    digit. The same formula with H repeated over all digits is therefore
+    exactly the ring's addition, and the extension is computed with five
+    int32 operations on each block (SWAR): the low k - 1 bits of two
+    fields sum below 2^k, so their carry stops at the field's top bit,
+    which is the XOR of both top bits and that carry.
     """
     if base.zero != 0:
         raise RingError("digit-vector constructions need the base zero at index 0")
@@ -254,11 +293,36 @@ def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None
     ]
     for x, lo, hi in blocks:
         np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
+    high = _field_high_bits(base) if blocks else None  # width 1 extends no row, so skip the r x r compare
+    if high is None:
+        _extend_by_gather(add, mul, blocks)
+    else:
+        digit_bits = radix.bit_length() - 1
+        _extend_bitwise(mul, blocks, sum(high << (digit_bits * w) for w in range(width)))
+    return digits, add, mul
+
+
+def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
+    """mul[x + lo : x + hi] = add[mul[lo:hi], mul[x]], one gather per cell.
+
+    Reads whole rows of `add`, so it runs after add is filled.
+    """
+    order = add.shape[0]
     flat_add = add.ravel()
-    for x, lo, hi in blocks:  # gathers from whole rows of add, so runs after it
+    for x, lo, hi in blocks:
         cells = mul[lo:hi].astype(np.intp) * order + mul[x]
         np.take(flat_add, cells, out=mul[x + lo : x + hi])
-    return digits, add, mul
+
+
+def _extend_bitwise(mul: np.ndarray, blocks, high: int) -> None:
+    """`_extend_by_gather` for an addition that is bitwise with top bits `high`."""
+    low, high = np.int32(~high), np.int32(high)
+    for x, lo, hi in blocks:
+        out, rows = mul[x + lo : x + hi], mul[lo:hi]
+        top = (rows ^ mul[x]) & high
+        np.bitwise_and(rows, low, out=out)
+        out += mul[x] & low
+        out ^= top
 
 
 # ---------------------------------------------------------------------------

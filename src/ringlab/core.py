@@ -296,8 +296,13 @@ def distinct_indices(n: int, values) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def scan_axioms(add, mul, zero: int, one: int, neg=None) -> tuple[list[Violation], str]:
+def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tuple[list[Violation], str]:
     """Scan the ring axioms, returning violations and the scan mode.
+
+    Without `neg`, each row of add must hold `zero`; `first_zero[a]` is
+    the column of the first zero in row a (`argmax(add == zero, axis=1)`,
+    computed here unless the caller passes it), so the n^2 compare runs
+    once for the scan and the derived negation table together.
 
     Up to order 64 the four n^3 identities (additive and multiplicative
     associativity, left and right distributivity) are tested on every
@@ -332,7 +337,9 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None) -> tuple[list[Violation
         if len(bad):
             violations.append(Violation("NotAbelianGroup", (int(bad[0]), int(neg[bad[0]]))))
     else:
-        has_inv = (add == zero).any(axis=1)
+        if first_zero is None:
+            first_zero = np.argmax(add == zero, axis=1)
+        has_inv = add[idx, first_zero] == zero
         if not has_inv.all():
             violations.append(Violation("NotAbelianGroup", (int(np.where(~has_inv)[0][0]),)))
 
@@ -392,14 +399,12 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
         raise ValueError("table entry out of range")
 
-    violations, mode = scan_axioms(add, mul, zero, one, neg)
+    first_zero = np.argmax(add == zero, axis=1).astype(np.int32) if neg is None else None
+    violations, mode = scan_axioms(add, mul, zero, one, neg, first_zero)
     if violations:
         raise RingValidationError(violations)
 
-    if neg is None:
-        neg = np.argmax(add == zero, axis=1).astype(np.int32)
-    else:
-        neg = np.ascontiguousarray(np.asarray(neg, dtype=np.int32))
+    neg = first_zero if neg is None else np.ascontiguousarray(np.asarray(neg, dtype=np.int32))
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:

@@ -158,16 +158,26 @@ def is_potent(ring: TableRing, bundle: InvariantBundle, semipotent: Verdict | No
     return idempotents_lift(ring, bundle, bundle.jacobson)
 
 
+_BLOCK = 64  # elements a per block in is_regular and is_exchange
+
+
 def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    """von Neumann regular: for each a some x has axa = a."""
-    for a in range(ring.order):
-        row = ring.mul[ring.mul[a, :], a]  # (a*x)*a over all x
-        if not (row == a).any():
-            return Verdict(False, f"no x with axa = a for a = {ring.describe(a)}")
+    """von Neumann regular: for each a some x has axa = a.
+
+    The a are tested in index order, in blocks of 64: the block's columns
+    y*a are copied out (row by row, then transposed in cache), one
+    (64, n) gather gives (a*x)*a over all x, then one row test. The
+    witness is the first failing a.
+    """
+    n = ring.order
+    for i in range(0, n, _BLOCK):
+        a = np.arange(i, min(i + _BLOCK, n))
+        right = np.ascontiguousarray(np.ascontiguousarray(ring.mul[:, i : i + _BLOCK]).T)  # right[k, y] = y * a_k
+        axa = np.take(right, ring.mul[i : i + _BLOCK] + np.arange(0, right.size, n)[:, None])
+        served = (axa == a[:, None]).any(axis=1)
+        if not served.all():
+            return Verdict(False, f"no x with axa = a for a = {ring.describe(int(a[np.argmin(served)]))}")
     return Verdict(True)
-
-
-_EXCHANGE_BLOCK = 64  # elements a per block in is_exchange
 
 
 def _row_sets(ring: TableRing, elems: np.ndarray) -> np.ndarray:
@@ -194,8 +204,8 @@ def is_exchange(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     idem_rest = one_minus[idem]  # 1 - e for each idempotent e
     units = bundle.units.mask()
     rest = np.flatnonzero(~(units | units[one_minus]))
-    for i in range(0, len(rest), _EXCHANGE_BLOCK):
-        a = rest[i : i + _EXCHANGE_BLOCK]
+    for i in range(0, len(rest), _BLOCK):
+        a = rest[i : i + _BLOCK]
         served = (_row_sets(ring, a)[:, idem] & _row_sets(ring, one_minus[a])[:, idem_rest]).any(axis=1)
         if not served.all():
             return Verdict(False, f"no exchange idempotent for a = {ring.describe(int(a[np.argmin(served)]))}")

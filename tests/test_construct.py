@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ringlab import ElemSet, OutOfCapError, compile_text
+from ringlab import ElemSet, OutOfCapError, compile_text, construct
 from ringlab.cache import table_checksum
 from ringlab.checks import _ring_from_subset
 from ringlab.construct import (
@@ -569,6 +569,8 @@ def test_digit_vector_builder_matches_definitional_product(text):
         ("skew(gf(4),frob,3)", "70911f37071c16c5"),
         ("corner(m(3,z(2)),17)", "f030b5349ec595b9"),
         ("quot(t(2,z(4)),[4])", "5942bb68c1bf638d"),
+        ("m(2,gf(8))", "8aaa0511cd579be3"),
+        ("group(gf(4),c(6))", "22e7b570499c7c4a"),
     ],
 )
 def test_element_encodings_are_pinned(text, prefix):
@@ -589,3 +591,57 @@ def test_matrix_monomials_keep_noncommutative_coefficient_order():
                 for d in range(r):
                     expected = int(base.mul[c, d]) * r ** positions.index((i, l)) if j == j2 else 0
                     assert int(ring.mul[c * r**w, d * r**v]) == expected
+
+
+@pytest.mark.parametrize(
+    "text, high",
+    [
+        ("z(2)", 0b1),
+        ("z(4)", 0b10),
+        ("z(16)", 0b1000),
+        ("gf(4)", 0b11),
+        ("gf(8)", 0b111),
+        ("t(2,z(2))", 0b111),
+        ("triv(z(4))", 0b1010),
+        ("m(2,z(2))", 0b1111),
+    ],
+)
+def test_bitwise_addition_is_detected(text, high):
+    ring = compile_text(text)
+    assert construct._field_high_bits(ring) == high
+    i = np.arange(ring.order)
+    low = i & ~high
+    assert np.array_equal((low[:, None] + low[None, :]) ^ ((i[:, None] ^ i[None, :]) & high), ring.add)
+
+
+def relabelled_z4():
+    # z(4) with the labels of 2 and 3 swapped: index 1 still has additive order 4
+    perm = np.array([0, 1, 3, 2])
+    z4 = build_zmod(4)
+    return validate_ring(perm[z4.add[np.ix_(perm, perm)]], perm[z4.mul[np.ix_(perm, perm)]], 0, 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["z(3)", "z(6)", "z(9)", "gf(9)", "prod(z(2),z(4))", "prod(z(4),z(2))", "relabelled z(4)"]
+)
+def test_bitwise_addition_is_rejected(text):
+    ring = relabelled_z4() if text == "relabelled z(4)" else compile_text(text)
+    assert construct._field_high_bits(ring) is None
+
+
+DIGIT_VECTOR_METAS = (MatrixMeta, TriangularMeta, GroupRingMeta, SkewPolyMeta, TrivialExtMeta)
+
+
+def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
+    bitwise = [text for text, ring in rings if construct._field_high_bits(ring.meta.base) is not None]
+    assert 0 < len(bitwise) < len(rings)  # the corpus exercises both forms
+    extended = []
+    extend = construct._extend_bitwise
+    monkeypatch.setattr(construct, "_extend_bitwise", lambda mul, *args: extended.append(len(mul)) or extend(mul, *args))
+    extra = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(4),c(6))")
+    rings += [(text, compile_text(text)) for text in extra]
+    assert extended == [4096] * len(extra)
+    monkeypatch.setattr(construct, "_field_high_bits", lambda base: None)
+    for text, ring in rings:
+        assert ring.tables_equal(compile_text(text)), text

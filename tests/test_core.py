@@ -73,6 +73,22 @@ def test_validate_rejects_noncommutative_addition():
     assert err.value.violations[0] == Violation("NotAbelianGroup", (1, 2))
 
 
+@pytest.mark.parametrize("n", [4, 130])
+def test_validate_rejects_a_row_without_zero(n):
+    # 2 + (n-2) becomes 1, kept symmetric: row 2 alone lacks zero at n = 4, rows 2 and 128
+    # at n = 130; the first such row is the witness, with the given neg's entry when neg is passed
+    add, mul = (np.array(t) for t in raw_zmod_tables(n))
+    add[2, n - 2] = add[n - 2, 2] = 1
+    assert np.flatnonzero(~(add == 0).any(axis=1)).tolist() == sorted({2, n - 2})
+    neg = (-np.arange(n)) % n
+    for given, witness in ((None, (2,)), (neg, (2, n - 2))):
+        violations, _ = scan_axioms(add, mul, 0, 1, given)
+        assert Violation("NotAbelianGroup", witness) in violations
+        with pytest.raises(RingValidationError) as err:
+            validate_ring(add, mul, 0, 1, neg=given)
+        assert Violation("NotAbelianGroup", witness) in err.value.violations
+
+
 def test_noncommutative_addition_witness_on_the_sampled_path():
     # order 130 is past the exhaustive limit, and the bad entries sit past
     # column 64, so the slab compare crosses a slab edge; the row-major

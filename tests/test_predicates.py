@@ -5,6 +5,7 @@ import numpy as np
 from ringlab import ElemSet, compile_text, compute_bundle, construct
 from ringlab import predicates as P
 from ringlab.checks import CheckContext
+from ringlab.core import validate_ring
 
 
 def ring_and_bundle(text):
@@ -92,6 +93,39 @@ def test_regular_exchange():
     verdict = P.is_regular(ring, b)
     assert not verdict.value and "a = 2" in verdict.witness
     assert P.is_exchange(ring, b).value
+
+
+def regular_oracle(ring):
+    """The per-element loop is_regular ran before it tested blocks of a."""
+    for a in range(ring.order):
+        if not (ring.mul[ring.mul[a, :], a] == a).any():
+            return P.Verdict(False, f"no x with axa = a for a = {ring.describe(a)}")
+    return P.Verdict(True)
+
+
+def relabelled(ring, order):
+    """`ring` with old element order[i] at index i."""
+    new = np.argsort(order)
+    cells = np.ix_(order, order)
+    return validate_ring(new[ring.add[cells]], new[ring.mul[cells]], int(new[ring.zero]), int(new[ring.one]))
+
+
+def test_regular_blocks_match_the_per_element_loop(corpus_bundles):
+    rings = [ring for _, ring, _ in corpus_bundles]
+    rings += [compile_text(t) for t in ("m(2,gf(4))", "prod(m(2,z(2)),gf(5))")]
+    for ring in rings:
+        got, want = P.is_regular(ring, None), regular_oracle(ring)
+        assert (got.value, got.witness) == (want.value, want.witness)
+    # first failing a past the first block: 70 = (0, 0, 2) in the second block, then the 20
+    # non-regular elements of gf(5) x z(25) moved last, the first at 105 in the partial block
+    ring = compile_text("prod(gf(5),gf(7),z(4))")
+    base = compile_text("prod(gf(5),z(25))")
+    regular = np.array([(base.mul[base.mul[a, :], a] == a).any() for a in range(base.order)])
+    moved = relabelled(base, np.concatenate([np.flatnonzero(regular), np.flatnonzero(~regular)]))
+    for ring, first in ((ring, 70), (moved, 105)):
+        got, want = P.is_regular(ring, None), regular_oracle(ring)
+        assert not got.value and got.witness == want.witness
+        assert got.witness.endswith(f"(#{first})")
 
 
 def test_semiregular_semiboolean():
