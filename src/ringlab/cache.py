@@ -86,7 +86,9 @@ def deserialize_bundle(data: bytes, ring: TableRing) -> InvariantBundle | None:
     offset = _HEAD
     for name in _SETS:
         raw = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=offset)
-        sets[name] = ElemSet.from_mask(ring, np.unpackbits(raw, count=ring.order, bitorder="little"))
+        mask = np.unpackbits(raw, count=ring.order, bitorder="little").view(bool)  # 0/1 bytes as bools
+        mask.setflags(write=False)  # so from_mask wraps it without a copy
+        sets[name] = ElemSet.from_mask(ring, mask)
         offset += nbytes
     inv_raw = np.frombuffer(data, dtype="<u4", count=ring.order, offset=offset)
     inverse_map = {int(a): int(v) for a, v in enumerate(inv_raw) if v != _NO_INVERSE}

@@ -28,7 +28,6 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
-    distinct_indices,
     validate_ring,
 )
 from .construct import (
@@ -93,7 +92,7 @@ class CheckContext:
         self._radical_ideals: list[ElemSet] | None = None
         self._radical_quotients: list[tuple[ElemSet, TableRing, np.ndarray]] | None = None
         self._corners = None
-        self._aux: dict[int, InvariantBundle] = {}
+        self._aux: dict[int, InvariantBundle] = {id(ring): bundle}
 
     @property
     def verdicts(self) -> dict[str, P.Verdict]:
@@ -111,25 +110,22 @@ class CheckContext:
         return self._aux[key]
 
     def radical_quotient(self):
-        """(R/J, projection, bundle of R/J), shared with the ring's bundle."""
-        return self.bundle.radical_quotient()
+        """(R/J, projection, bundle of R/J), shared with the ring's bundle;
+        `bundle_of(R/J)` then returns that bundle."""
+        quotient, projection, qb = self.bundle.radical_quotient()
+        self._aux[id(quotient)] = qb
+        return quotient, projection, qb
 
     def radical_ideals(self) -> list[ElemSet]:
         """Ideals inside J: always {0} and J, plus the principal ones on
         small rings (the sweep is quadratic in |J|)."""
         if self._radical_ideals is None:
             ring, jac = self.ring, self.bundle.jacobson
-            seen = {frozenset({ring.zero}), jac.members}
-            ideals = [ElemSet.of(ring, [ring.zero])]
-            if ring.order <= IDEAL_ENUM_LIMIT:
-                for j in sorted(jac.members):
-                    closed = ideal_closure(ring, ElemSet.of(ring, [j]), "two-sided")
-                    if closed.members not in seen and closed.members <= jac.members:
-                        seen.add(closed.members)
-                        ideals.append(closed)
-            if jac.members != frozenset({ring.zero}):
-                ideals.append(jac)
-            self._radical_ideals = ideals
+            small = ring.order <= IDEAL_ENUM_LIMIT
+            closures = [ideal_closure(ring, ElemSet.of(ring, [j]), "two-sided") for j in jac] if small else []
+            # {0} first and J last, each ideal once, in order of first appearance
+            inside = [c for c in closures if c <= jac and c != jac]
+            self._radical_ideals = list(dict.fromkeys([ElemSet.of(ring, [ring.zero]), *inside, jac]))
         return self._radical_ideals
 
     def radical_quotients(self) -> list[tuple[ElemSet, TableRing, np.ndarray]]:
@@ -137,27 +133,30 @@ class CheckContext:
         quotient by J is the bundle's R/J, whose bundle `bundle_of` then
         reuses; every other quotient is built (and validated) once here."""
         if self._radical_quotients is None:
-            jac = self.bundle.jacobson.members
-            self._radical_quotients = []
+            quotients = []  # kept only once complete: a quotient that fails to build leaves nothing
             for ideal in self.radical_ideals():
-                if ideal.members == jac:
-                    quotient, projection, qb = self.radical_quotient()
-                    self._aux[id(quotient)] = qb
+                if ideal == self.bundle.jacobson:
+                    quotient, projection, _ = self.radical_quotient()
                 else:
                     quotient, projection = build_quotient(self.ring, ideal)
-                self._radical_quotients.append((ideal, quotient, projection))
+                quotients.append((ideal, quotient, projection))
+            self._radical_quotients = quotients
         return self._radical_quotients
 
     def corners(self):
         """(e, eRe, embedding) for every nonzero idempotent e."""
         if self._corners is None:
-            self._corners = []
-            for e in sorted(self.bundle.idempotents.members):
-                if e == self.ring.zero:
-                    continue
-                corner, emb = build_corner(self.ring, e, self.cap)
-                self._corners.append((e, corner, emb))
+            self._corners = [(e, *self.corner(self.ring, e)) for e in self.bundle.idempotents if e != self.ring.zero]
         return self._corners
+
+    def corner(self, ring: TableRing, e: int) -> tuple[TableRing, np.ndarray]:
+        """(eRe, embedding) for a nonzero idempotent e of R or of a derived
+        ring. At e = 1 the corner has R's tables, names, zero and one, so R
+        itself is returned and `bundle_of` gives the bundle R already has.
+        """
+        if e == ring.one:
+            return ring, np.arange(ring.order)
+        return build_corner(ring, e, self.cap)
 
 
 @dataclass(frozen=True)
@@ -248,17 +247,15 @@ def _u_minus_one(ring: TableRing, u: int) -> int:
     return int(ring.add[u, ring.neg[ring.one]])
 
 
-def _sumset(ring: TableRing, left, right) -> frozenset[int]:
-    la = np.fromiter(left, dtype=np.int64, count=len(left))
-    ra = np.fromiter(right, dtype=np.int64, count=len(right))
-    return frozenset(distinct_indices(ring.order, ring.add[la[:, None], ra]).tolist())
+def _sumset(ring: TableRing, left: ElemSet, right: ElemSet) -> ElemSet:
+    return ElemSet.of(ring, ring.add[left.index_array()[:, None], right.index_array()])
 
 
 def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
     """Reindex a unital subring (closed subset containing 0 and 1)."""
-    elems = subset.indices()
-    add, mul, back = _reindex(ring, np.array(elems, dtype=np.int64))
-    names = tuple(ring.names[p] for p in elems)
+    elems = subset.index_array()
+    add, mul, back = _reindex(ring, elems)
+    names = tuple(ring.names[p] for p in elems.tolist())
     return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=names)
 
 
@@ -269,13 +266,12 @@ def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
 
 def _chk_l121(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    js = b.jsharp.mask()
-    for a in b.jsharp:
-        commuting = np.where(ring.mul[a, :] == ring.mul[:, a])[0]
-        bad = commuting[~js[ring.mul[a, commuting]]]
-        if len(bad):
-            bidx = int(bad[0])
-            return _fail(f"a = {ring.describe(a)}, b = {ring.describe(bidx)}, ab outside J#")
+    js = b.jsharp.index_array()
+    rows = ring.mul[js, :]  # (a, b) -> ab for every a in J#
+    bad = np.argwhere((rows == ring.mul[:, js].T) & ~b.jsharp.mask()[rows])
+    if len(bad):
+        i, bidx = map(int, bad[0])
+        return _fail(f"a = {ring.describe(int(js[i]))}, b = {ring.describe(bidx)}, ab outside J#")
     return _ok()
 
 
@@ -295,17 +291,18 @@ def _chk_l122(ctx: CheckContext) -> Outcome:
 
 def _chk_l123(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    for a in b.jsharp:
-        if int(ring.add[ring.one, ring.neg[a]]) not in b.units.members:
-            return _fail(f"a = {ring.describe(a)} but 1-a is not a unit")
+    one_minus_unit = ElemSet.from_mask(ring, b.units.mask()[ring.add[ring.one, ring.neg]])  # a with 1 - a in U
+    a = (b.jsharp - one_minus_unit).first()
+    if a is not None:
+        return _fail(f"a = {ring.describe(a)} but 1-a is not a unit")
     return _ok()
 
 
 def _chk_l124(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    for a in sorted(b.jsharp.members & b.center.members):
-        if a not in b.jacobson.members:
-            return _fail(f"central a = {ring.describe(a)} in J# but outside J")
+    a = ((b.jsharp & b.center) - b.jacobson).first()
+    if a is not None:
+        return _fail(f"central a = {ring.describe(a)} in J# but outside J")
     return _ok()
 
 
@@ -313,9 +310,9 @@ def _chk_l125(ctx: CheckContext) -> Outcome:
     b = ctx.bundle
     for ideal, quotient, projection in ctx.radical_quotients():
         qb = ctx.bundle_of(quotient)
-        image = frozenset(distinct_indices(quotient.order, projection[list(b.jsharp.members)]).tolist())
-        if image != qb.jsharp.members:
-            off = sorted(image ^ qb.jsharp.members)[0]
+        image = ElemSet.of(quotient, projection[b.jsharp.index_array()])
+        if image != qb.jsharp:
+            off = (image ^ qb.jsharp).first()
             return _fail(
                 f"I of size {len(ideal)}: J#(R/I) and the image of J#(R) differ at {quotient.describe(off)}"
             )
@@ -325,16 +322,13 @@ def _chk_l125(ctx: CheckContext) -> Outcome:
 def _chk_l126(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     meta: ProductMeta = ring.meta
-    factor_sets = [ctx.bundle_of(f).jsharp.members for f in meta.factors]
-    for a in range(ring.order):
-        x, componentwise = a, True
-        for f, js in zip(meta.factors, factor_sets):
-            x, r = divmod(x, f.order)
-            if r not in js:
-                componentwise = False
-                break
-        if componentwise != (a in b.jsharp.members):
-            return _fail(f"{ring.describe(a)}: componentwise J# membership disagrees")
+    x, componentwise = np.arange(ring.order), np.ones(ring.order, dtype=bool)
+    for f in meta.factors:  # the first factor is the lowest digit
+        x, r = np.divmod(x, f.order)
+        componentwise &= ctx.bundle_of(f).jsharp.mask()[r]
+    a = (ElemSet.from_mask(ring, componentwise) ^ b.jsharp).first()
+    if a is not None:
+        return _fail(f"{ring.describe(a)}: componentwise J# membership disagrees")
     return _ok()
 
 
@@ -350,10 +344,9 @@ def _chk_l127(ctx: CheckContext) -> Outcome:
 
 def _chk_l128(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    sums = _sumset(ring, b.nilpotents.members, b.jacobson.members)
-    extra = sums - b.jsharp.members
+    extra = _sumset(ring, b.nilpotents, b.jacobson) - b.jsharp
     if extra:
-        return _fail(f"Nil + J escapes J# at {ring.describe(sorted(extra)[0])}")
+        return _fail(f"Nil + J escapes J# at {ring.describe(extra.first())}")
     return _ok()
 
 
@@ -362,9 +355,9 @@ def _chk_x13(ctx: CheckContext) -> Outcome:
     e12 = matrix_unit_index(ring, 0, 1)
     e21 = matrix_unit_index(ring, 1, 0)
     ones = int(ring.add[ring.add[matrix_unit_index(ring, 0, 0), e12], ring.add[e21, matrix_unit_index(ring, 1, 1)]])
-    expected = {ring.zero, e12, e21, ones}
-    if b.jsharp.members != expected:
-        return _fail(f"J# is {sorted(b.jsharp.members)}, expected {sorted(expected)}")
+    expected = ElemSet.of(ring, [ring.zero, e12, e21, ones])
+    if b.jsharp != expected:
+        return _fail(f"J# is {list(b.jsharp)}, expected {list(expected)}")
     return _ok(
         note=(
             "computed J# has exactly 4 elements {0, E12, E21, all-ones}; a published "
@@ -375,24 +368,22 @@ def _chk_x13(ctx: CheckContext) -> Outcome:
 
 def _chk_p38(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    meet_id = b.jsharp.members & b.idempotents.members
-    if meet_id != {ring.zero}:
-        off = sorted(meet_id - {ring.zero})[0]
+    meet_id = b.jsharp & b.idempotents
+    if meet_id.indices() != (ring.zero,):
+        off = (meet_id - ElemSet.of(ring, [ring.zero])).first()
         return _fail(f"nonzero idempotent {ring.describe(off)} inside J#")
-    meet_u = b.jsharp.members & b.units.members
+    meet_u = b.jsharp & b.units
     if meet_u:
-        return _fail(f"unit {ring.describe(sorted(meet_u)[0])} inside J#")
+        return _fail(f"unit {ring.describe(meet_u.first())} inside J#")
     return _ok()
 
 
 def _chk_p37(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    covered = b.units.members | b.jsharp.members
-    is_cover = covered == frozenset(range(ring.order))
-    if is_cover != ctx.holds("local"):
-        if is_cover:
+    off = (~(b.units | b.jsharp)).first()
+    if (off is None) != ctx.holds("local"):
+        if off is None:
             return _fail("R = U union J# but the ring is not local")
-        off = sorted(frozenset(range(ring.order)) - covered)[0]
         return _fail(f"local ring misses {ring.describe(off)} from U union J#")
     return _ok()
 
@@ -401,11 +392,10 @@ def _chk_p34(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     centre = _ring_from_subset(ring, b.center)
     cb = ctx.bundle_of(centre)
-    elems = sorted(b.center.members)
     # the center is rationally closed: U(R) meet Z(R) = U(Z(R))
-    ambient_units = {i for i, p in enumerate(elems) if p in b.units.members}
-    if ambient_units != cb.units.members:
-        off = sorted(ambient_units ^ cb.units.members)[0]
+    ambient_units = ElemSet.from_mask(centre, b.units.mask()[b.center.index_array()])
+    if ambient_units != cb.units:
+        off = (ambient_units ^ cb.units).first()
         return _fail(f"center is not rationally closed at {centre.describe(off)}")
     verdict = P.is_ujsharp(centre, cb)
     if not verdict:
@@ -428,11 +418,10 @@ def _chk_l15(ctx: CheckContext) -> Outcome:
     sandwich_excess = []
     for e, corner, emb in ctx.corners():
         cb = ctx.bundle_of(corner)
-        via_corner = {int(emb[i]) for i in cb.jsharp}
-        meet = set(map(int, emb)) & b.jsharp.members
-        if via_corner != meet:
+        via_corner = ElemSet.of(ring, emb[cb.jsharp.index_array()])
+        if via_corner != ElemSet.of(ring, emb) & b.jsharp:
             return _fail(f"e = {ring.describe(e)}: J#(eRe) and eRe meet J#(R) disagree")
-        sandwich = {int(ring.mul[ring.mul[e, j], e]) for j in b.jsharp}
+        sandwich = ElemSet.of(ring, ring.mul[ring.mul[e, b.jsharp.index_array()], e])
         if not via_corner <= sandwich:
             return _fail(f"e = {ring.describe(e)}: J#(eRe) escapes e J#(R) e")
         if sandwich != via_corner:
@@ -468,42 +457,38 @@ def _chk_t35(ctx: CheckContext) -> Outcome:
 
 def _chk_closeprod(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    bad = _sumset(ring, b.jsharp.members, b.jacobson.members) - b.jsharp.members
+    bad = _sumset(ring, b.jsharp, b.jacobson) - b.jsharp
     if bad:
-        return _fail(f"J# + J escapes J# at {ring.describe(sorted(bad)[0])}")
-    central_js = b.jsharp.members & b.center.members
-    bad = _sumset(ring, b.jsharp.members, central_js) - b.jsharp.members
+        return _fail(f"J# + J escapes J# at {ring.describe(bad.first())}")
+    bad = _sumset(ring, b.jsharp, b.jsharp & b.center) - b.jsharp
     if bad:
-        return _fail(f"J# + central J# escapes J# at {ring.describe(sorted(bad)[0])}")
+        return _fail(f"J# + central J# escapes J# at {ring.describe(bad.first())}")
     return _ok()
 
 
 def _chk_equuq(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    central_units = b.units.members & b.center.members
-    sums = _sumset(ring, b.units.members, central_units)
-    equal = sums == b.jsharp.members
-    if equal != ctx.holds("ujsharp"):
-        missing = sorted(b.jsharp.members - sums)
-        extra = sorted(sums - b.jsharp.members)
+    sums = _sumset(ring, b.units, b.units & b.center)
+    if (sums == b.jsharp) != ctx.holds("ujsharp"):
+        missing, extra = (b.jsharp - sums).first(), (sums - b.jsharp).first()
         direction = []
-        if missing:
-            direction.append(f"J# element {ring.describe(missing[0])} is not such a sum")
-        if extra:
-            direction.append(f"sum {ring.describe(extra[0])} escapes J#")
+        if missing is not None:
+            direction.append(f"J# element {ring.describe(missing)} is not such a sum")
+        if extra is not None:
+            direction.append(f"sum {ring.describe(extra)} escapes J#")
         return _fail("; ".join(direction) or "sum set equals J# yet the ring is not UJ#")
     return _ok()
 
 
 def _chk_p22(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    ua = np.array(sorted(b.units.members), dtype=np.int64)
+    ua = b.units.index_array()
     bad = np.argwhere(ring.add[np.ix_(ua, ua)] == ring.one)
     if len(bad):
         i, j = bad[0]
         return _fail(f"units {ring.describe(int(ua[i]))} + {ring.describe(int(ua[j]))} = 1")
     quotient, _, qb = ctx.radical_quotient()
-    qa = np.array(sorted(qb.units.members), dtype=np.int64)
+    qa = qb.units.index_array()
     bad = np.argwhere(quotient.add[np.ix_(qa, qa)] == quotient.one)
     if len(bad):
         i, j = bad[0]
@@ -513,12 +498,11 @@ def _chk_p22(ctx: CheckContext) -> Outcome:
 
 def _chk_p23(ctx: CheckContext) -> Outcome:
     quotient, _, qb = ctx.radical_quotient()
-    for e in sorted(qb.idempotents.members):
+    for e in qb.idempotents:
         if e == quotient.zero:
             continue
-        corner, _ = build_corner(quotient, e)
-        cb = ctx.bundle_of(corner)
-        ua = np.array(sorted(cb.units.members), dtype=np.int64)
+        corner, _ = ctx.corner(quotient, e)
+        ua = ctx.bundle_of(corner).units.index_array()
         bad = np.argwhere(corner.add[np.ix_(ua, ua)] == corner.one)
         if len(bad):
             i, j = bad[0]
@@ -540,11 +524,11 @@ def _chk_lmatrix(ctx: CheckContext) -> Outcome:
     k = meta.size
     for (i, j) in [(0, 1), (1, 0), (1, 1)] + [(d, d) for d in range(2, k)]:
         w = int(ring.add[w, int(base.one) * base.order ** (i * k + j)])
-    if w not in b.units.members:
+    if w not in b.units:
         return _fail(f"distinguished matrix {ring.describe(w)} is not a unit")
     if k == 2:
         wm1 = _u_minus_one(ring, w)
-        if wm1 not in b.units.members or wm1 in b.jsharp.members:
+        if wm1 not in b.units or wm1 in b.jsharp:
             return _fail(f"u - 1 for u = {ring.describe(w)} should be a unit outside J#")
     return _ok()
 
@@ -584,14 +568,13 @@ def _chk_1ab(ctx: CheckContext) -> Outcome:
 def _chk_2inj(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     two = int(ring.add[ring.one, ring.one])
-    if two not in b.jsharp.members:
+    if two not in b.jsharp:
         return _fail("2 is outside J#")
-    if two not in b.jacobson.members:
+    if two not in b.jacobson:
         return _fail("2 is outside J")
-    js = sorted(b.jsharp.members)
-    add_closed = _sumset(ring, js, js) <= b.jsharp.members
-    ja = np.array(js, dtype=np.int64)
-    mul_closed = b.jsharp.mask()[ring.mul[np.ix_(ja, ja)]].all()
+    add_closed = _sumset(ring, b.jsharp, b.jsharp) <= b.jsharp
+    js = b.jsharp.index_array()
+    mul_closed = b.jsharp.mask()[ring.mul[np.ix_(js, js)]].all()
     if add_closed and not mul_closed:
         return _fail("J# closed under addition but not under multiplication")
     return _ok()
@@ -676,20 +659,18 @@ def _chk_c25(ctx: CheckContext) -> Outcome:
 def _chk_c27(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     # J is a nilpotent ideal: iterate ideal powers down to {0}
-    current = frozenset(b.jacobson.members)
-    arr = np.array(sorted(current), dtype=np.int64)
+    current = b.jacobson
     for _ in range(ring.order + 1):
-        if current == {ring.zero}:
+        if current.indices() == (ring.zero,):
             break
-        cur = np.array(sorted(current), dtype=np.int64)
-        nxt = additive_closure(ring, ring.mul[arr[:, None], cur].ravel())
+        nxt = additive_closure(ring, ring.mul[b.jacobson.index_array()[:, None], current.index_array()])
         if nxt == current:
             return _fail("J is not nilpotent: ideal powers stabilise above zero")
         current = nxt
     else:
         return _fail("J power iteration did not terminate")
-    if b.jsharp.members != b.nilpotents.members:
-        off = sorted(b.jsharp.members ^ b.nilpotents.members)[0]
+    if b.jsharp != b.nilpotents:
+        off = (b.jsharp ^ b.nilpotents).first()
         return _fail(f"J# and Nil differ at {ring.describe(off)}")
     vals = [ctx.holds("ujsharp"), ctx.holds("uj"), ctx.holds("uu")]
     if len(set(vals)) != 1:
@@ -715,7 +696,7 @@ def _chk_c317(ctx: CheckContext) -> Outcome:
 
 def _chk_c318(ctx: CheckContext) -> Outcome:
     b = ctx.bundle
-    if not b.jacobson.members <= b.nilpotents.members:
+    if not b.jacobson <= b.nilpotents:
         return _fail("J is not nil")
     a = ctx.holds("semiregular") and ctx.holds("ujsharp")
     bb = ctx.holds("exchange") and ctx.holds("ujsharp")
@@ -749,12 +730,9 @@ def _chk_equclean(ctx: CheckContext) -> Outcome:
         if P.strongly_jsharp_clean_witness(ring, b, a) is None:
             cond2 = False
             break
-    central_idem = sorted(b.idempotents.members & b.center.members)
-    cond3 = True
-    for u in b.units:
-        if not any(int(ring.add[u, ring.neg[e]]) in b.jsharp.members for e in central_idem):
-            cond3 = False
-            break
+    central_idem = (b.idempotents & b.center).index_array()
+    # every unit u is e + j for some central idempotent e and j in J#
+    cond3 = bool(b.jsharp.mask()[ring.add[np.ix_(b.units.index_array(), ring.neg[central_idem])]].any(axis=1).all())
     if not cond1 == cond2 == cond3:
         return _fail(f"UJ# {cond1}, clean=>strongly-J#-clean {cond2}, unit=central idem+J# {cond3}")
     return _ok()
@@ -799,7 +777,7 @@ def _chk_p32(ctx: CheckContext) -> Outcome:
     if meta.k >= 2:
         x = int(meta.base.order)  # digit 1 at position 1
         xideal = ideal_closure(ring, ElemSet.of(ring, [x]), "two-sided")
-        if not xideal.members <= ctx.bundle.jacobson.members:
+        if not xideal <= ctx.bundle.jacobson:
             return _fail("the ideal generated by x is not inside J")
     if ctx.holds("ujsharp") != base_verdict:
         return _fail(f"truncation verdict {ctx.holds('ujsharp')} vs base verdict {base_verdict}")
@@ -841,16 +819,17 @@ def _chk_gext(ctx: CheckContext) -> Outcome:
     meta: GroupRingMeta = ring.meta
     base = meta.base
     base_bundle = ctx.bundle_of(base)
-    shift = base.order**meta.group.identity
-    embedded = {r * shift: r for r in range(base.order)}
-    meet = {embedded[a] for a in embedded if a in b.jacobson.members}
-    if meet != base_bundle.jacobson.members:
-        off = sorted(meet ^ base_bundle.jacobson.members)[0]
+    # r*g has digit r at position g: index r * |R|^g
+    shifts = base.order ** np.arange(meta.group.order)
+    meet = ElemSet.from_mask(base, b.jacobson.mask()[np.arange(base.order) * shifts[meta.group.identity]])
+    if meet != base_bundle.jacobson:
+        off = (meet ^ base_bundle.jacobson).first()
         return _fail(f"J(RG) meet R and J(R) differ at {base.describe(off)}")
-    for j in sorted(base_bundle.jacobson.members):
-        for g in range(meta.group.order):
-            if j * base.order**g not in b.jacobson.members:
-                return _fail(f"j*g outside J(RG) for j = {base.describe(j)}, g = {meta.group.names[g]}")
+    js = base_bundle.jacobson.index_array()
+    outside = np.argwhere(~b.jacobson.mask()[js[:, None] * shifts])  # (j, g), row-major
+    if len(outside):
+        j, g = map(int, outside[0])
+        return _fail(f"j*g outside J(RG) for j = {base.describe(int(js[j]))}, g = {meta.group.names[g]}")
     return _ok()
 
 
@@ -869,10 +848,9 @@ def _chk_g2grp(ctx: CheckContext) -> Outcome:
 
 def _chk_gdelta(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    delta = augmentation_ideal(ring)
-    extra = delta.members - b.jacobson.members
+    extra = augmentation_ideal(ring) - b.jacobson
     if extra:
-        return _fail(f"augmentation ideal escapes J at {ring.describe(sorted(extra)[0])}")
+        return _fail(f"augmentation ideal escapes J at {ring.describe(extra.first())}")
     return _ok()
 
 
@@ -921,8 +899,8 @@ def _chk_g3grp(ctx: CheckContext) -> Outcome:
 
 def _chk_ojac(ctx: CheckContext) -> Outcome:
     oracle = jacobson_radical_maximal_ideal_oracle(ctx.ring)
-    if oracle.members != ctx.bundle.jacobson.members:
-        off = sorted(oracle.members ^ ctx.bundle.jacobson.members)[0]
+    if oracle != ctx.bundle.jacobson:
+        off = (oracle ^ ctx.bundle.jacobson).first()
         return _fail(f"unit-criterion J and maximal-left-ideal J differ at {ctx.ring.describe(off)}")
     return _ok()
 
@@ -930,8 +908,8 @@ def _chk_ojac(ctx: CheckContext) -> Outcome:
 def _chk_onilstar(ctx: CheckContext) -> Outcome:
     oracle = prime_radical_ideal_oracle(ctx.ring)
     computed = ctx.bundle.prime_radical
-    if oracle.members != computed.members:
-        off = sorted(oracle.members ^ computed.members)[0]
+    if oracle != computed:
+        off = (oracle ^ computed).first()
         return _fail(f"Nil* = J and the prime-ideal intersection differ at {ctx.ring.describe(off)}")
     return _ok()
 
@@ -968,13 +946,13 @@ def _applies_commutative(ctx: CheckContext) -> str | None:
 
 
 def _applies_j_zero(ctx: CheckContext) -> str | None:
-    if ctx.bundle.jacobson.members == {ctx.ring.zero}:
+    if ctx.bundle.jacobson.indices() == (ctx.ring.zero,):
         return None
     return "applies to rings with J = 0"
 
 
 def _applies_j_nil(ctx: CheckContext) -> str | None:
-    if ctx.bundle.jacobson.members <= ctx.bundle.nilpotents.members:
+    if ctx.bundle.jacobson <= ctx.bundle.nilpotents:
         return None
     return "applies to rings with J nil"
 
@@ -1010,7 +988,7 @@ def _applies_gexp2(ctx: CheckContext) -> str | None:
         return "applies when RG is UJ#"
     base = meta.base
     three = int(base.add[base.one, base.add[base.one, base.one]])
-    if three not in ctx.bundle_of(base).jsharp.members:
+    if three not in ctx.bundle_of(base).jsharp:
         return "applies when 3 lies in J# of the coefficient ring"
     return None
 
@@ -1023,7 +1001,7 @@ def _applies_g3grp(ctx: CheckContext) -> str | None:
         return "applies to group rings"
     base = meta.base
     three = int(base.add[base.one, base.add[base.one, base.one]])
-    if three not in ctx.bundle_of(base).jsharp.members:
+    if three not in ctx.bundle_of(base).jsharp:
         return "applies when 3 lies in J# of the coefficient ring"
     p = p_group_prime(meta.group)
     if p is None or p == 2:

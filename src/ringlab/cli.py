@@ -113,7 +113,7 @@ def cmd_sets(args) -> int:
     ring = compile_text(args.expr, _cap(args))
     bundle = _bundle_for(args, ring)
     subset = _resolve_set(ring, bundle, args.set_name)
-    indices = list(subset)
+    indices = subset.indices()
     payload = {
         "expr": ring.expr_text,
         "set": args.set_name,

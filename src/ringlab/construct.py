@@ -49,7 +49,6 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
-    distinct_indices,
     elem_pow,
     validate_ring,
 )
@@ -446,32 +445,29 @@ def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> El
     if side not in ("left", "right", "two-sided"):
         raise ValueError("side must be left, right or two-sided")
     mul = ring.mul
-    members = _subgroup(ring, np.fromiter(gens.members, dtype=np.int64, count=len(gens)))
+    ideal = additive_closure(ring, gens.index_array())
     while True:
-        parts = [members]
+        arr = ideal.index_array()
+        parts = [arr]
         if side in ("left", "two-sided"):
-            parts.append(np.take(mul, members, axis=1).ravel())  # R*I
+            parts.append(np.take(mul, arr, axis=1).ravel())  # R*I
         if side in ("right", "two-sided"):
-            parts.append(mul[members, :].ravel())  # I*R
-        grown = _subgroup(ring, distinct_indices(ring.order, np.concatenate(parts)))
-        if len(grown) == len(members):
-            return ElemSet(ring, frozenset(members.tolist()))
-        members = grown
+            parts.append(mul[arr, :].ravel())  # I*R
+        grown = additive_closure(ring, np.concatenate(parts))
+        if len(grown) == len(ideal):
+            return ideal
+        ideal = grown
 
 
-def _subgroup(ring: TableRing, members: np.ndarray) -> np.ndarray:
-    """The additive subgroup generated by the index array `members`, ascending."""
-    members = distinct_indices(ring.order, np.append(members, ring.zero))
+def additive_closure(ring: TableRing, items) -> ElemSet:
+    """The additive subgroup generated by the indices `items` (fixpoint of pairwise sums)."""
+    group = ElemSet.of(ring, items) | ElemSet.of(ring, [ring.zero])
     while True:
-        total = distinct_indices(ring.order, ring.add[members[:, None], members])  # contains members, as 0 does
-        if len(total) == len(members):
-            return members
-        members = total
-
-
-def additive_closure(ring: TableRing, items) -> frozenset[int]:
-    """The additive subgroup generated by `items` (fixpoint of pairwise sums)."""
-    return frozenset(_subgroup(ring, np.fromiter(items, dtype=np.int64)).tolist())
+        arr = group.index_array()
+        total = ElemSet.of(ring, ring.add[arr[:, None], arr])  # holds the group, as 0 is in it
+        if len(total) == len(group):
+            return group
+        group = total
 
 
 def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None):
@@ -508,14 +504,13 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
-    members = np.array(sorted(ideal.members), dtype=np.int64)
-    # addition is commutative, so column x of add[members] is the coset x + I
-    reps, projection = np.unique(ring.add[members].min(axis=0), return_inverse=True)
+    # addition is commutative, so column x of add[I] is the coset x + I
+    reps, projection = np.unique(ring.add[ideal.index_array()].min(axis=0), return_inverse=True)
     projection = projection.astype(np.int32)
     _check_cap(len(reps), cap)
     add, mul, _ = _reindex(ring, reps, projection)
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
-    meta = QuotientMeta(ring, tuple(sorted(ideal.members)), projection)
+    meta = QuotientMeta(ring, ideal.indices(), projection)
     out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)
     return out, projection
 

@@ -285,17 +285,6 @@ def _first_failing_triple(n: int, lhs, rhs) -> tuple[int, int, int] | None:
     return None
 
 
-def distinct_indices(n: int, values) -> np.ndarray:
-    """The distinct entries of an index array over 0..n-1, ascending.
-
-    One scatter into an n-mask: what `np.unique` returns, at half its cost
-    or less on the sum and product sets the checks build.
-    """
-    hit = np.zeros(n, dtype=bool)
-    hit[values] = True
-    return np.flatnonzero(hit)
-
-
 def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tuple[list[Violation], str]:
     """Scan the ring axioms, returning violations and the scan mode.
 
@@ -422,60 +411,115 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ElemSet:
-    """A subset of a ring's element indices (bitmask semantics).
+    """A subset of a ring's element indices, stored as a read-only bool
+    mask over 0..n-1.
 
-    Identity is the (ring, members) pair; set algebra is only defined
-    between subsets of the same ring.
+    The mask is the only stored form. The frozenset `members`, the tuple
+    `indices()` and the ascending index array `index_array()` are derived
+    on first use and kept. Set algebra is mask algebra: `&`, `|`, `-`,
+    `^`, `~`, `<=`, `==`, plus `first()` (the smallest member, or None),
+    and it is only defined between subsets of the same ring.
     """
 
-    ring: TableRing
-    members: frozenset[int]
+    __slots__ = ("ring", "_mask", "_members", "_indices", "_array")
+
+    def __init__(self, ring: TableRing, mask: np.ndarray):
+        # takes over `mask`, a bool array of length ring.order that no one
+        # else writes to, and marks it read-only (`from_mask` checks and copies)
+        mask.setflags(write=False)
+        self.ring = ring
+        self._mask = mask
+        self._members = self._indices = self._array = None
 
     @staticmethod
     def of(ring: TableRing, items) -> "ElemSet":
-        members = frozenset(int(i) for i in items)
-        for i in members:
-            ring.check_index(i)
-        return ElemSet(ring, members)
+        idx = items.ravel() if isinstance(items, np.ndarray) else np.fromiter(items, dtype=np.int64)
+        if idx.dtype.kind not in "bi":  # bincount takes signed indices only
+            idx = idx.astype(np.intp)
+        try:
+            counts = np.bincount(idx, minlength=ring.order)  # one pass; a negative index raises
+        except ValueError:
+            counts = None
+        if counts is None or len(counts) > ring.order:  # some index lies outside 0..n-1
+            ring.check_index(int(idx[np.argmax((idx < 0) | (idx >= ring.order))]))
+        return ElemSet(ring, counts.astype(bool))
 
     @staticmethod
     def from_mask(ring: TableRing, mask) -> "ElemSet":
-        return ElemSet(ring, frozenset(int(i) for i in np.where(mask)[0]))
+        """Wrap a bool mask over 0..n-1; a writable or non-bool one is copied."""
+        mask = np.asarray(mask)
+        if mask.shape != (ring.order,):
+            raise ValueError(f"mask of shape {mask.shape} for a ring of order {ring.order}")
+        return ElemSet(ring, mask if mask.dtype == bool and not mask.flags.writeable else mask.astype(bool))
 
-    def _check_same(self, other: "ElemSet") -> None:
+    def _other(self, other: "ElemSet") -> np.ndarray:
         if self.ring is not other.ring:
             raise ValueError("set algebra requires subsets of the same ring")
+        return other._mask
 
-    def union(self, other: "ElemSet") -> "ElemSet":
-        self._check_same(other)
-        return ElemSet(self.ring, self.members | other.members)
+    def __and__(self, other: "ElemSet") -> "ElemSet":
+        return ElemSet(self.ring, self._mask & self._other(other))
 
-    def intersection(self, other: "ElemSet") -> "ElemSet":
-        self._check_same(other)
-        return ElemSet(self.ring, self.members & other.members)
+    def __or__(self, other: "ElemSet") -> "ElemSet":
+        return ElemSet(self.ring, self._mask | self._other(other))
 
-    def difference(self, other: "ElemSet") -> "ElemSet":
-        self._check_same(other)
-        return ElemSet(self.ring, self.members - other.members)
+    def __sub__(self, other: "ElemSet") -> "ElemSet":
+        return ElemSet(self.ring, self._mask & ~self._other(other))
 
-    def complement(self) -> "ElemSet":
-        return ElemSet(self.ring, frozenset(range(self.ring.order)) - self.members)
+    def __xor__(self, other: "ElemSet") -> "ElemSet":
+        return ElemSet(self.ring, self._mask ^ self._other(other))
+
+    def __invert__(self) -> "ElemSet":
+        return ElemSet(self.ring, ~self._mask)
+
+    def __le__(self, other: "ElemSet") -> bool:
+        return not (self._mask & ~self._other(other)).any()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ElemSet):
+            return NotImplemented
+        return self.ring is other.ring and np.array_equal(self._mask, other._mask)
+
+    def __hash__(self) -> int:
+        return hash((id(self.ring), self._mask.tobytes()))
+
+    def first(self) -> int | None:
+        """The smallest member, or None for the empty set."""
+        a = int(np.argmax(self._mask))
+        return a if self._mask[a] else None
 
     def mask(self) -> np.ndarray:
-        out = np.zeros(self.ring.order, dtype=bool)
-        out[list(self.members)] = True
-        return out
+        """The stored mask itself; it is read-only."""
+        return self._mask
+
+    def index_array(self) -> np.ndarray:
+        """The members as an ascending, read-only int64 index array."""
+        if self._array is None:
+            self._array = np.flatnonzero(self._mask)
+            self._array.setflags(write=False)
+        return self._array
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        if self._indices is None:
+            self._indices = tuple(self.index_array().tolist())
+        return self._indices
+
+    @property
+    def members(self) -> frozenset[int]:
+        if self._members is None:
+            self._members = frozenset(self.index_array().tolist())
+        return self._members
 
     def __contains__(self, a: int) -> bool:
-        return int(a) in self.members
+        a = int(a)
+        return 0 <= a < self.ring.order and bool(self._mask[a])
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self.indices())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.index_array())
+
+    def __repr__(self) -> str:
+        return f"ElemSet({self.ring!r}, {self.indices()})"

@@ -8,6 +8,7 @@ re-evaluating the defining formula would confirm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,12 +26,6 @@ class Verdict:
         return self.value
 
 
-def _first(iterable):
-    for x in iterable:
-        return x
-    return None
-
-
 # ---------------------------------------------------------------------------
 # unit-versus-radical classes
 # ---------------------------------------------------------------------------
@@ -38,7 +33,7 @@ def _first(iterable):
 
 def _units_minus_one_in(ring: TableRing, bundle: InvariantBundle, pool: ElemSet, name: str) -> Verdict:
     """Is u - 1 in `pool` for every unit u? The witness is the first unit that is not."""
-    units = np.array(bundle.units.indices(), dtype=np.int64)
+    units = bundle.units.index_array()
     outside = np.flatnonzero(~pool.mask()[ring.add[units, ring.neg[ring.one]]])
     if len(outside):
         return Verdict(False, f"unit u = {ring.describe(int(units[outside[0]]))} has u-1 outside {name}")
@@ -59,7 +54,7 @@ def is_uu(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 
 def is_boolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    bad = _first(a for a in range(ring.order) if int(ring.mul[a, a]) != a)
+    bad = (~bundle.idempotents).first()
     if bad is None:
         return Verdict(True)
     return Verdict(False, f"{ring.describe(bad)} is not idempotent")
@@ -67,18 +62,17 @@ def is_boolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 def is_local(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """Nonunits coincide with the radical."""
-    nonunits = frozenset(range(ring.order)) - bundle.units.members
-    if nonunits == bundle.jacobson.members:
+    off = (~bundle.units ^ bundle.jacobson).first()
+    if off is None:
         return Verdict(True)
-    off = _first(sorted(nonunits ^ bundle.jacobson.members))
     return Verdict(False, f"nonunits differ from J at {ring.describe(off)}")
 
 
 def is_division(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    nonzero = frozenset(range(ring.order)) - {ring.zero}
-    if nonzero == bundle.units.members:
+    nonzero = ~ElemSet.of(ring, [ring.zero])
+    if nonzero == bundle.units:
         return Verdict(True)
-    off = _first(sorted(nonzero - bundle.units.members))
+    off = (nonzero - bundle.units).first()
     return Verdict(False, f"{ring.describe(off)} is a nonzero nonunit")
 
 
@@ -93,11 +87,10 @@ def is_dedekind_finite(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 
 def is_2primal(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    nilstar = bundle.prime_radical.members
-    nil = bundle.nilpotents.members
+    nilstar, nil = bundle.prime_radical, bundle.nilpotents
     if nilstar == nil:
         return Verdict(True)
-    off = _first(sorted(nil - nilstar))
+    off = (nil - nilstar).first()
     return Verdict(False, f"nilpotent {ring.describe(off)} is not strongly nilpotent")
 
 
@@ -115,7 +108,7 @@ def is_semipotent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     finite ring, it is nonzero unless a is nilpotent, and it lies in
     both Ra and aR.
     """
-    idem = bundle.idempotents.mask()
+    idem = bundle.idempotents.mask().copy()
     idem[ring.zero] = False
     scan = np.flatnonzero(bundle.nilpotents.mask() & ~bundle.jacobson.mask())
     left = idem[np.take(ring.mul, scan, axis=1)].any(axis=0)  # R*a; take: faster than mul[:, scan]
@@ -134,15 +127,14 @@ def idempotents_lift(ring: TableRing, bundle: InvariantBundle, ideal: ElemSet) -
 
     Modulo J the bundle's shared R/J is used.
     """
-    if ideal.members == bundle.jacobson.members:
+    if ideal == bundle.jacobson:
         quotient, projection, qbundle = bundle.radical_quotient()
     else:
         quotient, projection = build_quotient(ring, ideal)
         qbundle = compute_bundle(quotient)
-    lifted = {int(projection[e]) for e in bundle.idempotents}
-    missing = sorted(qbundle.idempotents.members - lifted)
-    if missing:
-        return Verdict(False, f"coset {quotient.describe(missing[0])} lifts to no idempotent")
+    missing = (qbundle.idempotents - ElemSet.of(quotient, projection[bundle.idempotents.index_array()])).first()
+    if missing is not None:
+        return Verdict(False, f"coset {quotient.describe(missing)} lifts to no idempotent")
     return Verdict(True)
 
 
@@ -235,45 +227,27 @@ def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _decomposition(ring: TableRing, bundle: InvariantBundle, a: int, pool: frozenset[int], commuting: bool):
-    """First (e, w) with e idempotent, w = a - e in pool, optionally ea = ae."""
-    for e in sorted(bundle.idempotents.members):
+def _decomposition(ring: TableRing, bundle: InvariantBundle, a: int, pool: str, commuting: bool):
+    """First (e, w) with e idempotent, w = a - e in the bundle's set `pool`, optionally ea = ae."""
+    pool = getattr(bundle, pool)
+    for e in bundle.idempotents:
         w = int(ring.add[a, ring.neg[e]])
-        if w not in pool:
-            continue
-        if commuting and int(ring.mul[e, a]) != int(ring.mul[a, e]):
-            continue
-        return e, w
+        if w in pool and not (commuting and ring.mul[e, a] != ring.mul[a, e]):
+            return e, w
     return None
 
 
-def clean_witness(ring, bundle, a):
-    return _decomposition(ring, bundle, a, bundle.units.members, False)
-
-
-def strongly_clean_witness(ring, bundle, a):
-    return _decomposition(ring, bundle, a, bundle.units.members, True)
-
-
-def jsharp_clean_witness(ring, bundle, a):
-    return _decomposition(ring, bundle, a, bundle.jsharp.members, False)
-
-
-def strongly_jsharp_clean_witness(ring, bundle, a):
-    return _decomposition(ring, bundle, a, bundle.jsharp.members, True)
-
-
-def strongly_nil_clean_witness(ring, bundle, a):
-    return _decomposition(ring, bundle, a, bundle.nilpotents.members, True)
+# (ring, bundle, a) -> the first (e, w), or None; the pools are those of _CLEAN_CLASSES
+clean_witness = partial(_decomposition, pool="units", commuting=False)
+strongly_clean_witness = partial(_decomposition, pool="units", commuting=True)
+jsharp_clean_witness = partial(_decomposition, pool="jsharp", commuting=False)
+strongly_jsharp_clean_witness = partial(_decomposition, pool="jsharp", commuting=True)
+strongly_nil_clean_witness = partial(_decomposition, pool="nilpotents", commuting=True)
 
 
 def clean_decomposition_count(ring: TableRing, bundle: InvariantBundle, a: int) -> int:
     """Number of ordered pairs (e, u) with e idempotent, u a unit, a = e + u."""
-    count = 0
-    for e in bundle.idempotents:
-        if int(ring.add[a, ring.neg[e]]) in bundle.units.members:
-            count += 1
-    return count
+    return int(bundle.units.mask()[ring.add[a, ring.neg[bundle.idempotents.index_array()]]].sum())
 
 
 # class -> (bundle pool that a - e must lie in, whether ea = ae is required)
@@ -293,7 +267,7 @@ def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]
     once: an (n, |Id|) gather of a - e, looked up in each pool, and for
     the strong classes the mask of idempotents e with ea = ae.
     """
-    idem = np.array(bundle.idempotents.indices(), dtype=np.int64)
+    idem = bundle.idempotents.index_array()
     diff = ring.add[:, ring.neg[idem]]  # (a, e) -> a - e
     commutes = ring.mul[idem, :].T == ring.mul[:, idem]  # (a, e) -> ea = ae
     pools = {

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElemSet, GroupRingMeta, RingError, TableRing, distinct_indices, rows_equal_columns
+from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns
 
 
 class NotAGroupRingError(RingError):
@@ -90,7 +90,7 @@ def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None) -> El
     cand = np.flatnonzero(quasi)
     for r in range(0, ring.order, _JAC_ROWS):
         cand = cand[quasi[np.take(ring.mul[r : r + _JAC_ROWS], cand, axis=1)].all(axis=0)]
-    jac = ElemSet(ring, frozenset(cand.tolist()))
+    jac = ElemSet.of(ring, cand)
     ok, witness = is_two_sided_ideal(ring, jac)
     if not ok:  # unreachable on a valid ring; guards table corruption
         raise RingError(f"radical failed the ideal check at {witness}")
@@ -113,23 +113,21 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
     Each test is one `.all()` over a gather; the witness scan runs only
     on a test that fails.
     """
-    members = sorted(subset.members)
-    if ring.zero not in subset.members:
+    if ring.zero not in subset:
         return False, ("zero", ring.zero)
-    mask = subset.mask()
-    arr = np.array(members, dtype=np.int64)
+    mask, arr = subset.mask(), subset.index_array()
     closed = mask[ring.add[np.ix_(arr, arr)]]
     if not closed.all():
         i, j = np.argwhere(~closed)[0]
-        return False, ("add", members[int(i)], members[int(j)])
+        return False, ("add", int(arr[i]), int(arr[j]))
     left = mask[np.take(ring.mul, arr, axis=1)]  # take: twice as fast as mul[:, arr]
     if not left.all():
         r, i = np.argwhere(~left)[0]
-        return False, ("left", int(r), members[int(i)])
+        return False, ("left", int(r), int(arr[i]))
     right = mask[ring.mul[arr, :]]
     if not right.all():
         i, r = np.argwhere(~right)[0]
-        return False, ("right", members[int(i)], int(r))
+        return False, ("right", int(arr[i]), int(r))
     return True, None
 
 
@@ -229,17 +227,17 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
 def _assert_bundle_sanity(b: InvariantBundle) -> None:
     """Raise RingError if the bundle breaks an identity every ring satisfies."""
     ring = b.ring
-    one_plus_j = {int(ring.add[ring.one, j]) for j in b.jacobson}
+    one_plus_j = ElemSet.of(ring, ring.add[ring.one, b.jacobson.index_array()])
     broken = [
         name
         for name, ok in (
             ("1 in U and 0 not in U", ring.one in b.units and ring.zero not in b.units),
             ("0, 1 in Id", ring.zero in b.idempotents and ring.one in b.idempotents),
             ("0 in Nil and 0 in J", ring.zero in b.nilpotents and ring.zero in b.jacobson),
-            ("J <= J#", b.jacobson.members <= b.jsharp.members),
-            ("Nil <= J#", b.nilpotents.members <= b.jsharp.members),
-            ("1 + J <= U", one_plus_j <= b.units.members),
-            ("J <= Nil", b.jacobson.members <= b.nilpotents.members),
+            ("J <= J#", b.jacobson <= b.jsharp),
+            ("Nil <= J#", b.nilpotents <= b.jsharp),
+            ("1 + J <= U", one_plus_j <= b.units),
+            ("J <= Nil", b.jacobson <= b.nilpotents),
         )
         if not ok
     ]
@@ -262,7 +260,7 @@ def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[froze
         for i in frontier:
             ia = np.fromiter(i, dtype=np.int64, count=len(i))
             for ja in arrays:
-                s = frozenset(distinct_indices(ring.order, ring.add[ia[:, None], ja]).tolist())
+                s = ElemSet.of(ring, ring.add[ia[:, None], ja]).members
                 if s not in ideals:
                     ideals.add(s)
                     nxt.append(s)
@@ -283,16 +281,14 @@ def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
     inter = frozenset(range(ring.order))
     for m in maximal:
         inter &= m
-    return ElemSet(ring, inter)
+    return ElemSet.of(ring, inter)
 
 
 def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
     """All two-sided ideals via join-closure of principal ones."""
     from .construct import ideal_closure  # local import; construct sits above
 
-    principal = {
-        frozenset(ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").members) for a in range(ring.order)
-    }
+    principal = {ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").members for a in range(ring.order)}
     return _join_closure(ring, principal)
 
 
@@ -320,4 +316,4 @@ def prime_radical_ideal_oracle(ring: TableRing) -> ElemSet:
     inter = frozenset(range(n))
     for p in primes:
         inter &= p
-    return ElemSet(ring, inter)
+    return ElemSet.of(ring, inter)

@@ -292,22 +292,21 @@ def join_closure_oracle(ring, principal):
 def test_set_kernels_match_their_generator_forms(corpus_bundles):
     rng = np.random.default_rng(3)
     for text, ring, b in corpus_bundles:
-        central_units = b.units.members & b.center.members
-        central_js = b.jsharp.members & b.center.members
         for left, right in (
-            (b.nilpotents.members, b.jacobson.members),
-            (b.jsharp.members, b.jacobson.members),
-            (b.jsharp.members, central_js),
-            (b.units.members, central_units),
-            (b.units.members, frozenset()),
+            (b.nilpotents, b.jacobson),
+            (b.jsharp, b.jacobson),
+            (b.jsharp, b.jsharp & b.center),
+            (b.units, b.units & b.center),
+            (b.units, ElemSet.of(ring, [])),
         ):
-            assert checks._sumset(ring, left, right) == sumset_oracle(ring, left, right), text
+            want = sumset_oracle(ring, left.members, right.members)
+            assert checks._sumset(ring, left, right).members == want, text
         jac = np.array(sorted(b.jacobson.members), dtype=np.int64)
         generators = [{a} for a in range(ring.order)]
         generators += [set(rng.integers(0, ring.order, 3).tolist()) for _ in range(5)]
         generators.append(ring.mul[np.ix_(jac, jac)].ravel().tolist())  # J*J, as C2.7 closes it
         for items in generators:
-            assert additive_closure(ring, items) == additive_closure_oracle(ring, items), text
+            assert additive_closure(ring, items).members == additive_closure_oracle(ring, items), text
         principal_sets = [{frozenset(ring.mul[:, a].tolist()) for a in range(ring.order)}]
         if ring.order <= 16:  # the orders O-nilstar joins two-sided ideals on
             closures = (ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided") for a in range(ring.order))
@@ -339,6 +338,19 @@ def test_radical_quotients_are_built_once(corpus_bundles, monkeypatch):
             assert by_j == [quotient] and ctx.bundle_of(quotient) is qb, text
             reused += 1
     assert reused == len(corpus_bundles)  # J is a radical ideal, also when J = 0
+
+
+def test_radical_quotients_are_kept_only_once_complete():
+    # a bundle whose J is J(Z/4) at the identity of (Z/4)C2, not an ideal:
+    # R/J fails to validate, on the first call and on every later one
+    from ringlab import RingValidationError, compute_bundle
+
+    ring = compile_text("group(z(4),c(2))")
+    bundle = dataclasses.replace(compute_bundle(ring), jacobson=ElemSet.of(ring, [0, 2]))
+    ctx = checks.CheckContext(ring, bundle)
+    for _ in range(2):
+        with pytest.raises(RingValidationError):
+            ctx.radical_quotients()
 
 
 GOLDEN_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_corpus.json"

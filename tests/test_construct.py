@@ -191,7 +191,7 @@ def frontier_closure_oracle(ring, gens, side):
         frontier.extend(fresh)
         if len(members) == ring.order:
             break
-    return additive_closure(ring, members)
+    return additive_closure(ring, members).members
 
 
 def test_ideal_closure_matches_the_frontier_loop(corpus_bundles):

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ringlab import (
     validate_ring,
 )
 from ringlab.construct import build_matrix, build_zmod, matrix_unit_index
-from ringlab.core import ElementIndexError, Violation, rows_equal_columns, scan_axioms
+from ringlab.core import ElementIndexError, TableRing, Violation, rows_equal_columns, scan_axioms
 
 
 def raw_zmod_tables(n):
@@ -221,10 +223,10 @@ def test_elemset_algebra():
     z8 = build_zmod(8)
     evens = ElemSet.of(z8, [0, 2, 4, 6])
     low = ElemSet.of(z8, [0, 1, 2])
-    assert evens.intersection(low).indices() == (0, 2)
-    assert evens.union(low).indices() == (0, 1, 2, 4, 6)
-    assert evens.difference(low).indices() == (4, 6)
-    assert evens.complement().indices() == (1, 3, 5, 7)
+    assert (evens & low).indices() == (0, 2)
+    assert (evens | low).indices() == (0, 1, 2, 4, 6)
+    assert (evens - low).indices() == (4, 6)
+    assert (~evens).indices() == (1, 3, 5, 7)
     assert 4 in evens and 3 not in evens
     assert list(evens) == [0, 2, 4, 6]
     assert len(evens) == 4
@@ -236,13 +238,106 @@ def test_elemset_rejects_cross_ring_algebra():
     a = ElemSet.of(build_zmod(4), [0, 2])
     b = ElemSet.of(build_zmod(4), [0])
     with pytest.raises(ValueError):
-        a.union(b)  # distinct ring objects, even with equal tables
+        a | b  # distinct ring objects, even with equal tables
 
 
 def test_elemset_range_check():
     z4 = build_zmod(4)
     with pytest.raises(ElementIndexError):
         ElemSet.of(z4, [5])
+
+
+def index_space(n):
+    """The element indices of z(n), as a ring whose tables ElemSet never
+    reads: an n x n table at n = 4096 would cost 64 MiB to no purpose."""
+    return TableRing(n, None, None, None, 0, 1 % n, tuple(map(str, range(n))), None, "raw")
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 4096])
+def test_elemset_algebra_matches_frozensets(n):
+    ring, other = index_space(n), index_space(n)
+    rng = np.random.default_rng(n)
+    full = frozenset(range(n))
+
+    def sample():
+        return frozenset(np.flatnonzero(rng.random(n) < rng.choice([0.02, 0.5, 0.98])).tolist())
+
+    pairs = [(frozenset(), frozenset()), (full, frozenset()), (frozenset(), full), (full, full)]
+    pairs += [(sample(), sample()) for _ in range(12)] + [(x, x) for x in (sample(), sample())]
+    for x, y in pairs:
+        a, b = ElemSet.of(ring, sorted(x, reverse=True)), ElemSet.of(ring, np.array(sorted(y), dtype=np.int32))
+        for got, want in ((a, x), (b, y), (a & b, x & y), (a | b, x | y), (a - b, x - y), (a ^ b, x ^ y), (~a, full - x)):
+            assert got.members == want and got.indices() == tuple(sorted(want)) and list(got) == sorted(want)
+            assert np.array_equal(got.index_array(), sorted(want)) and np.array_equal(got.mask(), [i in want for i in range(n)])
+            assert len(got) == len(want) and bool(got) == bool(want)
+            assert got.first() == (min(want) if want else None)
+            assert [i in got for i in (-1, 0, n - 1, n)] == [i in want for i in (-1, 0, n - 1, n)]
+        assert (a <= b) == (x <= y) and (b <= a) == (y <= x)
+        assert (a == b) == (x == y) and (a != b) == (x != y)
+        if x == y:
+            assert hash(a) == hash(b)
+        assert len({a, b, ElemSet.of(ring, x)}) == len({x, y})
+        assert a != ElemSet.of(other, x)  # equal members, different ring
+        for op in (lambda p, q: p & q, lambda p, q: p | q, lambda p, q: p - q, lambda p, q: p ^ q, lambda p, q: p <= q):
+            with pytest.raises(ValueError):
+                op(a, ElemSet.of(other, y))
+
+
+def test_elemset_masks_are_read_only_and_wrapped():
+    ring = index_space(130)
+    a = ElemSet.of(ring, [0, 64, 129])
+    for derived in (a.mask(), a.index_array()):
+        with pytest.raises(ValueError):
+            derived[0] = 1
+    assert ElemSet.from_mask(ring, a.mask()).mask() is a.mask()  # read-only bool: wrapped as is
+    writable = a.mask().copy()
+    copied = ElemSet.from_mask(ring, writable)
+    writable[:] = True
+    assert copied == a and copied.mask() is not writable
+    assert ElemSet.from_mask(ring, a.mask().astype(np.uint8)) == a
+    with pytest.raises(ValueError):
+        ElemSet.from_mask(ring, np.ones(129, dtype=bool))
+    assert a.indices() is a.indices() and a.members is a.members  # derived once, then kept
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 4096])
+def test_elemset_of_rejects_every_out_of_range_index(n):
+    ring = index_space(n)
+    for items in ([n], [-1], [0, n + 5], np.array([[0, 1 % n], [n, 0]]), range(n + 1)):
+        with pytest.raises(ElementIndexError, match="out of range"):
+            ElemSet.of(ring, items)
+    assert ElemSet.of(ring, np.array([], dtype=float)).first() is None
+
+
+DESK_ORACLES = {
+    "_join_closure",
+    "left_ideals",
+    "two_sided_ideals",
+    "jacobson_radical_maximal_ideal_oracle",
+    "prime_radical_ideal_oracle",
+}
+
+
+def test_only_core_reads_members():
+    # every module does its set algebra through ElemSet's mask; only the
+    # desk oracles of subsets.py, which hash whole ideals, read `.members`
+    import ringlab
+    from ringlab import subsets
+
+    assert DESK_ORACLES <= set(vars(subsets))
+    readers, exempt = [], 0
+    for path in sorted(Path(ringlab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "members":
+                    if path.name == "subsets.py" and getattr(top, "name", None) in DESK_ORACLES:
+                        exempt += 1
+                    else:
+                        readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+    assert exempt >= 1  # the scan does see the oracles' reads
 
 
 def test_tables_are_immutable():

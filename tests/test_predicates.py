@@ -228,7 +228,7 @@ def test_implication_suite_over_the_corpus(corpus_bundles):
 
 def semipotent_oracle(ring, bundle):
     """The definitional per-element scan: Ra, then aR, for each a outside J."""
-    idem = bundle.idempotents.mask()
+    idem = bundle.idempotents.mask().copy()  # the stored mask is read-only
     idem[ring.zero] = False
     for a in range(ring.order):
         if a in bundle.jacobson.members:
@@ -313,6 +313,40 @@ def _trivial_idempotents(ring, bundle):
     # Id cut to {0, 1}: the clean classes then need a or a - 1 in the pool,
     # and exchange needs a or 1 - a to be a unit, which fails off local rings
     return dataclasses.replace(bundle, idempotents=ElemSet.of(ring, [ring.zero, ring.one]))
+
+
+def decomposition_oracle(ring, bundle, a, pool, commuting):
+    """The per-idempotent loop the `*_witness` searches replaced."""
+    for e in sorted(bundle.idempotents.members):
+        w = int(ring.add[a, ring.neg[e]])
+        if w not in getattr(bundle, pool).members:
+            continue
+        if commuting and int(ring.mul[e, a]) != int(ring.mul[a, e]):
+            continue
+        return e, w
+    return None
+
+
+def test_witness_searches_match_the_per_idempotent_loop(corpus_bundles):
+    searches = {
+        P.clean_witness: ("units", False),
+        P.strongly_clean_witness: ("units", True),
+        P.jsharp_clean_witness: ("jsharp", False),
+        P.strongly_jsharp_clean_witness: ("jsharp", True),
+        P.strongly_nil_clean_witness: ("nilpotents", True),
+    }
+    found = set()
+    for text, ring, b in corpus_bundles:
+        for bundle in (b, _trivial_idempotents(ring, b)):
+            for a in range(ring.order):
+                for search, (pool, commuting) in searches.items():
+                    got = search(ring, bundle, a)
+                    assert got == decomposition_oracle(ring, bundle, a, pool, commuting), (text, a)
+                    found.add(got is None)
+                units = bundle.units.members
+                count = sum(int(ring.add[a, ring.neg[e]]) in units for e in bundle.idempotents.members)
+                assert P.clean_decomposition_count(ring, bundle, a) == count, (text, a)
+    assert found == {True, False}
 
 
 def test_clean_family_matches_the_per_element_oracle(corpus_bundles):
