@@ -104,9 +104,12 @@ class CheckContext:
         return self.verdicts[name].value
 
     def bundle_of(self, ring: TableRing) -> InvariantBundle:
+        """The ring's bundle, computed once. A ring over R's own tables
+        (R/{0}) gets R's bundle, wrapped for it."""
         key = id(ring)
         if key not in self._aux:
-            self._aux[key] = compute_bundle(ring)
+            shared = ring.mul is self.ring.mul
+            self._aux[key] = self.bundle.on_copy(ring) if shared else compute_bundle(ring)
         return self._aux[key]
 
     def radical_quotient(self):
@@ -707,29 +710,24 @@ def _chk_c318(ctx: CheckContext) -> Outcome:
 
 
 def _chk_pclean(ctx: CheckContext) -> Outcome:
-    ring, b = ctx.ring, ctx.bundle
-    for a in range(ring.order):
-        clean = P.clean_witness(ring, b, a) is not None
-        jclean = P.jsharp_clean_witness(ring, b, a) is not None
-        if clean != jclean:
-            return _fail(f"{ring.describe(a)}: clean {clean} vs J#-clean {jclean}")
-        sclean = P.strongly_clean_witness(ring, b, a) is not None
-        sjclean = P.strongly_jsharp_clean_witness(ring, b, a) is not None
-        if sclean != sjclean:
-            return _fail(f"{ring.describe(a)}: strongly clean {sclean} vs strongly J#-clean {sjclean}")
-    return _ok()
+    ring = ctx.ring
+    d, _ = P.clean_decomposable(ring, ctx.bundle)
+    plain = d["clean"] != d["jsharp_clean"]
+    strong = d["strongly_clean"] != d["strongly_jsharp_clean"]
+    if not (plain | strong).any():
+        return _ok()
+    a = int(np.argmax(plain | strong))  # at each a the plain pair is tested first
+    if plain[a]:
+        return _fail(f"{ring.describe(a)}: clean {d['clean'][a]} vs J#-clean {d['jsharp_clean'][a]}")
+    sclean, sjclean = d["strongly_clean"][a], d["strongly_jsharp_clean"][a]
+    return _fail(f"{ring.describe(a)}: strongly clean {sclean} vs strongly J#-clean {sjclean}")
 
 
 def _chk_equclean(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     cond1 = ctx.holds("ujsharp")
-    cond2 = True
-    for a in range(ring.order):
-        if P.clean_witness(ring, b, a) is None:
-            continue
-        if P.strongly_jsharp_clean_witness(ring, b, a) is None:
-            cond2 = False
-            break
+    d, _ = P.clean_decomposable(ring, b)
+    cond2 = not (d["clean"] & ~d["strongly_jsharp_clean"]).any()
     central_idem = (b.idempotents & b.center).index_array()
     # every unit u is e + j for some central idempotent e and j in J#
     cond3 = bool(b.jsharp.mask()[ring.add[np.ix_(b.units.index_array(), ring.neg[central_idem])]].any(axis=1).all())

@@ -24,7 +24,9 @@ componentwise addition, and share one structure-constant builder. Each
 construction gives only the product (c*e_w)*b of a monomial with every
 element; the builder fills every other row by additive row extension:
 for x = x' + c*e_w with x' < |R|^w, add[x] = add[x'][add[c*e_w]] and
-mul[x] = add[mul[x'], mul[c*e_w]].
+mul[x] = add[mul[x'], mul[c*e_w]]. Over a base whose addition is
+bitwise on its index, add is one word formula instead (see
+`_digit_vector_tables`).
 """
 
 from __future__ import annotations
@@ -249,24 +251,25 @@ def _field_high_bits(base: TableRing) -> int | None:
 
 
 def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None):
-    """Digits, add and mul tables of a ring of `width`-digit vectors over `base`.
+    """Digits, add, mul and neg tables of a ring of `width`-digit vectors over `base`.
 
     Element x has little-endian base-|R| digits and addition is
-    componentwise. `mono_rule(c, w, digits)` returns the digit matrix of
-    (c*e_w)*b for every element b (one row of `digits` each). Every other
-    row follows by row extension: x = x' + c*e_w with x' < |R|^w gives
-    add[x] = add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
+    componentwise, so neg negates each digit. `mono_rule(c, w, digits)`
+    returns the digit matrix of (c*e_w)*b for every element b (one row
+    of `digits` each). Every other row follows by row extension: x =
+    x' + c*e_w with x' < |R|^w gives add[x] = add[x'][add[c*e_w]] and
+    mul[x] = add[mul[x'], mul[c*e_w]].
 
-    The mul extension gathers each cell from the whole add table, unless
-    the base's addition is bitwise (see `_field_high_bits`: z(2^k),
-    gf(2^d), and digit vectors over those). Then, with |R| = 2^K, the
-    index x is the concatenation of the K-bit digits of x, each of them
-    k-bit fields added mod 2^k, and k divides K, so no field crosses a
-    digit. The same formula with H repeated over all digits is therefore
-    exactly the ring's addition, and the extension is computed with five
-    int32 operations on each block (SWAR): the low k - 1 bits of two
-    fields sum below 2^k, so their carry stops at the field's top bit,
-    which is the XOR of both top bits and that carry.
+    Both tables are gathered that way, unless the base's addition is
+    bitwise (see `_field_high_bits`: z(2^k), gf(2^d), and digit vectors
+    over those). Then, with |R| = 2^K, the index x is the concatenation
+    of the K-bit digits of x, each of them k-bit fields added mod 2^k,
+    and k divides K, so no field crosses a digit. The same formula with
+    H repeated over all digits is therefore exactly the ring's addition:
+    add is filled from it directly, and the mul extension is computed
+    with five int32 operations on each block (SWAR): the low k - 1 bits
+    of two fields sum below 2^k, so their carry stops at the field's top
+    bit, which is the XOR of both top bits and that carry.
     """
     if base.zero != 0:
         raise RingError("digit-vector constructions need the base zero at index 0")
@@ -274,14 +277,6 @@ def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None
     order = radix**width
     _check_cap(order, cap)
     digits = _all_digits(order, radix, width)
-    add = np.empty((order, order), dtype=np.int32)
-    add[0] = np.arange(order)
-    mul = np.empty((order, order), dtype=np.int32)
-    mul[0] = 0
-    for w in range(width):
-        for c in range(1, radix):
-            add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
-            mul[c * radix**w] = _encode_digits(mono_rule(c, w, digits), radix)
     # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
     rows = max(1, _CHUNK_CELLS // order)
     blocks = [
@@ -290,15 +285,40 @@ def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None
         for c in range(1, radix)
         for lo in range(1, radix**w, rows)
     ]
-    for x, lo, hi in blocks:
-        np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
     high = _field_high_bits(base) if blocks else None  # width 1 extends no row, so skip the r x r compare
+    if high is not None:
+        digit_bits = radix.bit_length() - 1
+        high = sum(high << (digit_bits * w) for w in range(width))
+    add = np.empty((order, order), dtype=np.int32)
+    mul = np.empty((order, order), dtype=np.int32)
+    mul[0] = 0
+    for w in range(width):
+        for c in range(1, radix):
+            mul[c * radix**w] = _encode_digits(mono_rule(c, w, digits), radix)
     if high is None:
+        add[0] = np.arange(order)
+        for w in range(width):
+            for c in range(1, radix):
+                add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
+        for x, lo, hi in blocks:
+            np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
         _extend_by_gather(add, mul, blocks)
     else:
-        digit_bits = radix.bit_length() - 1
-        _extend_bitwise(mul, blocks, sum(high << (digit_bits * w) for w in range(width)))
-    return digits, add, mul
+        _fill_bitwise_add(add, high, rows)
+        _extend_bitwise(mul, blocks, high)
+    return digits, add, mul, _encode_digits(base.neg[digits], radix)
+
+
+def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
+    """add[i, j] = ((i & L) + (j & L)) ^ (i & H) ^ (j & H), with L = ~H,
+    `rows` rows at a time."""
+    i = np.arange(add.shape[0], dtype=np.int32)
+    low, top = i & np.int32(~high), i & np.int32(high)
+    for r in range(0, len(i), rows):
+        out = add[r : r + rows]
+        np.add(low[r : r + rows, None], low, out=out)
+        out ^= top
+        out ^= top[r : r + rows, None]
 
 
 def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
@@ -341,7 +361,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
                 out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
         return out
 
-    digits, add, mul = _digit_vector_tables(base, len(positions), mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables(base, len(positions), mono_rule, cap)
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
     def name(cells) -> str:
@@ -351,7 +371,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
         return "[" + ",".join("[" + ",".join(row) + "]" for row in grid) + "]"
 
     names = tuple(name(cells) for cells in digits.tolist())
-    return add, mul, one, names
+    return add, mul, neg, one, names
 
 
 def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -359,8 +379,8 @@ def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    add, mul, one, names = _matrix_like(base, k, positions, cap)
-    return validate_ring(add, mul, 0, one, names=names, meta=MatrixMeta(base, k))
+    add, mul, neg, one, names = _matrix_like(base, k, positions, cap)
+    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=MatrixMeta(base, k))
 
 
 def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -368,8 +388,8 @@ def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRi
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    add, mul, one, names = _matrix_like(base, k, positions, cap)
-    return validate_ring(add, mul, 0, one, names=names, meta=TriangularMeta(base, k, tuple(positions)))
+    add, mul, neg, one, names = _matrix_like(base, k, positions, cap)
+    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=TriangularMeta(base, k, tuple(positions)))
 
 
 def matrix_unit_index(ring: TableRing, i: int, j: int) -> int:
@@ -500,7 +520,9 @@ def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> t
 def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
     """`build_quotient` for an ideal the caller has already proved two-sided.
 
-    The quotient's tables still go through `validate_ring`.
+    The quotient's tables still go through `validate_ring`, except those
+    of R/{0}: its projection is the identity, so it shares R's read-only
+    tables, and R's validation with them.
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
@@ -508,9 +530,12 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
     reps, projection = np.unique(ring.add[ideal.index_array()].min(axis=0), return_inverse=True)
     projection = projection.astype(np.int32)
     _check_cap(len(reps), cap)
-    add, mul, _ = _reindex(ring, reps, projection)
     names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
     meta = QuotientMeta(ring, ideal.indices(), projection)
+    if len(reps) == ring.order:
+        out = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, names, meta, ring.validation)
+        return out, projection
+    add, mul, _ = _reindex(ring, reps, projection)
     out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)
     return out, projection
 
@@ -543,9 +568,9 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
         out[:, 0] = ring.mul[c, digits[:, 1]]
         return out
 
-    digits, add, mul = _digit_vector_tables(ring, 2, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables(ring, 2, mono_rule, cap)
     names = tuple(f"({ring.names[r]}, {ring.names[m]})" for m, r in digits.tolist())
-    return validate_ring(add, mul, 0, ring.one * ring.order, names=names, meta=TrivialExtMeta(ring))
+    return validate_ring(add, mul, 0, ring.one * ring.order, neg=neg, names=names, meta=TrivialExtMeta(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +587,12 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
         out[:, group.op[w]] = base.mul[c, digits]
         return out
 
-    digits, add, mul = _digit_vector_tables(base, group.order, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables(base, group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
     symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
     names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
     meta = GroupRingMeta(base, group, digits)
-    return validate_ring(add, mul, 0, one, names=names, meta=meta)
+    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +698,8 @@ def build_truncated_skew_poly(
         out[:, i:] = base.mul[c, powers[i][digits[:, : k - i]]]
         return out
 
-    digits, add, mul = _digit_vector_tables(base, k, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables(base, k, mono_rule, cap)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
     names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
     meta = SkewPolyMeta(base, alpha.name, alpha.map, k, digits)
-    return validate_ring(add, mul, 0, int(base.one), names=names, meta=meta)
+    return validate_ring(add, mul, 0, int(base.one), neg=neg, names=names, meta=meta)

@@ -376,7 +376,13 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
 def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None) -> TableRing:
     """Build a TableRing from raw tables, or raise RingValidationError.
 
-    `neg` is derived from the addition table when omitted.
+    `neg` is derived from the addition table when omitted; a given `neg`
+    is range-checked like the tables and then proved by the axiom scan
+    (add[a, neg[a]] == zero for every a).
+
+    Each range check is one pass: an int32 entry read as uint32 is below
+    n exactly when it lies in 0..n-1, since a negative one reads as at
+    least 2^31.
     """
     add = np.ascontiguousarray(np.asarray(add, dtype=np.int32))
     mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
@@ -385,7 +391,11 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     n = add.shape[0]
     if not (0 <= zero < n and 0 <= one < n):
         raise ValueError("zero/one index out of range")
-    if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
+    if neg is not None:
+        neg = np.ascontiguousarray(np.asarray(neg, dtype=np.int32))
+        if neg.shape != (n,):
+            raise ValueError("neg must list one entry per element")
+    if any(t.view(np.uint32).max() >= n for t in ((add, mul) if neg is None else (add, mul, neg))):
         raise ValueError("table entry out of range")
 
     first_zero = np.argmax(add == zero, axis=1).astype(np.int32) if neg is None else None
@@ -393,7 +403,7 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     if violations:
         raise RingValidationError(violations)
 
-    neg = first_zero if neg is None else np.ascontiguousarray(np.asarray(neg, dtype=np.int32))
+    neg = first_zero if neg is None else neg
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:

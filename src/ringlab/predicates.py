@@ -260,8 +260,9 @@ _CLEAN_CLASSES = {
 }
 
 
-def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
-    """Ring-level verdicts for the clean-style decomposition classes.
+def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """For each class of `_CLEAN_CLASSES`, the mask of the a that have a
+    decomposition, and the number of clean decompositions of each a.
 
     Decides the same searches as the `*_witness` functions for every a at
     once: an (n, |Id|) gather of a - e, looked up in each pool, and for
@@ -270,22 +271,25 @@ def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]
     idem = bundle.idempotents.index_array()
     diff = ring.add[:, ring.neg[idem]]  # (a, e) -> a - e
     commutes = ring.mul[idem, :].T == ring.mul[:, idem]  # (a, e) -> ea = ae
-    pools = {
-        "units": bundle.units.mask(),
-        "jsharp": bundle.jsharp.mask(),
-        "nilpotents": bundle.nilpotents.mask(),
+    in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in ("units", "jsharp", "nilpotents")}
+    decomposable = {
+        name: (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=1)
+        for name, (pool, commuting) in _CLEAN_CLASSES.items()
     }
-    in_pool = {key: mask[diff] for key, mask in pools.items()}
+    return decomposable, in_pool["units"].sum(axis=1)
+
+
+def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
+    """Ring-level verdicts for the clean-style decomposition classes (see
+    `clean_decomposable`)."""
+    decomposable, counts = clean_decomposable(ring, bundle)
     out: dict[str, Verdict] = {}
-    for name, (pool, commuting) in _CLEAN_CLASSES.items():
-        found = in_pool[pool] & commutes if commuting else in_pool[pool]
-        decomposable = found.any(axis=1)
-        if decomposable.all():
+    for name, found in decomposable.items():
+        if found.all():
             out[name] = Verdict(True)
         else:
-            bad = ring.describe(int(np.argmin(decomposable)))
+            bad = ring.describe(int(np.argmin(found)))
             out[name] = Verdict(False, f"{bad} has no {name.replace('_', ' ')} decomposition")
-    counts = in_pool["units"].sum(axis=1)
     if (counts == 1).all():
         out["uniquely_clean"] = Verdict(True)
     else:

@@ -35,10 +35,25 @@ class NotAGroupRingError(RingError):
     """Augmentation requested on a ring without group-ring structure."""
 
 
+def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a, b) with ab = 1, row-major: `np.nonzero(mul == one)`.
+
+    The n^2 hit mask is scanned as 8-byte words, and only the nonzero
+    words are expanded to their 8 cells; the last n^2 mod 8 cells are
+    read one by one.
+    """
+    hit = (ring.mul == ring.one).ravel()
+    body = hit.size - hit.size % 8
+    words = np.flatnonzero(hit[:body].view(np.uint64))
+    cells = (words[:, None] * 8 + np.arange(8)).ravel()
+    cells = np.concatenate([cells[hit[cells]], body + np.flatnonzero(hit[body:])])
+    return np.divmod(cells, ring.order)
+
+
 def units(ring: TableRing) -> tuple[ElemSet, dict[int, int], tuple[np.ndarray, np.ndarray]]:
     """The unit group, the (total on units) inverse map, and the pairs
     (a, b) with ab = 1 in row-major order that it was read from."""
-    pairs = np.nonzero(ring.mul == ring.one)
+    pairs = product_one_pairs(ring)
     a, b = pairs
     two_sided = ring.mul[b, a] == ring.one
     a, b = a[two_sided].tolist(), b[two_sided].tolist()  # a two-sided inverse is unique
@@ -166,6 +181,9 @@ def augmentation_ideal(ring: TableRing) -> ElemSet:
 # ---------------------------------------------------------------------------
 
 
+_SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
+
+
 @dataclass
 class InvariantBundle:
     """All structural subsets of one ring, computed once and then shared."""
@@ -187,7 +205,7 @@ class InvariantBundle:
         kept by `compute_bundle`; a bundle loaded from the cache has none
         and scans for them on first use."""
         if self._right_inverse_pairs is None:
-            self._right_inverse_pairs = np.nonzero(self.ring.mul == self.ring.one)
+            self._right_inverse_pairs = product_one_pairs(self.ring)
         return self._right_inverse_pairs
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
@@ -201,8 +219,18 @@ class InvariantBundle:
             from .construct import _build_quotient  # local import; construct sits above
 
             quotient, projection = _build_quotient(self.ring, self.jacobson)
-            self._radical_quotient = (quotient, projection, compute_bundle(quotient))
+            shared = quotient.mul is self.ring.mul  # R/{0}
+            self._radical_quotient = (quotient, projection, self.on_copy(quotient) if shared else compute_bundle(quotient))
         return self._radical_quotient
+
+    def on_copy(self, ring: TableRing) -> InvariantBundle:
+        """This bundle for `ring`, a ring over these very tables (R/{0}):
+        the same read-only masks, inverse map and ab = 1 pairs, wrapped
+        for it; nothing is recomputed."""
+        sets = {name: ElemSet.from_mask(ring, getattr(self, name).mask()) for name in _SETS}
+        out = InvariantBundle(ring=ring, inverse_map=self.inverse_map, **sets)
+        out._right_inverse_pairs = self._right_inverse_pairs
+        return out
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:

@@ -9,14 +9,15 @@ failing paths run too; outcomes, witnesses and notes must agree.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 
 from ringlab import ElemSet, checks, compile_text, compute_bundle
 from ringlab import predicates as P
 from ringlab.checks import IDEAL_ENUM_LIMIT, CheckContext, Outcome, _fail, _ok, _u_minus_one
-from ringlab.construct import _reindex, build_corner, ideal_closure, matrix_unit_index
-from ringlab.core import GroupRingMeta, validate_ring
+from ringlab.construct import _build_quotient, _reindex, build_corner, ideal_closure, matrix_unit_index
+from ringlab.core import GroupRingMeta, RingError, validate_ring
 from ringlab.groups import p_group_prime
 from ringlab.subsets import augmentation_ideal, jacobson_radical_maximal_ideal_oracle, prime_radical_ideal_oracle
 
@@ -353,6 +354,20 @@ def old_c318(ctx: CheckContext) -> Outcome:
     return _ok()
 
 
+def old_pclean(ctx: CheckContext) -> Outcome:
+    ring, b = ctx.ring, ctx.bundle
+    for a in range(ring.order):
+        clean = P.clean_witness(ring, b, a) is not None
+        jclean = P.jsharp_clean_witness(ring, b, a) is not None
+        if clean != jclean:
+            return _fail(f"{ring.describe(a)}: clean {clean} vs J#-clean {jclean}")
+        sclean = P.strongly_clean_witness(ring, b, a) is not None
+        sjclean = P.strongly_jsharp_clean_witness(ring, b, a) is not None
+        if sclean != sjclean:
+            return _fail(f"{ring.describe(a)}: strongly clean {sclean} vs strongly J#-clean {sjclean}")
+    return _ok()
+
+
 def old_equclean(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     cond1 = ctx.holds("ujsharp")
@@ -515,6 +530,7 @@ OLD_BODIES = {
     "L-2inJ": old_2inj,
     "C2.7": old_c27,
     "C3.18": old_c318,
+    "P-clean": old_pclean,
     "C-equclean": old_equclean,
     "P3.2": old_p32,
     "G-ext": old_gext,
@@ -538,18 +554,36 @@ class EveryCornerBuilt(CheckContext):
         return build_corner(ring, e, self.cap)
 
 
+def computed_radical_quotient(b):
+    """A cut bundle whose R/J has the bundle computed from R/J's tables.
+
+    R/{0} shares R's bundle, so a cut that leaves J = {0} would carry over
+    to R/J, while the old bodies build rings from R/J (P2.3's corner at
+    e = 1) and compute their true bundles. The true bundle, which runs
+    the shared one, is left as it is.
+    """
+    try:
+        quotient, projection = _build_quotient(b.ring, b.jacobson)
+    except RingError:  # a cut J that is no ideal: every body that needs R/J raises alike
+        return b
+    b._radical_quotient = (quotient, projection, compute_bundle(quotient))
+    return b
+
+
 def cut_bundles(ring, b):
     zero, one = ring.zero, ring.one
     yield "true", b
-    yield "J# = {0}", dataclasses.replace(b, jsharp=ElemSet.of(ring, [zero]))
-    yield "U = {1}", dataclasses.replace(b, units=ElemSet.of(ring, [one]))
-    yield "Z = {0, 1}", dataclasses.replace(b, center=ElemSet.of(ring, [zero, one]))
-    yield "J = {0}", dataclasses.replace(b, jacobson=ElemSet.of(ring, [zero]), prime_radical=ElemSet.of(ring, [zero]))
-    yield "J# grown by U", dataclasses.replace(b, jsharp=b.jsharp | b.units)
+    cut = partial(dataclasses.replace, b)
+    yield "J# = {0}", computed_radical_quotient(cut(jsharp=ElemSet.of(ring, [zero])))
+    yield "U = {1}", computed_radical_quotient(cut(units=ElemSet.of(ring, [one])))
+    yield "Z = {0, 1}", computed_radical_quotient(cut(center=ElemSet.of(ring, [zero, one])))
+    yield "J = {0}", computed_radical_quotient(cut(jacobson=ElemSet.of(ring, [zero]), prime_radical=ElemSet.of(ring, [zero])))
+    yield "J# grown by U", computed_radical_quotient(cut(jsharp=b.jsharp | b.units))
     meta = ring.meta
     if isinstance(meta, GroupRingMeta):  # J(R) inside J(RG), but J(R)G not: G-ext's second test fails
         shift = meta.base.order**meta.group.identity
-        yield "J = J(R)", dataclasses.replace(b, jacobson=ElemSet.of(ring, compute_bundle(meta.base).jacobson.index_array() * shift))
+        jac = ElemSet.of(ring, compute_bundle(meta.base).jacobson.index_array() * shift)
+        yield "J = J(R)", computed_radical_quotient(cut(jacobson=jac))
 
 
 # products whose factors have J# != 0, in both orders, so that L1.2.6 sees

@@ -645,3 +645,61 @@ def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
     monkeypatch.setattr(construct, "_field_high_bits", lambda base: None)
     for text, ring in rings:
         assert ring.tables_equal(compile_text(text)), text
+
+
+CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
+
+
+def test_builders_pass_the_negation_the_argmax_derives(corpus_bundles, monkeypatch):
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
+    given = []
+    validate = construct.validate_ring
+    monkeypatch.setattr(construct, "validate_ring", lambda *a, **k: given.append(k.get("neg") is not None) or validate(*a, **k))
+    for text in CAP_RINGS + ("m(2,gf(8))", "group(z(9),c(3))", "group(z(3),d(3))"):
+        rings.append((text, compile_text(text)))
+        assert given.pop(), text  # the outermost build passed its neg
+    assert len(rings) > 10
+    for text, ring in rings:
+        # the derivation validate_ring makes when no neg is given
+        assert np.array_equal(ring.neg, np.argmax(ring.add == ring.zero, axis=1)), text
+
+
+def take_filled_add(base, width):
+    """The addition table as the builder filled it over every base: the
+    monomial rows c*e_w, then each row x' + c*e_w as add[x'][add[c*e_w]],
+    one `np.take` per block."""
+    radix = base.order
+    order = radix**width
+    digits = construct._all_digits(order, radix, width)
+    add = np.empty((order, order), dtype=np.int32)
+    add[0] = np.arange(order)
+    for w in range(width):
+        for c in range(1, radix):
+            add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
+    rows = max(1, construct._CHUNK_CELLS // order)
+    for w in range(width):
+        for c in range(1, radix):
+            x = c * radix**w
+            for lo in range(1, radix**w, rows):
+                hi = min(radix**w, lo + rows)
+                np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
+    return add
+
+
+def test_bitwise_add_formula_matches_the_take_fill(corpus_bundles, monkeypatch):
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
+    filled = []
+    fill = construct._fill_bitwise_add
+    monkeypatch.setattr(construct, "_fill_bitwise_add", lambda add, *args: filled.append(len(add)) or fill(add, *args))
+    extra = CAP_RINGS + ("m(2,gf(8))", "group(triv(z(4)),c(2))")  # the last: H over a digit-vector base
+    rings += [(text, compile_text(text)) for text in extra]
+    assert filled == [4096, 4096, 4096, 4096, 16, 256]  # triv(z(4)) is built bitwise too
+    bitwise = 0
+    for text, ring in rings:
+        base = ring.meta.base
+        width = round(np.log(ring.order) / np.log(base.order))
+        assert base.order**width == ring.order, text
+        if construct._field_high_bits(base) is not None:
+            bitwise += 1
+        assert np.array_equal(ring.add, take_filled_add(base, width)), text
+    assert bitwise > len(extra)  # the corpus has bitwise digit-vector rings of its own

@@ -412,3 +412,59 @@ def test_slab_scan_matches_the_whole_cube_scan():
     # one wrong sum fails (a+b)+c = a+(b+c) at the least nonzero a, so only
     # the multiplicative identities can first fail past row 15
     assert all(True in reached[identity] for identity in ("assoc", "ldist", "rdist"))
+
+
+def old_range_check_fails(table, n):
+    """The range check as it was: a min and a max pass over the table."""
+    table = np.asarray(table)
+    return table.min() < 0 or table.max() >= n
+
+
+@pytest.mark.parametrize("n", [4, 130])
+@pytest.mark.parametrize("which", ["add", "mul"])
+@pytest.mark.parametrize("value", [-1, "n", -(2**31), 2**31 - 1, "n - 1", 0])
+def test_unsigned_range_pass_matches_the_min_max_check(n, which, value):
+    tables = dict(zip(("add", "mul"), (np.array(t, dtype=np.int32) for t in raw_zmod_tables(n))))
+    tables[which][1, n - 1] = {"n": n, "n - 1": n - 1}.get(value, value)
+    if old_range_check_fails(tables[which], n):
+        with pytest.raises(ValueError, match="table entry out of range"):
+            validate_ring(tables["add"], tables["mul"], 0, 1)
+    else:  # in range: the axiom scan decides, and no ValueError escapes
+        try:
+            validate_ring(tables["add"], tables["mul"], 0, 1)
+        except RingValidationError:
+            pass
+    assert old_range_check_fails(tables[which], n) == (value not in ("n - 1", 0))
+
+
+def test_a_subset_that_is_not_closed_is_rejected_by_the_range_pass():
+    from ringlab.construct import _reindex
+
+    z8 = build_zmod(8)
+    add, mul, _ = _reindex(z8, np.array([0, 1, 2, 3]))  # 2 + 3 leaves the subset
+    assert old_range_check_fails(add, 4) and not old_range_check_fails(mul[:2, :2], 4)
+    with pytest.raises(ValueError, match="table entry out of range"):
+        validate_ring(add, mul, 0, 1)
+
+
+@pytest.mark.parametrize("n", [4, 130])
+def test_a_given_neg_is_range_checked(n):
+    add, mul = raw_zmod_tables(n)
+    neg = (-np.arange(n)) % n
+    assert np.array_equal(validate_ring(add, mul, 0, 1, neg=neg).neg, neg)
+    for bad in (-1, n, -(2**31)):
+        corrupt = neg.copy()
+        corrupt[n - 1] = bad
+        with pytest.raises(ValueError, match="table entry out of range"):
+            validate_ring(add, mul, 0, 1, neg=corrupt)
+    with pytest.raises(ValueError, match="one entry per element"):
+        validate_ring(add, mul, 0, 1, neg=neg[:-1])
+
+
+def test_a_wrapping_negative_neg_is_not_accepted():
+    # index -3 wraps to column 1 of z(4), where 3 + 1 = 0, so the axiom scan alone would accept it
+    add, mul = raw_zmod_tables(4)
+    violations, _ = scan_axioms(np.array(add), np.array(mul), 0, 1, np.array([0, 3, 2, -3]))
+    assert violations == []
+    with pytest.raises(ValueError, match="table entry out of range"):
+        validate_ring(add, mul, 0, 1, neg=[0, 3, 2, -3])

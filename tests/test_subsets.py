@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ringlab.subsets import (
     nilpotents,
     prime_radical,
     prime_radical_ideal_oracle,
+    product_one_pairs,
     units,
 )
 
@@ -266,3 +268,82 @@ def test_internal_guards_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
+
+
+def assert_pairs_match_nonzero(ring, label):
+    """The word scan against the scan it replaced, `np.nonzero(mul == one)`."""
+    got, want = product_one_pairs(ring), np.nonzero(ring.mul == ring.one)
+    assert len(got) == 2 and all(g.dtype == w.dtype for g, w in zip(got, want)), label
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)), label
+
+
+def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
+    for text, ring, bundle in corpus_bundles:
+        assert_pairs_match_nonzero(ring, text)
+        assert all(np.array_equal(g, w) for g, w in zip(bundle.right_inverse_pairs(), np.nonzero(ring.mul == ring.one)))
+    for text in ("z(3)", "z(5)", "z(9)", "z(27)", "t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))"):
+        ring = compile_text(text)
+        assert ring.order**2 % 8 or ring.order == 4096, text  # n^2 not a multiple of 8 below the cap: a tail
+        assert_pairs_match_nonzero(ring, text)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 11])
+def test_word_scan_matches_nonzero_on_raw_tables(n):
+    rng = np.random.default_rng(n)
+    cases = {
+        "none": np.zeros((n, n), dtype=np.int32),
+        "a row of ones": np.zeros((n, n), dtype=np.int32),
+        "last cell": np.zeros((n, n), dtype=np.int32),
+        "scattered": rng.integers(0, 3, size=(n, n)).astype(np.int32),
+    }
+    cases["a row of ones"][n // 2, ::2] = 1
+    cases["a row of ones"][0, 1:] = 1
+    cases["last cell"][n - 1, n - 1] = 1
+    for label, mul in cases.items():
+        assert_pairs_match_nonzero(SimpleNamespace(mul=mul, one=1, order=n), (n, label))
+    assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], one=1, order=n))[0])
+
+
+def test_a_cache_loaded_bundle_scans_the_same_pairs(corpus_bundles):
+    from ringlab import cache
+
+    for text, ring, bundle in corpus_bundles[:8]:
+        loaded = cache.deserialize_bundle(cache.serialize_bundle(bundle), ring)
+        assert loaded._right_inverse_pairs is None, text
+        got, want = loaded.right_inverse_pairs(), bundle.right_inverse_pairs()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), text
+
+
+SET_FIELDS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
+
+
+def test_r_mod_zero_shares_the_bundle_of_r(corpus_bundles, monkeypatch):
+    from ringlab import checks, subsets
+    from ringlab.construct import build_quotient
+
+    semisimple = 0
+    for text, ring, b in corpus_bundles:
+        quotient, projection = build_quotient(ring, ElemSet.of(ring, [ring.zero]))
+        assert quotient.add is ring.add and quotient.mul is ring.mul and quotient.neg is ring.neg, text
+        assert quotient.validation == ring.validation and np.array_equal(projection, np.arange(ring.order)), text
+        assert quotient.names == tuple(f"[{name}]" for name in ring.names), text
+        shared, computed = b.on_copy(quotient), compute_bundle(quotient)
+        for name in SET_FIELDS:
+            got, want = getattr(shared, name), getattr(computed, name)
+            assert got.ring is quotient and got.mask() is getattr(b, name).mask(), (text, name)
+            assert np.array_equal(got.mask(), want.mask()), (text, name)
+        assert shared.inverse_map == computed.inverse_map, text
+        assert all(np.array_equal(g, w) for g, w in zip(shared.right_inverse_pairs(), computed.right_inverse_pairs()))
+        if len(b.jacobson) == 1:
+            semisimple += 1
+            fresh = compute_bundle(ring)
+            monkeypatch.setattr(subsets, "compute_bundle", None)  # R/J = R/{0} must not compute a bundle
+            rq, _, qb = fresh.radical_quotient()
+            monkeypatch.undo()
+            assert rq.mul is ring.mul and qb.units.mask() is fresh.units.mask(), text
+        monkeypatch.setattr(checks, "compute_bundle", None)  # neither may the {0} entry of the checks
+        ctx = checks.CheckContext(ring, b)
+        zero_ideal, zq, _ = ctx.radical_quotients()[0]
+        assert len(zero_ideal) == 1 and ctx.bundle_of(zq).jsharp.mask() is b.jsharp.mask(), text
+        monkeypatch.undo()
+    assert semisimple >= 5
