@@ -81,11 +81,10 @@ def cmd_inspect(args) -> int:
         "validation": ring.validation,
         "sizes": sizes,
         "predicates": {
-            name: {"verdict": verdicts[name].value, **({"witness": verdicts[name].witness} if verdicts[name].witness else {})}
-            for name in P.PREDICATE_NAMES
+            name: {"verdict": v.value, **({"witness": v.witness} if v.witness else {})} for name, v in verdicts.items()
         },
     }
-    width = max(len(name) for name in P.PREDICATE_NAMES) + 2
+    width = max(len(name) for name in verdicts) + 2
     lines = [
         "ring".ljust(width) + str(ring.expr_text),
         "order".ljust(width) + str(ring.order),
@@ -93,8 +92,8 @@ def cmd_inspect(args) -> int:
     ]
     for key, value in sizes.items():
         lines.append(f"|{key}|".ljust(width) + str(value))
-    for name in P.PREDICATE_NAMES:
-        lines.append(name.ljust(width) + ("yes" if verdicts[name].value else "no"))
+    for name, v in verdicts.items():
+        lines.append(name.ljust(width) + ("yes" if v.value else "no"))
     _emit(payload, args.json, "\n".join(lines) + "\n")
     return 0
 

@@ -18,20 +18,22 @@ witnesses and cached results are reproducible:
   little-endian base-|R| value.
 * ``truncated skew polynomials``: coefficient of x^j is digit j.
 
-Matrices, triangular matrices, trivial extensions, group rings and
-truncated skew polynomials are all digit vectors over a base ring R with
-componentwise addition, and share one structure-constant builder. Each
+Galois fields gf(p^d), direct products, matrices, triangular matrices,
+trivial extensions, group rings and truncated skew polynomials are all
+digit vectors with componentwise addition (over z(p), over the factors,
+or over a base ring R), and share one structure-constant builder. Each
 construction gives only the product (c*e_w)*b of a monomial with every
 element; the builder fills every other row by additive row extension:
-for x = x' + c*e_w with x' < |R|^w, add[x] = add[x'][add[c*e_w]] and
-mul[x] = add[mul[x'], mul[c*e_w]]. Over a base whose addition is
-bitwise on its index, add is one word formula instead (see
-`_digit_vector_tables`).
+for x = x' + c*e_w with x' below the place value of digit w, add[x] =
+add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]]. Over bases
+whose addition is bitwise on their index, add is one word formula
+instead (see `_digit_vector_tables`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -51,7 +53,9 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    all_digits,
     elem_pow,
+    encode_digits,
     validate_ring,
 )
 from .groups import GroupTable
@@ -112,21 +116,6 @@ def build_zmod(n: int, cap: int | None = None) -> TableRing:
     return validate_ring(add, mul, 0, 1, meta=ZmodMeta(n))
 
 
-def _poly_index(coeffs, p: int) -> int:
-    x = 0
-    for c in reversed(list(coeffs)):
-        x = x * p + int(c)
-    return x
-
-
-def _poly_digits(x: int, p: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        x, r = divmod(x, p)
-        out.append(r)
-    return tuple(out)
-
-
 def _poly_name(digits, symbol: str = "a") -> str:
     terms = []
     for i in range(len(digits) - 1, -1, -1):
@@ -145,40 +134,25 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
     """The field of order q for q in {2,3,4,5,7,8,9}."""
     if q not in SUPPORTED_GF:
         raise UnsupportedOrderError(f"GF({q}) is not in the supported list {SUPPORTED_GF}")
-    _check_cap(q, cap)
     if q in (2, 3, 5, 7):
         base = build_zmod(q, cap)
-        return validate_ring(base.add, base.mul, 0, 1, names=base.names, meta=GaloisMeta(q, q, 1, None))
+        return validate_ring(base.add, base.mul, 0, 1, neg=base.neg, names=base.names, meta=GaloisMeta(q, q, 1, None))
     p, modulus = GF_MODULI[q]
     d = len(modulus) - 1
     # x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1})
-    reduction = tuple((-m) % p for m in modulus[:-1])
-    elements = [_poly_digits(i, p, d) for i in range(q)]
+    reduction = np.array([(-m) % p for m in modulus[:-1]])
 
-    def mul_polys(a, b):
-        raw = [0] * (2 * d - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                raw[i + j] = (raw[i + j] + ca * cb) % p
-        for k in range(2 * d - 2, d - 1, -1):
-            c = raw[k]
-            if c == 0:
-                continue
-            raw[k] = 0
-            for t, m in enumerate(reduction):
-                raw[k - d + t] = (raw[k - d + t] + c * m) % p
-        return tuple(raw[:d])
+    def mono_rule(c, w, digits):
+        # (c x^w) b is c*b shifted up w places; fold each degree >= d back, top first
+        raw = np.zeros((len(digits), d + w), dtype=np.int64)
+        raw[:, w:] = c * digits
+        for k in range(d + w - 1, d - 1, -1):
+            raw[:, k - d : k] += raw[:, k, None] * reduction
+        return raw[:, :d] % p
 
-    add = np.zeros((q, q), dtype=np.int32)
-    mul = np.zeros((q, q), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            add[i, j] = _poly_index(((ca + cb) % p for ca, cb in zip(a, b)), p)
-            mul[i, j] = _poly_index(mul_polys(a, b), p)
-    names = tuple(_poly_name(e) for e in elements)
-    return validate_ring(add, mul, 0, 1, names=names, meta=GaloisMeta(q, p, d, modulus))
+    digits, add, mul, neg = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
+    names = tuple(_poly_name(e) for e in digits.tolist())
+    return validate_ring(add, mul, 0, 1, neg=neg, names=names, meta=GaloisMeta(q, p, d, modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +160,6 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
 # ---------------------------------------------------------------------------
 
 _CHUNK_CELLS = 1 << 18  # table cells per gather, so temporaries stay ~2 MB
-
-
-def _all_digits(order: int, radix: int, width: int) -> np.ndarray:
-    digits = np.zeros((order, width), dtype=np.int32)
-    x = np.arange(order)
-    for j in range(width):
-        digits[:, j] = x % radix
-        x //= radix
-    return digits
-
-
-def _encode_digits(digits: np.ndarray, radix: int) -> np.ndarray:
-    out = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for j in range(digits.shape[-1] - 1, -1, -1):
-        out = out * radix + digits[..., j]
-    return out.astype(np.int32)
 
 
 def _sum_name(base: TableRing, coeffs, symbols) -> str:
@@ -250,63 +208,62 @@ def _field_high_bits(base: TableRing) -> int | None:
     return high if np.array_equal(bitwise, base.add) else None
 
 
-def _digit_vector_tables(base: TableRing, width: int, mono_rule, cap: int | None):
-    """Digits, add, mul and neg tables of a ring of `width`-digit vectors over `base`.
+def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
+    """Digits, add, mul and neg tables of a ring of digit vectors over `bases`.
 
-    Element x has little-endian base-|R| digits and addition is
-    componentwise, so neg negates each digit. `mono_rule(c, w, digits)`
-    returns the digit matrix of (c*e_w)*b for every element b (one row
-    of `digits` each). Every other row follows by row extension: x =
-    x' + c*e_w with x' < |R|^w gives add[x] = add[x'][add[c*e_w]] and
-    mul[x] = add[mul[x'], mul[c*e_w]].
+    Digit w lies in `bases[w]` and counts place[w] = |bases[0]| * ... *
+    |bases[w-1]| (mixed radix, first digit least significant). Addition
+    is componentwise, so neg negates each digit over its own base.
+    `mono_rule(c, w, digits)` returns the digit matrix of (c*e_w)*b for
+    every element b (one row of `digits` each). Every other row follows by
+    row extension: x = x' + c*e_w with x' < place[w] gives add[x] =
+    add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
 
-    Both tables are gathered that way, unless the base's addition is
+    Both tables are gathered that way, unless every base's addition is
     bitwise (see `_field_high_bits`: z(2^k), gf(2^d), and digit vectors
-    over those). Then, with |R| = 2^K, the index x is the concatenation
-    of the K-bit digits of x, each of them k-bit fields added mod 2^k,
-    and k divides K, so no field crosses a digit. The same formula with
-    H repeated over all digits is therefore exactly the ring's addition:
-    add is filled from it directly, and the mul extension is computed
-    with five int32 operations on each block (SWAR): the low k - 1 bits
-    of two fields sum below 2^k, so their carry stops at the field's top
-    bit, which is the XOR of both top bits and that carry.
+    over those). Then each index x is the concatenation of the bits of its
+    digits, each digit's k-bit fields are added mod 2^k, and k divides the
+    digit's bit count, so no field crosses a digit. The same formula, with
+    H the sum of every base's H shifted to its digit's offset, is
+    therefore exactly the ring's addition: add is filled from it directly,
+    and the mul extension is computed with five int32 operations on each
+    block (SWAR): the low k - 1 bits of two fields sum below 2^k, so their
+    carry stops at the field's top bit, which is the XOR of both top bits
+    and that carry.
     """
-    if base.zero != 0:
+    if any(base.zero != 0 for base in bases):
         raise RingError("digit-vector constructions need the base zero at index 0")
-    radix = base.order
-    order = radix**width
+    radices = [base.order for base in bases]
+    place = [prod(radices[:w]) for w in range(len(radices) + 1)]
+    order = place[-1]
     _check_cap(order, cap)
-    digits = _all_digits(order, radix, width)
+    digits = all_digits(radices)
+    monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
     # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
     rows = max(1, _CHUNK_CELLS // order)
-    blocks = [
-        (c * radix**w, lo, min(radix**w, lo + rows))
-        for w in range(width)
-        for c in range(1, radix)
-        for lo in range(1, radix**w, rows)
-    ]
-    high = _field_high_bits(base) if blocks else None  # width 1 extends no row, so skip the r x r compare
-    if high is not None:
-        digit_bits = radix.bit_length() - 1
-        high = sum(high << (digit_bits * w) for w in range(width))
+    blocks = [(x, lo, min(place[w], lo + rows)) for x, c, w in monomials for lo in range(1, place[w], rows)]
+    high = None
+    if blocks:  # a single digit extends no row, so skip the r x r compares
+        highs = {id(base): _field_high_bits(base) for base in bases}
+        if None not in highs.values():
+            high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
     add = np.empty((order, order), dtype=np.int32)
     mul = np.empty((order, order), dtype=np.int32)
     mul[0] = 0
-    for w in range(width):
-        for c in range(1, radix):
-            mul[c * radix**w] = _encode_digits(mono_rule(c, w, digits), radix)
+    for x, c, w in monomials:
+        mul[x] = encode_digits(mono_rule(c, w, digits), radices)
     if high is None:
         add[0] = np.arange(order)
-        for w in range(width):
-            for c in range(1, radix):
-                add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
+        for x, c, w in monomials:
+            add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]] - digits[:, w]) * place[w]
         for x, lo, hi in blocks:
             np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
         _extend_by_gather(add, mul, blocks)
     else:
         _fill_bitwise_add(add, high, rows)
         _extend_bitwise(mul, blocks, high)
-    return digits, add, mul, _encode_digits(base.neg[digits], radix)
+    neg = np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1)
+    return digits, add, mul, encode_digits(neg, radices)
 
 
 def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
@@ -361,7 +318,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
                 out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables(base, len(positions), mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables([base] * len(positions), mono_rule, cap)
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
     def name(cells) -> str:
@@ -416,43 +373,17 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
     """Direct product, first factor least significant in the index."""
     if not factors:
         raise ValueError("product needs at least one factor")
-    order = 1
-    for f in factors:
-        order *= f.order
-    _check_cap(order, cap)
 
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for f in factors:
-            x, r = divmod(x, f.order)
-            out.append(r)
-        return tuple(out)
-
-    radices = [f.order for f in factors]
-    decoded = np.array([decode(x) for x in range(order)], dtype=np.int32)
-
-    def table(kind: str) -> np.ndarray:
-        out = np.zeros((order, order), dtype=np.int32)
-        for a in range(order):
-            comps = []
-            for fi, f in enumerate(factors):
-                t = f.add if kind == "add" else f.mul
-                comps.append(t[decoded[a, fi], decoded[:, fi]])
-            enc = np.zeros(order, dtype=np.int64)
-            for fi in range(len(factors) - 1, -1, -1):
-                enc = enc * radices[fi] + comps[fi]
-            out[a, :] = enc
+    def mono_rule(c, w, digits):
+        # (c e_w) b keeps only component w, which is c * b_w
+        out = np.zeros_like(digits)
+        out[:, w] = factors[w].mul[c, digits[:, w]]
         return out
 
-    zero = 0
-    one_parts = [f.one for f in factors]
-    one = 0
-    for fi in range(len(factors) - 1, -1, -1):
-        one = one * radices[fi] + one_parts[fi]
-    names = tuple(
-        "(" + ", ".join(f.names[decoded[x, fi]] for fi, f in enumerate(factors)) + ")" for x in range(order)
-    )
-    return validate_ring(table("add"), table("mul"), zero, int(one), names=names, meta=ProductMeta(tuple(factors)))
+    digits, add, mul, neg = _digit_vector_tables(factors, mono_rule, cap)
+    one = int(encode_digits(np.array([f.one for f in factors]), [f.order for f in factors]))
+    names = tuple("(" + ", ".join(f.names[c] for f, c in zip(factors, cells)) + ")" for cells in digits.tolist())
+    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=ProductMeta(tuple(factors)))
 
 
 def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> ElemSet:
@@ -481,12 +412,14 @@ def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> El
 
 def additive_closure(ring: TableRing, items) -> ElemSet:
     """The additive subgroup generated by the indices `items` (fixpoint of pairwise sums)."""
-    group = ElemSet.of(ring, items) | ElemSet.of(ring, [ring.zero])
+    group = ElemSet.of(ring, items).mask().copy()
+    group[ring.zero] = True
     while True:
-        arr = group.index_array()
-        total = ElemSet.of(ring, ring.add[arr[:, None], arr])  # holds the group, as 0 is in it
-        if len(total) == len(group):
-            return group
+        arr = np.flatnonzero(group)
+        total = np.zeros(ring.order, dtype=bool)
+        total[ring.add[arr[:, None], arr]] = True  # holds the group, as 0 is in it
+        if np.count_nonzero(total) == len(arr):
+            return ElemSet(ring, total)
         group = total
 
 
@@ -568,7 +501,7 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
         out[:, 0] = ring.mul[c, digits[:, 1]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables(ring, 2, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables([ring] * 2, mono_rule, cap)
     names = tuple(f"({ring.names[r]}, {ring.names[m]})" for m, r in digits.tolist())
     return validate_ring(add, mul, 0, ring.one * ring.order, neg=neg, names=names, meta=TrivialExtMeta(ring))
 
@@ -587,7 +520,7 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
         out[:, group.op[w]] = base.mul[c, digits]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables(base, group.order, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables([base] * group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
     symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
     names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
@@ -653,7 +586,12 @@ def endomorphism_from_text(ring: TableRing, text: str, name: str = "endo") -> En
         parts = [p.strip() for p in ln.split("->")]
         if len(parts) != 2:
             raise InvalidEndomorphismError(f"bad mapping line: {ln!r}")
-        images[int(parts[0])] = int(parts[1])
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidEndomorphismError(f"index out of range 0..{n - 1}: {ln!r}")
+        if images[i] >= 0:
+            raise InvalidEndomorphismError(f"source index {i} is mapped twice: {ln!r}")
+        images[i] = j
     if (images < 0).any():
         raise InvalidEndomorphismError("mapping is not total")
     return validate_endomorphism(ring, images, name)
@@ -698,7 +636,7 @@ def build_truncated_skew_poly(
         out[:, i:] = base.mul[c, powers[i][digits[:, : k - i]]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables(base, k, mono_rule, cap)
+    digits, add, mul, neg = _digit_vector_tables([base] * k, mono_rule, cap)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
     names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
     meta = SkewPolyMeta(base, alpha.name, alpha.map, k, digits)

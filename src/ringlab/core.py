@@ -11,6 +11,7 @@ ring axioms (exhaustively checked up to order 64, sampled above; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -414,6 +415,30 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     mul.setflags(write=False)
     neg.setflags(write=False)
     return TableRing(n, add, mul, neg, zero, one, names, meta, mode)
+
+
+# ---------------------------------------------------------------------------
+# mixed-radix digit vectors (products of rings and groups, digit-vector rings)
+# ---------------------------------------------------------------------------
+
+
+def all_digits(radices) -> np.ndarray:
+    """The digits of every index 0..prod(radices)-1, one row each; digit w
+    counts prod(radices[:w]), so the first digit is least significant."""
+    order = prod(radices)
+    digits = np.empty((order, len(radices)), dtype=np.int32)
+    x = np.arange(order)
+    for w, radix in enumerate(radices):
+        x, digits[:, w] = np.divmod(x, radix)
+    return digits
+
+
+def encode_digits(digits: np.ndarray, radices) -> np.ndarray:
+    """The index of each digit vector along the last axis (inverse of `all_digits`)."""
+    out = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for w in range(len(radices) - 1, -1, -1):
+        out = out * radices[w] + digits[..., w]
+    return out.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

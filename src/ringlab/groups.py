@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
-from .core import OutOfCapError
+from .core import OutOfCapError, all_digits, encode_digits
 
 GROUP_ORDER_CAP = 64
 
@@ -197,32 +197,16 @@ def direct_product(groups: list[GroupTable]) -> GroupTable:
     """Direct product; the first factor is the least-significant digit."""
     if not groups:
         raise UnsupportedGroupError("empty product")
-    total = 1
-    for g in groups:
-        total *= g.order
+    radices = [g.order for g in groups]
+    total = prod(radices)
     if total > GROUP_ORDER_CAP:
         raise OutOfCapError(f"group order {total} exceeds cap {GROUP_ORDER_CAP}")
-
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for g in groups:
-            x, r = divmod(x, g.order)
-            out.append(r)
-        return tuple(out)
-
-    def encode(parts) -> int:
-        x = 0
-        for g, p in zip(reversed(groups), reversed(list(parts))):
-            x = x * g.order + p
-        return x
-
-    op = np.zeros((total, total), dtype=np.int32)
-    decoded = [decode(x) for x in range(total)]
-    for a in range(total):
-        for b in range(total):
-            op[a, b] = encode(int(g.op[pa, pb]) for g, pa, pb in zip(groups, decoded[a], decoded[b]))
-    identity = encode(g.identity for g in groups)
-    names = tuple("(" + ", ".join(g.names[p] for g, p in zip(groups, decoded[x])) + ")" for x in range(total))
+    digits = all_digits(radices)
+    # component f of a*b is groups[f].op[a_f, b_f], one gather per factor
+    parts = [g.op[np.ix_(digits[:, f], digits[:, f])] for f, g in enumerate(groups)]
+    op = encode_digits(np.stack(parts, axis=-1), radices)
+    identity = int(encode_digits(np.array([g.identity for g in groups]), radices))
+    names = tuple("(" + ", ".join(g.names[p] for g, p in zip(groups, cells)) + ")" for cells in digits.tolist())
     return make_group(op, identity, names)
 
 

@@ -280,20 +280,25 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
 
 def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[frozenset[int]]:
     """Every sum of ideals from `principal`, sorted by (size, members)."""
-    ideals = set(principal)
-    frontier = list(principal)
+
+    def key(members: np.ndarray) -> bytes:
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[members] = True
+        return mask.tobytes()
+
     arrays = [np.fromiter(j, dtype=np.int64, count=len(j)) for j in principal]
+    ideals = {key(ja): ja for ja in arrays}  # mask bytes -> member index array
+    frontier = arrays
     while frontier:
         nxt = []
-        for i in frontier:
-            ia = np.fromiter(i, dtype=np.int64, count=len(i))
+        for ia in frontier:
             for ja in arrays:
-                s = ElemSet.of(ring, ring.add[ia[:, None], ja]).members
-                if s not in ideals:
-                    ideals.add(s)
-                    nxt.append(s)
+                k = key(ring.add[ia[:, None], ja])
+                if k not in ideals:
+                    ideals[k] = np.flatnonzero(np.frombuffer(k, dtype=bool))
+                    nxt.append(ideals[k])
         frontier = nxt
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+    return sorted((frozenset(a.tolist()) for a in ideals.values()), key=lambda s: (len(s), sorted(s)))
 
 
 def left_ideals(ring: TableRing) -> list[frozenset[int]]:

@@ -221,3 +221,20 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
         assert code == 2 and out == "" and "RINGLAB_MAX_ORDER" in err and len(err.splitlines()) == 1
     code, _, _ = run_cli(capsys, "inspect", "z(4)", "--max-order", "8")
     assert code == 0  # the flag still wins over the environment
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("9 -> 2", "index out of range 0..3: '9 -> 2'"),
+        ("-1 -> 2", "index out of range 0..3: '-1 -> 2'"),
+        ("2 -> 2", "source index 2 is mapped twice: '2 -> 2'"),
+    ],
+)
+def test_endomorphism_file_rejects_bad_source_indices(capsys, tmp_path, monkeypatch, line, message):
+    # the Frobenius map of gf(4), then one bad line
+    (tmp_path / "f.endo").write_text("order 4\n0 -> 0\n1 -> 1\n2 -> 3\n3 -> 2\n" + line + "\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "inspect", "skew(gf(4),@f.endo,2)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

@@ -31,7 +31,16 @@ from ringlab.construct import (
     matrix_unit_index,
     validate_endomorphism,
 )
-from ringlab.core import GroupRingMeta, MatrixMeta, SkewPolyMeta, TriangularMeta, TrivialExtMeta, validate_ring
+from ringlab.core import (
+    GaloisMeta,
+    GroupRingMeta,
+    MatrixMeta,
+    ProductMeta,
+    SkewPolyMeta,
+    TriangularMeta,
+    TrivialExtMeta,
+    validate_ring,
+)
 from ringlab.groups import cyclic, quaternion8
 from ringlab.subsets import compute_bundle, is_two_sided_ideal
 
@@ -137,6 +146,78 @@ def test_product_ring():
     assert mixed.order == 8
     assert len(brute_force_units(mixed)) == 3
 
+
+def q2_gf_tables(q):
+    """Oracle: the q^2 fill of gf(p^d) over coefficient tuples, one cell at a time."""
+    p, modulus = GF_MODULI[q]
+    d = len(modulus) - 1
+    reduction = [(-m) % p for m in modulus[:-1]]  # x^d = -(m_0 + ... + m_{d-1} x^{d-1})
+
+    def index(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    def mul_polys(a, b):
+        raw = [0] * (2 * d - 1)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                raw[i + j] = (raw[i + j] + ca * cb) % p
+        for k in range(2 * d - 2, d - 1, -1):
+            for t, m in enumerate(reduction):
+                raw[k - d + t] = (raw[k - d + t] + raw[k] * m) % p
+        return raw[:d]
+
+    elements = [[x // p**i % p for i in range(d)] for x in range(q)]
+    add = [[index((ca + cb) % p for ca, cb in zip(a, b)) for b in elements] for a in elements]
+    mul = [[index(mul_polys(a, b)) for b in elements] for a in elements]
+    return add, mul, 0, 1, tuple(construct._poly_name(e) for e in elements)
+
+
+def per_row_product_tables(factors):
+    """Oracle: the product's tables filled row by row, componentwise over decoded factor digits."""
+    order = int(np.prod([f.order for f in factors]))
+
+    def decode(x):
+        out = []
+        for f in factors:
+            x, r = divmod(x, f.order)
+            out.append(r)
+        return out
+
+    def encode(parts):
+        return sum(c * int(np.prod([f.order for f in factors[:i]])) for i, c in enumerate(parts))
+
+    decoded = np.array([decode(x) for x in range(order)], dtype=np.int64)
+    tables = []
+    for kind in ("add", "mul"):
+        out = np.zeros((order, order), dtype=np.int64)
+        for a in range(order):
+            comps = [getattr(f, kind)[decoded[a, i], decoded[:, i]] for i, f in enumerate(factors)]
+            out[a] = encode(comps)
+        tables.append(out)
+    names = tuple("(" + ", ".join(f.names[c] for f, c in zip(factors, decoded[x])) + ")" for x in range(order))
+    return tables[0], tables[1], 0, encode([f.one for f in factors]), names
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gf(4)",
+        "gf(8)",
+        "gf(9)",
+        "prod(z(6))",
+        "prod(z(2),gf(4))",
+        "prod(t(2,z(2)),z(3))",
+        "prod(m(2,z(4)),z(16))",  # order 4096, built bitwise
+    ],
+)
+def test_gf_and_product_match_their_former_fills(text):
+    ring = compile_text(text)
+    if isinstance(ring.meta, GaloisMeta):
+        add, mul, zero, one, names = q2_gf_tables(ring.order)
+    else:
+        add, mul, zero, one, names = per_row_product_tables(list(ring.meta.factors))
+    assert np.array_equal(ring.add, add) and np.array_equal(ring.mul, mul)
+    assert (ring.zero, ring.one, ring.names) == (zero, one, names)
 
 def test_ideal_closure_zmod():
     z8 = build_zmod(8)
@@ -632,16 +713,35 @@ def test_bitwise_addition_is_rejected(text):
 DIGIT_VECTOR_METAS = (MatrixMeta, TriangularMeta, GroupRingMeta, SkewPolyMeta, TrivialExtMeta)
 
 
+def digit_bases(ring):
+    """The base ring of each digit of a digit-vector ring, or None for any other ring."""
+    meta = ring.meta
+    if isinstance(meta, ProductMeta):
+        return list(meta.factors)
+    if isinstance(meta, GaloisMeta) and meta.degree > 1:
+        return [build_zmod(meta.char)] * meta.degree
+    if isinstance(meta, DIGIT_VECTOR_METAS):
+        width = round(np.log(ring.order) / np.log(meta.base.order))
+        assert meta.base.order**width == ring.order
+        return [meta.base] * width
+    return None
+
+
+def is_bitwise(bases):
+    return len(bases) > 1 and all(construct._field_high_bits(base) is not None for base in bases)
+
+
 def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
-    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
-    bitwise = [text for text, ring in rings if construct._field_high_bits(ring.meta.base) is not None]
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
+    bitwise = [text for text, ring in rings if is_bitwise(digit_bases(ring))]
     assert 0 < len(bitwise) < len(rings)  # the corpus exercises both forms
     extended = []
     extend = construct._extend_bitwise
     monkeypatch.setattr(construct, "_extend_bitwise", lambda mul, *args: extended.append(len(mul)) or extend(mul, *args))
-    extra = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(4),c(6))")
+    extra = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(4),c(6))", "prod(z(4),gf(8),z(2))")
     rings += [(text, compile_text(text)) for text in extra]
-    assert extended == [4096] * len(extra)
+    # gf(8) is itself built bitwise, over three z(2) digits, inside m(2,gf(8)) and the product
+    assert extended == [4096, 4096, 4096, 8, 4096, 4096, 8, 64]
     monkeypatch.setattr(construct, "_field_high_bits", lambda base: None)
     for text, ring in rings:
         assert ring.tables_equal(compile_text(text)), text
@@ -651,55 +751,55 @@ CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
 
 
 def test_builders_pass_the_negation_the_argmax_derives(corpus_bundles, monkeypatch):
-    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
     given = []
     validate = construct.validate_ring
     monkeypatch.setattr(construct, "validate_ring", lambda *a, **k: given.append(k.get("neg") is not None) or validate(*a, **k))
-    for text in CAP_RINGS + ("m(2,gf(8))", "group(z(9),c(3))", "group(z(3),d(3))"):
+    gf_and_products = ("gf(4)", "gf(5)", "gf(8)", "gf(9)", "prod(z(6))", "prod(z(2),gf(4))", "prod(t(2,z(2)),z(3))")
+    for text in CAP_RINGS + ("m(2,gf(8))", "group(z(9),c(3))", "group(z(3),d(3))") + gf_and_products + ("prod(m(2,z(4)),z(16))",):
         rings.append((text, compile_text(text)))
         assert given.pop(), text  # the outermost build passed its neg
-    assert len(rings) > 10
+    assert len(rings) > 20
     for text, ring in rings:
         # the derivation validate_ring makes when no neg is given
         assert np.array_equal(ring.neg, np.argmax(ring.add == ring.zero, axis=1)), text
 
 
-def take_filled_add(base, width):
+def take_filled_add(bases):
     """The addition table as the builder filled it over every base: the
     monomial rows c*e_w, then each row x' + c*e_w as add[x'][add[c*e_w]],
     one `np.take` per block."""
-    radix = base.order
-    order = radix**width
-    digits = construct._all_digits(order, radix, width)
+    radices = [base.order for base in bases]
+    place = [int(np.prod(radices[:w])) for w in range(len(radices) + 1)]
+    order = place[-1]
+    digits = np.arange(order)[:, None] // np.array(place[:-1]) % np.array(radices)
     add = np.empty((order, order), dtype=np.int32)
     add[0] = np.arange(order)
-    for w in range(width):
-        for c in range(1, radix):
-            add[c * radix**w] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * radix**w
+    for w, base in enumerate(bases):
+        for c in range(1, base.order):
+            add[c * place[w]] = np.arange(order) + (base.add[c, digits[:, w]] - digits[:, w]) * place[w]
     rows = max(1, construct._CHUNK_CELLS // order)
-    for w in range(width):
-        for c in range(1, radix):
-            x = c * radix**w
-            for lo in range(1, radix**w, rows):
-                hi = min(radix**w, lo + rows)
+    for w, base in enumerate(bases):
+        for c in range(1, base.order):
+            x = c * place[w]
+            for lo in range(1, place[w], rows):
+                hi = min(place[w], lo + rows)
                 np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
     return add
 
 
 def test_bitwise_add_formula_matches_the_take_fill(corpus_bundles, monkeypatch):
-    rings = [(text, ring) for text, ring, _ in corpus_bundles if isinstance(ring.meta, DIGIT_VECTOR_METAS)]
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
     filled = []
     fill = construct._fill_bitwise_add
     monkeypatch.setattr(construct, "_fill_bitwise_add", lambda add, *args: filled.append(len(add)) or fill(add, *args))
-    extra = CAP_RINGS + ("m(2,gf(8))", "group(triv(z(4)),c(2))")  # the last: H over a digit-vector base
+    # group(triv(z(4)),c(2)): H over a digit-vector base; the product: H over bases of different field widths
+    extra = CAP_RINGS + ("m(2,gf(8))", "group(triv(z(4)),c(2))", "prod(z(4),gf(8),z(2))")
     rings += [(text, compile_text(text)) for text in extra]
-    assert filled == [4096, 4096, 4096, 4096, 16, 256]  # triv(z(4)) is built bitwise too
+    assert filled == [4096, 4096, 4096, 8, 4096, 16, 256, 8, 64]  # gf(8) and triv(z(4)) are built bitwise too
     bitwise = 0
     for text, ring in rings:
-        base = ring.meta.base
-        width = round(np.log(ring.order) / np.log(base.order))
-        assert base.order**width == ring.order, text
-        if construct._field_high_bits(base) is not None:
-            bitwise += 1
-        assert np.array_equal(ring.add, take_filled_add(base, width)), text
+        bases = digit_bases(ring)
+        bitwise += is_bitwise(bases)
+        assert np.array_equal(ring.add, take_filled_add(bases)), text
     assert bitwise > len(extra)  # the corpus has bitwise digit-vector rings of its own
