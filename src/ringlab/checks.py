@@ -258,8 +258,7 @@ def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
     """Reindex a unital subring (closed subset containing 0 and 1)."""
     elems = subset.index_array()
     add, mul, back = _reindex(ring, elems)
-    names = tuple(ring.names[p] for p in elems.tolist())
-    return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=names)
+    return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=lambda i: ring.name_of(int(elems[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +550,8 @@ def _chk_munits(ctx: CheckContext) -> Outcome:
 
 
 def _chk_dedekind(ctx: CheckContext) -> Outcome:
-    verdict = ctx.verdicts["dedekind_finite"]
+    # the search itself: `classify` reports Dedekind-finiteness by theorem
+    verdict = P.is_dedekind_finite(ctx.ring, ctx.bundle)
     if not verdict:
         return _fail(verdict.witness)
     return _ok()
@@ -641,9 +641,7 @@ def _chk_jnil(ctx: CheckContext) -> Outcome:
 
 
 def _chk_t24(ctx: CheckContext) -> Outcome:
-    semi = ctx.verdicts["semipotent"]
-    if not semi:
-        return _fail(f"finite ring not semipotent: {semi.witness}")
+    # every finite ring is semipotent; C2.7 runs that search
     quotient, _, qb = ctx.radical_quotient()
     boolean_quotient = P.is_boolean(quotient, qb).value
     u1, u2, u3 = ctx.holds("ujsharp"), boolean_quotient, ctx.holds("uj")
@@ -678,7 +676,19 @@ def _chk_c27(ctx: CheckContext) -> Outcome:
     vals = [ctx.holds("ujsharp"), ctx.holds("uj"), ctx.holds("uu")]
     if len(set(vals)) != 1:
         return _fail(f"UJ#/UJ/UU = {vals} do not coincide")
+    for name, verdict in _finite_ring_searches(ring, b):
+        if not verdict:
+            return _fail(f"finite ring not {name}: {verdict.witness}")
     return _ok()
+
+
+def _finite_ring_searches(ring: TableRing, b: InvariantBundle):
+    """(class, searched verdict) for the classes `classify` reports true by
+    theorem, one search at a time; Dedekind-finiteness is L-dedekind's."""
+    yield "exchange", P.is_exchange(ring, b)
+    yield "potent", P.is_potent(ring, b)  # semipotent, then lifting modulo J
+    yield "semiregular", P.is_semiregular(ring, b)
+    yield from P.clean_family(ring, b, ("clean", "strongly_clean")).items()
 
 
 def _chk_t316(ctx: CheckContext) -> Outcome:

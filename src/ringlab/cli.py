@@ -117,9 +117,9 @@ def cmd_sets(args) -> int:
         "expr": ring.expr_text,
         "set": args.set_name,
         "size": len(indices),
-        "elements": [{"index": i, "name": ring.names[i]} for i in indices],
+        "elements": [{"index": i, "name": ring.name_of(i)} for i in indices],
     }
-    human = "".join(f"{i}\t{ring.names[i]}\n" for i in indices)
+    human = "".join(f"{i}\t{ring.name_of(i)}\n" for i in indices)
     _emit(payload, args.json, human)
     return 0
 

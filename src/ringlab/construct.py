@@ -136,7 +136,7 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
         raise UnsupportedOrderError(f"GF({q}) is not in the supported list {SUPPORTED_GF}")
     if q in (2, 3, 5, 7):
         base = build_zmod(q, cap)
-        return validate_ring(base.add, base.mul, 0, 1, neg=base.neg, names=base.names, meta=GaloisMeta(q, q, 1, None))
+        return validate_ring(base.add, base.mul, 0, 1, neg=base.neg, names=base.name_of, meta=GaloisMeta(q, q, 1, None))
     p, modulus = GF_MODULI[q]
     d = len(modulus) - 1
     # x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1})
@@ -151,8 +151,7 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
         return raw[:, :d] % p
 
     digits, add, mul, neg = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
-    names = tuple(_poly_name(e) for e in digits.tolist())
-    return validate_ring(add, mul, 0, 1, neg=neg, names=names, meta=GaloisMeta(q, p, d, modulus))
+    return validate_ring(add, mul, 0, 1, neg=neg, names=_digit_names(digits, _poly_name), meta=GaloisMeta(q, p, d, modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,18 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
 _CHUNK_CELLS = 1 << 18  # table cells per gather, so temporaries stay ~2 MB
 
 
+def _digit_names(digits: np.ndarray, name):
+    """Index -> `name` of the index's digit list, formatted when asked for."""
+    return lambda a: name(digits[a].tolist())
+
+
 def _sum_name(base: TableRing, coeffs, symbols) -> str:
     """Name of sum(c_i s_i) over the nonzero coefficients; symbol None is the constant term."""
     terms = []
     for c, symbol in zip(coeffs, symbols):
         if c == base.zero:
             continue
-        cname = base.names[c]
+        cname = base.name_of(c)
         if symbol is None:
             terms.append(cname)
         elif c == base.one:
@@ -177,7 +181,7 @@ def _sum_name(base: TableRing, coeffs, symbols) -> str:
             terms.append(f"({cname}){symbol}")
         else:
             terms.append(f"{cname}{symbol}")
-    return "+".join(terms) or base.names[base.zero]
+    return "+".join(terms) or base.name_of(base.zero)
 
 
 def _field_high_bits(base: TableRing) -> int | None:
@@ -322,13 +326,12 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
     def name(cells) -> str:
-        grid = [[base.names[base.zero]] * k for _ in range(k)]
+        grid = [[base.name_of(base.zero)] * k for _ in range(k)]
         for (i, j), c in zip(positions, cells):
-            grid[i][j] = base.names[c]
+            grid[i][j] = base.name_of(c)
         return "[" + ",".join("[" + ",".join(row) + "]" for row in grid) + "]"
 
-    names = tuple(name(cells) for cells in digits.tolist())
-    return add, mul, neg, one, names
+    return add, mul, neg, one, _digit_names(digits, name)
 
 
 def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -382,7 +385,7 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
 
     digits, add, mul, neg = _digit_vector_tables(factors, mono_rule, cap)
     one = int(encode_digits(np.array([f.one for f in factors]), [f.order for f in factors]))
-    names = tuple("(" + ", ".join(f.names[c] for f, c in zip(factors, cells)) + ")" for cells in digits.tolist())
+    names = _digit_names(digits, lambda cells: "(" + ", ".join(f.name_of(c) for f, c in zip(factors, cells)) + ")")
     return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=ProductMeta(tuple(factors)))
 
 
@@ -459,11 +462,19 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
-    # addition is commutative, so column x of add[I] is the coset x + I
-    reps, projection = np.unique(ring.add[ideal.index_array()].min(axis=0), return_inverse=True)
+    # addition is commutative, so column x of add[I] is the coset x + I; its
+    # minimum is taken 64 rows of add[I] at a time, not over an |I| x n copy
+    members = ideal.index_array()
+    lowest = ring.add[members[0]].copy()
+    for i in range(1, len(members), 64):
+        np.minimum(lowest, ring.add[members[i : i + 64]].min(axis=0), out=lowest)
+    reps, projection = np.unique(lowest, return_inverse=True)
     projection = projection.astype(np.int32)
     _check_cap(len(reps), cap)
-    names = tuple(f"[{ring.names[int(r)]}]" for r in reps)
+
+    def names(i):
+        return f"[{ring.name_of(int(reps[i]))}]"
+
     meta = QuotientMeta(ring, ideal.indices(), projection)
     if len(reps) == ring.order:
         out = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, names, meta, ring.validation)
@@ -484,9 +495,8 @@ def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[Table
     embedding = exe.astype(np.int32)
     _check_cap(len(exe), cap)
     add, mul, back = _reindex(ring, exe)
-    names = tuple(ring.names[int(p)] for p in exe)
     meta = CornerMeta(ring, e, embedding)
-    out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=names, meta=meta)
+    out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=lambda i: ring.name_of(int(exe[i])), meta=meta)
     return out, embedding
 
 
@@ -502,7 +512,7 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
         return out
 
     digits, add, mul, neg = _digit_vector_tables([ring] * 2, mono_rule, cap)
-    names = tuple(f"({ring.names[r]}, {ring.names[m]})" for m, r in digits.tolist())
+    names = _digit_names(digits, lambda mr: f"({ring.name_of(mr[1])}, {ring.name_of(mr[0])})")
     return validate_ring(add, mul, 0, ring.one * ring.order, neg=neg, names=names, meta=TrivialExtMeta(ring))
 
 
@@ -523,7 +533,7 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
     digits, add, mul, neg = _digit_vector_tables([base] * group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
     symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
-    names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
+    names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
     meta = GroupRingMeta(base, group, digits)
     return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
 
@@ -638,6 +648,6 @@ def build_truncated_skew_poly(
 
     digits, add, mul, neg = _digit_vector_tables([base] * k, mono_rule, cap)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
-    names = tuple(_sum_name(base, coeffs, symbols) for coeffs in digits.tolist())
+    names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
     meta = SkewPolyMeta(base, alpha.name, alpha.map, k, digits)
     return validate_ring(add, mul, 0, int(base.one), neg=neg, names=names, meta=meta)

@@ -134,9 +134,13 @@ class TableRing:
 
     Immutable after construction; all operations are pure lookups, so a
     ring can be shared freely across threads.
+
+    `names` is the tuple of element names, or a function from an index to
+    its name; then each name is formatted when asked for, and the tuple
+    only on first access to `names`.
     """
 
-    __slots__ = ("order", "add", "mul", "neg", "zero", "one", "names", "meta", "validation", "expr_text")
+    __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "expr_text")
 
     def __init__(self, order, add, mul, neg, zero, one, names, meta, validation):
         self.order = order
@@ -145,7 +149,8 @@ class TableRing:
         self.neg = neg
         self.zero = zero
         self.one = one
-        self.names = names
+        self._names = None if callable(names) else names
+        self._name_of = names if callable(names) else names.__getitem__
         self.meta = meta
         self.validation = validation
         self.expr_text: str | None = None
@@ -154,11 +159,17 @@ class TableRing:
         tag = self.expr_text or f"order={self.order}"
         return f"TableRing({tag})"
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple(map(self._name_of, range(self.order)))
+        return self._names
+
     def name_of(self, a: int) -> str:
-        return self.names[a]
+        return self._name_of(a)
 
     def describe(self, a: int) -> str:
-        return f"{self.names[a]} (#{a})"
+        return f"{self._name_of(a)} (#{a})"
 
     def check_index(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -381,6 +392,10 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     is range-checked like the tables and then proved by the axiom scan
     (add[a, neg[a]] == zero for every a).
 
+    `names` is a tuple of the n element names or a function from an index
+    to its name (see `TableRing`); by default an element is named by its
+    index.
+
     Each range check is one pass: an int32 entry read as uint32 is below
     n exactly when it lies in 0..n-1, since a negative one reads as at
     least 2^31.
@@ -406,8 +421,8 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
 
     neg = first_zero if neg is None else neg
     if names is None:
-        names = tuple(str(i) for i in range(n))
-    else:
+        names = str
+    elif not callable(names):
         names = tuple(names)
         if len(names) != n:
             raise ValueError("names length mismatch")

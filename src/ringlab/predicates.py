@@ -1,8 +1,18 @@
 """Ring-class predicates and element-wise decomposition searches.
 
-Every verdict is decision-procedure grade: searches are exhaustive over
-the relevant subsets, and a False verdict always carries a witness that
-re-evaluating the defining formula would confirm.
+Every searched verdict is decision-procedure grade: searches are
+exhaustive over the relevant subsets, and a False verdict always
+carries a witness that re-evaluating the defining formula would confirm.
+
+Seven classes hold on every finite ring by theorem, so `classify` reports
+them true without a search. A finite ring is semiperfect with J nilpotent
+(Lam, *A First Course in Noncommutative Rings*, GTM 131), hence exchange
+(Nicholson, Trans. AMS 229, 1977), clean (Camillo & Yu, Comm. Algebra 22,
+1994) and strongly clean (Nicholson, Comm. Algebra 27, 1999); R/J is
+semisimple and J is nil, so it is semipotent, potent and semiregular; and
+it is Dedekind-finite by pigeonhole. The searches for these classes stay
+here as the test of those theorems: registry check C2.7 runs them on every
+ring it checks, and L-dedekind runs `is_dedekind_finite`.
 """
 
 from __future__ import annotations
@@ -138,13 +148,9 @@ def idempotents_lift(ring: TableRing, bundle: InvariantBundle, ideal: ElemSet) -
     return Verdict(True)
 
 
-def is_potent(ring: TableRing, bundle: InvariantBundle, semipotent: Verdict | None = None) -> Verdict:
-    """Semipotent, and idempotents lift modulo J.
-
-    `semipotent` is the ring's `is_semipotent` verdict when the caller
-    already has it; it is decided here otherwise.
-    """
-    semi = is_semipotent(ring, bundle) if semipotent is None else semipotent
+def is_potent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
+    """Semipotent, and idempotents lift modulo J."""
+    semi = is_semipotent(ring, bundle)
     if not semi:
         return semi
     return idempotents_lift(ring, bundle, bundle.jacobson)
@@ -153,14 +159,18 @@ def is_potent(ring: TableRing, bundle: InvariantBundle, semipotent: Verdict | No
 _BLOCK = 64  # elements a per block in is_regular and is_exchange
 
 
-def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
+def is_regular(ring: TableRing, bundle: InvariantBundle | None) -> Verdict:
     """von Neumann regular: for each a some x has axa = a.
 
-    The a are tested in index order, in blocks of 64: the block's columns
-    y*a are copied out (row by row, then transposed in cache), one
+    A bundle with J = {0} settles it: an Artinian ring is regular exactly
+    when it is semisimple. Otherwise, and always when `bundle` is None,
+    the a are searched in index order, in blocks of 64: the block's
+    columns y*a are copied out (row by row, then transposed in cache), one
     (64, n) gather gives (a*x)*a over all x, then one row test. The
     witness is the first failing a.
     """
+    if bundle is not None and len(bundle.jacobson) == 1:
+        return Verdict(True)
     n = ring.order
     for i in range(0, n, _BLOCK):
         a = np.arange(i, min(i + _BLOCK, n))
@@ -205,21 +215,27 @@ def is_exchange(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 
 def is_semiregular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    """R/J regular and idempotents lift modulo J."""
-    quotient, _, qbundle = bundle.radical_quotient()
-    reg = is_regular(quotient, qbundle)
+    """R/J regular and idempotents lift modulo J.
+
+    R/J is searched, not settled by its J = 0, so that this search tests
+    the theorem `is_regular` relies on.
+    """
+    quotient, _, _ = bundle.radical_quotient()
+    reg = is_regular(quotient, None)
     if not reg:
         return Verdict(False, f"R/J not regular: {reg.witness}")
     return idempotents_lift(ring, bundle, bundle.jacobson)
 
 
 def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    """R/J Boolean and idempotents lift modulo J."""
+    """R/J Boolean and idempotents lift modulo J. Only R/J is tested:
+    idempotents lift modulo J on every finite ring (see the module
+    docstring)."""
     quotient, _, qbundle = bundle.radical_quotient()
     boo = is_boolean(quotient, qbundle)
     if not boo:
         return Verdict(False, f"R/J not Boolean: {boo.witness}")
-    return idempotents_lift(ring, bundle, bundle.jacobson)
+    return Verdict(True)
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +295,22 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
     return decomposable, in_pool["units"].sum(axis=1)
 
 
-def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
-    """Ring-level verdicts for the clean-style decomposition classes (see
-    `clean_decomposable`)."""
+def clean_family(
+    ring: TableRing, bundle: InvariantBundle, classes=(*_CLEAN_CLASSES, "uniquely_clean")
+) -> dict[str, Verdict]:
+    """Ring-level verdicts for the clean-style decomposition classes named
+    in `classes`, in that order (see `clean_decomposable`)."""
     decomposable, counts = clean_decomposable(ring, bundle)
     out: dict[str, Verdict] = {}
-    for name, found in decomposable.items():
+    for name in classes:
+        unique = name == "uniquely_clean"
+        found = counts == 1 if unique else decomposable[name]
         if found.all():
             out[name] = Verdict(True)
-        else:
-            bad = ring.describe(int(np.argmin(found)))
-            out[name] = Verdict(False, f"{bad} has no {name.replace('_', ' ')} decomposition")
-    if (counts == 1).all():
-        out["uniquely_clean"] = Verdict(True)
-    else:
-        bad = int(np.argmax(counts != 1))
-        out["uniquely_clean"] = Verdict(False, f"{ring.describe(bad)} has {int(counts[bad])} clean decompositions")
+            continue
+        a = int(np.argmin(found))
+        why = f"has {int(counts[a])} clean decompositions" if unique else f"has no {name.replace('_', ' ')} decomposition"
+        out[name] = Verdict(False, f"{ring.describe(a)} {why}")
     return out
 
 
@@ -303,11 +319,12 @@ def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]
 # ---------------------------------------------------------------------------
 
 def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
-    """Evaluate every ring-class predicate once, in the order `ring inspect` prints them."""
-    # decided first: on a bundle loaded from the cache its n^2 scan for ab = 1
-    # (`right_inverse_pairs`) raised the peak RSS of a warm order-4096 inspect
-    # by 14 MiB when it ran after the others
-    dedekind_finite = is_dedekind_finite(ring, bundle)
+    """Evaluate every ring-class predicate once, in the order `ring inspect` prints them.
+
+    The seven classes every finite ring has are reported true without a
+    search (see the module docstring).
+    """
+    finite = Verdict(True)
     out = {
         "ujsharp": is_ujsharp(ring, bundle),
         "uj": is_uj(ring, bundle),
@@ -316,17 +333,19 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
         "local": is_local(ring, bundle),
         "division": is_division(ring, bundle),
         "regular": is_regular(ring, bundle),
-        "exchange": is_exchange(ring, bundle),
-        "semiregular": is_semiregular(ring, bundle),
+        "exchange": finite,
+        "semiregular": finite,
         "semiboolean": is_semiboolean(ring, bundle),
-        "semipotent": (semi := is_semipotent(ring, bundle)),
-        "potent": is_potent(ring, bundle, semi),
-        **clean_family(ring, bundle),
-        "dedekind_finite": dedekind_finite,
+        "semipotent": finite,
+        "potent": finite,
+        "clean": finite,
+        "strongly_clean": finite,
+        **clean_family(ring, bundle, ("jsharp_clean", "strongly_jsharp_clean", "strongly_nil_clean", "uniquely_clean")),
+        "dedekind_finite": finite,
         "two_primal": is_2primal(ring, bundle),
     }
     # implication lattice; a violation here is a computation bug
-    for stronger, weaker in (("uj", "ujsharp"), ("uu", "ujsharp"), ("boolean", "uu"), ("local", "clean")):
+    for stronger, weaker in (("uj", "ujsharp"), ("uu", "ujsharp"), ("boolean", "uu")):
         if out[stronger].value and not out[weaker].value:
             raise RingError(f"classification bug: {stronger} holds but {weaker} does not")
     return out

@@ -342,6 +342,18 @@ def old_c27(ctx: CheckContext) -> Outcome:
     return _ok()
 
 
+def old_c27_then_searches(ctx: CheckContext) -> Outcome:
+    """The old C2.7 body, then the searches for the classes `classify`
+    now reports by theorem, which C2.7 took over after the rewrite."""
+    out = old_c27(ctx)
+    if not out.ok:
+        return out
+    for name, verdict in checks._finite_ring_searches(ctx.ring, ctx.bundle):
+        if not verdict:
+            return _fail(f"finite ring not {name}: {verdict.witness}")
+    return out
+
+
 def old_c318(ctx: CheckContext) -> Outcome:
     b = ctx.bundle
     if not b.jacobson.members <= b.nilpotents.members:
@@ -528,7 +540,7 @@ OLD_BODIES = {
     "P2.3": old_p23,
     "L-matrix": old_lmatrix,
     "L-2inJ": old_2inj,
-    "C2.7": old_c27,
+    "C2.7": old_c27_then_searches,
     "C3.18": old_c318,
     "P-clean": old_pclean,
     "C-equclean": old_equclean,
@@ -637,3 +649,15 @@ def test_the_corner_at_one_is_the_ring_itself(corpus_bundles):
         ctx = CheckContext(ring, b)
         assert ctx.bundle_of(ring) is b
         assert [(e, c) for e, c, _ in ctx.corners() if c is ring] == [(ring.one, ring)], text
+
+
+def test_c27_fails_with_the_exchange_search_witness():
+    # with Id cut to {0, 1}, a = E11 of m(2,z(2)) is no unit, nor is 1 - a = E22,
+    # and e in {0, 1} serves neither; the rest of C2.7 reads no idempotent
+    ring = compile_text("m(2,z(2))")
+    b = compute_bundle(ring)
+    cut = dataclasses.replace(b, idempotents=ElemSet.of(ring, [ring.zero, ring.one]))
+    exchange = P.is_exchange(ring, cut)
+    assert not exchange.value
+    assert checks.get_check("C2.7").body(CheckContext(ring, cut)) == _fail(f"finite ring not exchange: {exchange.witness}")
+    assert checks.get_check("C2.7").body(CheckContext(ring, b)) == _ok()

@@ -401,6 +401,18 @@ def test_reindexed_rings_match_the_per_cell_oracle(corpus_bundles):
     assert corners == 88
 
 
+def test_quotient_cosets_past_one_slab_of_the_ideal():
+    # |J| = 128 and 1024: the smallest member of each coset is taken over
+    # several 64-row slabs of add[J]
+    for text in ("t(2,z(8))", "t(2,z(16))"):
+        ring = compile_text(text)
+        jac = compute_bundle(ring).jacobson
+        quotient, projection = build_quotient(ring, jac)
+        reps, want = np.unique(ring.add[jac.index_array()].min(axis=0), return_inverse=True)
+        assert projection.tolist() == want.tolist(), text
+        assert quotient.names == tuple(f"[{ring.name_of(int(r))}]" for r in reps), text
+
+
 def test_corner_at_identity_is_the_ring():
     m2 = build_matrix(build_zmod(2), 2)
     corner, embedding = build_corner(m2, m2.one)

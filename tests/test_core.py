@@ -147,6 +147,27 @@ def test_validate_rejects_broken_identity():
     assert any(v.kind in ("NoIdentity", "NonAssociative", "NonDistributive") for v in err.value.violations)
 
 
+def test_element_names_are_formatted_on_demand():
+    add, mul = raw_zmod_tables(5)
+    asked = []
+
+    def name(a):
+        asked.append(a)
+        return f"r{a}"
+
+    ring = validate_ring(add, mul, 0, 1, names=name)
+    assert asked == []
+    assert (ring.name_of(3), ring.describe(4)) == ("r3", "r4 (#4)")
+    assert asked == [3, 4]
+    assert ring.names == ("r0", "r1", "r2", "r3", "r4") and ring.names is ring.names  # built once, then kept
+    assert asked == [3, 4, 0, 1, 2, 3, 4]
+    assert validate_ring(add, mul, 0, 1).names == ("0", "1", "2", "3", "4")
+    assert validate_ring(add, mul, 0, 1, names="abcde").describe(2) == "c (#2)"
+    for names in ("abcd", "abcdef"):
+        with pytest.raises(ValueError, match="names length mismatch"):
+            validate_ring(add, mul, 0, 1, names=names)
+
+
 def test_elem_arithmetic_z8():
     z8 = build_zmod(8)
     assert elem_add(z8, 3, 7) == 2

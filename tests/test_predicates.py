@@ -393,26 +393,51 @@ def test_exchange_witness_past_the_first_block():
         assert not verdict.value and verdict == exchange_oracle(ring, cut), text
 
 
-def test_classify_decides_semipotence_once(monkeypatch, corpus_bundles):
-    calls = {"is_semipotent": 0, "is_potent": 0}
-    for name in calls:
+# the classes every finite ring has, each with the search `classify` no longer runs
+THEOREM_SEARCHES = {
+    "exchange": P.is_exchange,
+    "semipotent": P.is_semipotent,
+    "potent": P.is_potent,
+    "semiregular": P.is_semiregular,
+    "clean": lambda ring, b: P.clean_family(ring, b, ("clean",))["clean"],
+    "strongly_clean": lambda ring, b: P.clean_family(ring, b, ("strongly_clean",))["strongly_clean"],
+    "dedekind_finite": P.is_dedekind_finite,
+}
 
-        def counting(*args, _real=getattr(P, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
 
-        monkeypatch.setattr(P, name, counting)
-    for text in ("z(8)", "m(2,z(2))", "t(3,z(2))"):
-        ring, b = ring_and_bundle(text)
-        calls.update(is_semipotent=0, is_potent=0)
-        assert P.classify(ring, b)["potent"] == P.is_potent(ring, b), text
-        assert calls == {"is_semipotent": 2, "is_potent": 2}, text  # one each in classify, one each above
-    monkeypatch.undo()
-    for text, ring, b in corpus_bundles:  # a handed-in verdict, also a failing one, is used as is
-        no_radical = dataclasses.replace(b, jacobson=ElemSet.of(ring, [ring.zero]))
-        for bundle in (b, no_radical):
-            semi = P.is_semipotent(ring, bundle)
-            assert P.is_potent(ring, bundle, semi) == P.is_potent(ring, bundle), text
+def test_classify_searches_no_class_every_finite_ring_has(monkeypatch, corpus_bundles):
+    calls = []
+    for name in ("is_exchange", "is_semipotent", "is_potent", "is_semiregular", "is_dedekind_finite", "idempotents_lift"):
+        monkeypatch.setattr(P, name, lambda *args, _name=name: calls.append(_name))
+    real = P.clean_family
+
+    def clean_family(ring, b, classes):
+        calls.extend(set(classes) & set(THEOREM_SEARCHES))  # clean or strongly clean asked for
+        return real(ring, b, classes)
+
+    monkeypatch.setattr(P, "clean_family", clean_family)
+    for text, ring, b in corpus_bundles:
+        report = P.classify(ring, b)
+        assert all(report[name] == P.Verdict(True) for name in THEOREM_SEARCHES), text
+    assert calls == []
+
+
+def test_theorem_verdicts_equal_their_searches(corpus_bundles):
+    big = [(text, compile_text(text)) for text in ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))")]
+    for text, ring, b in [*corpus_bundles, *((t, r, compute_bundle(r)) for t, r in big)]:
+        report = P.classify(ring, b)
+        for name, search in THEOREM_SEARCHES.items():
+            assert report[name] == search(ring, b) == P.Verdict(True), (text, name)
+
+
+def test_regular_shortcut_agrees_with_the_search_on_j_zero_rings(corpus_bundles):
+    # every R/J has J = 0, and so have the semisimple corpus rings themselves
+    rings = [(text, ring, b) for text, ring, b in corpus_bundles if len(b.jacobson) == 1]
+    rings += [(text, *b.radical_quotient()[::2]) for text, _, b in corpus_bundles]
+    for text, ring, b in rings:
+        assert len(b.jacobson) == 1, text
+        assert P.is_regular(ring, b) == P.is_regular(ring, None) == P.Verdict(True), text
+    assert len(rings) > len(corpus_bundles)
 
 
 def test_classify_proves_the_radical_an_ideal_once(monkeypatch):
