@@ -463,7 +463,9 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
     # addition is commutative, so column x of add[I] is the coset x + I; its
-    # minimum is taken 64 rows of add[I] at a time, not over an |I| x n copy
+    # minimum is taken 64 rows of add[I] at a time, not over an |I| x n copy:
+    # that copy (16 MiB for R/J on t(2,z(16))) set the peak RSS of a warm
+    # order-4096 inspect
     members = ideal.index_array()
     lowest = ring.add[members[0]].copy()
     for i in range(1, len(members), 64):

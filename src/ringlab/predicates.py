@@ -12,7 +12,10 @@ them true without a search. A finite ring is semiperfect with J nilpotent
 semisimple and J is nil, so it is semipotent, potent and semiregular; and
 it is Dedekind-finite by pigeonhole. The searches for these classes stay
 here as the test of those theorems: registry check C2.7 runs them on every
-ring it checks, and L-dedekind runs `is_dedekind_finite`.
+ring it checks, and L-dedekind runs `is_dedekind_finite`. `classify` also
+reports a ring with J = 0 regular without a search (an Artinian ring is
+regular exactly when it is semisimple); `is_semiregular`, which C2.7 runs,
+searches R/J for regularity and so tests that theorem too.
 """
 
 from __future__ import annotations
@@ -159,18 +162,14 @@ def is_potent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 _BLOCK = 64  # elements a per block in is_regular and is_exchange
 
 
-def is_regular(ring: TableRing, bundle: InvariantBundle | None) -> Verdict:
+def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """von Neumann regular: for each a some x has axa = a.
 
-    A bundle with J = {0} settles it: an Artinian ring is regular exactly
-    when it is semisimple. Otherwise, and always when `bundle` is None,
-    the a are searched in index order, in blocks of 64: the block's
-    columns y*a are copied out (row by row, then transposed in cache), one
+    The a are tested in index order, in blocks of 64: the block's columns
+    y*a are copied out (row by row, then transposed in cache), one
     (64, n) gather gives (a*x)*a over all x, then one row test. The
     witness is the first failing a.
     """
-    if bundle is not None and len(bundle.jacobson) == 1:
-        return Verdict(True)
     n = ring.order
     for i in range(0, n, _BLOCK):
         a = np.arange(i, min(i + _BLOCK, n))
@@ -215,13 +214,9 @@ def is_exchange(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 
 def is_semiregular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
-    """R/J regular and idempotents lift modulo J.
-
-    R/J is searched, not settled by its J = 0, so that this search tests
-    the theorem `is_regular` relies on.
-    """
-    quotient, _, _ = bundle.radical_quotient()
-    reg = is_regular(quotient, None)
+    """R/J regular and idempotents lift modulo J."""
+    quotient, _, qbundle = bundle.radical_quotient()
+    reg = is_regular(quotient, qbundle)
     if not reg:
         return Verdict(False, f"R/J not regular: {reg.witness}")
     return idempotents_lift(ring, bundle, bundle.jacobson)
@@ -295,22 +290,22 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
     return decomposable, in_pool["units"].sum(axis=1)
 
 
-def clean_family(
-    ring: TableRing, bundle: InvariantBundle, classes=(*_CLEAN_CLASSES, "uniquely_clean")
-) -> dict[str, Verdict]:
-    """Ring-level verdicts for the clean-style decomposition classes named
-    in `classes`, in that order (see `clean_decomposable`)."""
+def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
+    """Ring-level verdicts for the clean-style decomposition classes (see
+    `clean_decomposable`)."""
     decomposable, counts = clean_decomposable(ring, bundle)
     out: dict[str, Verdict] = {}
-    for name in classes:
-        unique = name == "uniquely_clean"
-        found = counts == 1 if unique else decomposable[name]
+    for name, found in decomposable.items():
         if found.all():
             out[name] = Verdict(True)
-            continue
-        a = int(np.argmin(found))
-        why = f"has {int(counts[a])} clean decompositions" if unique else f"has no {name.replace('_', ' ')} decomposition"
-        out[name] = Verdict(False, f"{ring.describe(a)} {why}")
+        else:
+            bad = ring.describe(int(np.argmin(found)))
+            out[name] = Verdict(False, f"{bad} has no {name.replace('_', ' ')} decomposition")
+    if (counts == 1).all():
+        out["uniquely_clean"] = Verdict(True)
+    else:
+        bad = int(np.argmax(counts != 1))
+        out["uniquely_clean"] = Verdict(False, f"{ring.describe(bad)} has {int(counts[bad])} clean decompositions")
     return out
 
 
@@ -322,7 +317,8 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
     """Evaluate every ring-class predicate once, in the order `ring inspect` prints them.
 
     The seven classes every finite ring has are reported true without a
-    search (see the module docstring).
+    search (see the module docstring), and so is regularity when J = 0: an
+    Artinian ring is regular exactly when it is semisimple.
     """
     finite = Verdict(True)
     out = {
@@ -332,15 +328,16 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
         "boolean": is_boolean(ring, bundle),
         "local": is_local(ring, bundle),
         "division": is_division(ring, bundle),
-        "regular": is_regular(ring, bundle),
+        "regular": finite if len(bundle.jacobson) == 1 else is_regular(ring, bundle),
         "exchange": finite,
         "semiregular": finite,
         "semiboolean": is_semiboolean(ring, bundle),
         "semipotent": finite,
         "potent": finite,
+        **clean_family(ring, bundle),
+        # overridden in place, so they keep clean_family's order
         "clean": finite,
         "strongly_clean": finite,
-        **clean_family(ring, bundle, ("jsharp_clean", "strongly_jsharp_clean", "strongly_nil_clean", "uniquely_clean")),
         "dedekind_finite": finite,
         "two_primal": is_2primal(ring, bundle),
     }

@@ -68,7 +68,7 @@ def test_criterion_03_theorem_m(suite_report):
 def test_criterion_04_theorem_24(suite_report):
     results = results_for(suite_report, "T2.4")
     ok = all(r.status == "pass" for r in results)
-    report_line(4, ok, "semipotence verified and UJ# <=> R/J Boolean <=> UJ on the full corpus")
+    report_line(4, ok, "UJ# <=> R/J Boolean <=> UJ on the full corpus (semipotence is searched in C2.7)")
 
 
 def test_criterion_05_lemma_12(suite_report):

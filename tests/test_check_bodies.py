@@ -348,7 +348,16 @@ def old_c27_then_searches(ctx: CheckContext) -> Outcome:
     out = old_c27(ctx)
     if not out.ok:
         return out
-    for name, verdict in checks._finite_ring_searches(ctx.ring, ctx.bundle):
+    ring, b = ctx.ring, ctx.bundle
+    family = P.clean_family(ring, b)
+    searches = [
+        ("exchange", P.is_exchange(ring, b)),
+        ("potent", P.is_potent(ring, b)),
+        ("semiregular", P.is_semiregular(ring, b)),
+        ("clean", family["clean"]),
+        ("strongly_clean", family["strongly_clean"]),
+    ]
+    for name, verdict in searches:
         if not verdict:
             return _fail(f"finite ring not {name}: {verdict.witness}")
     return out

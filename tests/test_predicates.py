@@ -399,8 +399,8 @@ THEOREM_SEARCHES = {
     "semipotent": P.is_semipotent,
     "potent": P.is_potent,
     "semiregular": P.is_semiregular,
-    "clean": lambda ring, b: P.clean_family(ring, b, ("clean",))["clean"],
-    "strongly_clean": lambda ring, b: P.clean_family(ring, b, ("strongly_clean",))["strongly_clean"],
+    "clean": lambda ring, b: P.clean_family(ring, b)["clean"],
+    "strongly_clean": lambda ring, b: P.clean_family(ring, b)["strongly_clean"],
     "dedekind_finite": P.is_dedekind_finite,
 }
 
@@ -409,13 +409,6 @@ def test_classify_searches_no_class_every_finite_ring_has(monkeypatch, corpus_bu
     calls = []
     for name in ("is_exchange", "is_semipotent", "is_potent", "is_semiregular", "is_dedekind_finite", "idempotents_lift"):
         monkeypatch.setattr(P, name, lambda *args, _name=name: calls.append(_name))
-    real = P.clean_family
-
-    def clean_family(ring, b, classes):
-        calls.extend(set(classes) & set(THEOREM_SEARCHES))  # clean or strongly clean asked for
-        return real(ring, b, classes)
-
-    monkeypatch.setattr(P, "clean_family", clean_family)
     for text, ring, b in corpus_bundles:
         report = P.classify(ring, b)
         assert all(report[name] == P.Verdict(True) for name in THEOREM_SEARCHES), text
@@ -430,14 +423,20 @@ def test_theorem_verdicts_equal_their_searches(corpus_bundles):
             assert report[name] == search(ring, b) == P.Verdict(True), (text, name)
 
 
-def test_regular_shortcut_agrees_with_the_search_on_j_zero_rings(corpus_bundles):
+def test_regular_shortcut_agrees_with_the_search_on_j_zero_rings(monkeypatch, corpus_bundles):
     # every R/J has J = 0, and so have the semisimple corpus rings themselves
     rings = [(text, ring, b) for text, ring, b in corpus_bundles if len(b.jacobson) == 1]
     rings += [(text, *b.radical_quotient()[::2]) for text, _, b in corpus_bundles]
+    assert len(rings) > len(corpus_bundles)
+    searched = {text: P.is_regular(ring, b) for text, ring, b in corpus_bundles}
+    real, calls = P.is_regular, []
+    monkeypatch.setattr(P, "is_regular", lambda ring, b: calls.append(ring) or real(ring, b))
     for text, ring, b in rings:
         assert len(b.jacobson) == 1, text
-        assert P.is_regular(ring, b) == P.is_regular(ring, None) == P.Verdict(True), text
-    assert len(rings) > len(corpus_bundles)
+        assert P.classify(ring, b)["regular"] == real(ring, b) == P.Verdict(True), text
+    assert calls == []  # settled by J = 0, not searched
+    for text, ring, b in corpus_bundles:  # and with J != 0 the search's verdict, witness and all
+        assert P.classify(ring, b)["regular"] == searched[text], text
 
 
 def test_classify_proves_the_radical_an_ideal_once(monkeypatch):
