@@ -1,11 +1,14 @@
 """Persistent invariant cache keyed by canonical expression digests.
 
-Entries are versioned little-endian binaries of bitsets, closed by a
-SHA-256 over the whole payload; a stored entry is used only when that
-digest and the table checksum of the compiled ring both match, so a
-corrupted file or a builder change silently invalidates the entry
-instead of poisoning results. Any malformed or mismatched file is a
-silent miss.
+Only `ring inspect` and `ring sets` read it; `verify` and `check` always
+compute their bundles. An entry (format version 4) is a header (magic,
+version, order and the table checksum of the ring), the six bitsets U,
+Id, Nil, Z, J and J# packed little-endian, and a SHA-256 over all of
+that; Nil* is J on a finite ring and is not stored. A stored entry is
+used only when that digest and the table checksum of the compiled ring
+both match, so a corrupted file or a builder change silently invalidates
+the entry instead of poisoning results. Any malformed or mismatched file
+is a silent miss.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from .core import ElemSet, TableRing
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
-FORMAT_VERSION = 3
-_NO_INVERSE = 0xFFFFFFFF
+FORMAT_VERSION = 4
 
 _SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
 _HEAD = len(MAGIC) + 6 + 32  # magic, version and order, table checksum
@@ -63,17 +65,13 @@ def serialize_bundle(bundle: InvariantBundle) -> bytes:
     out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), table_checksum(ring)]
     for name in _SETS:
         out.append(np.packbits(getattr(bundle, name).mask(), bitorder="little").tobytes())
-    inv = np.full(ring.order, _NO_INVERSE, dtype="<u4")
-    for a, b in bundle.inverse_map.items():
-        inv[a] = b
-    out.append(inv.tobytes())
     payload = b"".join(out)
     return payload + hashlib.sha256(payload).digest()
 
 
 def deserialize_bundle(data: bytes, ring: TableRing) -> InvariantBundle | None:
     nbytes = (ring.order + 7) // 8
-    if len(data) != _HEAD + len(_SETS) * nbytes + 4 * ring.order + _DIGEST or data[:4] != MAGIC:
+    if len(data) != _HEAD + len(_SETS) * nbytes + _DIGEST or data[:4] != MAGIC:
         return None
     if hashlib.sha256(data[:-_DIGEST]).digest() != data[-_DIGEST:]:
         return None
@@ -90,9 +88,7 @@ def deserialize_bundle(data: bytes, ring: TableRing) -> InvariantBundle | None:
         mask.setflags(write=False)  # so from_mask wraps it without a copy
         sets[name] = ElemSet.from_mask(ring, mask)
         offset += nbytes
-    inv_raw = np.frombuffer(data, dtype="<u4", count=ring.order, offset=offset)
-    inverse_map = {int(a): int(v) for a, v in enumerate(inv_raw) if v != _NO_INVERSE}
-    return InvariantBundle(ring=ring, inverse_map=inverse_map, prime_radical=sets["jacobson"], **sets)
+    return InvariantBundle(ring=ring, prime_radical=sets["jacobson"], **sets)
 
 
 def load_bundle(ring: TableRing) -> InvariantBundle | None:

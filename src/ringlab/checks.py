@@ -40,6 +40,7 @@ from .construct import (
     matrix_unit_index,
 )
 from .expr import compile_text
+from .groups import p_group_prime
 from .subsets import (
     InvariantBundle,
     augmentation_ideal,
@@ -482,19 +483,24 @@ def _chk_equuq(ctx: CheckContext) -> Outcome:
     return _ok()
 
 
-def _chk_p22(ctx: CheckContext) -> Outcome:
-    ring, b = ctx.ring, ctx.bundle
-    ua = b.units.index_array()
+def _units_summing_to_one(ring: TableRing, bundle: InvariantBundle) -> str | None:
+    """The first pair of units u + v = 1, row-major, as "u + v", or None."""
+    ua = bundle.units.index_array()
     bad = np.argwhere(ring.add[np.ix_(ua, ua)] == ring.one)
-    if len(bad):
-        i, j = bad[0]
-        return _fail(f"units {ring.describe(int(ua[i]))} + {ring.describe(int(ua[j]))} = 1")
+    if not len(bad):
+        return None
+    i, j = bad[0]
+    return f"{ring.describe(int(ua[i]))} + {ring.describe(int(ua[j]))}"
+
+
+def _chk_p22(ctx: CheckContext) -> Outcome:
+    pair = _units_summing_to_one(ctx.ring, ctx.bundle)
+    if pair:
+        return _fail(f"units {pair} = 1")
     quotient, _, qb = ctx.radical_quotient()
-    qa = qb.units.index_array()
-    bad = np.argwhere(quotient.add[np.ix_(qa, qa)] == quotient.one)
-    if len(bad):
-        i, j = bad[0]
-        return _fail(f"in R/J: units {quotient.describe(int(qa[i]))} + {quotient.describe(int(qa[j]))} = 1")
+    pair = _units_summing_to_one(quotient, qb)
+    if pair:
+        return _fail(f"in R/J: units {pair} = 1")
     return _ok()
 
 
@@ -504,14 +510,9 @@ def _chk_p23(ctx: CheckContext) -> Outcome:
         if e == quotient.zero:
             continue
         corner, _ = ctx.corner(quotient, e)
-        ua = ctx.bundle_of(corner).units.index_array()
-        bad = np.argwhere(corner.add[np.ix_(ua, ua)] == corner.one)
-        if len(bad):
-            i, j = bad[0]
-            return _fail(
-                f"corner at {quotient.describe(e)}: units "
-                f"{corner.describe(int(ua[i]))} + {corner.describe(int(ua[j]))} = e"
-            )
+        pair = _units_summing_to_one(corner, ctx.bundle_of(corner))
+        if pair:
+            return _fail(f"corner at {quotient.describe(e)}: units {pair} = e")
     return _ok()
 
 
@@ -899,8 +900,6 @@ def _chk_gexp2(ctx: CheckContext) -> Outcome:
 
 
 def _chk_g3grp(ctx: CheckContext) -> Outcome:
-    from .groups import p_group_prime
-
     meta: GroupRingMeta = ctx.ring.meta
     if not ctx.holds("ujsharp"):
         return _ok(note="hypothesis fails here (contrapositive instance)")
@@ -970,18 +969,6 @@ def _applies_j_nil(ctx: CheckContext) -> str | None:
     return "applies to rings with J nil"
 
 
-def _applies_gdelta(ctx: CheckContext) -> str | None:
-    meta = ctx.ring.meta
-    if not isinstance(meta, GroupRingMeta):
-        return "applies to group rings"
-    if not meta.group.is_2group:
-        return "applies when G is a 2-group"
-    base_verdict = P.is_ujsharp(meta.base, ctx.bundle_of(meta.base)).value
-    if not base_verdict:
-        return "applies when the coefficient ring is UJ#"
-    return None
-
-
 def _applies_g2group(ctx: CheckContext) -> str | None:
     meta = ctx.ring.meta
     if not isinstance(meta, GroupRingMeta):
@@ -991,31 +978,41 @@ def _applies_g2group(ctx: CheckContext) -> str | None:
     return None
 
 
-def _applies_gexp2(ctx: CheckContext) -> str | None:
-    meta = ctx.ring.meta
-    if not isinstance(meta, GroupRingMeta):
-        return "applies to group rings"
-    if not meta.group.is_2group:
-        return "applies when G is a 2-group"
-    if not ctx.holds("ujsharp"):
-        return "applies when RG is UJ#"
-    base = meta.base
+def _applies_gdelta(ctx: CheckContext) -> str | None:
+    reason = _applies_g2group(ctx)
+    if reason:
+        return reason
+    base = ctx.ring.meta.base
+    if not P.is_ujsharp(base, ctx.bundle_of(base)):
+        return "applies when the coefficient ring is UJ#"
+    return None
+
+
+def _three_in_base_jsharp(ctx: CheckContext) -> str | None:
+    """The skip reason unless 3 lies in J# of the group ring's coefficient ring."""
+    base = ctx.ring.meta.base
     three = int(base.add[base.one, base.add[base.one, base.one]])
     if three not in ctx.bundle_of(base).jsharp:
         return "applies when 3 lies in J# of the coefficient ring"
     return None
 
 
-def _applies_g3grp(ctx: CheckContext) -> str | None:
-    from .groups import p_group_prime
+def _applies_gexp2(ctx: CheckContext) -> str | None:
+    reason = _applies_g2group(ctx)
+    if reason:
+        return reason
+    if not ctx.holds("ujsharp"):
+        return "applies when RG is UJ#"
+    return _three_in_base_jsharp(ctx)
 
+
+def _applies_g3grp(ctx: CheckContext) -> str | None:
     meta = ctx.ring.meta
     if not isinstance(meta, GroupRingMeta):
         return "applies to group rings"
-    base = meta.base
-    three = int(base.add[base.one, base.add[base.one, base.one]])
-    if three not in ctx.bundle_of(base).jsharp:
-        return "applies when 3 lies in J# of the coefficient ring"
+    reason = _three_in_base_jsharp(ctx)
+    if reason:
+        return reason
     p = p_group_prime(meta.group)
     if p is None or p == 2:
         return "applies when G is a p-group for an odd prime p"
@@ -1186,24 +1183,18 @@ def _evaluate(check: Check, ctx: CheckContext, ring_text: str) -> CheckResult:
     return CheckResult(check.id, ring_text, status, outcome.witness, outcome.note, round(millis, 3))
 
 
-def make_context(ring: TableRing, deep: bool = False, cap: int | None = None, use_cache: bool = False) -> CheckContext:
-    if use_cache:
-        from . import cache
-
-        bundle = cache.get_or_compute(ring)
-    else:
-        bundle = compute_bundle(ring)
-    return CheckContext(ring, bundle, deep=deep, cap=cap)
+def make_context(ring: TableRing, deep: bool = False, cap: int | None = None) -> CheckContext:
+    return CheckContext(ring, compute_bundle(ring), deep=deep, cap=cap)
 
 
-def run_check(check_id: str, ring_or_text, deep: bool = False, cap: int | None = None, use_cache: bool = False) -> CheckResult:
+def run_check(check_id: str, ring_or_text, deep: bool = False, cap: int | None = None) -> CheckResult:
     """Evaluate one check against one ring (expression text or TableRing)."""
     check = get_check(check_id)
     if isinstance(ring_or_text, TableRing):
         ring = ring_or_text
     else:
         ring = compile_text(str(ring_or_text), cap)
-    ctx = make_context(ring, deep=deep, cap=cap, use_cache=use_cache)
+    ctx = make_context(ring, deep=deep, cap=cap)
     text = ring.expr_text or f"<ring order {ring.order}>"
     return _evaluate(check, ctx, text)
 
@@ -1213,7 +1204,6 @@ def run_suite(
     filter_glob: str = "*",
     deep: bool = False,
     cap: int | None = None,
-    use_cache: bool = False,
 ) -> SuiteReport:
     """Evaluate every matching check against every corpus ring."""
     selected = [c for c in REGISTRY if fnmatch.fnmatchcase(c.id, filter_glob)]
@@ -1234,7 +1224,7 @@ def run_suite(
     results: dict[str, list[CheckResult]] = {check.id: [] for check in selected}
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for text, ring in zip(texts, rings):
-        ctx = make_context(ring, deep=deep, cap=cap, use_cache=use_cache)
+        ctx = make_context(ring, deep=deep, cap=cap)
         for check in selected:
             result = _evaluate(check, ctx, text)
             summary[result.status] += 1

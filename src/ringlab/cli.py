@@ -19,16 +19,17 @@ from .expr import ParseError, RangeError, compile_text
 from .groups import GroupError, UnsupportedGroupError
 from .subsets import NotAGroupRingError, augmentation_ideal
 
-_SET_NAMES = {
-    "u": "units",
-    "j": "jacobson",
-    "jsharp": "jsharp",
-    "nil": "nilpotents",
-    "nilstar": "prime_radical",
-    "id": "idempotents",
-    "center": "center",
-    "delta": "delta",
-}
+# (label, bundle attribute), in the order `inspect` prints the sizes
+_BUNDLE_SETS = (
+    ("U", "units"),
+    ("J", "jacobson"),
+    ("Jsharp", "jsharp"),
+    ("Nil", "nilpotents"),
+    ("NilStar", "prime_radical"),
+    ("Id", "idempotents"),
+    ("Center", "center"),
+)
+_SET_LABELS = [label for label, _ in _BUNDLE_SETS] + ["Delta"]
 
 
 def _cap(args) -> int:
@@ -66,15 +67,7 @@ def cmd_inspect(args) -> int:
     ring = compile_text(args.expr, _cap(args))
     bundle = _bundle_for(args, ring)
     verdicts = P.classify(ring, bundle)
-    sizes = {
-        "U": len(bundle.units),
-        "J": len(bundle.jacobson),
-        "Jsharp": len(bundle.jsharp),
-        "Nil": len(bundle.nilpotents),
-        "NilStar": len(bundle.prime_radical),
-        "Id": len(bundle.idempotents),
-        "Center": len(bundle.center),
-    }
+    sizes = {label: len(getattr(bundle, attr)) for label, attr in _BUNDLE_SETS}
     payload = {
         "expr": ring.expr_text,
         "order": ring.order,
@@ -100,12 +93,12 @@ def cmd_inspect(args) -> int:
 
 def _resolve_set(ring, bundle, name: str):
     key = name.lower().replace("*", "star").replace("#", "sharp")
-    if key not in _SET_NAMES:
-        raise ValueError(f"unknown set {name!r}; choose from U, J, Jsharp, Nil, NilStar, Id, Center, Delta")
-    attr = _SET_NAMES[key]
-    if attr == "delta":
+    if key == "delta":
         return augmentation_ideal(ring)
-    return getattr(bundle, attr)
+    for label, attr in _BUNDLE_SETS:
+        if key == label.lower():
+            return getattr(bundle, attr)
+    raise ValueError(f"unknown set {name!r}; choose from {', '.join(_SET_LABELS)}")
 
 
 def cmd_sets(args) -> int:
@@ -139,7 +132,7 @@ def cmd_elements(args) -> int:
 
 
 def cmd_check(args) -> int:
-    result = run_check(args.check_id, args.expr, deep=args.deep_oracle, cap=_cap(args), use_cache=not args.no_cache)
+    result = run_check(args.check_id, args.expr, deep=args.deep_oracle, cap=_cap(args))
     payload = {
         "id": result.check_id,
         "ring": result.ring,
@@ -169,13 +162,7 @@ def _load_corpus_file(path: str) -> list[str]:
 
 def cmd_verify(args) -> int:
     corpus = _load_corpus_file(args.corpus) if args.corpus else None
-    report = run_suite(
-        corpus,
-        filter_glob=args.filter,
-        deep=args.deep_oracle,
-        cap=_cap(args),
-        use_cache=not args.no_cache,
-    )
+    report = run_suite(corpus, filter_glob=args.filter, deep=args.deep_oracle, cap=_cap(args))
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -234,11 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ring", description="Finite-ring structure explorer and claim checker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache_flags=True):
+    def common(p, no_cache_help="skip the persistent invariant cache"):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--max-order", type=int, default=None, help="construction order cap (default 4096)")
-        if cache_flags:
-            p.add_argument("--no-cache", action="store_true", help="skip the persistent invariant cache")
+        if no_cache_help:
+            p.add_argument("--no-cache", action="store_true", help=no_cache_help)
+
+    ignored = "accepted and ignored: check and verify never read the cache"
 
     p = sub.add_parser("inspect", help="order, subset sizes and predicate verdicts")
     p.add_argument("expr")
@@ -247,27 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sets", help="list one structural subset")
     p.add_argument("expr")
-    p.add_argument("set_name", metavar="set", help="U | J | Jsharp | Nil | NilStar | Id | Center | Delta")
+    p.add_argument("set_name", metavar="set", help=" | ".join(_SET_LABELS))
     common(p)
     p.set_defaults(func=cmd_sets)
 
     p = sub.add_parser("elements", help="index/description table of a ring")
     p.add_argument("expr")
-    common(p, cache_flags=False)
+    common(p, no_cache_help=None)
     p.set_defaults(func=cmd_elements)
 
     p = sub.add_parser("check", help="run one registered check against one ring")
     p.add_argument("check_id")
     p.add_argument("expr")
     p.add_argument("--deep-oracle", action="store_true", help="enable ideal-enumeration oracles")
-    common(p)
+    common(p, ignored)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run the check suite over a corpus")
     p.add_argument("--corpus", help="file with one expression per line (# comments)")
     p.add_argument("--filter", default="*", help="glob over check ids (default *)")
     p.add_argument("--deep-oracle", action="store_true", help="enable ideal-enumeration oracles")
-    common(p)
+    common(p, ignored)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="print the default corpus")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ElemSet, RingError, TableRing
 from .construct import build_quotient
-from .subsets import InvariantBundle, compute_bundle
+from .subsets import InvariantBundle, compute_bundle, product_one_pairs
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def is_division(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 
 def is_dedekind_finite(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """ab = 1 forces ba = 1 (pigeonhole guarantees this on finite rings)."""
-    a, b = bundle.right_inverse_pairs()  # row-major, as the first witness needs
+    a, b = product_one_pairs(ring)  # row-major, as the first witness needs
     bad = np.flatnonzero(ring.mul[b, a] != ring.one)
     if len(bad):
         a, b = int(a[bad[0]]), int(b[bad[0]])

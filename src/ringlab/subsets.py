@@ -50,14 +50,17 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(cells, ring.order)
 
 
-def units(ring: TableRing) -> tuple[ElemSet, dict[int, int], tuple[np.ndarray, np.ndarray]]:
-    """The unit group, the (total on units) inverse map, and the pairs
-    (a, b) with ab = 1 in row-major order that it was read from."""
-    pairs = product_one_pairs(ring)
-    a, b = pairs
+def units(ring: TableRing) -> ElemSet:
+    """The unit group."""
+    return ElemSet.of(ring, list(unit_inverses(ring)))
+
+
+def unit_inverses(ring: TableRing) -> dict[int, int]:
+    """Each unit with its inverse: the pairs ab = 1 that also have ba = 1
+    (a two-sided inverse is unique)."""
+    a, b = product_one_pairs(ring)
     two_sided = ring.mul[b, a] == ring.one
-    a, b = a[two_sided].tolist(), b[two_sided].tolist()  # a two-sided inverse is unique
-    return ElemSet.of(ring, a), dict(zip(a, b)), pairs
+    return dict(zip(a[two_sided].tolist(), b[two_sided].tolist()))
 
 
 def idempotents(ring: TableRing) -> ElemSet:
@@ -100,7 +103,7 @@ def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None) -> El
     the next.
     """
     if unit_mask is None:
-        unit_mask = units(ring)[0].mask()
+        unit_mask = units(ring).mask()
     quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
     cand = np.flatnonzero(quasi)
     for r in range(0, ring.order, _JAC_ROWS):
@@ -190,7 +193,6 @@ class InvariantBundle:
 
     ring: TableRing
     units: ElemSet
-    inverse_map: dict[int, int]
     idempotents: ElemSet
     nilpotents: ElemSet
     center: ElemSet
@@ -198,15 +200,6 @@ class InvariantBundle:
     jsharp: ElemSet
     prime_radical: ElemSet
     _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _right_inverse_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def right_inverse_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs (a, b) with ab = 1, row-major: those `units` found,
-        kept by `compute_bundle`; a bundle loaded from the cache has none
-        and scans for them on first use."""
-        if self._right_inverse_pairs is None:
-            self._right_inverse_pairs = product_one_pairs(self.ring)
-        return self._right_inverse_pairs
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
         """(R/J, projection, bundle of R/J), computed on first use and kept.
@@ -225,21 +218,17 @@ class InvariantBundle:
 
     def on_copy(self, ring: TableRing) -> InvariantBundle:
         """This bundle for `ring`, a ring over these very tables (R/{0}):
-        the same read-only masks, inverse map and ab = 1 pairs, wrapped
-        for it; nothing is recomputed."""
+        the same read-only masks, wrapped for it; nothing is recomputed."""
         sets = {name: ElemSet.from_mask(ring, getattr(self, name).mask()) for name in _SETS}
-        out = InvariantBundle(ring=ring, inverse_map=self.inverse_map, **sets)
-        out._right_inverse_pairs = self._right_inverse_pairs
-        return out
+        return InvariantBundle(ring=ring, **sets)
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    u, inv, pairs = units(ring)
+    u = units(ring)
     jac = jacobson_radical(ring, u.mask())
     bundle = InvariantBundle(
         ring=ring,
         units=u,
-        inverse_map=inv,
         idempotents=idempotents(ring),
         nilpotents=nilpotents(ring),
         center=center(ring),
@@ -247,7 +236,6 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
         jsharp=jsharp(ring, jac),
         prime_radical=prime_radical(ring, jac),
     )
-    bundle._right_inverse_pairs = pairs
     _assert_bundle_sanity(bundle)
     return bundle
 

@@ -1,8 +1,13 @@
+import ast
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
+import ringlab
 from ringlab import ElemSet, compile_text, compute_bundle
+from ringlab import predicates as P
 from ringlab.cache import (
     FORMAT_VERSION,
     cache_dir,
@@ -15,7 +20,6 @@ from ringlab.cache import (
     stats,
     table_checksum,
 )
-from ringlab.checks import CheckContext, get_check
 from ringlab.cli import main
 from ringlab.construct import build_zmod
 
@@ -34,7 +38,6 @@ def test_serialize_roundtrip():
     assert back is not None
     for name in ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical"):
         assert getattr(back, name).members == getattr(bundle, name).members
-    assert back.inverse_map == bundle.inverse_map
 
 
 def test_save_load_through_files():
@@ -105,8 +108,31 @@ def test_flipped_bit_is_a_miss_not_a_false_verdict(capsys):
     data[42] ^= 1 << 2  # the units bitset follows the 42-byte header: add 2 to U
     entry.write_bytes(bytes(data))
     assert load_bundle(ring) is None
-    # accepted, the corrupted entry would turn C-Zn into a false fail
+    # accepted, the corrupted entry would make inspect report z(8) not UJ#
     corrupt = dataclasses.replace(bundle, units=ElemSet.of(ring, [1, 2, 3, 5, 7]))
-    assert not get_check("C-Zn").body(CheckContext(ring, corrupt)).ok
-    assert main(["check", "C-Zn", "z(8)"]) == 0
-    assert "C-Zn on z(8): pass" in capsys.readouterr().out
+    assert not P.classify(ring, corrupt)["ujsharp"]
+    assert main(["inspect", "z(8)", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sizes"]["U"] == 4 and payload["predicates"]["ujsharp"]["verdict"] is True
+    assert load_bundle(ring) is not None  # the miss wrote a sound entry back
+
+
+def _imports_cache(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "ringlab.cache" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = ("." * node.level) + (node.module or "")
+        if module in (".cache", "ringlab.cache"):
+            return True
+        return module in (".", "ringlab") and any(alias.name == "cache" for alias in node.names)
+    return False
+
+
+def test_only_cli_imports_the_cache():
+    # verify and check always compute their bundles; only inspect and sets,
+    # through cli, read the cache
+    importers = set()
+    for path in sorted(Path(ringlab.__file__).parent.glob("*.py")):
+        if any(_imports_cache(node) for node in ast.walk(ast.parse(path.read_text()))):
+            importers.add(path.name)
+    assert importers == {"cli.py"}

@@ -12,6 +12,7 @@ import dataclasses
 from functools import partial
 
 import numpy as np
+import pytest
 
 from ringlab import ElemSet, checks, compile_text, compute_bundle
 from ringlab import predicates as P
@@ -670,3 +671,18 @@ def test_c27_fails_with_the_exchange_search_witness():
     assert not exchange.value
     assert checks.get_check("C2.7").body(CheckContext(ring, cut)) == _fail(f"finite ring not exchange: {exchange.witness}")
     assert checks.get_check("C2.7").body(CheckContext(ring, b)) == _ok()
+
+
+@pytest.mark.parametrize("name", ["exchange", "potent", "semiregular", "clean", "strongly_clean"])
+def test_c27_runs_each_finite_ring_search(monkeypatch, name):
+    # each search in turn fails with a stub witness, so dropping any one
+    # from C2.7 shows here, whatever the other searches find
+    stub = P.Verdict(False, "stub")
+    if name in ("clean", "strongly_clean"):
+        family = P.clean_family
+        monkeypatch.setattr(checks.P, "clean_family", lambda ring, b: {**family(ring, b), name: stub})
+    else:
+        monkeypatch.setattr(checks.P, f"is_{name}", lambda ring, b: stub)
+    ring = compile_text("z(4)")
+    outcome = checks.get_check("C2.7").body(CheckContext(ring, compute_bundle(ring)))
+    assert outcome == _fail(f"finite ring not {name}: stub")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ringlab.checks import default_corpus
 from ringlab.cli import main
 
 
@@ -196,10 +197,12 @@ def test_cache_lifecycle(capsys):
     assert "entries: 0" in out
 
 
-def test_cache_transparency_inspect(capsys):
-    _, cold, _ = run_cli(capsys, "inspect", "group(z(4),c(2))", "--json")
-    _, warm, _ = run_cli(capsys, "inspect", "group(z(4),c(2))", "--json")
-    assert cold == warm
+def test_cache_transparency_inspect(capsys, tmp_path):
+    for text in default_corpus():
+        code, cold, _ = run_cli(capsys, "inspect", text, "--json")
+        assert code == 0 and cold, text
+        assert run_cli(capsys, "inspect", text, "--json") == (0, cold, ""), text
+    assert len(list((tmp_path / "cache").glob("*.bin"))) == len(default_corpus())  # every warm run had an entry
 
 
 def test_max_order_flag_and_env(capsys, monkeypatch):

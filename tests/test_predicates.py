@@ -460,7 +460,8 @@ def test_classify_proves_the_radical_an_ideal_once(monkeypatch):
 
 
 def dedekind_finite_oracle(ring):
-    """Its own scan for the pairs ab = 1, as before the bundle kept them."""
+    """The pairs ab = 1 from `np.nonzero(mul == one)`, row-major, without
+    the word scan of `product_one_pairs`."""
     a, b = np.nonzero(ring.mul == ring.one)
     bad = np.flatnonzero(ring.mul[b, a] != ring.one)
     if len(bad):
@@ -469,24 +470,17 @@ def dedekind_finite_oracle(ring):
     return P.Verdict(True)
 
 
-def test_dedekind_finite_reuses_the_unit_pairs(corpus_bundles):
-    from ringlab import cache
-
+def test_dedekind_finite_matches_its_oracle(corpus_bundles):
     big = compile_text("t(2,z(16))")
     for text, ring, b in [*corpus_bundles, ("t(2,z(16))", big, compute_bundle(big))]:
-        kept = b._right_inverse_pairs  # kept by compute_bundle
-        assert all(np.array_equal(x, y) for x, y in zip(kept, np.nonzero(ring.mul == ring.one))), text
-        loaded = cache.deserialize_bundle(cache.serialize_bundle(b), ring)
-        assert loaded._right_inverse_pairs is None, text  # not in the cache payload
-        for bundle in (b, loaded):
-            assert P.is_dedekind_finite(ring, bundle) == dedekind_finite_oracle(ring), text
+        assert P.is_dedekind_finite(ring, b) == dedekind_finite_oracle(ring), text
 
 
 def test_dedekind_finite_witness_on_a_one_sided_inverse():
     # Raw tables, not a ring: 2 * 4 = 1 and 3 * 2 = 1, but 4 * 2 = 2 * 3 = 0.
     # Row-major, (2, 4) is the first one-sided pair; column-major, (3, 2).
     from ringlab.core import TableRing
-    from ringlab.subsets import InvariantBundle, units
+    from ringlab.subsets import InvariantBundle, unit_inverses, units
 
     n = 5
     add = np.add.outer(np.arange(n), np.arange(n)).astype(np.int32) % n
@@ -494,14 +488,10 @@ def test_dedekind_finite_witness_on_a_one_sided_inverse():
     mul[1, :] = mul[:, 1] = np.arange(n)
     mul[2, 4] = mul[3, 2] = 1
     ring = TableRing(n, add, mul, (-np.arange(n)) % n, 0, 1, tuple("01234"), None, "raw")
-    u, inverse, pairs = units(ring)
-    assert u.members == {1} and inverse == {1: 1}
+    u = units(ring)
+    assert u.members == {1} and unit_inverses(ring) == {1: 1}
     empty = ElemSet.of(ring, [0])
-    fresh = InvariantBundle(ring, u, inverse, empty, empty, empty, empty, empty, empty)
-    fresh._right_inverse_pairs = pairs  # as compute_bundle leaves it
-    loaded = dataclasses.replace(fresh)  # as a cache load leaves it: no pairs
-    assert loaded._right_inverse_pairs is None
+    bundle = InvariantBundle(ring, u, empty, empty, empty, empty, empty, empty)
     expected = P.Verdict(False, "ab = 1 but ba != 1 for a = 2 (#2), b = 4 (#4)")
     assert dedekind_finite_oracle(ring) == expected
-    for bundle in (fresh, loaded):
-        assert P.is_dedekind_finite(ring, bundle) == expected
+    assert P.is_dedekind_finite(ring, bundle) == expected

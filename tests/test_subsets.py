@@ -23,6 +23,7 @@ from ringlab.subsets import (
     prime_radical,
     prime_radical_ideal_oracle,
     product_one_pairs,
+    unit_inverses,
     units,
 )
 
@@ -35,19 +36,20 @@ ONES = 1 + 2 + 4 + 8
 
 def test_units_examples():
     z8 = build_zmod(8)
-    u, inverse, (a, b) = units(z8)
+    u = units(z8)
     assert u.indices() == (1, 3, 5, 7)
+    a, b = product_one_pairs(z8)
     assert list(zip(a.tolist(), b.tolist())) == [(1, 1), (3, 3), (5, 5), (7, 7)]  # every ab = 1, row-major
-    assert all(inverse[x] == x for x in u)  # odd residues self-inverse mod 8
+    assert unit_inverses(z8) == {x: x for x in u}  # odd residues self-inverse mod 8
 
-    u, inverse, _ = units(M2)
-    assert len(u) == 6
+    u, inverse = units(M2), unit_inverses(M2)
+    assert len(u) == 6 and set(inverse) == u.members
     for a in u:
         assert int(M2.mul[a, inverse[a]]) == M2.one
         assert int(M2.mul[inverse[a], a]) == M2.one
 
     fc2 = compile_text("group(z(2),c(2))")
-    u, _, _ = units(fc2)
+    u = units(fc2)
     assert u.indices() == (1, 2)  # 1 and g
 
 
@@ -123,7 +125,7 @@ def test_units_and_inverses_match_the_definition(corpus_bundles):
         one = ring.one
         inverses = {a: [b for b in range(ring.order) if ring.mul[a, b] == one == ring.mul[b, a]] for a in range(ring.order)}
         assert bundle.units.members == {a for a, bs in inverses.items() if bs}, text
-        assert bundle.inverse_map == {a: bs[0] for a, bs in inverses.items() if bs}, text
+        assert unit_inverses(ring) == {a: bs[0] for a, bs in inverses.items() if bs}, text
 
 
 def test_jacobson_candidate_gather_matches_the_full_gather():
@@ -132,7 +134,7 @@ def test_jacobson_candidate_gather_matches_the_full_gather():
     # the rows (r, 2), the last slab, as the z(3) coordinate is the high digit
     for text in ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "prod(z(512),z(3))"):
         ring = compile_text(text)
-        unit_mask = units(ring)[0].mask()
+        unit_mask = units(ring).mask()
         quasi = unit_mask[ring.add[ring.one, ring.neg]]
         full = np.flatnonzero(quasi[ring.mul].all(axis=0))
         assert jacobson_radical(ring, unit_mask).indices() == tuple(full.tolist()), text
@@ -233,7 +235,7 @@ def test_bundle_invariants_across_sample():
         assert b.prime_radical.members <= b.nilpotents.members
         one_plus_j = {int(ring.add[ring.one, j]) for j in b.jacobson}
         assert one_plus_j <= b.units.members
-        assert set(b.inverse_map) == set(b.units.members)
+        assert set(unit_inverses(ring)) == set(b.units.members)
 
 
 GUARD_SCRIPT = """
@@ -278,9 +280,8 @@ def assert_pairs_match_nonzero(ring, label):
 
 
 def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
-    for text, ring, bundle in corpus_bundles:
+    for text, ring, _ in corpus_bundles:
         assert_pairs_match_nonzero(ring, text)
-        assert all(np.array_equal(g, w) for g, w in zip(bundle.right_inverse_pairs(), np.nonzero(ring.mul == ring.one)))
     for text in ("z(3)", "z(5)", "z(9)", "z(27)", "t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))"):
         ring = compile_text(text)
         assert ring.order**2 % 8 or ring.order == 4096, text  # n^2 not a multiple of 8 below the cap: a tail
@@ -304,16 +305,6 @@ def test_word_scan_matches_nonzero_on_raw_tables(n):
     assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], one=1, order=n))[0])
 
 
-def test_a_cache_loaded_bundle_scans_the_same_pairs(corpus_bundles):
-    from ringlab import cache
-
-    for text, ring, bundle in corpus_bundles[:8]:
-        loaded = cache.deserialize_bundle(cache.serialize_bundle(bundle), ring)
-        assert loaded._right_inverse_pairs is None, text
-        got, want = loaded.right_inverse_pairs(), bundle.right_inverse_pairs()
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), text
-
-
 SET_FIELDS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
 
 
@@ -332,8 +323,6 @@ def test_r_mod_zero_shares_the_bundle_of_r(corpus_bundles, monkeypatch):
             got, want = getattr(shared, name), getattr(computed, name)
             assert got.ring is quotient and got.mask() is getattr(b, name).mask(), (text, name)
             assert np.array_equal(got.mask(), want.mask()), (text, name)
-        assert shared.inverse_map == computed.inverse_map, text
-        assert all(np.array_equal(g, w) for g, w in zip(shared.right_inverse_pairs(), computed.right_inverse_pairs()))
         if len(b.jacobson) == 1:
             semisimple += 1
             fresh = compute_bundle(ring)
