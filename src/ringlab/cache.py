@@ -1,7 +1,7 @@
 """Persistent invariant cache keyed by canonical expression digests.
 
 Only `ring inspect` and `ring sets` read it; `verify` and `check` always
-compute their bundles. An entry (format version 4) is a header (magic,
+compute their bundles. An entry (format version 5) is a header (magic,
 version, order and the table checksum of the ring), the six bitsets U,
 Id, Nil, Z, J and J# packed little-endian, and a SHA-256 over all of
 that; Nil* is J on a finite ring and is not stored. A stored entry is
@@ -25,7 +25,7 @@ from .core import ElemSet, TableRing
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
 _HEAD = len(MAGIC) + 6 + 32  # magic, version and order, table checksum
@@ -41,15 +41,17 @@ def cache_dir() -> Path:
 
 
 def table_checksum(ring: TableRing) -> bytes:
-    """SHA-256 of the order, zero, one and both tables as little-endian int32.
+    """SHA-256 of the order, zero, one and both tables as the little-endian
+    uint16 the ring stores them in.
 
     The tables are hashed in place; a copy is made only on a host whose
-    native byte order is not little-endian.
+    native byte order is not little-endian. Format 4 hashed an int32 copy
+    of each table, so format-5 checksums differ from format-4 ones.
     """
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, 0))
-    h.update(np.ascontiguousarray(ring.add, dtype="<i4"))
-    h.update(np.ascontiguousarray(ring.mul, dtype="<i4"))
+    h.update(np.ascontiguousarray(ring.add, dtype="<u2"))
+    h.update(np.ascontiguousarray(ring.mul, dtype="<u2"))
     return h.digest()
 
 

@@ -1112,7 +1112,8 @@ def _registry() -> tuple[Check, ...]:
 
 REGISTRY: tuple[Check, ...] = _registry()
 _BY_ID = {c.id: c for c in REGISTRY}
-assert len(_BY_ID) == len(REGISTRY), "duplicate check ids"
+if len(_BY_ID) != len(REGISTRY):
+    raise RuntimeError("duplicate check ids")
 
 
 def registry() -> tuple[Check, ...]:

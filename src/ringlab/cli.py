@@ -14,7 +14,7 @@ import sys
 from . import cache as cache_mod
 from . import predicates as P
 from .checks import CorpusError, UnknownCheckError, registry, run_check, run_suite
-from .core import DEFAULT_MAX_ORDER, RingError
+from .core import DEFAULT_MAX_ORDER, MAX_TABLE_ORDER, RingError
 from .expr import ParseError, RangeError, compile_text
 from .groups import GroupError, UnsupportedGroupError
 from .subsets import NotAGroupRingError, augmentation_ideal
@@ -33,7 +33,11 @@ _SET_LABELS = [label for label, _ in _BUNDLE_SETS] + ["Delta"]
 
 
 def _cap(args) -> int:
-    """The order cap from --max-order, else RINGLAB_MAX_ORDER, else the default."""
+    """The order cap from --max-order, else RINGLAB_MAX_ORDER, else the default.
+
+    A cap above MAX_TABLE_ORDER is refused: the tables of a larger ring do
+    not fit in their 16-bit storage.
+    """
     value, source = getattr(args, "max_order", None), "--max-order"
     if value is None:
         value, source = os.environ.get("RINGLAB_MAX_ORDER"), "RINGLAB_MAX_ORDER"
@@ -45,6 +49,8 @@ def _cap(args) -> int:
             raise ValueError(f"{source} must be a positive integer, got {value!r}") from None
     if value < 1:
         raise ValueError(f"{source} must be a positive integer, got {value}")
+    if value > MAX_TABLE_ORDER:
+        raise ValueError(f"{source} must be at most {MAX_TABLE_ORDER}, the limit of 16-bit table storage, got {value}")
     return value
 
 

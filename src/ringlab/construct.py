@@ -39,6 +39,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_ORDER,
+    MAX_TABLE_ORDER,
     ElemSet,
     GaloisMeta,
     GroupRingMeta,
@@ -49,10 +50,12 @@ from .core import (
     CornerMeta,
     RingError,
     SkewPolyMeta,
+    TABLE_DTYPE,
     TableRing,
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    _index_table,
     all_digits,
     elem_pow,
     encode_digits,
@@ -98,6 +101,8 @@ def _check_cap(order: int, cap: int | None) -> None:
     cap = DEFAULT_MAX_ORDER if cap is None else cap
     if order > cap:
         raise OutOfCapError(f"order {order} exceeds cap {cap}")
+    if order > MAX_TABLE_ORDER:  # checked before any n x n table is allocated
+        raise OutOfCapError(f"order {order} exceeds {MAX_TABLE_ORDER}, the limit of 16-bit table storage")
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +235,13 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     digit's bit count, so no field crosses a digit. The same formula, with
     H the sum of every base's H shifted to its digit's offset, is
     therefore exactly the ring's addition: add is filled from it directly,
-    and the mul extension is computed with five int32 operations on each
+    and the mul extension is computed with five uint16 operations on each
     block (SWAR): the low k - 1 bits of two fields sum below 2^k, so their
     carry stops at the field's top bit, which is the XOR of both top bits
-    and that carry.
+    and that carry. The index has at most 16 bits (the order is at most
+    65536), so every field sits inside one uint16 lane.
+
+    Both tables are allocated in TABLE_DTYPE, the dtype the ring keeps.
     """
     if any(base.zero != 0 for base in bases):
         raise RingError("digit-vector constructions need the base zero at index 0")
@@ -251,15 +259,15 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
         highs = {id(base): _field_high_bits(base) for base in bases}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
-    add = np.empty((order, order), dtype=np.int32)
-    mul = np.empty((order, order), dtype=np.int32)
+    add = np.empty((order, order), dtype=TABLE_DTYPE)
+    mul = np.empty((order, order), dtype=TABLE_DTYPE)
     mul[0] = 0
     for x, c, w in monomials:
         mul[x] = encode_digits(mono_rule(c, w, digits), radices)
     if high is None:
         add[0] = np.arange(order)
         for x, c, w in monomials:
-            add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]] - digits[:, w]) * place[w]
+            add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]].astype(np.intp) - digits[:, w]) * place[w]
         for x, lo, hi in blocks:
             np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
         _extend_by_gather(add, mul, blocks)
@@ -270,11 +278,19 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     return digits, add, mul, encode_digits(neg, radices)
 
 
+def _lane_masks(high: int) -> tuple[np.generic, np.generic]:
+    """(L, H) as TABLE_DTYPE scalars, with L = ~H cut to the lane width
+    (the dtype of a negative int such as ~H would not hold it)."""
+    lane = np.iinfo(TABLE_DTYPE).max
+    return TABLE_DTYPE(~high & lane), TABLE_DTYPE(high)
+
+
 def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
     """add[i, j] = ((i & L) + (j & L)) ^ (i & H) ^ (j & H), with L = ~H,
     `rows` rows at a time."""
-    i = np.arange(add.shape[0], dtype=np.int32)
-    low, top = i & np.int32(~high), i & np.int32(high)
+    i = np.arange(add.shape[0], dtype=TABLE_DTYPE)
+    low_mask, high_mask = _lane_masks(high)
+    low, top = i & low_mask, i & high_mask
     for r in range(0, len(i), rows):
         out = add[r : r + rows]
         np.add(low[r : r + rows, None], low, out=out)
@@ -295,8 +311,9 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
 
 
 def _extend_bitwise(mul: np.ndarray, blocks, high: int) -> None:
-    """`_extend_by_gather` for an addition that is bitwise with top bits `high`."""
-    low, high = np.int32(~high), np.int32(high)
+    """`_extend_by_gather` for an addition that is bitwise with top bits
+    `high`, in TABLE_DTYPE lanes."""
+    low, high = _lane_masks(high)
     for x, lo, hi in blocks:
         out, rows = mul[x + lo : x + hi], mul[lo:hi]
         top = (rows ^ mul[x]) & high
@@ -555,11 +572,13 @@ class Endomorphism:
 
 
 def validate_endomorphism(ring: TableRing, mapping, name: str = "endo") -> Endomorphism:
-    arr = np.asarray(mapping, dtype=np.int32)
+    arr = np.asarray(mapping)
     if arr.shape != (ring.order,):
         raise InvalidEndomorphismError("image table must list one image per element")
-    if arr.min() < 0 or arr.max() >= ring.order:
-        raise InvalidEndomorphismError("image out of range")
+    try:  # range-checked on the input's own dtype, like a ring table, so no image wraps
+        arr = _index_table(arr, ring.order)
+    except ValueError:
+        raise InvalidEndomorphismError("image out of range") from None
     if int(arr[ring.zero]) != ring.zero or int(arr[ring.one]) != ring.one:
         raise InvalidEndomorphismError("map must fix 0 and 1")
     if not np.array_equal(arr[ring.add], ring.add[arr[:, None], arr[None, :]]):

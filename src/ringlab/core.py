@@ -2,10 +2,12 @@
 
 A ring of order n stores dense n x n addition and multiplication tables
 over element indices 0..n-1 together with the distinguished `zero` and
-`one` indices. Every constructor in this package funnels its tables
-through `validate_ring`, so a `TableRing` in hand always satisfies the
-ring axioms (exhaustively checked up to order 64, sampled above; the
-`validation` attribute records which).
+`one` indices. Every table (`add`, `mul`, `neg`) is stored as uint16,
+which holds every index of a ring of order at most 65536. Every
+constructor in this package funnels its tables through `validate_ring`,
+so a `TableRing` in hand always satisfies the ring axioms (exhaustively
+checked up to order 64, sampled above; the `validation` attribute
+records which).
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ if TYPE_CHECKING:
     from .groups import GroupTable
 
 DEFAULT_MAX_ORDER = 4096
+TABLE_DTYPE = np.uint16
+MAX_TABLE_ORDER = 1 << 16  # the largest order whose indices all fit in TABLE_DTYPE
 EXHAUSTIVE_LIMIT = 64
 _SAMPLE_TRIPLES = 20000
 _SAMPLE_SEED = 0x52494E47
@@ -385,6 +389,32 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
     return violations, mode
 
 
+def _index_table(table, n: int) -> np.ndarray:
+    """`table` as a C-contiguous TABLE_DTYPE array, once each entry has
+    been checked to lie in 0..n-1 on the input's own integer dtype.
+
+    The check runs before the narrowing cast, so an entry such as -1 or
+    n + 65536 is rejected instead of wrapping into 0..n-1. It is one
+    pass: a signed entry read as unsigned of the same width is below n
+    exactly when it lies in 0..n-1, since a negative one reads as at
+    least 2^31 (narrower signed inputs are widened to int32 first). A
+    C-contiguous TABLE_DTYPE input is returned as it is, without a copy.
+    """
+    table = np.asarray(table)
+    kind = table.dtype.kind
+    if kind == "i":
+        if table.dtype.itemsize < 4:
+            table = table.astype(np.int32)
+        unsigned = table.view(table.dtype.str.replace("i", "u"))
+    elif kind == "u":
+        unsigned = table
+    else:
+        raise ValueError(f"table entries must be integers, got dtype {table.dtype}")
+    if unsigned.size and unsigned.max() >= n:
+        raise ValueError("table entry out of range")
+    return np.ascontiguousarray(table, dtype=TABLE_DTYPE)
+
+
 def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None) -> TableRing:
     """Build a TableRing from raw tables, or raise RingValidationError.
 
@@ -396,25 +426,26 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     to its name (see `TableRing`); by default an element is named by its
     index.
 
-    Each range check is one pass: an int32 entry read as uint32 is below
-    n exactly when it lies in 0..n-1, since a negative one reads as at
-    least 2^31.
+    The tables may come in any integer dtype. Each is range-checked on
+    that dtype (see `_index_table`) and then cast once to TABLE_DTYPE, in
+    which the ring stores them; an order above MAX_TABLE_ORDER is
+    rejected, since its indices do not fit.
     """
-    add = np.ascontiguousarray(np.asarray(add, dtype=np.int32))
-    mul = np.ascontiguousarray(np.asarray(mul, dtype=np.int32))
+    add, mul = np.asarray(add), np.asarray(mul)
     if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
         raise ValueError("tables must be square and of equal size")
     n = add.shape[0]
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"order {n} exceeds {MAX_TABLE_ORDER}, the limit of 16-bit table storage")
     if not (0 <= zero < n and 0 <= one < n):
         raise ValueError("zero/one index out of range")
     if neg is not None:
-        neg = np.ascontiguousarray(np.asarray(neg, dtype=np.int32))
+        neg = np.asarray(neg)
         if neg.shape != (n,):
             raise ValueError("neg must list one entry per element")
-    if any(t.view(np.uint32).max() >= n for t in ((add, mul) if neg is None else (add, mul, neg))):
-        raise ValueError("table entry out of range")
-
-    first_zero = np.argmax(add == zero, axis=1).astype(np.int32) if neg is None else None
+        neg = _index_table(neg, n)
+    add, mul = _index_table(add, n), _index_table(mul, n)
+    first_zero = np.argmax(add == zero, axis=1).astype(TABLE_DTYPE) if neg is None else None
     violations, mode = scan_axioms(add, mul, zero, one, neg, first_zero)
     if violations:
         raise RingValidationError(violations)

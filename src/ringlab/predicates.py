@@ -174,6 +174,7 @@ def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     for i in range(0, n, _BLOCK):
         a = np.arange(i, min(i + _BLOCK, n))
         right = np.ascontiguousarray(np.ascontiguousarray(ring.mul[:, i : i + _BLOCK]).T)  # right[k, y] = y * a_k
+        # the int64 row offsets widen the uint16 products before the sum
         axa = np.take(right, ring.mul[i : i + _BLOCK] + np.arange(0, right.size, n)[:, None])
         served = (axa == a[:, None]).any(axis=1)
         if not served.all():
@@ -185,7 +186,7 @@ def _row_sets(ring: TableRing, elems: np.ndarray) -> np.ndarray:
     """(k, n) masks of the principal right ideals aR for the k elements a."""
     n = ring.order
     hit = np.zeros(len(elems) * n, dtype=bool)
-    hit[(ring.mul[elems, :] + np.arange(0, hit.size, n)[:, None]).ravel()] = True
+    hit[(ring.mul[elems, :] + np.arange(0, hit.size, n)[:, None]).ravel()] = True  # int64 offsets widen the sum
     return hit.reshape(len(elems), n)
 
 

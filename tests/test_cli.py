@@ -226,6 +226,20 @@ def test_max_order_flag_and_env(capsys, monkeypatch):
     assert code == 0  # the flag still wins over the environment
 
 
+def test_a_cap_past_16_bit_storage_exits_2(capsys, monkeypatch):
+    # every table entry is a uint16, so no ring above order 65536 can be stored
+    code, out, err = run_cli(capsys, "inspect", "z(4)", "--max-order", "65536")
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, "inspect", "z(4)", "--max-order", "65537")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "--max-order" in err and "65536" in err and "16-bit table storage" in err
+    monkeypatch.setenv("RINGLAB_MAX_ORDER", "100000")
+    for argv in (("inspect", "z(4)"), ("verify", "--filter", "L1.2.1"), ("check", "L1.2.1", "z(4)")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
+        assert "RINGLAB_MAX_ORDER" in err and "16-bit table storage" in err, argv
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

@@ -1,9 +1,11 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from ringlab import ElemSet, OutOfCapError, compile_text, construct
-from ringlab.cache import table_checksum
-from ringlab.checks import _ring_from_subset
+from ringlab.checks import CheckContext, _ring_from_subset
 from ringlab.construct import (
     GF_MODULI,
     Endomorphism,
@@ -521,6 +523,17 @@ def test_validate_endomorphism_rejects_non_hom():
     assert isinstance(ident, Endomorphism)
 
 
+def test_validate_endomorphism_rejects_images_that_would_wrap():
+    # each bad image is the identity's image of 3 plus a multiple of 2^16 or 2^32, or
+    # negative; a narrowing cast before the range check would accept the identity
+    z4 = build_zmod(4)
+    for bad in (3 + 2**16, 3 + 2**32, -1, -(2**32) + 3):
+        for images in ([0, 1, 2, bad], np.array([0, 1, 2, bad], dtype=np.int64)):
+            with pytest.raises(InvalidEndomorphismError, match="image out of range"):
+                validate_endomorphism(z4, images)
+    assert validate_endomorphism(z4, np.arange(4)).map.dtype == np.uint16
+
+
 def test_endomorphism_file_format():
     gf4 = build_gf(4)
     frob = frobenius_endo(gf4)
@@ -667,8 +680,14 @@ def test_digit_vector_builder_matches_definitional_product(text):
     ],
 )
 def test_element_encodings_are_pinned(text, prefix):
-    # cache entries and witnesses index elements, so these tables must never drift
-    assert table_checksum(compile_text(text)).hex()[:16] == prefix
+    # witnesses index elements, so these tables must never drift; the digest is
+    # taken here over the tables as little-endian int32, independent of the
+    # dtype the ring stores them in and of the cache's checksum
+    ring = compile_text(text)
+    h = hashlib.sha256(struct.pack("<IIII", ring.order, ring.zero, ring.one, 0))
+    h.update(np.ascontiguousarray(ring.add, dtype="<i4"))
+    h.update(np.ascontiguousarray(ring.mul, dtype="<i4"))
+    assert h.hexdigest()[:16] == prefix
 
 
 def test_matrix_monomials_keep_noncommutative_coefficient_order():
@@ -760,6 +779,76 @@ def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
 
 
 CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
+
+# digit-vector rings over bases whose addition is bitwise, up to order 4096: every
+# base kind (z(2^k), gf(2^d), a digit-vector base), every construction, and mixed
+# field widths in one index
+BITWISE_RINGS = CAP_RINGS + (
+    "gf(4)", "gf(8)", "m(2,z(2))", "m(2,z(4))", "m(3,z(2))", "m(2,gf(4))", "m(2,gf(8))",
+    "t(2,z(2))", "t(3,z(2))", "t(3,z(4))", "t(2,gf(8))", "prod(z(2),z(4))", "prod(z(4),gf(8),z(2))",
+    "prod(z(16),z(16),z(16))", "group(z(2),c(4))", "group(z(4),c(6))", "group(gf(4),c(6))",
+    "group(triv(z(4)),c(2))", "group(z(2),q8)", "poly(z(2),12)", "poly(z(8),4)", "skew(gf(4),frob,3)",
+    "triv(z(8))", "triv(m(2,z(2)))", "triv(gf(8))",
+)
+
+
+def test_16_bit_swar_fills_match_the_gather_forms(monkeypatch):
+    # on every build over bitwise bases, the uint16 SWAR extension of mul equals
+    # _extend_by_gather over the same monomial rows and the same add, and the uint16
+    # word formula for add equals the np.take fill
+    fill, extend = construct._fill_bitwise_add, construct._extend_bitwise
+    filled, extended = [], []
+
+    def checked_extend(mul, blocks, high):
+        add = filled[-1]  # the fill runs just before the extension of the same table pair
+        gathered = mul.copy()
+        extend(mul, blocks, high)
+        construct._extend_by_gather(add, gathered, blocks)
+        assert mul.dtype == add.dtype == gathered.dtype == np.uint16
+        assert np.array_equal(mul, gathered)
+        extended.append(len(mul))
+
+    monkeypatch.setattr(construct, "_fill_bitwise_add", lambda add, *args: fill(add, *args) or filled.append(add))
+    monkeypatch.setattr(construct, "_extend_bitwise", checked_extend)
+    for text in BITWISE_RINGS:
+        before = len(extended)
+        ring = compile_text(text)
+        assert len(extended) > before and extended[-1] == ring.order, text  # the outermost build was bitwise
+        assert ring.add is filled[-1], text  # the filled table is the ring's, uncopied
+        assert np.array_equal(ring.add, take_filled_add(digit_bases(ring))), text
+    assert extended.count(4096) >= 6
+
+
+@pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])
+def test_swar_extension_keeps_every_field_inside_its_16_bit_lane(high):
+    # random rows over the full 16-bit range, so the top field reaches bit 15 (an
+    # order-65536 index) and ~high must be cut to 16 bits; compared with the formula in int64
+    rng = np.random.default_rng(high)
+    mul = rng.integers(0, 1 << 16, size=(4, 4096), dtype=np.uint16)
+    a, b = mul[1].astype(np.int64), mul[2].astype(np.int64)
+    low = 0xFFFF & ~high
+    want = ((a & low) + (b & low)) ^ ((a ^ b) & high)
+    construct._extend_bitwise(mul, [(2, 1, 2)], high)  # row 3 = row 1 + row 2
+    assert want.max() < 1 << 16 and np.array_equal(mul[3], want)
+
+
+def test_every_table_is_uint16_read_only_and_contiguous(corpus_bundles):
+    # the rings of the corpus and the cap, and the R/J, R/I and corner rings their
+    # checks build
+    rings = [(text, ring, bundle) for text, ring, bundle in corpus_bundles]
+    rings += [(text, ring, compute_bundle(ring)) for text, ring in ((t, compile_text(t)) for t in CAP_RINGS)]
+    seen = 0
+    for text, ring, bundle in rings:
+        ctx = CheckContext(ring, bundle)
+        derived = [ring, ctx.radical_quotient()[0]]
+        derived += [quotient for _, quotient, _ in ctx.radical_quotients()]
+        derived += [corner for _, corner, _ in ctx.corners()]
+        for r in derived:
+            for table in (r.add, r.mul, r.neg):
+                assert table.dtype == np.uint16, (text, r)
+                assert not table.flags.writeable and table.flags.c_contiguous, (text, r)
+            seen += 1
+    assert seen > 3 * len(rings)
 
 
 def test_builders_pass_the_negation_the_argmax_derives(corpus_bundles, monkeypatch):

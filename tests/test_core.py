@@ -17,7 +17,7 @@ from ringlab import (
     validate_ring,
 )
 from ringlab.construct import build_matrix, build_zmod, matrix_unit_index
-from ringlab.core import ElementIndexError, TableRing, Violation, rows_equal_columns, scan_axioms
+from ringlab.core import MAX_TABLE_ORDER, ElementIndexError, TableRing, Violation, rows_equal_columns, scan_axioms
 
 
 def raw_zmod_tables(n):
@@ -489,3 +489,51 @@ def test_a_wrapping_negative_neg_is_not_accepted():
     assert violations == []
     with pytest.raises(ValueError, match="table entry out of range"):
         validate_ring(add, mul, 0, 1, neg=[0, 3, 2, -3])
+
+
+@pytest.mark.parametrize("n", [4, 130])
+@pytest.mark.parametrize("which", ["add", "mul", "neg"])
+@pytest.mark.parametrize("form", ["list", "int64", "int32"])
+def test_entries_that_wrap_in_16_bits_are_rejected(n, which, form):
+    # the cell (1, n - 1) holds 0 in both z(n) tables and neg[1] = n - 1; each bad value
+    # lands on that entry, and the first one wraps to exactly the right index under a
+    # narrowing cast, so only a range check made before the cast can reject it
+    add, mul = raw_zmod_tables(n)
+    tables = {"add": add, "mul": mul, "neg": [(-a) % n for a in range(n)]}
+    true_value = tables[which][1][n - 1] if which != "neg" else tables["neg"][1]
+    bad_values = (true_value + 65536, n + 65536, 65535, -1)
+    assert np.array(bad_values[0]).astype(np.uint16) == true_value
+    for bad in bad_values:
+        given = {name: [list(row) for row in t] if name != "neg" else list(t) for name, t in tables.items()}
+        if which == "neg":
+            given["neg"][1] = bad
+        else:
+            given[which][1][n - 1] = bad
+        if form != "list":
+            given = {name: np.array(t, dtype=form) for name, t in given.items()}
+        with pytest.raises(ValueError, match="table entry out of range"):
+            validate_ring(given["add"], given["mul"], 0, 1, neg=given["neg"])
+    # the same tables with the true value are a ring
+    ring = validate_ring(add, mul, 0, 1, neg=tables["neg"])
+    assert ring.add.dtype == ring.mul.dtype == ring.neg.dtype == np.uint16
+
+
+def test_a_uint16_table_is_kept_without_a_copy():
+    add, mul = (np.array(t, dtype=np.uint16) for t in raw_zmod_tables(6))
+    neg = np.array([0, 5, 4, 3, 2, 1], dtype=np.uint16)
+    ring = validate_ring(add, mul, 0, 1, neg=neg)
+    assert ring.add is add and ring.mul is mul and ring.neg is neg
+    assert not add.flags.writeable
+    # any other integer dtype is cast once, and the cast is a new uint16 array
+    wide = np.array(raw_zmod_tables(6)[0], dtype=np.int64)
+    ring = validate_ring(wide, mul, 0, 1)
+    assert ring.add is not wide and ring.add.dtype == np.uint16 and np.array_equal(ring.add, wide)
+
+
+def test_non_integer_tables_and_orders_past_16_bits_are_refused():
+    add, mul = raw_zmod_tables(4)
+    with pytest.raises(ValueError, match="must be integers"):
+        validate_ring(np.array(add, dtype=float), mul, 0, 1)
+    big = np.broadcast_to(np.uint16(0), (MAX_TABLE_ORDER + 1,) * 2)  # one stored cell, no n^2 allocation
+    with pytest.raises(ValueError, match="16-bit table storage"):
+        validate_ring(big, big, 0, 1)
