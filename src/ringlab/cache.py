@@ -8,7 +8,18 @@ that; Nil* is J on a finite ring and is not stored. A stored entry is
 used only when that digest and the table checksum of the compiled ring
 both match, so a corrupted file or a builder change silently invalidates
 the entry instead of poisoning results. Any malformed or mismatched file
-is a silent miss.
+is a silent miss, and a cache directory that cannot be written is
+skipped: the bundle is still returned.
+
+A cold write hashes both tables while the bundle is computed:
+`get_or_compute` starts one thread that runs `_digest_into`, computes the
+bundle on the calling thread, joins the thread (also when the bundle
+raises), and hands the digest to `save_bundle`. `hashlib` releases the
+GIL while it hashes a large buffer, so on a second core the checksum
+leaves the critical path. Only `_digest_into` and `_table_digest` run on
+that thread; keep them out of the benchmark tracer's targets
+(`perfbench/spans.py`), whose one span stack is not thread-safe. A load
+checksums on the calling thread, through `table_checksum`.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import hashlib
 import os
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +60,24 @@ def table_checksum(ring: TableRing) -> bytes:
     native byte order is not little-endian. Format 4 hashed an int32 copy
     of each table, so format-5 checksums differ from format-4 ones.
     """
+    return _table_digest(ring)
+
+
+def _table_digest(ring: TableRing) -> bytes:
+    """`table_checksum`'s body, which the hashing thread also runs."""
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, 0))
     h.update(np.ascontiguousarray(ring.add, dtype="<u2"))
     h.update(np.ascontiguousarray(ring.mul, dtype="<u2"))
     return h.digest()
+
+
+def _digest_into(ring: TableRing, out: list) -> None:
+    """Thread body: append `_table_digest(ring)`, or the exception it raised, to `out`."""
+    try:
+        out.append(_table_digest(ring))
+    except BaseException as exc:  # re-raised on the calling thread
+        out.append(exc)
 
 
 def _entry_path(ring: TableRing) -> Path | None:
@@ -62,9 +87,12 @@ def _entry_path(ring: TableRing) -> Path | None:
     return cache_dir() / f"{digest}.v{FORMAT_VERSION}.bin"
 
 
-def serialize_bundle(bundle: InvariantBundle) -> bytes:
+def serialize_bundle(bundle: InvariantBundle, checksum: bytes | None = None) -> bytes:
+    """The entry bytes; `checksum` is the ring's `table_checksum` if the caller has it."""
     ring = bundle.ring
-    out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), table_checksum(ring)]
+    if checksum is None:
+        checksum = table_checksum(ring)
+    out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), checksum]
     for name in _SETS:
         out.append(np.packbits(getattr(bundle, name).mask(), bitorder="little").tobytes())
     payload = b"".join(out)
@@ -107,30 +135,47 @@ def load_bundle(ring: TableRing) -> InvariantBundle | None:
         return None
 
 
-def save_bundle(bundle: InvariantBundle) -> None:
+def save_bundle(bundle: InvariantBundle, checksum: bytes | None = None) -> None:
+    """Write the bundle's entry, best effort: any OSError, from creating the
+    directory on, skips the write. `checksum` is as in `serialize_bundle`."""
     path = _entry_path(bundle.ring)
     if path is None:
         return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = serialize_bundle(bundle)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".bin")
+    data = serialize_bundle(bundle, checksum)
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".bin")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)  # atomic publish; concurrent writers race benignly
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def get_or_compute(ring: TableRing) -> InvariantBundle:
+    """The cached bundle of `ring`, or one computed and saved; a miss
+    hashes the tables on a second thread (see the module docstring)."""
     cached = load_bundle(ring)
     if cached is not None:
         return cached
-    bundle = compute_bundle(ring)
-    save_bundle(bundle)
+    if _entry_path(ring) is None:
+        return compute_bundle(ring)
+    digest: list = []
+    worker = threading.Thread(target=_digest_into, args=(ring, digest), name="ringlab-table-checksum")
+    worker.start()
+    try:
+        bundle = compute_bundle(ring)
+    finally:
+        worker.join()
+    (checksum,) = digest
+    if isinstance(checksum, BaseException):
+        raise checksum
+    save_bundle(bundle, checksum)
     return bundle
 
 

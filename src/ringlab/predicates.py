@@ -278,8 +278,20 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
 
     Decides the same searches as the `*_witness` functions for every a at
     once: an (n, |Id|) gather of a - e, looked up in each pool, and for
-    the strong classes the mask of idempotents e with ea = ae.
+    the strong classes the mask of idempotents e with ea = ae. Computed
+    once per bundle and kept on it, with read-only arrays, so `classify`
+    and the checks that read the masks share one gather.
     """
+    if bundle._clean_decomposable is None:
+        decomposable, counts = _clean_masks(ring, bundle)
+        for array in (*decomposable.values(), counts):
+            array.setflags(write=False)
+        bundle._clean_decomposable = (decomposable, counts)
+    return bundle._clean_decomposable
+
+
+def _clean_masks(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """`clean_decomposable`'s gather."""
     idem = bundle.idempotents.index_array()
     diff = ring.add[:, ring.neg[idem]]  # (a, e) -> a - e
     commutes = ring.mul[idem, :].T == ring.mul[:, idem]  # (a, e) -> ea = ae

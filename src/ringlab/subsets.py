@@ -200,6 +200,7 @@ class InvariantBundle:
     jsharp: ElemSet
     prime_radical: ElemSet
     _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _clean_decomposable: tuple | None = field(default=None, init=False, repr=False, compare=False)  # predicates.clean_decomposable
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
         """(R/J, projection, bundle of R/J), computed on first use and kept.

@@ -1,12 +1,15 @@
 import ast
 import dataclasses
 import json
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ringlab
-from ringlab import ElemSet, compile_text, compute_bundle
+from ringlab import ElemSet, RingError, cache, compile_text, compute_bundle
 from ringlab import predicates as P
 from ringlab.cache import (
     FORMAT_VERSION,
@@ -136,3 +139,88 @@ def test_only_cli_imports_the_cache():
         if any(_imports_cache(node) for node in ast.walk(ast.parse(path.read_text()))):
             importers.add(path.name)
     assert importers == {"cli.py"}
+
+
+@pytest.mark.parametrize("text", ["m(2,z(2))", "m(2,z(8))"])  # a corpus ring, a ring at the order cap
+def test_a_cold_write_equals_the_sequential_entry(text):
+    ring = compile_text(text)
+    before = threading.active_count()
+    bundle = get_or_compute(ring)
+    assert threading.active_count() == before
+    (entry,) = cache_dir().glob("*.bin")
+    sequential = serialize_bundle(compute_bundle(ring))
+    assert entry.read_bytes() == sequential == serialize_bundle(bundle)
+    assert load_bundle(ring) is not None
+
+
+def test_a_failing_hash_is_raised_on_the_caller_and_writes_nothing(monkeypatch):
+    class HashFailed(Exception):
+        pass
+
+    def fail(ring):
+        raise HashFailed("hash failed")
+
+    monkeypatch.setattr(cache, "_table_digest", fail)
+    before = threading.active_count()
+    with pytest.raises(HashFailed, match="hash failed"):
+        get_or_compute(compile_text("z(12)"))
+    assert threading.active_count() == before
+    assert stats()["entries"] == 0
+
+
+def test_a_failing_bundle_still_joins_the_worker_and_writes_nothing(monkeypatch):
+    ring = compile_text("z(12)")
+    hashed = []
+
+    def slow_digest(ring):
+        time.sleep(0.05)  # still hashing when the bundle fails
+        hashed.append(ring)
+        return bytes(32)
+
+    def fail(ring):
+        raise RingError("bundle failed")
+
+    monkeypatch.setattr(cache, "_table_digest", slow_digest)
+    monkeypatch.setattr(cache, "compute_bundle", fail)
+    before = threading.active_count()
+    with pytest.raises(RingError, match="bundle failed"):
+        get_or_compute(ring)
+    assert hashed == [ring]  # the worker had finished when the call returned
+    assert threading.active_count() == before
+    assert stats()["entries"] == 0
+
+
+def test_only_a_cold_write_of_a_named_ring_starts_a_thread(monkeypatch):
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(cache, "threading", SimpleNamespace(Thread=Recorded))
+    get_or_compute(build_zmod(8))  # anonymous: computed, never written
+    assert started == [] and stats()["entries"] == 0
+    ring = compile_text("z(8)")
+    get_or_compute(ring)
+    get_or_compute(ring)  # warm: read on the calling thread
+    assert len(started) == 1 and stats()["entries"] == 1
+
+
+def test_only_the_hash_helpers_run_on_the_worker():
+    # The benchmark's tracer keeps one span stack that is not thread-safe,
+    # so no traced ringlab function may run on the hashing thread.
+    package = str(Path(ringlab.__file__).parent)
+    seen: dict[str, set[str]] = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            seen.setdefault(threading.current_thread().name, set()).add(frame.f_code.co_name)
+
+    ring = compile_text("t(2,z(2))")
+    threading.setprofile(profile)  # every thread started from here on; not this one
+    try:
+        get_or_compute(ring)
+    finally:
+        threading.setprofile(None)
+    assert seen == {"ringlab-table-checksum": {"_digest_into", "_table_digest"}}

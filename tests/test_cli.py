@@ -205,6 +205,16 @@ def test_cache_transparency_inspect(capsys, tmp_path):
     assert len(list((tmp_path / "cache").glob("*.bin"))) == len(default_corpus())  # every warm run had an entry
 
 
+def test_an_unusable_cache_directory_is_skipped(capsys, tmp_path, monkeypatch):
+    code, expected, _ = run_cli(capsys, "inspect", "z(4)")
+    assert code == 0
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("RINGLAB_CACHE", str(blocker / "sub"))  # a directory below a file
+    assert run_cli(capsys, "inspect", "z(4)") == (0, expected, "")
+    assert blocker.read_text() == ""
+
+
 def test_max_order_flag_and_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "inspect", "z(100)", "--max-order", "64")
     assert code == 2 and "cap" in err

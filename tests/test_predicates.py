@@ -4,7 +4,7 @@ import numpy as np
 
 from ringlab import ElemSet, compile_text, compute_bundle, construct
 from ringlab import predicates as P
-from ringlab.checks import CheckContext
+from ringlab.checks import CheckContext, run_suite
 from ringlab.core import validate_ring
 from test_cli import M2Z2_INSPECT
 
@@ -495,3 +495,18 @@ def test_dedekind_finite_witness_on_a_one_sided_inverse():
     expected = P.Verdict(False, "ab = 1 but ba != 1 for a = 2 (#2), b = 4 (#4)")
     assert dedekind_finite_oracle(ring) == expected
     assert P.is_dedekind_finite(ring, bundle) == expected
+
+
+def test_clean_decomposable_gathers_once_per_bundle(monkeypatch):
+    # classify (through clean_family), C2.7, P-clean and C-equclean all read it
+    gathered = []
+    masks = P._clean_masks
+    monkeypatch.setattr(P, "_clean_masks", lambda ring, b: gathered.append(b) or masks(ring, b))
+    corpus = ["z(8)", "t(2,z(2))", "group(z(2),c(2))"]
+    report = run_suite(corpus)
+    ran = {e["id"]: [r.status for r in e["results"]] for e in report.checks if e["id"] in ("C2.7", "P-clean", "C-equclean")}
+    assert ran == {"C2.7": ["pass"] * 3, "P-clean": ["pass"] * 3, "C-equclean": ["pass"] * 3}
+    assert len({id(b) for b in gathered}) == len(gathered)  # no bundle gathered twice
+    assert {b.ring.expr_text for b in gathered} >= set(corpus)
+    decomposable, counts = P.clean_decomposable(gathered[0].ring, gathered[0])
+    assert not counts.flags.writeable and not any(mask.flags.writeable for mask in decomposable.values())
