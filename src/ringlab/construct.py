@@ -55,8 +55,12 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    _CHUNK_CELLS,
     _index_table,
     all_digits,
+    bitwise_addition,
+    bitwise_high_bits,
+    bitwise_sum,
     elem_pow,
     encode_digits,
     validate_ring,
@@ -163,8 +167,6 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
 # the structure-constant builder shared by every digit-vector construction
 # ---------------------------------------------------------------------------
 
-_CHUNK_CELLS = 1 << 18  # table cells per gather, so temporaries stay ~2 MB
-
 
 def _digit_names(digits: np.ndarray, name):
     """Index -> `name` of the index's digit list, formatted when asked for."""
@@ -189,34 +191,6 @@ def _sum_name(base: TableRing, coeffs, symbols) -> str:
     return "+".join(terms) or base.name_of(base.zero)
 
 
-def _field_high_bits(base: TableRing) -> int | None:
-    """The mask H of field top bits when `base.add` is bitwise, else None.
-
-    Bitwise means: the order is r = 2^K, and on every index pair
-    add[i, j] == ((i & L) + (j & L)) ^ ((i ^ j) & H) with L = ~H, where
-    H holds the top bit of each k-bit field of the K index bits. That
-    is, the index is K/k digits mod 2^k added independently. The formula
-    sends index 1 to additive order 2^k, so k is read off index 1 and one
-    exact comparison of the r x r table decides. If k does not divide K,
-    the top field is cut short and 2^(K-1) + 2^(K-1) reads 2^K, which is
-    out of range, so the comparison rejects it.
-    """
-    r = base.order
-    bits = r.bit_length() - 1
-    if r != 1 << bits:
-        return None
-    m, x = 1, 1  # x = m * (index 1) until m is its additive order, which divides r
-    while x != 0:
-        x = int(base.add[x, 1])
-        m += 1
-    k = m.bit_length() - 1
-    high = sum(1 << (f + k - 1) for f in range(0, bits, k))
-    i = np.arange(r, dtype=np.int32)
-    low = i & ~high
-    bitwise = (low[:, None] + low[None, :]) ^ ((i[:, None] ^ i[None, :]) & high)
-    return high if np.array_equal(bitwise, base.add) else None
-
-
 def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     """Digits, add, mul and neg tables of a ring of digit vectors over `bases`.
 
@@ -229,17 +203,14 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
 
     Both tables are gathered that way, unless every base's addition is
-    bitwise (see `_field_high_bits`: z(2^k), gf(2^d), and digit vectors
+    bitwise (see `core.bitwise_high_bits`: z(2^k), gf(2^d), and digit vectors
     over those). Then each index x is the concatenation of the bits of its
-    digits, each digit's k-bit fields are added mod 2^k, and k divides the
-    digit's bit count, so no field crosses a digit. The same formula, with
-    H the sum of every base's H shifted to its digit's offset, is
-    therefore exactly the ring's addition: add is filled from it directly,
-    and the mul extension is computed with five uint16 operations on each
-    block (SWAR): the low k - 1 bits of two fields sum below 2^k, so their
-    carry stops at the field's top bit, which is the XOR of both top bits
-    and that carry. The index has at most 16 bits (the order is at most
-    65536), so every field sits inside one uint16 lane.
+    digits, and each digit's fields are added on their own; a base's top
+    bit is a field's top bit, so no field crosses a digit. The bitwise
+    formula (see core), with H the sum of every base's H shifted to its
+    digit's offset, is therefore exactly the ring's addition: add is
+    filled from it directly, and the mul extension is computed with five
+    uint16 operations on each block (`core.bitwise_sum`).
 
     Both tables are allocated in TABLE_DTYPE, the dtype the ring keeps.
     """
@@ -256,7 +227,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     blocks = [(x, lo, min(place[w], lo + rows)) for x, c, w in monomials for lo in range(1, place[w], rows)]
     high = None
     if blocks:  # a single digit extends no row, so skip the r x r compares
-        highs = {id(base): _field_high_bits(base) for base in bases}
+        highs = {id(base): bitwise_high_bits(base.add) for base in bases}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
     add = np.empty((order, order), dtype=TABLE_DTYPE)
@@ -278,24 +249,13 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     return digits, add, mul, encode_digits(neg, radices)
 
 
-def _lane_masks(high: int) -> tuple[np.generic, np.generic]:
-    """(L, H) as TABLE_DTYPE scalars, with L = ~H cut to the lane width
-    (the dtype of a negative int such as ~H would not hold it)."""
-    lane = np.iinfo(TABLE_DTYPE).max
-    return TABLE_DTYPE(~high & lane), TABLE_DTYPE(high)
-
-
 def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
-    """add[i, j] = ((i & L) + (j & L)) ^ (i & H) ^ (j & H), with L = ~H,
-    `rows` rows at a time."""
-    i = np.arange(add.shape[0], dtype=TABLE_DTYPE)
-    low_mask, high_mask = _lane_masks(high)
-    low, top = i & low_mask, i & high_mask
-    for r in range(0, len(i), rows):
-        out = add[r : r + rows]
-        np.add(low[r : r + rows, None], low, out=out)
-        out ^= top
-        out ^= top[r : r + rows, None]
+    """add = the bitwise addition with top bits `high`, `rows` rows at a time."""
+    n = add.shape[0]
+    rows = min(rows, n)
+    fill = bitwise_addition(n, high, rows)
+    for r in range(0, n, rows):
+        fill(r, add[r : r + rows])
 
 
 def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
@@ -313,13 +273,8 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
 def _extend_bitwise(mul: np.ndarray, blocks, high: int) -> None:
     """`_extend_by_gather` for an addition that is bitwise with top bits
     `high`, in TABLE_DTYPE lanes."""
-    low, high = _lane_masks(high)
     for x, lo, hi in blocks:
-        out, rows = mul[x + lo : x + hi], mul[lo:hi]
-        top = (rows ^ mul[x]) & high
-        np.bitwise_and(rows, low, out=out)
-        out += mul[x] & low
-        out ^= top
+        bitwise_sum(mul[lo:hi], mul[x], high, out=mul[x + lo : x + hi])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +430,7 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
 
     The quotient's tables still go through `validate_ring`, except those
     of R/{0}: its projection is the identity, so it shares R's read-only
-    tables, and R's validation with them.
+    tables, and R's validation and basis with them.
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
@@ -496,7 +451,7 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
 
     meta = QuotientMeta(ring, ideal.indices(), projection)
     if len(reps) == ring.order:
-        out = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, names, meta, ring.validation)
+        out = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, names, meta, ring.validation, ring.basis)
         return out, projection
     add, mul, _ = _reindex(ring, reps, projection)
     out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)

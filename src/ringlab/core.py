@@ -5,9 +5,17 @@ over element indices 0..n-1 together with the distinguished `zero` and
 `one` indices. Every table (`add`, `mul`, `neg`) is stored as uint16,
 which holds every index of a ring of order at most 65536. Every
 constructor in this package funnels its tables through `validate_ring`,
-so a `TableRing` in hand always satisfies the ring axioms (exhaustively
-checked up to order 64, sampled above; the `validation` attribute
-records which).
+so a `TableRing` in hand always satisfies the ring axioms; the
+`validation` attribute records how they were checked:
+
+- "exhaustive": decided for every triple. Up to order 64 by an n^3 scan;
+  above it by a proof over the bit generators of an addition that is
+  bitwise on the index (z(2^k), gf(2^d) and every construction over
+  them), read off the tables alone. Such a ring keeps its generators in
+  `TableRing.basis`.
+- "sampled": a ring above order 64 whose addition is not bitwise has the
+  four triple identities tested on a fixed sample of triples; every
+  other axiom is still checked in full.
 """
 
 from __future__ import annotations
@@ -142,11 +150,16 @@ class TableRing:
     `names` is the tuple of element names, or a function from an index to
     its name; then each name is formatted when asked for, and the tuple
     only on first access to `names`.
+
+    `basis` is a tuple of elements that generate (R, +), known only of a
+    ring whose validation proved it (the bit generators 1, 2, 4, ... of a
+    bitwise addition), else None. Since mul is bi-additive, a product
+    identity that holds on the basis holds on every element.
     """
 
-    __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "expr_text")
+    __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
 
-    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation):
+    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None):
         self.order = order
         self.add = add
         self.mul = mul
@@ -157,6 +170,7 @@ class TableRing:
         self._name_of = names if callable(names) else names.__getitem__
         self.meta = meta
         self.validation = validation
+        self.basis = basis
         self.expr_text: str | None = None
 
     def __repr__(self) -> str:
@@ -248,6 +262,123 @@ def power_orbit(ring: TableRing, a: int) -> tuple[list[int], int]:
 
 
 # ---------------------------------------------------------------------------
+# bitwise addition
+#
+# An index of K bits that splits into fields, a field of k bits added mod
+# 2^k on its own, is added by ((i & L) + (j & L)) ^ ((i ^ j) & H): H holds
+# the top bit of each field and L = ~H. The low k - 1 bits of two fields
+# sum below 2^k, so their carry stops at the field's top bit, which is the
+# XOR of both top bits and that carry (SWAR; Lamport, CACM 1975). An index
+# has at most 16 bits, so every field sits inside one TABLE_DTYPE lane.
+# ---------------------------------------------------------------------------
+
+
+_LANE = int(np.iinfo(TABLE_DTYPE).max)
+
+
+def _lane_masks(high: int) -> tuple[np.generic, np.generic]:
+    """(L, H) as TABLE_DTYPE scalars, with L = ~H cut to the lane width
+    (the dtype of a negative int such as ~H would not hold it)."""
+    return TABLE_DTYPE(~high & _LANE), TABLE_DTYPE(high)
+
+
+def field_top_bits(add: np.ndarray) -> int | None:
+    """The mask H of field top bits that `add` can only be bitwise with,
+    read off its diagonal; None if it cannot be bitwise.
+
+    The order must be 2^K. Bit b is a field's top bit when 2^b + 2^b is
+    0; otherwise the sum must be 2^(b+1), the next bit of its field. Bit
+    K - 1 is then a top bit, as 2^K is no index. Fields may differ in
+    width. Only K entries are read: `bitwise_high_bits` decides whether
+    the whole table is bitwise.
+    """
+    n = add.shape[0]
+    bits = n.bit_length() - 1
+    if n < 2 or n != 1 << bits:
+        return None
+    high = 0
+    for b in range(bits):
+        total = int(add[1 << b, 1 << b])
+        if total == 0:
+            high |= 1 << b
+        elif total != 2 << b:
+            return None
+    return high
+
+
+def bitwise_addition(n: int, high: int, rows: int):
+    """fill(r, out): writes rows r .. r + rows - 1 of the bitwise addition
+    of order n with top bits `high` into `out` and returns it; r is a
+    multiple of `rows`, and `rows` divides n.
+
+    No field crosses a boundary bit B (bit 0, or the bit above a top
+    bit), so for t < 2^B and r a multiple of 2^B the sum (r + t) + j is
+    r + j on the fields above B and t + j below: row r + t is row r XOR
+    row t XOR j. With 2^B the largest such step dividing `rows`, the rows
+    t < 2^B XOR j are computed once, and a block costs one XOR over it
+    plus the formula on its rows at multiples of 2^B. A table of one
+    block has nothing to share them with, so it takes the formula.
+    """
+    j = np.arange(n, dtype=TABLE_DTYPE)
+    low_mask, high_mask = _lane_masks(high)
+    j_low, j_high = j & low_mask, j & high_mask
+
+    def formula(i, out):
+        np.add((i & low_mask)[:, None], j_low, out=out)
+        out ^= j_high
+        out ^= (i & high_mask)[:, None]
+        return out
+
+    boundaries = [b for b in range(rows.bit_length()) if b == 0 or high >> (b - 1) & 1]
+    step = max(1 << b for b in boundaries if rows % (1 << b) == 0)
+    if step == 1 or rows == n:
+        return lambda r, out: formula(j[r : r + rows], out)
+    below = formula(j[:step], np.empty((step, n), dtype=TABLE_DTYPE))
+    below ^= j
+    heads = np.empty((rows // step, n), dtype=TABLE_DTYPE)
+
+    def fill(r, out):
+        formula(j[r : r + rows : step], heads)
+        np.bitwise_xor(heads[:, None, :], below, out=out.reshape(-1, step, n))
+        return out
+
+    return fill
+
+
+def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x + y, elementwise, in the bitwise addition with top bits `high`."""
+    low, high = _lane_masks(high)
+    top = (x ^ y) & high
+    out = np.bitwise_and(x, low, out=out)
+    out += y & low
+    out ^= top
+    return out
+
+
+_CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
+
+
+def _first_formula_mismatch(add: np.ndarray, high: int) -> tuple[int, int] | None:
+    """The row-major first (i, j) where `add` is not the bitwise addition
+    with top bits `high`, or None; compared a block of rows at a time."""
+    n = add.shape[0]
+    rows = min(n, _CHUNK_CELLS // n)
+    fill, want = bitwise_addition(n, high, rows), np.empty((rows, n), dtype=TABLE_DTYPE)
+    for r in range(0, n, rows):
+        got = add[r : r + rows]
+        if not np.array_equal(got, fill(r, want)):
+            i, j = np.argwhere(got != want)[0]
+            return r + int(i), int(j)
+    return None
+
+
+def bitwise_high_bits(add: np.ndarray) -> int | None:
+    """H if `add` is the bitwise addition with top bits H, else None."""
+    high = field_top_bits(add)
+    return high if high is not None and _first_formula_mismatch(add, high) is None else None
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -301,37 +432,77 @@ def _first_failing_triple(n: int, lhs, rhs) -> tuple[int, int, int] | None:
     return None
 
 
-def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tuple[list[Violation], str]:
-    """Scan the ring axioms, returning violations and the scan mode.
+def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
+    """Decide the ring axioms other than the identities, for an addition
+    that can only be bitwise with top bits `high` (see `field_top_bits`).
 
-    Without `neg`, each row of add must hold `zero`; `first_zero[a]` is
-    the column of the first zero in row a (`argmax(add == zero, axis=1)`,
-    computed here unless the caller passes it), so the n^2 compare runs
-    once for the scan and the derived negation table together.
+    Returns (True, None) when they all hold. Otherwise (False, witness),
+    where the witness is a real violation, or None when `add` is not the
+    bitwise addition and no witness turned up next to its first cell off
+    the formula (such a table may still be some other abelian group).
 
-    Up to order 64 the four n^3 identities (additive and multiplicative
-    associativity, left and right distributivity) are tested on every
-    triple, in slabs of 16 rows of the first axis taken in row order (see
-    `_first_failing_triple`); each reports its row-major first failing
-    triple. Above order 64 they are tested on a fixed sample of triples.
+    One n^2 compare proves (R, +) is the bitwise group, a direct sum of
+    Z/2^k with commuting addition. Every x != 0 is x' + 2^b with b its top
+    bit and x' < 2^b, so the rows mul[x' | 2^b] == mul[x'] + mul[2^b] and
+    the K doubling rows mul[2^b + 2^b] == mul[2^b] + mul[2^b] (the group's
+    relations) prove right distributivity. The same two checks along the
+    K generator rows y -> mul[2^b, y] then prove left distributivity,
+    since each row of mul is a sum of generator rows. A bi-additive mul is
+    associative once it is on the K^3 generator triples.
     """
-    add = np.asarray(add)
-    mul = np.asarray(mul)
+    n = add.shape[0]
+    cell = _first_formula_mismatch(add, high)
+    if cell is not None:
+        return False, _additive_witness(add, *cell)
+    bits = n.bit_length() - 1
+    gens = 1 << np.arange(bits)
+    doubles = np.where((high >> np.arange(bits)) & 1, 0, gens << 1)  # 2^b + 2^b
+    rows = max(1, _CHUNK_CELLS // n)
+    expected = np.empty((min(n // 2, rows), n), dtype=TABLE_DTYPE)
+    for g in gens.tolist():  # rows g .. 2g - 1 are x' + g for x' < g
+        for lo in range(0, g, rows):
+            hi = min(g, lo + rows)
+            got, want = mul[g + lo : g + hi], bitwise_sum(mul[lo:hi], mul[g], high, out=expected[: hi - lo])
+            if not np.array_equal(got, want):
+                x, y = np.argwhere(got != want)[0]
+                return False, Violation("NonDistributive", (int(y), lo + int(x), g))  # (x' + g)y
+    bad = np.argwhere(mul[doubles] != bitwise_sum(mul[gens], mul[gens], high))
+    if len(bad):
+        b, y = bad[0]
+        return False, Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
+    left = mul[gens]  # left[b, y] = 2^b y
+    for g in gens.tolist():
+        bad = np.argwhere(left[:, g : 2 * g] != bitwise_sum(left[:, :g], left[:, g, None], high))
+        if len(bad):
+            b, y = bad[0]
+            return False, Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
+    bad = np.argwhere(left[:, doubles] != bitwise_sum(left[:, gens], left[:, gens], high))
+    if len(bad):
+        b, c = bad[0]
+        return False, Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
+    products = left[:, gens]  # products[a, b] = 2^a 2^b
+    bad = np.argwhere(mul[products[:, :, None], gens] != left[:, products])
+    if len(bad):
+        return False, Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
+    return True, None
+
+
+def _additive_witness(add, i: int, j: int) -> Violation | None:
+    """A triple (i, j, c) or (c, i, j) on which + is not associative, or None."""
+    bad = np.flatnonzero(add[add[i, j]] != add[i, add[j]])  # (i+j)+c, i+(j+c)
+    if len(bad):
+        return Violation("NotAbelianGroup", (i, j, int(bad[0])))
+    bad = np.flatnonzero(add[add[:, i], j] != add[:, add[i, j]])  # (c+i)+j, c+(i+j)
+    if len(bad):
+        return Violation("NotAbelianGroup", (int(bad[0]), i, j))
+    return None
+
+
+def _identity_violations(add, mul, zero: int, one: int, neg, first_zero) -> list[Violation]:
+    """The O(n) checks: the additive identity and inverses, and the
+    multiplicative identity."""
     n = add.shape[0]
     violations: list[Violation] = []
-
-    if n < 2 or zero == one:
-        return [Violation("ZeroRing", (zero, one))], "exhaustive"
-
-    # commutativity of addition (always exhaustive: O(n^2)); the witness is
-    # the row-major first (a, b) with a + b != b + a
-    symmetric = rows_equal_columns(add)
-    if not symmetric.all():
-        a = int(np.argmin(symmetric))
-        b = int(np.argmax(add[a, :] != add[:, a]))
-        violations.append(Violation("NotAbelianGroup", (a, b)))
-
-    # additive identity and inverses
     idx = np.arange(n)
     if not np.array_equal(add[zero, :], idx):
         a = int(np.argwhere(add[zero, :] != idx)[0][0])
@@ -347,12 +518,59 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
         has_inv = add[idx, first_zero] == zero
         if not has_inv.all():
             violations.append(Violation("NotAbelianGroup", (int(np.where(~has_inv)[0][0]),)))
-
-    # multiplicative identity
     if not (np.array_equal(mul[one, :], idx) and np.array_equal(mul[:, one], idx)):
         bad = np.argwhere(mul[one, :] != idx)
         a = int(bad[0][0]) if len(bad) else int(np.argwhere(mul[:, one] != idx)[0][0])
         violations.append(Violation("NoIdentity", (a,)))
+    return violations
+
+
+def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tuple[list[Violation], str]:
+    """Scan the ring axioms, returning violations and the scan mode.
+
+    Without `neg`, each row of add must hold `zero`; `first_zero[a]` is
+    the column of the first zero in row a (`argmax(add == zero, axis=1)`,
+    computed here unless the caller passes it), so the n^2 compare runs
+    once for the scan and the derived negation table together.
+
+    Up to order 64 the four n^3 identities (additive and multiplicative
+    associativity, left and right distributivity) are tested on every
+    triple, in slabs of 16 rows of the first axis taken in row order (see
+    `_first_failing_triple`); each reports its row-major first failing
+    triple. Mode "exhaustive".
+
+    Above order 64, an order-2^K ring with zero 0 whose addition may be
+    bitwise (`field_top_bits`) is proved exactly on its K bit generators
+    (`_prove_bitwise`), and then only the O(n) identity checks run. Mode
+    "exhaustive": every triple is decided. Any other ring, or one whose
+    proof fails, has the four identities tested on a fixed sample of
+    triples, mode "sampled". When a failed proof's ring passes that
+    sample, the proof's own witness is reported, if it has one.
+    """
+    add = np.asarray(add)
+    mul = np.asarray(mul)
+    n = add.shape[0]
+
+    if n < 2 or zero == one:
+        return [Violation("ZeroRing", (zero, one))], "exhaustive"
+
+    witness = None
+    if n > EXHAUSTIVE_LIMIT and zero == 0 and (high := field_top_bits(add)) is not None:
+        # the proof runs in TABLE_DTYPE lanes; validate_ring passes tables in it
+        add, mul = (t if t.dtype == TABLE_DTYPE else _index_table(t, n) for t in (add, mul))
+        proved, witness = _prove_bitwise(add, mul, high)
+        if proved:
+            return _identity_violations(add, mul, zero, one, neg, first_zero), "exhaustive"
+
+    # commutativity of addition (always exhaustive: O(n^2)); the witness is
+    # the row-major first (a, b) with a + b != b + a
+    violations: list[Violation] = []
+    symmetric = rows_equal_columns(add)
+    if not symmetric.all():
+        a = int(np.argmin(symmetric))
+        b = int(np.argmax(add[a, :] != add[:, a]))
+        violations.append(Violation("NotAbelianGroup", (a, b)))
+    violations += _identity_violations(add, mul, zero, one, neg, first_zero)
 
     if n <= EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
@@ -386,6 +604,8 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
         if len(bad):
             i = bad[0]
             violations.append(Violation("NonDistributive", (int(sa[i]), int(sb[i]), int(sc[i]))))
+        if not violations and witness is not None:
+            violations.append(witness)
     return violations, mode
 
 
@@ -460,7 +680,11 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     add.setflags(write=False)
     mul.setflags(write=False)
     neg.setflags(write=False)
-    return TableRing(n, add, mul, neg, zero, one, names, meta, mode)
+    # above order 64 only the bitwise proof decides every triple, and it
+    # proves the bit generators 1, 2, ..., n/2 generate (R, +)
+    proved = mode == "exhaustive" and n > EXHAUSTIVE_LIMIT
+    basis = tuple(1 << b for b in range(n.bit_length() - 1)) if proved else None
+    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ from ringlab.core import (
     SkewPolyMeta,
     TriangularMeta,
     TrivialExtMeta,
+    bitwise_high_bits,
+    field_top_bits,
     validate_ring,
 )
 from ringlab.groups import cyclic, quaternion8
@@ -470,7 +472,7 @@ def test_group_ring_trivial_group_is_base():
 def test_group_ring_q8_order():
     ring = build_group_ring(build_zmod(2), quaternion8())
     assert ring.order == 256
-    assert ring.validation == "sampled"
+    assert ring.validation == "exhaustive" and ring.basis == tuple(1 << b for b in range(8))
 
 
 def test_group_ring_with_nonzero_identity_index():
@@ -716,11 +718,15 @@ def test_matrix_monomials_keep_noncommutative_coefficient_order():
         ("t(2,z(2))", 0b111),
         ("triv(z(4))", 0b1010),
         ("m(2,z(2))", 0b1111),
+        # fields of mixed widths: z(2) in bit 0 and z(4) in bits 1-2, and the reverse
+        ("prod(z(2),z(4))", 0b101),
+        ("prod(z(4),z(2))", 0b110),
+        ("prod(z(4),gf(8))", 0b11110),
     ],
 )
 def test_bitwise_addition_is_detected(text, high):
     ring = compile_text(text)
-    assert construct._field_high_bits(ring) == high
+    assert bitwise_high_bits(ring.add) == high
     i = np.arange(ring.order)
     low = i & ~high
     assert np.array_equal((low[:, None] + low[None, :]) ^ ((i[:, None] ^ i[None, :]) & high), ring.add)
@@ -733,12 +739,21 @@ def relabelled_z4():
     return validate_ring(perm[z4.add[np.ix_(perm, perm)]], perm[z4.mul[np.ix_(perm, perm)]], 0, 1)
 
 
-@pytest.mark.parametrize(
-    "text", ["z(3)", "z(6)", "z(9)", "gf(9)", "prod(z(2),z(4))", "prod(z(4),z(2))", "relabelled z(4)"]
-)
+def relabelled_z8():
+    # z(8) with the labels of 3 and 5 swapped: every 2^b + 2^b is still 2^(b+1)
+    # or 0, so only the whole-table compare rejects it
+    perm = np.array([0, 1, 2, 5, 4, 3, 6, 7])
+    z8 = build_zmod(8)
+    return validate_ring(perm[z8.add[np.ix_(perm, perm)]], perm[z8.mul[np.ix_(perm, perm)]], 0, 1)
+
+
+@pytest.mark.parametrize("text", ["z(3)", "z(6)", "z(9)", "gf(9)", "relabelled z(4)", "relabelled z(8)"])
 def test_bitwise_addition_is_rejected(text):
-    ring = relabelled_z4() if text == "relabelled z(4)" else compile_text(text)
-    assert construct._field_high_bits(ring) is None
+    relabelled = {"relabelled z(4)": relabelled_z4, "relabelled z(8)": relabelled_z8}
+    ring = relabelled[text]() if text in relabelled else compile_text(text)
+    assert bitwise_high_bits(ring.add) is None
+    if text == "relabelled z(8)":
+        assert field_top_bits(ring.add) == 0b100
 
 
 DIGIT_VECTOR_METAS = (MatrixMeta, TriangularMeta, GroupRingMeta, SkewPolyMeta, TrivialExtMeta)
@@ -759,7 +774,7 @@ def digit_bases(ring):
 
 
 def is_bitwise(bases):
-    return len(bases) > 1 and all(construct._field_high_bits(base) is not None for base in bases)
+    return len(bases) > 1 and all(bitwise_high_bits(base.add) is not None for base in bases)
 
 
 def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
@@ -773,7 +788,7 @@ def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
     rings += [(text, compile_text(text)) for text in extra]
     # gf(8) is itself built bitwise, over three z(2) digits, inside m(2,gf(8)) and the product
     assert extended == [4096, 4096, 4096, 8, 4096, 4096, 8, 64]
-    monkeypatch.setattr(construct, "_field_high_bits", lambda base: None)
+    monkeypatch.setattr(construct, "bitwise_high_bits", lambda add: None)
     for text, ring in rings:
         assert ring.tables_equal(compile_text(text)), text
 

@@ -8,6 +8,7 @@ import pytest
 from ringlab import (
     ElemSet,
     RingValidationError,
+    compile_text,
     elem_add,
     elem_mul,
     elem_neg,
@@ -17,7 +18,16 @@ from ringlab import (
     validate_ring,
 )
 from ringlab.construct import build_matrix, build_zmod, matrix_unit_index
-from ringlab.core import MAX_TABLE_ORDER, ElementIndexError, TableRing, Violation, rows_equal_columns, scan_axioms
+from ringlab.core import (
+    MAX_TABLE_ORDER,
+    ElementIndexError,
+    TableRing,
+    Violation,
+    _prove_bitwise,
+    field_top_bits,
+    rows_equal_columns,
+    scan_axioms,
+)
 
 
 def raw_zmod_tables(n):
@@ -235,9 +245,16 @@ def test_elem_pow_is_additive_in_the_exponent():
 
 
 def test_sampled_validation_above_exhaustive_limit():
+    # above order 64 a bitwise addition is proved on its bit generators; any
+    # other ring is still sampled there
     ring = build_zmod(128)
-    assert ring.validation == "sampled"
-    assert build_zmod(64).validation == "exhaustive"
+    assert ring.validation == "exhaustive" and ring.basis == (1, 2, 4, 8, 16, 32, 64)
+    assert build_zmod(64).validation == "exhaustive" and build_zmod(64).basis is None
+    for text in ("m(2,z(3))", "group(z(9),c(3))"):
+        ring = compile_text(text)
+        assert ring.order > 64 and ring.validation == "sampled" and ring.basis is None, text
+    add, mul = raw_zmod_tables(130)
+    assert scan_axioms(np.array(add), np.array(mul), 0, 1) == ([], "sampled")
 
 
 def test_elemset_algebra():
@@ -393,8 +410,6 @@ def cubic_scan_oracle(add, mul):
 
 
 def test_slab_scan_matches_the_whole_cube_scan():
-    from ringlab import compile_text
-
     rng = np.random.default_rng(6)
     reached: dict[str, set[bool]] = {}  # identity -> {witness row beyond the first slab?}
 
@@ -433,6 +448,134 @@ def test_slab_scan_matches_the_whole_cube_scan():
     # one wrong sum fails (a+b)+c = a+(b+c) at the least nonzero a, so only
     # the multiplicative identities can first fail past row 15
     assert all(True in reached[identity] for identity in ("assoc", "ldist", "rdist"))
+
+
+def witness_fails(add, mul, zero, one, neg, violation):
+    """Does the violation's witness fail on these tables?"""
+    w = tuple(map(int, violation.witness))
+    if violation.kind == "NonAssociative":
+        a, b, c = w
+        return mul[mul[a, b], c] != mul[a, mul[b, c]]
+    if violation.kind == "NonDistributive":
+        a, b, c = w
+        return mul[a, add[b, c]] != add[mul[a, b], mul[a, c]] or mul[add[b, c], a] != add[mul[b, a], mul[c, a]]
+    if violation.kind == "NoIdentity":
+        return mul[one, w[0]] != w[0] or mul[w[0], one] != w[0]
+    if violation.kind == "NotAbelianGroup" and len(w) == 3:
+        a, b, c = w
+        return add[add[a, b], c] != add[a, add[b, c]]
+    if violation.kind == "NotAbelianGroup" and len(w) == 2:  # a + b != b + a, 0 + b != b, or b = -a and a + b != 0
+        a, b = w
+        return add[a, b] != add[b, a] or (a == zero and add[a, b] != b) or (neg is not None and neg[a] == b and add[a, b] != zero)
+    return violation.kind == "NotAbelianGroup" and zero not in add[w[0]]  # a row without zero
+
+
+@pytest.mark.parametrize("text", ["t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "z(128)", "group(z(2),q8)"])
+def test_one_corrupt_entry_is_rejected_above_the_exhaustive_limit(text):
+    # every ring here is proved on its bit generators; one wrong product, or
+    # one wrong symmetric pair of sums, must be rejected with witnesses that fail
+    ring = compile_text(text)
+    n = ring.order
+    assert n > 64 and ring.validation == "exhaustive"
+    neg = None if text == "z(128)" else ring.neg  # build_zmod passes no neg table
+    rng = np.random.default_rng(n + len(text))
+    for table in ("mul", "mul", "add", "add"):
+        add, mul = ring.add.copy(), ring.mul.copy()
+        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        if table == "mul":
+            mul[i, j] = (int(mul[i, j]) + int(rng.integers(1, n))) % n
+        else:
+            add[i, j] = add[j, i] = (int(add[i, j]) + int(rng.integers(1, n))) % n
+        with pytest.raises(RingValidationError) as err:
+            validate_ring(add, mul, ring.zero, ring.one, neg=neg)
+        violations = err.value.violations
+        assert violations and all(witness_fails(add, mul, ring.zero, ring.one, neg, v) for v in violations), (table, i, j)
+
+
+def test_bitwise_proof_matches_the_whole_cube_scan(corpus_bundles):
+    # at corpus orders the proof decides exactly what the n^3 scan decides. Order 2
+    # is left out: there the one wrong sum 1 + 1 = 1 gives an associative table,
+    # which only the inverse check rejects, and it is no bitwise group either
+    rng = np.random.default_rng(17)
+    outcomes = []
+
+    def compare(add, mul, label):
+        high = field_top_bits(add)
+        proved = high is not None and _prove_bitwise(add, mul, high)[0]
+        assert proved == (not cubic_scan_oracle(add, mul)), label
+        outcomes.append(proved)
+
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if ring.order > 2 and field_top_bits(ring.add) is not None]
+    assert len(rings) >= 5
+    for text, ring in rings:
+        n = ring.order
+        compare(ring.add, ring.mul, text)
+        # whole-table twists: swapping two elements in the right argument keeps
+        # right distributivity and may break left, in the left argument the
+        # reverse, and x*y = (ux)y for a unit u keeps both and may break
+        # associativity
+        swap = np.arange(n)
+        swap[[1, n - 1]] = [n - 1, 1]
+        unit = next((u for u in range(n - 1, 0, -1) if (ring.mul[u] == ring.one).any() and u != ring.one), ring.one)
+        for label, mul in (("right", ring.mul[:, swap]), ("left", ring.mul[swap]), ("unit", ring.mul[ring.mul[unit]])):
+            compare(ring.add, mul, (text, label))
+        for k in range(8):
+            add, mul = ring.add.copy(), ring.mul.copy()
+            i, j = (int(x) for x in rng.integers(0, n, 2))
+            if k % 2:
+                mul[i, j] = (int(mul[i, j]) + int(rng.integers(1, n))) % n
+            else:
+                add[i, j] = add[j, i] = (int(add[i, j]) + int(rng.integers(1, n))) % n
+            compare(add, mul, (text, k, i, j))
+    assert outcomes.count(False) >= 8 * len(rings)  # every corrupt entry at least
+
+
+def one_check_fails():
+    """(check, add, mul): tables on which exactly one of the proof's checks
+    fails. Over z(64), every product lies in {0, 32} and 32 * 32 = 0, so
+    any product of three elements is 0 and associativity holds; phi(x)
+    sums 1 over bits 0 and 1 of x, so its rows add up over the bits of x
+    but 2 * phi(1) != phi(2); psi marks the one non-generator 3. Over
+    F2^3, the bilinear product with e0 e0 = e1 and e1 e0 = e2 is
+    bi-additive and not associative."""
+    x = np.arange(64)
+    add = (x[:, None] + x) % 64
+    phi, psi = (x & 1) + (x >> 1 & 1), x == 3
+    rows_add_up = 32 * phi[:, None] * x % 64
+    only_3 = 32 * x[:, None] * psi % 64
+    e = np.arange(8)
+    e0, e1 = e & 1, e >> 1 & 1
+    nonassociative = 2 * (e0[:, None] & e0) ^ 4 * (e1[:, None] & e0)
+    return [
+        ("right doubling", add, rows_add_up),
+        ("left doubling", add, rows_add_up.T),
+        ("right rows", add, only_3.T),
+        ("left rows", add, only_3),
+        ("associativity", e[:, None] ^ e, nonassociative),
+    ]
+
+
+@pytest.mark.parametrize("case", one_check_fails(), ids=lambda case: case[0])
+def test_each_proof_check_rejects_a_table_alone(case):
+    check, add, mul = case
+    add, mul = add.astype(np.uint16), np.ascontiguousarray(mul, dtype=np.uint16)
+    proved, witness = _prove_bitwise(add, mul, field_top_bits(add))
+    assert not proved and cubic_scan_oracle(add, mul), check
+    assert witness_fails(add, mul, 0, 1, None, witness), check
+
+
+def test_a_relabelled_bitwise_group_falls_back_to_sampling():
+    # z(128) with the labels of 3 and 5 swapped is a ring on which every
+    # 2^b + 2^b still looks bitwise, but whose addition is not the bitwise
+    # formula: the proof cannot decide it, finds no witness, and the ring is
+    # sampled as before
+    perm = np.arange(128)
+    perm[[3, 5]] = [5, 3]
+    z = build_zmod(128)
+    add, mul = perm[z.add[np.ix_(perm, perm)]], perm[z.mul[np.ix_(perm, perm)]]
+    assert field_top_bits(add) == 64 and _prove_bitwise(add, mul, 64) == (False, None)
+    ring = validate_ring(add, mul, 0, 1)
+    assert ring.validation == "sampled" and ring.basis is None
 
 
 def old_range_check_fails(table, n):

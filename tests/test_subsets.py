@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ringlab import ElemSet, compile_text, compute_bundle, power_orbit
-from ringlab.construct import build_matrix, build_triangular, build_zmod, matrix_unit_index
+from ringlab.core import TableRing, rows_equal_columns
+from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
     augmentation,
@@ -202,6 +203,41 @@ def test_is_two_sided_ideal_witnesses_match_the_oracle():
     assert kinds == {"zero", "add", "left", "right", None}
 
 
+def without_basis(ring):
+    """The ring over the same tables with no basis, so the subsets take their n^2 forms."""
+    return TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation)
+
+
+@pytest.mark.parametrize(
+    "text", ["z(128)", "group(z(2),q8)", "m(2,z(4))", "t(2,z(8))", "t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))"]
+)
+def test_generator_forms_match_the_full_forms(text):
+    # the centre and the ideal check on the bit generators against
+    # rows_equal_columns and the full left/right scan, on J, on J with one
+    # element added or removed, on R*g and g*R for each generator g, and on
+    # additive subgroups
+    ring = compile_text(text)
+    assert ring.basis is not None and ring.validation == "exhaustive"
+    plain = without_basis(ring)
+    assert np.array_equal(center(ring).mask(), rows_equal_columns(ring.mul)), text
+    jac = jacobson_radical(ring)
+    rng = np.random.default_rng(ring.order)
+    outside, jac = np.flatnonzero(~jac.mask()), jac.index_array()
+    subsets = [jac, np.union1d(jac, rng.choice(outside, 1)), np.setdiff1d(jac, rng.choice(jac[1:], 1))]
+    subsets += [ring.mul[:, g] for g in ring.basis] + [ring.mul[g, :] for g in ring.basis]  # R*g and g*R
+    subsets += [additive_closure(ring, [a]).index_array() for a in rng.choice(ring.order, 4, replace=False)]
+    distinct = {ElemSet.of(ring, members).mask().tobytes(): members for members in subsets}  # R*g = R for a unit g
+    kinds = set()
+    for members in distinct.values():
+        got = is_two_sided_ideal(ring, ElemSet.of(ring, members))
+        assert got == is_two_sided_ideal(plain, ElemSet.of(plain, members)), (text, got)
+        kinds.add(got[1][0] if got[1] else None)
+    if text == "z(128)":  # every additive subgroup of z(n) is an ideal
+        assert kinds == {None, "add"}
+    else:
+        assert {None, "add", "left"} <= kinds, (text, kinds)
+
+
 def test_augmentation():
     fc2 = compile_text("group(z(2),c(2))")
     assert augmentation_ideal(fc2).indices() == (0, 3)
@@ -240,9 +276,10 @@ def test_bundle_invariants_across_sample():
 
 GUARD_SCRIPT = """
 import dataclasses, sys
-from ringlab import ElemSet, compile_text, compute_bundle
+from ringlab import ElemSet, compile_text, compute_bundle, validate_ring
 from ringlab import predicates
-from ringlab.core import RingError
+from ringlab.construct import NotAnIdealError, build_quotient, matrix_unit_index
+from ringlab.core import RingError, RingValidationError
 from ringlab.subsets import _assert_bundle_sanity
 
 assert sys.flags.optimize >= 1
@@ -260,6 +297,20 @@ try:
     sys.exit("broken implication lattice accepted")
 except RingError as exc:
     print("classify:", exc)
+ring = compile_text("m(2,z(8))")  # order 4096: proved on its bit generators
+mul = ring.mul.copy()
+mul[3000, 7] = 0  # row 3000 = 952 + 2048 is no longer the sum of rows 952 and 2048
+try:
+    validate_ring(ring.add, mul, ring.zero, ring.one, neg=ring.neg)
+    sys.exit("corrupt table accepted")
+except RingValidationError as exc:
+    print("proof:", exc)
+left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])  # R*E11, a left ideal only
+try:
+    build_quotient(ring, left)
+    sys.exit("one-sided ideal accepted")
+except NotAnIdealError as exc:
+    print("ideal:", exc)
 """
 
 
@@ -270,6 +321,8 @@ def test_internal_guards_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
+    assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
+    assert "ideal: generating set is not a two-sided ideal: ('right', 1, 8)" in proc.stdout
 
 
 def assert_pairs_match_nonzero(ring, label):
