@@ -251,10 +251,8 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
 
 def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
     """add = the bitwise addition with top bits `high`, `rows` rows at a time."""
-    n = add.shape[0]
-    rows = min(rows, n)
-    fill = bitwise_addition(n, high, rows)
-    for r in range(0, n, rows):
+    fill = bitwise_addition(add.shape[0], high)
+    for r in range(0, add.shape[0], rows):
         fill(r, add[r : r + rows])
 
 

@@ -151,10 +151,12 @@ class TableRing:
     its name; then each name is formatted when asked for, and the tuple
     only on first access to `names`.
 
-    `basis` is a tuple of elements that generate (R, +), known only of a
-    ring whose validation proved it (the bit generators 1, 2, 4, ... of a
-    bitwise addition), else None. Since mul is bi-additive, a product
-    identity that holds on the basis holds on every element.
+    `basis` is a tuple of elements that generate (R, +): the bit
+    generators 1, 2, 4, ..., kept by a ring above order 64 whose
+    validation decided every triple and whose generators were checked to
+    reach every element (`_bit_basis`), else None. Since mul is
+    bi-additive, a product identity that holds on the basis holds on
+    every element.
     """
 
     __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
@@ -306,40 +308,18 @@ def field_top_bits(add: np.ndarray) -> int | None:
     return high
 
 
-def bitwise_addition(n: int, high: int, rows: int):
-    """fill(r, out): writes rows r .. r + rows - 1 of the bitwise addition
-    of order n with top bits `high` into `out` and returns it; r is a
-    multiple of `rows`, and `rows` divides n.
-
-    No field crosses a boundary bit B (bit 0, or the bit above a top
-    bit), so for t < 2^B and r a multiple of 2^B the sum (r + t) + j is
-    r + j on the fields above B and t + j below: row r + t is row r XOR
-    row t XOR j. With 2^B the largest such step dividing `rows`, the rows
-    t < 2^B XOR j are computed once, and a block costs one XOR over it
-    plus the formula on its rows at multiples of 2^B. A table of one
-    block has nothing to share them with, so it takes the formula.
-    """
-    j = np.arange(n, dtype=TABLE_DTYPE)
+def bitwise_addition(n: int, high: int):
+    """fill(r, out): writes rows r .. r + len(out) - 1 of the bitwise
+    addition of order n with top bits `high` into `out` and returns it."""
+    i = np.arange(n, dtype=TABLE_DTYPE)
     low_mask, high_mask = _lane_masks(high)
-    j_low, j_high = j & low_mask, j & high_mask
-
-    def formula(i, out):
-        np.add((i & low_mask)[:, None], j_low, out=out)
-        out ^= j_high
-        out ^= (i & high_mask)[:, None]
-        return out
-
-    boundaries = [b for b in range(rows.bit_length()) if b == 0 or high >> (b - 1) & 1]
-    step = max(1 << b for b in boundaries if rows % (1 << b) == 0)
-    if step == 1 or rows == n:
-        return lambda r, out: formula(j[r : r + rows], out)
-    below = formula(j[:step], np.empty((step, n), dtype=TABLE_DTYPE))
-    below ^= j
-    heads = np.empty((rows // step, n), dtype=TABLE_DTYPE)
+    low, top = i & low_mask, i & high_mask
 
     def fill(r, out):
-        formula(j[r : r + rows : step], heads)
-        np.bitwise_xor(heads[:, None, :], below, out=out.reshape(-1, step, n))
+        rows = len(out)
+        np.add(low[r : r + rows, None], low, out=out)
+        out ^= top
+        out ^= top[r : r + rows, None]
         return out
 
     return fill
@@ -363,7 +343,7 @@ def _first_formula_mismatch(add: np.ndarray, high: int) -> tuple[int, int] | Non
     with top bits `high`, or None; compared a block of rows at a time."""
     n = add.shape[0]
     rows = min(n, _CHUNK_CELLS // n)
-    fill, want = bitwise_addition(n, high, rows), np.empty((rows, n), dtype=TABLE_DTYPE)
+    fill, want = bitwise_addition(n, high), np.empty((rows, n), dtype=TABLE_DTYPE)
     for r in range(0, n, rows):
         got = add[r : r + rows]
         if not np.array_equal(got, fill(r, want)):
@@ -680,11 +660,32 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     add.setflags(write=False)
     mul.setflags(write=False)
     neg.setflags(write=False)
-    # above order 64 only the bitwise proof decides every triple, and it
-    # proves the bit generators 1, 2, ..., n/2 generate (R, +)
-    proved = mode == "exhaustive" and n > EXHAUSTIVE_LIMIT
-    basis = tuple(1 << b for b in range(n.bit_length() - 1)) if proved else None
+    # the generator forms of the subsets need a decided (bi-additive) mul;
+    # up to order 64 the n^2 forms cost little, so those rings keep none
+    basis = _bit_basis(add, zero) if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT else None
     return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis)
+
+
+def _bit_basis(add: np.ndarray, zero: int) -> tuple[int, ...] | None:
+    """The bit generators 1, 2, ..., n/2 when every element of (R, +) is a
+    sum of distinct ones among them, so that they generate it; else None.
+
+    sums[x] is the sum of the generators at the bits of x, filled with one
+    gather per bit (sums[x' | 2^b] = sums[x'] + 2^b for x' < 2^b), so the
+    test reads n entries of `add`, whichever scan decided the ring.
+    """
+    n = add.shape[0]
+    bits = n.bit_length() - 1
+    if n != 1 << bits:
+        return None
+    sums = np.empty(n, dtype=TABLE_DTYPE)
+    sums[0] = zero
+    for b in range(bits):
+        g = 1 << b
+        sums[g : 2 * g] = add[sums[:g], g]
+    reached = np.zeros(n, dtype=bool)
+    reached[sums] = True
+    return tuple(1 << b for b in range(bits)) if reached.all() else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ maximal-left-ideal intersection is kept only as a cross-check oracle
 for small orders.
 
 The center compares each row of the multiplication table with its
-column (`core.rows_equal_columns`). On a ring whose validation proved a
-set of additive generators (`TableRing.basis`: the bit generators of a
-bitwise addition above order 64), mul is bi-additive, so z is central
+column (`core.rows_equal_columns`). On a ring that keeps a set of
+additive generators (`TableRing.basis`: the bit generators, kept above
+order 64 when validation decided every triple and they reach every
+element), mul is bi-additive and they generate (R, +), so z is central
 iff it commutes with each generator, and a subgroup absorbs R on a side
 iff it absorbs each generator there: the center and the ideal check of
 J then read n x k and |J| x k cells (k = log2 n) instead of n x n and

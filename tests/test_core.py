@@ -23,6 +23,7 @@ from ringlab.core import (
     ElementIndexError,
     TableRing,
     Violation,
+    _bit_basis,
     _prove_bitwise,
     field_top_bits,
     rows_equal_columns,
@@ -255,6 +256,17 @@ def test_sampled_validation_above_exhaustive_limit():
         assert ring.order > 64 and ring.validation == "sampled" and ring.basis is None, text
     add, mul = raw_zmod_tables(130)
     assert scan_axioms(np.array(add), np.array(mul), 0, 1) == ([], "sampled")
+
+
+def test_bit_basis_needs_the_generators_to_reach_every_element():
+    # (Z/2)^3 as 3-bit vectors v, with the index 4 on e1 + e2 instead of
+    # on e3: every diagonal entry is 0, yet 1, 2, 4 sum to only 4 elements
+    label = [0, 1, 2, 4, 3, 5, 6, 7]  # label[v] is the index of vector v
+    vec = np.argsort(label)
+    add = np.array(label)[vec[:, None] ^ vec[None, :]]
+    assert field_top_bits(add) == 0b111 and _bit_basis(add, 0) is None
+    assert _bit_basis(np.arange(8)[:, None] ^ np.arange(8), 0) == (1, 2, 4)
+    assert _bit_basis(np.asarray(build_zmod(12).add), 0) is None  # not of order 2^K
 
 
 def test_elemset_algebra():
