@@ -212,9 +212,6 @@ class SuiteReport:
             "summary": dict(self.summary),
         }
 
-    def failures(self) -> list[CheckResult]:
-        return [r for entry in self.checks for r in entry["results"] if r.status == "fail"]
-
     def notes(self) -> list[tuple[str, str, str]]:
         return [
             (entry["id"], r.ring, r.note)
@@ -1098,8 +1095,8 @@ def _registry() -> tuple[Check, ...]:
         Check("G-delta", "for UJ# coefficients and 2-groups the augmentation ideal sits inside J", "UJ# coefficients, 2-group", _applies_gdelta, _chk_gdelta),
         Check("G-locfin", "for 2-groups: RG UJ# exactly when R UJ#", "group rings over 2-groups", _applies_g2group, _chk_glocfin),
         Check("G-artinian", "RG UJ# exactly when (R/J(R))G UJ#", "group rings", _need_meta(GroupRingMeta, "applies to group rings"), _chk_gartinian),
-        Check("G-exp2", "UJ# group ring, 3 in J#(R), 2-group: G has exponent 2", "see applicability", _applies_gexp2, _chk_gexp2),
-        Check("G-3grp", "3 in J#(R), G an odd-p-group, RG UJ#: G is a 3-group", "see applicability", _applies_g3grp, _chk_g3grp),
+        Check("G-exp2", "UJ# group ring, 3 in J#(R), 2-group: G has exponent 2", "never met on a nonzero ring: RG UJ# makes R UJ#, u = -1 then puts 2 in J#(R), and 2, 3 in J#(R) would make 1 = 3 - 2 nilpotent modulo J(R)", _applies_gexp2, _chk_gexp2),
+        Check("G-3grp", "3 in J#(R), G an odd-p-group, RG UJ#: G is a 3-group", "group rings over odd p-groups with 3 in J#(R); RG is then never UJ#, since a UJ# R has 2 in J#(R) (u = -1) and 2, 3 in J#(R) would make 1 = 3 - 2 nilpotent modulo J(R)", _applies_g3grp, _chk_g3grp),
         Check("O-jac", "unit-criterion radical equals the maximal-left-ideal intersection", "order <= 64, --deep-oracle", _applies_order(64, "oracle runs on orders <= 64"), _chk_ojac, needs_deep=True),
         Check("O-nilstar", "graph Nil* equals the prime-ideal intersection", "order <= 16, --deep-oracle", _applies_order(16, "oracle runs on orders <= 16"), _chk_onilstar, needs_deep=True),
         _doc_entry("P2.10", "for 2-primal alpha-compatible rings J# of the skew polynomial ring is its prime radical", "requires a genuinely infinite polynomial ring; P3.2 covers the truncated stand-in"),

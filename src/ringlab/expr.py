@@ -19,14 +19,22 @@ File tokens run over [A-Za-z0-9._/~-]. The canonical form is lowercase
 with no whitespace, except that a group-product `x` following a file
 token is preceded by one space (the file token would swallow it
 otherwise); printing then reparsing is the identity.
+
+A parsed expression is a plain tuple `(keyword, *args)`: `z(8)` is
+`("z", 8)`, `group(z(2),c(2)xc(2))` is
+`("group", ("z", 2), ("x", (("c", 2), ("c", 2))))`, `skew(gf(4),frob,2)`
+is `("skew", ("gf", 4), ("frob",), 2)`, and a group or endomorphism file
+is `("@", path)`. Tuples compare and hash by value, and the keyword comes
+first, so `("m", 2, b) != ("t", 2, b)`. The argument kinds of each ring
+keyword and group atom are listed once, in `_RING_SIGNATURES` and
+`_GROUP_SIGNATURES`; the parser and the printer both read them, and an
+integer is range-checked as soon as it is read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
 
 from . import construct, groups
 from .core import ElemSet, TableRing
@@ -57,117 +65,37 @@ class BadElementRefError(ValueError):
     """A quot/corner element index does not exist in the child ring."""
 
 
-# --- AST ------------------------------------------------------------------
+# --- nodes ------------------------------------------------------------------
+#
+# Argument kinds: "ring", "rings" (one or more, comma-separated), "ints" (a
+# bracketed list), "group", "endo", "int", or (low, high, message) for an int
+# that must lie in low..high (high None: unbounded), checked as it is read.
 
+_RING_SIGNATURES = {
+    "z": ((2, None, "z(n) requires n >= 2"),),
+    "gf": ((2, None, "gf(q) requires q >= 2"),),
+    "m": ((1, None, "k must be >= 1"), "ring"),
+    "t": ((1, None, "k must be >= 1"), "ring"),
+    "prod": ("rings",),
+    "quot": ("ring", "ints"),
+    "corner": ("ring", "int"),
+    "triv": ("ring",),
+    "group": ("ring", "group"),
+    "poly": ("ring", (1, None, "truncation exponent must be >= 1")),
+    "skew": ("ring", "endo", (1, None, "truncation exponent must be >= 1")),
+}
 
-@dataclass(frozen=True)
-class Zmod:
-    n: int
+_GROUP_SIGNATURES = {
+    "c": ((1, None, "c(n) requires n >= 1"),),
+    "d": ((1, None, "d(n) requires n >= 1"),),
+    "q8": (),
+    "s": ((1, 4, "s(n) supports 1 <= n <= 4"),),
+}
 
+_ENDO_NAMES = ("id", "frob")
 
-@dataclass(frozen=True)
-class GF:
-    q: int
-
-
-@dataclass(frozen=True)
-class MatrixOf:
-    k: int
-    base: "RingExpr"
-
-
-@dataclass(frozen=True)
-class TriangularOf:
-    k: int
-    base: "RingExpr"
-
-
-@dataclass(frozen=True)
-class ProdOf:
-    factors: tuple["RingExpr", ...]
-
-
-@dataclass(frozen=True)
-class QuotOf:
-    base: "RingExpr"
-    gens: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CornerOf:
-    base: "RingExpr"
-    idem: int
-
-
-@dataclass(frozen=True)
-class TrivOf:
-    base: "RingExpr"
-
-
-@dataclass(frozen=True)
-class GroupRingOf:
-    base: "RingExpr"
-    group: "GroupExpr"
-
-
-@dataclass(frozen=True)
-class PolyOf:
-    base: "RingExpr"
-    k: int
-
-
-@dataclass(frozen=True)
-class SkewOf:
-    base: "RingExpr"
-    endo: "EndoRef"
-    k: int
-
-
-@dataclass(frozen=True)
-class CyclicG:
-    n: int
-
-
-@dataclass(frozen=True)
-class DihedralG:
-    n: int
-
-
-@dataclass(frozen=True)
-class QuaternionG:
-    pass
-
-
-@dataclass(frozen=True)
-class SymmetricG:
-    n: int
-
-
-@dataclass(frozen=True)
-class ProductG:
-    factors: tuple["GroupExpr", ...]
-
-
-@dataclass(frozen=True)
-class FileG:
-    path: str
-
-
-@dataclass(frozen=True)
-class NamedEndo:
-    name: str  # "id" | "frob"
-
-
-@dataclass(frozen=True)
-class FileEndo:
-    path: str
-
-
-RingExpr = Union[
-    Zmod, GF, MatrixOf, TriangularOf, ProdOf, QuotOf, CornerOf, TrivOf, GroupRingOf, PolyOf, SkewOf
-]
-GroupExpr = Union[CyclicG, DihedralG, QuaternionG, SymmetricG, ProductG, FileG]
-EndoRef = Union[NamedEndo, FileEndo]
+# the printer's view: every keyword of every namespace (they are disjoint)
+_SIGNATURES = {**_RING_SIGNATURES, **_GROUP_SIGNATURES, **dict.fromkeys(_ENDO_NAMES, ())}
 
 _FILE_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._/~-")
 
@@ -194,18 +122,16 @@ class _Scanner:
         found = self.text[self.pos : self.pos + 8]
         raise ParseError(self.pos, expected, found)
 
-    def literal(self, lit: str) -> None:
-        self.skip_ws()
-        if not self.text[self.pos : self.pos + len(lit)].lower() == lit:
-            self.fail((repr(lit),))
-        self.pos += len(lit)
-
     def try_literal(self, lit: str) -> bool:
         self.skip_ws()
         if self.text[self.pos : self.pos + len(lit)].lower() == lit:
             self.pos += len(lit)
             return True
         return False
+
+    def literal(self, lit: str) -> None:
+        if not self.try_literal(lit):
+            self.fail((repr(lit),))
 
     def ident(self) -> tuple[str, int]:
         self.skip_ws()
@@ -233,150 +159,83 @@ class _Scanner:
         return self.text[start : self.pos]
 
 
-_RING_KEYWORDS = ("z", "gf", "m", "t", "prod", "quot", "corner", "triv", "group", "poly", "skew")
+def _parse_args(sc: _Scanner, kinds: tuple) -> tuple:
+    """The arguments of one keyword, `(` kind {`,` kind} `)`; none when `kinds` is empty."""
+    if not kinds:
+        return ()
+    sc.literal("(")
+    args = []
+    for i, kind in enumerate(kinds):
+        if i:
+            sc.literal(",")
+        if kind == "ring":
+            args.append(_parse_ring(sc))
+        elif kind == "rings":
+            factors = [_parse_ring(sc)]
+            while sc.try_literal(","):
+                factors.append(_parse_ring(sc))
+            args.append(tuple(factors))
+        elif kind == "ints":
+            sc.literal("[")
+            gens = [sc.integer()[0]]
+            while sc.try_literal(","):
+                gens.append(sc.integer()[0])
+            sc.literal("]")
+            args.append(tuple(gens))
+        elif kind == "group":
+            args.append(_parse_group(sc))
+        elif kind == "endo":
+            args.append(_parse_endo(sc))
+        else:
+            n, offset = sc.integer()
+            if kind != "int":
+                low, high, message = kind
+                if n < low or (high is not None and n > high):
+                    raise RangeError(offset, message)
+            args.append(n)
+    sc.literal(")")
+    return tuple(args)
 
 
-def _parse_ring(sc: _Scanner) -> RingExpr:
+def _parse_ring(sc: _Scanner) -> tuple:
     word, start = sc.ident()
-    if word == "z":
-        sc.literal("(")
-        n, noff = sc.integer()
-        sc.literal(")")
-        if n < 2:
-            raise RangeError(noff, "z(n) requires n >= 2")
-        return Zmod(n)
-    if word == "gf":
-        sc.literal("(")
-        q, qoff = sc.integer()
-        sc.literal(")")
-        if q < 2:
-            raise RangeError(qoff, "gf(q) requires q >= 2")
-        return GF(q)
-    if word in ("m", "t"):
-        sc.literal("(")
-        k, koff = sc.integer()
-        if k < 1:
-            raise RangeError(koff, "k must be >= 1")
-        sc.literal(",")
-        base = _parse_ring(sc)
-        sc.literal(")")
-        return MatrixOf(k, base) if word == "m" else TriangularOf(k, base)
-    if word == "prod":
-        sc.literal("(")
-        factors = [_parse_ring(sc)]
-        while sc.try_literal(","):
-            factors.append(_parse_ring(sc))
-        sc.literal(")")
-        return ProdOf(tuple(factors))
-    if word == "quot":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(",")
-        sc.literal("[")
-        gens = [sc.integer()[0]]
-        while sc.try_literal(","):
-            gens.append(sc.integer()[0])
-        sc.literal("]")
-        sc.literal(")")
-        return QuotOf(base, tuple(gens))
-    if word == "corner":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(",")
-        idem = sc.integer()[0]
-        sc.literal(")")
-        return CornerOf(base, idem)
-    if word == "triv":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(")")
-        return TrivOf(base)
-    if word == "group":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(",")
-        grp = _parse_group(sc)
-        sc.literal(")")
-        return GroupRingOf(base, grp)
-    if word == "poly":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(",")
-        k, koff = sc.integer()
-        sc.literal(")")
-        if k < 1:
-            raise RangeError(koff, "truncation exponent must be >= 1")
-        return PolyOf(base, k)
-    if word == "skew":
-        sc.literal("(")
-        base = _parse_ring(sc)
-        sc.literal(",")
-        endo = _parse_endo(sc)
-        sc.literal(",")
-        k, koff = sc.integer()
-        sc.literal(")")
-        if k < 1:
-            raise RangeError(koff, "truncation exponent must be >= 1")
-        return SkewOf(base, endo, k)
-    sc.pos = start
-    sc.fail(_RING_KEYWORDS)
+    if word not in _RING_SIGNATURES:
+        sc.pos = start
+        sc.fail(tuple(_RING_SIGNATURES))
+    return (word, *_parse_args(sc, _RING_SIGNATURES[word]))
 
 
-def _parse_gatom(sc: _Scanner) -> GroupExpr:
+def _parse_gatom(sc: _Scanner) -> tuple:
     # prefix-matched keywords: a following group-product `x` must not be
     # swallowed, so greedy identifier lexing is wrong here (q8xq8)
-    sc.skip_ws()
     if sc.peek() == "@":
-        return FileG(sc.file_token())
-    if sc.text[sc.pos : sc.pos + 2].lower() == "q8":
-        sc.pos += 2
-        return QuaternionG()
-    ch = sc.text[sc.pos : sc.pos + 1].lower()
-    if ch in ("c", "d", "s"):
-        sc.pos += 1
-        sc.literal("(")
-        n, noff = sc.integer()
-        sc.literal(")")
-        if ch == "c":
-            if n < 1:
-                raise RangeError(noff, "c(n) requires n >= 1")
-            return CyclicG(n)
-        if ch == "d":
-            if n < 1:
-                raise RangeError(noff, "d(n) requires n >= 1")
-            return DihedralG(n)
-        if not 1 <= n <= 4:
-            raise RangeError(noff, "s(n) supports 1 <= n <= 4")
-        return SymmetricG(n)
-    sc.fail(("c", "d", "q8", "s", "@FILE"))
+        return ("@", sc.file_token())
+    for word, kinds in _GROUP_SIGNATURES.items():
+        if sc.try_literal(word):
+            return (word, *_parse_args(sc, kinds))
+    sc.fail((*_GROUP_SIGNATURES, "@FILE"))
 
 
-def _parse_group(sc: _Scanner) -> GroupExpr:
+def _parse_group(sc: _Scanner) -> tuple:
     factors = [_parse_gatom(sc)]
-    while True:
-        sc.skip_ws()
-        if sc.pos < len(sc.text) and sc.text[sc.pos] in "xX":
-            sc.pos += 1
-            factors.append(_parse_gatom(sc))
-        else:
-            break
-    if len(factors) == 1:
-        return factors[0]
-    return ProductG(tuple(factors))
+    while sc.peek().lower() == "x":
+        sc.pos += 1
+        factors.append(_parse_gatom(sc))
+    return factors[0] if len(factors) == 1 else ("x", tuple(factors))
 
 
-def _parse_endo(sc: _Scanner) -> EndoRef:
+def _parse_endo(sc: _Scanner) -> tuple:
     if sc.peek() == "@":
-        return FileEndo(sc.file_token())
+        return ("@", sc.file_token())
     word, start = sc.ident()
-    if word in ("id", "frob"):
-        return NamedEndo(word)
+    if word in _ENDO_NAMES:
+        return (word,)
     sc.pos = start
-    sc.fail(("id", "frob", "@FILE"))
+    sc.fail((*_ENDO_NAMES, "@FILE"))
 
 
-def parse(text: str) -> RingExpr:
-    """Parse one construction expression."""
+def parse(text: str) -> tuple:
+    """Parse one construction expression into its `(keyword, *args)` tuple."""
     if len(text) > MAX_EXPR_LENGTH:
         raise ParseError(MAX_EXPR_LENGTH, ("shorter input",))
     sc = _Scanner(text)
@@ -389,63 +248,35 @@ def parse(text: str) -> RingExpr:
 # --- canonical printing -----------------------------------------------------
 
 
-def print_canonical(expr) -> str:
-    """Lowercase, whitespace-free form; reparsing it rebuilds `expr`."""
-    if isinstance(expr, Zmod):
-        return f"z({expr.n})"
-    if isinstance(expr, GF):
-        return f"gf({expr.q})"
-    if isinstance(expr, MatrixOf):
-        return f"m({expr.k},{print_canonical(expr.base)})"
-    if isinstance(expr, TriangularOf):
-        return f"t({expr.k},{print_canonical(expr.base)})"
-    if isinstance(expr, ProdOf):
-        return "prod(" + ",".join(print_canonical(f) for f in expr.factors) + ")"
-    if isinstance(expr, QuotOf):
-        return f"quot({print_canonical(expr.base)},[" + ",".join(map(str, expr.gens)) + "])"
-    if isinstance(expr, CornerOf):
-        return f"corner({print_canonical(expr.base)},{expr.idem})"
-    if isinstance(expr, TrivOf):
-        return f"triv({print_canonical(expr.base)})"
-    if isinstance(expr, GroupRingOf):
-        return f"group({print_canonical(expr.base)},{print_group(expr.group)})"
-    if isinstance(expr, PolyOf):
-        return f"poly({print_canonical(expr.base)},{expr.k})"
-    if isinstance(expr, SkewOf):
-        return f"skew({print_canonical(expr.base)},{print_endo(expr.endo)},{expr.k})"
-    raise TypeError(f"not a ring expression: {expr!r}")
-
-
-def print_group(expr) -> str:
-    if isinstance(expr, CyclicG):
-        return f"c({expr.n})"
-    if isinstance(expr, DihedralG):
-        return f"d({expr.n})"
-    if isinstance(expr, QuaternionG):
-        return "q8"
-    if isinstance(expr, SymmetricG):
-        return f"s({expr.n})"
-    if isinstance(expr, ProductG):
-        parts = [print_group(f) for f in expr.factors]
-        out = parts[0]
-        for prev, part in zip(expr.factors, parts[1:]):
-            out += " x" if isinstance(prev, FileG) else "x"
-            out += part
+def print_canonical(expr: tuple) -> str:
+    """Lowercase, whitespace-free form of a ring, group or endomorphism node; reparsing it rebuilds `expr`."""
+    word, *args = expr
+    if word == "@":
+        return "@" + args[0]
+    if word == "x":
+        factors = args[0]
+        out = print_canonical(factors[0])
+        for prev, factor in zip(factors, factors[1:]):
+            # a file token would swallow the `x` that follows it
+            out += (" x" if prev[0] == "@" else "x") + print_canonical(factor)
         return out
-    if isinstance(expr, FileG):
-        return f"@{expr.path}"
-    raise TypeError(f"not a group expression: {expr!r}")
+    kinds = _SIGNATURES[word]
+    if not kinds:
+        return word
+    parts = []
+    for kind, arg in zip(kinds, args):
+        if kind == "rings":
+            parts.append(",".join(map(print_canonical, arg)))
+        elif kind == "ints":
+            parts.append("[" + ",".join(map(str, arg)) + "]")
+        elif kind in ("ring", "group", "endo"):
+            parts.append(print_canonical(arg))
+        else:
+            parts.append(str(arg))
+    return f"{word}(" + ",".join(parts) + ")"
 
 
-def print_endo(expr) -> str:
-    if isinstance(expr, NamedEndo):
-        return expr.name
-    if isinstance(expr, FileEndo):
-        return f"@{expr.path}"
-    raise TypeError(f"not an endomorphism reference: {expr!r}")
-
-
-def canonical_hash(expr) -> str:
+def canonical_hash(expr: tuple) -> str:
     """Stable digest of the canonical printed form (SHA-256 hex)."""
     return hashlib.sha256(print_canonical(expr).encode("ascii")).hexdigest()
 
@@ -453,76 +284,80 @@ def canonical_hash(expr) -> str:
 # --- compilation -------------------------------------------------------------
 
 
-def compile_group(expr, base_dir: Path | None = None) -> groups.GroupTable:
-    if isinstance(expr, CyclicG):
-        return groups.cyclic(expr.n)
-    if isinstance(expr, DihedralG):
-        return groups.dihedral(expr.n)
-    if isinstance(expr, QuaternionG):
-        return groups.quaternion8()
-    if isinstance(expr, SymmetricG):
-        return groups.symmetric(expr.n)
-    if isinstance(expr, ProductG):
-        return groups.direct_product([compile_group(f, base_dir) for f in expr.factors])
-    if isinstance(expr, FileG):
-        path = Path(expr.path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        return groups.group_from_file(path)
+def _resolve(path: str, base_dir: Path | None) -> Path:
+    out = Path(path)
+    if base_dir is not None and not out.is_absolute():
+        out = base_dir / out
+    return out
+
+
+def compile_group(expr: tuple, base_dir: Path | None = None) -> groups.GroupTable:
+    match expr:
+        case ("c", n):
+            return groups.cyclic(n)
+        case ("d", n):
+            return groups.dihedral(n)
+        case ("q8",):
+            return groups.quaternion8()
+        case ("s", n):
+            return groups.symmetric(n)
+        case ("x", factors):
+            return groups.direct_product([compile_group(f, base_dir) for f in factors])
+        case ("@", path):
+            return groups.group_from_file(_resolve(path, base_dir))
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def compile_expr(expr, cap: int | None = None, base_dir: Path | None = None) -> TableRing:
-    """Compile an AST to a validated TableRing, tagging it with its text."""
+def compile_expr(expr: tuple, cap: int | None = None, base_dir: Path | None = None) -> TableRing:
+    """Compile a parsed expression to a validated TableRing, tagging it with its text."""
     ring = _compile(expr, cap, base_dir)
     ring.expr_text = print_canonical(expr)
     return ring
 
 
-def _compile(expr, cap, base_dir) -> TableRing:
-    if isinstance(expr, Zmod):
-        return construct.build_zmod(expr.n, cap)
-    if isinstance(expr, GF):
-        return construct.build_gf(expr.q, cap)
-    if isinstance(expr, MatrixOf):
-        return construct.build_matrix(_compile(expr.base, cap, base_dir), expr.k, cap)
-    if isinstance(expr, TriangularOf):
-        return construct.build_triangular(_compile(expr.base, cap, base_dir), expr.k, cap)
-    if isinstance(expr, ProdOf):
-        return construct.build_product([_compile(f, cap, base_dir) for f in expr.factors], cap)
-    if isinstance(expr, QuotOf):
-        base = _compile(expr.base, cap, base_dir)
-        for g in expr.gens:
-            if not 0 <= g < base.order:
-                raise BadElementRefError(f"generator index {g} not in ring of order {base.order}")
-        ideal = construct.ideal_closure(base, ElemSet.of(base, expr.gens), "two-sided")
-        return construct.build_quotient(base, ideal, cap)[0]
-    if isinstance(expr, CornerOf):
-        base = _compile(expr.base, cap, base_dir)
-        if not 0 <= expr.idem < base.order:
-            raise BadElementRefError(f"idempotent index {expr.idem} not in ring of order {base.order}")
-        return construct.build_corner(base, expr.idem, cap)[0]
-    if isinstance(expr, TrivOf):
-        return construct.build_trivial_extension(_compile(expr.base, cap, base_dir), cap)
-    if isinstance(expr, GroupRingOf):
-        base = _compile(expr.base, cap, base_dir)
-        return construct.build_group_ring(base, compile_group(expr.group, base_dir), cap)
-    if isinstance(expr, PolyOf):
-        base = _compile(expr.base, cap, base_dir)
-        return construct.build_truncated_skew_poly(base, construct.identity_endo(base), expr.k, cap)
-    if isinstance(expr, SkewOf):
-        base = _compile(expr.base, cap, base_dir)
-        if isinstance(expr.endo, NamedEndo):
-            if expr.endo.name == "id":
+def _compile(expr: tuple, cap, base_dir) -> TableRing:
+    # Each branch looks its builder up on `construct` at call time, so a
+    # tracer that rebinds `construct.build_*` sees every call.
+    match expr:
+        case ("z", n):
+            return construct.build_zmod(n, cap)
+        case ("gf", q):
+            return construct.build_gf(q, cap)
+        case ("m", k, base):
+            return construct.build_matrix(_compile(base, cap, base_dir), k, cap)
+        case ("t", k, base):
+            return construct.build_triangular(_compile(base, cap, base_dir), k, cap)
+        case ("prod", factors):
+            return construct.build_product([_compile(f, cap, base_dir) for f in factors], cap)
+        case ("quot", base, gens):
+            base = _compile(base, cap, base_dir)
+            for g in gens:
+                if not 0 <= g < base.order:
+                    raise BadElementRefError(f"generator index {g} not in ring of order {base.order}")
+            ideal = construct.ideal_closure(base, ElemSet.of(base, gens), "two-sided")
+            return construct.build_quotient(base, ideal, cap)[0]
+        case ("corner", base, idem):
+            base = _compile(base, cap, base_dir)
+            if not 0 <= idem < base.order:
+                raise BadElementRefError(f"idempotent index {idem} not in ring of order {base.order}")
+            return construct.build_corner(base, idem, cap)[0]
+        case ("triv", base):
+            return construct.build_trivial_extension(_compile(base, cap, base_dir), cap)
+        case ("group", base, group):
+            base = _compile(base, cap, base_dir)
+            return construct.build_group_ring(base, compile_group(group, base_dir), cap)
+        case ("poly", base, k):
+            base = _compile(base, cap, base_dir)
+            return construct.build_truncated_skew_poly(base, construct.identity_endo(base), k, cap)
+        case ("skew", base, endo, k):
+            base = _compile(base, cap, base_dir)
+            if endo == ("id",):
                 alpha = construct.identity_endo(base)
-            else:
+            elif endo == ("frob",):
                 alpha = construct.frobenius_endo(base)
-        else:
-            path = Path(expr.endo.path)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            alpha = construct.endomorphism_from_file(base, path, f"@{expr.endo.path}")
-        return construct.build_truncated_skew_poly(base, alpha, expr.k, cap)
+            else:
+                alpha = construct.endomorphism_from_file(base, _resolve(endo[1], base_dir), f"@{endo[1]}")
+            return construct.build_truncated_skew_poly(base, alpha, k, cap)
     raise TypeError(f"not a ring expression: {expr!r}")
 
 

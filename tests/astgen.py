@@ -2,8 +2,6 @@
 
 import random
 
-from ringlab import expr as E
-
 FILE_PATHS = ("tbl/g1.tbl", "alpha.endo", "data/q_extra.txt", "h-2.grp")
 
 
@@ -13,24 +11,24 @@ def random_group(rng: random.Random, depth: int):
         kinds.append("prod")
     kind = rng.choice(kinds)
     if kind == "c":
-        return E.CyclicG(rng.randint(1, 12))
+        return ("c", rng.randint(1, 12))
     if kind == "d":
-        return E.DihedralG(rng.randint(1, 9))
+        return ("d", rng.randint(1, 9))
     if kind == "q8":
-        return E.QuaternionG()
+        return ("q8",)
     if kind == "s":
-        return E.SymmetricG(rng.randint(1, 4))
+        return ("s", rng.randint(1, 4))
     if kind == "file":
-        return E.FileG(rng.choice(FILE_PATHS))
+        return ("@", rng.choice(FILE_PATHS))
     atoms = tuple(random_group(rng, 0) for _ in range(rng.randint(2, 3)))
-    return E.ProductG(atoms)
+    return ("x", atoms)
 
 
 def random_endo(rng: random.Random):
     kind = rng.choice(["id", "frob", "file"])
     if kind == "file":
-        return E.FileEndo(rng.choice(FILE_PATHS))
-    return E.NamedEndo(kind)
+        return ("@", rng.choice(FILE_PATHS))
+    return (kind,)
 
 
 def random_ring(rng: random.Random, depth: int):
@@ -38,27 +36,27 @@ def random_ring(rng: random.Random, depth: int):
     inner = ["m", "t", "prod", "quot", "corner", "triv", "group", "poly", "skew"]
     kind = rng.choice(leaves if depth <= 0 else leaves + inner)
     if kind == "z":
-        return E.Zmod(rng.randint(2, 97))
+        return ("z", rng.randint(2, 97))
     if kind == "gf":
-        return E.GF(rng.choice((2, 3, 4, 5, 7, 8, 9, 25, 49)))
+        return ("gf", rng.choice((2, 3, 4, 5, 7, 8, 9, 25, 49)))
     if kind == "m":
-        return E.MatrixOf(rng.randint(1, 3), random_ring(rng, depth - 1))
+        return ("m", rng.randint(1, 3), random_ring(rng, depth - 1))
     if kind == "t":
-        return E.TriangularOf(rng.randint(1, 3), random_ring(rng, depth - 1))
+        return ("t", rng.randint(1, 3), random_ring(rng, depth - 1))
     if kind == "prod":
-        return E.ProdOf(tuple(random_ring(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+        return ("prod", tuple(random_ring(rng, depth - 1) for _ in range(rng.randint(1, 3))))
     if kind == "quot":
         gens = tuple(rng.randint(0, 40) for _ in range(rng.randint(1, 3)))
-        return E.QuotOf(random_ring(rng, depth - 1), gens)
+        return ("quot", random_ring(rng, depth - 1), gens)
     if kind == "corner":
-        return E.CornerOf(random_ring(rng, depth - 1), rng.randint(0, 40))
+        return ("corner", random_ring(rng, depth - 1), rng.randint(0, 40))
     if kind == "triv":
-        return E.TrivOf(random_ring(rng, depth - 1))
+        return ("triv", random_ring(rng, depth - 1))
     if kind == "group":
-        return E.GroupRingOf(random_ring(rng, depth - 1), random_group(rng, 1))
+        return ("group", random_ring(rng, depth - 1), random_group(rng, 1))
     if kind == "poly":
-        return E.PolyOf(random_ring(rng, depth - 1), rng.randint(1, 5))
-    return E.SkewOf(random_ring(rng, depth - 1), random_endo(rng), rng.randint(1, 5))
+        return ("poly", random_ring(rng, depth - 1), rng.randint(1, 5))
+    return ("skew", random_ring(rng, depth - 1), random_endo(rng), rng.randint(1, 5))
 
 
 def generate(count: int, seed: int = 0xA5, max_depth: int = 4):

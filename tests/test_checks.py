@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ringlab import ElemSet, checks, compile_text
+from ringlab import predicates as P
 from ringlab.construct import additive_closure, ideal_closure
 from ringlab.subsets import _join_closure
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
@@ -178,6 +179,18 @@ def test_exp2_check_skips_with_the_failing_hypothesis(suite_report):
     assert all(r.status == "skip" for r in results)
     f2c4 = [r for r in results if r.ring == "group(z(2),c(4))"]
     assert "3" in f2c4[0].note or "UJ#" in f2c4[0].note
+
+
+def test_ujsharp_rings_have_two_and_not_three_in_jsharp(corpus_bundles):
+    # u = -1 puts 2 in J#(R); 2 and 3 both in J#(R) would make 1 = 3 - 2
+    # nilpotent modulo J, so G-exp2 never applies and G-3grp never fails
+    for text, ring, bundle in corpus_bundles:
+        if not P.is_ujsharp(ring, bundle):
+            continue
+        two = int(ring.add[ring.one, ring.one])
+        three = int(ring.add[two, ring.one])
+        assert two in bundle.jsharp, text
+        assert three not in bundle.jsharp, text
 
 
 def test_suite_summary_counts_are_consistent(suite_report):
