@@ -1,7 +1,7 @@
 """Persistent invariant cache keyed by canonical expression digests.
 
 Only `ring inspect` and `ring sets` read it; `verify` and `check` always
-compute their bundles. An entry (format version 5) is a header (magic,
+compute their bundles. An entry (format version 6) is a header (magic,
 version, order and the table checksum of the ring), the six bitsets U,
 Id, Nil, Z, J and J# packed little-endian, and a SHA-256 over all of
 that; Nil* is J on a finite ring and is not stored. A stored entry is
@@ -11,15 +11,10 @@ the entry instead of poisoning results. Any malformed or mismatched file
 is a silent miss, and a cache directory that cannot be written is
 skipped: the bundle is still returned.
 
-A cold write hashes both tables while the bundle is computed:
-`get_or_compute` starts one thread that runs `_digest_into`, computes the
-bundle on the calling thread, joins the thread (also when the bundle
-raises), and hands the digest to `save_bundle`. `hashlib` releases the
-GIL while it hashes a large buffer, so on a second core the checksum
-leaves the critical path. Only `_digest_into` and `_table_digest` run on
-that thread; keep them out of the benchmark tracer's targets
-(`perfbench/spans.py`), whose one span stack is not thread-safe. A load
-checksums on the calling thread, through `table_checksum`.
+The table checksum hashes only the rows of `add` and `mul` at the ring's
+additive generators (`TableRing.basis`), or every row on a ring without
+one; see `table_checksum` for why those rows fix both tables. A miss
+computes the bundle, then saves it.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import hashlib
 import os
 import struct
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +31,7 @@ from .core import ElemSet, TableRing
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _SETS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
 _HEAD = len(MAGIC) + 6 + 32  # magic, version and order, table checksum
@@ -53,31 +47,26 @@ def cache_dir() -> Path:
 
 
 def table_checksum(ring: TableRing) -> bytes:
-    """SHA-256 of the order, zero, one and both tables as the little-endian
-    uint16 the ring stores them in.
+    """SHA-256 of the order, zero, one, the number of rows hashed and the
+    rows `add[rows]` and `mul[rows]` as the little-endian uint16 the ring
+    stores them in, where `rows` is `ring.basis`, or every element when
+    the ring has no basis.
 
-    The tables are hashed in place; a copy is made only on a host whose
-    native byte order is not little-endian. Format 4 hashed an int32 copy
-    of each table, so format-5 checksums differ from format-4 ones.
+    The basis rows fix both tables. A basis is kept only on a ring whose
+    axioms were decided on every triple and whose bit generators reach
+    every element as sums of distinct ones (`core._bit_basis`). Then the
+    generator rows of `add` give each such sum, associativity gives every
+    row of `add` (add[g + x] = add[g][add[x]]) and right distributivity
+    every row of `mul` (mul[x + g] = add[mul[x], mul[g]]). The row count
+    keeps these checksums apart from whole-table ones.
     """
-    return _table_digest(ring)
-
-
-def _table_digest(ring: TableRing) -> bytes:
-    """`table_checksum`'s body, which the hashing thread also runs."""
+    rows = slice(None) if ring.basis is None else list(ring.basis)
+    add, mul = ring.add[rows], ring.mul[rows]  # whole tables: views, not copies
     h = hashlib.sha256()
-    h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, 0))
-    h.update(np.ascontiguousarray(ring.add, dtype="<u2"))
-    h.update(np.ascontiguousarray(ring.mul, dtype="<u2"))
+    h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, len(add)))
+    h.update(np.ascontiguousarray(add, dtype="<u2"))
+    h.update(np.ascontiguousarray(mul, dtype="<u2"))
     return h.digest()
-
-
-def _digest_into(ring: TableRing, out: list) -> None:
-    """Thread body: append `_table_digest(ring)`, or the exception it raised, to `out`."""
-    try:
-        out.append(_table_digest(ring))
-    except BaseException as exc:  # re-raised on the calling thread
-        out.append(exc)
 
 
 def _entry_path(ring: TableRing) -> Path | None:
@@ -87,12 +76,9 @@ def _entry_path(ring: TableRing) -> Path | None:
     return cache_dir() / f"{digest}.v{FORMAT_VERSION}.bin"
 
 
-def serialize_bundle(bundle: InvariantBundle, checksum: bytes | None = None) -> bytes:
-    """The entry bytes; `checksum` is the ring's `table_checksum` if the caller has it."""
+def serialize_bundle(bundle: InvariantBundle) -> bytes:
     ring = bundle.ring
-    if checksum is None:
-        checksum = table_checksum(ring)
-    out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), checksum]
+    out = [MAGIC, struct.pack("<HI", FORMAT_VERSION, ring.order), table_checksum(ring)]
     for name in _SETS:
         out.append(np.packbits(getattr(bundle, name).mask(), bitorder="little").tobytes())
     payload = b"".join(out)
@@ -135,13 +121,13 @@ def load_bundle(ring: TableRing) -> InvariantBundle | None:
         return None
 
 
-def save_bundle(bundle: InvariantBundle, checksum: bytes | None = None) -> None:
+def save_bundle(bundle: InvariantBundle) -> None:
     """Write the bundle's entry, best effort: any OSError, from creating the
-    directory on, skips the write. `checksum` is as in `serialize_bundle`."""
+    directory on, skips the write."""
     path = _entry_path(bundle.ring)
     if path is None:
         return
-    data = serialize_bundle(bundle, checksum)
+    data = serialize_bundle(bundle)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -158,24 +144,12 @@ def save_bundle(bundle: InvariantBundle, checksum: bytes | None = None) -> None:
 
 
 def get_or_compute(ring: TableRing) -> InvariantBundle:
-    """The cached bundle of `ring`, or one computed and saved; a miss
-    hashes the tables on a second thread (see the module docstring)."""
+    """The cached bundle of `ring`, or one computed and saved."""
     cached = load_bundle(ring)
     if cached is not None:
         return cached
-    if _entry_path(ring) is None:
-        return compute_bundle(ring)
-    digest: list = []
-    worker = threading.Thread(target=_digest_into, args=(ring, digest), name="ringlab-table-checksum")
-    worker.start()
-    try:
-        bundle = compute_bundle(ring)
-    finally:
-        worker.join()
-    (checksum,) = digest
-    if isinstance(checksum, BaseException):
-        raise checksum
-    save_bundle(bundle, checksum)
+    bundle = compute_bundle(ring)
+    save_bundle(bundle)
     return bundle
 
 

@@ -227,7 +227,8 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     blocks = [(x, lo, min(place[w], lo + rows)) for x, c, w in monomials for lo in range(1, place[w], rows)]
     high = None
     if blocks:  # a single digit extends no row, so skip the r x r compares
-        highs = {id(base): bitwise_high_bits(base.add) for base in bases}
+        distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
+        highs = {key: bitwise_high_bits(base.add) for key, base in distinct.items()}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
     add = np.empty((order, order), dtype=TABLE_DTYPE)
@@ -584,17 +585,6 @@ def endomorphism_from_text(ring: TableRing, text: str, name: str = "endo") -> En
 def endomorphism_from_file(ring: TableRing, path, name: str = "endo") -> Endomorphism:
     with open(path, "r", encoding="utf-8") as fh:
         return endomorphism_from_text(ring, fh.read(), name)
-
-
-def check_alpha_compatible(ring: TableRing, alpha: Endomorphism) -> tuple[bool, tuple[int, int] | None]:
-    """True iff a*b = 0 exactly when a*alpha(b) = 0, else a witness pair."""
-    zero_ab = ring.mul == ring.zero
-    zero_aalpha = ring.mul[:, alpha.map] == ring.zero
-    diff = np.argwhere(zero_ab != zero_aalpha)
-    if len(diff):
-        a, b = map(int, diff[0])
-        return False, (a, b)
-    return True, None
 
 
 def build_truncated_skew_poly(

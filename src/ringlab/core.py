@@ -195,15 +195,6 @@ class TableRing:
         if not 0 <= a < self.order:
             raise ElementIndexError(f"element index {a} out of range 0..{self.order - 1}")
 
-    def tables_equal(self, other: "TableRing") -> bool:
-        return (
-            self.order == other.order
-            and self.zero == other.zero
-            and self.one == other.one
-            and np.array_equal(self.add, other.add)
-            and np.array_equal(self.mul, other.mul)
-        )
-
 
 def elem_add(ring: TableRing, a: int, b: int) -> int:
     ring.check_index(a)

@@ -143,7 +143,7 @@ class _Scanner:
     def integer(self) -> tuple[int, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":  # ASCII only: str.isdigit takes "²"
             self.pos += 1
         if self.pos == start:
             self.fail(("INT",))

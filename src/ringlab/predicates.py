@@ -257,11 +257,6 @@ strongly_jsharp_clean_witness = partial(_decomposition, pool="jsharp", commuting
 strongly_nil_clean_witness = partial(_decomposition, pool="nilpotents", commuting=True)
 
 
-def clean_decomposition_count(ring: TableRing, bundle: InvariantBundle, a: int) -> int:
-    """Number of ordered pairs (e, u) with e idempotent, u a unit, a = e + u."""
-    return int(bundle.units.mask()[ring.add[a, ring.neg[bundle.idempotents.index_array()]]].sum())
-
-
 # class -> (bundle pool that a - e must lie in, whether ea = ae is required)
 _CLEAN_CLASSES = {
     "clean": ("units", False),

@@ -200,7 +200,7 @@ def test_criterion_12_cache_determinism(tmp_path, monkeypatch, capsys):
     code_warm = cli_main(["inspect", "group(z(3),d(3))", "--json"])
     warm = capsys.readouterr().out
     ok = code_cold == 0 and code_warm == 0 and cold == warm
-    ok &= len(after_cold) == 1 and after_cold[0][0].endswith(".v5.bin") and entries() == after_cold
+    ok &= len(after_cold) == 1 and after_cold[0][0].endswith(".v6.bin") and entries() == after_cold
     # verify never touches the cache, and its report is reproducible
     code_a = cli_main(["verify", "--json"])
     first = capsys.readouterr().out

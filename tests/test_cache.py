@@ -2,10 +2,9 @@ import ast
 import dataclasses
 import json
 import threading
-import time
 from pathlib import Path
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ringlab
@@ -25,6 +24,10 @@ from ringlab.cache import (
 )
 from ringlab.cli import main
 from ringlab.construct import build_zmod
+
+from ringtables import without_basis
+
+CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
 
 
 @pytest.fixture(autouse=True)
@@ -160,67 +163,80 @@ def test_a_failing_hash_is_raised_on_the_caller_and_writes_nothing(monkeypatch):
     def fail(ring):
         raise HashFailed("hash failed")
 
-    monkeypatch.setattr(cache, "_table_digest", fail)
-    before = threading.active_count()
+    monkeypatch.setattr(cache, "table_checksum", fail)
     with pytest.raises(HashFailed, match="hash failed"):
         get_or_compute(compile_text("z(12)"))
-    assert threading.active_count() == before
     assert stats()["entries"] == 0
 
 
-def test_a_failing_bundle_still_joins_the_worker_and_writes_nothing(monkeypatch):
-    ring = compile_text("z(12)")
-    hashed = []
-
-    def slow_digest(ring):
-        time.sleep(0.05)  # still hashing when the bundle fails
-        hashed.append(ring)
-        return bytes(32)
+def test_a_cold_write_starts_no_thread_and_a_failing_bundle_writes_nothing(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    before = threading.active_count()
+    get_or_compute(compile_text("t(2,z(2))"))
+    assert started == [] and threading.active_count() == before and stats()["entries"] == 1
 
     def fail(ring):
         raise RingError("bundle failed")
 
-    monkeypatch.setattr(cache, "_table_digest", slow_digest)
     monkeypatch.setattr(cache, "compute_bundle", fail)
-    before = threading.active_count()
     with pytest.raises(RingError, match="bundle failed"):
-        get_or_compute(ring)
-    assert hashed == [ring]  # the worker had finished when the call returned
-    assert threading.active_count() == before
-    assert stats()["entries"] == 0
+        get_or_compute(compile_text("z(12)"))
+    assert stats()["entries"] == 1
 
 
-def test_only_a_cold_write_of_a_named_ring_starts_a_thread(monkeypatch):
-    started = []
+def rebuild_tables(order, zero, add_rows, mul_rows):
+    """add and mul of a ring of order 2^K rebuilt from their rows at its bit
+    generators 1, 2, ..., 2^(K-1) alone (`add_rows[b]` is the row of 2^b)."""
+    sums = np.empty(order, dtype=np.intp)  # sums[x]: the sum of the generators at the bits of x
+    add = np.empty((order, order), dtype=add_rows.dtype)
+    mul = np.empty_like(add)
+    sums[0], add[zero], mul[zero] = zero, np.arange(order), zero
+    for b, add_g in enumerate(add_rows):
+        g = 1 << b
+        sums[g : 2 * g] = add_g[sums[:g]]  # g + x, a new element for each x < g
+        add[sums[g : 2 * g]] = add_g[add[sums[:g]]]  # associativity: (g + x) + y = g + (x + y)
+    for b, mul_g in enumerate(mul_rows):  # needs every row of add
+        g = 1 << b
+        mul[sums[g : 2 * g]] = add[mul[sums[:g]], mul_g]  # right distributivity: (x + g)y = xy + gy
+    return add, mul
 
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
 
-    monkeypatch.setattr(cache, "threading", SimpleNamespace(Thread=Recorded))
-    get_or_compute(build_zmod(8))  # anonymous: computed, never written
-    assert started == [] and stats()["entries"] == 0
-    ring = compile_text("z(8)")
-    get_or_compute(ring)
-    get_or_compute(ring)  # warm: read on the calling thread
-    assert len(started) == 1 and stats()["entries"] == 1
+def test_the_basis_rows_fix_both_tables(basis_text):
+    ring = compile_text(basis_text)
+    rows = list(ring.basis)
+    add, mul = rebuild_tables(ring.order, ring.zero, ring.add[rows], ring.mul[rows])
+    assert np.array_equal(add, ring.add) and np.array_equal(mul, ring.mul), basis_text
 
 
-def test_only_the_hash_helpers_run_on_the_worker():
-    # The benchmark's tracer keeps one span stack that is not thread-safe,
-    # so no traced ringlab function may run on the hashing thread.
-    package = str(Path(ringlab.__file__).parent)
-    seen: dict[str, set[str]] = {}
+def test_a_basis_checksum_is_not_the_whole_table_one(basis_text):
+    ring = compile_text(basis_text)
+    whole = without_basis(ring)
+    whole.expr_text = ring.expr_text
+    assert table_checksum(ring) != table_checksum(whole)
+    assert deserialize_bundle(serialize_bundle(compute_bundle(whole)), ring) is None
+    assert deserialize_bundle(serialize_bundle(compute_bundle(ring)), whole) is None
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            seen.setdefault(threading.current_thread().name, set()).add(frame.f_code.co_name)
 
-    ring = compile_text("t(2,z(2))")
-    threading.setprofile(profile)  # every thread started from here on; not this one
-    try:
-        get_or_compute(ring)
-    finally:
-        threading.setprofile(None)
-    assert seen == {"ringlab-table-checksum": {"_digest_into", "_table_digest"}}
+# rings that keep the same basis: the cap rings, and three of order 128
+# with equal zero and one, the last two also with equal additions
+@pytest.mark.parametrize("texts", [CAP_RINGS, ("z(128)", "group(z(2),c(7))", "poly(z(2),7)")], ids=["cap", "128"])
+def test_an_entry_is_a_miss_on_another_ring_with_its_basis(texts):
+    # builder drift: each ring's entry, under another ring's text, is a
+    # silent miss
+    rings = [compile_text(text) for text in texts]
+    for ring in rings:
+        clear()
+        save_bundle(compute_bundle(ring))
+        (entry,) = cache_dir().glob("*.bin")
+        for other in rings:
+            text, other.expr_text = other.expr_text, ring.expr_text
+            try:
+                assert (load_bundle(other) is None) == (other is not ring), (ring, other)
+            finally:
+                other.expr_text = text
+        data = bytearray(entry.read_bytes())
+        data[12] ^= 0xFF  # inside the stored table checksum
+        entry.write_bytes(bytes(data))
+        assert load_bundle(ring) is None, ring

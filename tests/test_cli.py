@@ -198,11 +198,12 @@ def test_cache_lifecycle(capsys):
 
 
 def test_cache_transparency_inspect(capsys, tmp_path):
-    for text in default_corpus():
+    texts = default_corpus() + ("z(128)", "m(2,z(8))")  # and two rings whose entries hash only the basis rows
+    for text in texts:
         code, cold, _ = run_cli(capsys, "inspect", text, "--json")
         assert code == 0 and cold, text
         assert run_cli(capsys, "inspect", text, "--json") == (0, cold, ""), text
-    assert len(list((tmp_path / "cache").glob("*.bin"))) == len(default_corpus())  # every warm run had an entry
+    assert len(list((tmp_path / "cache").glob("*.bin"))) == len(texts)  # every warm run had an entry
 
 
 def test_an_unusable_cache_directory_is_skipped(capsys, tmp_path, monkeypatch):

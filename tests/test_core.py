@@ -269,6 +269,13 @@ def test_bit_basis_needs_the_generators_to_reach_every_element():
     assert _bit_basis(np.asarray(build_zmod(12).add), 0) is None  # not of order 2^K
 
 
+def test_a_proved_ring_keeps_its_bit_generators(basis_text):
+    ring = compile_text(basis_text)
+    bits = ring.order.bit_length() - 1
+    assert ring.order > 64 and ring.validation == "exhaustive", basis_text
+    assert ring.basis == tuple(1 << b for b in range(bits)) == _bit_basis(ring.add, ring.zero), basis_text
+
+
 def test_elemset_algebra():
     z8 = build_zmod(8)
     evens = ElemSet.of(z8, [0, 2, 4, 6])

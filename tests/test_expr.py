@@ -9,6 +9,7 @@ from ringlab.checks import default_corpus
 from ringlab.expr import BadElementRefError, ParseError, RangeError
 
 from astgen import generate
+from ringtables import tables_equal
 
 RING_KEYWORDS = ("z", "gf", "m", "t", "prod", "quot", "corner", "triv", "group", "poly", "skew")
 EXPECTED_RING = "expected " + " | ".join(RING_KEYWORDS)
@@ -44,6 +45,9 @@ MALFORMED = (
     ("z(0", RangeError, 2, "z(n) requires n >= 2"),
     ("gf(1])", RangeError, 3, "gf(q) requires q >= 2"),
     ("m(0,zz)", RangeError, 2, "k must be >= 1"),
+    # only ASCII digits are integers: "²" passes str.isdigit and "١٢" int()
+    ("z(\u00b2)", ParseError, 2, "expected INT, found '\u00b2)'"),
+    ("z(\u0661\u0662)", ParseError, 2, "expected INT, found '\u0661\u0662)'"),
 )
 
 HANDPICKED = (
@@ -163,7 +167,7 @@ def test_compile_calls_builders_through_the_construct_module(monkeypatch):
 def test_compile_determinism():
     a = compile_text("group(z(2),c(2)xc(2))")
     b = compile_text("group(z(2),c(2)xc(2))")
-    assert a.tables_equal(b)
+    assert tables_equal(a, b)
     assert np.array_equal(a.neg, b.neg)
     assert a.names == b.names
 
