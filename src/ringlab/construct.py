@@ -25,9 +25,13 @@ or over a base ring R), and share one structure-constant builder. Each
 construction gives only the product (c*e_w)*b of a monomial with every
 element; the builder fills every other row by additive row extension:
 for x = x' + c*e_w with x' below the place value of digit w, add[x] =
-add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]]. Over bases
-whose addition is bitwise on their index, add is one word formula
-instead (see `_digit_vector_tables`).
+add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]], and the
+tables go through `validate_ring`. Over bases whose addition is bitwise
+on their index, the builder asks only for the K monomials that are bit
+generators (c a power of two) and hands their product rows to
+`core.bitwise_ring`, which fills add from one word formula and mul by
+extension over those rows, and proves the ring from the relations on
+them (see `_digit_vector_tables`).
 """
 
 from __future__ import annotations
@@ -58,9 +62,8 @@ from .core import (
     _CHUNK_CELLS,
     _index_table,
     all_digits,
-    bitwise_addition,
     bitwise_high_bits,
-    bitwise_sum,
+    bitwise_ring,
     elem_pow,
     encode_digits,
     validate_ring,
@@ -159,8 +162,8 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
             raw[:, k - d : k] += raw[:, k, None] * reduction
         return raw[:, :d] % p
 
-    digits, add, mul, neg = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
-    return validate_ring(add, mul, 0, 1, neg=neg, names=_digit_names(digits, _poly_name), meta=GaloisMeta(q, p, d, modulus))
+    digits, build = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
+    return build(1, _digit_names(digits, _poly_name), GaloisMeta(q, p, d, modulus))
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +195,30 @@ def _sum_name(base: TableRing, coeffs, symbols) -> str:
 
 
 def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
-    """Digits, add, mul and neg tables of a ring of digit vectors over `bases`.
+    """(digits, build) for the ring of digit vectors over `bases`, where
+    `build(one, names, meta)` returns the validated TableRing.
 
     Digit w lies in `bases[w]` and counts place[w] = |bases[0]| * ... *
     |bases[w-1]| (mixed radix, first digit least significant). Addition
     is componentwise, so neg negates each digit over its own base.
     `mono_rule(c, w, digits)` returns the digit matrix of (c*e_w)*b for
-    every element b (one row of `digits` each). Every other row follows by
-    row extension: x = x' + c*e_w with x' < place[w] gives add[x] =
-    add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]].
+    every element b (one row of `digits` each).
 
-    Both tables are gathered that way, unless every base's addition is
-    bitwise (see `core.bitwise_high_bits`: z(2^k), gf(2^d), and digit vectors
-    over those). Then each index x is the concatenation of the bits of its
+    When every base's addition is bitwise (see `core.bitwise_high_bits`:
+    z(2^k), gf(2^d), and digit vectors over those) and there are at least
+    two digits, each index x is the concatenation of the bits of its
     digits, and each digit's fields are added on their own; a base's top
     bit is a field's top bit, so no field crosses a digit. The bitwise
     formula (see core), with H the sum of every base's H shifted to its
-    digit's offset, is therefore exactly the ring's addition: add is
-    filled from it directly, and the mul extension is computed with five
-    uint16 operations on each block (`core.bitwise_sum`).
+    digit's offset, is therefore exactly the ring's addition, and the bit
+    generators 2^b are the monomials c*e_w with c a power of two. Only
+    their K product rows are made here; `core.bitwise_ring` fills both
+    tables from them and checks the relations on those rows.
 
-    Both tables are allocated in TABLE_DTYPE, the dtype the ring keeps.
+    Otherwise both tables are gathered, in TABLE_DTYPE, and go through
+    `validate_ring`: every row follows by row extension, x = x' + c*e_w
+    with x' < place[w] giving add[x] = add[x'][add[c*e_w]] and mul[x] =
+    add[mul[x'], mul[c*e_w]].
     """
     if any(base.zero != 0 for base in bases):
         raise RingError("digit-vector constructions need the base zero at index 0")
@@ -221,40 +227,33 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     order = place[-1]
     _check_cap(order, cap)
     digits = all_digits(radices)
-    monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
-    # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
-    rows = max(1, _CHUNK_CELLS // order)
-    blocks = [(x, lo, min(place[w], lo + rows)) for x, c, w in monomials for lo in range(1, place[w], rows)]
+    neg = encode_digits(np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1), radices)
     high = None
-    if blocks:  # a single digit extends no row, so skip the r x r compares
+    if len(bases) > 1:  # a single digit extends no row, so skip the r x r compares
         distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
         highs = {key: bitwise_high_bits(base.add) for key, base in distinct.items()}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
+    if high is not None:
+        # bit b of x lies in digit w with place[w] <= 2^b < place[w + 1]; 2^b is (2^b / place[w]) e_w
+        w_of = [w for w, radix in enumerate(radices) for _ in range(radix.bit_length() - 1)]
+        generator_rows = [encode_digits(mono_rule((1 << b) // place[w], w, digits), radices) for b, w in enumerate(w_of)]
+        return digits, lambda one, names, meta: bitwise_ring(high, generator_rows, one, neg, names, meta)
+    monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
+    # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
+    rows = max(1, _CHUNK_CELLS // order)
+    blocks = [(x, lo, min(place[w], lo + rows)) for x, c, w in monomials for lo in range(1, place[w], rows)]
     add = np.empty((order, order), dtype=TABLE_DTYPE)
     mul = np.empty((order, order), dtype=TABLE_DTYPE)
     mul[0] = 0
+    add[0] = np.arange(order)
     for x, c, w in monomials:
         mul[x] = encode_digits(mono_rule(c, w, digits), radices)
-    if high is None:
-        add[0] = np.arange(order)
-        for x, c, w in monomials:
-            add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]].astype(np.intp) - digits[:, w]) * place[w]
-        for x, lo, hi in blocks:
-            np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
-        _extend_by_gather(add, mul, blocks)
-    else:
-        _fill_bitwise_add(add, high, rows)
-        _extend_bitwise(mul, blocks, high)
-    neg = np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1)
-    return digits, add, mul, encode_digits(neg, radices)
-
-
-def _fill_bitwise_add(add: np.ndarray, high: int, rows: int) -> None:
-    """add = the bitwise addition with top bits `high`, `rows` rows at a time."""
-    fill = bitwise_addition(add.shape[0], high)
-    for r in range(0, add.shape[0], rows):
-        fill(r, add[r : r + rows])
+        add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]].astype(np.intp) - digits[:, w]) * place[w]
+    for x, lo, hi in blocks:
+        np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
+    _extend_by_gather(add, mul, blocks)
+    return digits, lambda one, names, meta: validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
 
 
 def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
@@ -267,13 +266,6 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
     for x, lo, hi in blocks:
         cells = mul[lo:hi].astype(np.intp) * order + mul[x]
         np.take(flat_add, cells, out=mul[x + lo : x + hi])
-
-
-def _extend_bitwise(mul: np.ndarray, blocks, high: int) -> None:
-    """`_extend_by_gather` for an addition that is bitwise with top bits
-    `high`, in TABLE_DTYPE lanes."""
-    for x, lo, hi in blocks:
-        bitwise_sum(mul[lo:hi], mul[x], high, out=mul[x + lo : x + hi])
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +285,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
                 out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables([base] * len(positions), mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * len(positions), mono_rule, cap)
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
     def name(cells) -> str:
@@ -302,7 +294,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
             grid[i][j] = base.name_of(c)
         return "[" + ",".join("[" + ",".join(row) + "]" for row in grid) + "]"
 
-    return add, mul, neg, one, _digit_names(digits, name)
+    return build, one, _digit_names(digits, name)
 
 
 def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -310,8 +302,8 @@ def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    add, mul, neg, one, names = _matrix_like(base, k, positions, cap)
-    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=MatrixMeta(base, k))
+    build, one, names = _matrix_like(base, k, positions, cap)
+    return build(one, names, MatrixMeta(base, k))
 
 
 def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRing:
@@ -319,8 +311,8 @@ def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRi
     if k < 1:
         raise ValueError("matrix size must be >= 1")
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    add, mul, neg, one, names = _matrix_like(base, k, positions, cap)
-    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=TriangularMeta(base, k, tuple(positions)))
+    build, one, names = _matrix_like(base, k, positions, cap)
+    return build(one, names, TriangularMeta(base, k, tuple(positions)))
 
 
 def matrix_unit_index(ring: TableRing, i: int, j: int) -> int:
@@ -354,10 +346,10 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
         out[:, w] = factors[w].mul[c, digits[:, w]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables(factors, mono_rule, cap)
+    digits, build = _digit_vector_tables(factors, mono_rule, cap)
     one = int(encode_digits(np.array([f.one for f in factors]), [f.order for f in factors]))
     names = _digit_names(digits, lambda cells: "(" + ", ".join(f.name_of(c) for f, c in zip(factors, cells)) + ")")
-    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=ProductMeta(tuple(factors)))
+    return build(one, names, ProductMeta(tuple(factors)))
 
 
 def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> ElemSet:
@@ -484,9 +476,9 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
         out[:, 0] = ring.mul[c, digits[:, 1]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables([ring] * 2, mono_rule, cap)
+    digits, build = _digit_vector_tables([ring] * 2, mono_rule, cap)
     names = _digit_names(digits, lambda mr: f"({ring.name_of(mr[1])}, {ring.name_of(mr[0])})")
-    return validate_ring(add, mul, 0, ring.one * ring.order, neg=neg, names=names, meta=TrivialExtMeta(ring))
+    return build(ring.one * ring.order, names, TrivialExtMeta(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +495,11 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
         out[:, group.op[w]] = base.mul[c, digits]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables([base] * group.order, mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
     symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
     names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
-    meta = GroupRingMeta(base, group, digits)
-    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
+    return build(one, names, GroupRingMeta(base, group, digits))
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +601,7 @@ def build_truncated_skew_poly(
         out[:, i:] = base.mul[c, powers[i][digits[:, : k - i]]]
         return out
 
-    digits, add, mul, neg = _digit_vector_tables([base] * k, mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * k, mono_rule, cap)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
     names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
-    meta = SkewPolyMeta(base, alpha.name, alpha.map, k, digits)
-    return validate_ring(add, mul, 0, int(base.one), neg=neg, names=names, meta=meta)
+    return build(int(base.one), names, SkewPolyMeta(base, alpha.name, alpha.map, k, digits))

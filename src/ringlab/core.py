@@ -5,13 +5,17 @@ over element indices 0..n-1 together with the distinguished `zero` and
 `one` indices. Every table (`add`, `mul`, `neg`) is stored as uint16,
 which holds every index of a ring of order at most 65536. Every
 constructor in this package funnels its tables through `validate_ring`,
-so a `TableRing` in hand always satisfies the ring axioms; the
-`validation` attribute records how they were checked:
+or, for a digit-vector ring over bases whose addition is bitwise on the
+index, its K bit-generator rows through `bitwise_ring`, so a `TableRing`
+in hand always satisfies the ring axioms; the `validation` attribute
+records how they were checked:
 
-- "exhaustive": decided for every triple. Up to order 64 by an n^3 scan;
-  above it by a proof over the bit generators of an addition that is
-  bitwise on the index (z(2^k), gf(2^d) and every construction over
-  them), read off the tables alone. Such a ring keeps its generators in
+- "exhaustive": decided for every triple. By `bitwise_ring` on the
+  relations of the generator rows it built the tables from, at every
+  order. For whole tables, up to order 64 by an n^3 scan; above it by a
+  proof over the bit generators of an addition that is bitwise on the
+  index (z(2^k), gf(2^d) and every construction over them), read off
+  the tables alone. Such a ring above order 64 keeps its generators in
   `TableRing.basis`.
 - "sampled": a ring above order 64 whose addition is not bitwise has the
   four triple identities tested on a fixed sample of triples; every
@@ -153,10 +157,10 @@ class TableRing:
 
     `basis` is a tuple of elements that generate (R, +): the bit
     generators 1, 2, 4, ..., kept by a ring above order 64 whose
-    validation decided every triple and whose generators were checked to
-    reach every element (`_bit_basis`), else None. Since mul is
-    bi-additive, a product identity that holds on the basis holds on
-    every element.
+    validation decided every triple, by `bitwise_ring` or by the proof
+    on whole tables, and whose generators were checked to reach every
+    element (`_bit_basis`), else None. Since mul is bi-additive, a
+    product identity that holds on the basis holds on every element.
     """
 
     __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
@@ -405,7 +409,9 @@ def _first_failing_triple(n: int, lhs, rhs) -> tuple[int, int, int] | None:
 
 def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     """Decide the ring axioms other than the identities, for an addition
-    that can only be bitwise with top bits `high` (see `field_top_bits`).
+    that can only be bitwise with top bits `high` (see `field_top_bits`),
+    from whole tables that arrive without any promise about how they were
+    made.
 
     Returns (True, None) when they all hold. Otherwise (False, witness),
     where the witness is a real violation, or None when `add` is not the
@@ -414,48 +420,65 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
 
     One n^2 compare proves (R, +) is the bitwise group, a direct sum of
     Z/2^k with commuting addition. Every x != 0 is x' + 2^b with b its top
-    bit and x' < 2^b, so the rows mul[x' | 2^b] == mul[x'] + mul[2^b] and
-    the K doubling rows mul[2^b + 2^b] == mul[2^b] + mul[2^b] (the group's
-    relations) prove right distributivity. The same two checks along the
-    K generator rows y -> mul[2^b, y] then prove left distributivity,
-    since each row of mul is a sum of generator rows. A bi-additive mul is
-    associative once it is on the K^3 generator triples.
+    bit and x' < 2^b, so a second n^2 compare, of each row mul[x' | 2^b]
+    with mul[x'] + mul[2^b], shows that every row of mul is the sum of the
+    generator rows mul[2^b] at its bits. What is left are the relations
+    on those K rows (`_generator_relations`), which `bitwise_ring` checks
+    on the same terms for tables it built from them.
     """
     n = add.shape[0]
     cell = _first_formula_mismatch(add, high)
     if cell is not None:
         return False, _additive_witness(add, *cell)
-    bits = n.bit_length() - 1
-    gens = 1 << np.arange(bits)
-    doubles = np.where((high >> np.arange(bits)) & 1, 0, gens << 1)  # 2^b + 2^b
     rows = max(1, _CHUNK_CELLS // n)
     expected = np.empty((min(n // 2, rows), n), dtype=TABLE_DTYPE)
-    for g in gens.tolist():  # rows g .. 2g - 1 are x' + g for x' < g
+    for g in (1 << np.arange(n.bit_length() - 1)).tolist():  # rows g .. 2g - 1 are x' + g for x' < g
         for lo in range(0, g, rows):
             hi = min(g, lo + rows)
             got, want = mul[g + lo : g + hi], bitwise_sum(mul[lo:hi], mul[g], high, out=expected[: hi - lo])
             if not np.array_equal(got, want):
                 x, y = np.argwhere(got != want)[0]
                 return False, Violation("NonDistributive", (int(y), lo + int(x), g))  # (x' + g)y
+    witness = _generator_relations(mul, high)
+    return witness is None, witness
+
+
+def _generator_relations(mul, high: int) -> Violation | None:
+    """The first violation of the relations on the K generator rows
+    mul[2^b] of a mul each of whose rows is the sum of the generator rows
+    at its bits, in the bitwise addition with top bits `high`; None when
+    they hold, and then mul is bi-additive and associative.
+
+    Checked in order: the K doubling rows mul[2^b + 2^b] == mul[2^b] +
+    mul[2^b] (with mul[0] = 0 at a top bit), which make x -> mul[x] a
+    homomorphism, so right distributivity holds; each generator row
+    y -> mul[2^b, y] additive, by the same two checks along it, so left
+    distributivity holds, every row being a sum of them; and associativity
+    on the K^3 generator triples, which a bi-additive mul then has on every
+    triple. O(K n + K^3) cells are read.
+    """
+    bits = mul.shape[0].bit_length() - 1
+    gens = 1 << np.arange(bits)
+    doubles = np.where((high >> np.arange(bits)) & 1, 0, gens << 1)  # 2^b + 2^b
     bad = np.argwhere(mul[doubles] != bitwise_sum(mul[gens], mul[gens], high))
     if len(bad):
         b, y = bad[0]
-        return False, Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
+        return Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
     left = mul[gens]  # left[b, y] = 2^b y
     for g in gens.tolist():
         bad = np.argwhere(left[:, g : 2 * g] != bitwise_sum(left[:, :g], left[:, g, None], high))
         if len(bad):
             b, y = bad[0]
-            return False, Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
+            return Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
     bad = np.argwhere(left[:, doubles] != bitwise_sum(left[:, gens], left[:, gens], high))
     if len(bad):
         b, c = bad[0]
-        return False, Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
+        return Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
     products = left[:, gens]  # products[a, b] = 2^a 2^b
     bad = np.argwhere(mul[products[:, :, None], gens] != left[:, products])
     if len(bad):
-        return False, Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
-    return True, None
+        return Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
+    return None
 
 
 def _additive_witness(add, i: int, j: int) -> Violation | None:
@@ -517,6 +540,10 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
     proof fails, has the four identities tested on a fixed sample of
     triples, mode "sampled". When a failed proof's ring passes that
     sample, the proof's own witness is reported, if it has one.
+
+    This is the scan for tables that arrive whole. A digit-vector ring
+    over bitwise bases is built by `bitwise_ring` from its generator rows
+    and reaches this scan only when the relations on those rows fail.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
@@ -640,8 +667,12 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     violations, mode = scan_axioms(add, mul, zero, one, neg, first_zero)
     if violations:
         raise RingValidationError(violations)
+    return _table_ring(add, mul, first_zero if neg is None else neg, zero, one, names, meta, mode)
 
-    neg = first_zero if neg is None else neg
+
+def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str) -> TableRing:
+    """The TableRing on tables whose axioms were decided with `mode`."""
+    n = add.shape[0]
     if names is None:
         names = str
     elif not callable(names):
@@ -655,6 +686,71 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     # up to order 64 the n^2 forms cost little, so those rings keep none
     basis = _bit_basis(add, zero) if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT else None
     return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis)
+
+
+def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None) -> TableRing:
+    """Build the ring of order n = 2^K whose addition is bitwise with top
+    bits `high` and whose product rows mul[2^b] are `generator_rows[b]`,
+    or raise RingValidationError. Zero is index 0; `neg`, `names` and
+    `meta` are as in `validate_ring`.
+
+    add is filled from the word formula, and mul by extension over the
+    generator rows: mul[0] = 0 and mul[x' | 2^b] = mul[x'] + mul[2^b] for
+    x' < 2^b. Only the facts this build does not guarantee are then
+    checked, in O(K n + K^3) cells instead of the n^2 compares and range
+    scans of whole tables:
+
+    - the formula is the group (+) Z/2^k, one summand per field, so the
+      additive axioms hold;
+    - the extension x -> mul[x] is additive exactly when the doubling
+      relations mul[2^b + 2^b] = 2 mul[2^b] hold, as 2^b + 2^b is
+      2^(b+1), a generator, or 0 at a field's top bit: right
+      distributivity;
+    - every row is a sum of generator rows, and a sum of additive rows is
+      additive, so additive generator rows give left distributivity;
+    - a bi-additive mul that is associative on the K^3 generator triples
+      is associative on every triple;
+
+    then the O(n) identity checks (`_identity_violations`). The ring
+    reports "exhaustive" at every order. If any check fails, the built
+    tables go through `validate_ring` unchanged, so the error names the
+    witness its whole-table scan finds on them.
+    """
+    rows = np.asarray(generator_rows)
+    bits = rows.shape[0] if rows.ndim == 2 else 0
+    n = 1 << bits
+    if not 1 <= bits <= MAX_TABLE_ORDER.bit_length() - 1 or rows.shape != (bits, n):
+        raise ValueError("generator rows must be K rows of 2^K entries each, for an order of at most 65536")
+    if not (0 <= high < n and high >> (bits - 1)):
+        raise ValueError("high must be a mask of field top bits below the order, holding its top bit")
+    if not 0 <= one < n:
+        raise ValueError("zero/one index out of range")
+    neg = np.asarray(neg)
+    if neg.shape != (n,):
+        raise ValueError("neg must list one entry per element")
+    rows, neg = _index_table(rows, n), _index_table(neg, n)
+    add, mul = np.empty((n, n), dtype=TABLE_DTYPE), np.empty((n, n), dtype=TABLE_DTYPE)
+    step = max(1, _CHUNK_CELLS // n)
+    fill = bitwise_addition(n, high)
+    for r in range(0, n, step):
+        fill(r, add[r : r + step])
+    mul[0] = 0
+    mul[[1 << b for b in range(bits)]] = rows
+    _extend_bitwise(mul, high)
+    if _generator_relations(mul, high) is None and not _identity_violations(add, mul, 0, one, neg, None):
+        return _table_ring(add, mul, neg, 0, one, names, meta, "exhaustive")
+    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
+
+
+def _extend_bitwise(mul: np.ndarray, high: int) -> None:
+    """Fill each row x' | 2^b of `mul`, 0 < x' < 2^b, with mul[x'] +
+    mul[2^b] in the bitwise addition with top bits `high`, in TABLE_DTYPE
+    lanes; b ascends, so every row x' is filled before it is read."""
+    rows = max(1, _CHUNK_CELLS // mul.shape[1])
+    for g in (1 << np.arange(mul.shape[0].bit_length() - 1)).tolist():
+        for lo in range(1, g, rows):
+            hi = min(g, lo + rows)
+            bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
 
 
 def _bit_basis(add: np.ndarray, zero: int) -> tuple[int, ...] | None:

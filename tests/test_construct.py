@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from ringlab import ElemSet, OutOfCapError, compile_text, construct
+from ringlab import ElemSet, OutOfCapError, compile_text, construct, core
 from ringlab.checks import CheckContext, _ring_from_subset
 from ringlab.construct import (
     GF_MODULI,
@@ -42,6 +42,7 @@ from ringlab.core import (
     TrivialExtMeta,
     bitwise_high_bits,
     field_top_bits,
+    scan_axioms,
     validate_ring,
 )
 from ringlab.groups import cyclic, quaternion8
@@ -798,22 +799,6 @@ def is_bitwise(bases):
     return len(bases) > 1 and all(bitwise_high_bits(base.add) is not None for base in bases)
 
 
-def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
-    rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
-    bitwise = [text for text, ring in rings if is_bitwise(digit_bases(ring))]
-    assert 0 < len(bitwise) < len(rings)  # the corpus exercises both forms
-    extended = []
-    extend = construct._extend_bitwise
-    monkeypatch.setattr(construct, "_extend_bitwise", lambda mul, *args: extended.append(len(mul)) or extend(mul, *args))
-    extra = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(4),c(6))", "prod(z(4),gf(8),z(2))")
-    rings += [(text, compile_text(text)) for text in extra]
-    # gf(8) is itself built bitwise, over three z(2) digits, inside m(2,gf(8)) and the product
-    assert extended == [4096, 4096, 4096, 8, 4096, 4096, 8, 64]
-    monkeypatch.setattr(construct, "bitwise_high_bits", lambda add: None)
-    for text, ring in rings:
-        assert tables_equal(ring, compile_text(text)), text
-
-
 CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
 
 # digit-vector rings over bases whose addition is bitwise, up to order 4096: every
@@ -828,31 +813,62 @@ BITWISE_RINGS = CAP_RINGS + (
 )
 
 
-def test_16_bit_swar_fills_match_the_gather_forms(monkeypatch):
-    # on every build over bitwise bases, the uint16 SWAR extension of mul equals
-    # _extend_by_gather over the same monomial rows and the same add, and the uint16
-    # word formula for add equals the np.take fill
-    fill, extend = construct._fill_bitwise_add, construct._extend_bitwise
-    filled, extended = [], []
-
-    def checked_extend(mul, blocks, high):
-        add = filled[-1]  # the fill runs just before the extension of the same table pair
-        gathered = mul.copy()
-        extend(mul, blocks, high)
-        construct._extend_by_gather(add, gathered, blocks)
-        assert mul.dtype == add.dtype == gathered.dtype == np.uint16
-        assert np.array_equal(mul, gathered)
-        extended.append(len(mul))
-
-    monkeypatch.setattr(construct, "_fill_bitwise_add", lambda add, *args: fill(add, *args) or filled.append(add))
-    monkeypatch.setattr(construct, "_extend_bitwise", checked_extend)
-    for text in BITWISE_RINGS:
-        before = len(extended)
+def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
+    # the tables built from the generator rows equal the gathered ones, on every
+    # digit-vector ring of the corpus, BITWISE_RINGS and a few more; and the
+    # whole-table proof (above order 64) or the n^3 scan (up to 64) accepts them
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
+    bitwise = [text for text, ring in rings if is_bitwise(digit_bases(ring))]
+    assert 0 < len(bitwise) < len(rings)  # the corpus exercises both forms
+    extended = []
+    build = construct.bitwise_ring
+    monkeypatch.setattr(construct, "bitwise_ring", lambda high, rows, *args: extended.append(1 << len(rows)) or build(high, rows, *args))
+    extra = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(4),c(6))", "prod(z(4),gf(8),z(2))")
+    for text in extra:
+        compile_text(text)
+    # gf(8) is itself built bitwise, over three z(2) digits, inside m(2,gf(8)) and the product
+    assert extended == [4096, 4096, 4096, 8, 4096, 4096, 8, 64]
+    # one ring at a time, so that at most two order-4096 rings are held
+    for text in [text for text, _ in rings] + list(dict.fromkeys(extra + BITWISE_RINGS)):
         ring = compile_text(text)
-        assert len(extended) > before and extended[-1] == ring.order, text  # the outermost build was bitwise
-        assert ring.add is filled[-1], text  # the filled table is the ring's, uncopied
+        if is_bitwise(digit_bases(ring)):
+            assert scan_axioms(ring.add, ring.mul, ring.zero, ring.one, ring.neg) == ([], "exhaustive"), text
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, "bitwise_high_bits", lambda add: None)
+            assert tables_equal(ring, compile_text(text)), text
+
+
+def bit_row_blocks(n):
+    """The extension blocks (x, lo, hi) over the bit rows of order n: rows
+    x + lo .. x + hi - 1 are rows lo .. hi - 1 plus row x = 2^b."""
+    rows = max(1, construct._CHUNK_CELLS // n)
+    return [(g, lo, min(g, lo + rows)) for g in (1 << b for b in range(n.bit_length() - 1)) for lo in range(1, g, rows)]
+
+
+def test_16_bit_swar_fills_match_the_gather_forms(monkeypatch):
+    # on every build over bitwise bases, the uint16 SWAR extension of mul over the
+    # generator rows equals _extend_by_gather over the same rows and the same add,
+    # and the uint16 word formula for add equals the np.take fill
+    build, orders, latest = construct.bitwise_ring, [], []
+
+    def checked_build(high, generator_rows, *args):
+        ring = build(high, generator_rows, *args)
+        gathered = np.zeros_like(ring.mul)
+        gathered[[1 << b for b in range(len(generator_rows))]] = generator_rows
+        construct._extend_by_gather(ring.add, gathered, bit_row_blocks(ring.order))
+        assert ring.mul.dtype == ring.add.dtype == gathered.dtype == np.uint16
+        assert np.array_equal(ring.mul, gathered)
+        orders.append(ring.order)
+        latest[:] = [ring]  # only the latest ring is held, not every order-4096 one
+        return ring
+
+    monkeypatch.setattr(construct, "bitwise_ring", checked_build)
+    for text in BITWISE_RINGS:
+        before = len(orders)
+        ring = compile_text(text)
+        assert len(orders) > before and latest[0] is ring, text  # the outermost build was bitwise, and is the ring
         assert np.array_equal(ring.add, take_filled_add(digit_bases(ring))), text
-    assert extended.count(4096) >= 6
+    assert orders.count(4096) >= 6
 
 
 @pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])
@@ -864,7 +880,7 @@ def test_swar_extension_keeps_every_field_inside_its_16_bit_lane(high):
     a, b = mul[1].astype(np.int64), mul[2].astype(np.int64)
     low = 0xFFFF & ~high
     want = ((a & low) + (b & low)) ^ ((a ^ b) & high)
-    construct._extend_bitwise(mul, [(2, 1, 2)], high)  # row 3 = row 1 + row 2
+    core._extend_bitwise(mul, high)  # of the rows of order 4, row 3 = row 1 + row 2
     assert want.max() < 1 << 16 and np.array_equal(mul[3], want)
 
 
@@ -890,8 +906,9 @@ def test_every_table_is_uint16_read_only_and_contiguous(corpus_bundles):
 def test_builders_pass_the_negation_the_argmax_derives(corpus_bundles, monkeypatch):
     rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
     given = []
-    validate = construct.validate_ring
+    validate, build = construct.validate_ring, construct.bitwise_ring
     monkeypatch.setattr(construct, "validate_ring", lambda *a, **k: given.append(k.get("neg") is not None) or validate(*a, **k))
+    monkeypatch.setattr(construct, "bitwise_ring", lambda *a: given.append(a[3] is not None) or build(*a))
     gf_and_products = ("gf(4)", "gf(5)", "gf(8)", "gf(9)", "prod(z(6))", "prod(z(2),gf(4))", "prod(t(2,z(2)),z(3))")
     for text in CAP_RINGS + ("m(2,gf(8))", "group(z(9),c(3))", "group(z(3),d(3))") + gf_and_products + ("prod(m(2,z(4)),z(16))",):
         rings.append((text, compile_text(text)))
@@ -928,8 +945,8 @@ def take_filled_add(bases):
 def test_bitwise_add_formula_matches_the_take_fill(corpus_bundles, monkeypatch):
     rings = [(text, ring) for text, ring, _ in corpus_bundles if digit_bases(ring)]
     filled = []
-    fill = construct._fill_bitwise_add
-    monkeypatch.setattr(construct, "_fill_bitwise_add", lambda add, *args: filled.append(len(add)) or fill(add, *args))
+    build = construct.bitwise_ring
+    monkeypatch.setattr(construct, "bitwise_ring", lambda high, rows, *args: filled.append(1 << len(rows)) or build(high, rows, *args))
     # group(triv(z(4)),c(2)): H over a digit-vector base; the product: H over bases of different field widths
     extra = CAP_RINGS + ("m(2,gf(8))", "group(triv(z(4)),c(2))", "prod(z(4),gf(8),z(2))")
     rings += [(text, compile_text(text)) for text in extra]

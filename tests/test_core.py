@@ -24,7 +24,9 @@ from ringlab.core import (
     TableRing,
     Violation,
     _bit_basis,
+    _generator_relations,
     _prove_bitwise,
+    bitwise_ring,
     field_top_bits,
     rows_equal_columns,
     scan_axioms,
@@ -595,6 +597,93 @@ def test_a_relabelled_bitwise_group_falls_back_to_sampling():
     assert field_top_bits(add) == 64 and _prove_bitwise(add, mul, 64) == (False, None)
     ring = validate_ring(add, mul, 0, 1)
     assert ring.validation == "sampled" and ring.basis is None
+
+
+def gathered_tables(high, generator_rows):
+    """The tables `bitwise_ring` builds from `generator_rows`, made another
+    way: add from the word formula, and each row x' | 2^b as the gather
+    add[mul[x'], mul[2^b]], 256 rows at a time."""
+    n = 1 << len(generator_rows)
+    i = np.arange(n, dtype=np.uint16)
+    low = i & np.uint16(~high & 0xFFFF)
+    add = (low[:, None] + low) ^ ((i[:, None] ^ i) & np.uint16(high))
+    mul = np.zeros((n, n), dtype=np.uint16)
+    for b, row in enumerate(generator_rows):
+        g = 1 << b
+        mul[g] = row
+        for lo in range(1, g, 256):
+            mul[g + lo : g + min(g, lo + 256)] = add[mul[lo : min(g, lo + 256)], mul[g]]
+    return add, mul
+
+
+def assert_rejected_as_whole_tables(high, rows, one, neg, tables=None):
+    """bitwise_ring rejects the rows with the text validate_ring gives on
+    the tables built from them (`tables`, if the caller has them)."""
+    with pytest.raises(RingValidationError) as built:
+        bitwise_ring(high, rows, one, neg)
+    with pytest.raises(RingValidationError) as whole:
+        validate_ring(*(tables or gathered_tables(high, rows)), 0, one, neg=neg)
+    assert str(built.value) == str(whole.value)
+    return built.value
+
+
+@pytest.mark.parametrize("text", ["m(2,z(2))", "t(3,z(2))", "t(2,z(16))"])
+def test_a_corrupt_generator_row_neg_or_one_is_rejected_as_the_whole_tables_are(text):
+    ring = compile_text(text)
+    high, gens = field_top_bits(ring.add), [1 << b for b in range(ring.order.bit_length() - 1)]
+    rows = ring.mul[gens]
+    assert bitwise_ring(high, rows, ring.one, ring.neg).validation == ring.validation == "exhaustive"
+    tables = gathered_tables(high, rows)
+    assert np.array_equal(tables[0], ring.add) and np.array_equal(tables[1], ring.mul)
+    rng = np.random.default_rng(ring.order)
+    for _ in range(3):
+        corrupt = rows.copy()
+        b, y = int(rng.integers(len(gens))), int(rng.integers(ring.order))
+        corrupt[b, y] = (int(corrupt[b, y]) + int(rng.integers(1, ring.order))) % ring.order
+        assert_rejected_as_whole_tables(high, corrupt, ring.one, ring.neg)
+    neg = ring.neg.copy()
+    neg[-1] = (int(neg[-1]) + 1) % ring.order
+    assert_rejected_as_whole_tables(high, rows, ring.one, neg, tables)
+    assert_rejected_as_whole_tables(high, rows, (ring.one + 1) % ring.order, ring.neg, tables)
+
+
+def test_bitwise_ring_rejects_malformed_arguments():
+    ring = compile_text("m(2,z(2))")  # order 16, top bits 0b1111
+    rows, neg = ring.mul[[1, 2, 4, 8]], ring.neg
+    cases = {
+        "rows not square in 2^K": (15, rows[:3], 9, neg),
+        "a row too short": (15, rows[:, :8], 9, neg),
+        "no top bit at bit K - 1": (7, rows, 9, neg),
+        "a top bit above the order": (31, rows, 9, neg),
+        "one out of range": (15, rows, 16, neg),
+        "neg too short": (15, rows, 9, neg[:8]),
+        "a row entry out of range": (15, np.where(rows == 3, 16, rows), 9, neg),
+        "a neg entry out of range": (15, rows, 9, np.where(neg == 3, -1, neg)),
+    }
+    assert bitwise_ring(15, rows, 9, neg).one == 9
+    for label, args in cases.items():
+        with pytest.raises(ValueError):
+            bitwise_ring(*args)
+            pytest.fail(label)
+
+
+def test_a_top_bit_row_of_additive_order_four_is_caught_by_the_doubling_check_alone():
+    # over Z/2 + Z/4 + Z/4 (bit 0; bits 1-2; bits 3-4), the one nonzero generator row,
+    # at the top bit 0, is r(y) = (0, 0, y_1): additive, with 2r != 0. r kills its
+    # own image, so every product of three elements is 0 and mul is associative;
+    # only 2 * 2^0 = 0 fails, as 2r(2) = (0, 0, 2)
+    ring = compile_text("prod(z(2),z(4),z(4))")
+    high, y = field_top_bits(ring.add), np.arange(32)
+    assert high == 0b10101
+    rows = np.zeros((5, 32), dtype=np.uint16)
+    rows[0] = (y >> 1 & 3) << 3
+    add, mul = gathered_tables(high, rows)
+    r = mul[1]
+    assert np.array_equal(r[add], add[r[:, None], r]) and (add[r, r] != 0).any()  # additive, 2r != 0
+    assert not mul[mul].any() and not mul[:, mul].any()  # (xy)z = x(yz) = 0
+    assert _generator_relations(mul, high) == Violation("NonDistributive", (2, 1, 1))
+    error = assert_rejected_as_whole_tables(high, rows, ring.one, ring.neg)
+    assert Violation("NonDistributive", (2, 1, 1)) in error.violations
 
 
 def old_range_check_fails(table, n):

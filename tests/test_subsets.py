@@ -276,7 +276,7 @@ import dataclasses, sys
 from ringlab import ElemSet, compile_text, compute_bundle, validate_ring
 from ringlab import predicates
 from ringlab.construct import NotAnIdealError, build_quotient, matrix_unit_index
-from ringlab.core import RingError, RingValidationError
+from ringlab.core import RingError, RingValidationError, bitwise_ring, field_top_bits
 from ringlab.subsets import _assert_bundle_sanity
 
 assert sys.flags.optimize >= 1
@@ -302,6 +302,13 @@ try:
     sys.exit("corrupt table accepted")
 except RingValidationError as exc:
     print("proof:", exc)
+rows = ring.mul[[1 << b for b in range(12)]]  # its bit-generator rows, copied
+rows[11, 7] = 1  # 2048 * 7 is 0
+try:
+    bitwise_ring(field_top_bits(ring.add), rows, ring.one, ring.neg)
+    sys.exit("corrupt generator row accepted")
+except RingValidationError as exc:
+    print("generator rows:", exc)
 left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])  # R*E11, a left ideal only
 try:
     build_quotient(ring, left)
@@ -319,6 +326,7 @@ def test_internal_guards_survive_python_O():
     assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
     assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
+    assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
     assert "ideal: generating set is not a two-sided ideal: ('right', 1, 8)" in proc.stdout
 
 
