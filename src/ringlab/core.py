@@ -543,7 +543,7 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
 
     This is the scan for tables that arrive whole. A digit-vector ring
     over bitwise bases is built by `bitwise_ring` from its generator rows
-    and reaches this scan only when the relations on those rows fail.
+    and reaches this scan only when its checks on them fail.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
