@@ -1,24 +1,28 @@
 """Structural subsets of a finite ring: U, Id, Nil, Z, J, J#, Nil*.
 
-The Jacobson radical is computed by the quasi-regularity criterion
-(j is in J iff 1 - r*j is a unit for every r): the n-vector "1 - x is a
-unit" is looked up at every product r*j, but only in the columns j where
-1 - j is a unit (the r = 1 case of the criterion), the candidates. The
-maximal-left-ideal intersection is kept only as a cross-check oracle
-for small orders.
+A finite ring is Artinian, so J is nilpotent and is the largest nil
+ideal (Lam, *A First Course in Noncommutative Rings*, GTM 131, §4). On
+generators g of (R, +) (a ring's `basis`), J is found by pruning Nil:
+drop every x with g*x or x*g outside what is left, to a fixpoint C. J
+survives each step. If C is additively closed (its greedy span is C),
+it is an ideal, as mul is bi-additive and the g span R, and a nil one,
+so C = J, and the pruning is J's ideal proof. Without generators, or if
+C is not closed, J comes from the quasi-regularity criterion (j is in J
+iff 1 - r*j is a unit for every r), searched over the candidates j in C
+with 1 - j a unit, and is then checked to be an ideal. The O-jac oracle
+compares both paths with the maximal-left-ideal intersection.
 
 The center compares each row of the multiplication table with its
 column (`core.rows_equal_columns`). On a ring that keeps a set of
 additive generators (`TableRing.basis`: the bit generators, kept above
 order 64 when validation decided every triple and they reach every
 element), mul is bi-additive and they generate (R, +), so z is central
-iff it commutes with each generator, and a subgroup absorbs R on a side
-iff it absorbs each generator there: the center and the ideal check of
-J then read n x k and |J| x k cells (k = log2 n) instead of n x n and
-n x |J|.
+iff it commutes with each generator, and a subgroup S absorbs R on a
+side iff it absorbs each generator there: the center and the ideal
+check read n x k and |S| x k cells (k = log2 n) instead of n x n and
+n x |S|.
 
-On a finite ring two of the radicals collapse (Lam, *A First Course in
-Noncommutative Rings*, GTM 131):
+On a finite ring two of the radicals collapse (Lam, GTM 131):
 
 - Nil*(R) = J(R). J is nilpotent, so it lies in every prime ideal; Nil*
   is a nil ideal, so it lies in J. The prime radical is therefore J
@@ -109,19 +113,52 @@ def center(ring: TableRing) -> ElemSet:
 _JAC_ROWS = 512  # rows of `mul` per slab in jacobson_radical
 
 
-def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None) -> ElemSet:
-    """J(R) = {j : 1 - r*j is a unit for all r}; verified two-sided ideal.
+def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy generators of the subgroup spanned by `members`, and its
+    mask: the first member outside the span S joins, and S grows to
+    S + <x> by doubling (S | S + 2^i x, until it stops growing)."""
+    span = np.zeros(ring.order, dtype=bool)
+    span[ring.zero] = True
+    arr, gens = np.array([ring.zero]), []  # arr: the members of span
+    while (rest := members[~span[members]]).size:
+        gens.append(x := int(rest[0]))
+        while (new := (moved := ring.add[arr, x])[~span[moved]]).size:
+            span[new] = True
+            arr, x = np.concatenate([arr, new]), ring.add[x, x]
+    return gens, span
 
-    `quasi[x]` says whether 1 - x is a unit, so `quasi[mul]` is the (r, j)
-    table of "1 - r*j is a unit". Its r = 1 row is `quasi` itself, so only
-    the columns j with `quasi[j]` are candidates. They are gathered in
-    slabs of 512 rows, and a column that fails one slab is dropped from
-    the next.
+
+def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(C, closed): Nil pruned of every x with g*x or x*g outside it, to
+    a fixpoint C, and whether C is additively closed (its span is C)."""
+    gens = list(gens)
+    left, right = ring.mul[gens], np.take(ring.mul, gens, axis=1).T  # g*x and x*g, k x n
+    keep = nil_mask.copy()
+    while True:
+        arr = np.flatnonzero(keep)
+        stay = keep[left[:, arr]].all(axis=0) & keep[right[:, arr]].all(axis=0)
+        if stay.all():
+            return keep, bool(np.array_equal(additive_generators(ring, arr)[1], keep))
+        keep[arr[~stay]] = False
+
+
+def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None) -> ElemSet:
+    """J(R), the largest nil ideal, by pruning Nil on `gens` (default
+    `ring.basis`) or else by the quasi-regularity criterion (see the
+    module docstring): `quasi[mul]` is the (r, j) table of "1 - r*j is a
+    unit", gathered over the candidates in slabs of 512 rows, a column
+    that fails one slab dropped from the next.
     """
+    gens = ring.basis if gens is None else gens
+    cand = np.ones(ring.order, dtype=bool)
+    if gens is not None:
+        cand, closed = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
+        if closed:
+            return ElemSet.from_mask(ring, cand)
     if unit_mask is None:
         unit_mask = units(ring).mask()
     quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
-    cand = np.flatnonzero(quasi)
+    cand = np.flatnonzero(quasi & cand)
     for r in range(0, ring.order, _JAC_ROWS):
         cand = cand[quasi[np.take(ring.mul[r : r + _JAC_ROWS], cand, axis=1)].all(axis=0)]
     jac = ElemSet.of(ring, cand)
@@ -248,13 +285,13 @@ class InvariantBundle:
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    u = units(ring)
-    jac = jacobson_radical(ring, u.mask())
+    u, nil = units(ring), nilpotents(ring)
+    jac = jacobson_radical(ring, u.mask(), nil.mask())
     bundle = InvariantBundle(
         ring=ring,
         units=u,
         idempotents=idempotents(ring),
-        nilpotents=nilpotents(ring),
+        nilpotents=nil,
         center=center(ring),
         jacobson=jac,
         jsharp=jsharp(ring, jac),
@@ -278,6 +315,7 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
             ("Nil <= J#", b.nilpotents <= b.jsharp),
             ("1 + J <= U", one_plus_j <= b.units),
             ("J <= Nil", b.jacobson <= b.nilpotents),
+            ("Nil & Z <= J", b.nilpotents & b.center <= b.jacobson),  # rz is nilpotent for z central
         )
         if not ok
     ]

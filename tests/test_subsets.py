@@ -12,6 +12,7 @@ from ringlab.core import rows_equal_columns
 from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
+    additive_generators,
     augmentation,
     augmentation_ideal,
     center,
@@ -24,6 +25,7 @@ from ringlab.subsets import (
     prime_radical,
     prime_radical_ideal_oracle,
     product_one_pairs,
+    prune_nil,
     unit_inverses,
     units,
 )
@@ -134,13 +136,94 @@ def test_units_and_inverses_match_the_definition(corpus_bundles):
 def test_jacobson_candidate_gather_matches_the_full_gather():
     # J is gathered only over the columns j with 1 - j a unit, in row slabs;
     # in prod(z(512),z(3)) the candidates (b, 2) with b even fail only at
-    # the rows (r, 2), the last slab, as the z(3) coordinate is the high digit
+    # the rows (r, 2), the last slab, as the z(3) coordinate is the high digit.
+    # The cap rings keep a basis, so their gather runs on a copy without one.
     for text in ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "prod(z(512),z(3))"):
         ring = compile_text(text)
         unit_mask = units(ring).mask()
         quasi = unit_mask[ring.add[ring.one, ring.neg]]
         full = np.flatnonzero(quasi[ring.mul].all(axis=0))
+        assert jacobson_radical(without_basis(ring), unit_mask).indices() == tuple(full.tolist()), text
         assert jacobson_radical(ring, unit_mask).indices() == tuple(full.tolist()), text
+
+
+def unit_criterion_mask(ring, unit_mask):
+    """{j : 1 - r*j is a unit for every r}, `unit_mask[1 - r*j].all(axis=0)`
+    in slabs of 256 rows r."""
+    out = np.ones(ring.order, dtype=bool)
+    for r in range(0, ring.order, 256):
+        out &= unit_mask[ring.add[ring.one, ring.neg[ring.mul[r : r + 256]]]].all(axis=0)
+    return out
+
+
+PRUNE_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "group(z(2),q8)",
+               "group(z(9),c(3))", "group(z(3),c(7))", "m(2,z(3))")
+
+
+def assert_pruned_jacobson_is_the_unit_criterion(text, ring):
+    """Nil pruned on the basis, or on greedy generators of (R, +) when
+    there is none, reaches a closed fixpoint equal to the definitional J."""
+    gens = ring.basis
+    if gens is None:
+        gens, span = additive_generators(ring, np.arange(ring.order))
+        assert span.all() and len(gens) <= (ring.order - 1).bit_length(), text  # each one at least doubles the span
+    unit_mask, nil_mask = units(ring).mask(), nilpotents(ring).mask()
+    pruned, closed = prune_nil(ring, gens, nil_mask)
+    assert closed, text
+    want = unit_criterion_mask(ring, unit_mask)
+    assert np.array_equal(pruned, want), text
+    assert np.array_equal(jacobson_radical(ring, unit_mask, nil_mask, gens).mask(), want), text
+
+
+def test_pruned_jacobson_matches_the_unit_criterion_on_the_corpus(corpus_bundles):
+    for text, ring, _ in corpus_bundles:
+        assert_pruned_jacobson_is_the_unit_criterion(text, ring)
+
+
+@pytest.mark.parametrize("text", PRUNE_RINGS)
+def test_pruned_jacobson_matches_the_unit_criterion(text):
+    ring = compile_text(text)
+    assert (ring.basis is not None) == (ring.validation == "exhaustive"), text  # the last three are sampled
+    assert_pruned_jacobson_is_the_unit_criterion(text, ring)
+
+
+def test_additive_generators_span_the_members():
+    z32 = build_zmod(32)
+    gens, span = additive_generators(z32, np.arange(32))
+    assert gens == [1] and span.all()
+    gens, span = additive_generators(z32, np.array([0, 12, 20]))
+    assert gens == [12] and np.array_equal(np.flatnonzero(span), np.arange(0, 32, 4))  # <12> = <4>; 20 is in it
+    gens, span = additive_generators(M2, np.array([E12, E21]))
+    assert gens == [E12, E21] and len(np.flatnonzero(span)) == 4
+
+
+def test_an_open_fixpoint_falls_back_to_the_unit_criterion(monkeypatch):
+    # Nil of m(2,z(8)) holds E12 and E21 but not their sum, so it is not
+    # closed; injected as the fixpoint, J comes from the slab search over
+    # the quasi-regular candidates in it and the ideal guard
+    from ringlab import subsets
+
+    ring = compile_text("m(2,z(8))")
+    nil_mask = nilpotents(ring).mask()
+    e12, e21 = matrix_unit_index(ring, 0, 1), matrix_unit_index(ring, 1, 0)
+    assert nil_mask[e12] and nil_mask[e21] and not nil_mask[ring.add[e12, e21]]
+    assert not np.array_equal(additive_generators(ring, np.flatnonzero(nil_mask))[1], nil_mask)
+    want = jacobson_radical(without_basis(ring))
+    seen, guards, real_guard = [], [], subsets.is_two_sided_ideal
+
+    def open_fixpoint(on, gens, nil):
+        seen.append(tuple(gens))
+        return nil.copy(), False
+
+    def guard(on, subset):
+        guards.append(subset)
+        return real_guard(on, subset)
+
+    monkeypatch.setattr(subsets, "prune_nil", open_fixpoint)
+    monkeypatch.setattr(subsets, "is_two_sided_ideal", guard)
+    got = jacobson_radical(ring)
+    assert seen == [ring.basis] and guards == [got]
+    assert got == ElemSet.from_mask(ring, want.mask()) and 1 < len(got) < np.count_nonzero(nil_mask)
 
 
 def test_is_two_sided_ideal():
@@ -276,7 +359,7 @@ import dataclasses, sys
 from ringlab import ElemSet, compile_text, compute_bundle, validate_ring
 from ringlab import predicates
 from ringlab.construct import NotAnIdealError, build_quotient, matrix_unit_index
-from ringlab.core import RingError, RingValidationError, bitwise_ring, field_top_bits
+from ringlab.core import RingError, RingValidationError, TableRing, bitwise_ring, field_top_bits
 from ringlab.subsets import _assert_bundle_sanity
 
 assert sys.flags.optimize >= 1
@@ -309,6 +392,18 @@ try:
     sys.exit("corrupt generator row accepted")
 except RingValidationError as exc:
     print("generator rows:", exc)
+# mul corrupted after validation: 8*256 (E12 * 4E21) leaves J, and the
+# pruning closes on {0}, short of the central nilpotents; 1*2 = 1 leaves
+# an open fixpoint, and the slab search's J fails the ideal check
+for cell, value in (((8, 256), 3161), ((1, 2), ring.one)):
+    mul = ring.mul.copy()
+    mul[cell] = value
+    corrupt = TableRing(ring.order, ring.add, mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation, ring.basis)
+    try:
+        compute_bundle(corrupt)
+        sys.exit("corrupt table gave a radical")
+    except RingError as exc:
+        print("radical:", exc)
 left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])  # R*E11, a left ideal only
 try:
     build_quotient(ring, left)
@@ -327,6 +422,8 @@ def test_internal_guards_survive_python_O():
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
     assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
     assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
+    assert "radical: inconsistent invariant bundle: Nil & Z <= J fails\n" in proc.stdout
+    assert "radical: radical failed the ideal check at ('add', 4, 6)\n" in proc.stdout
     assert "ideal: generating set is not a two-sided ideal: ('right', 1, 8)" in proc.stdout
 
 
