@@ -12,6 +12,13 @@ iff 1 - r*j is a unit for every r), searched over the candidates j in C
 with 1 - j a unit, and is then checked to be an ideal. The O-jac oracle
 compares both paths with the maximal-left-ideal intersection.
 
+Where J != {0} is a closed fixpoint, U is lifted from R/J: J is a
+proved ideal, so R -> R/J is a ring homomorphism and no unit of R is
+missed among the preimages of U(R/J); and each of them is certified by
+an explicit inverse checked on R's table (`unit_inverses`), so none is
+false. Elsewhere (J = {0}, no basis, an open fixpoint), and for
+Dedekind-finiteness, U is the n^2 scan for ab = ba = 1.
+
 The center compares each row of the multiplication table with its
 column (`core.rows_equal_columns`). On a ring that keeps a set of
 additive generators (`TableRing.basis`: the bit generators, kept above
@@ -63,17 +70,42 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(cells, ring.order)
 
 
-def units(ring: TableRing) -> ElemSet:
-    """The unit group."""
-    return ElemSet.of(ring, list(unit_inverses(ring)))
+def units(ring: TableRing, radical: tuple | None = None) -> ElemSet:
+    """The unit group; lifted from `radical` = (R/J, projection, ...) when
+    given (see `unit_inverses`)."""
+    return ElemSet.of(ring, list(unit_inverses(ring, radical)))
 
 
-def unit_inverses(ring: TableRing) -> dict[int, int]:
+def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, int]:
     """Each unit with its inverse: the pairs ab = 1 that also have ba = 1
-    (a two-sided inverse is unique)."""
-    a, b = product_one_pairs(ring)
-    two_sided = ring.mul[b, a] == ring.one
-    return dict(zip(a[two_sided].tolist(), b[two_sided].tolist()))
+    (a two-sided inverse is unique).
+
+    Given `radical` = (R/J, projection, ...) for a proved ideal J, each
+    preimage u of a unit of R/J gets v = v0 (1+x)(1+x^2)(1+x^4)..., v0 a
+    preimage of the coset's inverse: x = 1 - u*v0 is in J, so u*v =
+    1 - x^(2^k) = 1 once x^(2^k) = 0, within ceil(log2 n) squarings.
+    u*v = v*u = 1 is checked for every u, else RingError.
+    """
+    if radical is None:
+        a, b = product_one_pairs(ring)
+        two_sided = ring.mul[b, a] == ring.one
+        return dict(zip(a[two_sided].tolist(), b[two_sided].tolist()))
+    quotient, projection = radical[:2]
+    inverse, coset_inverse = unit_inverses(quotient), np.full(quotient.order, -1)
+    coset_inverse[list(inverse)] = list(inverse.values())
+    lowest = np.unique(projection, return_index=True)[1]  # each coset's smallest member
+    u = np.flatnonzero(coset_inverse[projection] >= 0)
+    v = lowest[coset_inverse[projection[u]]]
+    add, mul, one = ring.add, ring.mul, ring.one
+    x = add[one, ring.neg[mul[u, v]]]
+    for _ in range((ring.order - 1).bit_length()):
+        if (x == ring.zero).all():
+            break
+        v, x = mul[v, add[one, x]], mul[x, x]
+    certified = (mul[u, v] == one) & (mul[v, u] == one)
+    if not certified.all():  # unreachable on a valid ring; guards table corruption
+        raise RingError(f"unit lifted from R/J failed its inverse check at {int(u[np.argmin(certified)])}")
+    return dict(zip(u.tolist(), v.tolist()))
 
 
 def idempotents(ring: TableRing) -> ElemSet:
@@ -142,12 +174,13 @@ def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, 
         keep[arr[~stay]] = False
 
 
-def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None) -> ElemSet:
+def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None, fallback=True) -> ElemSet | None:
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
     module docstring): `quasi[mul]` is the (r, j) table of "1 - r*j is a
     unit", gathered over the candidates in slabs of 512 rows, a column
-    that fails one slab dropped from the next.
+    that fails one slab dropped from the next. With `fallback` false,
+    None stands in for the criterion.
     """
     gens = ring.basis if gens is None else gens
     cand = np.ones(ring.order, dtype=bool)
@@ -155,6 +188,8 @@ def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_m
         cand, closed = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
         if closed:
             return ElemSet.from_mask(ring, cand)
+    if not fallback:
+        return None
     if unit_mask is None:
         unit_mask = units(ring).mask()
     quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
@@ -263,18 +298,15 @@ class InvariantBundle:
     _clean_decomposable: tuple | None = field(default=None, init=False, repr=False, compare=False)  # predicates.clean_decomposable
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
-        """(R/J, projection, bundle of R/J), computed on first use and kept.
+        """(R/J, projection, bundle of R/J), computed on first use and kept;
+        `compute_bundle` fills it when it lifts U from R/J.
 
         J is not re-proved an ideal here: `jacobson_radical` proved it, and
         a cache-loaded J passed the payload digest. R/J's tables are still
         validated.
         """
         if self._radical_quotient is None:
-            from .construct import _build_quotient  # local import; construct sits above
-
-            quotient, projection = _build_quotient(self.ring, self.jacobson)
-            shared = quotient.mul is self.ring.mul  # R/{0}
-            self._radical_quotient = (quotient, projection, self.on_copy(quotient) if shared else compute_bundle(quotient))
+            self._radical_quotient = _radical_quotient(self.ring, self.jacobson, self)
         return self._radical_quotient
 
     def on_copy(self, ring: TableRing) -> InvariantBundle:
@@ -284,9 +316,24 @@ class InvariantBundle:
         return InvariantBundle(ring=ring, **sets)
 
 
+def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundle | None = None) -> tuple:
+    """(R/J, projection, bundle of R/J); R/{0} shares R's tables and `bundle`."""
+    from .construct import _build_quotient  # local import; construct sits above
+
+    quotient, projection = _build_quotient(ring, jacobson)
+    shared = quotient.mul is ring.mul  # R/{0}
+    return quotient, projection, bundle.on_copy(quotient) if shared else compute_bundle(quotient)
+
+
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    u, nil = units(ring), nilpotents(ring)
-    jac = jacobson_radical(ring, u.mask(), nil.mask())
+    """Nil, then J, then U: lifted from R/J, which the bundle keeps, when
+    J != {0} is a closed fixpoint (see the module docstring)."""
+    nil = nilpotents(ring)
+    jac = jacobson_radical(ring, nil_mask=nil.mask(), fallback=False)
+    radical = _radical_quotient(ring, jac) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
+    u = units(ring, radical)
+    if jac is None:  # no basis, or an open fixpoint: the criterion reads the scan's U
+        jac = jacobson_radical(ring, u.mask(), nil.mask())
     bundle = InvariantBundle(
         ring=ring,
         units=u,
@@ -297,6 +344,7 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
         jsharp=jsharp(ring, jac),
         prime_radical=prime_radical(ring, jac),
     )
+    bundle._radical_quotient = radical
     _assert_bundle_sanity(bundle)
     return bundle
 

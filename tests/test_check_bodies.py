@@ -18,7 +18,7 @@ from ringlab import ElemSet, checks, compile_text, compute_bundle
 from ringlab import predicates as P
 from ringlab.checks import IDEAL_ENUM_LIMIT, CheckContext, Outcome, _fail, _ok, _u_minus_one
 from ringlab.construct import _build_quotient, _reindex, build_corner, ideal_closure, matrix_unit_index
-from ringlab.core import GroupRingMeta, RingError, validate_ring
+from ringlab.core import GroupRingMeta, RingError, TableRing, validate_ring
 from ringlab.groups import p_group_prime
 from ringlab.subsets import augmentation_ideal, jacobson_radical_maximal_ideal_oracle, prime_radical_ideal_oracle
 
@@ -688,3 +688,40 @@ def test_c27_runs_each_finite_ring_search(monkeypatch, name):
     ring = compile_text("z(4)")
     outcome = checks.get_check("C2.7").body(CheckContext(ring, compute_bundle(ring)))
     assert outcome == _fail(f"finite ring not {name}: stub")
+
+
+# ---------------------------------------------------------------------------
+# mutants for checks that no cut bundle can fail: they read only the tables
+# or the construction, which no cut touches
+# ---------------------------------------------------------------------------
+
+
+def dedekind_mutant(monkeypatch):
+    """m(2,z(2)) with mul[E12, E21] set to 1 after validation: E12 E21 = 1
+    but E21 E12 = E22."""
+    ring = compile_text("m(2,z(2))")
+    e12, e21 = matrix_unit_index(ring, 0, 1), matrix_unit_index(ring, 1, 0)
+    mul = ring.mul.copy()
+    mul[e12, e21] = ring.one
+    corrupt = TableRing(ring.order, ring.add, mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation)
+    return "m(2,z(2))", CheckContext(corrupt, compute_bundle(ring)), f"ab = 1 but ba != 1 for a = {ring.describe(e12)}, b = {ring.describe(e21)}"
+
+
+def munits_mutant(monkeypatch):
+    """m(2,z(4)) read through a shuffled position map: (i, j) at the digit
+    of (j, i), column-major. E_ij -> E_ji reverses products, so E11 E12
+    reads E11 E21 = 0. (A map that is a ring automorphism, such as the
+    reversed order E_ij -> E_(1-i)(1-j), would pass.)"""
+    ring = compile_text("m(2,z(4))")
+    real = checks.matrix_unit_index
+    monkeypatch.setattr(checks, "matrix_unit_index", lambda on, i, j: real(on, j, i))
+    return "m(2,z(4))", CheckContext(ring, compute_bundle(ring)), f"E11 * E12 = {ring.describe(ring.zero)}"
+
+
+@pytest.mark.parametrize("check_id, mutant", [("L-dedekind", dedekind_mutant), ("L-munits", munits_mutant)])
+def test_a_check_no_cut_fails_fails_on_its_mutant(monkeypatch, check_id, mutant):
+    text, ctx, witness = mutant(monkeypatch)
+    result = checks._evaluate(checks.get_check(check_id), ctx, text)
+    assert (result.status, result.witness) == ("fail", witness)
+    monkeypatch.undo()
+    assert checks.run_check(check_id, text).status == "pass"

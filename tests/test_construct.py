@@ -48,7 +48,7 @@ from ringlab.core import (
 from ringlab.groups import cyclic, quaternion8
 from ringlab.subsets import compute_bundle, is_two_sided_ideal
 
-from ringtables import tables_equal
+from ringtables import BITWISE_RINGS, CAP_RINGS, tables_equal
 
 
 def brute_force_units(ring):
@@ -797,20 +797,6 @@ def digit_bases(ring):
 
 def is_bitwise(bases):
     return len(bases) > 1 and all(bitwise_high_bits(base.add) is not None for base in bases)
-
-
-CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
-
-# digit-vector rings over bases whose addition is bitwise, up to order 4096: every
-# base kind (z(2^k), gf(2^d), a digit-vector base), every construction, and mixed
-# field widths in one index
-BITWISE_RINGS = CAP_RINGS + (
-    "gf(4)", "gf(8)", "m(2,z(2))", "m(2,z(4))", "m(3,z(2))", "m(2,gf(4))", "m(2,gf(8))",
-    "t(2,z(2))", "t(3,z(2))", "t(3,z(4))", "t(2,gf(8))", "prod(z(2),z(4))", "prod(z(4),gf(8),z(2))",
-    "prod(z(16),z(16),z(16))", "group(z(2),c(4))", "group(z(4),c(6))", "group(gf(4),c(6))",
-    "group(triv(z(4)),c(2))", "group(z(2),q8)", "poly(z(2),12)", "poly(z(8),4)", "skew(gf(4),frob,3)",
-    "triv(z(8))", "triv(m(2,z(2)))", "triv(gf(8))",
-)
 
 
 def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):

@@ -30,7 +30,7 @@ from ringlab.subsets import (
     units,
 )
 
-from ringtables import without_basis
+from ringtables import BITWISE_RINGS, CAP_RINGS, without_basis
 
 M2 = build_matrix(build_zmod(2), 2)
 T2 = build_triangular(build_zmod(2), 2)
@@ -131,6 +131,54 @@ def test_units_and_inverses_match_the_definition(corpus_bundles):
         inverses = {a: [b for b in range(ring.order) if ring.mul[a, b] == one == ring.mul[b, a]] for a in range(ring.order)}
         assert bundle.units.members == {a for a, bs in inverses.items() if bs}, text
         assert unit_inverses(ring) == {a: bs[0] for a, bs in inverses.items() if bs}, text
+
+
+def test_lifted_units_match_the_scan():
+    # U lifted from R/J, each unit with its certified inverse, against the
+    # n^2 scan; rings with a basis and J != {0} take the lift in their bundle
+    lifted = 0
+    for text in dict.fromkeys(BITWISE_RINGS + ("group(z(2),q8)",)):
+        ring = compile_text(text)
+        b = compute_bundle(ring)
+        if len(b.jacobson) == 1:
+            assert text not in CAP_RINGS and b._radical_quotient is None, text
+            continue
+        assert (b._radical_quotient is not None) == (ring.basis is not None), text
+        lifted += ring.basis is not None
+        scan = unit_inverses(ring)
+        assert unit_inverses(ring, b.radical_quotient()) == scan, text
+        assert units(ring, b.radical_quotient()) == units(ring) == b.units, text
+        assert set(scan) == b.units.members, text
+    assert lifted >= 12
+
+
+def scanned_orders(monkeypatch, text, open_fixpoint=False):
+    """The orders of the rings whose `mul == one` pairs `compute_bundle`
+    scans on `text`, with the pruning's fixpoint forced open if asked."""
+    from ringlab import subsets
+
+    ring, seen, real = compile_text(text), [], subsets.product_one_pairs
+
+    def counting(on):
+        seen.append(on.order)
+        return real(on)
+
+    monkeypatch.setattr(subsets, "product_one_pairs", counting)
+    if open_fixpoint:
+        monkeypatch.setattr(subsets, "prune_nil", lambda on, gens, nil: (nil.copy(), False))
+    b = compute_bundle(ring)
+    monkeypatch.undo()
+    assert b.units == units(ring), text
+    return seen, ring.order // len(b.jacobson)
+
+
+def test_a_cap_ring_scans_only_its_radical_quotient(monkeypatch):
+    for text in CAP_RINGS:
+        seen, quotient_order = scanned_orders(monkeypatch, text)
+        assert quotient_order <= 16 and seen == [quotient_order] * 2, text  # R/J's bundle, then its inverses
+    assert scanned_orders(monkeypatch, "m(2,gf(8))") == ([4096], 4096)  # J = {0}
+    assert scanned_orders(monkeypatch, "group(z(5),c(5))") == ([3125], 5)  # no basis
+    assert scanned_orders(monkeypatch, "m(2,z(8))", open_fixpoint=True) == ([4096], 16)
 
 
 def test_jacobson_candidate_gather_matches_the_full_gather():
@@ -404,6 +452,19 @@ for cell, value in (((8, 256), 3161), ((1, 2), ring.one)):
         sys.exit("corrupt table gave a radical")
     except RingError as exc:
         print("radical:", exc)
+# mul corrupted after validation where only the lift of U reads it: u = 73
+# ([[1,1],[1,0]]) has the inverse v = 3656, and v*u = 0 fails the
+# certificate; u = 74 ([[2,1],[1,0]]) starts from the preimage 72, and
+# u*72 = 0 makes x = 1 - u*72 = 1, whose squares never reach 0
+for cell in ((3656, 73), (74, 72)):
+    mul = ring.mul.copy()
+    mul[cell] = ring.zero
+    corrupt = TableRing(ring.order, ring.add, mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation, ring.basis)
+    try:
+        compute_bundle(corrupt)
+        sys.exit("corrupt table gave a unit group")
+    except RingError as exc:
+        print("units:", exc)
 left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])  # R*E11, a left ideal only
 try:
     build_quotient(ring, left)
@@ -416,7 +477,7 @@ except NotAnIdealError as exc:
 def test_internal_guards_survive_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
@@ -424,6 +485,8 @@ def test_internal_guards_survive_python_O():
     assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
     assert "radical: inconsistent invariant bundle: Nil & Z <= J fails\n" in proc.stdout
     assert "radical: radical failed the ideal check at ('add', 4, 6)\n" in proc.stdout
+    assert "units: unit lifted from R/J failed its inverse check at 73\n" in proc.stdout
+    assert "units: unit lifted from R/J failed its inverse check at 74\n" in proc.stdout
     assert "ideal: generating set is not a two-sided ideal: ('right', 1, 8)" in proc.stdout
 
 
