@@ -12,12 +12,12 @@ iff 1 - r*j is a unit for every r), searched over the candidates j in C
 with 1 - j a unit, and is then checked to be an ideal. The O-jac oracle
 compares both paths with the maximal-left-ideal intersection.
 
-Where J != {0} is a closed fixpoint, U is lifted from R/J: J is a
+On a ring with a basis and J != {0}, U is lifted from R/J: J is a
 proved ideal, so R -> R/J is a ring homomorphism and no unit of R is
 missed among the preimages of U(R/J); and each of them is certified by
 an explicit inverse checked on R's table (`unit_inverses`), so none is
-false. Elsewhere (J = {0}, no basis, an open fixpoint), and for
-Dedekind-finiteness, U is the n^2 scan for ab = ba = 1.
+false. Elsewhere (J = {0}, no basis), inside the criterion of an open
+fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1.
 
 The center compares each row of the multiplication table with its
 column (`core.rows_equal_columns`). On a ring that keeps a set of
@@ -71,8 +71,7 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
 
 
 def units(ring: TableRing, radical: tuple | None = None) -> ElemSet:
-    """The unit group; lifted from `radical` = (R/J, projection, ...) when
-    given (see `unit_inverses`)."""
+    """The unit group; lifted from `radical` as in `unit_inverses`."""
     return ElemSet.of(ring, list(unit_inverses(ring, radical)))
 
 
@@ -174,13 +173,12 @@ def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, 
         keep[arr[~stay]] = False
 
 
-def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None, fallback=True) -> ElemSet | None:
+def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None) -> ElemSet:
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
     module docstring): `quasi[mul]` is the (r, j) table of "1 - r*j is a
     unit", gathered over the candidates in slabs of 512 rows, a column
-    that fails one slab dropped from the next. With `fallback` false,
-    None stands in for the criterion.
+    that fails one slab dropped from the next.
     """
     gens = ring.basis if gens is None else gens
     cand = np.ones(ring.order, dtype=bool)
@@ -188,8 +186,6 @@ def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_m
         cand, closed = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
         if closed:
             return ElemSet.from_mask(ring, cand)
-    if not fallback:
-        return None
     if unit_mask is None:
         unit_mask = units(ring).mask()
     quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
@@ -326,13 +322,13 @@ def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundl
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    """Nil, then J, then U: lifted from R/J, which the bundle keeps, when
-    J != {0} is a closed fixpoint (see the module docstring)."""
+    """Nil, then J, then U: lifted from R/J, which the bundle keeps, on a
+    ring with a basis and J != {0} (see the module docstring)."""
     nil = nilpotents(ring)
-    jac = jacobson_radical(ring, nil_mask=nil.mask(), fallback=False)
+    jac = jacobson_radical(ring, nil_mask=nil.mask()) if ring.basis is not None else None
     radical = _radical_quotient(ring, jac) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
     u = units(ring, radical)
-    if jac is None:  # no basis, or an open fixpoint: the criterion reads the scan's U
+    if jac is None:  # no basis: the criterion reads the scan's U
         jac = jacobson_radical(ring, u.mask(), nil.mask())
     bundle = InvariantBundle(
         ring=ring,

@@ -178,7 +178,7 @@ def test_a_cap_ring_scans_only_its_radical_quotient(monkeypatch):
         assert quotient_order <= 16 and seen == [quotient_order] * 2, text  # R/J's bundle, then its inverses
     assert scanned_orders(monkeypatch, "m(2,gf(8))") == ([4096], 4096)  # J = {0}
     assert scanned_orders(monkeypatch, "group(z(5),c(5))") == ([3125], 5)  # no basis
-    assert scanned_orders(monkeypatch, "m(2,z(8))", open_fixpoint=True) == ([4096], 16)
+    assert scanned_orders(monkeypatch, "m(2,z(8))", open_fixpoint=True) == ([4096, 16, 16], 16)  # the criterion's U, then R/J's
 
 
 def test_jacobson_candidate_gather_matches_the_full_gather():
