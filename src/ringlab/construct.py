@@ -29,9 +29,11 @@ add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]], and the
 tables go through `validate_ring`. Over bases whose addition is bitwise
 on their index, the builder asks only for the K monomials that are bit
 generators (c a power of two) and hands their product rows to
-`core.bitwise_ring`, which fills add from one word formula and mul by
-extension over those rows, and proves the ring from the relations on
-them (see `_digit_vector_tables`).
+`core.bitwise_ring`. It splits each index into a low and a high half at
+a field boundary, fills add from the word formula on each half, and
+fills each row of mul as a sum of two rows, each summed from the
+generator rows on one side of the split; it then proves the ring from
+the relations on the generator rows (see `_digit_vector_tables`).
 """
 
 from __future__ import annotations
@@ -213,7 +215,9 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
     their K product rows are made here; `core.bitwise_ring` fills both
-    tables from them and checks the relations on those rows.
+    tables from them, with each index split into a low and a high half at
+    a field boundary (every digit boundary is one), and checks the
+    relations on those rows.
 
     Otherwise both tables are gathered, in TABLE_DTYPE, and go through
     `validate_ring`: every row follows by row extension, x = x' + c*e_w

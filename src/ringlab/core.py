@@ -694,11 +694,13 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     or raise RingValidationError. Zero is index 0; `neg`, `names` and
     `meta` are as in `validate_ring`.
 
-    add is filled from the word formula, and mul by extension over the
-    generator rows: mul[0] = 0 and mul[x' | 2^b] = mul[x'] + mul[2^b] for
-    x' < 2^b. Only the facts this build does not guarantee are then
-    checked, in O(K n + K^3) cells instead of the n^2 compares and range
-    scans of whole tables:
+    Both tables are filled with each index split into a low and a high
+    half at the field boundary nearest K/2 (`_fill_bitwise_add`,
+    `_fill_bitwise_mul`); a table that fits one chunk is filled whole.
+    Whatever the split, each row of mul is the sum of the generator rows
+    at its bits, corrupt rows included. Only the facts this build does
+    not guarantee are then checked, in O(K n + K^3) cells instead of the
+    n^2 compares and range scans of whole tables:
 
     - the formula is the group (+) Z/2^k, one summand per field, so the
       additive axioms hold;
@@ -729,28 +731,102 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     if neg.shape != (n,):
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
+    # bit split - 1 is a top bit; a table that fits one chunk is filled whole (split = K)
+    split = bits if n * n <= _CHUNK_CELLS else min((b + 1 for b in range(bits) if high >> b & 1), key=lambda s: abs(2 * s - bits))
     add, mul = np.empty((n, n), dtype=TABLE_DTYPE), np.empty((n, n), dtype=TABLE_DTYPE)
-    step = max(1, _CHUNK_CELLS // n)
-    fill = bitwise_addition(n, high)
-    for r in range(0, n, step):
-        fill(r, add[r : r + step])
-    mul[0] = 0
-    mul[[1 << b for b in range(bits)]] = rows
-    _extend_bitwise(mul, high)
+    _fill_bitwise_add(add, high, split)
+    _fill_bitwise_mul(mul, rows, high, split)
     if _generator_relations(mul, high) is None and not _identity_violations(add, mul, 0, one, neg, None):
         return _table_ring(add, mul, neg, 0, one, names, meta, "exhaustive")
     return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
 
 
+def _fill_bitwise_add(add: np.ndarray, high: int, split: int) -> None:
+    """Fill `add` with the bitwise addition with top bits `high`, split at
+    a field boundary: bit split - 1 is a top bit.
+
+    An index x is (xh, xl) = (x >> split, x mod 2^split), and no field
+    crosses the split, so x + y = ((xh + yh) << split) | (xl + yl), each
+    half added in its own bitwise addition (AH of order nh, AL of order
+    nl); the shift and OR are the mixed-radix (xh + yh) * nl + (xl + yl).
+    Both are small; one broadcast pass ORs the rows of AH << split, each
+    repeated nl times, into AL tiled nh times across a row. With nh = 1
+    AL is the whole table, filled in place.
+    """
+    n, nl = add.shape[0], 1 << split
+    nh = n >> split
+    low_sums = add if nh == 1 else np.empty((nl, nl), dtype=TABLE_DTYPE)
+    fill, step = bitwise_addition(nl, high & (nl - 1)), max(1, _CHUNK_CELLS // nl)
+    for r in range(0, nl, step):
+        fill(r, low_sums[r : r + step])
+    if nh > 1:
+        high_sums = bitwise_addition(nh, high >> split)(0, np.empty((nh, nh), dtype=TABLE_DTYPE)) << split
+        np.bitwise_or(np.repeat(high_sums, nl, axis=1)[:, None], np.tile(low_sums, nh), out=add.reshape(nh, nl, n))
+
+
+def _fill_bitwise_mul(mul: np.ndarray, rows: np.ndarray, high: int, split: int) -> None:
+    """Fill `mul` with the sum of the generator rows `rows[b]` at the bits
+    of each index, in the bitwise addition with top bits `high`.
+
+    With x = (xh, xl) split as in `_fill_bitwise_add`, mul[x] = ML[xl] +
+    MH[xh]: ML (nl rows) sums the generators below the split and is
+    extended in place as mul[:nl]; MH (nh rows) sums those above it. Each
+    further block of nl rows is then written once from the two halves
+    (`_sum_blocks`). With nh = 1, ML is the whole table.
+    """
+    n, nl = mul.shape[0], 1 << split
+    nh = n >> split
+    low_rows = mul[:nl]
+    low_rows[0] = 0
+    low_rows[1 << np.arange(split)] = rows[:split]
+    _extend_bitwise(low_rows, high)
+    if nh > 1:
+        high_rows = np.empty((nh, n), dtype=TABLE_DTYPE)
+        high_rows[0] = 0
+        high_rows[1 << np.arange(len(rows) - split)] = rows[split:]
+        _extend_bitwise(high_rows, high)
+        _sum_blocks(mul.reshape(nh, nl, n), high_rows, high)
+
+
+def _sum_blocks(blocks: np.ndarray, high_rows: np.ndarray, high: int) -> None:
+    """blocks[a] = blocks[0] + high_rows[a], row by row, for 0 < a <
+    len(blocks), in the bitwise addition of order n = blocks.shape[2] with
+    top bits `high`, in TABLE_DTYPE lanes.
+
+    The masked halves of blocks[0] are made once; each pass then writes a
+    few blocks, about _CHUNK_CELLS cells, so that what it reads stays in
+    cache. When every field is one bit (high = n - 1) the sum is XOR.
+    """
+    base, n = blocks[0], blocks.shape[2]
+    step = max(1, _CHUNK_CELLS // base.size)
+    if high == n - 1:
+        for a in range(1, len(blocks), step):
+            np.bitwise_xor(base, high_rows[a : a + step, None], out=blocks[a : a + step])
+        return
+    low, top = _lane_masks(high)
+    low_part, top_part = base & low, base & top
+    for a in range(1, len(blocks), step):
+        h, out = high_rows[a : a + step, None], blocks[a : a + step]
+        np.add(low_part, h & low, out=out)
+        out ^= top_part
+        out ^= h & top
+
+
 def _extend_bitwise(mul: np.ndarray, high: int) -> None:
     """Fill each row x' | 2^b of `mul`, 0 < x' < 2^b, with mul[x'] +
-    mul[2^b] in the bitwise addition with top bits `high`, in TABLE_DTYPE
-    lanes; b ascends, so every row x' is filled before it is read."""
-    rows = max(1, _CHUNK_CELLS // mul.shape[1])
+    mul[2^b] in the bitwise addition of order n = mul.shape[1] with top
+    bits `high`, in TABLE_DTYPE lanes; b ascends, so every row x' is
+    filled before it is read. When every field is one bit (high = n - 1)
+    the sum is XOR."""
+    n = mul.shape[1]
+    rows = max(1, _CHUNK_CELLS // n)
     for g in (1 << np.arange(mul.shape[0].bit_length() - 1)).tolist():
         for lo in range(1, g, rows):
             hi = min(g, lo + rows)
-            bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
+            if high == n - 1:
+                np.bitwise_xor(mul[lo:hi], mul[g], out=mul[g + lo : g + hi])
+            else:
+                bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
 
 
 def _bit_basis(add: np.ndarray, zero: int) -> tuple[int, ...] | None:

@@ -286,16 +286,18 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
 
 
 def _clean_masks(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """`clean_decomposable`'s gather."""
+    """`clean_decomposable`'s gather, one row per idempotent e: the rows
+    add[-e] hold -e + a, which is a - e since addition is proved
+    commutative, so whole rows are read instead of columns."""
     idem = bundle.idempotents.index_array()
-    diff = ring.add[:, ring.neg[idem]]  # (a, e) -> a - e
-    commutes = ring.mul[idem, :].T == ring.mul[:, idem]  # (a, e) -> ea = ae
+    diff = ring.add[ring.neg[idem]]  # (e, a) -> a - e
+    commutes = ring.mul[idem] == ring.mul[:, idem].T  # (e, a) -> ea = ae
     in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in ("units", "jsharp", "nilpotents")}
     decomposable = {
-        name: (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=1)
+        name: (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=0)
         for name, (pool, commuting) in _CLEAN_CLASSES.items()
     }
-    return decomposable, in_pool["units"].sum(axis=1)
+    return decomposable, in_pool["units"].sum(axis=0)
 
 
 def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:

@@ -718,7 +718,71 @@ def munits_mutant(monkeypatch):
     return "m(2,z(4))", CheckContext(ring, compute_bundle(ring)), f"E11 * E12 = {ring.describe(ring.zero)}"
 
 
-@pytest.mark.parametrize("check_id, mutant", [("L-dedekind", dedekind_mutant), ("L-munits", munits_mutant)])
+def one_ab_mutant(monkeypatch):
+    """z(4), a UJ# ring, with mul[2, 1] set to 1 after validation: 1 - 2*1
+    reads 0, in J#, while 1 - 1*2 = 3 is not."""
+    ring = compile_text("z(4)")
+    mul = ring.mul.copy()
+    mul[2, 1] = ring.one
+    corrupt = TableRing(ring.order, ring.add, mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation)
+    return "z(4)", CheckContext(corrupt, compute_bundle(ring).on_copy(corrupt)), f"1-ab vs 1-ba disagree for a = {ring.describe(1)}, b = {ring.describe(2)}"
+
+
+def c317_mutant(monkeypatch):
+    """z(4) with `classify` reporting it not clean. `classify` reports the
+    classes every finite ring has (semiregular, exchange, clean) true by
+    theorem, after `clean_family`'s verdicts, so a patched `clean_family`
+    cannot reach C3.17: the verdict itself is patched."""
+    ring = compile_text("z(4)")
+    classify = P.classify
+    monkeypatch.setattr(checks.P, "classify", lambda r, b: {**classify(r, b), "clean": P.Verdict(False, "stub")})
+    return "z(4)", CheckContext(ring, compute_bundle(ring)), "UJ# ring: semiregular/exchange/clean = [True, True, False]"
+
+
+def wrong_base_mutant(text, message):
+    """`text`, a UJ# ring, with meta.base swapped for z(3), which is not
+    UJ# (2 is a unit and 2 - 1 = 1 is not in J#(z(3)) = {0})."""
+
+    def mutant(monkeypatch):
+        ring = compile_text(text)
+        meta = dataclasses.replace(ring.meta, base=compile_text("z(3)"))
+        wrong = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, meta, ring.validation)
+        return text, CheckContext(wrong, compute_bundle(ring).on_copy(wrong)), message
+
+    return mutant
+
+
+def g3grp_mutant(monkeypatch):
+    """group(z(3),c(5)) with `is_ujsharp` patched to true.
+
+    G-3grp cannot fail on any nonzero ring: in its scope 3 lies in J#(R),
+    so 3 lies in J#(RG), as J(R)RG is a nilpotent ideal of RG. Were RG
+    UJ#, the unit -1 would put -2, and so 2, in J#(RG). 2 and 3 are
+    central, so 1 = 3 - 2 would be nilpotent modulo J(RG), and RG would
+    be the zero ring. So its body only ever reaches the contrapositive
+    branch, which the real verdict shows here; only a wrong UJ# verdict
+    reaches the failing one."""
+    text = "group(z(3),c(5))"
+    ring = compile_text(text)
+    bundle = compute_bundle(ring)
+    assert checks.get_check("G-3grp").applies(CheckContext(ring, bundle)) is None
+    assert not P.is_ujsharp(ring, bundle).value
+    monkeypatch.setattr(checks.P, "is_ujsharp", lambda r, b: P.Verdict(True))
+    return text, CheckContext(ring, bundle), "RG is UJ# but G is a 5-group, not a 3-group"
+
+
+@pytest.mark.parametrize(
+    "check_id, mutant",
+    [
+        ("L-dedekind", dedekind_mutant),
+        ("L-munits", munits_mutant),
+        ("C-1ab", one_ab_mutant),
+        ("C3.17", c317_mutant),
+        ("P-triv", wrong_base_mutant("triv(z(4))", "extension verdict True vs base verdict False")),
+        ("G-locfin", wrong_base_mutant("group(z(2),c(2))", "RG verdict True vs R verdict False")),
+        ("G-3grp", g3grp_mutant),
+    ],
+)
 def test_a_check_no_cut_fails_fails_on_its_mutant(monkeypatch, check_id, mutant):
     text, ctx, witness = mutant(monkeypatch)
     result = checks._evaluate(checks.get_check(check_id), ctx, text)

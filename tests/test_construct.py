@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -868,6 +869,80 @@ def test_swar_extension_keeps_every_field_inside_its_16_bit_lane(high):
     want = ((a & low) + (b & low)) ^ ((a ^ b) & high)
     core._extend_bitwise(mul, high)  # of the rows of order 4, row 3 = row 1 + row 2
     assert want.max() < 1 << 16 and np.array_equal(mul[3], want)
+
+
+def outer_bitwise_build(text, monkeypatch):
+    """(ring, high, uint16 generator rows, fill splits) of the outermost
+    `bitwise_ring` call compiling `text`."""
+    calls, splits = [], []
+    build, fill = construct.bitwise_ring, core._fill_bitwise_add
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "bitwise_ring", lambda *a: calls.append(a) or build(*a))
+        patch.setattr(core, "_fill_bitwise_add", lambda add, high, split: splits.append(split) or fill(add, high, split))
+        ring = compile_text(text)
+    high, rows = calls[-1][:2]
+    return ring, high, core._index_table(np.asarray(rows), ring.order), splits[-1]
+
+
+def test_a_one_field_ring_is_filled_whole_in_place(monkeypatch):
+    # z(256)'s addition is one field, so it has no boundary to split at, even with
+    # chunks too small to hold the table: the split has nh = 1, and the tables
+    # equal z(256)'s own
+    z = build_zmod(256)
+    monkeypatch.setattr(core, "_CHUNK_CELLS", 1 << 10)
+    monkeypatch.setattr(core, "_sum_blocks", lambda *a: pytest.fail("one field has one block"))
+    ring = core.bitwise_ring(0x80, z.mul[[1 << b for b in range(8)]], z.one, z.neg)
+    assert tables_equal(ring, z) and ring.validation == "exhaustive"
+
+
+@pytest.mark.parametrize("text, split", [("prod(z(4),gf(8),z(2))", 6), ("prod(z(8),z(4),z(16),z(2))", 5)])
+def test_every_field_boundary_splits_to_the_same_tables(text, split, monkeypatch):
+    # the first ring fits one chunk and is filled whole; the second is split
+    # between z(4) (bits 3-4) and z(16) (bits 5-8); filled at each boundary, both
+    # give the ring's tables, which equal the gathered ones
+    ring, high, rows, used = outer_bitwise_build(text, monkeypatch)
+    assert used == split
+    boundaries = [b + 1 for b in range(ring.order.bit_length() - 1) if high >> b & 1]
+    assert len(boundaries) >= 4
+    for at in boundaries:
+        add, mul = np.empty_like(ring.add), np.empty_like(ring.mul)
+        core._fill_bitwise_add(add, high, at)
+        core._fill_bitwise_mul(mul, rows, high, at)
+        assert np.array_equal(add, ring.add) and np.array_equal(mul, ring.mul), (text, at)
+    monkeypatch.setattr(construct, "bitwise_high_bits", lambda add: None)
+    assert tables_equal(ring, compile_text(text))
+
+
+@pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 18])
+def test_block_sums_keep_every_field_inside_its_16_bit_lane(high, chunk, monkeypatch):
+    # random blocks over the full 16-bit range, so the top field reaches bit 15;
+    # compared with the formula in int64, one block a pass and all in one pass
+    monkeypatch.setattr(core, "_CHUNK_CELLS", chunk)
+    rng = np.random.default_rng(high)
+    blocks = rng.integers(0, 1 << 16, size=(5, 3, 512), dtype=np.uint16)
+    high_rows = rng.integers(0, 1 << 16, size=(5, 512), dtype=np.uint16)
+    a, b = blocks[0].astype(np.int64), high_rows[:, None].astype(np.int64)
+    low = 0xFFFF & ~high
+    want = ((a & low) + (b & low)) ^ ((a ^ b) & high)
+    first = blocks[0].copy()
+    core._sum_blocks(blocks, high_rows, high)
+    assert want.max() < 1 << 16 and np.array_equal(blocks[1:], want[1:]) and np.array_equal(blocks[0], first)
+
+
+def test_a_cap_ring_build_peaks_at_its_two_tables_plus_4_mib(monkeypatch):
+    # a fill that materialises an n^2 temporary fails here
+    for text in CAP_RINGS:
+        ring, high, rows, _ = outer_bitwise_build(text, monkeypatch)
+        n, one, neg = ring.order, ring.one, ring.neg
+        del ring  # at most one order-4096 ring is held
+        tracemalloc.start()
+        try:
+            core.bitwise_ring(high, rows, one, neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 2 + (4 << 20), (text, peak)
 
 
 def test_every_table_is_uint16_read_only_and_contiguous(corpus_bundles):

@@ -8,6 +8,8 @@ from ringlab.checks import CheckContext, run_suite
 from ringlab.core import validate_ring
 from test_cli import M2Z2_INSPECT
 
+from ringtables import CAP_RINGS
+
 
 def clean_decomposition_count(ring, bundle, a):
     """Number of ordered pairs (e, u) with e idempotent, u a unit, a = e + u."""
@@ -362,6 +364,26 @@ def test_clean_family_matches_the_per_element_oracle(corpus_bundles):
             assert family == clean_family_oracle(ring, bundle), text
             failed |= {name for name, verdict in family.items() if not verdict.value}
     assert failed == set(clean_family_oracle(ring, b))  # every class reaches its failing path
+
+
+def test_clean_masks_read_rows_as_the_column_gather_did():
+    # the (|Id|, n) gather of rows add[-e] against the (n, |Id|) column form
+    # a - e = add[a, -e], on the cap rings, where the per-element oracle is too slow
+    seen, counted = set(), set()
+    for text in CAP_RINGS:
+        ring = compile_text(text)
+        bundle = compute_bundle(ring)
+        idem = bundle.idempotents.index_array()
+        diff = ring.add[:, ring.neg[idem]]
+        commutes = ring.mul[idem, :].T == ring.mul[:, idem]
+        decomposable, counts = P._clean_masks(ring, bundle)
+        for name, (pool, commuting) in P._CLEAN_CLASSES.items():
+            in_pool = getattr(bundle, pool).mask()[diff]
+            assert np.array_equal(decomposable[name], (in_pool & commutes if commuting else in_pool).any(axis=1)), (text, name)
+            seen |= set(decomposable[name].tolist())
+        assert np.array_equal(counts, bundle.units.mask()[diff].sum(axis=1)), text
+        counted |= set(counts.tolist())
+    assert seen == {True, False} and len(counted) > 2  # some classes fail, and counts vary
 
 
 def test_exchange_matches_the_per_element_oracle(corpus_bundles):
