@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElemSet, TableRing
+from .core import ElemSet, TableRing, sums
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
@@ -61,7 +61,7 @@ def table_checksum(ring: TableRing) -> bytes:
     keeps these checksums apart from whole-table ones.
     """
     rows = slice(None) if ring.basis is None else list(ring.basis)
-    add, mul = ring.add[rows], ring.mul[rows]  # whole tables: views, not copies
+    add, mul = sums(ring, rows), ring.mul[rows]  # without a basis, the whole tables as views
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, len(add)))
     h.update(np.ascontiguousarray(add, dtype="<u2"))

@@ -95,6 +95,7 @@ class CheckContext:
         self._radical_ideals: list[ElemSet] | None = None
         self._radical_quotients: list[tuple[ElemSet, TableRing, np.ndarray]] | None = None
         self._corners = None
+        self._searched: dict[str, P.Verdict] = {}
         self._aux: dict[int, InvariantBundle] = {id(ring): bundle}
 
     @property
@@ -105,6 +106,14 @@ class CheckContext:
 
     def holds(self, name: str) -> bool:
         return self.verdicts[name].value
+
+    def searched(self, name: str) -> P.Verdict:
+        """The searched verdict of a class that `classify` reports true by
+        theorem (`_FINITE_RING_SEARCHES`), computed once, so C2.7 and C3.17
+        share each search."""
+        if name not in self._searched:
+            self._searched[name] = _FINITE_RING_SEARCHES[name](self.ring, self.bundle)
+        return self._searched[name]
 
     def bundle_of(self, ring: TableRing) -> InvariantBundle:
         """The ring's bundle, computed once. A ring over R's own tables
@@ -659,7 +668,7 @@ def _chk_c25(ctx: CheckContext) -> Outcome:
 
 def _chk_c27(ctx: CheckContext) -> Outcome:
     """The paper's finite collapse, then the searches for the classes every
-    finite ring has (`_finite_ring_searches`). The registry statement names
+    finite ring has (`_FINITE_RING_SEARCHES`). The registry statement names
     only the paper's part: it is printed in every verify report."""
     ring, b = ctx.ring, ctx.bundle
     # J is a nilpotent ideal: iterate ideal powers down to {0}
@@ -679,21 +688,23 @@ def _chk_c27(ctx: CheckContext) -> Outcome:
     vals = [ctx.holds("ujsharp"), ctx.holds("uj"), ctx.holds("uu")]
     if len(set(vals)) != 1:
         return _fail(f"UJ#/UJ/UU = {vals} do not coincide")
-    for name, verdict in _finite_ring_searches(ring, b):
+    for name in _FINITE_RING_SEARCHES:
+        verdict = ctx.searched(name)
         if not verdict:
             return _fail(f"finite ring not {name}: {verdict.witness}")
     return _ok()
 
 
-def _finite_ring_searches(ring: TableRing, b: InvariantBundle):
-    """(class, searched verdict) for the classes `classify` reports true by
-    theorem, one search at a time; Dedekind-finiteness is L-dedekind's."""
-    yield "exchange", P.is_exchange(ring, b)
-    yield "potent", P.is_potent(ring, b)  # semipotent, then lifting modulo J
-    yield "semiregular", P.is_semiregular(ring, b)
-    family = P.clean_family(ring, b)
-    yield "clean", family["clean"]
-    yield "strongly_clean", family["strongly_clean"]
+# the classes `classify` reports true by theorem, each with its search, in the
+# order C2.7 runs them (see `CheckContext.searched`); Dedekind-finiteness is
+# L-dedekind's. Each name is looked up on `P` at call time.
+_FINITE_RING_SEARCHES = {
+    "exchange": lambda ring, b: P.is_exchange(ring, b),
+    "potent": lambda ring, b: P.is_potent(ring, b),  # semipotent, then lifting modulo J
+    "semiregular": lambda ring, b: P.is_semiregular(ring, b),
+    "clean": lambda ring, b: P.clean_family(ring, b)["clean"],
+    "strongly_clean": lambda ring, b: P.clean_family(ring, b)["strongly_clean"],
+}
 
 
 def _chk_t316(ctx: CheckContext) -> Outcome:
@@ -706,7 +717,10 @@ def _chk_t316(ctx: CheckContext) -> Outcome:
 
 
 def _chk_c317(ctx: CheckContext) -> Outcome:
-    vals = [ctx.holds("semiregular"), ctx.holds("exchange"), ctx.holds("clean")]
+    """Compares the searched verdicts (`CheckContext.searched`), which C2.7
+    has already computed on the same context; `classify` reports all three
+    true by theorem."""
+    vals = [ctx.searched(name).value for name in ("semiregular", "exchange", "clean")]
     if len(set(vals)) != 1:
         return _fail(f"UJ# ring: semiregular/exchange/clean = {vals}")
     return _ok()

@@ -68,10 +68,11 @@ from .core import (
     bitwise_ring,
     elem_pow,
     encode_digits,
+    sums,
     validate_ring,
 )
 from .groups import GroupTable
-from .subsets import is_two_sided_ideal
+from .subsets import additive_generators, is_two_sided_ideal
 
 GF_MODULI = {
     # q: (p, little-endian monic modulus), fixed so encodings never drift
@@ -406,7 +407,7 @@ def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None)
         back = np.full(ring.order, -1, dtype=np.int32)
         back[elems] = np.arange(len(elems), dtype=np.int32)
     cells = np.ix_(elems, elems)
-    return back[ring.add[cells]], back[ring.mul[cells]], back
+    return back[sums(ring, *cells)], back[ring.mul[cells]], back
 
 
 def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
@@ -425,18 +426,27 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
 
     The quotient's tables still go through `validate_ring`, except those
     of R/{0}: its projection is the identity, so it shares R's read-only
-    tables, and R's validation and basis with them.
+    tables, a deferred addition table included (`TableRing.relabelled`),
+    and R's validation and basis with them.
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
-    # addition is commutative, so column x of add[I] is the coset x + I; its
-    # minimum is taken 64 rows of add[I] at a time, not over an |I| x n copy:
-    # that copy (16 MiB for R/J on t(2,z(16))) set the peak RSS of a warm
-    # order-4096 inspect
+    # lowest[x] is the smallest member of the coset x + I. Up to 64 members
+    # it is the minimum down the rows add[I] (addition is commutative, so
+    # column x holds x + I). A larger I is reached from {0} by greedy
+    # generators g: doubling extends the minimum over x + t*g + S from
+    # t < 2^j to t < 2^(j+1), and once a doubling changes nothing, lowest
+    # is constant along the multiples of g, so it is the minimum over
+    # x + <g> + S. Each step reads n sums, in place of |I| x n
     members = ideal.index_array()
-    lowest = ring.add[members[0]].copy()
-    for i in range(1, len(members), 64):
-        np.minimum(lowest, ring.add[members[i : i + 64]].min(axis=0), out=lowest)
+    if len(members) <= 64:
+        lowest = sums(ring, members).min(axis=0)
+    else:
+        idx = np.arange(ring.order, dtype=TABLE_DTYPE)
+        lowest = idx
+        for step in additive_generators(ring, members)[0]:
+            while not np.array_equal(moved := np.minimum(lowest, lowest[sums(ring, idx, step)]), lowest):
+                lowest, step = moved, sums(ring, step, step)
     reps, projection = np.unique(lowest, return_inverse=True)
     projection = projection.astype(np.int32)
     _check_cap(len(reps), cap)
@@ -446,8 +456,7 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
 
     meta = QuotientMeta(ring, ideal.indices(), projection)
     if len(reps) == ring.order:
-        out = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, names, meta, ring.validation, ring.basis)
-        return out, projection
+        return ring.relabelled(names, meta), projection
     add, mul, _ = _reindex(ring, reps, projection)
     out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)
     return out, projection

@@ -1,14 +1,17 @@
 """Table-backed finite rings: validation, element arithmetic, subsets.
 
-A ring of order n stores dense n x n addition and multiplication tables
+A ring of order n has dense n x n addition and multiplication tables
 over element indices 0..n-1 together with the distinguished `zero` and
 `one` indices. Every table (`add`, `mul`, `neg`) is stored as uint16,
-which holds every index of a ring of order at most 65536. Every
-constructor in this package funnels its tables through `validate_ring`,
-or, for a digit-vector ring over bases whose addition is bitwise on the
-index, its K bit-generator rows through `bitwise_ring`, so a `TableRing`
-in hand always satisfies the ring axioms; the `validation` attribute
-records how they were checked:
+which holds every index of a ring of order at most 65536. A ring that
+`bitwise_ring` builds above order 64 keeps the top bits of its addition
+instead of an addition table: `add` is filled from them on first read,
+and `sums` reads sums and rows of sums from the word formula without
+filling it. Every constructor in this package funnels its tables through
+`validate_ring`, or, for a digit-vector ring over bases whose addition is
+bitwise on the index, its K bit-generator rows through `bitwise_ring`, so
+a `TableRing` in hand always satisfies the ring axioms; the `validation`
+attribute records how they were checked:
 
 - "exhaustive": decided for every triple. By `bitwise_ring` on the
   relations of the generator rows it built the tables from, at every
@@ -149,7 +152,11 @@ class TableRing:
     """A validated finite unital ring over element indices.
 
     Immutable after construction; all operations are pure lookups, so a
-    ring can be shared freely across threads.
+    ring can be shared freely across threads. The one state it changes is
+    a deferred addition table (`top_bits` set, `add` given as None): the
+    first read of `add` fills it from the word formula and keeps it,
+    read-only. Two threads racing on that first read each fill the same
+    table, and both get a read-only table with the same entries.
 
     `names` is the tuple of element names, or a function from an index to
     its name; then each name is formatted when asked for, and the tuple
@@ -161,13 +168,19 @@ class TableRing:
     on whole tables, and whose generators were checked to reach every
     element (`_bit_basis`), else None. Since mul is bi-additive, a
     product identity that holds on the basis holds on every element.
+
+    `top_bits` is the mask of field top bits of a ring whose addition is
+    the bitwise one (see "bitwise addition" below) and whose `add` is
+    filled only when read, else None; `sums` reads its sums off the word
+    formula.
     """
 
-    __slots__ = ("order", "add", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
+    __slots__ = ("order", "_add", "top_bits", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
 
-    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None):
+    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None):
         self.order = order
-        self.add = add
+        self._add = [add]  # one cell, shared by a ring over the same tables (`relabelled`)
+        self.top_bits = top_bits
         self.mul = mul
         self.neg = neg
         self.zero = zero
@@ -178,6 +191,24 @@ class TableRing:
         self.validation = validation
         self.basis = basis
         self.expr_text: str | None = None
+
+    @property
+    def add(self) -> np.ndarray:
+        """The addition table; a deferred one is filled on first read."""
+        cell = self._add
+        if cell[0] is None and self.top_bits is not None:
+            table = _bitwise_add_table(self.order, self.top_bits)
+            table.setflags(write=False)
+            cell[0] = table
+        return cell[0]
+
+    def relabelled(self, names, meta) -> TableRing:
+        """A ring over these very tables, with this validation and basis,
+        under other names and meta (R/{0}). A deferred addition table is
+        shared as well: whichever ring reads `add` first fills it for both."""
+        out = TableRing(self.order, None, self.mul, self.neg, self.zero, self.one, names, meta, self.validation, self.basis, self.top_bits)
+        out._add = self._add
+        return out
 
     def __repr__(self) -> str:
         tag = self.expr_text or f"order={self.order}"
@@ -203,7 +234,7 @@ class TableRing:
 def elem_add(ring: TableRing, a: int, b: int) -> int:
     ring.check_index(a)
     ring.check_index(b)
-    return int(ring.add[a, b])
+    return int(sums(ring, a, b))
 
 
 def elem_mul(ring: TableRing, a: int, b: int) -> int:
@@ -220,7 +251,7 @@ def elem_neg(ring: TableRing, a: int) -> int:
 def elem_sub(ring: TableRing, a: int, b: int) -> int:
     ring.check_index(a)
     ring.check_index(b)
-    return int(ring.add[a, ring.neg[b]])
+    return int(sums(ring, a, ring.neg[b]))
 
 
 def elem_pow(ring: TableRing, a: int, k: int) -> int:
@@ -327,6 +358,32 @@ def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None 
     out = np.bitwise_and(x, low, out=out)
     out += y & low
     out ^= top
+    return out
+
+
+def sums(ring: TableRing, x, y=None):
+    """`ring.add[x, y]`, or the rows `ring.add[x]` when y is None, for
+    indices or integer index arrays in 0..n-1, broadcast as the gather
+    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE.
+
+    On a ring that keeps its top bits (`TableRing.top_bits`) the sums are
+    the word formula, so its addition table is never filled for them; on
+    every other ring they are the gather.
+    """
+    top = ring.top_bits
+    if top is None:
+        return ring.add[x] if y is None else ring.add[x, y]
+    low = ~top & _LANE
+    if isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer)):  # one sum, on Python ints
+        x, y = int(x), int(y)
+        return TABLE_DTYPE(((x & low) + (y & low)) ^ ((x ^ y) & top))
+    x = np.asarray(x, dtype=TABLE_DTYPE)
+    if y is None:
+        x, y = x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE)
+    else:
+        y = np.asarray(y, dtype=TABLE_DTYPE)
+    out = np.add(x & low, y & low)  # the masks apply before the operands broadcast
+    out ^= (x ^ y) & top
     return out
 
 
@@ -670,22 +727,28 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     return _table_ring(add, mul, first_zero if neg is None else neg, zero, one, names, meta, mode)
 
 
-def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str) -> TableRing:
-    """The TableRing on tables whose axioms were decided with `mode`."""
-    n = add.shape[0]
+def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None) -> TableRing:
+    """The TableRing on tables whose axioms were decided with `mode`; with
+    `top_bits`, `add` is None and filled on first read."""
+    n = mul.shape[0]
     if names is None:
         names = str
     elif not callable(names):
         names = tuple(names)
         if len(names) != n:
             raise ValueError("names length mismatch")
-    add.setflags(write=False)
-    mul.setflags(write=False)
-    neg.setflags(write=False)
+    for table in (add, mul, neg):
+        if table is not None:
+            table.setflags(write=False)
     # the generator forms of the subsets need a decided (bi-additive) mul;
-    # up to order 64 the n^2 forms cost little, so those rings keep none
-    basis = _bit_basis(add, zero) if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT else None
-    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis)
+    # up to order 64 the n^2 forms cost little, so those rings keep none.
+    # The word formula adds distinct bit generators without a carry, so
+    # they reach every element.
+    if top_bits is not None:
+        basis = tuple(1 << b for b in range(n.bit_length() - 1))
+    else:
+        basis = _bit_basis(add, zero) if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT else None
+    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits)
 
 
 def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None) -> TableRing:
@@ -694,13 +757,15 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     or raise RingValidationError. Zero is index 0; `neg`, `names` and
     `meta` are as in `validate_ring`.
 
-    Both tables are filled with each index split into a low and a high
-    half at the field boundary nearest K/2 (`_fill_bitwise_add`,
-    `_fill_bitwise_mul`); a table that fits one chunk is filled whole.
-    Whatever the split, each row of mul is the sum of the generator rows
-    at its bits, corrupt rows included. Only the facts this build does
-    not guarantee are then checked, in O(K n + K^3) cells instead of the
-    n^2 compares and range scans of whole tables:
+    mul is filled with each index split into a low and a high half at
+    the field boundary nearest K/2 (`_fill_bitwise_mul`); a table that
+    fits one chunk is filled whole. Whatever the split, each row of mul is
+    the sum of the generator rows at its bits, corrupt rows included. add
+    is filled the same way (`_fill_bitwise_add`) up to order 64; above it
+    the ring keeps `high` as its `top_bits` and fills add only when it is
+    read, as `sums` gives its sums and rows from the formula. Only the
+    facts this build does not guarantee are then checked, in O(K n + K^3)
+    cells instead of the n^2 compares and range scans of whole tables:
 
     - the formula is the group (+) Z/2^k, one summand per field, so the
       additive axioms hold;
@@ -713,9 +778,12 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     - a bi-additive mul that is associative on the K^3 generator triples
       is associative on every triple;
 
-    then the O(n) identity checks (`_identity_violations`). The ring
-    reports "exhaustive" at every order. If any check fails, the built
-    tables go through `validate_ring` unchanged, so the error names the
+    then the O(n) identity checks on the formula: x + neg[x] = 0, and the
+    row and column of `one` in mul are the identity (0 + x = x holds by
+    the formula). The ring reports "exhaustive" at every order, and keeps
+    the bit generators, which the formula sums without a carry, as its
+    basis above order 64. If any check fails, the built tables, add
+    filled, go through `validate_ring` unchanged, so the error names the
     witness its whole-table scan finds on them.
     """
     rows = np.asarray(generator_rows)
@@ -731,14 +799,32 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     if neg.shape != (n,):
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
-    # bit split - 1 is a top bit; a table that fits one chunk is filled whole (split = K)
-    split = bits if n * n <= _CHUNK_CELLS else min((b + 1 for b in range(bits) if high >> b & 1), key=lambda s: abs(2 * s - bits))
-    add, mul = np.empty((n, n), dtype=TABLE_DTYPE), np.empty((n, n), dtype=TABLE_DTYPE)
-    _fill_bitwise_add(add, high, split)
-    _fill_bitwise_mul(mul, rows, high, split)
-    if _generator_relations(mul, high) is None and not _identity_violations(add, mul, 0, one, neg, None):
-        return _table_ring(add, mul, neg, 0, one, names, meta, "exhaustive")
-    return validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    _fill_bitwise_mul(mul, rows, high, _field_split(n, high))
+    lazy = n > EXHAUSTIVE_LIMIT
+    add = None if lazy else _bitwise_add_table(n, high)
+    idx = np.arange(n, dtype=TABLE_DTYPE)
+    identities = not bitwise_sum(idx, neg, high).any() and np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)
+    if identities and _generator_relations(mul, high) is None:
+        return _table_ring(add, mul, neg, 0, one, names, meta, "exhaustive", high if lazy else None)
+    return validate_ring(_bitwise_add_table(n, high) if lazy else add, mul, 0, one, neg=neg, names=names, meta=meta)
+
+
+def _field_split(n: int, high: int) -> int:
+    """Where the bitwise tables of order n with top bits `high` split each
+    index: K (filled whole) for a table that fits one chunk, else the
+    boundary s nearest K/2 with bit s - 1 a top bit."""
+    bits = n.bit_length() - 1
+    if n * n <= _CHUNK_CELLS:
+        return bits
+    return min((b + 1 for b in range(bits) if high >> b & 1), key=lambda s: abs(2 * s - bits))
+
+
+def _bitwise_add_table(n: int, high: int) -> np.ndarray:
+    """A fresh, filled bitwise addition table of order n with top bits `high`."""
+    add = np.empty((n, n), dtype=TABLE_DTYPE)
+    _fill_bitwise_add(add, high, _field_split(n, high))
+    return add
 
 
 def _fill_bitwise_add(add: np.ndarray, high: int, split: int) -> None:
@@ -833,21 +919,22 @@ def _bit_basis(add: np.ndarray, zero: int) -> tuple[int, ...] | None:
     """The bit generators 1, 2, ..., n/2 when every element of (R, +) is a
     sum of distinct ones among them, so that they generate it; else None.
 
-    sums[x] is the sum of the generators at the bits of x, filled with one
-    gather per bit (sums[x' | 2^b] = sums[x'] + 2^b for x' < 2^b), so the
-    test reads n entries of `add`, whichever scan decided the ring.
+    bit_sums[x] is the sum of the generators at the bits of x, filled with
+    one gather per bit (bit_sums[x' | 2^b] = bit_sums[x'] + 2^b for
+    x' < 2^b), so the test reads n entries of `add`, whichever scan
+    decided the ring.
     """
     n = add.shape[0]
     bits = n.bit_length() - 1
     if n != 1 << bits:
         return None
-    sums = np.empty(n, dtype=TABLE_DTYPE)
-    sums[0] = zero
+    bit_sums = np.empty(n, dtype=TABLE_DTYPE)
+    bit_sums[0] = zero
     for b in range(bits):
         g = 1 << b
-        sums[g : 2 * g] = add[sums[:g], g]
+        bit_sums[g : 2 * g] = add[bit_sums[:g], g]
     reached = np.zeros(n, dtype=bool)
-    reached[sums] = True
+    reached[bit_sums] = True
     return tuple(1 << b for b in range(bits)) if reached.all() else None
 
 

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ElemSet, RingError, TableRing
+from .core import ElemSet, RingError, TableRing, sums
 from .construct import build_quotient
 from .subsets import InvariantBundle, compute_bundle, product_one_pairs
 
@@ -47,7 +47,7 @@ class Verdict:
 def _units_minus_one_in(ring: TableRing, bundle: InvariantBundle, pool: ElemSet, name: str) -> Verdict:
     """Is u - 1 in `pool` for every unit u? The witness is the first unit that is not."""
     units = bundle.units.index_array()
-    outside = np.flatnonzero(~pool.mask()[ring.add[units, ring.neg[ring.one]]])
+    outside = np.flatnonzero(~pool.mask()[sums(ring, units, ring.neg[ring.one])])
     if len(outside):
         return Verdict(False, f"unit u = {ring.describe(int(units[outside[0]]))} has u-1 outside {name}")
     return Verdict(True)
@@ -202,7 +202,7 @@ def is_exchange(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     idempotents. The witness is the first failing a.
     """
     idem = bundle.idempotents.mask()
-    one_minus = ring.add[ring.one, ring.neg]  # x -> 1 - x
+    one_minus = sums(ring, ring.one, ring.neg)  # x -> 1 - x
     idem_rest = one_minus[idem]  # 1 - e for each idempotent e
     units = bundle.units.mask()
     rest = np.flatnonzero(~(units | units[one_minus]))
@@ -243,7 +243,7 @@ def _decomposition(ring: TableRing, bundle: InvariantBundle, a: int, pool: str, 
     """First (e, w) with e idempotent, w = a - e in the bundle's set `pool`, optionally ea = ae."""
     pool = getattr(bundle, pool)
     for e in bundle.idempotents:
-        w = int(ring.add[a, ring.neg[e]])
+        w = int(sums(ring, a, ring.neg[e]))
         if w in pool and not (commuting and ring.mul[e, a] != ring.mul[a, e]):
             return e, w
     return None
@@ -290,7 +290,7 @@ def _clean_masks(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np
     add[-e] hold -e + a, which is a - e since addition is proved
     commutative, so whole rows are read instead of columns."""
     idem = bundle.idempotents.index_array()
-    diff = ring.add[ring.neg[idem]]  # (e, a) -> a - e
+    diff = sums(ring, ring.neg[idem])  # (e, a) -> a - e
     commutes = ring.mul[idem] == ring.mul[:, idem].T  # (e, a) -> ea = ae
     in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in ("units", "jsharp", "nilpotents")}
     decomposable = {

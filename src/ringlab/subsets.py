@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns
+from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns, sums
 
 
 class NotAGroupRingError(RingError):
@@ -95,12 +95,12 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     lowest = np.unique(projection, return_index=True)[1]  # each coset's smallest member
     u = np.flatnonzero(coset_inverse[projection] >= 0)
     v = lowest[coset_inverse[projection[u]]]
-    add, mul, one = ring.add, ring.mul, ring.one
-    x = add[one, ring.neg[mul[u, v]]]
+    mul, one = ring.mul, ring.one
+    x = sums(ring, one, ring.neg[mul[u, v]])
     for _ in range((ring.order - 1).bit_length()):
         if (x == ring.zero).all():
             break
-        v, x = mul[v, add[one, x]], mul[x, x]
+        v, x = mul[v, sums(ring, one, x)], mul[x, x]
     certified = (mul[u, v] == one) & (mul[v, u] == one)
     if not certified.all():  # unreachable on a valid ring; guards table corruption
         raise RingError(f"unit lifted from R/J failed its inverse check at {int(u[np.argmin(certified)])}")
@@ -153,9 +153,9 @@ def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int]
     arr, gens = np.array([ring.zero]), []  # arr: the members of span
     while (rest := members[~span[members]]).size:
         gens.append(x := int(rest[0]))
-        while (new := (moved := ring.add[arr, x])[~span[moved]]).size:
+        while (new := (moved := sums(ring, arr, x))[~span[moved]]).size:
             span[new] = True
-            arr, x = np.concatenate([arr, new]), ring.add[x, x]
+            arr, x = np.concatenate([arr, new]), sums(ring, x, x)
     return gens, span
 
 
@@ -188,7 +188,7 @@ def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_m
             return ElemSet.from_mask(ring, cand)
     if unit_mask is None:
         unit_mask = units(ring).mask()
-    quasi = unit_mask[ring.add[ring.one, ring.neg]]  # x -> is 1 - x a unit
+    quasi = unit_mask[sums(ring, ring.one, ring.neg)]  # x -> is 1 - x a unit
     cand = np.flatnonzero(quasi & cand)
     for r in range(0, ring.order, _JAC_ROWS):
         cand = cand[quasi[np.take(ring.mul[r : r + _JAC_ROWS], cand, axis=1)].all(axis=0)]
@@ -221,7 +221,7 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
     if ring.zero not in subset:
         return False, ("zero", ring.zero)
     mask, arr = subset.mask(), subset.index_array()
-    closed = mask[ring.add[np.ix_(arr, arr)]]
+    closed = mask[sums(ring, *np.ix_(arr, arr))]
     if not closed.all():
         i, j = np.argwhere(~closed)[0]
         return False, ("add", int(arr[i]), int(arr[j]))
@@ -348,7 +348,7 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
 def _assert_bundle_sanity(b: InvariantBundle) -> None:
     """Raise RingError if the bundle breaks an identity every ring satisfies."""
     ring = b.ring
-    one_plus_j = ElemSet.of(ring, ring.add[ring.one, b.jacobson.index_array()])
+    one_plus_j = ElemSet.of(ring, sums(ring, ring.one, b.jacobson.index_array()))
     broken = [
         name
         for name, ok in (

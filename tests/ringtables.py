@@ -32,3 +32,11 @@ def tables_equal(a, b) -> bool:
 def without_basis(ring):
     """The ring over the same tables with no basis, so the subsets take their n^2 forms."""
     return TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation)
+
+
+def bitwise_add_formula(n, high):
+    """The bitwise addition table of order n with top bits `high`, from the
+    word formula ((i & L) + (j & L)) ^ ((i ^ j) & H), L = ~H, in one piece."""
+    i = np.arange(n, dtype=np.uint16)
+    low = i & np.uint16(~high & 0xFFFF)
+    return (low[:, None] + low) ^ ((i[:, None] ^ i) & np.uint16(high))

@@ -24,6 +24,7 @@ from ringlab.cache import (
 )
 from ringlab.cli import main
 from ringlab.construct import build_zmod
+from ringlab.core import TableRing
 
 from ringtables import without_basis
 
@@ -240,3 +241,16 @@ def test_an_entry_is_a_miss_on_another_ring_with_its_basis(texts):
         data[12] ^= 0xFF  # inside the stored table checksum
         entry.write_bytes(bytes(data))
         assert load_bundle(ring) is None, ring
+
+
+@pytest.mark.parametrize("text", CAP_RINGS + ("m(2,gf(8))",))
+def test_a_deferred_addition_table_caches_as_the_filled_one(text):
+    # the entry of a ring whose add is not filled, hashed from the word formula,
+    # is byte for byte the entry of the same ring over its filled table
+    ring = compile_text(text)
+    bundle = compute_bundle(ring)
+    entry = serialize_bundle(bundle)
+    assert ring.top_bits is not None and ring._add[0] is None
+    filled = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation, ring.basis)
+    assert filled.top_bits is None and filled.basis == ring.basis
+    assert serialize_bundle(bundle.on_copy(filled)) == entry

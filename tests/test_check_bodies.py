@@ -729,13 +729,11 @@ def one_ab_mutant(monkeypatch):
 
 
 def c317_mutant(monkeypatch):
-    """z(4) with `classify` reporting it not clean. `classify` reports the
-    classes every finite ring has (semiregular, exchange, clean) true by
-    theorem, after `clean_family`'s verdicts, so a patched `clean_family`
-    cannot reach C3.17: the verdict itself is patched."""
+    """z(4) with `clean_family` finding it not clean. C3.17 compares the
+    searched verdicts, not `classify`'s, which are true by theorem."""
     ring = compile_text("z(4)")
-    classify = P.classify
-    monkeypatch.setattr(checks.P, "classify", lambda r, b: {**classify(r, b), "clean": P.Verdict(False, "stub")})
+    family = P.clean_family
+    monkeypatch.setattr(checks.P, "clean_family", lambda r, b: {**family(r, b), "clean": P.Verdict(False, "stub")})
     return "z(4)", CheckContext(ring, compute_bundle(ring)), "UJ# ring: semiregular/exchange/clean = [True, True, False]"
 
 
@@ -789,3 +787,27 @@ def test_a_check_no_cut_fails_fails_on_its_mutant(monkeypatch, check_id, mutant)
     assert (result.status, result.witness) == ("fail", witness)
     monkeypatch.undo()
     assert checks.run_check(check_id, text).status == "pass"
+
+
+def test_c317_reads_the_searches_c27_ran_on_the_same_context(monkeypatch):
+    # on a UJ# ring, C2.7 runs each search once; C3.17 after it on the same
+    # context runs none, and on a fresh context it runs only its three
+    # (`classify`, whose verdicts are taken first, also reads clean_family)
+    calls = []
+    for name in ("is_exchange", "is_potent", "is_semiregular", "clean_family"):
+        real = getattr(P, name)
+        monkeypatch.setattr(checks.P, name, lambda r, b, real=real, name=name: calls.append(name) or real(r, b))
+    ring = compile_text("t(2,z(2))")
+    ctx = CheckContext(ring, compute_bundle(ring))
+    assert ctx.holds("ujsharp")
+    calls.clear()
+    assert checks._evaluate(checks.get_check("C2.7"), ctx, "t(2,z(2))").status == "pass"
+    ran = sorted(calls)
+    assert ran == ["clean_family", "clean_family", "is_exchange", "is_potent", "is_semiregular"]
+    assert checks._evaluate(checks.get_check("C3.17"), ctx, "t(2,z(2))").status == "pass"
+    assert sorted(calls) == ran
+    fresh = CheckContext(ring, compute_bundle(ring))
+    assert fresh.holds("ujsharp")
+    calls.clear()
+    assert checks._evaluate(checks.get_check("C3.17"), fresh, "t(2,z(2))").status == "pass"
+    assert sorted(calls) == ["clean_family", "is_exchange", "is_semiregular"]

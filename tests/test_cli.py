@@ -1,9 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from ringlab import cli, core
 from ringlab.checks import default_corpus
 from ringlab.cli import main
+
+from ringtables import CAP_RINGS, bitwise_add_formula
 
 
 @pytest.fixture(autouse=True)
@@ -266,3 +270,21 @@ def test_endomorphism_file_rejects_bad_source_indices(capsys, tmp_path, monkeypa
     code, out, err = run_cli(capsys, "inspect", "skew(gf(4),@f.endo,2)")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("text", CAP_RINGS)
+def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatch, text):
+    # cold, warm and --no-cache: every read of add on the inspect path is a
+    # sum from the word formula; a later read fills the formula's table
+    rings, fills = [], []
+    compile_real, fill = cli.compile_text, core._bitwise_add_table
+    monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
+    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(n) or fill(n, high))
+    for argv in ((), (), ("--no-cache",)):
+        assert run_cli(capsys, "inspect", text, "--json", *argv)[0] == 0
+        ring = rings.pop()  # at most one order-4096 ring is held
+        assert ring.order == 4096 and ring._add[0] is None and [n for n in fills if n > 64] == [], (text, argv)
+    add = ring.add
+    assert [n for n in fills if n > 64] == [4096]
+    assert add.dtype == np.uint16 and not add.flags.writeable and add.flags.c_contiguous
+    assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits))

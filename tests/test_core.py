@@ -17,7 +17,8 @@ from ringlab import (
     power_orbit,
     validate_ring,
 )
-from ringlab.construct import build_matrix, build_zmod, matrix_unit_index
+from ringlab import core
+from ringlab.construct import build_matrix, build_quotient, build_zmod, matrix_unit_index
 from ringlab.core import (
     MAX_TABLE_ORDER,
     ElementIndexError,
@@ -30,7 +31,10 @@ from ringlab.core import (
     field_top_bits,
     rows_equal_columns,
     scan_axioms,
+    sums,
 )
+
+from ringtables import BITWISE_RINGS, bitwise_add_formula
 
 
 def raw_zmod_tables(n):
@@ -788,3 +792,69 @@ def test_non_integer_tables_and_orders_past_16_bits_are_refused():
     big = np.broadcast_to(np.uint16(0), (MAX_TABLE_ORDER + 1,) * 2)  # one stored cell, no n^2 allocation
     with pytest.raises(ValueError, match="16-bit table storage"):
         validate_ring(big, big, 0, 1)
+
+
+@pytest.mark.parametrize("text", BITWISE_RINGS)
+def test_sums_match_the_filled_table(text):
+    # above order 64 the sums come from the word formula and leave add unfilled;
+    # read afterwards, add is the formula's table
+    ring = compile_text(text)
+    lazy = ring.order > 64
+    assert (ring.top_bits is not None) == lazy == (ring._add[0] is None), text
+    rng = np.random.default_rng(ring.order)
+    x, y = rng.integers(0, ring.order, size=(2, 40))
+    a, b = int(x[0]), int(y[0])
+    forms = [
+        ((a, b), (a, b)),  # scalar
+        ((x, y), (x, y)),  # 1-d pairs
+        ((x, np.uint16(b)), (x, np.uint16(b))),  # 1-d against a scalar
+        ((x[:5],), (x[:5],)),  # rows
+        ((a,), (a,)),  # one row
+        ((x[:, None], y), (x[:, None], y)),  # broadcast 2-d
+        (np.ix_(x[:7], y), (np.ix_(x[:7], y),)),
+        ((ring.one, ring.neg), (ring.one, ring.neg)),
+    ]
+    got = [sums(ring, *args) for args, _ in forms]
+    assert (ring._add[0] is None) == lazy, text
+    add = ring.add
+    for value, (_, index) in zip(got, forms):
+        want = add[index if len(index) > 1 else index[0]]
+        assert type(value) is type(want) and np.asarray(value).dtype == np.uint16, (text, index)
+        assert np.shape(value) == np.shape(want) and np.array_equal(value, want), (text, index)
+    if lazy:
+        assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits)), text
+
+
+@pytest.mark.parametrize("text", ["m(2,gf(8))", "t(2,z(16))"])
+def test_r_mod_zero_shares_the_deferred_table_and_fills_it_once(text, monkeypatch):
+    # R/{0} shares R's top bits and add cell: neither build fills add, and the
+    # first read, through either ring, fills one table for both
+    fills, fill = [], core._bitwise_add_table
+    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(n) or fill(n, high))
+    for first in (0, 1):
+        ring = compile_text(text)
+        fills.clear()  # the base's own build fills its small table
+        quotient, projection = build_quotient(ring, ElemSet.of(ring, [ring.zero]))
+        assert np.array_equal(projection, np.arange(ring.order)) and quotient.mul is ring.mul
+        assert quotient.top_bits == ring.top_bits is not None and quotient.basis == ring.basis
+        assert fills == [] and quotient._add[0] is None
+        pair = (ring, quotient) if first == 0 else (quotient, ring)
+        assert pair[0].add is pair[1].add and fills == [ring.order], (text, first)
+
+
+@pytest.mark.parametrize("width", [0, 5])
+def test_a_left_identity_that_is_no_right_identity_is_rejected(width):
+    # R = {[[a, b], [0, 0]]} over Z/2 (bits 0-1), times Z/2^width (bits 2 on): every
+    # relation holds, and one = (E11, 1) is a left identity, but (E12, 0) * one = 0,
+    # so only the check on one's column catches it (above order 64 too, at width 5)
+    n = 4 << width
+    rows = np.zeros((2 + width, n), dtype=np.int64)
+    y = np.arange(n)
+    rows[0] = y & 3  # (E11, 0) * (r, z) = (r, 0)
+    for k in range(width):  # (0, 2^k) * (r, z) = (0, 2^k z)
+        rows[2 + k] = ((y >> 2 << k) % (1 << width)) << 2
+    high = 0b11 | (1 << (1 + width) if width else 0)
+    neg = (y & 3) | (((-(y >> 2)) % (1 << width)) << 2 if width else 0)
+    one = 1 | (4 if width else 0)
+    error = assert_rejected_as_whole_tables(high, rows, one, neg)
+    assert [v.kind for v in error.violations] == ["NoIdentity"]

@@ -440,6 +440,21 @@ try:
     sys.exit("corrupt generator row accepted")
 except RingValidationError as exc:
     print("generator rows:", exc)
+# a wrong neg entry and a wrong one at order 4096, where bitwise_ring leaves
+# add unfilled: its checks on the word formula fail, and the whole-table
+# fallback, on add filled, names the witness
+import ringlab.core as core
+whole = core.validate_ring
+core.validate_ring = lambda add, *a, **k: print("whole tables:", add.shape) or whole(add, *a, **k)
+rows, neg = ring.mul[[1 << b for b in range(12)]], ring.neg.copy()
+neg[4095] = 0  # 4095 + 0 is not 0
+for label, args in (("neg", (rows, ring.one, neg)), ("one", (rows, 2, ring.neg))):
+    try:
+        bitwise_ring(field_top_bits(ring.add), *args)
+        sys.exit(f"wrong {label} accepted")
+    except RingValidationError as exc:
+        print(f"{label}:", exc)
+core.validate_ring = whole
 # mul corrupted after validation: 8*256 (E12 * 4E21) leaves J, and the
 # pruning closes on {0}, short of the central nilpotents; 1*2 = 1 leaves
 # an open fixpoint, and the slab search's J fails the ideal check
@@ -483,6 +498,7 @@ def test_internal_guards_survive_python_O():
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
     assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
     assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
+    assert "whole tables: (4096, 4096)\nneg: NotAbelianGroup(4095, 0)\nwhole tables: (4096, 4096)\none: NoIdentity(1,)\n" in proc.stdout
     assert "radical: inconsistent invariant bundle: Nil & Z <= J fails\n" in proc.stdout
     assert "radical: radical failed the ideal check at ('add', 4, 6)\n" in proc.stdout
     assert "units: unit lifted from R/J failed its inverse check at 73\n" in proc.stdout
