@@ -52,13 +52,14 @@ def table_checksum(ring: TableRing) -> bytes:
     stores them in, where `rows` is `ring.basis`, or every element when
     the ring has no basis.
 
-    The basis rows fix both tables. A basis is kept only on a ring whose
-    axioms were decided on every triple and whose bit generators reach
-    every element as sums of distinct ones (`core._bit_basis`). Then the
-    generator rows of `add` give each such sum, associativity gives every
-    row of `add` (add[g + x] = add[g][add[x]]) and right distributivity
-    every row of `mul` (mul[x + g] = add[mul[x], mul[g]]). The row count
-    keeps these checksums apart from whole-table ones.
+    The basis rows fix both tables. A basis is kept only on a ring above
+    order 64 whose axioms were decided on every triple, which happens only
+    on the bitwise addition, where each element is the sum of the distinct
+    bit generators at its bits. Then the generator rows of `add` give each
+    such sum, associativity gives every row of `add` (add[g + x] =
+    add[g][add[x]]) and right distributivity every row of `mul` (mul[x +
+    g] = add[mul[x], mul[g]]). The row count keeps these checksums apart
+    from whole-table ones.
     """
     rows = slice(None) if ring.basis is None else list(ring.basis)
     add, mul = sums(ring, rows), ring.mul[rows]  # without a basis, the whole tables as views

@@ -207,8 +207,8 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     `mono_rule(c, w, digits)` returns the digit matrix of (c*e_w)*b for
     every element b (one row of `digits` each).
 
-    When every base's addition is bitwise (see `core.bitwise_high_bits`:
-    z(2^k), gf(2^d), and digit vectors over those) and there are at least
+    When every base's addition is bitwise (`_base_top_bits`: z(2^k),
+    gf(2^d), and digit vectors over those) and there are at least
     two digits, each index x is the concatenation of the bits of its
     digits, and each digit's fields are added on their own; a base's top
     bit is a field's top bit, so no field crosses a digit. The bitwise
@@ -236,7 +236,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     high = None
     if len(bases) > 1:  # a single digit extends no row, so skip the r x r compares
         distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
-        highs = {key: bitwise_high_bits(base.add) for key, base in distinct.items()}
+        highs = {key: _base_top_bits(base) for key, base in distinct.items()}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
     if high is not None:
@@ -259,6 +259,12 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
         np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
     _extend_by_gather(add, mul, blocks)
     return digits, lambda one, names, meta: validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
+
+
+def _base_top_bits(base: TableRing) -> int | None:
+    """The top bits H of `base`'s addition if it is bitwise, else None; a
+    kept `TableRing.top_bits` is read as is, so a deferred table stays unfilled."""
+    return base.top_bits if base.top_bits is not None else bitwise_high_bits(base.add)
 
 
 def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:

@@ -15,11 +15,11 @@ attribute records how they were checked:
 
 - "exhaustive": decided for every triple. By `bitwise_ring` on the
   relations of the generator rows it built the tables from, at every
-  order. For whole tables, up to order 64 by an n^3 scan; above it by a
-  proof over the bit generators of an addition that is bitwise on the
-  index (z(2^k), gf(2^d) and every construction over them), read off
-  the tables alone. Such a ring above order 64 keeps its generators in
-  `TableRing.basis`.
+  order. For whole tables, up to order 64 by an n^3 scan; above it, when
+  the addition is bitwise on the index (z(2^k), gf(2^d) and every
+  construction over them), by the same proof: mul must be the table
+  `bitwise_ring` fills from its own generator rows. Such a ring above
+  order 64 keeps its generators in `TableRing.basis`.
 - "sampled": a ring above order 64 whose addition is not bitwise has the
   four triple identities tested on a fixed sample of triples; every
   other axiom is still checked in full.
@@ -164,10 +164,10 @@ class TableRing:
 
     `basis` is a tuple of elements that generate (R, +): the bit
     generators 1, 2, 4, ..., kept by a ring above order 64 whose
-    validation decided every triple, by `bitwise_ring` or by the proof
-    on whole tables, and whose generators were checked to reach every
-    element (`_bit_basis`), else None. Since mul is bi-additive, a
-    product identity that holds on the basis holds on every element.
+    validation decided every triple, which it does only on the bitwise
+    addition, where distinct generators sum without a carry to every
+    element; else None. Since mul is bi-additive, a product identity
+    that holds on the basis holds on every element.
 
     `top_bits` is the mask of field top bits of a ring whose addition is
     the bitwise one (see "bitwise addition" below) and whose `add` is
@@ -334,29 +334,12 @@ def field_top_bits(add: np.ndarray) -> int | None:
     return high
 
 
-def bitwise_addition(n: int, high: int):
-    """fill(r, out): writes rows r .. r + len(out) - 1 of the bitwise
-    addition of order n with top bits `high` into `out` and returns it."""
-    i = np.arange(n, dtype=TABLE_DTYPE)
-    low_mask, high_mask = _lane_masks(high)
-    low, top = i & low_mask, i & high_mask
-
-    def fill(r, out):
-        rows = len(out)
-        np.add(low[r : r + rows, None], low, out=out)
-        out ^= top
-        out ^= top[r : r + rows, None]
-        return out
-
-    return fill
-
-
 def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x + y, elementwise, in the bitwise addition with top bits `high`."""
+    """x + y, elementwise and broadcast, in the bitwise addition with top
+    bits `high`, for TABLE_DTYPE operands."""
     low, high = _lane_masks(high)
     top = (x ^ y) & high
-    out = np.bitwise_and(x, low, out=out)
-    out += y & low
+    out = np.add(x & low, y & low, out=out)  # the masks apply before the operands broadcast
     out ^= top
     return out
 
@@ -373,41 +356,34 @@ def sums(ring: TableRing, x, y=None):
     top = ring.top_bits
     if top is None:
         return ring.add[x] if y is None else ring.add[x, y]
-    low = ~top & _LANE
     if isinstance(x, (int, np.integer)) and isinstance(y, (int, np.integer)):  # one sum, on Python ints
-        x, y = int(x), int(y)
+        x, y, low = int(x), int(y), ~top & _LANE
         return TABLE_DTYPE(((x & low) + (y & low)) ^ ((x ^ y) & top))
     x = np.asarray(x, dtype=TABLE_DTYPE)
     if y is None:
-        x, y = x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE)
-    else:
-        y = np.asarray(y, dtype=TABLE_DTYPE)
-    out = np.add(x & low, y & low)  # the masks apply before the operands broadcast
-    out ^= (x ^ y) & top
-    return out
+        return bitwise_sum(x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE), top)
+    return bitwise_sum(x, np.asarray(y, dtype=TABLE_DTYPE), top)
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
 
 
-def _first_formula_mismatch(add: np.ndarray, high: int) -> tuple[int, int] | None:
-    """The row-major first (i, j) where `add` is not the bitwise addition
-    with top bits `high`, or None; compared a block of rows at a time."""
-    n = add.shape[0]
-    rows = min(n, _CHUNK_CELLS // n)
-    fill, want = bitwise_addition(n, high), np.empty((rows, n), dtype=TABLE_DTYPE)
-    for r in range(0, n, rows):
-        got = add[r : r + rows]
-        if not np.array_equal(got, fill(r, want)):
-            i, j = np.argwhere(got != want)[0]
-            return r + int(i), int(j)
+def _first_difference(table: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
+    """The row-major first (x, y) where two n x n tables differ, or None;
+    compared a block of rows at a time."""
+    rows = max(1, _CHUNK_CELLS // len(table))
+    for r in range(0, len(table), rows):
+        differs = table[r : r + rows] != want[r : r + rows]
+        if differs.any():
+            x, y = np.argwhere(differs)[0]
+            return r + int(x), int(y)
     return None
 
 
 def bitwise_high_bits(add: np.ndarray) -> int | None:
     """H if `add` is the bitwise addition with top bits H, else None."""
     high = field_top_bits(add)
-    return high if high is not None and _first_formula_mismatch(add, high) is None else None
+    return high if high is not None and _first_difference(add, _bitwise_add_table(len(add), high)) is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -475,27 +451,27 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     bitwise addition and no witness turned up next to its first cell off
     the formula (such a table may still be some other abelian group).
 
-    One n^2 compare proves (R, +) is the bitwise group, a direct sum of
-    Z/2^k with commuting addition. Every x != 0 is x' + 2^b with b its top
-    bit and x' < 2^b, so a second n^2 compare, of each row mul[x' | 2^b]
-    with mul[x'] + mul[2^b], shows that every row of mul is the sum of the
-    generator rows mul[2^b] at its bits. What is left are the relations
-    on those K rows (`_generator_relations`), which `bitwise_ring` checks
-    on the same terms for tables it built from them.
+    This is `bitwise_ring`'s proof, on its own fills: add must be the
+    table `_fill_bitwise_add` fills, the bitwise group, a direct sum of
+    Z/2^k; mul must be the one `_fill_bitwise_mul` fills from its K
+    generator rows mul[2^b], each row the sum of the generator rows at its
+    bits; and those rows must satisfy `_generator_relations`. The first
+    row x of mul off its fill is reported as (x' + 2^b)y != x'y + 2^b y,
+    with 2^b the top bit of x: the rows below x are sums of generator
+    rows, so x'y is the filled entry. A nonzero row 0 is reported as
+    (0 + 1)y != 0y + 1y.
     """
     n = add.shape[0]
-    cell = _first_formula_mismatch(add, high)
+    filled = _bitwise_add_table(n, high)
+    cell = _first_difference(add, filled)
     if cell is not None:
         return False, _additive_witness(add, *cell)
-    rows = max(1, _CHUNK_CELLS // n)
-    expected = np.empty((min(n // 2, rows), n), dtype=TABLE_DTYPE)
-    for g in (1 << np.arange(n.bit_length() - 1)).tolist():  # rows g .. 2g - 1 are x' + g for x' < g
-        for lo in range(0, g, rows):
-            hi = min(g, lo + rows)
-            got, want = mul[g + lo : g + hi], bitwise_sum(mul[lo:hi], mul[g], high, out=expected[: hi - lo])
-            if not np.array_equal(got, want):
-                x, y = np.argwhere(got != want)[0]
-                return False, Violation("NonDistributive", (int(y), lo + int(x), g))  # (x' + g)y
+    _fill_bitwise_mul(filled, mul[1 << np.arange(n.bit_length() - 1)], high, _field_split(n, high))
+    cell = _first_difference(mul, filled)
+    if cell is not None:
+        x, y = cell
+        g = 1 << max(x.bit_length() - 1, 0)  # the top bit of x, or 1 for row 0
+        return False, Violation("NonDistributive", (y, x & (g - 1), g))
     witness = _generator_relations(mul, high)
     return witness is None, witness
 
@@ -742,12 +718,10 @@ def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_
             table.setflags(write=False)
     # the generator forms of the subsets need a decided (bi-additive) mul;
     # up to order 64 the n^2 forms cost little, so those rings keep none.
-    # The word formula adds distinct bit generators without a carry, so
-    # they reach every element.
-    if top_bits is not None:
-        basis = tuple(1 << b for b in range(n.bit_length() - 1))
-    else:
-        basis = _bit_basis(add, zero) if mode == "exhaustive" and n > EXHAUSTIVE_LIMIT else None
+    # Above it only a bitwise addition is decided on every triple, and its
+    # distinct bit generators sum without a carry to every element.
+    exhaustive = mode == "exhaustive" and n > EXHAUSTIVE_LIMIT
+    basis = tuple(1 << b for b in range(n.bit_length() - 1)) if exhaustive else None
     return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits)
 
 
@@ -842,11 +816,12 @@ def _fill_bitwise_add(add: np.ndarray, high: int, split: int) -> None:
     n, nl = add.shape[0], 1 << split
     nh = n >> split
     low_sums = add if nh == 1 else np.empty((nl, nl), dtype=TABLE_DTYPE)
-    fill, step = bitwise_addition(nl, high & (nl - 1)), max(1, _CHUNK_CELLS // nl)
+    xl, step = np.arange(nl, dtype=TABLE_DTYPE), max(1, _CHUNK_CELLS // nl)
     for r in range(0, nl, step):
-        fill(r, low_sums[r : r + step])
+        bitwise_sum(xl[r : r + step, None], xl, high & (nl - 1), out=low_sums[r : r + step])
     if nh > 1:
-        high_sums = bitwise_addition(nh, high >> split)(0, np.empty((nh, nh), dtype=TABLE_DTYPE)) << split
+        xh = np.arange(nh, dtype=TABLE_DTYPE)
+        high_sums = bitwise_sum(xh[:, None], xh, high >> split) << split
         np.bitwise_or(np.repeat(high_sums, nl, axis=1)[:, None], np.tile(low_sums, nh), out=add.reshape(nh, nl, n))
 
 
@@ -913,29 +888,6 @@ def _extend_bitwise(mul: np.ndarray, high: int) -> None:
                 np.bitwise_xor(mul[lo:hi], mul[g], out=mul[g + lo : g + hi])
             else:
                 bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
-
-
-def _bit_basis(add: np.ndarray, zero: int) -> tuple[int, ...] | None:
-    """The bit generators 1, 2, ..., n/2 when every element of (R, +) is a
-    sum of distinct ones among them, so that they generate it; else None.
-
-    bit_sums[x] is the sum of the generators at the bits of x, filled with
-    one gather per bit (bit_sums[x' | 2^b] = bit_sums[x'] + 2^b for
-    x' < 2^b), so the test reads n entries of `add`, whichever scan
-    decided the ring.
-    """
-    n = add.shape[0]
-    bits = n.bit_length() - 1
-    if n != 1 << bits:
-        return None
-    bit_sums = np.empty(n, dtype=TABLE_DTYPE)
-    bit_sums[0] = zero
-    for b in range(bits):
-        g = 1 << b
-        bit_sums[g : 2 * g] = add[bit_sums[:g], g]
-    reached = np.zeros(n, dtype=bool)
-    reached[bit_sums] = True
-    return tuple(1 << b for b in range(bits)) if reached.all() else None
 
 
 # ---------------------------------------------------------------------------

@@ -800,6 +800,18 @@ def is_bitwise(bases):
     return len(bases) > 1 and all(bitwise_high_bits(base.add) is not None for base in bases)
 
 
+def gathered_ring(text, monkeypatch):
+    """`text` compiled with no base taken as bitwise, so that its tables
+    are gathered; fails unless `_extend_by_gather` ran."""
+    gathers, gather = [], construct._extend_by_gather
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "_base_top_bits", lambda base: None)
+        patch.setattr(construct, "_extend_by_gather", lambda *a: gathers.append(a[0].shape[0]) or gather(*a))
+        ring = compile_text(text)
+    assert gathers and gathers[-1] == ring.order, text  # the outermost build was gathered
+    return ring
+
+
 def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
     # the tables built from the generator rows equal the gathered ones, on every
     # digit-vector ring of the corpus, BITWISE_RINGS and a few more; and the
@@ -820,9 +832,7 @@ def test_bitwise_row_extension_matches_the_gather(corpus_bundles, monkeypatch):
         ring = compile_text(text)
         if is_bitwise(digit_bases(ring)):
             assert scan_axioms(ring.add, ring.mul, ring.zero, ring.one, ring.neg) == ([], "exhaustive"), text
-        with monkeypatch.context() as patch:
-            patch.setattr(construct, "bitwise_high_bits", lambda add: None)
-            assert tables_equal(ring, compile_text(text)), text
+        assert tables_equal(ring, gathered_ring(text, monkeypatch)), text
 
 
 def bit_row_blocks(n):
@@ -911,8 +921,18 @@ def test_every_field_boundary_splits_to_the_same_tables(text, split, monkeypatch
         core._fill_bitwise_add(add, high, at)
         core._fill_bitwise_mul(mul, rows, high, at)
         assert np.array_equal(add, ring.add) and np.array_equal(mul, ring.mul), (text, at)
-    monkeypatch.setattr(construct, "bitwise_high_bits", lambda add: None)
-    assert tables_equal(ring, compile_text(text))
+    assert tables_equal(ring, gathered_ring(text, monkeypatch))
+
+
+def test_a_base_built_bitwise_keeps_its_addition_unfilled(monkeypatch):
+    # group(z(2),c(11)) (order 2048) is built bitwise and keeps only the top
+    # bits of its addition; the product over it reads them, so the base's table
+    # is never filled, and the product's tables are the gathered ones
+    ring = compile_text("prod(group(z(2),c(11)),z(2))")
+    base = ring.meta.factors[0]
+    assert base.order == 2048 and base.top_bits is not None and base._add[0] is None
+    assert ring.order == 4096 and ring.validation == "exhaustive" and ring.top_bits == base.top_bits | 1 << 11
+    assert tables_equal(ring, gathered_ring("prod(group(z(2),c(11)),z(2))", monkeypatch))
 
 
 @pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])

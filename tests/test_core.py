@@ -24,7 +24,6 @@ from ringlab.core import (
     ElementIndexError,
     TableRing,
     Violation,
-    _bit_basis,
     _generator_relations,
     _prove_bitwise,
     bitwise_ring,
@@ -264,22 +263,11 @@ def test_sampled_validation_above_exhaustive_limit():
     assert scan_axioms(np.array(add), np.array(mul), 0, 1) == ([], "sampled")
 
 
-def test_bit_basis_needs_the_generators_to_reach_every_element():
-    # (Z/2)^3 as 3-bit vectors v, with the index 4 on e1 + e2 instead of
-    # on e3: every diagonal entry is 0, yet 1, 2, 4 sum to only 4 elements
-    label = [0, 1, 2, 4, 3, 5, 6, 7]  # label[v] is the index of vector v
-    vec = np.argsort(label)
-    add = np.array(label)[vec[:, None] ^ vec[None, :]]
-    assert field_top_bits(add) == 0b111 and _bit_basis(add, 0) is None
-    assert _bit_basis(np.arange(8)[:, None] ^ np.arange(8), 0) == (1, 2, 4)
-    assert _bit_basis(np.asarray(build_zmod(12).add), 0) is None  # not of order 2^K
-
-
 def test_a_proved_ring_keeps_its_bit_generators(basis_text):
     ring = compile_text(basis_text)
     bits = ring.order.bit_length() - 1
     assert ring.order > 64 and ring.validation == "exhaustive", basis_text
-    assert ring.basis == tuple(1 << b for b in range(bits)) == _bit_basis(ring.add, ring.zero), basis_text
+    assert ring.basis == tuple(1 << b for b in range(bits)), basis_text
 
 
 def test_elemset_algebra():
@@ -587,6 +575,29 @@ def test_each_proof_check_rejects_a_table_alone(case):
     proved, witness = _prove_bitwise(add, mul, field_top_bits(add))
     assert not proved and cubic_scan_oracle(add, mul), check
     assert witness_fails(add, mul, 0, 1, None, witness), check
+
+
+@pytest.mark.parametrize(
+    "text, cell, witness",
+    [
+        ("z(128)", (0, 5), (5, 0, 1)),  # row 0, read as (0 + 1)y
+        ("z(128)", (100, 3), (3, 36, 64)),  # row 100 = 36 + 64
+        ("z(128)", (32, 9), (9, 1, 32)),  # generator row 32: row 33 = 1 + 32 is the first off its sum
+        ("group(z(2),c(10))", (0, 700), (700, 0, 1)),  # order 1024, filled split at a field boundary
+        ("group(z(2),c(10))", (1000, 3), (3, 488, 512)),
+        ("group(z(2),c(10))", (256, 9), (9, 1, 256)),
+        ("group(z(2),c(10))", (513, 77), (77, 1, 512)),
+    ],
+)
+def test_a_corrupt_product_row_is_reported_at_its_first_wrong_cell(text, cell, witness):
+    # the first row off the table filled from the generator rows names the
+    # distributivity it breaks; each witness is pinned, and fails on the tables
+    ring = compile_text(text)
+    mul = ring.mul.copy()
+    mul[cell] = (int(mul[cell]) + 1) % ring.order
+    proved, found = _prove_bitwise(ring.add, mul, field_top_bits(ring.add))
+    assert not proved and found == Violation("NonDistributive", witness)
+    assert witness_fails(ring.add, mul, ring.zero, ring.one, ring.neg, found)
 
 
 def test_a_relabelled_bitwise_group_falls_back_to_sampling():
