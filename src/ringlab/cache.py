@@ -13,8 +13,10 @@ skipped: the bundle is still returned.
 
 The table checksum hashes only the rows of `add` and `mul` at the ring's
 additive generators (`TableRing.basis`), or every row on a ring without
-one; see `table_checksum` for why those rows fix both tables. A miss
-computes the bundle, then saves it.
+one; see `table_checksum` for why those rows fix both tables. It reads
+them through `core.sums` and `core.products`, so a ring whose tables are
+deferred (a cap ring built bitwise) is checked without filling either.
+A miss computes the bundle, then saves it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElemSet, TableRing, sums
+from .core import ElemSet, TableRing, products, sums
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
@@ -59,10 +61,12 @@ def table_checksum(ring: TableRing) -> bytes:
     such sum, associativity gives every row of `add` (add[g + x] =
     add[g][add[x]]) and right distributivity every row of `mul` (mul[x +
     g] = add[mul[x], mul[g]]). The row count keeps these checksums apart
-    from whole-table ones.
+    from whole-table ones. The rows are read as `sums` and `products`
+    give them, so a deferred table is not filled; the bytes are those of
+    the filled table's rows.
     """
     rows = slice(None) if ring.basis is None else list(ring.basis)
-    add, mul = sums(ring, rows), ring.mul[rows]  # without a basis, the whole tables as views
+    add, mul = sums(ring, rows), products(ring, rows)  # without a basis, the whole tables as views
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, len(add)))
     h.update(np.ascontiguousarray(add, dtype="<u2"))

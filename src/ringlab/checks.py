@@ -120,7 +120,7 @@ class CheckContext:
         (R/{0}) gets R's bundle, wrapped for it."""
         key = id(ring)
         if key not in self._aux:
-            shared = ring.mul is self.ring.mul
+            shared = ring.shares_tables(self.ring)
             self._aux[key] = self.bundle.on_copy(ring) if shared else compute_bundle(ring)
         return self._aux[key]
 

@@ -30,10 +30,12 @@ tables go through `validate_ring`. Over bases whose addition is bitwise
 on their index, the builder asks only for the K monomials that are bit
 generators (c a power of two) and hands their product rows to
 `core.bitwise_ring`. It splits each index into a low and a high half at
-a field boundary, fills add from the word formula on each half, and
-fills each row of mul as a sum of two rows, each summed from the
-generator rows on one side of the split; it then proves the ring from
-the relations on the generator rows (see `_digit_vector_tables`).
+a field boundary; add is the word formula on each half, and each row of
+mul is a sum of two rows, each summed from the generator rows on one
+side of the split, both tables filled only when read whole above order
+512 (add above 64); it then proves the ring from the relations on the
+generator rows (see `_digit_vector_tables`). A base's products are read
+through `core.products`, so a deferred base table stays unfilled.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .core import (
     bitwise_ring,
     elem_pow,
     encode_digits,
+    products,
     sums,
     validate_ring,
 )
@@ -215,7 +218,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     formula (see core), with H the sum of every base's H shifted to its
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
-    their K product rows are made here; `core.bitwise_ring` fills both
+    their K product rows are made here; `core.bitwise_ring` builds both
     tables from them, with each index split into a low and a high half at
     a field boundary (every digit boundary is one), and checks the
     relations on those rows.
@@ -293,7 +296,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
         out = np.zeros_like(digits)
         for l in range(k):
             if (i, l) in pos_index and (j, l) in pos_index:
-                out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
+                out[:, pos_index[i, l]] = products(base, c, digits[:, pos_index[j, l]])
         return out
 
     digits, build = _digit_vector_tables([base] * len(positions), mono_rule, cap)
@@ -354,7 +357,7 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
     def mono_rule(c, w, digits):
         # (c e_w) b keeps only component w, which is c * b_w
         out = np.zeros_like(digits)
-        out[:, w] = factors[w].mul[c, digits[:, w]]
+        out[:, w] = products(factors[w], c, digits[:, w])
         return out
 
     digits, build = _digit_vector_tables(factors, mono_rule, cap)
@@ -413,7 +416,7 @@ def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None)
         back = np.full(ring.order, -1, dtype=np.int32)
         back[elems] = np.arange(len(elems), dtype=np.int32)
     cells = np.ix_(elems, elems)
-    return back[sums(ring, *cells)], back[ring.mul[cells]], back
+    return back[sums(ring, *cells)], back[products(ring, *cells)], back
 
 
 def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
@@ -427,13 +430,16 @@ def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> t
     return _build_quotient(ring, ideal, cap)
 
 
-def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
+def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spanning=None) -> tuple[TableRing, np.ndarray]:
     """`build_quotient` for an ideal the caller has already proved two-sided.
+
+    `spanning`, if given, holds greedy generators of the ideal
+    (`additive_generators`), which are then not taken again.
 
     The quotient's tables still go through `validate_ring`, except those
     of R/{0}: its projection is the identity, so it shares R's read-only
-    tables, a deferred addition table included (`TableRing.relabelled`),
-    and R's validation and basis with them.
+    tables, deferred ones included (`TableRing.relabelled`), and R's
+    validation and basis with them.
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
@@ -450,7 +456,7 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> 
     else:
         idx = np.arange(ring.order, dtype=TABLE_DTYPE)
         lowest = idx
-        for step in additive_generators(ring, members)[0]:
+        for step in additive_generators(ring, members)[0] if spanning is None else spanning:
             while not np.array_equal(moved := np.minimum(lowest, lowest[sums(ring, idx, step)]), lowest):
                 lowest, step = moved, sums(ring, step, step)
     reps, projection = np.unique(lowest, return_inverse=True)
@@ -490,9 +496,9 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
     def mono_rule(c, w, digits):
         # digit 0 is m, digit 1 is r: (0,c)(s,n) = (0, cs) and (c,0)(s,n) = (cs, cn)
         if w == 1:
-            return ring.mul[c, digits]
+            return products(ring, c, digits)
         out = np.zeros_like(digits)
-        out[:, 0] = ring.mul[c, digits[:, 1]]
+        out[:, 0] = products(ring, c, digits[:, 1])
         return out
 
     digits, build = _digit_vector_tables([ring] * 2, mono_rule, cap)
@@ -511,7 +517,7 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
     def mono_rule(c, w, digits):
         # (c g_w)(sum_j b_j g_j) = sum_j (c b_j) g_w g_j, and j -> g_w g_j is a bijection
         out = np.empty_like(digits)
-        out[:, group.op[w]] = base.mul[c, digits]
+        out[:, group.op[w]] = products(base, c, digits)
         return out
 
     digits, build = _digit_vector_tables([base] * group.order, mono_rule, cap)
@@ -617,7 +623,7 @@ def build_truncated_skew_poly(
     def mono_rule(c, i, digits):
         # (c x^i)(b_j x^j) = c alpha^i(b_j) x^(i+j), truncated at degree k
         out = np.zeros_like(digits)
-        out[:, i:] = base.mul[c, powers[i][digits[:, : k - i]]]
+        out[:, i:] = products(base, c, powers[i][digits[:, : k - i]])
         return out
 
     digits, build = _digit_vector_tables([base] * k, mono_rule, cap)

@@ -7,6 +7,9 @@ which holds every index of a ring of order at most 65536. A ring that
 `bitwise_ring` builds above order 64 keeps the top bits of its addition
 instead of an addition table: `add` is filled from them on first read,
 and `sums` reads sums and rows of sums from the word formula without
+filling it. Above order 512 it also keeps two half tables instead of a
+multiplication table: `mul` is filled from them on first read, and
+`products` reads products and rows of products off the halves without
 filling it. Every constructor in this package funnels its tables through
 `validate_ring`, or, for a digit-vector ring over bases whose addition is
 bitwise on the index, its K bit-generator rows through `bitwise_ring`, so
@@ -153,10 +156,12 @@ class TableRing:
 
     Immutable after construction; all operations are pure lookups, so a
     ring can be shared freely across threads. The one state it changes is
-    a deferred addition table (`top_bits` set, `add` given as None): the
-    first read of `add` fills it from the word formula and keeps it,
-    read-only. Two threads racing on that first read each fill the same
-    table, and both get a read-only table with the same entries.
+    a deferred table: an addition table kept as its top bits (`top_bits`
+    set, `add` given as None), or a multiplication table kept as its two
+    half tables (`mul_halves` set, `mul` given as None). The first read of
+    `add` or `mul` fills that table and keeps it, read-only. Two threads
+    racing on a first read each fill the same table, and both get a
+    read-only table with the same entries.
 
     `names` is the tuple of element names, or a function from an index to
     its name; then each name is formatted when asked for, and the tuple
@@ -173,15 +178,22 @@ class TableRing:
     the bitwise one (see "bitwise addition" below) and whose `add` is
     filled only when read, else None; `sums` reads its sums off the word
     formula.
+
+    `mul_halves` is (ML, MH, s) for a ring whose `mul` is filled only
+    when read, else None: an index x splits into xh = x >> s and xl = x
+    mod 2^s, and x*y = ML[xl, y] + MH[xh, y] in the bitwise addition
+    (see `bitwise_ring`); `products` reads its products off the halves.
     """
 
-    __slots__ = ("order", "_add", "top_bits", "mul", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
+    __slots__ = ("order", "_add", "top_bits", "_mul", "mul_halves", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
 
-    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None):
+    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None, mul_halves=None):
         self.order = order
-        self._add = [add]  # one cell, shared by a ring over the same tables (`relabelled`)
+        # one cell per table, shared by a ring over the same tables (`relabelled`)
+        self._add = [add]
         self.top_bits = top_bits
-        self.mul = mul
+        self._mul = [mul]
+        self.mul_halves = mul_halves
         self.neg = neg
         self.zero = zero
         self.one = one
@@ -202,12 +214,27 @@ class TableRing:
             cell[0] = table
         return cell[0]
 
+    @property
+    def mul(self) -> np.ndarray:
+        """The multiplication table; a deferred one is filled on first read."""
+        cell = self._mul
+        if cell[0] is None and self.mul_halves is not None:
+            table = _bitwise_mul_table(self.mul_halves, self.top_bits)
+            table.setflags(write=False)
+            cell[0] = table
+        return cell[0]
+
+    def shares_tables(self, other: TableRing) -> bool:
+        """Whether `other` is a ring over these very tables (`relabelled`);
+        tested on the shared cell, so no deferred table is filled."""
+        return self._mul is other._mul
+
     def relabelled(self, names, meta) -> TableRing:
         """A ring over these very tables, with this validation and basis,
-        under other names and meta (R/{0}). A deferred addition table is
-        shared as well: whichever ring reads `add` first fills it for both."""
-        out = TableRing(self.order, None, self.mul, self.neg, self.zero, self.one, names, meta, self.validation, self.basis, self.top_bits)
-        out._add = self._add
+        under other names and meta (R/{0}). Deferred tables are shared as
+        well: whichever ring reads one first fills it for both."""
+        out = TableRing(self.order, None, None, self.neg, self.zero, self.one, names, meta, self.validation, self.basis, self.top_bits, self.mul_halves)
+        out._add, out._mul = self._add, self._mul
         return out
 
     def __repr__(self) -> str:
@@ -240,7 +267,7 @@ def elem_add(ring: TableRing, a: int, b: int) -> int:
 def elem_mul(ring: TableRing, a: int, b: int) -> int:
     ring.check_index(a)
     ring.check_index(b)
-    return int(ring.mul[a, b])
+    return int(products(ring, a, b))
 
 
 def elem_neg(ring: TableRing, a: int) -> int:
@@ -336,7 +363,10 @@ def field_top_bits(add: np.ndarray) -> int | None:
 
 def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None = None) -> np.ndarray:
     """x + y, elementwise and broadcast, in the bitwise addition with top
-    bits `high`, for TABLE_DTYPE operands."""
+    bits `high`, for TABLE_DTYPE operands. When every field is one bit
+    (high = 2^K - 1) the sum is XOR."""
+    if high & (high + 1) == 0:
+        return np.bitwise_xor(x, y, out=out)
     low, high = _lane_masks(high)
     top = (x ^ y) & high
     out = np.add(x & low, y & low, out=out)  # the masks apply before the operands broadcast
@@ -363,6 +393,44 @@ def sums(ring: TableRing, x, y=None):
     if y is None:
         return bitwise_sum(x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE), top)
     return bitwise_sum(x, np.asarray(y, dtype=TABLE_DTYPE), top)
+
+
+def products(ring: TableRing, x, y=None):
+    """`ring.mul[x, y]`, or the rows `ring.mul[x]` when y is None, for
+    indices or integer index arrays in 0..n-1, broadcast as the gather
+    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE.
+
+    On a ring that keeps its half tables (`TableRing.mul_halves`) each
+    product is ML[x & (2^s - 1), y] + MH[x >> s, y] in the bitwise
+    addition, so its multiplication table is never filled for them; on
+    every other ring they are the gather.
+    """
+    if ring.mul_halves is None:
+        return ring.mul[x] if y is None else ring.mul[x, y]
+    low_rows, high_rows, split = ring.mul_halves
+    xl = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp)
+    xh = np.right_shift(x, split, dtype=np.intp)
+    if y is None:
+        return bitwise_sum(low_rows[xl], high_rows[xh], ring.top_bits)
+    # a flat take on intp offsets gathers faster than the two-index gather
+    n = ring.order
+    return bitwise_sum(np.take(low_rows, xl * n + y), np.take(high_rows, xh * n + y), ring.top_bits)
+
+
+def product_columns(ring: TableRing, y) -> np.ndarray:
+    """The columns `ring.mul[:, y]` as rows, out[k, x] = x * y[k], for a
+    1-d integer index array y, as TABLE_DTYPE.
+
+    On a ring that keeps its half tables, row k is ML[:, y[k]] tiled
+    across the low halves plus MH[:, y[k]] repeated along the high ones,
+    one broadcast sum; on every other ring it is the gather of the
+    columns, transposed (a view).
+    """
+    if ring.mul_halves is None:
+        return np.take(ring.mul, y, axis=1).T
+    low_rows, high_rows, _ = ring.mul_halves
+    out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[:, y].T[:, :, None], ring.top_bits)
+    return out.reshape(len(out), ring.order)
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
@@ -466,38 +534,41 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     cell = _first_difference(add, filled)
     if cell is not None:
         return False, _additive_witness(add, *cell)
-    _fill_bitwise_mul(filled, mul[1 << np.arange(n.bit_length() - 1)], high, _field_split(n, high))
+    gens = 1 << np.arange(n.bit_length() - 1)
+    _fill_bitwise_mul(filled, mul[gens], high, _field_split(n, high))
     cell = _first_difference(mul, filled)
     if cell is not None:
         x, y = cell
         g = 1 << max(x.bit_length() - 1, 0)  # the top bit of x, or 1 for row 0
         return False, Violation("NonDistributive", (y, x & (g - 1), g))
-    witness = _generator_relations(mul, high)
+    witness = _generator_relations(mul[gens], mul[:, gens], high)
     return witness is None, witness
 
 
-def _generator_relations(mul, high: int) -> Violation | None:
+def _generator_relations(left: np.ndarray, columns: np.ndarray, high: int) -> Violation | None:
     """The first violation of the relations on the K generator rows
-    mul[2^b] of a mul each of whose rows is the sum of the generator rows
-    at its bits, in the bitwise addition with top bits `high`; None when
-    they hold, and then mul is bi-additive and associative.
+    left[b] = mul[2^b] of a mul each of whose rows is the sum of the
+    generator rows at its bits (row 0 is then 0), in the bitwise addition
+    with top bits `high`; None when they hold, and then mul is bi-additive
+    and associative. `columns` is mul[:, 2^c], one column per generator.
 
     Checked in order: the K doubling rows mul[2^b + 2^b] == mul[2^b] +
-    mul[2^b] (with mul[0] = 0 at a top bit), which make x -> mul[x] a
-    homomorphism, so right distributivity holds; each generator row
-    y -> mul[2^b, y] additive, by the same two checks along it, so left
-    distributivity holds, every row being a sum of them; and associativity
-    on the K^3 generator triples, which a bi-additive mul then has on every
-    triple. O(K n + K^3) cells are read.
+    mul[2^b] (2^b + 2^b is the generator 2^(b+1), or 0 at a top bit),
+    which make x -> mul[x] a homomorphism, so right distributivity holds;
+    each generator row y -> mul[2^b, y] additive, by the same two checks
+    along it, so left distributivity holds, every row being a sum of them;
+    and associativity on the K^3 generator triples, which a bi-additive
+    mul then has on every triple. O(K n + K^3) cells are read.
     """
-    bits = mul.shape[0].bit_length() - 1
+    bits = left.shape[0]
     gens = 1 << np.arange(bits)
-    doubles = np.where((high >> np.arange(bits)) & 1, 0, gens << 1)  # 2^b + 2^b
-    bad = np.argwhere(mul[doubles] != bitwise_sum(mul[gens], mul[gens], high))
+    top = (high >> np.arange(bits)) & 1 == 1
+    doubles = np.where(top, 0, gens << 1)  # 2^b + 2^b
+    doubled_rows = np.where(top[:, None], 0, np.roll(left, -1, axis=0))  # mul[2^b + 2^b]
+    bad = np.argwhere(doubled_rows != bitwise_sum(left, left, high))
     if len(bad):
         b, y = bad[0]
         return Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
-    left = mul[gens]  # left[b, y] = 2^b y
     for g in gens.tolist():
         bad = np.argwhere(left[:, g : 2 * g] != bitwise_sum(left[:, :g], left[:, g, None], high))
         if len(bad):
@@ -508,7 +579,7 @@ def _generator_relations(mul, high: int) -> Violation | None:
         b, c = bad[0]
         return Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
     products = left[:, gens]  # products[a, b] = 2^a 2^b
-    bad = np.argwhere(mul[products[:, :, None], gens] != left[:, products])
+    bad = np.argwhere(columns[products] != left[:, products])
     if len(bad):
         return Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
     return None
@@ -703,17 +774,18 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     return _table_ring(add, mul, first_zero if neg is None else neg, zero, one, names, meta, mode)
 
 
-def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None) -> TableRing:
+def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None, mul_halves=None) -> TableRing:
     """The TableRing on tables whose axioms were decided with `mode`; with
-    `top_bits`, `add` is None and filled on first read."""
-    n = mul.shape[0]
+    `top_bits`, `add` is None and filled on first read, and with
+    `mul_halves`, so is `mul`."""
+    n = neg.shape[0]
     if names is None:
         names = str
     elif not callable(names):
         names = tuple(names)
         if len(names) != n:
             raise ValueError("names length mismatch")
-    for table in (add, mul, neg):
+    for table in (add, mul, neg, *(mul_halves or ())[:2]):
         if table is not None:
             table.setflags(write=False)
     # the generator forms of the subsets need a decided (bi-additive) mul;
@@ -722,7 +794,7 @@ def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_
     # distinct bit generators sum without a carry to every element.
     exhaustive = mode == "exhaustive" and n > EXHAUSTIVE_LIMIT
     basis = tuple(1 << b for b in range(n.bit_length() - 1)) if exhaustive else None
-    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits)
+    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits, mul_halves)
 
 
 def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None) -> TableRing:
@@ -731,15 +803,22 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     or raise RingValidationError. Zero is index 0; `neg`, `names` and
     `meta` are as in `validate_ring`.
 
-    mul is filled with each index split into a low and a high half at
-    the field boundary nearest K/2 (`_fill_bitwise_mul`); a table that
-    fits one chunk is filled whole. Whatever the split, each row of mul is
-    the sum of the generator rows at its bits, corrupt rows included. add
-    is filled the same way (`_fill_bitwise_add`) up to order 64; above it
-    the ring keeps `high` as its `top_bits` and fills add only when it is
-    read, as `sums` gives its sums and rows from the formula. Only the
-    facts this build does not guarantee are then checked, in O(K n + K^3)
-    cells instead of the n^2 compares and range scans of whole tables:
+    Each index x splits into a low and a high half, x = (xh, xl), at the
+    field boundary s nearest K/2 (`_field_split`), and mul[x] = ML[xl] +
+    MH[xh], by bi-additivity: ML (2^s rows) sums the generator rows below
+    the split, and MH (n / 2^s rows) those above it (`_mul_halves`).
+    Whatever the split, each row of mul is the sum of the generator rows
+    at its bits, corrupt rows included. A table that fits one chunk
+    (order <= 512) splits at K, so ML is the whole table, and the ring
+    keeps it as `mul`. A larger ring keeps ML, MH and s as its
+    `mul_halves` and fills mul only when it is read whole, as `products`
+    gives its products and rows from the halves. add is filled from the
+    word formula (`_fill_bitwise_add`) up to order 64; above it the ring
+    keeps `high` as its `top_bits` and fills add only when it is read, as
+    `sums` gives its sums and rows from the formula. Only the facts this
+    build does not guarantee are then checked, through `sums` and
+    `products`, in O(K n + K^3) cells instead of the n^2 compares and
+    range scans of whole tables:
 
     - the formula is the group (+) Z/2^k, one summand per field, so the
       additive axioms hold;
@@ -756,7 +835,7 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     row and column of `one` in mul are the identity (0 + x = x holds by
     the formula). The ring reports "exhaustive" at every order, and keeps
     the bit generators, which the formula sums without a carry, as its
-    basis above order 64. If any check fails, the built tables, add
+    basis above order 64. If any check fails, the built tables, both
     filled, go through `validate_ring` unchanged, so the error names the
     witness its whole-table scan finds on them.
     """
@@ -773,15 +852,22 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     if neg.shape != (n,):
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
-    mul = np.empty((n, n), dtype=TABLE_DTYPE)
-    _fill_bitwise_mul(mul, rows, high, _field_split(n, high))
+    split = _field_split(n, high)
+    low_rows, high_rows = _mul_halves(rows, high, split)
+    whole = len(high_rows) == 1
     lazy = n > EXHAUSTIVE_LIMIT
-    add = None if lazy else _bitwise_add_table(n, high)
-    idx = np.arange(n, dtype=TABLE_DTYPE)
-    identities = not bitwise_sum(idx, neg, high).any() and np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)
-    if identities and _generator_relations(mul, high) is None:
-        return _table_ring(add, mul, neg, 0, one, names, meta, "exhaustive", high if lazy else None)
-    return validate_ring(_bitwise_add_table(n, high) if lazy else add, mul, 0, one, neg=neg, names=names, meta=meta)
+    ring = _table_ring(
+        None if lazy else _bitwise_add_table(n, high),
+        low_rows if whole else None,
+        neg, 0, one, names, meta, "exhaustive",
+        high if lazy else None,
+        None if whole else (low_rows, high_rows, split),
+    )
+    idx, gens = np.arange(n, dtype=TABLE_DTYPE), 1 << np.arange(bits)
+    identities = not bitwise_sum(idx, neg, high).any() and np.array_equal(products(ring, one), idx) and np.array_equal(product_columns(ring, [one])[0], idx)
+    if identities and _generator_relations(products(ring, gens), product_columns(ring, gens).T, high) is None:
+        return ring
+    return validate_ring(ring.add, ring.mul, 0, one, neg=neg, names=names, meta=meta)
 
 
 def _field_split(n: int, high: int) -> int:
@@ -825,28 +911,44 @@ def _fill_bitwise_add(add: np.ndarray, high: int, split: int) -> None:
         np.bitwise_or(np.repeat(high_sums, nl, axis=1)[:, None], np.tile(low_sums, nh), out=add.reshape(nh, nl, n))
 
 
+def _mul_halves(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ML, MH): the sums of the generator rows `rows[b]` at the bits of
+    each index below the split (ML, 2^split rows) and above it (MH, one
+    row per index >> split), in the bitwise addition with top bits `high`."""
+    n = rows.shape[1]
+    halves = []
+    for count, gens in ((1 << split, rows[:split]), (n >> split, rows[split:])):
+        half = np.empty((count, n), dtype=TABLE_DTYPE)
+        half[0] = 0
+        half[1 << np.arange(len(gens))] = gens
+        _extend_bitwise(half, high)
+        halves.append(half)
+    return halves[0], halves[1]
+
+
 def _fill_bitwise_mul(mul: np.ndarray, rows: np.ndarray, high: int, split: int) -> None:
     """Fill `mul` with the sum of the generator rows `rows[b]` at the bits
-    of each index, in the bitwise addition with top bits `high`.
+    of each index, in the bitwise addition with top bits `high`, from its
+    halves split as in `_fill_bitwise_add` (`_mul_halves`, `_join_halves`)."""
+    _join_halves(mul, *_mul_halves(rows, high, split), high)
 
-    With x = (xh, xl) split as in `_fill_bitwise_add`, mul[x] = ML[xl] +
-    MH[xh]: ML (nl rows) sums the generators below the split and is
-    extended in place as mul[:nl]; MH (nh rows) sums those above it. Each
-    further block of nl rows is then written once from the two halves
-    (`_sum_blocks`). With nh = 1, ML is the whole table.
-    """
-    n, nl = mul.shape[0], 1 << split
-    nh = n >> split
-    low_rows = mul[:nl]
-    low_rows[0] = 0
-    low_rows[1 << np.arange(split)] = rows[:split]
-    _extend_bitwise(low_rows, high)
-    if nh > 1:
-        high_rows = np.empty((nh, n), dtype=TABLE_DTYPE)
-        high_rows[0] = 0
-        high_rows[1 << np.arange(len(rows) - split)] = rows[split:]
-        _extend_bitwise(high_rows, high)
-        _sum_blocks(mul.reshape(nh, nl, n), high_rows, high)
+
+def _bitwise_mul_table(mul_halves, high: int) -> np.ndarray:
+    """A fresh multiplication table filled from `TableRing.mul_halves`."""
+    low_rows = mul_halves[0]
+    mul = np.empty((low_rows.shape[1],) * 2, dtype=TABLE_DTYPE)
+    _join_halves(mul, low_rows, mul_halves[1], high)
+    return mul
+
+
+def _join_halves(mul: np.ndarray, low_rows: np.ndarray, high_rows: np.ndarray, high: int) -> None:
+    """mul[x] = ML[xl] + MH[xh], with x = (xh, xl) split as in
+    `_fill_bitwise_add`: ML is copied in as mul[:nl], and each further
+    block of nl rows is written once from the two halves (`_sum_blocks`)."""
+    n, nl = mul.shape[0], len(low_rows)
+    mul[:nl] = low_rows
+    if len(high_rows) > 1:
+        _sum_blocks(mul.reshape(len(high_rows), nl, n), high_rows, high)
 
 
 def _sum_blocks(blocks: np.ndarray, high_rows: np.ndarray, high: int) -> None:
@@ -877,17 +979,12 @@ def _extend_bitwise(mul: np.ndarray, high: int) -> None:
     """Fill each row x' | 2^b of `mul`, 0 < x' < 2^b, with mul[x'] +
     mul[2^b] in the bitwise addition of order n = mul.shape[1] with top
     bits `high`, in TABLE_DTYPE lanes; b ascends, so every row x' is
-    filled before it is read. When every field is one bit (high = n - 1)
-    the sum is XOR."""
-    n = mul.shape[1]
-    rows = max(1, _CHUNK_CELLS // n)
+    filled before it is read."""
+    rows = max(1, _CHUNK_CELLS // mul.shape[1])
     for g in (1 << np.arange(mul.shape[0].bit_length() - 1)).tolist():
         for lo in range(1, g, rows):
             hi = min(g, lo + rows)
-            if high == n - 1:
-                np.bitwise_xor(mul[lo:hi], mul[g], out=mul[g + lo : g + hi])
-            else:
-                bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
+            bitwise_sum(mul[lo:hi], mul[g], high, out=mul[g + lo : g + hi])
 
 
 # ---------------------------------------------------------------------------

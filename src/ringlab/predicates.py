@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ElemSet, RingError, TableRing, sums
+from .core import ElemSet, RingError, TableRing, product_columns, products, sums
 from .construct import build_quotient
 from .subsets import InvariantBundle, compute_bundle, product_one_pairs
 
@@ -92,7 +92,7 @@ def is_division(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 def is_dedekind_finite(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """ab = 1 forces ba = 1 (pigeonhole guarantees this on finite rings)."""
     a, b = product_one_pairs(ring)  # row-major, as the first witness needs
-    bad = np.flatnonzero(ring.mul[b, a] != ring.one)
+    bad = np.flatnonzero(products(ring, b, a) != ring.one)
     if len(bad):
         a, b = int(a[bad[0]]), int(b[bad[0]])
         return Verdict(False, f"ab = 1 but ba != 1 for a = {ring.describe(a)}, b = {ring.describe(b)}")
@@ -166,16 +166,16 @@ def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """von Neumann regular: for each a some x has axa = a.
 
     The a are tested in index order, in blocks of 64: the block's columns
-    y*a are copied out (row by row, then transposed in cache), one
-    (64, n) gather gives (a*x)*a over all x, then one row test. The
-    witness is the first failing a.
+    y*a are read out as rows (`product_columns`), one (64, n) gather
+    gives (a*x)*a over all x, then one row test. The witness is the
+    first failing a.
     """
     n = ring.order
     for i in range(0, n, _BLOCK):
         a = np.arange(i, min(i + _BLOCK, n))
-        right = np.ascontiguousarray(np.ascontiguousarray(ring.mul[:, i : i + _BLOCK]).T)  # right[k, y] = y * a_k
+        right = np.ascontiguousarray(product_columns(ring, a))  # right[k, y] = y * a_k
         # the int64 row offsets widen the uint16 products before the sum
-        axa = np.take(right, ring.mul[i : i + _BLOCK] + np.arange(0, right.size, n)[:, None])
+        axa = np.take(right, products(ring, a) + np.arange(0, right.size, n)[:, None])
         served = (axa == a[:, None]).any(axis=1)
         if not served.all():
             return Verdict(False, f"no x with axa = a for a = {ring.describe(int(a[np.argmin(served)]))}")
@@ -291,7 +291,7 @@ def _clean_masks(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np
     commutative, so whole rows are read instead of columns."""
     idem = bundle.idempotents.index_array()
     diff = sums(ring, ring.neg[idem])  # (e, a) -> a - e
-    commutes = ring.mul[idem] == ring.mul[:, idem].T  # (e, a) -> ea = ae
+    commutes = products(ring, idem) == product_columns(ring, idem)  # (e, a) -> ea = ae
     in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in ("units", "jsharp", "nilpotents")}
     decomposable = {
         name: (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=0)

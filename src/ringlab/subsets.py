@@ -17,7 +17,13 @@ proved ideal, so R -> R/J is a ring homomorphism and no unit of R is
 missed among the preimages of U(R/J); and each of them is certified by
 an explicit inverse checked on R's table (`unit_inverses`), so none is
 false. Elsewhere (J = {0}, no basis), inside the criterion of an open
-fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1.
+fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1,
+read through `core.products` a block of rows at a time
+(`product_one_pairs`), so a ring with deferred products (see
+`TableRing.mul_halves`) is scanned without filling its table.
+
+Every product the bundle reads comes through `core.products`, so on a
+cap ring built bitwise the whole multiplication table is never filled.
 
 The center compares each row of the multiplication table with its
 column (`core.rows_equal_columns`). On a ring that keeps a set of
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElemSet, GroupRingMeta, RingError, TableRing, rows_equal_columns, sums
+from .core import _CHUNK_CELLS, ElemSet, GroupRingMeta, RingError, TableRing, product_columns, products, rows_equal_columns, sums
 
 
 class NotAGroupRingError(RingError):
@@ -58,16 +64,22 @@ class NotAGroupRingError(RingError):
 def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (a, b) with ab = 1, row-major: `np.nonzero(mul == one)`.
 
-    The n^2 hit mask is scanned as 8-byte words, and only the nonzero
-    words are expanded to their 8 cells; the last n^2 mod 8 cells are
-    read one by one.
+    The rows are read through `products` a block of about _CHUNK_CELLS
+    cells at a time, so a deferred table is never filled. Each block's
+    hit mask is scanned as 8-byte words, and only the nonzero words are
+    expanded to their 8 cells; its last size mod 8 cells are read one by
+    one.
     """
-    hit = (ring.mul == ring.one).ravel()
-    body = hit.size - hit.size % 8
-    words = np.flatnonzero(hit[:body].view(np.uint64))
-    cells = (words[:, None] * 8 + np.arange(8)).ravel()
-    cells = np.concatenate([cells[hit[cells]], body + np.flatnonzero(hit[body:])])
-    return np.divmod(cells, ring.order)
+    n = ring.order
+    step = max(1, _CHUNK_CELLS // n)
+    cells = []
+    for r in range(0, n, step):
+        hit = (products(ring, np.arange(r, min(r + step, n))) == ring.one).ravel()
+        body = hit.size - hit.size % 8
+        words = np.flatnonzero(hit[:body].view(np.uint64))
+        found = (words[:, None] * 8 + np.arange(8)).ravel()
+        cells += [r * n + found[hit[found]], r * n + body + np.flatnonzero(hit[body:])]
+    return np.divmod(np.concatenate(cells), n)
 
 
 def units(ring: TableRing, radical: tuple | None = None) -> ElemSet:
@@ -87,7 +99,7 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     """
     if radical is None:
         a, b = product_one_pairs(ring)
-        two_sided = ring.mul[b, a] == ring.one
+        two_sided = products(ring, b, a) == ring.one
         return dict(zip(a[two_sided].tolist(), b[two_sided].tolist()))
     quotient, projection = radical[:2]
     inverse, coset_inverse = unit_inverses(quotient), np.full(quotient.order, -1)
@@ -95,13 +107,13 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     lowest = np.unique(projection, return_index=True)[1]  # each coset's smallest member
     u = np.flatnonzero(coset_inverse[projection] >= 0)
     v = lowest[coset_inverse[projection[u]]]
-    mul, one = ring.mul, ring.one
-    x = sums(ring, one, ring.neg[mul[u, v]])
+    one = ring.one
+    x = sums(ring, one, ring.neg[products(ring, u, v)])
     for _ in range((ring.order - 1).bit_length()):
         if (x == ring.zero).all():
             break
-        v, x = mul[v, sums(ring, one, x)], mul[x, x]
-    certified = (mul[u, v] == one) & (mul[v, u] == one)
+        v, x = products(ring, v, sums(ring, one, x)), products(ring, x, x)
+    certified = (products(ring, u, v) == one) & (products(ring, v, u) == one)
     if not certified.all():  # unreachable on a valid ring; guards table corruption
         raise RingError(f"unit lifted from R/J failed its inverse check at {int(u[np.argmin(certified)])}")
     return dict(zip(u.tolist(), v.tolist()))
@@ -109,7 +121,7 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
 
 def idempotents(ring: TableRing) -> ElemSet:
     idx = np.arange(ring.order)
-    return ElemSet.from_mask(ring, ring.mul[idx, idx] == idx)
+    return ElemSet.from_mask(ring, products(ring, idx, idx) == idx)
 
 
 def _orbit_masks(ring: TableRing, ideal_mask: np.ndarray) -> np.ndarray:
@@ -119,7 +131,7 @@ def _orbit_masks(ring: TableRing, ideal_mask: np.ndarray) -> np.ndarray:
     """
     power = np.arange(ring.order)  # a^1
     for _ in range((ring.order - 1).bit_length()):  # ceil(log2 n) squarings
-        power = ring.mul[power, power]
+        power = products(ring, power, power)
     return ideal_mask[power]
 
 
@@ -137,7 +149,7 @@ def center(ring: TableRing) -> ElemSet:
     """
     if ring.basis is not None:
         gens = np.array(ring.basis)
-        return ElemSet.from_mask(ring, (np.take(ring.mul, gens, axis=1) == ring.mul[gens].T).all(axis=1))
+        return ElemSet.from_mask(ring, (product_columns(ring, gens) == products(ring, gens)).all(axis=0))
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 
@@ -159,32 +171,42 @@ def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int]
     return gens, span
 
 
-def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(C, closed): Nil pruned of every x with g*x or x*g outside it, to
-    a fixpoint C, and whether C is additively closed (its span is C)."""
+def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+    """(C, generators): Nil pruned of every x with g*x or x*g outside it,
+    to a fixpoint C, and the greedy generators of C (`additive_generators`)
+    if C is additively closed (its span is C), else None."""
     gens = list(gens)
-    left, right = ring.mul[gens], np.take(ring.mul, gens, axis=1).T  # g*x and x*g, k x n
+    left, right = products(ring, gens), product_columns(ring, gens)  # g*x and x*g, k x n
     keep = nil_mask.copy()
     while True:
         arr = np.flatnonzero(keep)
         stay = keep[left[:, arr]].all(axis=0) & keep[right[:, arr]].all(axis=0)
         if stay.all():
-            return keep, bool(np.array_equal(additive_generators(ring, arr)[1], keep))
+            spanning, span = additive_generators(ring, arr)
+            return keep, spanning if np.array_equal(span, keep) else None
         keep[arr[~stay]] = False
 
 
-def jacobson_radical(ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None) -> ElemSet:
+def jacobson_radical(
+    ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None, spanning: list | None = None
+) -> ElemSet:
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
     module docstring): `quasi[mul]` is the (r, j) table of "1 - r*j is a
     unit", gathered over the candidates in slabs of 512 rows, a column
     that fails one slab dropped from the next.
+
+    A list passed as `spanning` receives the pruning's greedy generators
+    of J, which `_build_quotient` can reuse; it stays empty when J comes
+    from the criterion.
     """
     gens = ring.basis if gens is None else gens
     cand = np.ones(ring.order, dtype=bool)
     if gens is not None:
-        cand, closed = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
-        if closed:
+        cand, generators = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
+        if generators is not None:
+            if spanning is not None:
+                spanning += generators
             return ElemSet.from_mask(ring, cand)
     if unit_mask is None:
         unit_mask = units(ring).mask()
@@ -227,7 +249,7 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
         return False, ("add", int(arr[i]), int(arr[j]))
     if ring.basis is not None:
         gens = np.array(ring.basis)
-        if mask[ring.mul[np.ix_(gens, arr)]].all() and mask[ring.mul[np.ix_(arr, gens)]].all():
+        if mask[products(ring, *np.ix_(gens, arr))].all() and mask[products(ring, *np.ix_(arr, gens))].all():
             return True, None
     left = mask[np.take(ring.mul, arr, axis=1)]  # take: twice as fast as mul[:, arr]
     if not left.all():
@@ -312,21 +334,24 @@ class InvariantBundle:
         return InvariantBundle(ring=ring, **sets)
 
 
-def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundle | None = None) -> tuple:
-    """(R/J, projection, bundle of R/J); R/{0} shares R's tables and `bundle`."""
+def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundle | None = None, spanning=None) -> tuple:
+    """(R/J, projection, bundle of R/J); R/{0} shares R's tables and
+    `bundle`. `spanning`, if given, holds greedy generators of J."""
     from .construct import _build_quotient  # local import; construct sits above
 
-    quotient, projection = _build_quotient(ring, jacobson)
-    shared = quotient.mul is ring.mul  # R/{0}
+    quotient, projection = _build_quotient(ring, jacobson, spanning=spanning)
+    shared = quotient.shares_tables(ring)  # R/{0}
     return quotient, projection, bundle.on_copy(quotient) if shared else compute_bundle(quotient)
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
     """Nil, then J, then U: lifted from R/J, which the bundle keeps, on a
-    ring with a basis and J != {0} (see the module docstring)."""
+    ring with a basis and J != {0} (see the module docstring). R/J's coset
+    minima reuse the greedy generators of J that the pruning took."""
     nil = nilpotents(ring)
-    jac = jacobson_radical(ring, nil_mask=nil.mask()) if ring.basis is not None else None
-    radical = _radical_quotient(ring, jac) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
+    spanning: list[int] = []
+    jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning) if ring.basis is not None else None
+    radical = _radical_quotient(ring, jac, spanning=spanning or None) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
     u = units(ring, radical)
     if jac is None:  # no basis: the criterion reads the scan's U
         jac = jacobson_radical(ring, u.mask(), nil.mask())

@@ -272,19 +272,27 @@ def test_endomorphism_file_rejects_bad_source_indices(capsys, tmp_path, monkeypa
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("text", CAP_RINGS)
+@pytest.mark.parametrize("text", CAP_RINGS + ("m(2,gf(8))",))
 def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatch, text):
     # cold, warm and --no-cache: every read of add on the inspect path is a
-    # sum from the word formula; a later read fills the formula's table
+    # sum from the word formula, and every read of mul a product from the
+    # half tables; a later read fills each table. m(2,gf(8)) has J = {0},
+    # so its U comes from the scan of every product, by blocks of rows
     rings, fills = [], []
-    compile_real, fill = cli.compile_text, core._bitwise_add_table
+    compile_real, fill_add, fill_mul = cli.compile_text, core._bitwise_add_table, core._bitwise_mul_table
     monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
-    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(n) or fill(n, high))
+    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
     for argv in ((), (), ("--no-cache",)):
         assert run_cli(capsys, "inspect", text, "--json", *argv)[0] == 0
         ring = rings.pop()  # at most one order-4096 ring is held
-        assert ring.order == 4096 and ring._add[0] is None and [n for n in fills if n > 64] == [], (text, argv)
-    add = ring.add
-    assert [n for n in fills if n > 64] == [4096]
-    assert add.dtype == np.uint16 and not add.flags.writeable and add.flags.c_contiguous
+        assert ring.order == 4096 and ring._add[0] is None and ring._mul[0] is None, (text, argv)
+        assert [f for f in fills if f[1] > 64] == [], (text, argv)
+    add, mul = ring.add, ring.mul
+    assert [f for f in fills if f[1] > 64] == [("add", 4096), ("mul", 4096)]
+    for table in (add, mul):
+        assert table.dtype == np.uint16 and not table.flags.writeable and table.flags.c_contiguous
     assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits))
+    want = np.empty_like(mul)  # the table the generator rows fill, read off the halves
+    core._fill_bitwise_mul(want, core.products(ring, list(ring.basis)), ring.top_bits, ring.mul_halves[2])
+    assert np.array_equal(mul, want)

@@ -952,20 +952,23 @@ def test_block_sums_keep_every_field_inside_its_16_bit_lane(high, chunk, monkeyp
     assert want.max() < 1 << 16 and np.array_equal(blocks[1:], want[1:]) and np.array_equal(blocks[0], first)
 
 
-def test_a_cap_ring_build_peaks_at_its_mul_table_plus_4_mib(monkeypatch):
-    # a fill that materialises an n^2 temporary fails here, as does a build
-    # that fills add: above order 64 only mul is filled
+def test_a_cap_ring_build_peaks_at_its_half_tables_plus_4_mib(monkeypatch):
+    # a build that fills add or mul, or makes an n^2 temporary, fails here:
+    # above order 512 the ring keeps only ML (nl x n) and MH (nh x n)
     for text in CAP_RINGS:
         ring, high, rows, _ = outer_bitwise_build(text, monkeypatch)
         n, one, neg = ring.order, ring.one, ring.neg
         del ring  # at most one order-4096 ring is held
         tracemalloc.start()
         try:
-            core.bitwise_ring(high, rows, one, neg)
+            built = core.bitwise_ring(high, rows, one, neg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= n * n * 2 + (4 << 20), (text, peak)
+        low_rows, high_rows, split = built.mul_halves
+        nl, nh = 1 << split, n >> split
+        assert low_rows.shape == (nl, n) and high_rows.shape == (nh, n) and 1 < nh < n, text
+        assert peak <= (nl + nh) * n * 2 + (4 << 20), (text, peak)
 
 
 def test_every_table_is_uint16_read_only_and_contiguous(corpus_bundles):

@@ -696,7 +696,8 @@ def test_a_top_bit_row_of_additive_order_four_is_caught_by_the_doubling_check_al
     r = mul[1]
     assert np.array_equal(r[add], add[r[:, None], r]) and (add[r, r] != 0).any()  # additive, 2r != 0
     assert not mul[mul].any() and not mul[:, mul].any()  # (xy)z = x(yz) = 0
-    assert _generator_relations(mul, high) == Violation("NonDistributive", (2, 1, 1))
+    gens = [1, 2, 4, 8, 16]
+    assert _generator_relations(mul[gens], mul[:, gens], high) == Violation("NonDistributive", (2, 1, 1))
     error = assert_rejected_as_whole_tables(high, rows, ring.one, ring.neg)
     assert Violation("NonDistributive", (2, 1, 1)) in error.violations
 
@@ -834,6 +835,45 @@ def test_sums_match_the_filled_table(text):
         assert np.shape(value) == np.shape(want) and np.array_equal(value, want), (text, index)
     if lazy:
         assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits)), text
+
+
+@pytest.mark.parametrize("text", BITWISE_RINGS)
+def test_products_match_the_filled_table(text):
+    # above order 512 the products and columns of products come from the
+    # half tables and leave mul unfilled; read afterwards, mul is the table
+    # that the generator rows fill by row extension. Up to 512 mul is whole,
+    # and they are gathers
+    ring = compile_text(text)
+    n, lazy = ring.order, ring.order > 512
+    assert (ring.mul_halves is not None) == lazy == (ring._mul[0] is None), text
+    rng = np.random.default_rng(n)
+    x, y = rng.integers(0, n, size=(2, 40))
+    a, b = int(x[0]), int(y[0])
+    g = 1 << int(rng.integers(n.bit_length() - 1))
+    forms = [
+        ((a, b), (a, b)),  # scalar
+        ((x, y), (x, y)),  # 1-d pairs
+        ((x, np.uint16(b)), (x, np.uint16(b))),  # 1-d against a scalar
+        ((x[:5],), (x[:5],)),  # rows
+        ((a,), (a,)),  # one row
+        ((x[:, None], y), (x[:, None], y)),  # broadcast 2-d
+        (np.ix_(x[:7], y), (np.ix_(x[:7], y),)),
+        ((np.arange(n), g), (slice(None), g)),  # a whole column
+        ((np.arange(n)[:, None], [1, g]), (slice(None), [1, g])),  # two whole columns
+        ((ring.one, ring.neg), (ring.one, ring.neg)),
+    ]
+    got = [core.products(ring, *args) for args, _ in forms]
+    columns = core.product_columns(ring, x[:9])  # columns[k, z] = z * x[k]
+    assert (ring._mul[0] is None) == lazy, text
+    mul = ring.mul
+    for value, (_, index) in zip(got, forms):
+        want = mul[index if len(index) > 1 else index[0]]
+        assert type(value) is type(want) and np.asarray(value).dtype == np.uint16, (text, index)
+        assert np.shape(value) == np.shape(want) and np.array_equal(value, want), (text, index)
+    assert columns.dtype == np.uint16 and columns.shape == (9, n) and np.array_equal(columns, mul[:, x[:9]].T), text
+    if lazy:
+        rows = mul[[1 << b for b in range(n.bit_length() - 1)]]
+        assert np.array_equal(mul, gathered_tables(ring.top_bits, rows)[1]), text
 
 
 @pytest.mark.parametrize("text", ["m(2,gf(8))", "t(2,z(16))"])

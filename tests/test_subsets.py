@@ -165,11 +165,35 @@ def scanned_orders(monkeypatch, text, open_fixpoint=False):
 
     monkeypatch.setattr(subsets, "product_one_pairs", counting)
     if open_fixpoint:
-        monkeypatch.setattr(subsets, "prune_nil", lambda on, gens, nil: (nil.copy(), False))
+        monkeypatch.setattr(subsets, "prune_nil", lambda on, gens, nil: (nil.copy(), None))
     b = compute_bundle(ring)
     monkeypatch.undo()
     assert b.units == units(ring), text
     return seen, ring.order // len(b.jacobson)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_r_mod_zero_and_its_bundle_share_the_deferred_products(first, monkeypatch):
+    # R/{0} is built over R's half tables and mul cell, and the checks'
+    # bundle of it is R's, wrapped, found by the shared cell without filling
+    # mul (m(2,gf(8)) has J = {0}, so R/J is R/{0} too); the first whole
+    # read, through either ring, fills one table for both
+    from ringlab import checks, core
+    from ringlab.construct import build_quotient
+
+    fills, fill = [], core._bitwise_mul_table
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(1) or fill(halves, high))
+    ring = compile_text("m(2,gf(8))")
+    bundle = compute_bundle(ring)
+    quotient = build_quotient(ring, ElemSet.of(ring, [ring.zero]))[0]
+    monkeypatch.setattr(checks, "compute_bundle", None)
+    ctx = checks.CheckContext(ring, bundle)
+    qb, (rq, _, rqb) = ctx.bundle_of(quotient), ctx.radical_quotient()
+    assert quotient.shares_tables(ring) and rq.shares_tables(ring) and ctx.bundle_of(rq) is rqb
+    assert qb.ring is quotient and qb.units.mask() is bundle.units.mask() is rqb.units.mask()
+    assert quotient.mul_halves is ring.mul_halves and fills == [] and ring._mul[0] is None
+    pair = (ring, quotient) if first == 0 else (quotient, ring)
+    assert pair[0].mul is pair[1].mul is rq.mul and fills == [1]
 
 
 def test_a_cap_ring_scans_only_its_radical_quotient(monkeypatch):
@@ -216,8 +240,8 @@ def assert_pruned_jacobson_is_the_unit_criterion(text, ring):
         gens, span = additive_generators(ring, np.arange(ring.order))
         assert span.all() and len(gens) <= (ring.order - 1).bit_length(), text  # each one at least doubles the span
     unit_mask, nil_mask = units(ring).mask(), nilpotents(ring).mask()
-    pruned, closed = prune_nil(ring, gens, nil_mask)
-    assert closed, text
+    pruned, generators = prune_nil(ring, gens, nil_mask)
+    assert generators == additive_generators(ring, np.flatnonzero(pruned))[0], text  # closed: its greedy generators
     want = unit_criterion_mask(ring, unit_mask)
     assert np.array_equal(pruned, want), text
     assert np.array_equal(jacobson_radical(ring, unit_mask, nil_mask, gens).mask(), want), text
@@ -261,7 +285,7 @@ def test_an_open_fixpoint_falls_back_to_the_unit_criterion(monkeypatch):
 
     def open_fixpoint(on, gens, nil):
         seen.append(tuple(gens))
-        return nil.copy(), False
+        return nil.copy(), None
 
     def guard(on, subset):
         guards.append(subset)
@@ -440,15 +464,18 @@ try:
     sys.exit("corrupt generator row accepted")
 except RingValidationError as exc:
     print("generator rows:", exc)
-# a wrong neg entry and a wrong one at order 4096, where bitwise_ring leaves
-# add unfilled: its checks on the word formula fail, and the whole-table
-# fallback, on add filled, names the witness
+# a wrong neg entry, a wrong one and a corrupt generator row below the split
+# at order 4096, where bitwise_ring leaves add and mul unfilled: its checks
+# on the word formula and the half tables fail, and the whole-table
+# fallback, on both tables filled, names the witness
 import ringlab.core as core
 whole = core.validate_ring
-core.validate_ring = lambda add, *a, **k: print("whole tables:", add.shape) or whole(add, *a, **k)
+core.validate_ring = lambda add, mul, *a, **k: print("whole tables:", add.shape, mul.shape) or whole(add, mul, *a, **k)
 rows, neg = ring.mul[[1 << b for b in range(12)]], ring.neg.copy()
 neg[4095] = 0  # 4095 + 0 is not 0
-for label, args in (("neg", (rows, ring.one, neg)), ("one", (rows, 2, ring.neg))):
+low = rows.copy()
+low[2, 9] = 0  # 4 * 9 is 36
+for label, args in (("neg", (rows, ring.one, neg)), ("one", (rows, 2, ring.neg)), ("low row", (low, ring.one, ring.neg))):
     try:
         bitwise_ring(field_top_bits(ring.add), *args)
         sys.exit(f"wrong {label} accepted")
@@ -498,7 +525,9 @@ def test_internal_guards_survive_python_O():
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
     assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
     assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
-    assert "whole tables: (4096, 4096)\nneg: NotAbelianGroup(4095, 0)\nwhole tables: (4096, 4096)\none: NoIdentity(1,)\n" in proc.stdout
+    whole = "whole tables: (4096, 4096) (4096, 4096)\n"
+    assert f"{whole}neg: NotAbelianGroup(4095, 0)\n{whole}one: NoIdentity(1,)\n" in proc.stdout
+    assert f"{whole}low row: NonAssociative(349, 9, 3243); NonDistributive(1007, 1520, 9); NonDistributive(9, 321, 903)\n" in proc.stdout
     assert "radical: inconsistent invariant bundle: Nil & Z <= J fails\n" in proc.stdout
     assert "radical: radical failed the ideal check at ('add', 4, 6)\n" in proc.stdout
     assert "units: unit lifted from R/J failed its inverse check at 73\n" in proc.stdout
@@ -523,7 +552,17 @@ def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 11])
-def test_word_scan_matches_nonzero_on_raw_tables(n):
+def test_word_scan_matches_nonzero_on_raw_tables(n, monkeypatch):
+    # with blocks of 16 cells too, so most blocks end in a tail and row 0 of
+    # each block but the first is offset
+    from ringlab import subsets
+
+    for chunk in (1 << 18, 16):
+        monkeypatch.setattr(subsets, "_CHUNK_CELLS", chunk)
+        assert_word_scan_matches_nonzero_on_raw_tables(n)
+
+
+def assert_word_scan_matches_nonzero_on_raw_tables(n):
     rng = np.random.default_rng(n)
     cases = {
         "none": np.zeros((n, n), dtype=np.int32),
@@ -535,8 +574,8 @@ def test_word_scan_matches_nonzero_on_raw_tables(n):
     cases["a row of ones"][0, 1:] = 1
     cases["last cell"][n - 1, n - 1] = 1
     for label, mul in cases.items():
-        assert_pairs_match_nonzero(SimpleNamespace(mul=mul, one=1, order=n), (n, label))
-    assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], one=1, order=n))[0])
+        assert_pairs_match_nonzero(SimpleNamespace(mul=mul, mul_halves=None, one=1, order=n), (n, label))
+    assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], mul_halves=None, one=1, order=n))[0])
 
 
 SET_FIELDS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
