@@ -28,6 +28,8 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    product_columns,
+    products,
     validate_ring,
 )
 from .construct import (
@@ -278,8 +280,8 @@ def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
 def _chk_l121(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     js = b.jsharp.index_array()
-    rows = ring.mul[js, :]  # (a, b) -> ab for every a in J#
-    bad = np.argwhere((rows == ring.mul[:, js].T) & ~b.jsharp.mask()[rows])
+    rows = products(ring, js)  # (a, b) -> ab for every a in J#
+    bad = np.argwhere((rows == product_columns(ring, js)) & ~b.jsharp.mask()[rows])
     if len(bad):
         i, bidx = map(int, bad[0])
         return _fail(f"a = {ring.describe(int(js[i]))}, b = {ring.describe(bidx)}, ab outside J#")
@@ -676,7 +678,7 @@ def _chk_c27(ctx: CheckContext) -> Outcome:
     for _ in range(ring.order + 1):
         if current.indices() == (ring.zero,):
             break
-        nxt = additive_closure(ring, ring.mul[b.jacobson.index_array()[:, None], current.index_array()])
+        nxt = additive_closure(ring, products(ring, b.jacobson.index_array()[:, None], current.index_array()))
         if nxt == current:
             return _fail("J is not nilpotent: ideal powers stabilise above zero")
         current = nxt

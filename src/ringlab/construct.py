@@ -397,7 +397,7 @@ def additive_closure(ring: TableRing, items) -> ElemSet:
     while True:
         arr = np.flatnonzero(group)
         total = np.zeros(ring.order, dtype=bool)
-        total[ring.add[arr[:, None], arr]] = True  # holds the group, as 0 is in it
+        total[sums(ring, arr[:, None], arr)] = True  # holds the group, as 0 is in it
         if np.count_nonzero(total) == len(arr):
             return ElemSet(ring, total)
         group = total

@@ -377,7 +377,8 @@ def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None 
 def sums(ring: TableRing, x, y=None):
     """`ring.add[x, y]`, or the rows `ring.add[x]` when y is None, for
     indices or integer index arrays in 0..n-1, broadcast as the gather
-    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE.
+    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE. A slice y
+    cuts the rows of x to those columns.
 
     On a ring that keeps its top bits (`TableRing.top_bits`) the sums are
     the word formula, so its addition table is never filled for them; on
@@ -390,15 +391,16 @@ def sums(ring: TableRing, x, y=None):
         x, y, low = int(x), int(y), ~top & _LANE
         return TABLE_DTYPE(((x & low) + (y & low)) ^ ((x ^ y) & top))
     x = np.asarray(x, dtype=TABLE_DTYPE)
-    if y is None:
-        return bitwise_sum(x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE), top)
+    if y is None or isinstance(y, slice):
+        return bitwise_sum(x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE)[y or slice(None)], top)
     return bitwise_sum(x, np.asarray(y, dtype=TABLE_DTYPE), top)
 
 
 def products(ring: TableRing, x, y=None):
     """`ring.mul[x, y]`, or the rows `ring.mul[x]` when y is None, for
     indices or integer index arrays in 0..n-1, broadcast as the gather
-    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE.
+    broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE. A slice y
+    cuts the rows of x to those columns.
 
     On a ring that keeps its half tables (`TableRing.mul_halves`) each
     product is ML[x & (2^s - 1), y] + MH[x >> s, y] in the bitwise
@@ -410,27 +412,32 @@ def products(ring: TableRing, x, y=None):
     low_rows, high_rows, split = ring.mul_halves
     xl = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp)
     xh = np.right_shift(x, split, dtype=np.intp)
-    if y is None:
-        return bitwise_sum(low_rows[xl], high_rows[xh], ring.top_bits)
+    if y is None or isinstance(y, slice):
+        y = y or slice(None)
+        return bitwise_sum(low_rows[xl, y], high_rows[xh, y], ring.top_bits)
     # a flat take on intp offsets gathers faster than the two-index gather
     n = ring.order
     return bitwise_sum(np.take(low_rows, xl * n + y), np.take(high_rows, xh * n + y), ring.top_bits)
 
 
-def product_columns(ring: TableRing, y) -> np.ndarray:
+def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
     """The columns `ring.mul[:, y]` as rows, out[k, x] = x * y[k], for a
-    1-d integer index array y, as TABLE_DTYPE.
+    1-d integer index array y, as TABLE_DTYPE; a slice x of step 1 cuts
+    each row to those x.
 
     On a ring that keeps its half tables, row k is ML[:, y[k]] tiled
-    across the low halves plus MH[:, y[k]] repeated along the high ones,
-    one broadcast sum; on every other ring it is the gather of the
-    columns, transposed (a view).
+    across the low halves plus MH[:, y[k]] repeated along the high ones
+    that x crosses, one broadcast sum, then cut to x; on every other ring
+    it is the gather of the columns, transposed (a view).
     """
     if ring.mul_halves is None:
-        return np.take(ring.mul, y, axis=1).T
-    low_rows, high_rows, _ = ring.mul_halves
-    out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[:, y].T[:, :, None], ring.top_bits)
-    return out.reshape(len(out), ring.order)
+        return np.take(ring.mul[x], y, axis=1).T
+    low_rows, high_rows, split = ring.mul_halves
+    start, stop, _ = x.indices(ring.order)
+    first, last = start >> split, -(-stop >> split)  # the high halves x crosses
+    out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[first:last, y].T[:, :, None], ring.top_bits)
+    start, stop = start - (first << split), stop - (first << split)
+    return out.reshape(len(out), (last - first) << split)[:, start:stop]
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB

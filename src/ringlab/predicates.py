@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ElemSet, RingError, TableRing, product_columns, products, sums
+from .core import _CHUNK_CELLS, ElemSet, RingError, TableRing, product_columns, products, sums
 from .construct import build_quotient
 from .subsets import InvariantBundle, compute_bundle, product_one_pairs
 
@@ -124,8 +124,8 @@ def is_semipotent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     idem = bundle.idempotents.mask().copy()
     idem[ring.zero] = False
     scan = np.flatnonzero(bundle.nilpotents.mask() & ~bundle.jacobson.mask())
-    left = idem[np.take(ring.mul, scan, axis=1)].any(axis=0)  # R*a; take: faster than mul[:, scan]
-    right = idem[ring.mul[scan, :]].any(axis=1)  # a*R
+    left = idem[product_columns(ring, scan)].any(axis=1)  # R*a
+    right = idem[products(ring, scan)].any(axis=1)  # a*R
     bad = np.flatnonzero(~(left & right))
     if not len(bad):
         return Verdict(True)
@@ -162,17 +162,29 @@ def is_potent(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 _BLOCK = 64  # elements a per block in is_regular and is_exchange
 
 
+def _growing_blocks(n: int, first: int, most: int):
+    """Slices of 0..n-1 in index order: the first `first` elements long,
+    each next one twice as long, up to `most`. A search that stops at its
+    first failing element then reads little when that element comes early."""
+    start, size = 0, first
+    while start < n:
+        yield slice(start, min(start + size, n))
+        start, size = start + size, min(2 * size, most)
+
+
 def is_regular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """von Neumann regular: for each a some x has axa = a.
 
-    The a are tested in index order, in blocks of 64: the block's columns
-    y*a are read out as rows (`product_columns`), one (64, n) gather
-    gives (a*x)*a over all x, then one row test. The witness is the
-    first failing a.
+    The a are tested in index order, in blocks (`_growing_blocks`) of
+    max(1, min(64, _CHUNK_CELLS // (64 n))) elements at first, doubling
+    up to 64, so at order <= 64 in one block of 64: the block's columns
+    y*a are read out as rows (`product_columns`), one (k, n) gather gives
+    (a*x)*a over all x, then one row test. The witness is the first
+    failing a.
     """
     n = ring.order
-    for i in range(0, n, _BLOCK):
-        a = np.arange(i, min(i + _BLOCK, n))
+    for block in _growing_blocks(n, max(1, min(_BLOCK, _CHUNK_CELLS // (_BLOCK * n))), _BLOCK):
+        a = np.arange(n)[block]
         right = np.ascontiguousarray(product_columns(ring, a))  # right[k, y] = y * a_k
         # the int64 row offsets widen the uint16 products before the sum
         axa = np.take(right, products(ring, a) + np.arange(0, right.size, n)[:, None])
@@ -186,7 +198,7 @@ def _row_sets(ring: TableRing, elems: np.ndarray) -> np.ndarray:
     """(k, n) masks of the principal right ideals aR for the k elements a."""
     n = ring.order
     hit = np.zeros(len(elems) * n, dtype=bool)
-    hit[(ring.mul[elems, :] + np.arange(0, hit.size, n)[:, None]).ravel()] = True  # int64 offsets widen the sum
+    hit[(products(ring, elems) + np.arange(0, hit.size, n)[:, None]).ravel()] = True  # int64 offsets widen the sum
     return hit.reshape(len(elems), n)
 
 
@@ -272,51 +284,86 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
     decomposition, and the number of clean decompositions of each a.
 
     Decides the same searches as the `*_witness` functions for every a at
-    once: an (n, |Id|) gather of a - e, looked up in each pool, and for
-    the strong classes the mask of idempotents e with ea = ae. Computed
-    once per bundle and kept on it, with read-only arrays, so `classify`
-    and the checks that read the masks share one gather.
+    once: `_clean_masks` over all of them. Computed once per bundle and
+    kept on it, with read-only arrays, so `classify` and the checks that
+    read the masks share one gather.
     """
     if bundle._clean_decomposable is None:
-        decomposable, counts = _clean_masks(ring, bundle)
+        decomposable, counts = _clean_masks(ring, bundle, _CLEAN_CLASSES, slice(None), True)
         for array in (*decomposable.values(), counts):
             array.setflags(write=False)
         bundle._clean_decomposable = (decomposable, counts)
     return bundle._clean_decomposable
 
 
-def _clean_masks(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """`clean_decomposable`'s gather, one row per idempotent e: the rows
+def _clean_masks(ring: TableRing, bundle: InvariantBundle, names, block: slice, counted: bool):
+    """For the a in `block`, the mask of those with a decomposition for
+    each class in `names`, and the number of clean decompositions of each
+    a (None unless `counted`).
+
+    One (|Id|, k) gather of a - e, one row per idempotent e: the rows
     add[-e] hold -e + a, which is a - e since addition is proved
-    commutative, so whole rows are read instead of columns."""
+    commutative, so rows are read instead of columns. Only the pools the
+    classes need are looked up, and ea = ae only if a strong class is
+    among them.
+    """
     idem = bundle.idempotents.index_array()
-    diff = sums(ring, ring.neg[idem])  # (e, a) -> a - e
-    commutes = products(ring, idem) == product_columns(ring, idem)  # (e, a) -> ea = ae
-    in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in ("units", "jsharp", "nilpotents")}
-    decomposable = {
-        name: (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=0)
-        for name, (pool, commuting) in _CLEAN_CLASSES.items()
-    }
-    return decomposable, in_pool["units"].sum(axis=0)
+    diff = sums(ring, ring.neg[idem], block)  # (e, a) -> a - e
+    if any(_CLEAN_CLASSES[name][1] for name in names):
+        commutes = products(ring, idem, block) == product_columns(ring, idem, block)  # (e, a) -> ea = ae
+    pools = {_CLEAN_CLASSES[name][0] for name in names} | ({"units"} if counted else set())
+    in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in pools}
+    decomposable = {}
+    for name in names:
+        pool, commuting = _CLEAN_CLASSES[name]
+        decomposable[name] = (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=0)
+    return decomposable, in_pool["units"].sum(axis=0) if counted else None
 
 
-def clean_family(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
-    """Ring-level verdicts for the clean-style decomposition classes (see
-    `clean_decomposable`)."""
-    decomposable, counts = clean_decomposable(ring, bundle)
-    out: dict[str, Verdict] = {}
-    for name, found in decomposable.items():
-        if found.all():
-            out[name] = Verdict(True)
-        else:
-            bad = ring.describe(int(np.argmin(found)))
-            out[name] = Verdict(False, f"{bad} has no {name.replace('_', ' ')} decomposition")
-    if (counts == 1).all():
-        out["uniquely_clean"] = Verdict(True)
-    else:
-        bad = int(np.argmax(counts != 1))
-        out["uniquely_clean"] = Verdict(False, f"{ring.describe(bad)} has {int(counts[bad])} clean decompositions")
-    return out
+def clean_family(ring: TableRing, bundle: InvariantBundle, names=None) -> dict[str, Verdict]:
+    """Ring-level verdicts for the clean-style decomposition classes
+    `names`, "uniquely_clean" (exactly one clean decomposition) among
+    them; by default every class, read off the whole masks, which then
+    stay on the bundle for the checks (`clean_decomposable`). Each witness
+    is the first failing a in index order.
+
+    With the bundle's masks kept, or when the whole (|Id|, n) gather fits
+    _CHUNK_CELLS cells, the verdicts are read off `clean_decomposable`.
+    Otherwise the a are scanned in growing blocks (`_growing_blocks`, up
+    to _CHUNK_CELLS cells a block), each class only until its first
+    failing a, so a pool or the commute mask is gathered only while a
+    class still needs it.
+    """
+    if names is None:
+        clean_decomposable(ring, bundle)
+        names = (*_CLEAN_CLASSES, "uniquely_clean")
+    n, k = ring.order, len(bundle.idempotents)
+    whole = bundle._clean_decomposable is not None or k * n <= _CHUNK_CELLS
+    blocks = [slice(0, n)] if whole else _growing_blocks(n, max(1, _CHUNK_CELLS // (_BLOCK * k)), _CHUNK_CELLS // k)
+    out, pending = {}, list(names)
+    for block in blocks:
+        searched = [name for name in pending if name != "uniquely_clean"]
+        counted = len(searched) < len(pending)
+        decomposable, counts = clean_decomposable(ring, bundle) if whole else _clean_masks(ring, bundle, searched, block, counted)
+        for name in pending:
+            bad = counts != 1 if name == "uniquely_clean" else ~decomposable[name]
+            if not bad.any():
+                continue
+            i = int(bad.argmax())
+            a = ring.describe(block.start + i)
+            if name == "uniquely_clean":
+                out[name] = Verdict(False, f"{a} has {int(counts[i])} clean decompositions")
+            else:
+                out[name] = Verdict(False, f"{a} has no {name.replace('_', ' ')} decomposition")
+        pending = [name for name in pending if name not in out]
+        if not pending:
+            break
+    return {name: out.get(name, Verdict(True)) for name in names}
+
+
+# the clean classes `classify` searches, in the order `ring inspect` prints them;
+# clean and strongly_clean hold on every finite ring
+_SEARCHED_CLEAN = ("jsharp_clean", "strongly_jsharp_clean", "strongly_nil_clean", "uniquely_clean")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +375,8 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
 
     The seven classes every finite ring has are reported true without a
     search (see the module docstring), and so is regularity when J = 0: an
-    Artinian ring is regular exactly when it is semisimple.
+    Artinian ring is regular exactly when it is semisimple. The searches
+    left stop at their first failing a (`is_regular`, `clean_family`).
     """
     finite = Verdict(True)
     out = {
@@ -344,10 +392,9 @@ def classify(ring: TableRing, bundle: InvariantBundle) -> dict[str, Verdict]:
         "semiboolean": is_semiboolean(ring, bundle),
         "semipotent": finite,
         "potent": finite,
-        **clean_family(ring, bundle),
-        # overridden in place, so they keep clean_family's order
         "clean": finite,
         "strongly_clean": finite,
+        **clean_family(ring, bundle, _SEARCHED_CLEAN),
         "dedekind_finite": finite,
         "two_primal": is_2primal(ring, bundle),
     }

@@ -64,13 +64,16 @@ class NotAGroupRingError(RingError):
 def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (a, b) with ab = 1, row-major: `np.nonzero(mul == one)`.
 
-    The rows are read through `products` a block of about _CHUNK_CELLS
-    cells at a time, so a deferred table is never filled. Each block's
-    hit mask is scanned as 8-byte words, and only the nonzero words are
-    expanded to their 8 cells; its last size mod 8 cells are read one by
-    one.
+    A whole table of at most _CHUNK_CELLS cells is read in that one step.
+    Otherwise the rows are read through `products` a block of about
+    _CHUNK_CELLS cells at a time, so a deferred table is never filled.
+    Each block's hit mask is scanned as 8-byte words, and only the
+    nonzero words are expanded to their 8 cells; its last size mod 8
+    cells are read one by one.
     """
     n = ring.order
+    if ring.mul_halves is None and n * n <= _CHUNK_CELLS:
+        return np.nonzero(ring.mul == ring.one)
     step = max(1, _CHUNK_CELLS // n)
     cells = []
     for r in range(0, n, step):

@@ -681,8 +681,9 @@ def test_c27_runs_each_finite_ring_search(monkeypatch, name):
     # from C2.7 shows here, whatever the other searches find
     stub = P.Verdict(False, "stub")
     if name in ("clean", "strongly_clean"):
+        # only the whole family, which C2.7 reads; classify asks for its own classes
         family = P.clean_family
-        monkeypatch.setattr(checks.P, "clean_family", lambda ring, b: {**family(ring, b), name: stub})
+        monkeypatch.setattr(checks.P, "clean_family", lambda ring, b, names=None: {**family(ring, b, names), **({name: stub} if names is None else {})})
     else:
         monkeypatch.setattr(checks.P, f"is_{name}", lambda ring, b: stub)
     ring = compile_text("z(4)")
@@ -733,7 +734,8 @@ def c317_mutant(monkeypatch):
     searched verdicts, not `classify`'s, which are true by theorem."""
     ring = compile_text("z(4)")
     family = P.clean_family
-    monkeypatch.setattr(checks.P, "clean_family", lambda r, b: {**family(r, b), "clean": P.Verdict(False, "stub")})
+    stub = {"clean": P.Verdict(False, "stub")}
+    monkeypatch.setattr(checks.P, "clean_family", lambda r, b, names=None: {**family(r, b, names), **(stub if names is None else {})})
     return "z(4)", CheckContext(ring, compute_bundle(ring)), "UJ# ring: semiregular/exchange/clean = [True, True, False]"
 
 
@@ -796,7 +798,7 @@ def test_c317_reads_the_searches_c27_ran_on_the_same_context(monkeypatch):
     calls = []
     for name in ("is_exchange", "is_potent", "is_semiregular", "clean_family"):
         real = getattr(P, name)
-        monkeypatch.setattr(checks.P, name, lambda r, b, real=real, name=name: calls.append(name) or real(r, b))
+        monkeypatch.setattr(checks.P, name, lambda r, b, *rest, real=real, name=name: calls.append(name) or real(r, b, *rest))
     ring = compile_text("t(2,z(2))")
     ctx = CheckContext(ring, compute_bundle(ring))
     assert ctx.holds("ujsharp")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +297,34 @@ def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatc
     want = np.empty_like(mul)  # the table the generator rows fill, read off the halves
     core._fill_bitwise_mul(want, core.products(ring, list(ring.basis)), ring.top_bits, ring.mul_halves[2])
     assert np.array_equal(mul, want)
+
+
+GOLDEN_INSPECT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "inspect.json"
+
+
+def test_inspect_of_the_cap_rings_matches_the_recorded_golden(capsys):
+    # every verdict and witness, the early-stopping searches' included;
+    # `validation` is left out of the golden
+    golden = json.loads(GOLDEN_INSPECT.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(CAP_RINGS)
+    for text in CAP_RINGS:
+        code, out, _ = run_cli(capsys, "inspect", "--json", "--no-cache", text)
+        assert code == 0, text
+        payload = json.loads(out)
+        del payload["validation"]
+        assert payload == golden[text], text
+
+
+@pytest.mark.parametrize("check_id, text", [("L1.2.1", "t(2,z(16))"), ("C2.7", "m(2,z(8))")])
+def test_a_check_on_a_cap_ring_fills_no_table(capsys, monkeypatch, check_id, text):
+    # the check bodies and the searches C2.7 runs read products from the
+    # half tables and sums from the word formula
+    fills, fill_add, fill_mul = [], core._bitwise_add_table, core._bitwise_mul_table
+    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
+    code, out, _ = run_cli(capsys, "check", check_id, text, "--json", "--no-cache")
+    assert code == 0
+    payload = json.loads(out)
+    del payload["millis"]
+    assert payload == {"id": check_id, "ring": text, "status": "pass"}
+    assert [f for f in fills if f[1] > 64] == []

@@ -825,6 +825,8 @@ def test_sums_match_the_filled_table(text):
         ((x[:, None], y), (x[:, None], y)),  # broadcast 2-d
         (np.ix_(x[:7], y), (np.ix_(x[:7], y),)),
         ((ring.one, ring.neg), (ring.one, ring.neg)),
+        ((x[:5], slice(3, 90)), (x[:5], slice(3, 90))),  # rows cut to a slice of columns
+        ((a, slice(7, None)), (a, slice(7, None))),  # one row, cut
     ]
     got = [sums(ring, *args) for args, _ in forms]
     assert (ring._add[0] is None) == lazy, text
@@ -861,9 +863,15 @@ def test_products_match_the_filled_table(text):
         ((np.arange(n), g), (slice(None), g)),  # a whole column
         ((np.arange(n)[:, None], [1, g]), (slice(None), [1, g])),  # two whole columns
         ((ring.one, ring.neg), (ring.one, ring.neg)),
+        ((x[:5], slice(3, 90)), (x[:5], slice(3, 90))),  # rows cut to a slice of columns
+        ((a, slice(7, None)), (a, slice(7, None))),  # one row, cut
     ]
     got = [core.products(ring, *args) for args, _ in forms]
     columns = core.product_columns(ring, x[:9])  # columns[k, z] = z * x[k]
+    # the columns cut to slices of z: whole, inside one half, across halves, one z, none
+    cuts = [slice(None), slice(5, n - 3), slice(n // 2 + 1, n // 2 + 2), slice(1, n // 2 + 9), slice(3, 3)]
+    cut_columns = [core.product_columns(ring, x[:9], cut) for cut in cuts]
+    assert core.product_columns(ring, x[:0]).shape == (0, n), text
     assert (ring._mul[0] is None) == lazy, text
     mul = ring.mul
     for value, (_, index) in zip(got, forms):
@@ -871,6 +879,9 @@ def test_products_match_the_filled_table(text):
         assert type(value) is type(want) and np.asarray(value).dtype == np.uint16, (text, index)
         assert np.shape(value) == np.shape(want) and np.array_equal(value, want), (text, index)
     assert columns.dtype == np.uint16 and columns.shape == (9, n) and np.array_equal(columns, mul[:, x[:9]].T), text
+    for cut, value in zip(cuts, cut_columns):
+        want = mul[cut, x[:9]].T
+        assert value.dtype == np.uint16 and value.shape == want.shape and np.array_equal(value, want), (text, cut)
     if lazy:
         rows = mul[[1 << b for b in range(n.bit_length() - 1)]]
         assert np.array_equal(mul, gathered_tables(ring.top_bits, rows)[1]), text

@@ -125,8 +125,10 @@ def test_regular_blocks_match_the_per_element_loop(corpus_bundles):
     for ring in rings:
         got, want = P.is_regular(ring, None), regular_oracle(ring)
         assert (got.value, got.witness) == (want.value, want.witness)
-    # first failing a past the first block: 70 = (0, 0, 2) in the second block, then the 20
-    # non-regular elements of gf(5) x z(25) moved last, the first at 105 in the partial block
+    # first failing a past the first block: at order 140 the blocks hold 29, 58 and 53
+    # elements, and 70 = (0, 0, 2) is in the second; then the 20 non-regular elements of
+    # gf(5) x z(25) moved last, at order 125 (blocks of 32, 64, 29), the first at 105 in
+    # the last, partial block
     ring = compile_text("prod(gf(5),gf(7),z(4))")
     base = compile_text("prod(gf(5),z(25))")
     regular = np.array([(base.mul[base.mul[a, :], a] == a).any() for a in range(base.order)])
@@ -135,6 +137,38 @@ def test_regular_blocks_match_the_per_element_loop(corpus_bundles):
         got, want = P.is_regular(ring, None), regular_oracle(ring)
         assert not got.value and got.witness == want.witness
         assert got.witness.endswith(f"(#{first})")
+
+
+def test_regular_witness_on_each_growing_block_edge(monkeypatch):
+    # with _CHUNK_CELLS cut to 64 n, the blocks of a at order 125 start at one
+    # element and double up to 64, as at order 4096: [0, 1), [1, 3), [3, 7), ...,
+    # [31, 63), [63, 125). The 105 regular elements of gf(5) x z(25) fill every
+    # index before one non-regular element, placed on each side of each edge
+    base = compile_text("prod(gf(5),z(25))")
+    regular = np.array([(base.mul[base.mul[a, :], a] == a).any() for a in range(base.order)])
+    good, bad = np.flatnonzero(regular), np.flatnonzero(~regular)
+    monkeypatch.setattr(P, "_CHUNK_CELLS", 64 * base.order)
+    blocks, real = [], P.products
+    monkeypatch.setattr(P, "products", lambda ring, x, *y: blocks.append(len(x)) or real(ring, x, *y))
+    sizes = [1, 2, 4, 8, 16, 32, 62]  # the last block cut at 125
+    starts = np.cumsum([0, *sizes[:-1]])
+    for first in (0, 1, 2, 3, 6, 7, 14, 15, 30, 31, 62, 63, 64, 104):
+        ring = relabelled(base, np.concatenate([good[:first], bad[:1], good[first:], bad[1:]]))
+        blocks.clear()
+        got = P.is_regular(ring, None)
+        assert got == regular_oracle(ring) and got.witness.endswith(f"(#{first})"), first
+        assert blocks == sizes[: int((starts <= first).sum())], first  # no block past the witness's
+
+
+def test_regular_reads_up_to_its_witness_on_the_cap_rings(monkeypatch):
+    # at order 4096 the blocks start at one element; the witnesses are #2, #2 and #3
+    blocks, real = [], P.products
+    monkeypatch.setattr(P, "products", lambda ring, x, *y: blocks.append(len(x)) or real(ring, x, *y))
+    for text, want in zip(CAP_RINGS, ([1, 2], [1, 2], [1, 2, 4])):
+        ring = compile_text(text)
+        blocks.clear()
+        assert not P.is_regular(ring, None).value
+        assert blocks == want, text
 
 
 def test_semiregular_semiboolean():
@@ -368,15 +402,19 @@ def test_clean_family_matches_the_per_element_oracle(corpus_bundles):
 
 def test_clean_masks_read_rows_as_the_column_gather_did():
     # the (|Id|, n) gather of rows add[-e] against the (n, |Id|) column form
-    # a - e = add[a, -e], on the cap rings, where the per-element oracle is too slow
+    # a - e = add[a, -e], on the cap rings. `classify` scans m(2,z(8)), whose
+    # whole gather exceeds _CHUNK_CELLS, in blocks and keeps no masks; a later
+    # `clean_decomposable` gathers them whole, as before
     seen, counted = set(), set()
     for text in CAP_RINGS:
         ring = compile_text(text)
         bundle = compute_bundle(ring)
+        P.classify(ring, bundle)
+        assert (bundle._clean_decomposable is None) == (text == "m(2,z(8))"), text
         idem = bundle.idempotents.index_array()
         diff = ring.add[:, ring.neg[idem]]
         commutes = ring.mul[idem, :].T == ring.mul[:, idem]
-        decomposable, counts = P._clean_masks(ring, bundle)
+        decomposable, counts = P.clean_decomposable(ring, bundle)
         for name, (pool, commuting) in P._CLEAN_CLASSES.items():
             in_pool = getattr(bundle, pool).mask()[diff]
             assert np.array_equal(decomposable[name], (in_pool & commutes if commuting else in_pool).any(axis=1)), (text, name)
@@ -384,6 +422,63 @@ def test_clean_masks_read_rows_as_the_column_gather_did():
         assert np.array_equal(counts, bundle.units.mask()[diff].sum(axis=1)), text
         counted |= set(counts.tolist())
     assert seen == {True, False} and len(counted) > 2  # some classes fail, and counts vary
+
+
+def test_clean_block_scan_matches_the_per_element_oracle(monkeypatch):
+    # classify's clean verdicts, each the first failing a in index order: on the
+    # cap rings (m(2,z(8)) scans blocks, the other two read the whole masks), and
+    # on m(2,z(4)) and t(2,z(8)) whole and, with _CHUNK_CELLS cut to 64 |Id|, in
+    # blocks of 1, 2, 4, ... 64 elements, with their own and with cut idempotents
+    names = P._SEARCHED_CLEAN
+    for text in CAP_RINGS:
+        ring, b = ring_and_bundle(text)
+        want = clean_family_oracle(ring, b)
+        assert P.clean_family(ring, b, names) == {name: want[name] for name in names}, text
+        assert P.clean_family(ring, b) == want, text
+    failed = set()
+    for text in ("m(2,z(4))", "t(2,z(8))"):
+        ring, b = ring_and_bundle(text)
+        idem = b.idempotents.indices()
+        for cut in (b, _trivial_idempotents(ring, b), dataclasses.replace(b, idempotents=ElemSet.of(ring, idem[len(idem) // 2 :]))):
+            want = {name: verdict for name, verdict in clean_family_oracle(ring, cut).items() if name in names}
+            failed |= {name for name, verdict in want.items() if not verdict.value}
+            assert P.clean_family(ring, cut, names) == want, text
+            with monkeypatch.context() as patch:
+                patch.setattr(P, "_CHUNK_CELLS", 64 * len(cut.idempotents))
+                fresh = dataclasses.replace(cut)  # no masks kept
+                assert P.clean_family(ring, fresh, names) == want, text
+                assert fresh._clean_decomposable is None, text
+    assert failed == set(names)
+
+
+def test_clean_block_scan_finds_late_failures_on_each_block_edge(monkeypatch):
+    # in a Boolean ring J# = Nil = {0}, so with Id cut to the indices below k,
+    # a has a jsharp clean (or strongly jsharp or strongly nil clean)
+    # decomposition exactly when a < k: the first failing a is k
+    ring, b = ring_and_bundle("prod(" + ",".join(["z(2)"] * 8) + ")")
+    assert b.jsharp.indices() == b.nilpotents.indices() == (ring.zero,) == (0,)
+    names = P._SEARCHED_CLEAN
+    for k in (1, 2, 3, 6, 7, 62, 63, 64, 127, 200, 255):
+        cut = dataclasses.replace(b, idempotents=ElemSet.of(ring, range(k)))
+        want = {name: verdict for name, verdict in clean_family_oracle(ring, cut).items() if name in names}
+        for name in names[:3]:
+            assert want[name].witness.endswith(f"(#{k}) has no {name.replace('_', ' ')} decomposition"), (k, name)
+        assert P.clean_family(ring, cut, names) == want, k
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_CHUNK_CELLS", 64 * k)  # blocks of 1, 2, 4, ... 64 elements
+            fresh = dataclasses.replace(cut)
+            assert P.clean_family(ring, fresh, names) == want, k
+            assert fresh._clean_decomposable is None, k
+
+
+def test_classify_keeps_the_clean_masks_on_every_corpus_ring(corpus_bundles):
+    # each whole gather fits _CHUNK_CELLS, so the checks share classify's masks
+    for text, ring, b in corpus_bundles:
+        fresh = dataclasses.replace(b)
+        P.classify(ring, fresh)
+        assert fresh._clean_decomposable is not None, text
+        decomposable, counts = fresh._clean_decomposable
+        assert decomposable.keys() == P._CLEAN_CLASSES.keys() and len(counts) == ring.order, text
 
 
 def test_exchange_matches_the_per_element_oracle(corpus_bundles):
@@ -526,7 +621,7 @@ def test_clean_decomposable_gathers_once_per_bundle(monkeypatch):
     # classify (through clean_family), C2.7, P-clean and C-equclean all read it
     gathered = []
     masks = P._clean_masks
-    monkeypatch.setattr(P, "_clean_masks", lambda ring, b: gathered.append(b) or masks(ring, b))
+    monkeypatch.setattr(P, "_clean_masks", lambda ring, b, *rest: gathered.append(b) or masks(ring, b, *rest))
     corpus = ["z(8)", "t(2,z(2))", "group(z(2),c(2))"]
     report = run_suite(corpus)
     ran = {e["id"]: [r.status for r in e["results"]] for e in report.checks if e["id"] in ("C2.7", "P-clean", "C-equclean")}

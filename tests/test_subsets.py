@@ -543,21 +543,24 @@ def assert_pairs_match_nonzero(ring, label):
 
 
 def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
+    # a whole table of at most _CHUNK_CELLS cells (order <= 512) is read in one
+    # step; the bitwise rings above order 512 keep half tables and are scanned
+    # in blocks of rows, and so is a larger whole table (m(2,z(6)), 1296 x 1296)
     for text, ring, _ in corpus_bundles:
         assert_pairs_match_nonzero(ring, text)
-    for text in ("z(3)", "z(5)", "z(9)", "z(27)", "t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))"):
+    for text in ("z(3)", "z(27)", "m(2,z(6))", *BITWISE_RINGS):
         ring = compile_text(text)
-        assert ring.order**2 % 8 or ring.order == 4096, text  # n^2 not a multiple of 8 below the cap: a tail
         assert_pairs_match_nonzero(ring, text)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 11])
 def test_word_scan_matches_nonzero_on_raw_tables(n, monkeypatch):
-    # with blocks of 16 cells too, so most blocks end in a tail and row 0 of
-    # each block but the first is offset
+    # with blocks of 16 and 8 cells too, so most blocks end in a tail and row
+    # 0 of each block but the first is offset; at 1 << 18 cells, and at 16
+    # for n <= 4, the table is read in one step
     from ringlab import subsets
 
-    for chunk in (1 << 18, 16):
+    for chunk in (1 << 18, 16, 8):
         monkeypatch.setattr(subsets, "_CHUNK_CELLS", chunk)
         assert_word_scan_matches_nonzero_on_raw_tables(n)
 
