@@ -291,9 +291,14 @@ def _chk_l121(ctx: CheckContext) -> Outcome:
 def _chk_l122(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     js = b.jsharp.mask()
-    idx = np.arange(ring.order)
-    power = idx.copy()
+    idx = np.arange(ring.order, dtype=ring.mul.dtype)
+    power, seen = idx, set()
     for n in range(1, ring.order + 1):
+        # a^(n+1) depends on a^n alone, so from a repeated vector of powers
+        # on, every step repeats one already checked
+        if (key := power.tobytes()) in seen:
+            break
+        seen.add(key)
         bad = np.where(js[power] != js[idx])[0]
         if len(bad):
             a = int(bad[0])
@@ -825,17 +830,24 @@ def _chk_ptriv(ctx: CheckContext) -> Outcome:
 def _chk_gseq(ctx: CheckContext) -> Outcome:
     """g_n = 1 + a + ... + a^n must be a unit for even n and in J# for odd
     n, n = 1..2|R|; every unit a is stepped at once, and the witness is
-    the first failing unit with its first failing n."""
+    the first failing unit with its first failing n. The state (n mod 2,
+    g_n, a^(n+1)) decides every later step, so the scan stops at the
+    first repeated state: from there on each step repeats a checked one."""
     ring, b = ctx.ring, ctx.bundle
     pools = (b.units.mask(), b.jsharp.mask())  # g_n must lie in pools[n % 2]
     units = np.array(b.units.indices(), dtype=np.int64)
     g = np.full(len(units), ring.one)
     power = units
     first_bad = np.zeros(len(units), dtype=np.int64)  # 0: no failing n yet
+    seen = set()
     for n in range(1, 2 * ring.order + 1):
         g = ring.add[g, power]
         first_bad[(first_bad == 0) & ~pools[n % 2][g]] = n
         power = ring.mul[power, units]
+        state = (n % 2, g.tobytes(), power.tobytes())
+        if state in seen:
+            break
+        seen.add(state)
     failing = np.flatnonzero(first_bad)
     if len(failing):
         a, n = int(units[failing[0]]), int(first_bad[failing[0]])

@@ -331,12 +331,6 @@ def power_orbit(ring: TableRing, a: int) -> tuple[list[int], int]:
 _LANE = int(np.iinfo(TABLE_DTYPE).max)
 
 
-def _lane_masks(high: int) -> tuple[np.generic, np.generic]:
-    """(L, H) as TABLE_DTYPE scalars, with L = ~H cut to the lane width
-    (the dtype of a negative int such as ~H would not hold it)."""
-    return TABLE_DTYPE(~high & _LANE), TABLE_DTYPE(high)
-
-
 def field_top_bits(add: np.ndarray) -> int | None:
     """The mask H of field top bits that `add` can only be bitwise with,
     read off its diagonal; None if it cannot be bitwise.
@@ -367,7 +361,8 @@ def bitwise_sum(x: np.ndarray, y: np.ndarray, high: int, out: np.ndarray | None 
     (high = 2^K - 1) the sum is XOR."""
     if high & (high + 1) == 0:
         return np.bitwise_xor(x, y, out=out)
-    low, high = _lane_masks(high)
+    # L = ~H cut to the lane width: the dtype of a negative int such as ~H would not hold it
+    low, high = TABLE_DTYPE(~high & _LANE), TABLE_DTYPE(high)
     top = (x ^ y) & high
     out = np.add(x & low, y & low, out=out)  # the masks apply before the operands broadcast
     out ^= top
@@ -494,27 +489,6 @@ def rows_equal_columns(table: np.ndarray) -> np.ndarray:
     return out
 
 
-_ROWS = 16  # first-axis rows per slab of the exhaustive n^3 scan
-
-
-def _first_failing_triple(n: int, lhs, rhs) -> tuple[int, int, int] | None:
-    """Row-major first (i, j, k) at which two n x n x n identity sides differ.
-
-    `lhs(s)` and `rhs(s)` evaluate the sides for the first-axis rows in
-    slice `s`. Slabs of 16 rows run in row order and stop at the first
-    failing one, so the witness is the one `np.argwhere` over the whole
-    cube gives, while only a 16 x n x n slab is held at a time (about
-    1 MiB at n = 64, against 8 MiB for the cube).
-    """
-    for i in range(0, n, _ROWS):
-        s = slice(i, i + _ROWS)
-        neq = lhs(s) != rhs(s)
-        if neq.any():
-            r, j, k = np.argwhere(neq)[0]
-            return i + int(r), int(j), int(k)
-    return None
-
-
 def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     """Decide the ring axioms other than the identities, for an addition
     that can only be bitwise with top bits `high` (see `field_top_bits`),
@@ -527,7 +501,7 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     the formula (such a table may still be some other abelian group).
 
     This is `bitwise_ring`'s proof, on its own fills: add must be the
-    table `_fill_bitwise_add` fills, the bitwise group, a direct sum of
+    table `_bitwise_add_table` fills, the bitwise group, a direct sum of
     Z/2^k; mul must be the one `_fill_bitwise_mul` fills from its K
     generator rows mul[2^b], each row the sum of the generator rows at its
     bits; and those rows must satisfy `_generator_relations`. The first
@@ -640,9 +614,9 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
 
     Up to order 64 the four n^3 identities (additive and multiplicative
     associativity, left and right distributivity) are tested on every
-    triple, in slabs of 16 rows of the first axis taken in row order (see
-    `_first_failing_triple`); each reports its row-major first failing
-    triple. Mode "exhaustive".
+    triple, one whole n x n x n cube of each side at a time (0.5 MiB a
+    side at n = 64); each reports its row-major first failing triple.
+    Mode "exhaustive".
 
     Above order 64, an order-2^K ring with zero 0 whose addition may be
     bitwise (`field_top_bits`) is proved exactly on its K bit generators
@@ -684,16 +658,17 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
     if n <= EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         for kind, lhs, rhs, to_abc in (
-            ("NotAbelianGroup", lambda s: add[add[s], :], lambda s: add[s][:, add], None),  # (a+b)+c, a+(b+c)
-            ("NonAssociative", lambda s: mul[mul[s], :], lambda s: mul[s][:, mul], None),  # (ab)c, a(bc)
+            ("NotAbelianGroup", lambda: add[add], lambda: add[:, add], (0, 1, 2)),  # (a+b)+c, a+(b+c)
+            ("NonAssociative", lambda: mul[mul], lambda: mul[:, mul], (0, 1, 2)),  # (ab)c, a(bc)
             # a(b+c), ab+ac over axes (a, b, c)
-            ("NonDistributive", lambda s: mul[s][:, add], lambda s: add[mul[s][:, :, None], mul[s][:, None, :]], None),
+            ("NonDistributive", lambda: mul[:, add], lambda: add[mul[:, :, None], mul[:, None, :]], (0, 1, 2)),
             # (b+c)a, ba+ca over axes (b, c, a); reported as (a, b, c)
-            ("NonDistributive", lambda s: mul[add[s], :], lambda s: add[mul[s][:, None, :], mul[None, :, :]], (2, 0, 1)),
+            ("NonDistributive", lambda: mul[add], lambda: add[mul[:, None, :], mul[None, :, :]], (2, 0, 1)),
         ):
-            witness = _first_failing_triple(n, lhs, rhs)
-            if witness is not None:
-                violations.append(Violation(kind, witness if to_abc is None else tuple(witness[i] for i in to_abc)))
+            neq = lhs() != rhs()
+            if neq.any():
+                witness = np.argwhere(neq)[0]  # the row-major first failing triple
+                violations.append(Violation(kind, tuple(int(witness[i]) for i in to_abc)))
     else:
         mode = "sampled"
         sa, sb, sc = _triple_samples(n)
@@ -820,7 +795,7 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     keeps it as `mul`. A larger ring keeps ML, MH and s as its
     `mul_halves` and fills mul only when it is read whole, as `products`
     gives its products and rows from the halves. add is filled from the
-    word formula (`_fill_bitwise_add`) up to order 64; above it the ring
+    word formula (`_bitwise_add_table`) up to order 64; above it the ring
     keeps `high` as its `top_bits` and fills add only when it is read, as
     `sums` gives its sums and rows from the formula. Only the facts this
     build does not guarantee are then checked, through `sums` and
@@ -878,9 +853,10 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
 
 
 def _field_split(n: int, high: int) -> int:
-    """Where the bitwise tables of order n with top bits `high` split each
-    index: K (filled whole) for a table that fits one chunk, else the
-    boundary s nearest K/2 with bit s - 1 a top bit."""
+    """Where the bitwise multiplication of order n with top bits `high`
+    splits each index into its half tables (`_mul_halves`): K (filled
+    whole) for a table that fits one chunk, else the boundary s nearest
+    K/2 with bit s - 1 a top bit, so that no field crosses the split."""
     bits = n.bit_length() - 1
     if n * n <= _CHUNK_CELLS:
         return bits
@@ -888,34 +864,14 @@ def _field_split(n: int, high: int) -> int:
 
 
 def _bitwise_add_table(n: int, high: int) -> np.ndarray:
-    """A fresh, filled bitwise addition table of order n with top bits `high`."""
+    """A fresh bitwise addition table of order n with top bits `high`,
+    filled from the word formula a block of about _CHUNK_CELLS cells at a
+    time."""
     add = np.empty((n, n), dtype=TABLE_DTYPE)
-    _fill_bitwise_add(add, high, _field_split(n, high))
+    x, step = np.arange(n, dtype=TABLE_DTYPE), max(1, _CHUNK_CELLS // n)
+    for r in range(0, n, step):
+        bitwise_sum(x[r : r + step, None], x, high, out=add[r : r + step])
     return add
-
-
-def _fill_bitwise_add(add: np.ndarray, high: int, split: int) -> None:
-    """Fill `add` with the bitwise addition with top bits `high`, split at
-    a field boundary: bit split - 1 is a top bit.
-
-    An index x is (xh, xl) = (x >> split, x mod 2^split), and no field
-    crosses the split, so x + y = ((xh + yh) << split) | (xl + yl), each
-    half added in its own bitwise addition (AH of order nh, AL of order
-    nl); the shift and OR are the mixed-radix (xh + yh) * nl + (xl + yl).
-    Both are small; one broadcast pass ORs the rows of AH << split, each
-    repeated nl times, into AL tiled nh times across a row. With nh = 1
-    AL is the whole table, filled in place.
-    """
-    n, nl = add.shape[0], 1 << split
-    nh = n >> split
-    low_sums = add if nh == 1 else np.empty((nl, nl), dtype=TABLE_DTYPE)
-    xl, step = np.arange(nl, dtype=TABLE_DTYPE), max(1, _CHUNK_CELLS // nl)
-    for r in range(0, nl, step):
-        bitwise_sum(xl[r : r + step, None], xl, high & (nl - 1), out=low_sums[r : r + step])
-    if nh > 1:
-        xh = np.arange(nh, dtype=TABLE_DTYPE)
-        high_sums = bitwise_sum(xh[:, None], xh, high >> split) << split
-        np.bitwise_or(np.repeat(high_sums, nl, axis=1)[:, None], np.tile(low_sums, nh), out=add.reshape(nh, nl, n))
 
 
 def _mul_halves(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np.ndarray]:
@@ -936,7 +892,7 @@ def _mul_halves(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np
 def _fill_bitwise_mul(mul: np.ndarray, rows: np.ndarray, high: int, split: int) -> None:
     """Fill `mul` with the sum of the generator rows `rows[b]` at the bits
     of each index, in the bitwise addition with top bits `high`, from its
-    halves split as in `_fill_bitwise_add` (`_mul_halves`, `_join_halves`)."""
+    halves split at a field boundary (`_mul_halves`, `_join_halves`)."""
     _join_halves(mul, *_mul_halves(rows, high, split), high)
 
 
@@ -949,37 +905,15 @@ def _bitwise_mul_table(mul_halves, high: int) -> np.ndarray:
 
 
 def _join_halves(mul: np.ndarray, low_rows: np.ndarray, high_rows: np.ndarray, high: int) -> None:
-    """mul[x] = ML[xl] + MH[xh], with x = (xh, xl) split as in
-    `_fill_bitwise_add`: ML is copied in as mul[:nl], and each further
-    block of nl rows is written once from the two halves (`_sum_blocks`)."""
-    n, nl = mul.shape[0], len(low_rows)
+    """mul[x] = ML[xl] + MH[xh], with x = (xh, xl) = (x >> s, x mod 2^s)
+    and ML of 2^s rows: ML is copied in as mul[:2^s], and each further
+    block of 2^s rows is written once from the two halves, a few blocks,
+    about _CHUNK_CELLS cells, at a time."""
+    nl = len(low_rows)
     mul[:nl] = low_rows
-    if len(high_rows) > 1:
-        _sum_blocks(mul.reshape(len(high_rows), nl, n), high_rows, high)
-
-
-def _sum_blocks(blocks: np.ndarray, high_rows: np.ndarray, high: int) -> None:
-    """blocks[a] = blocks[0] + high_rows[a], row by row, for 0 < a <
-    len(blocks), in the bitwise addition of order n = blocks.shape[2] with
-    top bits `high`, in TABLE_DTYPE lanes.
-
-    The masked halves of blocks[0] are made once; each pass then writes a
-    few blocks, about _CHUNK_CELLS cells, so that what it reads stays in
-    cache. When every field is one bit (high = n - 1) the sum is XOR.
-    """
-    base, n = blocks[0], blocks.shape[2]
-    step = max(1, _CHUNK_CELLS // base.size)
-    if high == n - 1:
-        for a in range(1, len(blocks), step):
-            np.bitwise_xor(base, high_rows[a : a + step, None], out=blocks[a : a + step])
-        return
-    low, top = _lane_masks(high)
-    low_part, top_part = base & low, base & top
-    for a in range(1, len(blocks), step):
-        h, out = high_rows[a : a + step, None], blocks[a : a + step]
-        np.add(low_part, h & low, out=out)
-        out ^= top_part
-        out ^= h & top
+    blocks, step = mul.reshape(len(high_rows), nl, -1), max(1, _CHUNK_CELLS // low_rows.size)
+    for a in range(1, len(high_rows), step):
+        bitwise_sum(low_rows, high_rows[a : a + step, None], high, out=blocks[a : a + step])
 
 
 def _extend_bitwise(mul: np.ndarray, high: int) -> None:

@@ -66,22 +66,14 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
 
     A whole table of at most _CHUNK_CELLS cells is read in that one step.
     Otherwise the rows are read through `products` a block of about
-    _CHUNK_CELLS cells at a time, so a deferred table is never filled.
-    Each block's hit mask is scanned as 8-byte words, and only the
-    nonzero words are expanded to their 8 cells; its last size mod 8
-    cells are read one by one.
+    _CHUNK_CELLS cells at a time, so a deferred table is never filled,
+    and the hits of each block are its `np.flatnonzero` cells.
     """
     n = ring.order
     if ring.mul_halves is None and n * n <= _CHUNK_CELLS:
         return np.nonzero(ring.mul == ring.one)
     step = max(1, _CHUNK_CELLS // n)
-    cells = []
-    for r in range(0, n, step):
-        hit = (products(ring, np.arange(r, min(r + step, n))) == ring.one).ravel()
-        body = hit.size - hit.size % 8
-        words = np.flatnonzero(hit[:body].view(np.uint64))
-        found = (words[:, None] * 8 + np.arange(8)).ravel()
-        cells += [r * n + found[hit[found]], r * n + body + np.flatnonzero(hit[body:])]
+    cells = [r * n + np.flatnonzero(products(ring, np.arange(r, min(r + step, n))) == ring.one) for r in range(0, n, step)]
     return np.divmod(np.concatenate(cells), n)
 
 

@@ -8,7 +8,7 @@ import pytest
 from ringlab import ElemSet, checks, compile_text
 from ringlab import predicates as P
 from ringlab.construct import additive_closure, ideal_closure
-from ringlab.subsets import _join_closure
+from ringlab.subsets import _join_closure, compute_bundle
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
 
 from conftest import results_for
@@ -265,6 +265,55 @@ def test_gseq_matches_the_nested_loop(corpus_bundles):
             if not outcome.ok:
                 texts.add(outcome.witness.rsplit(": ", 1)[1])
     assert texts == {"g_n not a unit", "g_n outside J#"}
+
+
+def test_gseq_runs_past_a_repeated_vector_of_powers():
+    # U cut to {0, 1} and J# to {1, 2} in z(3): the powers of 0 and 1 repeat from
+    # n = 1 on, while g_n = n + 1 for a = 1 runs 2, 0, 1, 2 and first leaves its
+    # pool at n = 4, after the vector of powers has repeated
+    ring = compile_text("z(3)")
+    b = dataclasses.replace(compute_bundle(ring), units=ElemSet.of(ring, [0, 1]), jsharp=ElemSet.of(ring, [1, 2]))
+    ctx = checks.CheckContext(ring, b)
+    assert checks._chk_gseq(ctx) == gseq_oracle(ctx) == checks._fail("a = 1 (#1), n = 4: g_n not a unit")
+
+
+def l122_oracle(ctx):
+    """The per-element loop: a^n for n = 1..|R|, element by element; the
+    witness is the first failing n, and at it the first failing a."""
+    ring, js = ctx.ring, ctx.bundle.jsharp.members
+    mul, failing = ring.mul.tolist(), []
+    for a in range(ring.order):
+        power = a
+        for n in range(1, ring.order + 1):
+            if (power in js) != (a in js):
+                failing.append((n, a))
+                break
+            power = mul[power][a]
+    if failing:
+        n, a = min(failing)
+        return checks._fail(f"a = {ring.describe(a)}, n = {n}: a^n and a disagree on J# membership")
+    return checks._ok()
+
+
+def test_l122_matches_the_per_element_loop(corpus_bundles):
+    # J# cut to {0} fails at the first nonzero nilpotent; J# grown by U holds,
+    # as the powers of a unit are units and a non-unit's are not. J# cut to Id
+    # fails where a unit's order is at least 3, as on gf(4) at n = 3, after
+    # the membership of a^n has repeated at n = 2 but not a^n itself
+    failed = set()
+    for text, ring, b in corpus_bundles:
+        for cut, bundle in (
+            ("true", b),
+            ("J# = {0}", dataclasses.replace(b, jsharp=ElemSet.of(ring, [ring.zero]))),
+            ("J# grown by U", dataclasses.replace(b, jsharp=b.jsharp | b.units)),
+            ("J# = Id", dataclasses.replace(b, jsharp=b.idempotents)),
+        ):
+            ctx = checks.CheckContext(ring, bundle)
+            outcome = checks._chk_l122(ctx)
+            assert outcome == l122_oracle(ctx), (text, cut)
+            if not outcome.ok:
+                failed.add(cut)
+    assert failed == {"J# = {0}", "J# = Id"}
 
 
 def sumset_oracle(ring, left, right):

@@ -882,45 +882,42 @@ def test_swar_extension_keeps_every_field_inside_its_16_bit_lane(high):
 
 
 def outer_bitwise_build(text, monkeypatch):
-    """(ring, high, uint16 generator rows, add fill split) of the outermost
-    `bitwise_ring` call compiling `text`. Above order 64 that call leaves
-    add unfilled, so it is read here to take its split."""
-    calls, splits = [], []
-    build, fill = construct.bitwise_ring, core._fill_bitwise_add
+    """(ring, high, uint16 generator rows, mul split) of the outermost
+    `bitwise_ring` call compiling `text`; a ring that keeps its mul whole
+    is split at K."""
+    calls, build = [], construct.bitwise_ring
     with monkeypatch.context() as patch:
         patch.setattr(construct, "bitwise_ring", lambda *a: calls.append(a) or build(*a))
-        patch.setattr(core, "_fill_bitwise_add", lambda add, high, split: splits.append(split) or fill(add, high, split))
         ring = compile_text(text)
-        assert ring.add.shape == (ring.order, ring.order)  # the first read fills it above order 64
     high, rows = calls[-1][:2]
-    return ring, high, core._index_table(np.asarray(rows), ring.order), splits[-1]
+    split = ring.order.bit_length() - 1 if ring.mul_halves is None else ring.mul_halves[2]
+    return ring, high, core._index_table(np.asarray(rows), ring.order), split
 
 
 def test_a_one_field_ring_is_filled_whole_in_place(monkeypatch):
     # z(256)'s addition is one field, so it has no boundary to split at, even with
-    # chunks too small to hold the table: the split has nh = 1, and the tables
-    # equal z(256)'s own
+    # chunks too small to hold the table: the split has nh = 1, the ring keeps
+    # ML as its whole mul, and the tables equal z(256)'s own
     z = build_zmod(256)
     monkeypatch.setattr(core, "_CHUNK_CELLS", 1 << 10)
-    monkeypatch.setattr(core, "_sum_blocks", lambda *a: pytest.fail("one field has one block"))
+    monkeypatch.setattr(core, "_join_halves", lambda *a: pytest.fail("one field has one block"))
     ring = core.bitwise_ring(0x80, z.mul[[1 << b for b in range(8)]], z.one, z.neg)
-    assert tables_equal(ring, z) and ring.validation == "exhaustive"
+    assert ring.mul_halves is None and tables_equal(ring, z) and ring.validation == "exhaustive"
 
 
 @pytest.mark.parametrize("text, split", [("prod(z(4),gf(8),z(2))", 6), ("prod(z(8),z(4),z(16),z(2))", 5)])
 def test_every_field_boundary_splits_to_the_same_tables(text, split, monkeypatch):
     # the first ring fits one chunk and is filled whole; the second is split
-    # between z(4) (bits 3-4) and z(16) (bits 5-8); filled at each boundary, both
-    # give the ring's tables, which equal the gathered ones
+    # between z(4) (bits 3-4) and z(16) (bits 5-8); mul filled from its halves at
+    # each boundary is the ring's mul, and the ring's tables equal the gathered ones
     ring, high, rows, used = outer_bitwise_build(text, monkeypatch)
     assert used == split
     boundaries = [b + 1 for b in range(ring.order.bit_length() - 1) if high >> b & 1]
     assert len(boundaries) >= 4
     for at in boundaries:
-        add, mul = np.empty_like(ring.add), np.empty_like(ring.mul)
-        core._fill_bitwise_add(add, high, at)
+        mul = np.empty_like(ring.mul)
         core._fill_bitwise_mul(mul, rows, high, at)
-        assert np.array_equal(add, ring.add) and np.array_equal(mul, ring.mul), (text, at)
+        assert np.array_equal(mul, ring.mul), (text, at)
     assert tables_equal(ring, gathered_ring(text, monkeypatch))
 
 
@@ -938,18 +935,27 @@ def test_a_base_built_bitwise_keeps_its_addition_unfilled(monkeypatch):
 @pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 18])
 def test_block_sums_keep_every_field_inside_its_16_bit_lane(high, chunk, monkeypatch):
-    # random blocks over the full 16-bit range, so the top field reaches bit 15;
-    # compared with the formula in int64, one block a pass and all in one pass
+    # _join_halves on random halves over the full 16-bit range, so the top field
+    # reaches bit 15, compared with the formula in int64, one block a pass and all
+    # in one pass; and the addition table of order 512 with the same fields below
+    # bit 8 (bit 8 a top bit), two rows a pass and all in one pass
     monkeypatch.setattr(core, "_CHUNK_CELLS", chunk)
     rng = np.random.default_rng(high)
-    blocks = rng.integers(0, 1 << 16, size=(5, 3, 512), dtype=np.uint16)
+    low_rows = rng.integers(0, 1 << 16, size=(3, 512), dtype=np.uint16)
     high_rows = rng.integers(0, 1 << 16, size=(5, 512), dtype=np.uint16)
-    a, b = blocks[0].astype(np.int64), high_rows[:, None].astype(np.int64)
-    low = 0xFFFF & ~high
-    want = ((a & low) + (b & low)) ^ ((a ^ b) & high)
-    first = blocks[0].copy()
-    core._sum_blocks(blocks, high_rows, high)
-    assert want.max() < 1 << 16 and np.array_equal(blocks[1:], want[1:]) and np.array_equal(blocks[0], first)
+
+    def formula(a, b, high):
+        a, b, low = a.astype(np.int64), b.astype(np.int64), 0xFFFF & ~high
+        return ((a & low) + (b & low)) ^ ((a ^ b) & high)
+
+    want = formula(low_rows, high_rows[:, None], high)
+    mul = np.empty((15, 512), dtype=np.uint16)
+    core._join_halves(mul, low_rows, high_rows, high)
+    blocks = mul.reshape(5, 3, 512)
+    assert want.max() < 1 << 16 and np.array_equal(blocks[1:], want[1:]) and np.array_equal(blocks[0], low_rows)
+    cut = high & 0xFF | 0x100
+    x = np.arange(512, dtype=np.uint16)
+    assert np.array_equal(core._bitwise_add_table(512, cut), formula(x[:, None], x, cut))
 
 
 def test_a_cap_ring_build_peaks_at_its_half_tables_plus_4_mib(monkeypatch):

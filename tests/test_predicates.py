@@ -580,8 +580,8 @@ def test_classify_proves_the_radical_an_ideal_once(monkeypatch):
 
 
 def dedekind_finite_oracle(ring):
-    """The pairs ab = 1 from `np.nonzero(mul == one)`, row-major, without
-    the word scan of `product_one_pairs`."""
+    """The pairs ab = 1 from `np.nonzero(mul == one)` on the whole table,
+    row-major, without the block scan of `product_one_pairs`."""
     a, b = np.nonzero(ring.mul == ring.one)
     bad = np.flatnonzero(ring.mul[b, a] != ring.one)
     if len(bad):

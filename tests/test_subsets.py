@@ -536,7 +536,7 @@ def test_internal_guards_survive_python_O():
 
 
 def assert_pairs_match_nonzero(ring, label):
-    """The word scan against the scan it replaced, `np.nonzero(mul == one)`."""
+    """The block scan against `np.nonzero(mul == one)` on the whole table."""
     got, want = product_one_pairs(ring), np.nonzero(ring.mul == ring.one)
     assert len(got) == 2 and all(g.dtype == w.dtype for g, w in zip(got, want)), label
     assert all(np.array_equal(g, w) for g, w in zip(got, want)), label
@@ -555,9 +555,9 @@ def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 11])
 def test_word_scan_matches_nonzero_on_raw_tables(n, monkeypatch):
-    # with blocks of 16 and 8 cells too, so most blocks end in a tail and row
-    # 0 of each block but the first is offset; at 1 << 18 cells, and at 16
-    # for n <= 4, the table is read in one step
+    # with blocks of 16 and 8 cells too, so row 0 of each block but the first
+    # is offset; at 1 << 18 cells, and at 16 for n <= 4, the table is read in
+    # one step
     from ringlab import subsets
 
     for chunk in (1 << 18, 16, 8):
