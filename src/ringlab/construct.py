@@ -218,10 +218,11 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     formula (see core), with H the sum of every base's H shifted to its
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
-    their K product rows are made here; `core.bitwise_ring` builds both
-    tables from them, with each index split into a low and a high half at
-    a field boundary (every digit boundary is one), and checks the
-    relations on those rows.
+    their K product rows are made here, written into one (K, n) block,
+    each row's digit matrix encoded by one product with the place values
+    (`encode_digits`); `core.bitwise_ring` builds both tables from them,
+    with each index split into a low and a high half at a field boundary
+    (every digit boundary is one), and checks the relations on those rows.
 
     Otherwise both tables are gathered, in TABLE_DTYPE, and go through
     `validate_ring`: every row follows by row extension, x = x' + c*e_w
@@ -245,7 +246,9 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     if high is not None:
         # bit b of x lies in digit w with place[w] <= 2^b < place[w + 1]; 2^b is (2^b / place[w]) e_w
         w_of = [w for w, radix in enumerate(radices) for _ in range(radix.bit_length() - 1)]
-        generator_rows = [encode_digits(mono_rule((1 << b) // place[w], w, digits), radices) for b, w in enumerate(w_of)]
+        generator_rows = np.empty((len(w_of), order), dtype=np.int32)
+        for b, w in enumerate(w_of):
+            generator_rows[b] = encode_digits(mono_rule((1 << b) // place[w], w, digits), radices)
         return digits, lambda one, names, meta: bitwise_ring(high, generator_rows, one, neg, names, meta)
     monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
     # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
@@ -514,10 +517,14 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
 def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None) -> TableRing:
     """R[G]: functions G -> R with convolution product."""
 
+    scaled = {}  # c -> the digits c*b_j of every element, which every g_w shares
+
     def mono_rule(c, w, digits):
         # (c g_w)(sum_j b_j g_j) = sum_j (c b_j) g_w g_j, and j -> g_w g_j is a bijection
+        if c not in scaled:
+            scaled[c] = products(base, c, digits)
         out = np.empty_like(digits)
-        out[:, group.op[w]] = products(base, c, digits)
+        out[:, group.op[w]] = scaled[c]
         return out
 
     digits, build = _digit_vector_tables([base] * group.order, mono_rule, cap)

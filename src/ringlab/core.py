@@ -540,21 +540,28 @@ def _generator_relations(left: np.ndarray, columns: np.ndarray, high: int) -> Vi
     along it, so left distributivity holds, every row being a sum of them;
     and associativity on the K^3 generator triples, which a bi-additive
     mul then has on every triple. O(K n + K^3) cells are read.
+
+    Along the rows, every y >= 1 is checked at once as mul[2^b, y] ==
+    mul[2^b, y - g] + mul[2^b, g], g = top(y) the top bit of y; the
+    witness is the failing cell of smallest g, then b, then y, read
+    row-major from the block of columns y in [g, 2g).
     """
     bits = left.shape[0]
     gens = 1 << np.arange(bits)
     top = (high >> np.arange(bits)) & 1 == 1
     doubles = np.where(top, 0, gens << 1)  # 2^b + 2^b
     doubled_rows = np.where(top[:, None], 0, np.roll(left, -1, axis=0))  # mul[2^b + 2^b]
-    bad = np.argwhere(doubled_rows != bitwise_sum(left, left, high))
-    if len(bad):
-        b, y = bad[0]
+    bad = doubled_rows != bitwise_sum(left, left, high)
+    if bad.any():
+        b, y = np.argwhere(bad)[0]
         return Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
-    for g in gens.tolist():
-        bad = np.argwhere(left[:, g : 2 * g] != bitwise_sum(left[:, :g], left[:, g, None], high))
-        if len(bad):
-            b, y = bad[0]
-            return Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
+    tops = np.repeat(gens, gens)  # top(y) for y = 1 .. n - 1
+    rest = np.take(left, np.arange(1, len(tops) + 1) - tops, axis=1)  # mul[2^b, y - top(y)]
+    bad = left[:, 1:] != bitwise_sum(rest, np.take(left, tops, axis=1), high)
+    if bad.any():
+        g = int(tops[bad.any(axis=0).argmax()])
+        b, y = np.argwhere(bad[:, g - 1 : 2 * g - 1])[0]
+        return Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
     bad = np.argwhere(left[:, doubles] != bitwise_sum(left[:, gens], left[:, gens], high))
     if len(bad):
         b, c = bad[0]
@@ -945,11 +952,12 @@ def all_digits(radices) -> np.ndarray:
 
 
 def encode_digits(digits: np.ndarray, radices) -> np.ndarray:
-    """The index of each digit vector along the last axis (inverse of `all_digits`)."""
-    out = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for w in range(len(radices) - 1, -1, -1):
-        out = out * radices[w] + digits[..., w]
-    return out.astype(np.int32)
+    """The index of each digit vector along the last axis (inverse of
+    `all_digits`), as int32: one product with the place values, in
+    float64, which holds every index and partial sum exactly (they are
+    below 2^53)."""
+    place = np.cumprod([1, *radices[:-1]], dtype=np.float64)
+    return (digits @ place).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

@@ -304,15 +304,20 @@ def _clean_masks(ring: TableRing, bundle: InvariantBundle, names, block: slice, 
     One (|Id|, k) gather of a - e, one row per idempotent e: the rows
     add[-e] hold -e + a, which is a - e since addition is proved
     commutative, so rows are read instead of columns. Only the pools the
-    classes need are looked up, and ea = ae only if a strong class is
-    among them.
+    classes need are looked up, all in one gather: each is one bit of a
+    uint8 code per element, and the bits of the gathered codes are then
+    tested. ea = ae is computed only if a strong class is among them.
     """
     idem = bundle.idempotents.index_array()
     diff = sums(ring, ring.neg[idem], block)  # (e, a) -> a - e
     if any(_CLEAN_CLASSES[name][1] for name in names):
         commutes = products(ring, idem, block) == product_columns(ring, idem, block)  # (e, a) -> ea = ae
     pools = {_CLEAN_CLASSES[name][0] for name in names} | ({"units"} if counted else set())
-    in_pool = {pool: getattr(bundle, pool).mask()[diff] for pool in pools}
+    code = np.zeros(ring.order, dtype=np.uint8)
+    for bit, pool in enumerate(pools):
+        code |= getattr(bundle, pool).mask().view(np.uint8) << bit
+    codes = np.take(code, diff)
+    in_pool = {pool: codes & (1 << bit) != 0 for bit, pool in enumerate(pools)}
     decomposable = {}
     for name in names:
         pool, commuting = _CLEAN_CLASSES[name]

@@ -44,8 +44,16 @@ On a finite ring two of the radicals collapse (Lam, GTM 131):
 
 Nil and J# are still computed from their definitions ("some power of a
 lands in the ideal"), by repeated squaring: a power that enters an ideal
-stays there, and the first entry comes by a^n with n the ring order, so
-a^(2^k) with 2^k >= n decides membership in ceil(log2 n) table gathers.
+stays there, so a^(2^s) decides membership once 2^s is at least the
+index of every nilpotent. In a ring of order n that index is at most
+m = floor(log2 n) (Lam, GTM 131, §4). If Ra^i = Ra^(i+1), multiplying
+on the right by a keeps the chain R = Ra^0, Ra, Ra^2, ... constant from
+i on; it ends at 0, so then Ra^i = 0 and a^i = 0. So while a^i != 0 the
+chain R ⊋ Ra ⊋ ... ⊋ Ra^i ⊋ 0 is strict, each step a proper subgroup of
+index at least 2, and 2^(i+1) <= n. J# follows by the same argument in
+R/J, whose order is at most n. So s = ceil(log2 m) squarings suffice (4
+at order 4096), and `compute_bundle` reads Id off the first of them and
+Nil and J# off the one orbit (`_squaring_orbit`).
 """
 
 from __future__ import annotations
@@ -114,26 +122,38 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     return dict(zip(u.tolist(), v.tolist()))
 
 
-def idempotents(ring: TableRing) -> ElemSet:
+def idempotents(ring: TableRing, square: np.ndarray | None = None) -> ElemSet:
+    """The a with a^2 = a; `square`, if given, holds every a^2 (`_squaring_orbit`)."""
     idx = np.arange(ring.order)
-    return ElemSet.from_mask(ring, products(ring, idx, idx) == idx)
+    return ElemSet.from_mask(ring, (products(ring, idx, idx) if square is None else square) == idx)
 
 
-def _orbit_masks(ring: TableRing, ideal_mask: np.ndarray) -> np.ndarray:
+def _squaring_orbit(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
+    """(a^2, a^(2^s)) for every element a, with s = max(1, ceil(log2 m))
+    squarings and m = floor(log2 n), which bounds the index of a nilpotent
+    (see the module docstring)."""
+    idx, m = np.arange(ring.order), ring.order.bit_length() - 1
+    square = power = products(ring, idx, idx)
+    for _ in range((m - 1).bit_length() - 1):  # the squarings after the first
+        power = products(ring, power, power)
+    return square, power
+
+
+def _orbit_masks(ring: TableRing, ideal_mask: np.ndarray, power: np.ndarray | None) -> np.ndarray:
     """For each element a: does some positive power of a land in the ideal?
 
-    Exact for a two-sided ideal: a^(2^k) with 2^k >= n decides it.
+    Exact for a two-sided ideal: a^(2^s) with 2^s >= floor(log2 n)
+    decides it (see the module docstring). `power`, if given, holds every
+    a^(2^s) (`_squaring_orbit`), which is then not taken again.
     """
-    power = np.arange(ring.order)  # a^1
-    for _ in range((ring.order - 1).bit_length()):  # ceil(log2 n) squarings
-        power = products(ring, power, power)
-    return ideal_mask[power]
+    return ideal_mask[_squaring_orbit(ring)[1] if power is None else power]
 
 
-def nilpotents(ring: TableRing) -> ElemSet:
+def nilpotents(ring: TableRing, power: np.ndarray | None = None) -> ElemSet:
+    """Elements with some power 0; `power` as in `_orbit_masks`."""
     zero = np.zeros(ring.order, dtype=bool)
     zero[ring.zero] = True
-    return ElemSet.from_mask(ring, _orbit_masks(ring, zero))
+    return ElemSet.from_mask(ring, _orbit_masks(ring, zero, power))
 
 
 def center(ring: TableRing) -> ElemSet:
@@ -216,9 +236,9 @@ def jacobson_radical(
     return jac
 
 
-def jsharp(ring: TableRing, jacobson: ElemSet) -> ElemSet:
-    """Elements with some power inside J(R)."""
-    return ElemSet.from_mask(ring, _orbit_masks(ring, jacobson.mask()))
+def jsharp(ring: TableRing, jacobson: ElemSet, power: np.ndarray | None = None) -> ElemSet:
+    """Elements with some power inside J(R); `power` as in `_orbit_masks`."""
+    return ElemSet.from_mask(ring, _orbit_masks(ring, jacobson.mask(), power))
 
 
 def prime_radical(ring: TableRing, jacobson: ElemSet | None = None) -> ElemSet:
@@ -340,10 +360,12 @@ def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundl
 
 
 def compute_bundle(ring: TableRing) -> InvariantBundle:
-    """Nil, then J, then U: lifted from R/J, which the bundle keeps, on a
-    ring with a basis and J != {0} (see the module docstring). R/J's coset
-    minima reuse the greedy generators of J that the pruning took."""
-    nil = nilpotents(ring)
+    """Id, Nil and J# off one squaring orbit; Nil, then J, then U: lifted
+    from R/J, which the bundle keeps, on a ring with a basis and J != {0}
+    (see the module docstring). R/J's coset minima reuse the greedy
+    generators of J that the pruning took."""
+    square, power = _squaring_orbit(ring)
+    nil = nilpotents(ring, power)
     spanning: list[int] = []
     jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning) if ring.basis is not None else None
     radical = _radical_quotient(ring, jac, spanning=spanning or None) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
@@ -353,11 +375,11 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
     bundle = InvariantBundle(
         ring=ring,
         units=u,
-        idempotents=idempotents(ring),
+        idempotents=idempotents(ring, square),
         nilpotents=nil,
         center=center(ring),
         jacobson=jac,
-        jsharp=jsharp(ring, jac),
+        jsharp=jsharp(ring, jac, power),
         prime_radical=prime_radical(ring, jac),
     )
     bundle._radical_quotient = radical

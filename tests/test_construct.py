@@ -706,6 +706,45 @@ def test_element_encodings_are_pinned(text, prefix):
     assert h.hexdigest()[:16] == prefix
 
 
+# SHA-256 over add, mul and neg (little-endian int32), then the validation
+# and the basis: each digit-vector ring's whole build is pinned, however its
+# monomial products are computed and its rows encoded
+TABLE_DIGESTS = {
+    "group(z(2),c(2))": "ef46a93f83c64521ffee8440542521d5da84b173f07659fa18d8f638f1754d06",
+    "group(z(2),c(4))": "632d3700636734e331fb4de472271b9fce2aedf7aaf502b9169118072cfcb542",
+    "group(z(2),c(2)xc(2))": "bbfb2a75c0bc99e78a8d7dce7d4b7b395b0f7682ef02f2ba0788b2d04e9fc738",
+    "group(z(4),c(2))": "7e5d839e2b33127ee081e084966f7783b586b15754d875568599bbdb39cdc235",
+    "group(z(2),q8)": "7690a2fd81d5a9c35df6b79c4e35f6e6b00e86b1c0d8ddea43bbfd14e8fd7186",
+    "group(z(2),s(3))": "cde48f51e3ba9c2909155dabadee433be237c5c3d2eb87f643ce651b37a2e0f4",
+    "group(z(2),c(3))": "39d93d0c3809fef3515a5245782f829e0b3e251a81f6d67c4560e86a8e80f56b",
+    "group(z(9),c(3))": "b2e8638750af662d2933a98ca47ee7883e4c88bf2c31e27c5f011a25b07db18a",
+    "t(2,z(16))": "2c7ed9a6592d496bfa2e587c39ae67a296e5f4fa84ea4cf5eee31fc78d66011b",
+    "m(2,z(8))": "a14fa0fb1da275c89895d2db2c8341aecd511c18c3135efb2796ed7a70a904e6",
+    "group(z(2),c(12))": "72920850d2db0b1d3bd7eb8333badd1b607d011db8143688a9e035622f565401",
+    "group(z(3),c(7))": "4ed3944d2492acbdd349a8c5a549a510b9a352cb0473745e24eab555a59903d8",
+    "group(z(5),c(5))": "d4013b6a90d9ebb6d2ab501e0ba4920a8ad679eac14b068bfecd45f93bd00ffd",
+}
+
+
+def table_digest(ring) -> str:
+    h = hashlib.sha256()
+    for table in (ring.add, ring.mul, ring.neg):
+        h.update(np.ascontiguousarray(table, dtype="<i4").tobytes())
+    h.update(f"{ring.validation} {ring.basis}".encode())
+    return h.hexdigest()
+
+
+def test_every_corpus_group_ring_has_a_pinned_table_digest():
+    from ringlab.checks import default_corpus
+
+    assert {text for text in default_corpus() if text.startswith("group(")} <= set(TABLE_DIGESTS)
+
+
+@pytest.mark.parametrize("text", TABLE_DIGESTS)
+def test_digit_vector_tables_are_unchanged(text):
+    assert table_digest(compile_text(text)) == TABLE_DIGESTS[text]
+
+
 def test_matrix_monomials_keep_noncommutative_coefficient_order():
     # (c E_ij)(d E_jl) = (cd) E_il with cd != dc in the base; too large for the oracle above
     base = build_triangular(build_zmod(2), 2)

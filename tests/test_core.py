@@ -26,7 +26,9 @@ from ringlab.core import (
     Violation,
     _generator_relations,
     _prove_bitwise,
+    all_digits,
     bitwise_ring,
+    encode_digits,
     field_top_bits,
     rows_equal_columns,
     scan_axioms,
@@ -598,6 +600,87 @@ def test_a_corrupt_product_row_is_reported_at_its_first_wrong_cell(text, cell, w
     proved, found = _prove_bitwise(ring.add, mul, field_top_bits(ring.add))
     assert not proved and found == Violation("NonDistributive", witness)
     assert witness_fails(ring.add, mul, ring.zero, ring.one, ring.neg, found)
+
+
+def generator_relations_loop(left, columns, high):
+    """`_generator_relations` with its left-distributivity rows checked one
+    generator g at a time, over the columns y in [g, 2g): the oracle of the
+    one-pass check, whose witness must be the one this loop meets first."""
+    bits = left.shape[0]
+    gens = 1 << np.arange(bits)
+    top = (high >> np.arange(bits)) & 1 == 1
+    doubles = np.where(top, 0, gens << 1)
+    doubled_rows = np.where(top[:, None], 0, np.roll(left, -1, axis=0))
+    bad = np.argwhere(doubled_rows != core.bitwise_sum(left, left, high))
+    if len(bad):
+        b, y = bad[0]
+        return Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
+    for g in gens.tolist():
+        bad = np.argwhere(left[:, g : 2 * g] != core.bitwise_sum(left[:, :g], left[:, g, None], high))
+        if len(bad):
+            b, y = bad[0]
+            return Violation("NonDistributive", (int(gens[b]), int(y), g))
+    bad = np.argwhere(left[:, doubles] != core.bitwise_sum(left[:, gens], left[:, gens], high))
+    if len(bad):
+        b, c = bad[0]
+        return Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
+    products = left[:, gens]
+    bad = np.argwhere(columns[products] != left[:, products])
+    if len(bad):
+        return Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
+    return None
+
+
+@pytest.mark.parametrize("text", ["z(128)", "group(z(2),q8)", "t(2,z(8))", "group(z(2),c(10))"])
+def test_generator_relations_report_the_loops_first_witness(text):
+    # one-cell corruptions of the generator rows: half at random, half in the
+    # row of a field's lowest bit by a field's top bit, which keeps twice
+    # the entry, so both doubling relations that read the row still hold
+    # and the rows' own check decides; every fourth trial corrupts a second
+    # such row too, so the witness must come from the smallest g, not the
+    # smallest b. mul is refilled from the corrupt rows, split at a field
+    # boundary at order 1024
+    ring = compile_text(text)
+    n, high, bits = ring.order, field_top_bits(ring.add), ring.order.bit_length() - 1
+    gens = [1 << b for b in range(bits)]
+    rows, tops = ring.mul[gens], [1 << b for b in range(bits) if high >> b & 1]
+    lowest = [b for b in range(bits) if b == 0 or high >> (b - 1) & 1]
+    assert _generator_relations(rows, ring.mul[:, gens], high) is None
+    rng, along_rows = random.Random(n), 0
+    for trial in range(40):
+        corrupt, y = rows.copy(), rng.randrange(n)
+        b, flip = (rng.choice(lowest), rng.choice(tops)) if trial % 2 else (rng.randrange(bits), rng.randrange(1, n))
+        corrupt[b, y] = int(corrupt[b, y]) ^ flip
+        if trial % 4 == 3:
+            b2, y2 = rng.choice(lowest), rng.randrange(n)
+            corrupt[b2, y2] = int(corrupt[b2, y2]) ^ rng.choice(tops)
+        mul = np.empty((n, n), dtype=np.uint16)
+        core._fill_bitwise_mul(mul, corrupt, high, core._field_split(n, high))
+        found = _generator_relations(corrupt, mul[:, gens], high)
+        assert found == generator_relations_loop(corrupt, mul[:, gens], high) and found is not None, (b, y, flip)
+        assert witness_fails(ring.add, mul, ring.zero, ring.one, ring.neg, found), (b, y, flip)
+        along_rows += found.kind == "NonDistributive" and found.witness[1] != found.witness[2]  # (2^b, y, g), y < g
+    assert along_rows >= 10, along_rows
+
+
+def encode_digits_loop(digits, radices):
+    """The index of each digit vector, by Horner's rule in int64: the
+    reference for `encode_digits`, which takes one product in float64."""
+    out = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for w in range(len(radices) - 1, -1, -1):
+        out = out * radices[w] + digits[..., w]
+    return out.astype(np.int32)
+
+
+@pytest.mark.parametrize("radices", [[2] * 16, [16, 16, 16], [5] * 5, [3, 7, 2], [4096], [2, 3, 4, 5, 6, 7, 8]])
+def test_encode_digits_matches_horners_rule(radices):
+    # every index up to 65535 (order 2^16) and blocks of any shape
+    digits = all_digits(radices)
+    assert np.array_equal(encode_digits(digits, radices), encode_digits_loop(digits, radices))
+    assert np.array_equal(encode_digits(digits, radices), np.arange(len(digits)))
+    block = digits[np.random.default_rng(len(radices)).integers(len(digits), size=(3, 5))]
+    assert np.array_equal(encode_digits(block, radices), encode_digits_loop(block, radices))
+    assert int(encode_digits(digits[-1], radices)) == len(digits) - 1
 
 
 def test_a_relabelled_bitwise_group_falls_back_to_sampling():

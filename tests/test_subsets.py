@@ -113,11 +113,52 @@ def _power_orbit_oracle(ring, target):
     return frozenset(a for a in range(ring.order) if not target.isdisjoint(power_orbit(ring, a)[0]))
 
 
+# z(128) and z(256) hold a nilpotent of index floor(log2 n) (2, of index 7 and
+# 8 = 2^3), so the squaring bound is tight; z(27) and m(2,z(6)) have orders
+# that are not powers of two
+ORBIT_RINGS = ("t(2,z(16))", "z(64)", "group(z(4),c(4))", "z(128)", "z(256)", "z(27)", "m(2,z(6))",
+               "m(2,z(8))", "group(z(2),c(12))")
+
+
 def test_squaring_orbits_match_power_orbit_oracle(corpus_bundles):
-    extra = [(text, compile_text(text)) for text in ("t(2,z(16))", "z(64)", "group(z(4),c(4))")]
+    extra = [(text, compile_text(text)) for text in ORBIT_RINGS]
     for text, ring, bundle in corpus_bundles + [(text, ring, compute_bundle(ring)) for text, ring in extra]:
-        assert nilpotents(ring).members == _power_orbit_oracle(ring, {ring.zero}), text
-        assert jsharp(ring, bundle.jacobson).members == _power_orbit_oracle(ring, bundle.jacobson.members), text
+        nil, jsh = _power_orbit_oracle(ring, {ring.zero}), _power_orbit_oracle(ring, bundle.jacobson.members)
+        assert nilpotents(ring).members == bundle.nilpotents.members == nil, text
+        assert jsharp(ring, bundle.jacobson).members == bundle.jsharp.members == jsh, text
+        assert bundle.idempotents == idempotents(ring), text
+    for n, index in ((128, 7), (256, 8)):
+        orbit, start = power_orbit(compile_text(f"z({n})"), 2)
+        assert orbit[start] == 0 and start + 1 == index == n.bit_length() - 1  # orbit[i] = 2^(i+1)
+
+
+def squarings(monkeypatch, text):
+    """The orders of the rings on which `compute_bundle` squares every
+    element, once per squaring, seen through `subsets.products`."""
+    from ringlab import subsets
+
+    ring, seen, real = compile_text(text), [], subsets.products
+
+    def counting(on, x, y=None):
+        if y is x and np.ndim(x) == 1 and len(x) == on.order:
+            seen.append(on.order)
+        return real(on, x, y)
+
+    monkeypatch.setattr(subsets, "products", counting)
+    compute_bundle(ring)
+    monkeypatch.undo()
+    return seen
+
+
+def test_a_cap_ring_bundle_makes_one_short_squaring_orbit(monkeypatch):
+    # Id from the first squaring, then 3 more up to a^16, 16 >= floor(log2 4096);
+    # Nil and J# read the same orbit, so there is no second one (R/J, of
+    # order <= 16, makes its own short orbit)
+    for text in CAP_RINGS:
+        seen = squarings(monkeypatch, text)
+        assert seen.count(4096) == 4 and set(seen) - {4096} and max(set(seen) - {4096}) <= 16, text
+    assert squarings(monkeypatch, "m(2,gf(8))") == [4096] * 4  # J = {0}: R/J is R, no second bundle
+    assert squarings(monkeypatch, "z(2)") == [2]  # index <= 1: the squaring for Id alone
 
 
 def test_prime_radical_is_jacobson_on_the_corpus(corpus_bundles):
