@@ -266,10 +266,11 @@ def _sumset(ring: TableRing, left: ElemSet, right: ElemSet) -> ElemSet:
 
 
 def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
-    """Reindex a unital subring (closed subset containing 0 and 1)."""
+    """Reindex a unital subring (closed subset containing 0 and 1), proved
+    by its embedding when R is (see `validate_ring`)."""
     elems = subset.index_array()
     add, mul, back = _reindex(ring, elems)
-    return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=lambda i: ring.name_of(int(elems[i])))
+    return validate_ring(add, mul, int(back[ring.zero]), int(back[ring.one]), names=lambda i: ring.name_of(int(elems[i])), parent=ring, embedding=elems)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ failed; 2 = usage, parse or construction error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,7 +224,11 @@ def cmd_cache(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ring` parser, built once per process: `main` may run many
+    times in one process, and the parser holds no state between calls
+    (the order cap is read per command, in `_cap`)."""
     parser = argparse.ArgumentParser(prog="ring", description="Finite-ring structure explorer and claim checker")
     sub = parser.add_subparsers(dest="command", required=True)
 

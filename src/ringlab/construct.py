@@ -439,10 +439,14 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spa
     `spanning`, if given, holds greedy generators of the ideal
     (`additive_generators`), which are then not taken again.
 
-    The quotient's tables still go through `validate_ring`, except those
-    of R/{0}: its projection is the identity, so it shares R's read-only
-    tables, deferred ones included (`TableRing.relabelled`), and R's
-    validation and basis with them.
+    R/{0} is R relabelled: its projection is the identity, so it shares
+    R's read-only tables, deferred ones included (`TableRing.relabelled`),
+    and R's validation and basis with them. Any other quotient's tables go
+    through `validate_ring` with R and the projection: when R is
+    exhaustive of order at most 64, π(a+b) = π(a)+π(b) and π(ab) =
+    π(a)π(b) are checked on all of R's pairs in place of the n^3 scan, so
+    a wrong table, or an `ideal` that is not one, raises with R's first
+    failing pair; the quotient of any other R gets the scan.
     """
     if len(ideal) == ring.order:
         raise ImproperIdealError("quotient by the whole ring is the zero ring")
@@ -473,12 +477,13 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spa
     if len(reps) == ring.order:
         return ring.relabelled(names, meta), projection
     add, mul, _ = _reindex(ring, reps, projection)
-    out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta)
+    out = validate_ring(add, mul, int(projection[ring.zero]), int(projection[ring.one]), names=names, meta=meta, parent=ring, projection=projection)
     return out, projection
 
 
 def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
-    """The corner eRe with identity e; returns (corner, embedding)."""
+    """The corner eRe with identity e; returns (corner, embedding). Its
+    tables are proved by the embedding when R's are (see `validate_ring`)."""
     ring.check_index(e)
     if int(ring.mul[e, e]) != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
@@ -489,7 +494,7 @@ def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[Table
     _check_cap(len(exe), cap)
     add, mul, back = _reindex(ring, exe)
     meta = CornerMeta(ring, e, embedding)
-    out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=lambda i: ring.name_of(int(exe[i])), meta=meta)
+    out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=lambda i: ring.name_of(int(exe[i])), meta=meta, parent=ring, embedding=embedding)
     return out, embedding
 
 

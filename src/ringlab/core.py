@@ -22,7 +22,9 @@ attribute records how they were checked:
   the addition is bitwise on the index (z(2^k), gf(2^d) and every
   construction over them), by the same proof: mul must be the table
   `bitwise_ring` fills from its own generator rows. Such a ring above
-  order 64 keeps its generators in `TableRing.basis`.
+  order 64 keeps its generators in `TableRing.basis`. A quotient, corner
+  or subring of an exhaustive ring of order at most 64 is proved by its
+  map to that ring instead of the scan (see `_map_violations`).
 - "sampled": a ring above order 64 whose addition is not bitwise has the
   four triple identities tested on a fixed sample of triples; every
   other axiom is still checked in full.
@@ -63,7 +65,7 @@ class ElementIndexError(RingError, IndexError):
 class Violation:
     """One failed ring axiom with its first witness tuple."""
 
-    kind: str  # NonAssociative | NonDistributive | NoIdentity | NotAbelianGroup | ZeroRing
+    kind: str  # NonAssociative | NonDistributive | NoIdentity | NotAbelianGroup | ZeroRing | NotAdditive | NotMultiplicative
     witness: tuple[int, ...]
 
     def __str__(self) -> str:
@@ -726,7 +728,51 @@ def _index_table(table, n: int) -> np.ndarray:
     return np.ascontiguousarray(table, dtype=TABLE_DTYPE)
 
 
-def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None) -> TableRing:
+def _map_violations(parent: TableRing, add, mul, projection, embedding) -> list[Violation]:
+    """The proof of a ring derived from `parent`, a ring whose axioms were
+    decided on every triple and whose tables are whole: the violations of
+    the map that relates the two, each its row-major first failing pair of
+    parent indices; empty when the map respects + and ·.
+
+    With `projection` (parent index -> derived index, onto), the derived
+    ring is an image R/I: π(a + b) = π(a) + π(b) and π(ab) = π(a)π(b) are
+    compared on all of R's pairs. A map onto the derived elements that
+    respects both operations carries every identity of R onto its image,
+    so associativity, commutativity and both distributive laws hold there.
+
+    With `embedding` (derived index -> parent index, ascending, so one to
+    one), the derived ring is a subset of R closed under + and · (eRe, a
+    centre): ι(x + y) = ι(x) + ι(y) and ι(xy) = ι(x)ι(y) are compared on
+    its own pairs, in R's row-major order, and reported as (ι(x), ι(y)).
+    An injective map that respects both operations pulls every identity
+    of R back to the subset.
+
+    Neither map settles the identities of the derived ring: its zero,
+    inverses and identity (for eRe that is e, not R's one) are left to
+    the O(n) checks.
+    """
+    n = add.shape[0]
+    if embedding is None:
+        image = _index_table(projection, n)
+        if image.shape != (parent.order,) or not np.bincount(image, minlength=n).all():
+            raise ValueError("projection must map the parent onto the derived ring")
+        at, cells = np.arange(parent.order), (image[:, None], image)
+        maps = ((image[parent.add], add[cells]), (image[parent.mul], mul[cells]))
+    else:
+        at = _index_table(embedding, parent.order)
+        if at.shape != (n,) or not (at[1:] > at[:-1]).all():
+            raise ValueError("embedding must list parent indices in ascending order, one per derived element")
+        cells = (at[:, None], at)
+        maps = ((at[add], parent.add[cells]), (at[mul], parent.mul[cells]))
+    violations = []
+    for kind, (mapped, combined) in zip(("NotAdditive", "NotMultiplicative"), maps):
+        bad = mapped != combined
+        if bad.any():
+            violations.append(Violation(kind, tuple(int(at[i]) for i in np.argwhere(bad)[0])))
+    return violations
+
+
+def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None, parent=None, projection=None, embedding=None) -> TableRing:
     """Build a TableRing from raw tables, or raise RingValidationError.
 
     `neg` is derived from the addition table when omitted; a given `neg`
@@ -741,6 +787,13 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     that dtype (see `_index_table`) and then cast once to TABLE_DTYPE, in
     which the ring stores them; an order above MAX_TABLE_ORDER is
     rejected, since its indices do not fit.
+
+    A derived ring names its `parent` and the map to it: a `projection`
+    for a quotient, an `embedding` for a subring. When the parent was
+    decided on every triple and keeps whole tables (order at most 64), the
+    map is checked on every pair in place of the n^3 scan (see
+    `_map_violations`), then the O(n) identity checks run, and the ring
+    is "exhaustive". Any other parent's derived tables get the scan.
     """
     add, mul = np.asarray(add), np.asarray(mul)
     if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
@@ -757,7 +810,14 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
         neg = _index_table(neg, n)
     add, mul = _index_table(add, n), _index_table(mul, n)
     first_zero = np.argmax(add == zero, axis=1).astype(TABLE_DTYPE) if neg is None else None
-    violations, mode = scan_axioms(add, mul, zero, one, neg, first_zero)
+    if parent is not None and parent.validation == "exhaustive" and parent.order <= EXHAUSTIVE_LIMIT:
+        mode = "exhaustive"
+        if n < 2 or zero == one:
+            violations = [Violation("ZeroRing", (zero, one))]
+        else:
+            violations = _map_violations(parent, add, mul, projection, embedding) + _identity_violations(add, mul, zero, one, neg, first_zero)
+    else:
+        violations, mode = scan_axioms(add, mul, zero, one, neg, first_zero)
     if violations:
         raise RingValidationError(violations)
     return _table_ring(add, mul, first_zero if neg is None else neg, zero, one, names, meta, mode)

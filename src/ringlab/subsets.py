@@ -411,6 +411,14 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
 
 # ---------------------------------------------------------------------------
 # desk oracles (ideal enumeration; exponential in general, small orders only)
+#
+# The two-sided ideals are the join-closure of the principal ones. The
+# ideal a generates is the additive span of RaR, so all n of them come
+# out of one masked fixpoint (`principal_ideals`): row a starts as the
+# products (ra)s, and each round adds the pairwise sums of its members.
+# An ideal P is prime when no a, b outside P have aRb inside P, decided
+# for every (a, r, b) at once on the same products (`_is_prime`). The
+# left ideals (O-jac) are the join-closure of the columns mul[:, a].
 # ---------------------------------------------------------------------------
 
 
@@ -453,36 +461,51 @@ def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
     return ElemSet.of(ring, inter)
 
 
-def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
-    """All two-sided ideals via join-closure of principal ones."""
-    from .construct import ideal_closure  # local import; construct sits above
+def principal_ideals(ring: TableRing) -> np.ndarray:
+    """(n, n) masks whose row a is the two-sided ideal generated by a.
 
-    principal = {ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").members for a in range(ring.order)}
-    return _join_closure(ring, principal)
+    Row a starts as the products r·a·s, read off mul[mul], whose entry
+    [r, a, s] is (ra)s; they hold 0 and a. Each round pads every row's
+    member list to n with zero, so a row reads its own members and 0
+    elsewhere, and adds the sums of every pair of them in one gather
+    through add. A finite set that holds 0 and is closed under + is a
+    subgroup, and r(Σ r_i a s_i)s is again a sum of such products, so a
+    row that stops growing is the ideal.
+    """
+    n = ring.order
+    rows = np.arange(n)[:, None]
+    masks = np.zeros((n, n), dtype=bool)
+    masks[rows, ring.mul[ring.mul].transpose(1, 0, 2).reshape(n, -1)] = True
+    while True:
+        members = np.where(masks, np.arange(n), ring.zero)
+        grown = np.zeros_like(masks)
+        grown[rows, ring.add[members[:, :, None], members[:, None, :]].reshape(n, -1)] = True
+        if np.array_equal(grown, masks):
+            return masks
+        masks = grown
+
+
+def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
+    """All two-sided ideals via join-closure of the principal ones."""
+    return _join_closure(ring, {frozenset(np.flatnonzero(row).tolist()) for row in principal_ideals(ring)})
+
+
+def _is_prime(inside: np.ndarray, triples: np.ndarray) -> bool:
+    """Whether the proper ideal P with membership mask `inside` is prime:
+    no a, b outside P with aRb inside P, read as inside[(ar)b] over every
+    (a, r, b), where `triples` is mul[mul], whose entry [a, r, b] is (ar)b."""
+    absorbed = inside[triples].all(axis=1)  # aRb inside P, at [a, b]
+    return not (absorbed & ~inside[:, None] & ~inside).any()
 
 
 def prime_radical_ideal_oracle(ring: TableRing) -> ElemSet:
     """Intersection of all prime ideals (desk oracle, small orders)."""
     n = ring.order
-    mul = ring.mul
-    primes = []
+    triples = ring.mul[ring.mul]
+    inter = np.ones(n, dtype=bool)
     for ideal in two_sided_ideals(ring):
-        if len(ideal) == n:
-            continue
-        outside = [a for a in range(n) if a not in ideal]
-        is_prime = True
-        for a in outside:
-            arow = mul[a, :]
-            for b in outside:
-                # a*R*b subset of P forces a or b inside a prime P
-                if all(int(mul[int(ar), b]) in ideal for ar in arow):
-                    is_prime = False
-                    break
-            if not is_prime:
-                break
-        if is_prime:
-            primes.append(ideal)
-    inter = frozenset(range(n))
-    for p in primes:
-        inter &= p
-    return ElemSet.of(ring, inter)
+        inside = np.zeros(n, dtype=bool)
+        inside[list(ideal)] = True
+        if len(ideal) < n and _is_prime(inside, triples):
+            inter &= inside
+    return ElemSet.from_mask(ring, inter)

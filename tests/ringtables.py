@@ -6,6 +6,10 @@ from ringlab.core import TableRing
 
 CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
 
+# products whose factors have J# != 0, in both orders, so that L1.2.6 sees
+# which digit is which factor
+EXTRA_RINGS = ("prod(z(4),gf(4))", "prod(gf(4),z(2),z(4))")
+
 # digit-vector rings over bases whose addition is bitwise, up to order 4096: every
 # base kind (z(2^k), gf(2^d), a digit-vector base), every construction, and mixed
 # field widths in one index

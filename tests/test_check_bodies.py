@@ -22,7 +22,7 @@ from ringlab.core import GroupRingMeta, RingError, TableRing, validate_ring
 from ringlab.groups import p_group_prime
 from ringlab.subsets import augmentation_ideal, jacobson_radical_maximal_ideal_oracle, prime_radical_ideal_oracle
 
-from ringtables import tables_equal
+from ringtables import EXTRA_RINGS, tables_equal
 
 # ---------------------------------------------------------------------------
 # the frozenset helpers the old bodies used
@@ -610,11 +610,6 @@ def cut_bundles(ring, b):
         yield "J = J(R)", computed_radical_quotient(cut(jacobson=jac))
 
 
-# products whose factors have J# != 0, in both orders, so that L1.2.6 sees
-# which digit is which factor
-EXTRA_RINGS = ("prod(z(4),gf(4))", "prod(gf(4),z(2),z(4))")
-
-
 def run(fn, ctx):
     try:
         return fn(ctx)
@@ -721,12 +716,21 @@ def munits_mutant(monkeypatch):
 
 def one_ab_mutant(monkeypatch):
     """z(4), a UJ# ring, with mul[2, 1] set to 1 after validation: 1 - 2*1
-    reads 0, in J#, while 1 - 1*2 = 3 is not."""
+    reads 0, in J#, while 1 - 1*2 = 3 is not.
+
+    The bundle is the true ring's, and so is its R/J: R/J built from the
+    corrupt table would be proved on all of R's pairs and raise at (2, 1)
+    before C-1ab runs (`classify` reads it for the semiboolean verdict)."""
     ring = compile_text("z(4)")
     mul = ring.mul.copy()
     mul[2, 1] = ring.one
     corrupt = TableRing(ring.order, ring.add, mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, ring.validation)
-    return "z(4)", CheckContext(corrupt, compute_bundle(ring).on_copy(corrupt)), f"1-ab vs 1-ba disagree for a = {ring.describe(1)}, b = {ring.describe(2)}"
+    true = compute_bundle(ring)
+    bundle = true.on_copy(corrupt)
+    bundle._radical_quotient = true.radical_quotient()
+    with pytest.raises(RingError, match=r"NotMultiplicative\(2, 1\)"):
+        true.on_copy(corrupt).radical_quotient()
+    return "z(4)", CheckContext(corrupt, bundle), f"1-ab vs 1-ba disagree for a = {ring.describe(1)}, b = {ring.describe(2)}"
 
 
 def c317_mutant(monkeypatch):

@@ -1,5 +1,7 @@
+import argparse
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,3 +330,27 @@ def test_a_check_on_a_cap_ring_fills_no_table(capsys, monkeypatch, check_id, tex
     del payload["millis"]
     assert payload == {"id": check_id, "ring": text, "status": "pass"}
     assert [f for f in fills if f[1] > 64] == []
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    # two in-process calls print what two calls on fresh parsers print, and
+    # build the `ring` parser once between them
+    argvs = (("inspect", "z(4)"), ("inspect", "m(2,z(2))", "--json"), ("check", "L1.2.1", "z(8)"))
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    cli.build_parser.cache_clear()
+    try:
+        assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("ring") == 1 and len(built) > 1  # one top parser, its subparsers with it

@@ -15,6 +15,8 @@ from ringlab.construct import (
     NotIdempotentError,
     UnsupportedOrderError,
     ZeroCornerError,
+    _build_quotient,
+    _reindex,
     additive_closure,
     build_corner,
     build_gf,
@@ -41,6 +43,9 @@ from ringlab.core import (
     SkewPolyMeta,
     TriangularMeta,
     TrivialExtMeta,
+    RingValidationError,
+    TableRing,
+    Violation,
     bitwise_high_bits,
     field_top_bits,
     scan_axioms,
@@ -49,7 +54,7 @@ from ringlab.core import (
 from ringlab.groups import cyclic, quaternion8
 from ringlab.subsets import compute_bundle, is_two_sided_ideal, jacobson_radical, two_sided_ideals
 
-from ringtables import BITWISE_RINGS, CAP_RINGS, tables_equal, without_basis
+from ringtables import BITWISE_RINGS, CAP_RINGS, EXTRA_RINGS, tables_equal, without_basis
 
 
 def brute_force_units(ring):
@@ -1114,3 +1119,148 @@ def test_coset_minima_match_the_scan_of_every_member(corpus_bundles):
         assert np.array_equal(got, projection) and quotient.order == len(reps), (text, ideal.indices()[:8])
         seen, doubled = seen + 1, doubled + (len(ideal) > 64)
     assert seen > 100 and doubled >= 6
+
+
+def raw_derived_tables(ring, projection=None, embedding=None):
+    """(add, mul, zero, one-or-None) of a quotient (`projection`: its coset
+    minima as representatives) or of a subring (`embedding`), as `_reindex`
+    gathers them before validation."""
+    if embedding is None:
+        reps = np.array([np.flatnonzero(projection == i).min() for i in range(projection.max() + 1)])
+        add, mul, _ = _reindex(ring, reps, projection)
+        return add, mul, int(projection[ring.zero]), int(projection[ring.one])
+    add, mul, back = _reindex(ring, np.asarray(embedding))
+    return add, mul, int(back[ring.zero]), None
+
+
+def derived_rings(ring, bundle):
+    """(derived ring, projection, embedding) for each radical quotient that
+    is not R relabelled, each corner other than R, and the centre subring."""
+    ctx = CheckContext(ring, bundle, deep=True)
+    out = [(q, projection, None) for _, q, projection in ctx.radical_quotients() if not q.shares_tables(ring)]
+    out += [(c, None, embedding) for _, c, embedding in ctx.corners() if c is not ring]
+    return out + [(_ring_from_subset(ring, bundle.center), None, bundle.center.index_array())]
+
+
+def test_derived_rings_proved_by_their_maps_equal_the_scanned_ones(corpus_bundles, monkeypatch):
+    # every radical quotient, corner and centre of an exhaustive ring of order
+    # <= 64 is proved without the scan, and is the ring the scan builds on the
+    # same tables: tables, negation, identities, names, validation and basis
+    scans = []
+    scan = core.scan_axioms
+    monkeypatch.setattr(core, "scan_axioms", lambda *a: scans.append(len(a[0])) or scan(*a))
+    extra = [(text, ring, compute_bundle(ring)) for text, ring in ((t, compile_text(t)) for t in EXTRA_RINGS)]
+    proved = 0
+    for text, ring, b in corpus_bundles + extra:
+        if ring.validation != "exhaustive" or ring.order > 64:
+            continue
+        scans.clear()
+        derived = derived_rings(ring, b)
+        assert scans == [], text
+        for got, projection, embedding in derived:
+            add, mul, zero, one = raw_derived_tables(ring, projection, embedding)
+            want = validate_ring(add, mul, zero, got.one if one is None else one, names=got.name_of)
+            assert tables_equal(got, want) and np.array_equal(got.neg, want.neg), text
+            assert (got.names, got.validation, got.basis) == (want.names, want.validation, want.basis), text
+            assert got.validation == "exhaustive", text
+            proved += 1
+    assert proved > 120
+
+
+@pytest.mark.parametrize("text, mark_sampled", [("group(z(9),c(3))", False), ("t(2,z(8))", False), ("t(2,z(2))", True)])
+def test_derived_rings_of_a_sampled_or_large_parent_get_the_scan(text, mark_sampled, monkeypatch):
+    # group(z(9),c(3)) is sampled (order 729), t(2,z(8)) is exhaustive above
+    # order 64, and t(2,z(2)) is passed off as sampled at order 8: each
+    # derived ring they build goes through the scan
+    ring = compile_text(text)
+    if mark_sampled:
+        ring = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, ring.meta, "sampled")
+    b = compute_bundle(ring)
+    scans = []
+    scan = core.scan_axioms
+    monkeypatch.setattr(core, "scan_axioms", lambda *a: scans.append(len(a[0])) or scan(*a))
+    quotient, _ = build_quotient(ring, b.jacobson)
+    corners = [build_corner(ring, e)[0] for e in b.idempotents if e not in (ring.zero, ring.one)]
+    centre = _ring_from_subset(ring, b.center)
+    assert scans == [r.order for r in (quotient, *corners, centre)]
+    assert len(corners) > 0 or text == "group(z(9),c(3))"  # a local ring
+
+
+def first_failing_pair(ring, op, table, projection=None, embedding=None):
+    """The row-major first pair of R's indices at which the map breaks `op`
+    ("add" or "mul") against the derived `table`, one pair at a time."""
+    parent = getattr(ring, op)
+    if embedding is None:
+        pairs = ((a, b) for a in range(ring.order) for b in range(ring.order))
+        return next((a, b) for a, b in pairs if projection[parent[a, b]] != table[projection[a], projection[b]])
+    pairs = ((x, y) for x in range(len(embedding)) for y in range(len(embedding)))
+    x, y = next((x, y) for x, y in pairs if embedding[table[x, y]] != parent[embedding[x], embedding[y]])
+    return int(embedding[x]), int(embedding[y])
+
+
+def wrong_cells(table, cells, zero):
+    """`table` with each of `cells` set to the first index that is neither
+    its value nor zero."""
+    out = table.copy()
+    for cell in cells:
+        out[cell] = next(v for v in range(len(table)) if v not in (table[cell], zero))
+    return out
+
+
+@pytest.mark.parametrize("part", ["quotient add", "quotient mul", "corner mul"])
+def test_a_wrong_derived_table_names_the_parents_first_failing_pair(part):
+    ring = compile_text("t(3,z(2))")  # order 64, |J| = 8, |R/J| = 8, corners of order 2 to 16
+    b = compute_bundle(ring)
+    if part.startswith("quotient"):
+        _, projection = build_quotient(ring, b.jacobson)
+        embedding = None
+    else:
+        e = max((e for e in b.idempotents if e not in (ring.zero, ring.one)), key=lambda e: build_corner(ring, e)[0].order)
+        projection, embedding = None, build_corner(ring, e)[1]
+    add, mul, zero, one = raw_derived_tables(ring, projection, embedding)
+    one = int(np.searchsorted(embedding, e)) if one is None else one
+    op, m = part.split()[1], len(add)
+    kind = "NotAdditive" if op == "add" else "NotMultiplicative"
+    # one wrong cell, then two whose row-major first and column-major first differ
+    for cells in ([(m - 1, m - 2)], [(m - 1, m - 2), (m - 2, m - 1)]):
+        tables = {"add": add, "mul": mul}
+        tables[op] = wrong_cells(tables[op], cells, zero)
+        pair = first_failing_pair(ring, op, tables[op], projection, embedding)
+        with pytest.raises(RingValidationError) as err:
+            validate_ring(tables["add"], tables["mul"], zero, one, parent=ring, projection=projection, embedding=embedding)
+        assert err.value.violations[0] == Violation(kind, pair), cells  # then any identity a cell breaks
+    assert m >= 8
+
+
+def test_a_quotient_by_a_one_sided_ideal_is_not_multiplicative():
+    # R*E11 in m(2,z(2)) is an additive subgroup absorbing R on the left
+    # only: its cosets respect + but not ·, and the map proof names R's first
+    # pair whose product lands in the wrong coset
+    ring = build_matrix(build_zmod(2), 2)
+    left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])
+    assert not is_two_sided_ideal(ring, left)[0]
+    reps, projection = np.unique(ring.add[left.index_array()].min(axis=0), return_inverse=True)
+    add, mul, _ = _reindex(ring, reps, projection)
+    pair = first_failing_pair(ring, "mul", mul, projection)
+    with pytest.raises(RingValidationError) as err:
+        _build_quotient(ring, left)
+    assert err.value.violations[0] == Violation("NotMultiplicative", pair)
+
+
+def test_a_derived_ring_still_checks_its_identities_and_its_map():
+    # the map proves the triple identities only: a wrong one, a wrong zero
+    # and 0 = 1 are caught by the O(n) checks, and a map that is not onto
+    # (or not one to one) is refused before it proves anything
+    ring = compile_text("t(3,z(2))")
+    _, embedding = build_corner(ring, 9)  # E11 + E22, a corner of order 8
+    add, mul, back = _reindex(ring, embedding)
+    zero, one = int(back[ring.zero]), int(back[9])
+    for z, o, message in ((zero, 1, r"NoIdentity\(4,\)"), (1, one, r"NotAbelianGroup\(1, 0\)"), (zero, zero, r"ZeroRing\(0, 0\)")):
+        with pytest.raises(RingValidationError, match=f"^{message}$"):
+            validate_ring(add, mul, z, o, parent=ring, embedding=embedding)
+    with pytest.raises(ValueError, match="ascending order"):
+        validate_ring(add, mul, zero, one, parent=ring, embedding=embedding[::-1].copy())
+    _, projection = build_quotient(ring, compute_bundle(ring).jacobson)
+    add, mul, zero, one = raw_derived_tables(ring, projection)
+    with pytest.raises(ValueError, match="onto"):
+        validate_ring(add, mul, zero, one, parent=ring, projection=np.minimum(projection, len(add) - 2))

@@ -9,9 +9,10 @@ import pytest
 
 from ringlab import ElemSet, compile_text, compute_bundle, power_orbit
 from ringlab.core import rows_equal_columns
-from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, matrix_unit_index
+from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, ideal_closure, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
+    _is_prime,
     additive_generators,
     augmentation,
     augmentation_ideal,
@@ -24,13 +25,15 @@ from ringlab.subsets import (
     nilpotents,
     prime_radical,
     prime_radical_ideal_oracle,
+    principal_ideals,
     product_one_pairs,
     prune_nil,
+    two_sided_ideals,
     unit_inverses,
     units,
 )
 
-from ringtables import BITWISE_RINGS, CAP_RINGS, without_basis
+from ringtables import BITWISE_RINGS, CAP_RINGS, EXTRA_RINGS, without_basis
 
 M2 = build_matrix(build_zmod(2), 2)
 T2 = build_triangular(build_zmod(2), 2)
@@ -106,6 +109,50 @@ def test_prime_radical_matches_ideal_oracle():
                  "triv(z(4))", "group(z(2),c(2))", "gf(9)"):
         ring = compile_text(text)
         assert prime_radical(ring).members == prime_radical_ideal_oracle(ring).members, text
+
+
+def prime_loop_oracle(ring, ideal):
+    """The per-pair prime test the gathered one replaced (kept as oracle):
+    P is prime unless some a, b outside P have a*r*b in P for every r."""
+    n, mul = ring.order, ring.mul
+    outside = [a for a in range(n) if a not in ideal]
+    for a in outside:
+        arow = mul[a, :]
+        for b in outside:
+            if all(int(mul[int(ar), b]) in ideal for ar in arow):
+                return False
+    return True
+
+
+def oracle_rings(corpus_bundles):
+    """(text, ring) for every corpus ring of order <= 16, where O-nilstar
+    runs, and the extra products."""
+    small = [(text, ring) for text, ring, _ in corpus_bundles if ring.order <= 16]
+    return small + [(text, compile_text(text)) for text in EXTRA_RINGS]
+
+
+def test_principal_ideals_match_the_closure_of_each_element(corpus_bundles):
+    rings = oracle_rings(corpus_bundles)
+    for text, ring in rings:
+        masks = principal_ideals(ring)
+        for a in range(ring.order):
+            want = ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").mask()
+            assert np.array_equal(masks[a], want), (text, a)
+    assert len(rings) > 20
+
+
+def test_the_gathered_prime_test_matches_the_pair_loop(corpus_bundles):
+    verdicts = {}
+    for text, ring in oracle_rings(corpus_bundles):
+        triples = ring.mul[ring.mul]
+        for ideal in two_sided_ideals(ring):
+            if len(ideal) < ring.order:
+                inside = np.isin(np.arange(ring.order), list(ideal))
+                verdicts[text, ideal] = _is_prime(inside, triples)
+                assert verdicts[text, ideal] == prime_loop_oracle(ring, ideal), (text, sorted(ideal))
+    assert verdicts["z(4)", frozenset({0})] is False  # 2 * r * 2 = 0 for every r
+    assert verdicts["z(4)", frozenset({0, 2})] is True
+    assert set(verdicts.values()) == {True, False}
 
 
 def _power_orbit_oracle(ring, target):
@@ -490,6 +537,16 @@ try:
     sys.exit("broken implication lattice accepted")
 except RingError as exc:
     print("classify:", exc)
+from ringlab.construct import _reindex, build_corner
+ring = compile_text("t(3,z(2))")  # order 64: its corner at E11 + E22 is proved by the embedding
+corner, embedding = build_corner(ring, 9)
+add, mul, back = _reindex(ring, embedding)
+mul[6, 7] = 1  # (E12 + E22)(E11 + E12 + E22) is E12 + E22, corner index 6, parent index 10
+try:
+    validate_ring(add, mul, int(back[ring.zero]), int(back[9]), parent=ring, embedding=embedding)
+    sys.exit("corrupt corner table accepted")
+except RingValidationError as exc:
+    print("derived:", exc)
 ring = compile_text("m(2,z(8))")  # order 4096: proved on its bit generators
 mul = ring.mul.copy()
 mul[3000, 7] = 0  # row 3000 = 952 + 2048 is no longer the sum of rows 952 and 2048
@@ -564,6 +621,7 @@ def test_internal_guards_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert "bundle: inconsistent invariant bundle: 1 in U and 0 not in U" in proc.stdout
     assert "classify: classification bug: uj holds but ujsharp does not" in proc.stdout
+    assert "derived: NotMultiplicative(10, 11)\n" in proc.stdout
     assert "proof: NonDistributive(7, 952, 2048)" in proc.stdout
     assert "generator rows: NonAssociative(2075, 3778, 7); NonDistributive(2075, 3778, 7); NonDistributive(7, 1721, 3168)\n" in proc.stdout
     whole = "whole tables: (4096, 4096) (4096, 4096)\n"
