@@ -47,10 +47,12 @@ from .subsets import (
     InvariantBundle,
     additive_generators,
     augmentation_ideal,
+    bundle_memo,
     compute_bundle,
     jacobson_radical,
     jacobson_radical_maximal_ideal_oracle,
     prime_radical_ideal_oracle,
+    principal_ideals,
 )
 
 REPORT_VERSION = 1
@@ -118,8 +120,10 @@ class CheckContext:
         return self._searched[name]
 
     def bundle_of(self, ring: TableRing) -> InvariantBundle:
-        """The ring's bundle, computed once. A ring over R's own tables
-        (R/{0}) gets R's bundle, wrapped for it."""
+        """The ring's bundle, kept for this context. A ring over R's own
+        tables (R/{0}) gets R's bundle, wrapped for it; any other goes to
+        `compute_bundle`, which inside a suite or check call computes each
+        distinct table of order <= 64 once (`bundle_memo`)."""
         key = id(ring)
         if key not in self._aux:
             shared = ring.shares_tables(self.ring)
@@ -134,12 +138,13 @@ class CheckContext:
         return quotient, projection, qb
 
     def radical_ideals(self) -> list[ElemSet]:
-        """Ideals inside J: always {0} and J, plus the principal ones on
-        small rings (the sweep is quadratic in |J|)."""
+        """Ideals inside J: always {0} and J, plus on small rings the
+        principal ideal (j) of each j in J, taken together in one masked
+        fixpoint (`principal_ideals` on the rows of J)."""
         if self._radical_ideals is None:
             ring, jac = self.ring, self.bundle.jacobson
             small = ring.order <= IDEAL_ENUM_LIMIT
-            closures = [ideal_closure(ring, ElemSet.of(ring, [j]), "two-sided") for j in jac] if small else []
+            closures = [ElemSet.from_mask(ring, row) for row in principal_ideals(ring, jac.index_array())] if small else []
             # {0} first and J last, each ideal once, in order of first appearance
             inside = [c for c in closures if c <= jac and c != jac]
             self._radical_ideals = list(dict.fromkeys([ElemSet.of(ring, [ring.zero]), *inside, jac]))
@@ -173,7 +178,7 @@ class CheckContext:
         """
         if e == ring.one:
             return ring, np.arange(ring.order)
-        return build_corner(ring, e, self.cap)
+        return build_corner(ring, e)
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,11 @@ def _u_minus_one(ring: TableRing, u: int) -> int:
 
 
 def _sumset(ring: TableRing, left: ElemSet, right: ElemSet) -> ElemSet:
-    return ElemSet.of(ring, ring.add[left.index_array()[:, None], right.index_array()])
+    """{a + b : a in left, b in right}. The |left| x |right| sums are
+    scattered straight into a mask, so no intp copy of them is made."""
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ring.add[left.index_array()[:, None], right.index_array()]] = True
+    return ElemSet(ring, mask)
 
 
 def _ring_from_subset(ring: TableRing, subset: ElemSet) -> TableRing:
@@ -1228,9 +1237,9 @@ def run_check(check_id: str, ring_or_text, deep: bool = False, cap: int | None =
         ring = ring_or_text
     else:
         ring = compile_text(str(ring_or_text), cap)
-    ctx = make_context(ring, deep=deep, cap=cap)
     text = ring.expr_text or f"<ring order {ring.order}>"
-    return _evaluate(check, ctx, text)
+    with bundle_memo():
+        return _evaluate(check, make_context(ring, deep=deep, cap=cap), text)
 
 
 def run_suite(
@@ -1257,11 +1266,12 @@ def run_suite(
     # alive at a time; the report stays check by check
     results: dict[str, list[CheckResult]] = {check.id: [] for check in selected}
     summary = {"pass": 0, "fail": 0, "skip": 0}
-    for text, ring in zip(texts, rings):
-        ctx = make_context(ring, deep=deep, cap=cap)
-        for check in selected:
-            result = _evaluate(check, ctx, text)
-            summary[result.status] += 1
-            results[check.id].append(result)
+    with bundle_memo():  # one bundle per table for the whole suite
+        for text, ring in zip(texts, rings):
+            ctx = make_context(ring, deep=deep, cap=cap)
+            for check in selected:
+                result = _evaluate(check, ctx, text)
+                summary[result.status] += 1
+                results[check.id].append(result)
     entries = [{"id": check.id, "paper_ref": check.paper_ref, "results": results[check.id]} for check in selected]
     return SuiteReport(REPORT_VERSION, texts, entries, summary)

@@ -281,7 +281,9 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
     order = add.shape[0]
     flat_add = add.ravel()
     for x, lo, hi in blocks:
-        cells = mul[lo:hi].astype(np.intp) * order + mul[x]
+        cells = mul[lo:hi].astype(np.intp)  # the flat indices, built in place: one temporary
+        cells *= order
+        cells += mul[x]
         np.take(flat_add, cells, out=mul[x + lo : x + hi])
 
 
@@ -422,18 +424,20 @@ def _reindex(ring: TableRing, elems: np.ndarray, back: np.ndarray | None = None)
     return back[sums(ring, *cells)], back[products(ring, *cells)], back
 
 
-def build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
+def build_quotient(ring: TableRing, ideal: ElemSet) -> tuple[TableRing, np.ndarray]:
     """R/I for a proper two-sided ideal; returns (quotient, projection).
 
-    Cosets are indexed in ascending order of their smallest member.
+    Cosets are indexed in ascending order of their smallest member. R/I is
+    never larger than R, which has already passed the order cap, so it is
+    not checked against the cap again.
     """
     ok, witness = is_two_sided_ideal(ring, ideal)
     if not ok:
         raise NotAnIdealError(f"generating set is not a two-sided ideal: {witness}")
-    return _build_quotient(ring, ideal, cap)
+    return _build_quotient(ring, ideal)
 
 
-def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spanning=None) -> tuple[TableRing, np.ndarray]:
+def _build_quotient(ring: TableRing, ideal: ElemSet, spanning=None) -> tuple[TableRing, np.ndarray]:
     """`build_quotient` for an ideal the caller has already proved two-sided.
 
     `spanning`, if given, holds greedy generators of the ideal
@@ -468,7 +472,6 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spa
                 lowest, step = moved, sums(ring, step, step)
     reps, projection = np.unique(lowest, return_inverse=True)
     projection = projection.astype(np.int32)
-    _check_cap(len(reps), cap)
 
     def names(i):
         return f"[{ring.name_of(int(reps[i]))}]"
@@ -481,9 +484,10 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, cap: int | None = None, spa
     return out, projection
 
 
-def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[TableRing, np.ndarray]:
+def build_corner(ring: TableRing, e: int) -> tuple[TableRing, np.ndarray]:
     """The corner eRe with identity e; returns (corner, embedding). Its
-    tables are proved by the embedding when R's are (see `validate_ring`)."""
+    tables are proved by the embedding when R's are (see `validate_ring`).
+    Like R/I, eRe is never larger than R, so it meets R's cap."""
     ring.check_index(e)
     if int(ring.mul[e, e]) != e:
         raise NotIdempotentError(f"element {e} is not idempotent")
@@ -491,7 +495,6 @@ def build_corner(ring: TableRing, e: int, cap: int | None = None) -> tuple[Table
         raise ZeroCornerError("corner at zero is the zero ring")
     exe = np.unique(ring.mul[e, ring.mul[:, e]])
     embedding = exe.astype(np.int32)
-    _check_cap(len(exe), cap)
     add, mul, back = _reindex(ring, exe)
     meta = CornerMeta(ring, e, embedding)
     out = validate_ring(add, mul, int(back[ring.zero]), int(back[e]), names=lambda i: ring.name_of(int(exe[i])), meta=meta, parent=ring, embedding=embedding)

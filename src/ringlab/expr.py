@@ -335,12 +335,12 @@ def _compile(expr: tuple, cap, base_dir) -> TableRing:
                 if not 0 <= g < base.order:
                     raise BadElementRefError(f"generator index {g} not in ring of order {base.order}")
             ideal = construct.ideal_closure(base, ElemSet.of(base, gens), "two-sided")
-            return construct.build_quotient(base, ideal, cap)[0]
+            return construct.build_quotient(base, ideal)[0]
         case ("corner", base, idem):
             base = _compile(base, cap, base_dir)
             if not 0 <= idem < base.order:
                 raise BadElementRefError(f"idempotent index {idem} not in ring of order {base.order}")
-            return construct.build_corner(base, idem, cap)[0]
+            return construct.build_corner(base, idem)[0]
         case ("triv", base):
             return construct.build_trivial_extension(_compile(base, cap, base_dir), cap)
         case ("group", base, group):

@@ -58,11 +58,13 @@ Nil and J# off the one orbit (`_squaring_orbit`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _CHUNK_CELLS, ElemSet, GroupRingMeta, RingError, TableRing, product_columns, products, rows_equal_columns, sums
+from .core import _CHUNK_CELLS, EXHAUSTIVE_LIMIT, ElemSet, GroupRingMeta, RingError, TableRing, product_columns, products, rows_equal_columns, sums
 
 
 class NotAGroupRingError(RingError):
@@ -345,8 +347,16 @@ class InvariantBundle:
     def on_copy(self, ring: TableRing) -> InvariantBundle:
         """This bundle for `ring`, a ring over these very tables (R/{0}):
         the same read-only masks, wrapped for it; nothing is recomputed."""
-        sets = {name: ElemSet.from_mask(ring, getattr(self, name).mask()) for name in _SETS}
-        return InvariantBundle(ring=ring, **sets)
+        return _wrap_masks(ring, self.masks())
+
+    def masks(self) -> tuple[np.ndarray, ...]:
+        """The seven read-only masks, in `_SETS` order."""
+        return tuple(getattr(self, name).mask() for name in _SETS)
+
+
+def _wrap_masks(ring: TableRing, masks) -> InvariantBundle:
+    """The bundle whose seven sets, in `_SETS` order, have `masks`."""
+    return InvariantBundle(ring=ring, **{name: ElemSet.from_mask(ring, mask) for name, mask in zip(_SETS, masks)})
 
 
 def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundle | None = None, spanning=None) -> tuple:
@@ -359,7 +369,48 @@ def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundl
     return quotient, projection, bundle.on_copy(quotient) if shared else compute_bundle(quotient)
 
 
+# The bundle memo of the `run_suite` or `run_check` call under way, or None
+_MEMO: ContextVar[dict | None] = ContextVar("bundle_memo", default=None)
+
+
+@contextmanager
+def bundle_memo():
+    """Share one bundle per table inside the block (see `compute_bundle`).
+    The memo is emptied and closed when the block ends, also when it
+    raises, so no entry outlives the call that opened it."""
+    memo: dict = {}
+    token = _MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        memo.clear()
+        _MEMO.reset(token)
+
+
 def compute_bundle(ring: TableRing) -> InvariantBundle:
+    """The ring's invariant bundle (`_compute_bundle`).
+
+    Inside `bundle_memo`, a ring of order at most 64 is keyed by its
+    order, zero, one and the dtypes and bytes of `add` and `mul` (the
+    bytes themselves, so two keys are equal only on equal tables). The
+    first ring over some tables computes their bundle and leaves its seven
+    masks in the memo; every later one gets those masks wrapped for
+    itself, so its witnesses carry its own names. The sets depend on the
+    tables alone. Elsewhere, and above order 64, every call computes.
+    """
+    memo = _MEMO.get()
+    if memo is None or ring.order > EXHAUSTIVE_LIMIT:
+        return _compute_bundle(ring)
+    add, mul = ring.add, ring.mul
+    key = (ring.order, ring.zero, ring.one, add.dtype.str, mul.dtype.str, add.tobytes(), mul.tobytes())
+    if key in memo:
+        return _wrap_masks(ring, memo[key])
+    bundle = _compute_bundle(ring)
+    memo[key] = bundle.masks()
+    return bundle
+
+
+def _compute_bundle(ring: TableRing) -> InvariantBundle:
     """Id, Nil and J# off one squaring orbit; Nil, then J, then U: lifted
     from R/J, which the bundle keeps, on a ring with a basis and J != {0}
     (see the module docstring). R/J's coset minima reuse the greedy
@@ -413,9 +464,11 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
 # desk oracles (ideal enumeration; exponential in general, small orders only)
 #
 # The two-sided ideals are the join-closure of the principal ones. The
-# ideal a generates is the additive span of RaR, so all n of them come
-# out of one masked fixpoint (`principal_ideals`): row a starts as the
-# products (ra)s, and each round adds the pairwise sums of its members.
+# ideal a generates is the additive span of RaR, so the ideals of any rows
+# come out of one masked fixpoint (`principal_ideals`): row a starts as
+# the products (ra)s, and each round adds the pairwise sums of its
+# members. O-nilstar closes all n rows; the ideals inside J that
+# `CheckContext.radical_ideals` enumerates close only the rows of J.
 # An ideal P is prime when no a, b outside P have aRb inside P, decided
 # for every (a, r, b) at once on the same products (`_is_prime`). The
 # left ideals (O-jac) are the join-closure of the columns mul[:, a].
@@ -461,25 +514,27 @@ def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
     return ElemSet.of(ring, inter)
 
 
-def principal_ideals(ring: TableRing) -> np.ndarray:
-    """(n, n) masks whose row a is the two-sided ideal generated by a.
+def principal_ideals(ring: TableRing, gens: np.ndarray | None = None) -> np.ndarray:
+    """(g, n) masks whose row i is the two-sided ideal generated by
+    gens[i]; `gens` defaults to every element, so row a is (a).
 
-    Row a starts as the products r·a·s, read off mul[mul], whose entry
-    [r, a, s] is (ra)s; they hold 0 and a. Each round pads every row's
-    member list to n with zero, so a row reads its own members and 0
-    elsewhere, and adds the sums of every pair of them in one gather
-    through add. A finite set that holds 0 and is closed under + is a
-    subgroup, and r(Σ r_i a s_i)s is again a sum of such products, so a
-    row that stops growing is the ideal.
+    Row i starts as the products r·gens[i]·s, read off mul[mul[:, gens]],
+    whose entry [r, i, s] is (r gens[i])s; they hold 0 and gens[i]. Each
+    round pads every row's member list to n with zero, so a row reads its
+    own members and 0 elsewhere, and adds the sums of every pair of them
+    in one gather through add. A finite set that holds 0 and is closed
+    under + is a subgroup, and for a = gens[i], r(Σ r_k a s_k)s is again a
+    sum of such products, so a row that stops growing is the ideal.
     """
     n = ring.order
-    rows = np.arange(n)[:, None]
-    masks = np.zeros((n, n), dtype=bool)
-    masks[rows, ring.mul[ring.mul].transpose(1, 0, 2).reshape(n, -1)] = True
+    columns = ring.mul if gens is None else ring.mul[:, gens]
+    rows = np.arange(columns.shape[1])[:, None]
+    masks = np.zeros((len(rows), n), dtype=bool)
+    masks[rows, ring.mul[columns].transpose(1, 0, 2).reshape(len(rows), -1)] = True
     while True:
         members = np.where(masks, np.arange(n), ring.zero)
         grown = np.zeros_like(masks)
-        grown[rows, ring.add[members[:, :, None], members[:, None, :]].reshape(n, -1)] = True
+        grown[rows, ring.add[members[:, :, None], members[:, None, :]].reshape(len(rows), -1)] = True
         if np.array_equal(grown, masks):
             return masks
         masks = grown

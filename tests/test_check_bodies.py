@@ -575,7 +575,7 @@ class EveryCornerBuilt(CheckContext):
     """The context as it was: every corner is built, the one at e = 1 too."""
 
     def corner(self, ring, e):
-        return build_corner(ring, e, self.cap)
+        return build_corner(ring, e)
 
 
 def computed_radical_quotient(b):

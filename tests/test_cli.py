@@ -258,6 +258,17 @@ def test_a_cap_past_16_bit_storage_exits_2(capsys, monkeypatch):
         assert "RINGLAB_MAX_ORDER" in err and "16-bit table storage" in err, argv
 
 
+def test_inspect_above_the_default_cap_keeps_its_derived_rings(capsys):
+    # R/J and every corner are never larger than R, which met --max-order;
+    # J = {0} here, so R/{0} is a ring of order 16384, above the default 4096
+    code, out, err = run_cli(capsys, "inspect", "--max-order", "65536", "prod(m(2,gf(8)),gf(4))")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[1].split() == ["order", "16384"] and lines[2].split() == ["validation", "exhaustive"]
+    assert {"|U|": "10584", "|J|": "1", "|Id|": "148"}.items() <= dict(line.split() for line in lines[3:10]).items()
+    assert [line.split() for line in lines if line.startswith("semiboolean")] == [["semiboolean", "no"]]
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

@@ -141,6 +141,32 @@ def test_principal_ideals_match_the_closure_of_each_element(corpus_bundles):
     assert len(rings) > 20
 
 
+def test_principal_ideals_of_the_rows_of_j_match_the_closure_of_each(corpus_bundles):
+    # the rows `CheckContext.radical_ideals` closes: every corpus ring of
+    # order <= 64, where it enumerates the ideals inside J
+    rings = [(text, ring, b.jacobson) for text, ring, b in corpus_bundles if ring.order <= 64]
+    rings += [(text, ring, compute_bundle(ring).jacobson) for text, ring in ((t, compile_text(t)) for t in EXTRA_RINGS)]
+    for text, ring, jac in rings:
+        masks = principal_ideals(ring, jac.index_array())
+        assert masks.shape == (len(jac), ring.order), text
+        for row, j in zip(masks, jac):
+            want = ideal_closure(ring, ElemSet.of(ring, [j]), "two-sided").mask()
+            assert np.array_equal(row, want), (text, j)
+    assert {"t(3,z(2))", "z(32)", *EXTRA_RINGS} <= {text for text, *_ in rings}
+    assert max(len(jac) for *_, jac in rings) >= 16
+
+
+def test_principal_ideals_need_more_than_one_round_in_m3():
+    # (E11) in M_3(Z/2) is every matrix, but sums of two products r E11 s
+    # have rank at most 2, so the fixpoint must run a second round
+    ring = compile_text("m(3,z(2))")
+    gens = np.array([matrix_unit_index(ring, 0, 0), matrix_unit_index(ring, 0, 1)])
+    masks = principal_ideals(ring, gens)
+    for row, a in zip(masks, gens):
+        assert np.array_equal(row, ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").mask())
+    assert masks.all()
+
+
 def test_the_gathered_prime_test_matches_the_pair_loop(corpus_bundles):
     verdicts = {}
     for text, ring in oracle_rings(corpus_bundles):
