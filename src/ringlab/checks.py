@@ -30,6 +30,7 @@ from .core import (
     ZmodMeta,
     product_columns,
     products,
+    rows_equal_columns,
     validate_ring,
 )
 from .construct import (
@@ -362,10 +363,11 @@ def _chk_l126(ctx: CheckContext) -> Outcome:
 
 def _chk_l127(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    mask = b.jsharp.mask()[ring.mul]
+    loose = np.flatnonzero(~rows_equal_columns(ring.mul))  # ab = ba unless a, b are both outside the centre
+    mask = b.jsharp.mask()[ring.mul[np.ix_(loose, loose)]]
     bad = np.argwhere(mask & ~mask.T)
     if len(bad):
-        a, bb = map(int, bad[0])
+        a, bb = map(int, loose[bad[0]])  # loose ascends, so this is the whole table's row-major first pair
         return _fail(f"ab in J# but ba outside for a = {ring.describe(a)}, b = {ring.describe(bb)}")
     return _ok()
 

@@ -463,39 +463,44 @@ def _assert_bundle_sanity(b: InvariantBundle) -> None:
 # ---------------------------------------------------------------------------
 # desk oracles (ideal enumeration; exponential in general, small orders only)
 #
-# The two-sided ideals are the join-closure of the principal ones. The
-# ideal a generates is the additive span of RaR, so the ideals of any rows
-# come out of one masked fixpoint (`principal_ideals`): row a starts as
-# the products (ra)s, and each round adds the pairwise sums of its
-# members. O-nilstar closes all n rows; the ideals inside J that
-# `CheckContext.radical_ideals` enumerates close only the rows of J.
-# An ideal P is prime when no a, b outside P have aRb inside P, decided
-# for every (a, r, b) at once on the same products (`_is_prime`). The
-# left ideals (O-jac) are the join-closure of the columns mul[:, a].
+# Ideals are (n,) boolean masks. The left ideals are the join-closure of
+# the Ra; the two-sided ones that of the (a), each the additive span of
+# RaR, all taken in one masked fixpoint (`principal_ideals`; the ideals
+# inside J of `CheckContext.radical_ideals` close only the rows of J). The
+# join walks a frontier of new ideals I: x is labelled by the least member
+# of its coset x + I, and I + P is the union of the cosets p + I, so each P
+# not inside I is joined by one scatter of P's labels and one gather at
+# every label (`_join_masks`). O-jac ANDs the proper left ideals inside no
+# other, found by one inclusion test over all pairs; O-nilstar ANDs the
+# proper two-sided ideals that are prime, decided in one gather (`_prime_rows`).
 # ---------------------------------------------------------------------------
+
+
+def _join_masks(ring: TableRing, principal: np.ndarray) -> np.ndarray:
+    """Every sum of the ideals whose masks are the rows of `principal`, as distinct rows."""
+    ideals = {row.tobytes(): row for row in principal}
+    principal = np.array(list(ideals.values()))
+    frontier = list(principal)
+    while frontier:
+        grown = []
+        for ideal in frontier:
+            rest = principal[(principal & ~ideal).any(axis=1)]  # I + P = I for P inside I
+            label = ring.add[:, np.flatnonzero(ideal)].min(axis=1)  # the least member of x + I
+            rows, members = np.nonzero(rest)
+            hit = np.zeros(rest.shape, dtype=bool)
+            hit[rows, label[members]] = True
+            for row in hit[:, label]:  # x lies in I + P iff its label is one of P's
+                if (key := row.tobytes()) not in ideals:
+                    ideals[key] = row
+                    grown.append(row)
+        frontier = grown
+    return np.array(list(ideals.values()))
 
 
 def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[frozenset[int]]:
     """Every sum of ideals from `principal`, sorted by (size, members)."""
-
-    def key(members: np.ndarray) -> bytes:
-        mask = np.zeros(ring.order, dtype=bool)
-        mask[members] = True
-        return mask.tobytes()
-
-    arrays = [np.fromiter(j, dtype=np.int64, count=len(j)) for j in principal]
-    ideals = {key(ja): ja for ja in arrays}  # mask bytes -> member index array
-    frontier = arrays
-    while frontier:
-        nxt = []
-        for ia in frontier:
-            for ja in arrays:
-                k = key(ring.add[ia[:, None], ja])
-                if k not in ideals:
-                    ideals[k] = np.flatnonzero(np.frombuffer(k, dtype=bool))
-                    nxt.append(ideals[k])
-        frontier = nxt
-    return sorted((frozenset(a.tolist()) for a in ideals.values()), key=lambda s: (len(s), sorted(s)))
+    masks = np.array([np.isin(np.arange(ring.order), list(ideal)) for ideal in principal])
+    return sorted((frozenset(np.flatnonzero(mask).tolist()) for mask in _join_masks(ring, masks)), key=lambda s: (len(s), sorted(s)))
 
 
 def left_ideals(ring: TableRing) -> list[frozenset[int]]:
@@ -506,12 +511,12 @@ def left_ideals(ring: TableRing) -> list[frozenset[int]]:
 
 def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
     """Intersection of the maximal left ideals (desk oracle, small orders)."""
-    proper = [i for i in left_ideals(ring) if len(i) < ring.order]
-    maximal = [i for i in proper if not any(i < j for j in proper)]
-    inter = frozenset(range(ring.order))
-    for m in maximal:
-        inter &= m
-    return ElemSet.of(ring, inter)
+    principal = np.zeros((ring.order, ring.order), dtype=bool)
+    principal[np.arange(ring.order), ring.mul] = True  # row a: Ra, the column mul[:, a]
+    ideals = _join_masks(ring, principal)
+    proper = ideals[~ideals.all(axis=1)]
+    inside = proper.astype(np.float32) @ (~proper).T.astype(np.float32) == 0  # [i, j]: ideal i inside ideal j
+    return ElemSet.from_mask(ring, proper[inside.sum(axis=1) == 1].all(axis=0))  # inside itself alone
 
 
 def principal_ideals(ring: TableRing, gens: np.ndarray | None = None) -> np.ndarray:
@@ -545,22 +550,16 @@ def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
     return _join_closure(ring, {frozenset(np.flatnonzero(row).tolist()) for row in principal_ideals(ring)})
 
 
-def _is_prime(inside: np.ndarray, triples: np.ndarray) -> bool:
-    """Whether the proper ideal P with membership mask `inside` is prime:
-    no a, b outside P with aRb inside P, read as inside[(ar)b] over every
-    (a, r, b), where `triples` is mul[mul], whose entry [a, r, b] is (ar)b."""
-    absorbed = inside[triples].all(axis=1)  # aRb inside P, at [a, b]
-    return not (absorbed & ~inside[:, None] & ~inside).any()
+def _prime_rows(inside: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Which proper ideals P, one mask a row of `inside`, are prime: no a, b
+    outside P with aRb inside P, read as inside[P, (ar)b] over every
+    (P, a, r, b), where `triples` is mul[mul], whose [a, r, b] is (ar)b."""
+    absorbed = inside[:, triples].all(axis=2)  # aRb inside P, at [P, a, b]
+    return ~(absorbed & ~inside[:, :, None] & ~inside[:, None, :]).any(axis=(1, 2))
 
 
 def prime_radical_ideal_oracle(ring: TableRing) -> ElemSet:
     """Intersection of all prime ideals (desk oracle, small orders)."""
-    n = ring.order
-    triples = ring.mul[ring.mul]
-    inter = np.ones(n, dtype=bool)
-    for ideal in two_sided_ideals(ring):
-        inside = np.zeros(n, dtype=bool)
-        inside[list(ideal)] = True
-        if len(ideal) < n and _is_prime(inside, triples):
-            inter &= inside
-    return ElemSet.from_mask(ring, inter)
+    ideals = _join_masks(ring, principal_ideals(ring))
+    proper = ideals[~ideals.all(axis=1)]
+    return ElemSet.from_mask(ring, proper[_prime_rows(proper, ring.mul[ring.mul])].all(axis=0))

@@ -44,3 +44,22 @@ def bitwise_add_formula(n, high):
     i = np.arange(n, dtype=np.uint16)
     low = i & np.uint16(~high & 0xFFFF)
     return (low[:, None] + low) ^ ((i[:, None] ^ i) & np.uint16(high))
+
+
+def join_closure_oracle(ring, principal):
+    """Every sum of ideals from the set `principal`, each sum a frozenset of
+    the sums i + j read pair by pair, sorted by (size, members)."""
+    ideals = set(principal)
+    frontier = list(principal)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            ia = np.array(sorted(i), dtype=np.int64)
+            for j in principal:
+                ja = np.array(sorted(j), dtype=np.int64)
+                s = frozenset(int(x) for x in ring.add[np.ix_(ia, ja)].ravel())
+                if s not in ideals:
+                    ideals.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))

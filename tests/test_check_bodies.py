@@ -123,6 +123,16 @@ def old_l126(ctx: CheckContext) -> Outcome:
     return _ok()
 
 
+def old_l127(ctx: CheckContext) -> Outcome:
+    ring, b = ctx.ring, ctx.bundle
+    mask = b.jsharp.mask()[ring.mul]
+    bad = np.argwhere(mask & ~mask.T)
+    if len(bad):
+        a, bb = map(int, bad[0])
+        return _fail(f"ab in J# but ba outside for a = {ring.describe(a)}, b = {ring.describe(bb)}")
+    return _ok()
+
+
 def old_l128(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     sums = _sumset(ring, b.nilpotents.members, b.jacobson.members)
@@ -539,6 +549,7 @@ OLD_BODIES = {
     "L1.2.4": old_l124,
     "L1.2.5": old_l125,
     "L1.2.6": old_l126,
+    "L1.2.7": old_l127,
     "L1.2.8": old_l128,
     "X-1.3": old_x13,
     "P3.8": old_p38,

@@ -12,6 +12,7 @@ from ringlab.subsets import _join_closure, compute_bundle
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
 
 from conftest import results_for
+from ringtables import join_closure_oracle
 
 
 def test_registry_size_and_ids():
@@ -332,23 +333,6 @@ def additive_closure_oracle(ring, items):
         if total <= members:
             return frozenset(members)
         members |= total
-
-
-def join_closure_oracle(ring, principal):
-    ideals = set(principal)
-    frontier = list(principal)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            ia = np.array(sorted(i), dtype=np.int64)
-            for j in principal:
-                ja = np.array(sorted(j), dtype=np.int64)
-                s = frozenset(int(x) for x in ring.add[np.ix_(ia, ja)].ravel())
-                if s not in ideals:
-                    ideals.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 def test_set_kernels_match_their_generator_forms(corpus_bundles):

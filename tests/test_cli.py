@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,6 +268,31 @@ def test_inspect_above_the_default_cap_keeps_its_derived_rings(capsys):
     assert lines[1].split() == ["order", "16384"] and lines[2].split() == ["validation", "exhaustive"]
     assert {"|U|": "10584", "|J|": "1", "|Id|": "148"}.items() <= dict(line.split() for line in lines[3:10]).items()
     assert [line.split() for line in lines if line.startswith("semiboolean")] == [["semiboolean", "no"]]
+
+
+def test_an_inspect_above_the_default_cap_reads_only_half_tables(capsys, monkeypatch):
+    # order 16384 with J != {0}: a whole table of R would be 512 MiB, and any
+    # n^2 temporary 256 MiB or more, so the peak is bounded by the half tables
+    # ML and MH (uint16 cells) plus a constant. R/J, of order 128, keeps whole
+    # tables; nothing larger is filled, cold or warm
+    rings, fills = [], []
+    compile_real, fill_add, fill_mul = cli.compile_text, core._bitwise_add_table, core._bitwise_mul_table
+    monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
+    monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "inspect", "--max-order", "16384", "group(z(2),c(14))")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and out.splitlines()[1].split() == ["order", "16384"]
+        ring = rings.pop()
+        low_rows, high_rows, _ = ring.mul_halves
+        assert ring._add[0] is None and ring._mul[0] is None
+        assert [f for f in fills if f[1] > 128] == []
+        assert peak <= (len(low_rows) + len(high_rows)) * ring.order * 2 + (8 << 20), peak
 
 
 @pytest.mark.parametrize(

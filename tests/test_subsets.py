@@ -12,7 +12,7 @@ from ringlab.core import rows_equal_columns
 from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, ideal_closure, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
-    _is_prime,
+    _prime_rows,
     additive_generators,
     augmentation,
     augmentation_ideal,
@@ -22,6 +22,7 @@ from ringlab.subsets import (
     jacobson_radical,
     jacobson_radical_maximal_ideal_oracle,
     jsharp,
+    left_ideals,
     nilpotents,
     prime_radical,
     prime_radical_ideal_oracle,
@@ -33,7 +34,7 @@ from ringlab.subsets import (
     units,
 )
 
-from ringtables import BITWISE_RINGS, CAP_RINGS, EXTRA_RINGS, without_basis
+from ringtables import BITWISE_RINGS, CAP_RINGS, EXTRA_RINGS, join_closure_oracle, without_basis
 
 M2 = build_matrix(build_zmod(2), 2)
 T2 = build_triangular(build_zmod(2), 2)
@@ -170,15 +171,66 @@ def test_principal_ideals_need_more_than_one_round_in_m3():
 def test_the_gathered_prime_test_matches_the_pair_loop(corpus_bundles):
     verdicts = {}
     for text, ring in oracle_rings(corpus_bundles):
-        triples = ring.mul[ring.mul]
-        for ideal in two_sided_ideals(ring):
-            if len(ideal) < ring.order:
-                inside = np.isin(np.arange(ring.order), list(ideal))
-                verdicts[text, ideal] = _is_prime(inside, triples)
-                assert verdicts[text, ideal] == prime_loop_oracle(ring, ideal), (text, sorted(ideal))
+        proper = [ideal for ideal in two_sided_ideals(ring) if len(ideal) < ring.order]
+        inside = np.array([np.isin(np.arange(ring.order), list(ideal)) for ideal in proper])
+        for ideal, prime in zip(proper, _prime_rows(inside, ring.mul[ring.mul]).tolist()):
+            verdicts[text, ideal] = prime
+            assert prime == prime_loop_oracle(ring, ideal), (text, sorted(ideal))
     assert verdicts["z(4)", frozenset({0})] is False  # 2 * r * 2 = 0 for every r
     assert verdicts["z(4)", frozenset({0, 2})] is True
     assert set(verdicts.values()) == {True, False}
+
+
+def frozenset_join_closure(ring, principal):
+    """The join-closure as the mask join replaced it (kept as oracle): each
+    sum I + P one |I| x |P| gather through add, keyed by its mask bytes."""
+
+    def key(members):
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[members] = True
+        return mask.tobytes()
+
+    arrays = [np.fromiter(j, dtype=np.int64, count=len(j)) for j in principal]
+    ideals = {key(ja): ja for ja in arrays}
+    frontier = arrays
+    while frontier:
+        nxt = []
+        for ia in frontier:
+            for ja in arrays:
+                k = key(ring.add[ia[:, None], ja])
+                if k not in ideals:
+                    ideals[k] = np.flatnonzero(np.frombuffer(k, dtype=bool))
+                    nxt.append(ideals[k])
+        frontier = nxt
+    return sorted((frozenset(a.tolist()) for a in ideals.values()), key=lambda s: (len(s), sorted(s)))
+
+
+def test_the_jacobson_oracle_matches_its_definition(corpus_bundles):
+    # every left ideal from the pair-by-pair join of the Ra, the maximal ones
+    # by strict inclusion among the proper ones, and their intersection as sets
+    rings = [(text, ring) for text, ring, _ in corpus_bundles if ring.order <= 64]  # where O-jac runs
+    rings += [(text, compile_text(text)) for text in EXTRA_RINGS]
+    for text, ring in rings:
+        principal = {frozenset(ring.mul[:, a].tolist()) for a in range(ring.order)}
+        ideals = join_closure_oracle(ring, principal)
+        assert left_ideals(ring) == ideals == frozenset_join_closure(ring, principal), text
+        proper = [i for i in ideals if len(i) < ring.order]
+        maximal = [i for i in proper if not any(i < j for j in proper)]
+        assert jacobson_radical_maximal_ideal_oracle(ring).members == frozenset(range(ring.order)).intersection(*maximal), text
+    assert {"t(3,z(2))", "group(z(2),s(3))", *EXTRA_RINGS} <= {text for text, _ in rings}
+
+
+def test_the_prime_radical_oracle_matches_its_definition(corpus_bundles):
+    # every two-sided ideal from the pair-by-pair join of the closures (a),
+    # each proper one tested prime by the pair loop, and the primes' intersection
+    rings = oracle_rings(corpus_bundles)
+    for text, ring in rings:
+        principal = {ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided").members for a in range(ring.order)}
+        ideals = join_closure_oracle(ring, principal)
+        assert two_sided_ideals(ring) == ideals == frozenset_join_closure(ring, principal), text
+        primes = [i for i in ideals if len(i) < ring.order and prime_loop_oracle(ring, i)]
+        assert prime_radical_ideal_oracle(ring).members == frozenset(range(ring.order)).intersection(*primes), text
+    assert {"m(2,z(2))", "t(2,z(2))", *EXTRA_RINGS} <= {text for text, _ in rings}
 
 
 def _power_orbit_oracle(ring, target):
