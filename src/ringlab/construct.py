@@ -23,7 +23,9 @@ trivial extensions, group rings and truncated skew polynomials are all
 digit vectors with componentwise addition (over z(p), over the factors,
 or over a base ring R), and share one structure-constant builder. Each
 construction gives only the product (c*e_w)*b of a monomial with every
-element; the builder fills every other row by additive row extension:
+element, as images @ weights (the images of b's digits and the place
+values they land on, see `_digit_vector_tables`); the builder fills
+every other row by additive row extension:
 for x = x' + c*e_w with x' below the place value of digit w, add[x] =
 add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]], and the
 tables go through `validate_ring`. Over bases whose addition is bitwise
@@ -166,7 +168,7 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
         raw[:, w:] = c * digits
         for k in range(d + w - 1, d - 1, -1):
             raw[:, k - d : k] += raw[:, k, None] * reduction
-        return raw[:, :d] % p
+        return raw[:, :d] % p, p ** np.arange(d)
 
     digits, build = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
     return build(1, _digit_names(digits, _poly_name), GaloisMeta(q, p, d, modulus))
@@ -207,8 +209,13 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     Digit w lies in `bases[w]` and counts place[w] = |bases[0]| * ... *
     |bases[w-1]| (mixed radix, first digit least significant). Addition
     is componentwise, so neg negates each digit over its own base.
-    `mono_rule(c, w, digits)` returns the digit matrix of (c*e_w)*b for
-    every element b (one row of `digits` each).
+    `mono_rule(c, w, digits)` returns (images, weights), the index of
+    (c*e_w)*b being images[b] @ weights for each element b (a row of
+    `digits`): images[:, v] is b's digit v under a map of the base (c*b_v,
+    or c*alpha^i(b_v)) and weights[v] the place value of the digit it
+    lands on, or 0 if it drops (gf's images are its folded digits). The
+    rows whose rule returns one images array (matrices, group rings and
+    trivial extensions keep one per c) take one product between them.
 
     When every base's addition is bitwise (`_base_top_bits`: z(2^k),
     gf(2^d), and digit vectors over those) and there are at least
@@ -218,9 +225,8 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     formula (see core), with H the sum of every base's H shifted to its
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
-    their K product rows are made here, written into one (K, n) block,
-    each row's digit matrix encoded by one product with the place values
-    (`encode_digits`); `core.bitwise_ring` builds both tables from them,
+    their K product rows are made here, written into one (K, n) block;
+    `core.bitwise_ring` builds both tables from them,
     with each index split into a low and a high half at a field boundary
     (every digit boundary is one), and checks the relations on those rows.
 
@@ -236,10 +242,10 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     order = place[-1]
     _check_cap(order, cap)
     digits = all_digits(radices)
-    neg = encode_digits(np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1), radices)
+    distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
+    neg = encode_digits(bases[0].neg[digits] if len(distinct) == 1 else np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1), radices)
     high = None
     if len(bases) > 1:  # a single digit extends no row, so skip the r x r compares
-        distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
         highs = {key: _base_top_bits(base) for key, base in distinct.items()}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
@@ -247,8 +253,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
         # bit b of x lies in digit w with place[w] <= 2^b < place[w + 1]; 2^b is (2^b / place[w]) e_w
         w_of = [w for w, radix in enumerate(radices) for _ in range(radix.bit_length() - 1)]
         generator_rows = np.empty((len(w_of), order), dtype=np.int32)
-        for b, w in enumerate(w_of):
-            generator_rows[b] = encode_digits(mono_rule((1 << b) // place[w], w, digits), radices)
+        _encode_monomials(mono_rule, [(b, (1 << b) // place[w], w) for b, w in enumerate(w_of)], digits, generator_rows)
         return digits, lambda one, names, meta: bitwise_ring(high, generator_rows, one, neg, names, meta)
     monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
     # rows x + lo .. x + hi - 1 extend rows lo .. hi - 1 by the monomial x = c*e_w
@@ -258,13 +263,26 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     mul = np.empty((order, order), dtype=TABLE_DTYPE)
     mul[0] = 0
     add[0] = np.arange(order)
+    _encode_monomials(mono_rule, monomials, digits, mul)
     for x, c, w in monomials:
-        mul[x] = encode_digits(mono_rule(c, w, digits), radices)
         add[x] = np.arange(order) + (bases[w].add[c, digits[:, w]].astype(np.intp) - digits[:, w]) * place[w]
     for x, lo, hi in blocks:
         np.take(add[lo:hi], add[x], axis=1, out=add[x + lo : x + hi])
     _extend_by_gather(add, mul, blocks)
     return digits, lambda one, names, meta: validate_ring(add, mul, 0, one, neg=neg, names=names, meta=meta)
+
+
+def _encode_monomials(mono_rule, monomials, digits: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = images @ weights of `mono_rule(c, w, digits)` for each (r, c, w)
+    in `monomials`, one product in float64 per distinct images array; exact,
+    as every term and partial sum is an integer below the order."""
+    shared = {}  # id(images) -> (images, [(r, weights)]); holding images keeps each id unique
+    for r, c, w in monomials:
+        images, weights = mono_rule(c, w, digits)
+        shared.setdefault(id(images), (images, []))[1].append((r, weights))
+    for images, rows in shared.values():
+        at, weights = zip(*rows)
+        out[list(at)] = np.array(weights, dtype=np.float64) @ images.T.astype(np.float64)
 
 
 def _base_top_bits(base: TableRing) -> int | None:
@@ -294,15 +312,14 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
 
 def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap: int | None):
     pos_index = {pos: w for w, pos in enumerate(positions)}
+    scaled = {}  # c -> the cells c*b of every element, which every E_ij shares
 
     def mono_rule(c, w, digits):
-        # row i of (c E_ij) B is c times row j of B; other rows are zero
+        # row i of (c E_ij) B is c times row j of B: cell (j, l) moves to (i, l), every other cell drops
         i, j = positions[w]
-        out = np.zeros_like(digits)
-        for l in range(k):
-            if (i, l) in pos_index and (j, l) in pos_index:
-                out[:, pos_index[i, l]] = products(base, c, digits[:, pos_index[j, l]])
-        return out
+        if c not in scaled:
+            scaled[c] = products(base, c, digits)
+        return scaled[c], [base.order ** pos_index[i, l] if row == j and (i, l) in pos_index else 0 for row, l in positions]
 
     digits, build = _digit_vector_tables([base] * len(positions), mono_rule, cap)
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
@@ -361,9 +378,7 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
 
     def mono_rule(c, w, digits):
         # (c e_w) b keeps only component w, which is c * b_w
-        out = np.zeros_like(digits)
-        out[:, w] = products(factors[w], c, digits[:, w])
-        return out
+        return products(factors[w], c, digits[:, w, None]), [prod(f.order for f in factors[:w])]
 
     digits, build = _digit_vector_tables(factors, mono_rule, cap)
     one = int(encode_digits(np.array([f.one for f in factors]), [f.order for f in factors]))
@@ -503,14 +518,13 @@ def build_corner(ring: TableRing, e: int) -> tuple[TableRing, np.ndarray]:
 
 def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRing:
     """T(R, R): pairs (r, m) with (r,m)(s,n) = (rs, rn + ms); index r*|R|+m."""
+    scaled = {}  # c -> the digits (cn, cs) of every element (s, n), which both monomials share
 
     def mono_rule(c, w, digits):
         # digit 0 is m, digit 1 is r: (0,c)(s,n) = (0, cs) and (c,0)(s,n) = (cs, cn)
-        if w == 1:
-            return products(ring, c, digits)
-        out = np.zeros_like(digits)
-        out[:, 0] = products(ring, c, digits[:, 1])
-        return out
+        if c not in scaled:
+            scaled[c] = products(ring, c, digits)
+        return scaled[c], [1, ring.order] if w == 1 else [0, 1]
 
     digits, build = _digit_vector_tables([ring] * 2, mono_rule, cap)
     names = _digit_names(digits, lambda mr: f"({ring.name_of(mr[1])}, {ring.name_of(mr[0])})")
@@ -528,12 +542,10 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
     scaled = {}  # c -> the digits c*b_j of every element, which every g_w shares
 
     def mono_rule(c, w, digits):
-        # (c g_w)(sum_j b_j g_j) = sum_j (c b_j) g_w g_j, and j -> g_w g_j is a bijection
+        # (c g_w)(sum_j b_j g_j) = sum_j (c b_j) g_w g_j: digit j moves to g_w g_j
         if c not in scaled:
             scaled[c] = products(base, c, digits)
-        out = np.empty_like(digits)
-        out[:, group.op[w]] = scaled[c]
-        return out
+        return scaled[c], base.order ** group.op[w]  # below the order, which fits int32
 
     digits, build = _digit_vector_tables([base] * group.order, mono_rule, cap)
     one = int(base.one) * base.order**group.identity
@@ -637,9 +649,7 @@ def build_truncated_skew_poly(
 
     def mono_rule(c, i, digits):
         # (c x^i)(b_j x^j) = c alpha^i(b_j) x^(i+j), truncated at degree k
-        out = np.zeros_like(digits)
-        out[:, i:] = products(base, c, powers[i][digits[:, : k - i]])
-        return out
+        return products(base, c, powers[i][digits[:, : k - i]]), base.order ** np.arange(i, k)
 
     digits, build = _digit_vector_tables([base] * k, mono_rule, cap)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]

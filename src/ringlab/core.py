@@ -33,7 +33,7 @@ attribute records how they were checked:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -463,9 +463,13 @@ def bitwise_high_bits(add: np.ndarray) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _triple_samples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@cache
+def _triple_samples(n: int) -> np.ndarray:
+    """The (3, _SAMPLE_TRIPLES) sampled triples of order n, drawn once per order, read-only."""
     rng = np.random.default_rng(_SAMPLE_SEED)
-    return tuple(rng.integers(0, n, size=_SAMPLE_TRIPLES) for _ in range(3))
+    samples = np.stack([rng.integers(0, n, size=_SAMPLE_TRIPLES) for _ in range(3)])
+    samples.setflags(write=False)
+    return samples
 
 
 _SLAB = 64  # columns per contiguous slab in rows_equal_columns
@@ -482,6 +486,8 @@ def rows_equal_columns(table: np.ndarray) -> np.ndarray:
     each symmetric pair is compared once and the answer is exact per row.
     """
     n = table.shape[0]
+    if n <= _SLAB:  # one slab: the whole compare is cheaper than the slab's copy
+        return (table == table.T).all(axis=1)
     out = np.ones(n, dtype=bool)
     for i in range(0, n, _SLAB):
         cols = np.ascontiguousarray(table[i:, i : i + _SLAB]).T  # cols[k, c] = table[i+c, i+k]
@@ -1002,13 +1008,9 @@ def _extend_bitwise(mul: np.ndarray, high: int) -> None:
 
 def all_digits(radices) -> np.ndarray:
     """The digits of every index 0..prod(radices)-1, one row each; digit w
-    counts prod(radices[:w]), so the first digit is least significant."""
-    order = prod(radices)
-    digits = np.empty((order, len(radices)), dtype=np.int32)
-    x = np.arange(order)
-    for w, radix in enumerate(radices):
-        x, digits[:, w] = np.divmod(x, radix)
-    return digits
+    counts prod(radices[:w]), so the first digit is least significant.
+    One index grid, read backwards: no division, each column contiguous."""
+    return np.indices(radices[::-1], dtype=np.int32).reshape(len(radices), -1)[::-1].T
 
 
 def encode_digits(digits: np.ndarray, radices) -> np.ndarray:

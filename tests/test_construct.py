@@ -728,6 +728,14 @@ TABLE_DIGESTS = {
     "group(z(2),c(12))": "72920850d2db0b1d3bd7eb8333badd1b607d011db8143688a9e035622f565401",
     "group(z(3),c(7))": "4ed3944d2492acbdd349a8c5a549a510b9a352cb0473745e24eab555a59903d8",
     "group(z(5),c(5))": "d4013b6a90d9ebb6d2ab501e0ba4920a8ad679eac14b068bfecd45f93bd00ffd",
+    "gf(8)": "d5c07c5611a991998ebd40beaf0b11c428b55385a6d2a5c448ffd5722a328641",
+    "gf(9)": "388b0ad00f3c4ca22c7ddbc703b3e010db76da77fd2c6e8e9a75bf7f5c6a413d",
+    "prod(z(3),gf(9),z(4))": "0a2db209887c80c23ce774ef947927fb31ad4792c2382b0040e4979da3eb3276",
+    "triv(z(8))": "8353a048b4b3a6129c9d4a22e9329b9ca827d3eb65f7283de777f7333d493b02",
+    "poly(z(4),3)": "7768b433d9e23b33550b6c4ae1c6ced54835645c1571b5e21f84d9243a9ee340",
+    "t(3,z(4))": "7e0a42fd59bd57f59c615211a134ab2c15bbfce2655415c2d90578f9c8b248ef",
+    "m(2,gf(4))": "1c8e9e6370db46c8c0a8b0821ecc78ef407135592e65616f9be3aed14d298d9e",
+    "m(2,z(3))": "9045a74e255d5a7083dca63c6fdded0e162330d53930271a94276d405e39f137",
 }
 
 
@@ -763,6 +771,123 @@ def test_matrix_monomials_keep_noncommutative_coefficient_order():
                 for d in range(r):
                     expected = int(base.mul[c, d]) * r ** positions.index((i, l)) if j == j2 else 0
                     assert int(ring.mul[c * r**w, d * r**v]) == expected
+
+
+def digit_matrix_rule(ring):
+    """(bases, rule) of a digit-vector ring, where `rule(c, w, digits)` is
+    the digit matrix of (c*e_w)*b, one row per element b: the builders'
+    monomial rules as they were before they returned (images, weights),
+    kept as the oracle for the encoded rows."""
+    meta = ring.meta
+    if isinstance(meta, GaloisMeta):
+        p, d = meta.char, meta.degree
+        reduction = np.array([(-m) % p for m in meta.modulus[:-1]])
+
+        def rule(c, w, digits):
+            raw = np.zeros((len(digits), d + w), dtype=np.int64)
+            raw[:, w:] = c * digits
+            for k in range(d + w - 1, d - 1, -1):
+                raw[:, k - d : k] += raw[:, k, None] * reduction
+            return raw[:, :d] % p
+
+        return [build_zmod(p)] * d, rule
+    if isinstance(meta, ProductMeta):
+
+        def rule(c, w, digits):
+            out = np.zeros_like(digits)
+            out[:, w] = meta.factors[w].mul[c, digits[:, w]]
+            return out
+
+        return list(meta.factors), rule
+    base, width = meta.base, len(digit_bases(ring))
+    if isinstance(meta, (MatrixMeta, TriangularMeta)):
+        k = meta.size
+        positions = list(getattr(meta, "positions", [(i, j) for i in range(k) for j in range(k)]))
+        pos_index = {pos: w for w, pos in enumerate(positions)}
+
+        def rule(c, w, digits):
+            i, j = positions[w]
+            out = np.zeros_like(digits)
+            for l in range(k):
+                if (i, l) in pos_index and (j, l) in pos_index:
+                    out[:, pos_index[i, l]] = base.mul[c, digits[:, pos_index[j, l]]]
+            return out
+
+    elif isinstance(meta, GroupRingMeta):
+
+        def rule(c, w, digits):
+            out = np.empty_like(digits)
+            out[:, meta.group.op[w]] = base.mul[c, digits]
+            return out
+
+    elif isinstance(meta, SkewPolyMeta):
+        powers = [np.arange(base.order)]
+        for _ in range(1, width):
+            powers.append(meta.endo_map[powers[-1]])
+
+        def rule(c, i, digits):
+            out = np.zeros_like(digits)
+            out[:, i:] = base.mul[c, powers[i][digits[:, : width - i]]]
+            return out
+
+    else:
+        assert isinstance(meta, TrivialExtMeta)
+
+        def rule(c, w, digits):  # digit 0 is m, digit 1 is r
+            if w == 1:
+                return base.mul[c, digits]
+            out = np.zeros_like(digits)
+            out[:, 0] = base.mul[c, digits[:, 1]]
+            return out
+
+    return [base] * width, rule
+
+
+# mixed radices, the first three gathered; the gather branch under every
+# rule; and bases that are not commutative, on both branches
+MIXED_RADIX_RINGS = ("prod(z(3),gf(9),z(4))", "prod(z(2),z(3))", "prod(z(6),gf(4),z(5))", "prod(z(8),z(4),z(16),z(2))")
+GATHERED_RINGS = ("m(2,z(3))", "t(3,z(3))", "gf(9)", "group(z(3),d(3))", "group(z(9),c(3))", "poly(z(3),3)", "skew(gf(9),frob,2)", "triv(z(6))")
+NONCOMMUTATIVE_BASE_RINGS = ("group(t(2,z(3)),c(2))", "triv(t(2,z(3)))", "t(2,t(2,z(2)))")
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys(BITWISE_RINGS + MIXED_RADIX_RINGS + GATHERED_RINGS + NONCOMMUTATIVE_BASE_RINGS)))
+def test_encoded_monomial_rows_match_the_digit_matrix_rules(text, monkeypatch):
+    # every generator row handed to bitwise_ring, or every monomial row of a
+    # gathered mul, is encode_digits of the digit matrix the oracle rule gives
+    calls, bitwise, validate = [], construct.bitwise_ring, construct.validate_ring
+    monkeypatch.setattr(construct, "bitwise_ring", lambda high, rows, *a: calls.append(("bitwise", np.array(rows))) or bitwise(high, rows, *a))
+    monkeypatch.setattr(construct, "validate_ring", lambda add, mul, *a, **k: calls.append(("gather", np.array(mul))) or validate(add, mul, *a, **k))
+    ring = compile_text(text)
+    kind, rows = calls[-1]  # the outermost build
+    gathered = GATHERED_RINGS + MIXED_RADIX_RINGS[:3] + NONCOMMUTATIVE_BASE_RINGS[:2]
+    assert kind == ("gather" if text in gathered else "bitwise") and rows.shape[1] == ring.order, text
+    bases, rule = digit_matrix_rule(ring)
+    if text in NONCOMMUTATIVE_BASE_RINGS:
+        assert (bases[0].mul != bases[0].mul.T).any()
+    radices = [base.order for base in bases]
+    place = np.cumprod([1, *radices]).tolist()
+    digits = core.all_digits(radices)
+    if kind == "bitwise":
+        monomials = [(b, (1 << b) // place[w], w) for b, w in enumerate(w for w, r in enumerate(radices) for _ in range(r.bit_length() - 1))]
+        assert len(monomials) == len(rows), text
+    else:
+        monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]
+    for r, c, w in monomials:
+        assert np.array_equal(rows[r], core.encode_digits(rule(c, w, digits), radices)), (text, c, w)
+
+
+def test_each_scalar_reads_the_base_products_once(monkeypatch):
+    # every generator row of one scalar c shares c's images: group(z(2),c(12))
+    # reads z(2)'s products once (c = 1) and m(2,z(8)) reads z(8)'s three times
+    # (c = 1, 2, 4), where each generator row used to read them (12 rows each)
+    z2, z8, c12 = build_zmod(2), build_zmod(8), cyclic(12)
+    reads, read = [], construct.products
+    monkeypatch.setattr(construct, "products", lambda ring, *a: reads.append(ring) or read(ring, *a))
+    build_group_ring(z2, c12)
+    assert len(reads) == 1 and reads[0] is z2
+    reads.clear()
+    build_matrix(z8, 2)
+    assert len(reads) == 3 and all(ring is z8 for ring in reads)
 
 
 @pytest.mark.parametrize(

@@ -265,6 +265,14 @@ def test_sampled_validation_above_exhaustive_limit():
     assert scan_axioms(np.array(add), np.array(mul), 0, 1) == ([], "sampled")
 
 
+def test_sampled_triples_are_drawn_once_per_order_and_read_only():
+    # the triples and so the witnesses are those of a fresh draw from the seed
+    samples = core._triple_samples(130)
+    assert core._triple_samples(130) is samples and not samples.flags.writeable
+    rng = np.random.default_rng(core._SAMPLE_SEED)
+    assert np.array_equal(samples, [rng.integers(0, 130, size=core._SAMPLE_TRIPLES) for _ in range(3)])
+
+
 def test_a_proved_ring_keeps_its_bit_generators(basis_text):
     ring = compile_text(basis_text)
     bits = ring.order.bit_length() - 1
@@ -682,10 +690,21 @@ def encode_digits_loop(digits, radices):
     return out.astype(np.int32)
 
 
+def all_digits_loop(radices):
+    """The digits of every index by repeated divmod: the reference for
+    `all_digits`, which reads them off one index grid."""
+    x, columns = np.arange(np.prod(radices)), []
+    for radix in radices:
+        x, digit = np.divmod(x, radix)
+        columns.append(digit)
+    return np.stack(columns, axis=1)
+
+
 @pytest.mark.parametrize("radices", [[2] * 16, [16, 16, 16], [5] * 5, [3, 7, 2], [4096], [2, 3, 4, 5, 6, 7, 8]])
 def test_encode_digits_matches_horners_rule(radices):
     # every index up to 65535 (order 2^16) and blocks of any shape
     digits = all_digits(radices)
+    assert digits.dtype == np.int32 and np.array_equal(digits, all_digits_loop(radices))
     assert np.array_equal(encode_digits(digits, radices), encode_digits_loop(digits, radices))
     assert np.array_equal(encode_digits(digits, radices), np.arange(len(digits)))
     block = digits[np.random.default_rng(len(radices)).integers(len(digits), size=(3, 5))]
