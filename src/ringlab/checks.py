@@ -13,7 +13,7 @@ from __future__ import annotations
 import fnmatch
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
-    product_columns,
     products,
     rows_equal_columns,
     validate_ring,
@@ -73,15 +72,17 @@ class CorpusError(Exception):
         super().__init__(f"{expr_text!r}: {cause}")
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     ok: bool
     witness: str | None = None
     note: str | None = None
 
 
+_PASS = Outcome(True)
+
+
 def _ok(note: str | None = None) -> Outcome:
-    return Outcome(True, None, note)
+    return _PASS if note is None else Outcome(True, None, note)
 
 
 def _fail(witness: str, note: str | None = None) -> Outcome:
@@ -193,8 +194,7 @@ class Check:
     needs_deep: bool = False
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     ring: str
     status: str  # pass | fail | skip
@@ -292,10 +292,11 @@ def _chk_l121(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     js = b.jsharp.index_array()
     rows = products(ring, js)  # (a, b) -> ab for every a in J#
-    bad = np.argwhere((rows == product_columns(ring, js)) & ~b.jsharp.mask()[rows])
+    i, y = (~b.jsharp.mask())[rows].nonzero()  # the pairs whose ab leaves J#, row-major
+    bad = (rows[i, y] == products(ring, y, js[i])).nonzero()[0]  # of them, those with ab = ba
     if len(bad):
-        i, bidx = map(int, bad[0])
-        return _fail(f"a = {ring.describe(int(js[i]))}, b = {ring.describe(bidx)}, ab outside J#")
+        k = bad[0]
+        return _fail(f"a = {ring.describe(int(js[i[k]]))}, b = {ring.describe(int(y[k]))}, ab outside J#")
     return _ok()
 
 

@@ -42,7 +42,6 @@ through `core.products`, so a deferred base table stays unfilled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -58,6 +57,7 @@ from .core import (
     ProductMeta,
     QuotientMeta,
     CornerMeta,
+    Record,
     RingError,
     SkewPolyMeta,
     TABLE_DTYPE,
@@ -559,13 +559,12 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Endomorphism:
-    """A validated unital ring endomorphism given by an image table."""
+class Endomorphism(Record):
+    """A validated unital ring endomorphism given by an image table:
+    `ring`, `map` (index -> image index) and `name`."""
 
-    ring: TableRing
-    map: np.ndarray
-    name: str = "endo"
+    __slots__ = ("ring", "map", "name")
+    _defaults = {"name": "endo"}
 
 
 def validate_endomorphism(ring: TableRing, mapping, name: str = "endo") -> Endomorphism:

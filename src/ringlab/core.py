@@ -32,14 +32,10 @@ attribute records how they were checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .groups import GroupTable
 
 DEFAULT_MAX_ORDER = 4096
 TABLE_DTYPE = np.uint16
@@ -61,8 +57,7 @@ class ElementIndexError(RingError, IndexError):
     """An element index is outside 0..order-1."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed ring axiom with its first witness tuple."""
 
     kind: str  # NonAssociative | NonDistributive | NoIdentity | NotAbelianGroup | ZeroRing | NotAdditive | NotMultiplicative
@@ -78,6 +73,41 @@ class RingValidationError(RingError):
         super().__init__("; ".join(map(str, violations)))
 
 
+class Record:
+    """A frozen record compared by identity, for records that hold arrays
+    or rings, so that `==` never compares arrays. Its fields are the
+    subclass's `__slots__`, set once by the constructor, by position or
+    by name; `_defaults` maps a field to its default, if it has one."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs and not kwargs.keys() <= set(names[len(args) :]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        if len(args) < len(names):  # the rest by name or by default
+            values = {**self._defaults, **kwargs}
+            missing = [name for name in names[len(args) :] if name not in values]
+            if missing:
+                raise TypeError(f"{type(self).__name__} is missing the fields {missing}")
+            args += tuple(values[name] for name in names[len(args) :])
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
 # ---------------------------------------------------------------------------
 # construction metadata
 #
@@ -87,70 +117,47 @@ class RingValidationError(RingError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZmodMeta:
+class ZmodMeta(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class GaloisMeta:
+class GaloisMeta(NamedTuple):
     q: int
     char: int
     degree: int
     modulus: tuple[int, ...] | None  # little-endian coefficients, monic
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixMeta:
-    base: "TableRing"
-    size: int
+class MatrixMeta(Record):
+    __slots__ = ("base", "size")  # TableRing, int
 
 
-@dataclass(frozen=True, eq=False)
-class TriangularMeta:
-    base: "TableRing"
-    size: int
-    positions: tuple[tuple[int, int], ...]  # stored (row, col) cells, row-major
+class TriangularMeta(Record):
+    __slots__ = ("base", "size", "positions")  # positions: stored (row, col) cells, row-major
 
 
-@dataclass(frozen=True, eq=False)
-class ProductMeta:
-    factors: tuple["TableRing", ...]
+class ProductMeta(Record):
+    __slots__ = ("factors",)  # tuple of TableRing
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientMeta:
-    parent: "TableRing"
-    ideal: tuple[int, ...]
-    projection: np.ndarray  # parent index -> coset index
+class QuotientMeta(Record):
+    __slots__ = ("parent", "ideal", "projection")  # ideal: tuple of parent indices; projection: parent index -> coset index
 
 
-@dataclass(frozen=True, eq=False)
-class CornerMeta:
-    parent: "TableRing"
-    idempotent: int
-    embedding: np.ndarray  # corner index -> parent index
+class CornerMeta(Record):
+    __slots__ = ("parent", "idempotent", "embedding")  # embedding: corner index -> parent index
 
 
-@dataclass(frozen=True, eq=False)
-class TrivialExtMeta:
-    base: "TableRing"
+class TrivialExtMeta(Record):
+    __slots__ = ("base",)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupRingMeta:
-    base: "TableRing"
-    group: "GroupTable"
-    digits: np.ndarray  # (order, |G|): coefficient index per group element
+class GroupRingMeta(Record):
+    __slots__ = ("base", "group", "digits")  # group: GroupTable; digits: (order, |G|) coefficient index per group element
 
 
-@dataclass(frozen=True, eq=False)
-class SkewPolyMeta:
-    base: "TableRing"
-    endo_name: str
-    endo_map: np.ndarray
-    k: int
-    digits: np.ndarray  # (order, k): coefficient of x^j
+class SkewPolyMeta(Record):
+    __slots__ = ("base", "endo_name", "endo_map", "k", "digits")  # digits: (order, k) coefficient of x^j
 
 
 class TableRing:
@@ -465,9 +472,10 @@ def bitwise_high_bits(add: np.ndarray) -> int | None:
 
 @cache
 def _triple_samples(n: int) -> np.ndarray:
-    """The (3, _SAMPLE_TRIPLES) sampled triples of order n, drawn once per order, read-only."""
+    """The (3, _SAMPLE_TRIPLES) sampled triples of order n, drawn once per
+    order, kept read-only as TABLE_DTYPE (a quarter of the drawn int64s)."""
     rng = np.random.default_rng(_SAMPLE_SEED)
-    samples = np.stack([rng.integers(0, n, size=_SAMPLE_TRIPLES) for _ in range(3)])
+    samples = np.stack([rng.integers(0, n, size=_SAMPLE_TRIPLES) for _ in range(3)]).astype(TABLE_DTYPE)
     samples.setflags(write=False)
     return samples
 
@@ -598,24 +606,25 @@ def _identity_violations(add, mul, zero: int, one: int, neg, first_zero) -> list
     n = add.shape[0]
     violations: list[Violation] = []
     idx = np.arange(n)
-    if not np.array_equal(add[zero, :], idx):
-        a = int(np.argwhere(add[zero, :] != idx)[0][0])
-        violations.append(Violation("NotAbelianGroup", (zero, a)))
+    bad = add[zero] != idx
+    if bad.any():
+        violations.append(Violation("NotAbelianGroup", (zero, int(bad.argmax()))))
     if neg is not None:
         neg = np.asarray(neg)
-        bad = np.where(add[idx, neg] != zero)[0]
-        if len(bad):
-            violations.append(Violation("NotAbelianGroup", (int(bad[0]), int(neg[bad[0]]))))
+        bad = add[idx, neg] != zero
+        if bad.any():
+            a = int(bad.argmax())
+            violations.append(Violation("NotAbelianGroup", (a, int(neg[a]))))
     else:
         if first_zero is None:
             first_zero = np.argmax(add == zero, axis=1)
         has_inv = add[idx, first_zero] == zero
         if not has_inv.all():
-            violations.append(Violation("NotAbelianGroup", (int(np.where(~has_inv)[0][0]),)))
-    if not (np.array_equal(mul[one, :], idx) and np.array_equal(mul[:, one], idx)):
-        bad = np.argwhere(mul[one, :] != idx)
-        a = int(bad[0][0]) if len(bad) else int(np.argwhere(mul[:, one] != idx)[0][0])
-        violations.append(Violation("NoIdentity", (a,)))
+            violations.append(Violation("NotAbelianGroup", (int(has_inv.argmin()),)))
+    for bad in (mul[one] != idx, mul[:, one] != idx):
+        if bad.any():
+            violations.append(Violation("NoIdentity", (int(bad.argmax()),)))
+            break
     return violations
 
 
@@ -687,22 +696,24 @@ def scan_axioms(add, mul, zero: int, one: int, neg=None, first_zero=None) -> tup
     else:
         mode = "sampled"
         sa, sb, sc = _triple_samples(n)
-        bad = np.where(add[add[sa, sb], sc] != add[sa, add[sb, sc]])[0]
-        if len(bad):
-            i = bad[0]
-            violations.append(Violation("NotAbelianGroup", (int(sa[i]), int(sb[i]), int(sc[i]))))
-        bad = np.where(mul[mul[sa, sb], sc] != mul[sa, mul[sb, sc]])[0]
-        if len(bad):
-            i = bad[0]
-            violations.append(Violation("NonAssociative", (int(sa[i]), int(sb[i]), int(sc[i]))))
-        bad = np.where(mul[sa, add[sb, sc]] != add[mul[sa, sb], mul[sa, sc]])[0]
-        if len(bad):
-            i = bad[0]
-            violations.append(Violation("NonDistributive", (int(sa[i]), int(sb[i]), int(sc[i]))))
-        bad = np.where(mul[add[sb, sc], sa] != add[mul[sb, sa], mul[sc, sa]])[0]
-        if len(bad):
-            i = bad[0]
-            violations.append(Violation("NonDistributive", (int(sa[i]), int(sb[i]), int(sc[i]))))
+        flat_add, flat_mul = add.ravel(), mul.ravel()
+
+        def cell(flat, x, y):  # flat table [x, y], one take on intp offsets
+            return np.take(flat, x.astype(np.intp) * n + y)
+
+        # a+b, b+c, ab and ac, each read once for the identities that share it
+        a_plus_b, b_plus_c = cell(flat_add, sa, sb), cell(flat_add, sb, sc)
+        ab, ac = cell(flat_mul, sa, sb), cell(flat_mul, sa, sc)
+        for kind, lhs, rhs in (
+            ("NotAbelianGroup", cell(flat_add, a_plus_b, sc), cell(flat_add, sa, b_plus_c)),  # (a+b)+c, a+(b+c)
+            ("NonAssociative", cell(flat_mul, ab, sc), cell(flat_mul, sa, cell(flat_mul, sb, sc))),  # (ab)c, a(bc)
+            ("NonDistributive", cell(flat_mul, sa, b_plus_c), cell(flat_add, ab, ac)),  # a(b+c), ab+ac
+            ("NonDistributive", cell(flat_mul, b_plus_c, sa), cell(flat_add, cell(flat_mul, sb, sa), cell(flat_mul, sc, sa))),  # (b+c)a, ba+ca
+        ):
+            bad = lhs != rhs
+            if bad.any():
+                i = int(bad.argmax())  # the first failing sampled triple
+                violations.append(Violation(kind, (int(sa[i]), int(sb[i]), int(sc[i]))))
         if not violations and witness is not None:
             violations.append(witness)
     return violations, mode
@@ -919,7 +930,7 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
         None if whole else (low_rows, high_rows, split),
     )
     idx, gens = np.arange(n, dtype=TABLE_DTYPE), 1 << np.arange(bits)
-    identities = not bitwise_sum(idx, neg, high).any() and np.array_equal(products(ring, one), idx) and np.array_equal(product_columns(ring, [one])[0], idx)
+    identities = not bitwise_sum(idx, neg, high).any() and (products(ring, one) == idx).all() and (product_columns(ring, [one])[0] == idx).all()
     if identities and _generator_relations(products(ring, gens), product_columns(ring, gens).T, high) is None:
         return ring
     return validate_ring(ring.add, ring.mul, 0, one, neg=neg, names=names, meta=meta)
@@ -1095,7 +1106,7 @@ class ElemSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElemSet):
             return NotImplemented
-        return self.ring is other.ring and np.array_equal(self._mask, other._mask)
+        return self.ring is other.ring and self._mask.tobytes() == other._mask.tobytes()  # every mask is 0/1
 
     def __hash__(self) -> int:
         return hash((id(self.ring), self._mask.tobytes()))
@@ -1112,7 +1123,7 @@ class ElemSet:
     def index_array(self) -> np.ndarray:
         """The members as an ascending, read-only int64 index array."""
         if self._array is None:
-            self._array = np.flatnonzero(self._mask)
+            self._array = self._mask.nonzero()[0]
             self._array.setflags(write=False)
         return self._array
 

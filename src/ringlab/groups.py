@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import lcm, prod
 
 import numpy as np
 
-from .core import OutOfCapError, all_digits, encode_digits
+from .core import OutOfCapError, Record, all_digits, encode_digits
 
 GROUP_ORDER_CAP = 64
 
@@ -21,23 +20,17 @@ class UnsupportedGroupError(Exception):
     """Raised for group constructions outside the fixed catalogue."""
 
 
-@dataclass(frozen=True, eq=False)
-class GroupTable:
+class GroupTable(Record):
     """A finite group: `op[a, b]` is the index of the product a*b.
 
     Elements are the indices 0..order-1; `names` carries a printable label
-    per index. `exponent` is the lcm of all element orders and `is_2group`
-    holds exactly when the order is a power of two.
+    per index, `inverse` the index of each inverse and `element_orders`
+    each element's order. `exponent` is the lcm of all element orders and
+    `is_2group` holds exactly when the order is a power of two.
     """
 
-    order: int
-    op: np.ndarray
-    identity: int
-    names: tuple[str, ...]
-    inverse: np.ndarray = field(repr=False, default=None)
-    element_orders: tuple[int, ...] = field(repr=False, default=None)
-    exponent: int = 0
-    is_2group: bool = False
+    __slots__ = ("order", "op", "identity", "names", "inverse", "element_orders", "exponent", "is_2group")
+    _defaults = {"inverse": None, "element_orders": None, "exponent": 0, "is_2group": False}
 
     def mul(self, a: int, b: int) -> int:
         return int(self.op[a, b])

@@ -20,8 +20,8 @@ searches R/J for regularity and so tests that theorem too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .construct import build_quotient
 from .subsets import InvariantBundle, compute_bundle, product_one_pairs
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     value: bool
     witness: str | None = None
 

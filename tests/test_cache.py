@@ -47,6 +47,25 @@ def test_serialize_roundtrip():
         assert getattr(back, name).members == getattr(bundle, name).members
 
 
+@pytest.mark.parametrize("text", ["z(12)", "group(z(2),c(2))", "m(2,z(2))", "t(2,z(16))"])
+def test_loaded_sets_compare_and_list_as_computed_ones(text):
+    # a loaded mask is the cache's unpacked bits, wrapped as it is; `==`
+    # reads its bytes and `index_array` its nonzero cells
+    ring = compile_text(text)
+    bundle = compute_bundle(ring)
+    save_bundle(bundle)
+    loaded = load_bundle(ring)
+    names = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
+    for name in names:
+        got, want = getattr(loaded, name), getattr(bundle, name)
+        assert got.mask() is not want.mask() and not got.mask().flags.writeable
+        assert got == want and hash(got) == hash(want)
+        assert np.array_equal(got.index_array(), np.flatnonzero(want.mask()))
+        for other in names:
+            assert (got == getattr(bundle, other)) == np.array_equal(got.mask(), getattr(bundle, other).mask())
+            assert (got <= getattr(bundle, other)) == (got.members <= getattr(bundle, other).members)
+
+
 def test_save_load_through_files():
     ring = compile_text("z(12)")
     bundle = compute_bundle(ring)

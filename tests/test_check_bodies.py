@@ -760,7 +760,7 @@ def wrong_base_mutant(text, message):
 
     def mutant(monkeypatch):
         ring = compile_text(text)
-        meta = dataclasses.replace(ring.meta, base=compile_text("z(3)"))
+        meta = ring.meta._replace(base=compile_text("z(3)"))
         wrong = TableRing(ring.order, ring.add, ring.mul, ring.neg, ring.zero, ring.one, ring.name_of, meta, ring.validation)
         return text, CheckContext(wrong, compute_bundle(ring).on_copy(wrong)), message
 

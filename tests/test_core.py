@@ -273,6 +273,49 @@ def test_sampled_triples_are_drawn_once_per_order_and_read_only():
     assert np.array_equal(samples, [rng.integers(0, 130, size=core._SAMPLE_TRIPLES) for _ in range(3)])
 
 
+def two_index_sampled_scan(add, mul):
+    """The sampled identities in their two-index form, a+b as add[a, b]
+    (kept as oracle): (identity, Violation) for each identity that fails,
+    with its first failing sampled triple."""
+    sa, sb, sc = core._triple_samples(len(add))
+    out = []
+    for identity, kind, lhs, rhs in (
+        ("add-assoc", "NotAbelianGroup", add[add[sa, sb], sc], add[sa, add[sb, sc]]),
+        ("assoc", "NonAssociative", mul[mul[sa, sb], sc], mul[sa, mul[sb, sc]]),
+        ("ldist", "NonDistributive", mul[sa, add[sb, sc]], add[mul[sa, sb], mul[sa, sc]]),
+        ("rdist", "NonDistributive", mul[add[sb, sc], sa], add[mul[sb, sa], mul[sc, sa]]),
+    ):
+        bad = np.where(lhs != rhs)[0]
+        if len(bad):
+            out.append((identity, Violation(kind, (int(sa[bad[0]]), int(sb[bad[0]]), int(sc[bad[0]])))))
+    return out
+
+
+def test_the_sampled_scan_reports_the_two_index_forms_witnesses():
+    ring = compile_text("group(z(9),c(3))")
+    n = ring.order
+    assert n > 64 and ring.validation == "sampled"
+    sa, sb, sc = core._triple_samples(n)
+    bc = ring.add[sb, sc]
+    # one corrupt cell aimed at each identity, at sampled triples past the first
+    for i in (7, 1234, 19999):
+        a, b, c = int(sa[i]), int(sb[i]), int(sc[i])
+        for identity, table, cell in (
+            ("add-assoc", "add", (a, b)),  # (a+b)+c
+            ("assoc", "mul", (a, b)),  # (ab)c
+            ("ldist", "mul", (a, int(bc[i]))),  # a(b+c)
+            ("rdist", "mul", (int(bc[i]), a)),  # (b+c)a
+        ):
+            add, mul = ring.add.copy(), ring.mul.copy()
+            corrupt = add if table == "add" else mul
+            corrupt[cell] = (int(corrupt[cell]) + 1) % n
+            want = two_index_sampled_scan(add, mul)
+            violations, mode = scan_axioms(add, mul, ring.zero, ring.one)
+            assert identity in dict(want), (identity, i)
+            assert mode == "sampled" and [v for v in violations if len(v.witness) == 3] == [v for _, v in want]
+    assert two_index_sampled_scan(ring.add, ring.mul) == [] == scan_axioms(ring.add, ring.mul, ring.zero, ring.one)[0]
+
+
 def test_a_proved_ring_keeps_its_bit_generators(basis_text):
     ring = compile_text(basis_text)
     bits = ring.order.bit_length() - 1
@@ -361,6 +404,31 @@ def test_elemset_masks_are_read_only_and_wrapped():
     assert a.indices() is a.indices() and a.members is a.members  # derived once, then kept
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 63, 64, 65, 130, 1000, 4096])
+def test_elemset_compares_and_lists_as_numpy_does(n):
+    # `==` compares mask bytes and `index_array` is `mask.nonzero()[0]`:
+    # both agree with np.array_equal and np.flatnonzero on masks made as
+    # the program makes them, a compare and the cache's unpacked bits
+    # (sets of two rings: test_elemset_algebra_matches_frozensets)
+    ring = index_space(n)
+    rng = np.random.default_rng(3500 + n)
+    masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+    masks += [rng.random(n) < p for p in (0.02, 0.5, 0.98) for _ in range(3)]
+    masks += [mask.copy() for mask in masks[2:5]]  # equal masks in distinct arrays
+    unpacked = [np.unpackbits(np.packbits(m, bitorder="little"), count=n, bitorder="little").view(bool) for m in masks]
+    for mask in unpacked:
+        mask.setflags(write=False)  # wrapped as it is, as the cache wraps it
+    sets = [ElemSet.from_mask(ring, m) for m in masks] + [ElemSet.from_mask(ring, m) for m in unpacked]
+    assert all(u.mask() is m for u, m in zip(sets[len(masks) :], unpacked))
+    for a in sets:
+        assert np.array_equal(a.index_array(), np.flatnonzero(a.mask())) and a.index_array().dtype == np.intp
+        for b in sets:
+            assert (a == b) == np.array_equal(a.mask(), b.mask()) and (a != b) != (a == b)
+            assert (a <= b) == np.array_equal(a.mask() & b.mask(), a.mask())
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 4096])
 def test_elemset_of_rejects_every_out_of_range_index(n):
     ring = index_space(n)
@@ -417,6 +485,67 @@ def test_tables_are_immutable():
         z4.add[0, 0] = 1
     with pytest.raises(ValueError):
         z4.mul[0, 0] = 1
+
+
+def test_records_are_immutable_named_tuples():
+    from ringlab import checks
+    from ringlab import predicates as P
+    from ringlab.core import GaloisMeta, ZmodMeta
+
+    records = {
+        Violation("NoIdentity", (3,)): "Violation(kind='NoIdentity', witness=(3,))",
+        checks.Outcome(False, witness="w", note="n"): "Outcome(ok=False, witness='w', note='n')",
+        checks.CheckResult("L1.2.1", "z(4)", "pass", None, None, 0.5): (
+            "CheckResult(check_id='L1.2.1', ring='z(4)', status='pass', witness=None, note=None, millis=0.5)"
+        ),
+        P.Verdict(True): "Verdict(value=True, witness=None)",
+        ZmodMeta(4): "ZmodMeta(n=4)",
+        GaloisMeta(4, 2, 2, (1, 1)): "GaloisMeta(q=4, char=2, degree=2, modulus=(1, 1))",
+    }
+    for record, text in records.items():
+        assert repr(record) == text
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        twin = type(record)(**record._asdict())
+        assert twin == record and twin is not record and hash(twin) == hash(record) == hash(tuple(record))
+        assert twin != record._replace(**{name: "other"})
+    assert str(Violation("NoIdentity", (3,))) == "NoIdentity(3,)"
+    assert checks.Outcome(True) == checks.Outcome(True, None, None) and checks._ok() is checks._ok()
+    assert checks._ok("informational") == checks.Outcome(True, note="informational")
+    assert checks._fail("w") == checks.Outcome(False, "w")
+    # a verdict is as true as its value, whatever its witness
+    assert P.Verdict(True) and P.Verdict(True, "w") and not P.Verdict(False) and not P.Verdict(False, "w")
+
+
+def test_records_that_hold_arrays_or_rings_compare_by_identity():
+    from ringlab.construct import identity_endo
+    from ringlab.groups import cyclic
+
+    def pair(make):
+        first, second = make(), make()
+        assert first == first and first != second and not first == second and len({first, second}) == 2
+        return first
+
+    for text in ("m(2,z(2))", "t(2,z(2))", "prod(z(2),z(3))", "triv(z(2))", "group(z(2),c(2))", "poly(z(2),2)"):
+        meta = pair(lambda: compile_text(text).meta)
+        with pytest.raises(AttributeError):
+            setattr(meta, meta.__slots__[0], None)
+        copy = meta._replace()
+        assert copy != meta and all(getattr(copy, name) is getattr(meta, name) for name in meta.__slots__)
+    ring = build_zmod(4)
+    for make in (lambda: build_quotient(ring, ElemSet.of(ring, [0, 2]))[0].meta, lambda: cyclic(3), lambda: identity_endo(ring)):
+        record = pair(make)  # equal fields, arrays among them: == compares no array
+        with pytest.raises(AttributeError):
+            record.name = "renamed"
+    group = cyclic(3)
+    assert (group.exponent, group.is_2group, group.identity) == (3, False, 0)
+    assert type(group)(group.order, group.op, 0, group.names).exponent == 0  # defaults fill the trailing fields
+    assert identity_endo(ring).name == "id" and type(identity_endo(ring))(ring, np.arange(4)).name == "endo"
+    with pytest.raises(TypeError):
+        type(group)(group.order)  # a field without a default is missing
+    with pytest.raises(TypeError):
+        core.MatrixMeta(ring, 2, size=2)  # given twice
 
 
 def cubic_scan_oracle(add, mul):
