@@ -85,8 +85,8 @@ def _ok(note: str | None = None) -> Outcome:
     return _PASS if note is None else Outcome(True, None, note)
 
 
-def _fail(witness: str, note: str | None = None) -> Outcome:
-    return Outcome(False, witness, note)
+def _fail(witness: str) -> Outcome:
+    return Outcome(False, witness)
 
 
 class CheckContext:
@@ -823,7 +823,7 @@ def _chk_p32(ctx: CheckContext) -> Outcome:
     base_verdict = P.is_ujsharp(meta.base, ctx.bundle_of(meta.base)).value
     if meta.k >= 2:
         x = int(meta.base.order)  # digit 1 at position 1
-        xideal = ideal_closure(ring, ElemSet.of(ring, [x]), "two-sided")
+        xideal = ideal_closure(ring, ElemSet.of(ring, [x]))
         if not xideal <= ctx.bundle.jacobson:
             return _fail("the ideal generated by x is not inside J")
     if ctx.holds("ujsharp") != base_verdict:
@@ -923,9 +923,8 @@ def _chk_gartinian(ctx: CheckContext) -> Outcome:
     if len(base_bundle.jacobson) == 1:
         reduced = ctx.ring  # J(R) = 0: (R/J)G is RG itself
         reduced_verdict = ctx.holds("ujsharp")
-    else:
-        quotient, _ = build_quotient(base, base_bundle.jacobson)
-        reduced = build_group_ring(quotient, meta.group, ctx.cap)
+    else:  # R/J as the coefficient ring's bundle keeps it, J already proved an ideal
+        reduced = build_group_ring(base_bundle.radical_quotient()[0], meta.group, ctx.cap)
         reduced_verdict = P.is_ujsharp(reduced, ctx.bundle_of(reduced)).value
     if ctx.holds("ujsharp") != reduced_verdict:
         return _fail(f"RG verdict {ctx.holds('ujsharp')} vs (R/J)G verdict {reduced_verdict}")
@@ -988,12 +987,6 @@ def _applies_matrix2(ctx: CheckContext) -> str | None:
     if isinstance(meta, MatrixMeta) and meta.size >= 2:
         return None
     return "applies to full matrix rings of size >= 2"
-
-
-def _applies_triv_or_tri(ctx: CheckContext) -> str | None:
-    if isinstance(ctx.ring.meta, (TrivialExtMeta, TriangularMeta)):
-        return None
-    return "applies to trivial extensions and triangular matrix rings"
 
 
 def _applies_commutative(ctx: CheckContext) -> str | None:
@@ -1135,7 +1128,7 @@ def _registry() -> tuple[Check, ...]:
         Check("C1.6", "clean UJ# vs J#-clean UJ# vs J#-clean (audited)", "all rings", _always, _chk_c16),
         Check("P-2primal", "commutative rings are 2-primal", "commutative rings", _applies_commutative, _chk_2primal_comm),
         Check("P3.2", "truncated skew-polynomial quotients preserve the UJ# verdict", "skew/poly truncations", _need_meta(SkewPolyMeta, "applies to truncated polynomial constructions"), _chk_p32),
-        Check("P-triv", "trivial extensions and T_n(R) are UJ# exactly when R is", "trivial extensions and triangular rings", _applies_triv_or_tri, _chk_ptriv),
+        Check("P-triv", "trivial extensions and T_n(R) are UJ# exactly when R is", "trivial extensions and triangular rings", _need_meta((TrivialExtMeta, TriangularMeta), "applies to trivial extensions and triangular matrix rings"), _chk_ptriv),
         Check("G-seq", "geometric partial sums over a unit alternate between U and J#", "UJ# rings", need_uj, _chk_gseq),
         Check("G-ext", "J(R) = J(RG) meet R and J(R)G lies inside J(RG)", "group rings", _need_meta(GroupRingMeta, "applies to group rings"), _chk_gext),
         _doc_entry("G-torsion", "coefficient groups of UJ# group rings are torsion", "every finite group is torsion; the infinite-order argument has no finite instance"),

@@ -42,6 +42,7 @@ through `core.products`, so a deferred base table stays unfilled.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import prod
 
 import numpy as np
@@ -112,8 +113,18 @@ class InvalidEndomorphismError(RingError):
     pass
 
 
-def _check_cap(order: int, cap: int | None) -> None:
+def _check_cap(radices, cap: int | None) -> None:
+    """Refuse a ring whose order, the product of `radices`, is above `cap`
+    (by default DEFAULT_MAX_ORDER) or MAX_TABLE_ORDER. Each builder calls
+    it before it builds anything of the ring's size. The product is taken
+    one radix at a time and given up once it passes both 2^64 and the cap,
+    so an order of any size is refused within a few dozen products."""
     cap = DEFAULT_MAX_ORDER if cap is None else cap
+    order, bound = 1, max(cap, 1 << 64)
+    for radix in radices:
+        order *= radix
+        if order > bound:
+            raise OutOfCapError(f"order above 2^64 exceeds cap {cap}")
     if order > cap:
         raise OutOfCapError(f"order {order} exceeds cap {cap}")
     if order > MAX_TABLE_ORDER:  # checked before any n x n table is allocated
@@ -129,14 +140,14 @@ def build_zmod(n: int, cap: int | None = None) -> TableRing:
     """Z/n with index = residue."""
     if n < 2:
         raise ValueError("zmod requires n >= 2")
-    _check_cap(n, cap)
+    _check_cap((n,), cap)
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
     return validate_ring(add, mul, 0, 1, meta=ZmodMeta(n))
 
 
-def _poly_name(digits, symbol: str = "a") -> str:
+def _poly_name(digits) -> str:
     terms = []
     for i in range(len(digits) - 1, -1, -1):
         c = digits[i]
@@ -145,18 +156,21 @@ def _poly_name(digits, symbol: str = "a") -> str:
         if i == 0:
             terms.append(str(c))
         else:
-            var = symbol if i == 1 else f"{symbol}^{i}"
+            var = "a" if i == 1 else f"a^{i}"
             terms.append(var if c == 1 else f"{c}{var}")
     return "+".join(terms) or "0"
 
 
 def build_gf(q: int, cap: int | None = None) -> TableRing:
-    """The field of order q for q in {2,3,4,5,7,8,9}."""
+    """The field of order q for q in {2,3,4,5,7,8,9}. A prime field is
+    z(q) relabelled: its tables, validation and names, under GaloisMeta,
+    so they are not validated a second time."""
     if q not in SUPPORTED_GF:
         raise UnsupportedOrderError(f"GF({q}) is not in the supported list {SUPPORTED_GF}")
+    _check_cap((q,), cap)
     if q in (2, 3, 5, 7):
-        base = build_zmod(q, cap)
-        return validate_ring(base.add, base.mul, 0, 1, neg=base.neg, names=base.name_of, meta=GaloisMeta(q, q, 1, None))
+        base = build_zmod(q)
+        return base.relabelled(base.name_of, GaloisMeta(q, q, 1, None))
     p, modulus = GF_MODULI[q]
     d = len(modulus) - 1
     # x^d = -(m_0 + m_1 x + ... + m_{d-1} x^{d-1})
@@ -170,7 +184,7 @@ def build_gf(q: int, cap: int | None = None) -> TableRing:
             raw[:, k - d : k] += raw[:, k, None] * reduction
         return raw[:, :d] % p, p ** np.arange(d)
 
-    digits, build = _digit_vector_tables([build_zmod(p)] * d, mono_rule, cap)
+    digits, build = _digit_vector_tables([build_zmod(p)] * d, mono_rule)
     return build(1, _digit_names(digits, _poly_name), GaloisMeta(q, p, d, modulus))
 
 
@@ -202,9 +216,10 @@ def _sum_name(base: TableRing, coeffs, symbols) -> str:
     return "+".join(terms) or base.name_of(base.zero)
 
 
-def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
+def _digit_vector_tables(bases: list[TableRing], mono_rule):
     """(digits, build) for the ring of digit vectors over `bases`, where
-    `build(one, names, meta)` returns the validated TableRing.
+    `build(one, names, meta)` returns the validated TableRing. The caller
+    has passed the order through `_check_cap`.
 
     Digit w lies in `bases[w]` and counts place[w] = |bases[0]| * ... *
     |bases[w-1]| (mixed radix, first digit least significant). Addition
@@ -240,7 +255,6 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule, cap: int | None):
     radices = [base.order for base in bases]
     place = [prod(radices[:w]) for w in range(len(radices) + 1)]
     order = place[-1]
-    _check_cap(order, cap)
     digits = all_digits(radices)
     distinct = {id(base): base for base in bases}  # m(k, R) repeats one base k^2 times
     neg = encode_digits(bases[0].neg[digits] if len(distinct) == 1 else np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1), radices)
@@ -310,7 +324,7 @@ def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap: int | None):
+def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]]):
     pos_index = {pos: w for w, pos in enumerate(positions)}
     scaled = {}  # c -> the cells c*b of every element, which every E_ij shares
 
@@ -321,7 +335,7 @@ def _matrix_like(base: TableRing, k: int, positions: list[tuple[int, int]], cap:
             scaled[c] = products(base, c, digits)
         return scaled[c], [base.order ** pos_index[i, l] if row == j and (i, l) in pos_index else 0 for row, l in positions]
 
-    digits, build = _digit_vector_tables([base] * len(positions), mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * len(positions), mono_rule)
     one = sum(int(base.one) * base.order**w for w, (i, j) in enumerate(positions) if i == j)
 
     def name(cells) -> str:
@@ -337,8 +351,9 @@ def build_matrix(base: TableRing, k: int, cap: int | None = None) -> TableRing:
     """k x k matrices over `base`; cells row-major, little-endian digits."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
+    _check_cap(repeat(base.order, k * k), cap)
     positions = [(i, j) for i in range(k) for j in range(k)]
-    build, one, names = _matrix_like(base, k, positions, cap)
+    build, one, names = _matrix_like(base, k, positions)
     return build(one, names, MatrixMeta(base, k))
 
 
@@ -346,8 +361,9 @@ def build_triangular(base: TableRing, k: int, cap: int | None = None) -> TableRi
     """Upper-triangular k x k matrices over `base`."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
+    _check_cap(repeat(base.order, k * (k + 1) // 2), cap)
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    build, one, names = _matrix_like(base, k, positions, cap)
+    build, one, names = _matrix_like(base, k, positions)
     return build(one, names, TriangularMeta(base, k, tuple(positions)))
 
 
@@ -375,35 +391,30 @@ def build_product(factors: list[TableRing], cap: int | None = None) -> TableRing
     """Direct product, first factor least significant in the index."""
     if not factors:
         raise ValueError("product needs at least one factor")
+    _check_cap([f.order for f in factors], cap)
 
     def mono_rule(c, w, digits):
         # (c e_w) b keeps only component w, which is c * b_w
         return products(factors[w], c, digits[:, w, None]), [prod(f.order for f in factors[:w])]
 
-    digits, build = _digit_vector_tables(factors, mono_rule, cap)
+    digits, build = _digit_vector_tables(factors, mono_rule)
     one = int(encode_digits(np.array([f.one for f in factors]), [f.order for f in factors]))
     names = _digit_names(digits, lambda cells: "(" + ", ".join(f.name_of(c) for f, c in zip(factors, cells)) + ")")
     return build(one, names, ProductMeta(tuple(factors)))
 
 
-def ideal_closure(ring: TableRing, gens: ElemSet, side: str = "two-sided") -> ElemSet:
-    """Smallest one- or two-sided ideal containing `gens`.
+def ideal_closure(ring: TableRing, gens: ElemSet) -> ElemSet:
+    """Smallest two-sided ideal containing `gens`.
 
     A fixpoint over the whole current set I: each round takes I with R*I
-    (left), I*R (right) or both as one gather, then the additive subgroup
-    they generate, until I no longer grows.
+    and I*R, each as one gather, then the additive subgroup they
+    generate, until I no longer grows.
     """
-    if side not in ("left", "right", "two-sided"):
-        raise ValueError("side must be left, right or two-sided")
     mul = ring.mul
     ideal = additive_closure(ring, gens.index_array())
     while True:
         arr = ideal.index_array()
-        parts = [arr]
-        if side in ("left", "two-sided"):
-            parts.append(np.take(mul, arr, axis=1).ravel())  # R*I
-        if side in ("right", "two-sided"):
-            parts.append(mul[arr, :].ravel())  # I*R
+        parts = [arr, np.take(mul, arr, axis=1).ravel(), mul[arr, :].ravel()]  # I, R*I, I*R
         grown = additive_closure(ring, np.concatenate(parts))
         if len(grown) == len(ideal):
             return ideal
@@ -518,6 +529,7 @@ def build_corner(ring: TableRing, e: int) -> tuple[TableRing, np.ndarray]:
 
 def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRing:
     """T(R, R): pairs (r, m) with (r,m)(s,n) = (rs, rn + ms); index r*|R|+m."""
+    _check_cap((ring.order, ring.order), cap)
     scaled = {}  # c -> the digits (cn, cs) of every element (s, n), which both monomials share
 
     def mono_rule(c, w, digits):
@@ -526,7 +538,7 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
             scaled[c] = products(ring, c, digits)
         return scaled[c], [1, ring.order] if w == 1 else [0, 1]
 
-    digits, build = _digit_vector_tables([ring] * 2, mono_rule, cap)
+    digits, build = _digit_vector_tables([ring] * 2, mono_rule)
     names = _digit_names(digits, lambda mr: f"({ring.name_of(mr[1])}, {ring.name_of(mr[0])})")
     return build(ring.one * ring.order, names, TrivialExtMeta(ring))
 
@@ -538,7 +550,7 @@ def build_trivial_extension(ring: TableRing, cap: int | None = None) -> TableRin
 
 def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None) -> TableRing:
     """R[G]: functions G -> R with convolution product."""
-
+    _check_cap(repeat(base.order, group.order), cap)
     scaled = {}  # c -> the digits c*b_j of every element, which every g_w shares
 
     def mono_rule(c, w, digits):
@@ -547,7 +559,7 @@ def build_group_ring(base: TableRing, group: GroupTable, cap: int | None = None)
             scaled[c] = products(base, c, digits)
         return scaled[c], base.order ** group.op[w]  # below the order, which fits int32
 
-    digits, build = _digit_vector_tables([base] * group.order, mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * group.order, mono_rule)
     one = int(base.one) * base.order**group.identity
     symbols = [None if gi == group.identity else group.names[gi] for gi in range(group.order)]
     names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
@@ -641,6 +653,7 @@ def build_truncated_skew_poly(
         raise ValueError("truncation exponent must be >= 1")
     if alpha.ring is not base:
         raise InvalidEndomorphismError("endomorphism belongs to a different ring")
+    _check_cap(repeat(base.order, k), cap)
     # alpha^i applied to every base element, i < k
     powers = [np.arange(base.order, dtype=np.int32)]
     for _ in range(1, k):
@@ -650,7 +663,7 @@ def build_truncated_skew_poly(
         # (c x^i)(b_j x^j) = c alpha^i(b_j) x^(i+j), truncated at degree k
         return products(base, c, powers[i][digits[:, : k - i]]), base.order ** np.arange(i, k)
 
-    digits, build = _digit_vector_tables([base] * k, mono_rule, cap)
+    digits, build = _digit_vector_tables([base] * k, mono_rule)
     symbols = [None, "x"] + [f"x^{i}" for i in range(2, k)]
     names = _digit_names(digits, lambda coeffs: _sum_name(base, coeffs, symbols))
     return build(int(base.one), names, SkewPolyMeta(base, alpha.name, alpha.map, k, digits))

@@ -291,17 +291,17 @@ def elem_sub(ring: TableRing, a: int, b: int) -> int:
 
 
 def elem_pow(ring: TableRing, a: int, k: int) -> int:
-    """a**k by repeated squaring; a**0 is 1."""
+    """a**k by repeated squaring; a**0 is 1. Read through `products`, as
+    `elem_mul` is, so a deferred table stays unfilled."""
     ring.check_index(a)
     if k < 0:
         raise ValueError("exponent must be >= 0")
     result = ring.one
     base = a
-    mul = ring.mul
     while k:
         if k & 1:
-            result = int(mul[result, base])
-        base = int(mul[base, base])
+            result = int(products(ring, result, base))
+        base = int(products(ring, base, base))
         k >>= 1
     return result
 
@@ -311,17 +311,16 @@ def power_orbit(ring: TableRing, a: int) -> tuple[list[int], int]:
 
     Returns `(orbit, cycle_start)` where `orbit[cycle_start]` equals the
     first repeated power. The orbit never exceeds the ring order, so any
-    power of `a` is one of its members.
+    power of `a` is one of its members. Read through `products`.
     """
     ring.check_index(a)
-    mul = ring.mul
     orbit: list[int] = []
     position = {}
     x = a
     while x not in position:
         position[x] = len(orbit)
         orbit.append(x)
-        x = int(mul[x, a])
+        x = int(products(ring, x, a))
     return orbit, position[x]
 
 

@@ -334,7 +334,7 @@ def _compile(expr: tuple, cap, base_dir) -> TableRing:
             for g in gens:
                 if not 0 <= g < base.order:
                     raise BadElementRefError(f"generator index {g} not in ring of order {base.order}")
-            ideal = construct.ideal_closure(base, ElemSet.of(base, gens), "two-sided")
+            ideal = construct.ideal_closure(base, ElemSet.of(base, gens))
             return construct.build_quotient(base, ideal)[0]
         case ("corner", base, idem):
             base = _compile(base, cap, base_dir)

@@ -170,9 +170,6 @@ def center(ring: TableRing) -> ElemSet:
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 
-_JAC_ROWS = 512  # rows of `mul` per slab in jacobson_radical
-
-
 def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Greedy generators of the subgroup spanned by `members`, and its
     mask: the first member outside the span S joins, and S grows to
@@ -210,8 +207,8 @@ def jacobson_radical(
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
     module docstring): `quasi[mul]` is the (r, j) table of "1 - r*j is a
-    unit", gathered over the candidates in slabs of 512 rows, a column
-    that fails one slab dropped from the next.
+    unit", gathered over the candidates in slabs of about _CHUNK_CELLS
+    cells, a column that fails one slab dropped from the next.
 
     A list passed as `spanning` receives the pruning's greedy generators
     of J, which `_build_quotient` can reuse; it stays empty when J comes
@@ -228,9 +225,9 @@ def jacobson_radical(
     if unit_mask is None:
         unit_mask = units(ring).mask()
     quasi = unit_mask[sums(ring, ring.one, ring.neg)]  # x -> is 1 - x a unit
-    cand = np.flatnonzero(quasi & cand)
-    for r in range(0, ring.order, _JAC_ROWS):
-        cand = cand[quasi[np.take(ring.mul[r : r + _JAC_ROWS], cand, axis=1)].all(axis=0)]
+    cand, rows = np.flatnonzero(quasi & cand), max(1, _CHUNK_CELLS // ring.order)
+    for r in range(0, ring.order, rows):
+        cand = cand[quasi[np.take(ring.mul[r : r + rows], cand, axis=1)].all(axis=0)]
     jac = ElemSet.of(ring, cand)
     ok, witness = is_two_sided_ideal(ring, jac)
     if not ok:  # unreachable on a valid ring; guards table corruption
@@ -284,24 +281,11 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
 # ---------------------------------------------------------------------------
 
 
-def _group_ring_meta(ring: TableRing) -> GroupRingMeta:
-    if not isinstance(ring.meta, GroupRingMeta):
-        raise NotAGroupRingError("ring was not built as a group ring")
-    return ring.meta
-
-
-def augmentation(ring: TableRing, a: int) -> int:
-    """Coefficient sum of a group-ring element, landing in the base ring."""
-    meta = _group_ring_meta(ring)
-    ring.check_index(a)
-    total = meta.base.zero
-    for c in meta.digits[a]:
-        total = int(meta.base.add[total, int(c)])
-    return total
-
-
 def augmentation_ideal(ring: TableRing) -> ElemSet:
-    meta = _group_ring_meta(ring)
+    """The kernel of the augmentation RG -> R, which sums the coefficients."""
+    meta = ring.meta
+    if not isinstance(meta, GroupRingMeta):
+        raise NotAGroupRingError("ring was not built as a group ring")
     base = meta.base
     eps = np.full(ring.order, base.zero, dtype=np.int32)
     for g in range(meta.group.order):
@@ -497,18 +481,6 @@ def _join_masks(ring: TableRing, principal: np.ndarray) -> np.ndarray:
     return np.array(list(ideals.values()))
 
 
-def _join_closure(ring: TableRing, principal: set[frozenset[int]]) -> list[frozenset[int]]:
-    """Every sum of ideals from `principal`, sorted by (size, members)."""
-    masks = np.array([np.isin(np.arange(ring.order), list(ideal)) for ideal in principal])
-    return sorted((frozenset(np.flatnonzero(mask).tolist()) for mask in _join_masks(ring, masks)), key=lambda s: (len(s), sorted(s)))
-
-
-def left_ideals(ring: TableRing) -> list[frozenset[int]]:
-    """All left ideals, as the join-closure of the principal ones."""
-    principal = {frozenset(int(x) for x in ring.mul[:, a]) for a in range(ring.order)}
-    return _join_closure(ring, principal)
-
-
 def jacobson_radical_maximal_ideal_oracle(ring: TableRing) -> ElemSet:
     """Intersection of the maximal left ideals (desk oracle, small orders)."""
     principal = np.zeros((ring.order, ring.order), dtype=bool)
@@ -543,11 +515,6 @@ def principal_ideals(ring: TableRing, gens: np.ndarray | None = None) -> np.ndar
         if np.array_equal(grown, masks):
             return masks
         masks = grown
-
-
-def two_sided_ideals(ring: TableRing) -> list[frozenset[int]]:
-    """All two-sided ideals via join-closure of the principal ones."""
-    return _join_closure(ring, {frozenset(np.flatnonzero(row).tolist()) for row in principal_ideals(ring)})
 
 
 def _prime_rows(inside: np.ndarray, triples: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from ringlab.core import TableRing
+from ringlab.subsets import _join_masks, principal_ideals
 
 CAP_RINGS = ("t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))")
 
@@ -44,6 +45,22 @@ def bitwise_add_formula(n, high):
     i = np.arange(n, dtype=np.uint16)
     low = i & np.uint16(~high & 0xFFFF)
     return (low[:, None] + low) ^ ((i[:, None] ^ i) & np.uint16(high))
+
+
+def joined_ideals(ring, principal):
+    """Every sum of the ideals whose masks are the rows of `principal`, as
+    `subsets._join_masks` joins them, each a frozenset, sorted by (size, members)."""
+    return sorted((frozenset(np.flatnonzero(mask).tolist()) for mask in _join_masks(ring, principal)), key=lambda s: (len(s), sorted(s)))
+
+
+def ideal_masks(ring, ideals):
+    """The (len(ideals), n) masks of the member sets `ideals`."""
+    return np.array([np.isin(np.arange(ring.order), list(ideal)) for ideal in ideals])
+
+
+def two_sided_ideals(ring):
+    """Every two-sided ideal, the joins of the principal ones (a), as frozensets sorted by (size, members)."""
+    return joined_ideals(ring, principal_ideals(ring))
 
 
 def join_closure_oracle(ring, principal):

@@ -429,7 +429,7 @@ def old_p32(ctx: CheckContext) -> Outcome:
     base_verdict = P.is_ujsharp(meta.base, ctx.bundle_of(meta.base)).value
     if meta.k >= 2:
         x = int(meta.base.order)  # digit 1 at position 1
-        xideal = ideal_closure(ring, ElemSet.of(ring, [x]), "two-sided")
+        xideal = ideal_closure(ring, ElemSet.of(ring, [x]))
         if not xideal.members <= ctx.bundle.jacobson.members:
             return _fail("the ideal generated by x is not inside J")
     if ctx.holds("ujsharp") != base_verdict:
@@ -530,7 +530,7 @@ def old_radical_ideals(ctx: CheckContext) -> list[ElemSet]:
     ideals = [ElemSet.of(ring, [ring.zero])]
     if ring.order <= IDEAL_ENUM_LIMIT:
         for j in sorted(jac.members):
-            closed = ideal_closure(ring, ElemSet.of(ring, [j]), "two-sided")
+            closed = ideal_closure(ring, ElemSet.of(ring, [j]))
             if closed.members not in seen and closed.members <= jac.members:
                 seen.add(closed.members)
                 ideals.append(closed)

@@ -8,11 +8,11 @@ import pytest
 from ringlab import ElemSet, checks, compile_text
 from ringlab import predicates as P
 from ringlab.construct import additive_closure, ideal_closure
-from ringlab.subsets import _join_closure, compute_bundle
+from ringlab.subsets import compute_bundle
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
 
 from conftest import results_for
-from ringtables import join_closure_oracle
+from ringtables import ideal_masks, join_closure_oracle, joined_ideals
 
 
 def test_registry_size_and_ids():
@@ -355,10 +355,10 @@ def test_set_kernels_match_their_generator_forms(corpus_bundles):
             assert additive_closure(ring, items).members == additive_closure_oracle(ring, items), text
         principal_sets = [{frozenset(ring.mul[:, a].tolist()) for a in range(ring.order)}]
         if ring.order <= 16:  # the orders O-nilstar joins two-sided ideals on
-            closures = (ideal_closure(ring, ElemSet.of(ring, [a]), "two-sided") for a in range(ring.order))
+            closures = (ideal_closure(ring, ElemSet.of(ring, [a])) for a in range(ring.order))
             principal_sets.append({frozenset(c.members) for c in closures})
         for principal in principal_sets:
-            assert _join_closure(ring, principal) == join_closure_oracle(ring, principal), text
+            assert joined_ideals(ring, ideal_masks(ring, principal)) == join_closure_oracle(ring, principal), text
 
 
 def test_radical_quotients_are_built_once(corpus_bundles, monkeypatch):
@@ -397,6 +397,49 @@ def test_radical_quotients_are_kept_only_once_complete():
     for _ in range(2):
         with pytest.raises(RingValidationError):
             ctx.radical_quotients()
+
+
+# the checks with no default-corpus ring they fail on, each of which a
+# flipped UJ# verdict makes fail on at least one
+FLIP_REACHED = (
+    "L-prod", "T3.5", "C-Zn", "L-division", "L-local", "L-semisimple", "C-uclean", "T-m", "C-J0",
+    "C-Jnil", "T2.4", "C2.5", "T3.16", "C-sjc", "C1.6", "G-2grp", "G-artinian",
+)
+
+
+@pytest.fixture(scope="module")
+def flipped_report():
+    """The default corpus run with `CheckContext.holds` negating "ujsharp"."""
+    real = checks.CheckContext.holds
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks.CheckContext, "holds", lambda ctx, name: real(ctx, name) != (name == "ujsharp"))
+        return run_suite()
+
+
+@pytest.mark.parametrize("check_id", FLIP_REACHED)
+def test_a_flipped_ujsharp_verdict_fails_the_check(flipped_report, check_id):
+    assert any(r.status == "fail" for r in results_for(flipped_report, check_id))
+
+
+def test_a_false_2primal_verdict_fails_p_2primal(monkeypatch):
+    # P-2primal reads the 2-primal verdict, not the UJ# one
+    monkeypatch.setattr(P, "is_2primal", lambda ring, bundle: P.Verdict(False, "flipped"))
+    results = results_for(run_suite(filter_glob="P-2primal"), "P-2primal")
+    assert any(r.status == "fail" and r.witness.endswith("flipped") for r in results)
+
+
+def test_g_artinian_takes_r_over_j_from_the_coefficient_bundle(monkeypatch):
+    # R/J is the one the coefficient ring's bundle keeps: J is not proved an ideal again
+    def refuse(*args):
+        raise AssertionError("G-artinian built a quotient")
+
+    monkeypatch.setattr(checks, "build_quotient", refuse)
+    built, real = [], checks.build_group_ring
+    monkeypatch.setattr(checks, "build_group_ring", lambda base, group, cap=None: built.append(base) or real(base, group, cap))
+    for text in ("group(z(4),c(2))", "group(z(9),c(3))"):  # the corpus group rings with J(R) != 0
+        ctx = checks.make_context(compile_text(text))
+        assert checks._chk_gartinian(ctx) == checks._ok(), text
+        assert built.pop() is ctx.bundle_of(ctx.ring.meta.base).radical_quotient()[0], text
 
 
 GOLDEN_VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify_corpus.json"

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -257,6 +258,26 @@ def test_a_cap_past_16_bit_storage_exits_2(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and len(err.splitlines()) == 1, argv
         assert "RINGLAB_MAX_ORDER" in err and "16-bit table storage" in err, argv
+
+
+@pytest.mark.parametrize(
+    "text", ["m(120,z(2))", "poly(z(2),20000)", "m(2000,z(2))", "t(3000,z(2))", "poly(z(2),3000000)", "skew(gf(4),frob,100000)"]
+)
+def test_an_oversized_ring_is_refused_before_it_is_built(capsys, text):
+    # the order is compared with the cap one radix at a time, before any
+    # matrix position, power array or place value is made
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "inspect", text, "--no-cache")
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", "error: order above 2^64 exceeds cap 4096\n")
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("z(100000)", 100000), ("m(4,z(2))", 65536), ("m(5,z(2))", 33554432), ("t(6,z(2))", 2097152), ("group(z(2),c(20))", 1048576), ("m(8,z(2))", 2**64)],
+)
+def test_a_refused_order_up_to_2_to_the_64_is_printed_whole(capsys, text, order):
+    assert run_cli(capsys, "inspect", text, "--no-cache") == (2, "", f"error: order {order} exceeds cap 4096\n")
 
 
 def test_inspect_above_the_default_cap_keeps_its_derived_rings(capsys):

@@ -242,6 +242,33 @@ def test_power_orbit_length_bounded_by_order():
             assert len(orbit) <= ring.order
 
 
+def table_powers(ring, a, k):
+    """(a^k, (orbit, cycle start)) read off the whole multiplication table, one product at a time."""
+    mul, power, orbit = ring.mul, ring.one, [a]
+    for _ in range(k):
+        power = int(mul[power, a])
+    while (x := int(mul[orbit[-1], a])) not in orbit:
+        orbit.append(x)
+    return power, (orbit, orbit.index(x))
+
+
+def test_powers_fill_no_table_and_match_the_whole_table(monkeypatch):
+    # elem_pow and power_orbit read through `products`, as elem_mul does, so
+    # on a cap ring built bitwise no table is filled; on a small ring every
+    # element, and on the cap ring a sample, matches the filled table
+    fills, fill_mul = [], core._bitwise_mul_table
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(1) or fill_mul(halves, high))
+    cap = compile_text("t(2,z(16))")
+    sample = [0, 1, 5, 7, 1234, 4095]
+    got = [(elem_pow(cap, a, k), power_orbit(cap, a)) for a in sample for k in (0, 5, 7)]
+    assert fills == [] and cap.mul_halves is not None
+    assert got == [table_powers(cap, a, k) for a in sample for k in (0, 5, 7)]
+    for ring in (build_zmod(12), build_matrix(build_zmod(2), 2), compile_text("t(2,z(4))")):
+        for a in range(ring.order):
+            for k in (0, 1, 2, 5, 9):
+                assert (elem_pow(ring, a, k), power_orbit(ring, a)) == table_powers(ring, a, k), (ring, a, k)
+
+
 def test_elem_pow_is_additive_in_the_exponent():
     rng = random.Random(7)
     m2 = build_matrix(build_zmod(2), 2)
@@ -439,9 +466,6 @@ def test_elemset_of_rejects_every_out_of_range_index(n):
 
 
 DESK_ORACLES = {
-    "_join_closure",
-    "left_ideals",
-    "two_sided_ideals",
     "jacobson_radical_maximal_ideal_oracle",
     "prime_radical_ideal_oracle",
 }
@@ -474,9 +498,37 @@ def test_only_core_reads_members():
             readers += members_reads(path.name, path.read_text())[0]
     assert readers == []
     # the scan does see a read, and exempts it only inside a desk oracle of subsets.py
-    probe = "def two_sided_ideals(ring):\n    return ring.members\n\n\ndef units(ring):\n    return ring.members\n"
+    probe = "def prime_radical_ideal_oracle(ring):\n    return ring.members\n\n\ndef units(ring):\n    return ring.members\n"
     assert members_reads("subsets.py", probe) == (["subsets.py:6"], 1)
     assert members_reads("checks.py", probe) == (["checks.py:2", "checks.py:6"], 0)
+
+
+def unreferenced_definitions(sources):
+    """The module-level `def`s and `class`es of `sources` (file name ->
+    source) that no AST `Name` or `Attribute` of the sources names, outside
+    the definition itself, as "file:name"."""
+    defined, referenced = [], set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, own))
+            for node in ast.walk(top):
+                ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if ref is not None and ref != own:
+                    referenced.add(ref)
+    return [f"{name}:{own}" for name, own in defined if own not in referenced]
+
+
+def test_every_src_definition_is_reached_from_src_or_exported():
+    # a function that only the tests call is dead weight in the package
+    import ringlab
+
+    sources = {path.name: path.read_text() for path in sorted(Path(ringlab.__file__).parent.glob("*.py"))}
+    assert [d for d in unreferenced_definitions(sources) if d.split(":")[1] not in ringlab.__all__] == []
+    # the scan sees a definition that only calls itself, and one that is called
+    probe = "def lone(n):\n    return lone(n - 1)\n\n\nclass Used:\n    pass\n\n\nx = Used()\n"
+    assert unreferenced_definitions({"probe.py": probe}) == ["probe.py:lone"]
 
 
 def test_tables_are_immutable():
