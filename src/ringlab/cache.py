@@ -66,11 +66,10 @@ def table_checksum(ring: TableRing) -> bytes:
     the filled table's rows.
     """
     rows = slice(None) if ring.basis is None else list(ring.basis)
-    add, mul = sums(ring, rows), products(ring, rows)  # without a basis, the whole tables as views
     h = hashlib.sha256()
-    h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, len(add)))
-    h.update(np.ascontiguousarray(add, dtype="<u2"))
-    h.update(np.ascontiguousarray(mul, dtype="<u2"))
+    h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, ring.order if ring.basis is None else len(rows)))
+    for read in (sums, products):  # without a basis, the whole tables as views; one read alive at a time
+        h.update(np.ascontiguousarray(read(ring, rows), dtype="<u2"))
     return h.digest()
 
 

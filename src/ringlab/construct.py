@@ -32,9 +32,9 @@ tables go through `validate_ring`. Over bases whose addition is bitwise
 on their index, the builder asks only for the K monomials that are bit
 generators (c a power of two) and hands their product rows to
 `core.bitwise_ring`. It splits each index into a low and a high half at
-a field boundary; add is the word formula on each half, and each row of
-mul is a sum of two rows, each summed from the generator rows on one
-side of the split, both tables filled only when read whole above order
+its middle bit; add is the word formula, and each row of mul is a sum
+of two rows, each summed from the generator rows on one side of the
+split, both tables filled only when read whole above order
 512 (add above 64); it then proves the ring from the relations on the
 generator rows (see `_digit_vector_tables`). A base's products are read
 through `core.products`, so a deferred base table stays unfilled.
@@ -241,9 +241,10 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
     their K product rows are made here, written into one (K, n) block;
-    `core.bitwise_ring` builds both tables from them,
-    with each index split into a low and a high half at a field boundary
-    (every digit boundary is one), and checks the relations on those rows.
+    `core.bitwise_ring` builds both tables from them, with each index
+    split into a low and a high half at its middle bit (a field may cross
+    it, as the two halves share no bit), and checks the relations on
+    those rows.
 
     Otherwise both tables are gathered, in TABLE_DTYPE, and go through
     `validate_ring`: every row follows by row extension, x = x' + c*e_w
@@ -266,7 +267,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     if high is not None:
         # bit b of x lies in digit w with place[w] <= 2^b < place[w + 1]; 2^b is (2^b / place[w]) e_w
         w_of = [w for w, radix in enumerate(radices) for _ in range(radix.bit_length() - 1)]
-        generator_rows = np.empty((len(w_of), order), dtype=np.int32)
+        generator_rows = np.empty((len(w_of), order), dtype=TABLE_DTYPE)
         _encode_monomials(mono_rule, [(b, (1 << b) // place[w], w) for b, w in enumerate(w_of)], digits, generator_rows)
         return digits, lambda one, names, meta: bitwise_ring(high, generator_rows, one, neg, names, meta)
     monomials = [(c * place[w], c, w) for w, radix in enumerate(radices) for c in range(1, radix)]

@@ -384,8 +384,9 @@ def sums(ring: TableRing, x, y=None):
     cuts the rows of x to those columns.
 
     On a ring that keeps its top bits (`TableRing.top_bits`) the sums are
-    the word formula, so its addition table is never filled for them; on
-    every other ring they are the gather.
+    the word formula, so its addition table is never filled for them, and
+    many rows are summed a block at a time (`_by_row_blocks`); on every
+    other ring they are the gather.
     """
     top = ring.top_bits
     if top is None:
@@ -395,7 +396,8 @@ def sums(ring: TableRing, x, y=None):
         return TABLE_DTYPE(((x & low) + (y & low)) ^ ((x ^ y) & top))
     x = np.asarray(x, dtype=TABLE_DTYPE)
     if y is None or isinstance(y, slice):
-        return bitwise_sum(x[..., None], np.arange(ring.order, dtype=TABLE_DTYPE)[y or slice(None)], top)
+        cols = np.arange(ring.order, dtype=TABLE_DTYPE)[y or slice(None)]
+        return _by_row_blocks(lambda rows: bitwise_sum(rows[..., None], cols, top), x, len(cols))
     return bitwise_sum(x, np.asarray(y, dtype=TABLE_DTYPE), top)
 
 
@@ -407,20 +409,40 @@ def products(ring: TableRing, x, y=None):
 
     On a ring that keeps its half tables (`TableRing.mul_halves`) each
     product is ML[x & (2^s - 1), y] + MH[x >> s, y] in the bitwise
-    addition, so its multiplication table is never filled for them; on
-    every other ring they are the gather.
+    addition, so its multiplication table is never filled for them, and
+    many rows are read a block at a time (`_by_row_blocks`); on every
+    other ring they are the gather.
     """
     if ring.mul_halves is None:
         return ring.mul[x] if y is None else ring.mul[x, y]
     low_rows, high_rows, split = ring.mul_halves
-    xl = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp)
-    xh = np.right_shift(x, split, dtype=np.intp)
     if y is None or isinstance(y, slice):
         y = y or slice(None)
-        return bitwise_sum(low_rows[xl, y], high_rows[xh, y], ring.top_bits)
+
+        def rows(x):
+            xl, xh = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp), np.right_shift(x, split, dtype=np.intp)
+            return bitwise_sum(low_rows[xl, y], high_rows[xh, y], ring.top_bits)
+
+        return _by_row_blocks(rows, x, len(range(*y.indices(ring.order))))
+    xl = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp)
+    xh = np.right_shift(x, split, dtype=np.intp)
     # a flat take on intp offsets gathers faster than the two-index gather
     n = ring.order
     return bitwise_sum(np.take(low_rows, xl * n + y), np.take(high_rows, xh * n + y), ring.top_bits)
+
+
+def _by_row_blocks(rows, x, width: int) -> np.ndarray:
+    """rows(x): the rows x, each `width` wide, of a table read without
+    filling it, for an index or index array x. A 1-d x of more than
+    _CHUNK_CELLS cells is read a block of rows at a time into one output,
+    so the temporaries stay about _CHUNK_CELLS cells."""
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    if np.ndim(x) != 1 or len(x) <= step:
+        return rows(x)
+    out = np.empty((len(x), width), dtype=TABLE_DTYPE)
+    for r in range(0, len(x), step):
+        out[r : r + step] = rows(x[r : r + step])
+    return out
 
 
 def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
@@ -430,17 +452,22 @@ def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
 
     On a ring that keeps its half tables, row k is ML[:, y[k]] tiled
     across the low halves plus MH[:, y[k]] repeated along the high ones
-    that x crosses, one broadcast sum, then cut to x; on every other ring
-    it is the gather of the columns, transposed (a view).
+    that x crosses, one broadcast sum a block of rows at a time
+    (`_by_row_blocks`), then cut to x; on every other ring it is the
+    gather of the columns, transposed (a view).
     """
     if ring.mul_halves is None:
         return np.take(ring.mul[x], y, axis=1).T
     low_rows, high_rows, split = ring.mul_halves
     start, stop, _ = x.indices(ring.order)
     first, last = start >> split, -(-stop >> split)  # the high halves x crosses
-    out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[first:last, y].T[:, :, None], ring.top_bits)
-    start, stop = start - (first << split), stop - (first << split)
-    return out.reshape(len(out), (last - first) << split)[:, start:stop]
+    offset = first << split
+
+    def rows(y):
+        out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[first:last, y].T[:, :, None], ring.top_bits)
+        return out.reshape(len(out), (last - first) << split)[:, start - offset : stop - offset]
+
+    return _by_row_blocks(rows, y, stop - start)
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
@@ -531,22 +558,23 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     if cell is not None:
         return False, _additive_witness(add, *cell)
     gens = 1 << np.arange(n.bit_length() - 1)
-    _fill_bitwise_mul(filled, mul[gens], high, _field_split(n, high))
+    _fill_bitwise_mul(filled, mul[gens], high, _field_split(n))
     cell = _first_difference(mul, filled)
     if cell is not None:
         x, y = cell
         g = 1 << max(x.bit_length() - 1, 0)  # the top bit of x, or 1 for row 0
         return False, Violation("NonDistributive", (y, x & (g - 1), g))
-    witness = _generator_relations(mul[gens], mul[:, gens], high)
+    witness = _generator_relations(mul[gens], mul[:, gens].__getitem__, high)
     return witness is None, witness
 
 
-def _generator_relations(left: np.ndarray, columns: np.ndarray, high: int) -> Violation | None:
+def _generator_relations(left: np.ndarray, columns, high: int) -> Violation | None:
     """The first violation of the relations on the K generator rows
     left[b] = mul[2^b] of a mul each of whose rows is the sum of the
     generator rows at its bits (row 0 is then 0), in the bitwise addition
     with top bits `high`; None when they hold, and then mul is bi-additive
-    and associative. `columns` is mul[:, 2^c], one column per generator.
+    and associative. `columns(v)` is mul[v, 2^c] for an index array v,
+    with one last axis over the generators 2^c.
 
     Checked in order: the K doubling rows mul[2^b + 2^b] == mul[2^b] +
     mul[2^b] (2^b + 2^b is the generator 2^(b+1), or 0 at a top bit),
@@ -554,35 +582,42 @@ def _generator_relations(left: np.ndarray, columns: np.ndarray, high: int) -> Vi
     each generator row y -> mul[2^b, y] additive, by the same two checks
     along it, so left distributivity holds, every row being a sum of them;
     and associativity on the K^3 generator triples, which a bi-additive
-    mul then has on every triple. O(K n + K^3) cells are read.
+    mul then has on every triple. O(K n + K^3) cells are read, the rows a
+    block of about _CHUNK_CELLS cells at a time.
 
     Along the rows, every y >= 1 is checked at once as mul[2^b, y] ==
     mul[2^b, y - g] + mul[2^b, g], g = top(y) the top bit of y; the
     witness is the failing cell of smallest g, then b, then y, read
     row-major from the block of columns y in [g, 2g).
     """
-    bits = left.shape[0]
+    bits, n = left.shape
     gens = 1 << np.arange(bits)
     top = (high >> np.arange(bits)) & 1 == 1
     doubles = np.where(top, 0, gens << 1)  # 2^b + 2^b
-    doubled_rows = np.where(top[:, None], 0, np.roll(left, -1, axis=0))  # mul[2^b + 2^b]
-    bad = doubled_rows != bitwise_sum(left, left, high)
-    if bad.any():
-        b, y = np.argwhere(bad)[0]
-        return Violation("NonDistributive", (int(y), int(gens[b]), int(gens[b])))
-    tops = np.repeat(gens, gens)  # top(y) for y = 1 .. n - 1
-    rest = np.take(left, np.arange(1, len(tops) + 1) - tops, axis=1)  # mul[2^b, y - top(y)]
-    bad = left[:, 1:] != bitwise_sum(rest, np.take(left, tops, axis=1), high)
-    if bad.any():
-        g = int(tops[bad.any(axis=0).argmax()])
-        b, y = np.argwhere(bad[:, g - 1 : 2 * g - 1])[0]
+    step = max(1, _CHUNK_CELLS // n)
+    for r in range(0, bits, step):
+        rows, b = left[r : r + step], np.arange(r, min(r + step, bits))
+        doubled_rows = left[np.minimum(b + 1, bits - 1)]  # mul[2^b + 2^b], a copy ...
+        doubled_rows[top[b]] = 0  # ... set to 0 at each top bit, bit K - 1 among them
+        bad = doubled_rows != bitwise_sum(rows, rows, high)
+        if bad.any():
+            i, y = np.argwhere(bad)[0]
+            return Violation("NonDistributive", (int(y), int(gens[b[i]]), int(gens[b[i]])))
+    failing = np.zeros(n - 1, dtype=bool)  # the y >= 1 whose sum fails in some row
+    for r in range(0, bits, step):
+        rows = left[r : r + step]
+        rest = np.concatenate([rows[:, :g] for g in gens.tolist()], axis=1)  # mul[2^b, y - top(y)]
+        failing |= (rows[:, 1:] != bitwise_sum(rest, np.repeat(rows[:, gens], gens, axis=1), high, out=rest)).any(axis=0)
+    if failing.any():
+        g = 1 << int(failing.argmax() + 1).bit_length() - 1  # top(y), y = argmax + 1
+        b, y = np.argwhere(left[:, g : 2 * g] != bitwise_sum(left[:, :g], left[:, g, None], high))[0]
         return Violation("NonDistributive", (int(gens[b]), int(y), g))  # 2^b(y + g)
     bad = np.argwhere(left[:, doubles] != bitwise_sum(left[:, gens], left[:, gens], high))
     if len(bad):
         b, c = bad[0]
         return Violation("NonDistributive", (int(gens[b]), int(gens[c]), int(gens[c])))
     products = left[:, gens]  # products[a, b] = 2^a 2^b
-    bad = np.argwhere(columns[products] != left[:, products])
+    bad = np.argwhere(columns(products) != left[:, products])
     if len(bad):
         return Violation("NonAssociative", tuple(int(gens[i]) for i in bad[0]))
     return None
@@ -869,21 +904,23 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     `meta` are as in `validate_ring`.
 
     Each index x splits into a low and a high half, x = (xh, xl), at the
-    field boundary s nearest K/2 (`_field_split`), and mul[x] = ML[xl] +
-    MH[xh], by bi-additivity: ML (2^s rows) sums the generator rows below
-    the split, and MH (n / 2^s rows) those above it (`_mul_halves`).
-    Whatever the split, each row of mul is the sum of the generator rows
-    at its bits, corrupt rows included. A table that fits one chunk
-    (order <= 512) splits at K, so ML is the whole table, and the ring
-    keeps it as `mul`. A larger ring keeps ML, MH and s as its
+    middle bit s = K // 2 (`_field_split`), and mul[x] = ML[xl] + MH[xh],
+    by bi-additivity: ML (2^s rows) sums the generator rows below the
+    split, and MH (n / 2^s rows) those above it (`_mul_halves`). A field
+    may cross the split, as xl and xh share no bit and so add without a
+    carry: whatever the split, each row of mul is the sum of the
+    generator rows at its bits, corrupt rows included. A table that fits
+    one chunk (order <= 512) splits at K, so ML is the whole table, and
+    the ring keeps it as `mul`. A larger ring keeps ML, MH and s as its
     `mul_halves` and fills mul only when it is read whole, as `products`
     gives its products and rows from the halves. add is filled from the
     word formula (`_bitwise_add_table`) up to order 64; above it the ring
     keeps `high` as its `top_bits` and fills add only when it is read, as
     `sums` gives its sums and rows from the formula. Only the facts this
-    build does not guarantee are then checked, through `sums` and
-    `products`, in O(K n + K^3) cells instead of the n^2 compares and
-    range scans of whole tables:
+    build does not guarantee are then checked, on the generator rows
+    (`_generator_relations`, which are mul's rows at the generators as
+    built) and through `products`, in O(K n + K^3) cells instead of the
+    n^2 compares and range scans of whole tables:
 
     - the formula is the group (+) Z/2^k, one summand per field, so the
       additive axioms hold;
@@ -917,7 +954,7 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     if neg.shape != (n,):
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
-    split = _field_split(n, high)
+    split = _field_split(n)
     low_rows, high_rows = _mul_halves(rows, high, split)
     whole = len(high_rows) == 1
     lazy = n > EXHAUSTIVE_LIMIT
@@ -930,20 +967,20 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     )
     idx, gens = np.arange(n, dtype=TABLE_DTYPE), 1 << np.arange(bits)
     identities = not bitwise_sum(idx, neg, high).any() and (products(ring, one) == idx).all() and (product_columns(ring, [one])[0] == idx).all()
-    if identities and _generator_relations(products(ring, gens), product_columns(ring, gens).T, high) is None:
+    if identities and _generator_relations(rows, lambda v: products(ring, v[..., None], gens), high) is None:
         return ring
     return validate_ring(ring.add, ring.mul, 0, one, neg=neg, names=names, meta=meta)
 
 
-def _field_split(n: int, high: int) -> int:
-    """Where the bitwise multiplication of order n with top bits `high`
-    splits each index into its half tables (`_mul_halves`): K (filled
-    whole) for a table that fits one chunk, else the boundary s nearest
-    K/2 with bit s - 1 a top bit, so that no field crosses the split."""
+def _field_split(n: int) -> int:
+    """Where the bitwise multiplication of order n = 2^K splits each index
+    into its half tables (`_mul_halves`): K (filled whole) for a table
+    that fits one chunk, else the middle bit K // 2, so ML and MH hold
+    about sqrt(n) rows each. Any split is exact, a field that crosses it
+    too: x is the carry-free sum of its bits, so by bi-additivity mul[x]
+    is the sum of the generator rows at them, whichever half holds each."""
     bits = n.bit_length() - 1
-    if n * n <= _CHUNK_CELLS:
-        return bits
-    return min((b + 1 for b in range(bits) if high >> b & 1), key=lambda s: abs(2 * s - bits))
+    return bits if n * n <= _CHUNK_CELLS else bits // 2
 
 
 def _bitwise_add_table(n: int, high: int) -> np.ndarray:
@@ -975,7 +1012,7 @@ def _mul_halves(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np
 def _fill_bitwise_mul(mul: np.ndarray, rows: np.ndarray, high: int, split: int) -> None:
     """Fill `mul` with the sum of the generator rows `rows[b]` at the bits
     of each index, in the bitwise addition with top bits `high`, from its
-    halves split at a field boundary (`_mul_halves`, `_join_halves`)."""
+    halves split at bit `split` (`_mul_halves`, `_join_halves`)."""
     _join_halves(mul, *_mul_halves(rows, high, split), high)
 
 

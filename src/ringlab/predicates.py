@@ -237,12 +237,28 @@ def is_semiregular(ring: TableRing, bundle: InvariantBundle) -> Verdict:
 def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     """R/J Boolean and idempotents lift modulo J. Only R/J is tested:
     idempotents lift modulo J on every finite ring (see the module
-    docstring)."""
-    quotient, _, qbundle = bundle.radical_quotient()
-    boo = is_boolean(quotient, qbundle)
-    if not boo:
-        return Verdict(False, f"R/J not Boolean: {boo.witness}")
-    return Verdict(True)
+    docstring).
+
+    R/J is decided on R, without building it: (x + J)^2 = x + J exactly
+    when x^2 - x is in J, so one gather of J's mask marks every x whose
+    coset is not idempotent. The witness is R/J's first such coset, the
+    one of the least marked x, r: each x below r is unmarked, so r is the
+    least member of its coset, and the coset's index in R/J (cosets sorted
+    by least member) is the number of x < r that are the least of theirs.
+    That count is read off the r x |J| sums x + J when they fit
+    _CHUNK_CELLS cells, else off the projection of the bundle's R/J.
+    """
+    idx = np.arange(ring.order)
+    marked = ~bundle.jacobson.mask()[sums(ring, products(ring, idx, idx), ring.neg)]
+    if not marked.any():
+        return Verdict(True)
+    r = int(marked.argmax())
+    members = bundle.jacobson.index_array()
+    if r * len(members) <= _CHUNK_CELLS:
+        coset = int((sums(ring, idx[:r, None], members).min(axis=1) == idx[:r]).sum())
+    else:
+        coset = int(bundle.radical_quotient()[1][r])
+    return Verdict(False, f"R/J not Boolean: [{ring.name_of(r)}] (#{coset}) is not idempotent")
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,15 @@ def center(ring: TableRing) -> ElemSet:
     """Z(R): the a whose row of the multiplication table equals its column.
 
     On a ring with a `basis`, z is central iff zg = gz for each generator
-    g, since mul is bi-additive: an n x k compare instead of n x n.
+    g, since mul is bi-additive: an n x k compare instead of n x n, a
+    block of about _CHUNK_CELLS cells at a time.
     """
     if ring.basis is not None:
-        gens = np.array(ring.basis)
-        return ElemSet.from_mask(ring, (product_columns(ring, gens) == products(ring, gens)).all(axis=0))
+        gens, central = np.array(ring.basis), np.ones(ring.order, dtype=bool)
+        step = max(1, _CHUNK_CELLS // ring.order)
+        for g in (gens[r : r + step] for r in range(0, len(gens), step)):
+            central &= (product_columns(ring, g) == products(ring, g)).all(axis=0)
+        return ElemSet.from_mask(ring, central)
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 

@@ -18,7 +18,7 @@ from ringlab import ElemSet, checks, compile_text, compute_bundle
 from ringlab import predicates as P
 from ringlab.checks import IDEAL_ENUM_LIMIT, CheckContext, Outcome, _fail, _ok, _u_minus_one
 from ringlab.construct import _build_quotient, _reindex, build_corner, ideal_closure, matrix_unit_index
-from ringlab.core import GroupRingMeta, RingError, TableRing, validate_ring
+from ringlab.core import GroupRingMeta, RingError, RingValidationError, TableRing, validate_ring
 from ringlab.groups import p_group_prime
 from ringlab.subsets import augmentation_ideal, jacobson_radical_maximal_ideal_oracle, prime_radical_ideal_oracle
 
@@ -362,15 +362,17 @@ def old_c27_then_searches(ctx: CheckContext) -> Outcome:
     if not out.ok:
         return out
     ring, b = ctx.ring, ctx.bundle
-    family = P.clean_family(ring, b)
+    # in C2.7's order, each run only when the ones before it hold: on a cut
+    # J that is no ideal a later search raises where an earlier one fails
     searches = [
-        ("exchange", P.is_exchange(ring, b)),
-        ("potent", P.is_potent(ring, b)),
-        ("semiregular", P.is_semiregular(ring, b)),
-        ("clean", family["clean"]),
-        ("strongly_clean", family["strongly_clean"]),
+        ("exchange", lambda: P.is_exchange(ring, b)),
+        ("potent", lambda: P.is_potent(ring, b)),
+        ("semiregular", lambda: P.is_semiregular(ring, b)),
+        ("clean", lambda: P.clean_family(ring, b)["clean"]),
+        ("strongly_clean", lambda: P.clean_family(ring, b)["strongly_clean"]),
     ]
-    for name, verdict in searches:
+    for name, search in searches:
+        verdict = search()
         if not verdict:
             return _fail(f"finite ring not {name}: {verdict.witness}")
     return out
@@ -652,6 +654,13 @@ def test_rewritten_bodies_match_the_old_bodies(corpus_bundles):
     assert compared > 3000
     # every body both passed and failed somewhere
     assert all({True, False} <= seen for seen in statuses.values()), statuses
+    # the cut J = J(R) on group(z(9),c(3)) is no ideal: C2.7 stops at potent,
+    # before the semiregular search, which builds R/J and raises
+    ring = compile_text("group(z(9),c(3))")
+    cut = dict(cut_bundles(ring, compute_bundle(ring)))["J = J(R)"]
+    assert not P.is_potent(ring, cut)
+    with pytest.raises(RingValidationError):
+        P.is_semiregular(ring, cut)
 
 
 def test_the_corner_at_one_is_the_ring_itself(corpus_bundles):
@@ -731,7 +740,7 @@ def one_ab_mutant(monkeypatch):
 
     The bundle is the true ring's, and so is its R/J: R/J built from the
     corrupt table would be proved on all of R's pairs and raise at (2, 1)
-    before C-1ab runs (`classify` reads it for the semiboolean verdict)."""
+    in any body that reads R/J before C-1ab's own test."""
     ring = compile_text("z(4)")
     mul = ring.mul.copy()
     mul[2, 1] = ring.one

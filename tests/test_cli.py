@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ringlab import cli, core
+from ringlab import cache, cli, construct, core
 from ringlab.checks import default_corpus
 from ringlab.cli import main
 
@@ -296,6 +296,19 @@ def test_an_inspect_above_the_default_cap_reads_only_half_tables(capsys, monkeyp
     # n^2 temporary 256 MiB or more, so the peak is bounded by the half tables
     # ML and MH (uint16 cells) plus a constant. R/J, of order 128, keeps whole
     # tables; nothing larger is filled, cold or warm
+    inspect_reads_only_half_tables(capsys, monkeypatch, "group(z(2),c(14))", 16384, 128)
+
+
+def test_an_inspect_at_order_65536_reads_only_half_tables(capsys, monkeypatch):
+    # the largest order 16-bit storage holds: a whole table would be 8 GiB, and
+    # ML and MH, 256 rows each, are 64 MiB; R/J = m(2,z(2)) has order 16
+    inspect_reads_only_half_tables(capsys, monkeypatch, "m(2,z(16))", 65536, 16)
+
+
+def inspect_reads_only_half_tables(capsys, monkeypatch, text, order, quotient_order):
+    """Inspect `text` under --max-order `order`, cold and then warm: no table
+    above `quotient_order` is filled, R's tables stay deferred, and the
+    tracemalloc peak is at most the half tables' uint16 cells plus 8 MiB."""
     rings, fills = [], []
     compile_real, fill_add, fill_mul = cli.compile_text, core._bitwise_add_table, core._bitwise_mul_table
     monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
@@ -304,15 +317,15 @@ def test_an_inspect_above_the_default_cap_reads_only_half_tables(capsys, monkeyp
     for _ in range(2):
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "inspect", "--max-order", "16384", "group(z(2),c(14))")
+            code, out, err = run_cli(capsys, "inspect", "--max-order", str(order), text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and err == "" and out.splitlines()[1].split() == ["order", "16384"]
+        assert code == 0 and err == "" and out.splitlines()[1].split() == ["order", str(order)]
         ring = rings.pop()
         low_rows, high_rows, _ = ring.mul_halves
         assert ring._add[0] is None and ring._mul[0] is None
-        assert [f for f in fills if f[1] > 128] == []
+        assert [f for f in fills if f[1] > quotient_order] == []
         assert peak <= (len(low_rows) + len(high_rows)) * ring.order * 2 + (8 << 20), peak
 
 
@@ -357,6 +370,19 @@ def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatc
     want = np.empty_like(mul)  # the table the generator rows fill, read off the halves
     core._fill_bitwise_mul(want, core.products(ring, list(ring.basis)), ring.top_bits, ring.mul_halves[2])
     assert np.array_equal(mul, want)
+
+
+@pytest.mark.parametrize("text", CAP_RINGS[:2])
+def test_a_warm_inspect_of_a_cap_ring_builds_no_quotient(capsys, monkeypatch, text):
+    # the cached bundle brings no R/J, and semiboolean is decided on R, so the
+    # warm inspect builds none; its output is the cold one's
+    code, cold, _ = run_cli(capsys, "inspect", text, "--json")
+    assert code == 0
+    calls, build = [], construct._build_quotient
+    monkeypatch.setattr(construct, "_build_quotient", lambda *a, **k: calls.append(a) or build(*a, **k))
+    monkeypatch.setattr(cache, "compute_bundle", lambda ring: pytest.fail("the warm inspect missed the cache"))
+    assert run_cli(capsys, "inspect", text, "--json") == (0, cold, "")
+    assert calls == []
 
 
 GOLDEN_INSPECT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "inspect.json"

@@ -1063,26 +1063,28 @@ def outer_bitwise_build(text, monkeypatch):
 
 
 def test_a_one_field_ring_is_filled_whole_in_place(monkeypatch):
-    # z(256)'s addition is one field, so it has no boundary to split at, even with
-    # chunks too small to hold the table: the split has nh = 1, the ring keeps
-    # ML as its whole mul, and the tables equal z(256)'s own
+    # z(256)'s addition is one field; with chunks too small to hold the table it
+    # is still split at its middle bit, inside that field: ML and MH have 16 rows
+    # each, and the tables filled from them equal z(256)'s own
     z = build_zmod(256)
     monkeypatch.setattr(core, "_CHUNK_CELLS", 1 << 10)
-    monkeypatch.setattr(core, "_join_halves", lambda *a: pytest.fail("one field has one block"))
     ring = core.bitwise_ring(0x80, z.mul[[1 << b for b in range(8)]], z.one, z.neg)
-    assert ring.mul_halves is None and tables_equal(ring, z) and ring.validation == "exhaustive"
+    low_rows, high_rows, split = ring.mul_halves
+    assert split == 4 and len(low_rows) == len(high_rows) == 16
+    assert tables_equal(ring, z) and ring.validation == "exhaustive"
 
 
 @pytest.mark.parametrize("text, split", [("prod(z(4),gf(8),z(2))", 6), ("prod(z(8),z(4),z(16),z(2))", 5)])
 def test_every_field_boundary_splits_to_the_same_tables(text, split, monkeypatch):
-    # the first ring fits one chunk and is filled whole; the second is split
-    # between z(4) (bits 3-4) and z(16) (bits 5-8); mul filled from its halves at
-    # each boundary is the ring's mul, and the ring's tables equal the gathered ones
+    # the first ring fits one chunk and is filled whole; the second is split at
+    # its middle bit, between z(4) (bits 3-4) and z(16) (bits 5-8); mul filled
+    # from its halves at every split 1..K-1, field boundaries and bits inside a
+    # field alike, is the ring's mul, and the ring's tables equal the gathered ones
     ring, high, rows, used = outer_bitwise_build(text, monkeypatch)
     assert used == split
-    boundaries = [b + 1 for b in range(ring.order.bit_length() - 1) if high >> b & 1]
-    assert len(boundaries) >= 4
-    for at in boundaries:
+    bits = ring.order.bit_length() - 1
+    assert sum(high >> b & 1 for b in range(bits - 1)) >= 3  # boundaries below the top bit
+    for at in range(1, bits):
         mul = np.empty_like(ring.mul)
         core._fill_bitwise_mul(mul, rows, high, at)
         assert np.array_equal(mul, ring.mul), (text, at)

@@ -837,14 +837,14 @@ def test_generator_relations_report_the_loops_first_witness(text):
     # the entry, so both doubling relations that read the row still hold
     # and the rows' own check decides; every fourth trial corrupts a second
     # such row too, so the witness must come from the smallest g, not the
-    # smallest b. mul is refilled from the corrupt rows, split at a field
-    # boundary at order 1024
+    # smallest b. mul is refilled from the corrupt rows, split at the middle
+    # bit at order 1024
     ring = compile_text(text)
     n, high, bits = ring.order, field_top_bits(ring.add), ring.order.bit_length() - 1
     gens = [1 << b for b in range(bits)]
     rows, tops = ring.mul[gens], [1 << b for b in range(bits) if high >> b & 1]
     lowest = [b for b in range(bits) if b == 0 or high >> (b - 1) & 1]
-    assert _generator_relations(rows, ring.mul[:, gens], high) is None
+    assert _generator_relations(rows, ring.mul[:, gens].__getitem__, high) is None
     rng, along_rows = random.Random(n), 0
     for trial in range(40):
         corrupt, y = rows.copy(), rng.randrange(n)
@@ -854,8 +854,8 @@ def test_generator_relations_report_the_loops_first_witness(text):
             b2, y2 = rng.choice(lowest), rng.randrange(n)
             corrupt[b2, y2] = int(corrupt[b2, y2]) ^ rng.choice(tops)
         mul = np.empty((n, n), dtype=np.uint16)
-        core._fill_bitwise_mul(mul, corrupt, high, core._field_split(n, high))
-        found = _generator_relations(corrupt, mul[:, gens], high)
+        core._fill_bitwise_mul(mul, corrupt, high, core._field_split(n))
+        found = _generator_relations(corrupt, mul[:, gens].__getitem__, high)
         assert found == generator_relations_loop(corrupt, mul[:, gens], high) and found is not None, (b, y, flip)
         assert witness_fails(ring.add, mul, ring.zero, ring.one, ring.neg, found), (b, y, flip)
         along_rows += found.kind == "NonDistributive" and found.witness[1] != found.witness[2]  # (2^b, y, g), y < g
@@ -990,7 +990,7 @@ def test_a_top_bit_row_of_additive_order_four_is_caught_by_the_doubling_check_al
     assert np.array_equal(r[add], add[r[:, None], r]) and (add[r, r] != 0).any()  # additive, 2r != 0
     assert not mul[mul].any() and not mul[:, mul].any()  # (xy)z = x(yz) = 0
     gens = [1, 2, 4, 8, 16]
-    assert _generator_relations(mul[gens], mul[:, gens], high) == Violation("NonDistributive", (2, 1, 1))
+    assert _generator_relations(mul[gens], mul[:, gens].__getitem__, high) == Violation("NonDistributive", (2, 1, 1))
     error = assert_rejected_as_whole_tables(high, rows, ring.one, ring.neg)
     assert Violation("NonDistributive", (2, 1, 1)) in error.violations
 

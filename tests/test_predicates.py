@@ -8,7 +8,7 @@ from ringlab.checks import CheckContext, run_suite
 from ringlab.core import validate_ring
 from test_cli import M2Z2_INSPECT
 
-from ringtables import CAP_RINGS
+from ringtables import BITWISE_RINGS, CAP_RINGS
 
 
 def clean_decomposition_count(ring, bundle, a):
@@ -298,6 +298,33 @@ def test_semipotent_matches_the_per_element_oracle(corpus_bundles):
     assert failing == sum(len(b.jacobson) > 1 for _, _, b in corpus_bundles)
 
 
+SEMIBOOLEAN_QUOTIENTS = ("quot(t(2,z(4)),[4])", "quot(m(2,z(4)),[2])", "quot(prod(z(4),z(9)),[2])", "quot(z(36),[6])")
+
+
+def semiboolean_oracle(ring, bundle):
+    """Boolean-ness of R/J, built and given its own bundle (`is_boolean` on it)."""
+    quotient, _ = construct._build_quotient(ring, bundle.jacobson)
+    boo = P.is_boolean(quotient, compute_bundle(quotient))
+    return P.Verdict(True) if boo else P.Verdict(False, f"R/J not Boolean: {boo.witness}")
+
+
+def test_semiboolean_on_r_matches_boolean_on_the_built_quotient(corpus_bundles, monkeypatch):
+    # verdict and witness, with the witness coset's index counted on R and,
+    # with _CHUNK_CELLS patched to 0, read off the projection of the bundle's R/J
+    texts = dict.fromkeys((*BITWISE_RINGS, *SEMIBOOLEAN_QUOTIENTS))
+    cases = [(text, ring, b) for text, ring, b in corpus_bundles if text not in texts]
+    cases += [(text, *ring_and_bundle(text)) for text in texts]
+    failing = 0
+    for text, ring, b in cases:
+        want = semiboolean_oracle(ring, b)
+        assert P.is_semiboolean(ring, b) == want, text
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_CHUNK_CELLS", 0)
+            assert P.is_semiboolean(ring, dataclasses.replace(b)) == want, text
+        failing += not want.value
+    assert len(cases) >= 50 and 10 <= failing < len(cases)
+
+
 def test_classify_builds_the_radical_quotient_once(monkeypatch):
     # R/J is built by the unchecked builder behind `build_quotient`, as J
     # is already proved an ideal; every quotient passes through it
@@ -312,9 +339,11 @@ def test_classify_builds_the_radical_quotient_once(monkeypatch):
     for text in ("z(8)", "m(2,z(2))", "t(3,z(2))", "group(z(2),s(3))"):
         ring, b = ring_and_bundle(text)
         calls.clear()
-        P.classify(ring, b)
-        assert len(calls) == 1, text
-        CheckContext(ring, b).radical_quotient()  # the check context shares it
+        P.classify(ring, b)  # semiboolean is decided on R
+        assert len(calls) == 0, text
+        ctx = CheckContext(ring, b)
+        ctx.radical_quotient()
+        ctx.radical_quotient()  # the check context builds R/J once and keeps it
         assert len(calls) == 1, text
 
 
