@@ -1251,23 +1251,23 @@ def run_suite(
     texts = list(corpus) if corpus is not None else list(default_corpus())
     if not texts:
         raise CorpusError("<empty>", ValueError("corpus is empty"))
-    rings = []
-    for text in texts:
-        try:
-            rings.append(compile_text(text, cap))
-        except Exception as exc:  # annotate with the offending expression
-            raise CorpusError(text, exc) from exc
 
-    # ring by ring, so that one context (bundles, corners, quotients) is
-    # alive at a time; the report stays check by check
+    # ring by ring, each compiled only when the one before it is checked and
+    # released, so that one ring and its context (bundles, corners,
+    # quotients) are alive at a time; the report stays check by check
     results: dict[str, list[CheckResult]] = {check.id: [] for check in selected}
     summary = {"pass": 0, "fail": 0, "skip": 0}
     with bundle_memo():  # one bundle per table for the whole suite
-        for text, ring in zip(texts, rings):
+        for text in texts:
+            try:
+                ring = compile_text(text, cap)
+            except Exception as exc:  # annotate with the offending expression
+                raise CorpusError(text, exc) from exc
             ctx = make_context(ring, deep=deep, cap=cap)
             for check in selected:
                 result = _evaluate(check, ctx, text)
                 summary[result.status] += 1
                 results[check.id].append(result)
+            del ring, ctx
     entries = [{"id": check.id, "paper_ref": check.paper_ref, "results": results[check.id]} for check in selected]
     return SuiteReport(REPORT_VERSION, texts, entries, summary)

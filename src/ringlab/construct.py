@@ -468,7 +468,10 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, spanning=None) -> tuple[Tab
     """`build_quotient` for an ideal the caller has already proved two-sided.
 
     `spanning`, if given, holds greedy generators of the ideal
-    (`additive_generators`), which are then not taken again.
+    (`additive_generators`), which are then not taken again. The cosets
+    are labelled without a sort: their least members are the values the
+    coset minima take, marked by one scatter, and a coset's index is the
+    count of marked members below its own.
 
     R/{0} is R relabelled: its projection is the identity, so it shares
     R's read-only tables, deferred ones included (`TableRing.relabelled`),
@@ -487,7 +490,8 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, spanning=None) -> tuple[Tab
     # generators g: doubling extends the minimum over x + t*g + S from
     # t < 2^j to t < 2^(j+1), and once a doubling changes nothing, lowest
     # is constant along the multiples of g, so it is the minimum over
-    # x + <g> + S. Each step reads n sums, in place of |I| x n
+    # x + <g> + S; a step that doubles to 0 adds nothing and is not read.
+    # Each step reads n sums, in place of |I| x n
     members = ideal.index_array()
     if len(members) <= 64:
         lowest = sums(ring, members).min(axis=0)
@@ -495,10 +499,12 @@ def _build_quotient(ring: TableRing, ideal: ElemSet, spanning=None) -> tuple[Tab
         idx = np.arange(ring.order, dtype=TABLE_DTYPE)
         lowest = idx
         for step in additive_generators(ring, members)[0] if spanning is None else spanning:
-            while not np.array_equal(moved := np.minimum(lowest, lowest[sums(ring, idx, step)]), lowest):
+            while step != ring.zero and not np.array_equal(moved := np.minimum(lowest, lowest[sums(ring, idx, step)]), lowest):
                 lowest, step = moved, sums(ring, step, step)
-    reps, projection = np.unique(lowest, return_inverse=True)
-    projection = projection.astype(np.int32)
+    # np.unique(lowest, return_inverse=True), without a sort
+    least = np.zeros(ring.order, dtype=bool)
+    least[lowest] = True
+    reps, projection = np.flatnonzero(least), (np.cumsum(least, dtype=np.int32) - 1)[lowest]
 
     def names(i):
         return f"[{ring.name_of(int(reps[i]))}]"

@@ -194,7 +194,7 @@ class TableRing:
     (see `bitwise_ring`); `products` reads its products off the halves.
     """
 
-    __slots__ = ("order", "_add", "top_bits", "_mul", "mul_halves", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text")
+    __slots__ = ("order", "_add", "top_bits", "_mul", "mul_halves", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text", "__weakref__")
 
     def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None, mul_halves=None):
         self.order = order
@@ -429,6 +429,22 @@ def products(ring: TableRing, x, y=None):
     # a flat take on intp offsets gathers faster than the two-index gather
     n = ring.order
     return bitwise_sum(np.take(low_rows, xl * n + y), np.take(high_rows, xh * n + y), ring.top_bits)
+
+
+def generator_rows(ring: TableRing, gens) -> np.ndarray:
+    """The rows mul[g] for the elements g of `gens`, as `products(ring,
+    gens)` gives them.
+
+    On a ring that keeps its half tables (ML, MH, s), with each g a bit
+    generator 2^b (as in a `basis`), each row is one the ring stores,
+    read with no sum: mul[2^b] is ML[2^b] below the split and MH[2^(b-s)]
+    above it, as the other half's row is row 0, which is 0.
+    """
+    gens = [int(g) for g in gens]
+    if ring.mul_halves is None or not all(g > 0 and g & (g - 1) == 0 for g in gens):
+        return products(ring, gens)
+    low_rows, high_rows, split = ring.mul_halves
+    return np.stack([low_rows[g] if g >> split == 0 else high_rows[g >> split] for g in gens])
 
 
 def _by_row_blocks(rows, x, width: int) -> np.ndarray:

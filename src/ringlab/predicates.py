@@ -44,11 +44,16 @@ class Verdict(NamedTuple):
 
 
 def _units_minus_one_in(ring: TableRing, bundle: InvariantBundle, pool: ElemSet, name: str) -> Verdict:
-    """Is u - 1 in `pool` for every unit u? The witness is the first unit that is not."""
-    units = bundle.units.index_array()
-    outside = np.flatnonzero(~pool.mask()[sums(ring, units, ring.neg[ring.one])])
+    """Is u - 1 in `pool` for every unit u? The witness is the first unit
+    that is not. The u - 1 of every unit is one gather, kept on the bundle
+    (read-only), so the three unit classes share it."""
+    if bundle._units_minus_one is None:
+        shifted = sums(ring, bundle.units.index_array(), ring.neg[ring.one])
+        shifted.setflags(write=False)
+        bundle._units_minus_one = shifted
+    outside = np.flatnonzero(~pool.mask()[bundle._units_minus_one])
     if len(outside):
-        return Verdict(False, f"unit u = {ring.describe(int(units[outside[0]]))} has u-1 outside {name}")
+        return Verdict(False, f"unit u = {ring.describe(int(bundle.units.index_array()[outside[0]]))} has u-1 outside {name}")
     return Verdict(True)
 
 
@@ -246,10 +251,13 @@ def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     least member of its coset, and the coset's index in R/J (cosets sorted
     by least member) is the number of x < r that are the least of theirs.
     That count is read off the r x |J| sums x + J when they fit
-    _CHUNK_CELLS cells, else off the projection of the bundle's R/J.
+    _CHUNK_CELLS cells, else off the projection of the bundle's R/J. The
+    squares are those `compute_bundle` kept, or on a bundle from the cache
+    are taken here.
     """
     idx = np.arange(ring.order)
-    marked = ~bundle.jacobson.mask()[sums(ring, products(ring, idx, idx), ring.neg)]
+    square = products(ring, idx, idx) if bundle._squares is None else bundle._squares
+    marked = ~bundle.jacobson.mask()[sums(ring, square, ring.neg)]
     if not marked.any():
         return Verdict(True)
     r = int(marked.argmax())
@@ -311,6 +319,15 @@ def clean_decomposable(ring: TableRing, bundle: InvariantBundle) -> tuple[dict[s
     return bundle._clean_decomposable
 
 
+def _pool_codes(bundle: InvariantBundle, pools) -> np.ndarray:
+    """One uint8 code per element, whose bit i says whether it lies in
+    the bundle's set `pools[i]`."""
+    code = np.zeros(bundle.ring.order, dtype=np.uint8)
+    for bit, pool in enumerate(pools):
+        code |= getattr(bundle, pool).mask().view(np.uint8) << bit
+    return code
+
+
 def _clean_masks(ring: TableRing, bundle: InvariantBundle, names, block: slice, counted: bool):
     """For the a in `block`, the mask of those with a decomposition for
     each class in `names`, and the number of clean decompositions of each
@@ -320,24 +337,64 @@ def _clean_masks(ring: TableRing, bundle: InvariantBundle, names, block: slice, 
     add[-e] hold -e + a, which is a - e since addition is proved
     commutative, so rows are read instead of columns. Only the pools the
     classes need are looked up, all in one gather: each is one bit of a
-    uint8 code per element, and the bits of the gathered codes are then
-    tested. ea = ae is computed only if a strong class is among them.
+    uint8 code per element (`_pool_codes`), and the bits of the gathered
+    codes are then tested. ea = ae is computed only if a strong class is
+    among them.
     """
     idem = bundle.idempotents.index_array()
     diff = sums(ring, ring.neg[idem], block)  # (e, a) -> a - e
     if any(_CLEAN_CLASSES[name][1] for name in names):
         commutes = products(ring, idem, block) == product_columns(ring, idem, block)  # (e, a) -> ea = ae
-    pools = {_CLEAN_CLASSES[name][0] for name in names} | ({"units"} if counted else set())
-    code = np.zeros(ring.order, dtype=np.uint8)
-    for bit, pool in enumerate(pools):
-        code |= getattr(bundle, pool).mask().view(np.uint8) << bit
-    codes = np.take(code, diff)
+    pools = list({_CLEAN_CLASSES[name][0] for name in names} | ({"units"} if counted else set()))
+    codes = np.take(_pool_codes(bundle, pools), diff)
     in_pool = {pool: codes & (1 << bit) != 0 for bit, pool in enumerate(pools)}
     decomposable = {}
     for name in names:
         pool, commuting = _CLEAN_CLASSES[name]
         decomposable[name] = (in_pool[pool] & commutes if commuting else in_pool[pool]).any(axis=0)
     return decomposable, in_pool["units"].sum(axis=0) if counted else None
+
+
+def _class_leads(ring: TableRing, bundle: InvariantBundle, idem: np.ndarray) -> np.ndarray:
+    """Which of the idempotents `idem` lead their class modulo J: those e
+    with no earlier e' in `idem` such that e - e' lies in J. One (|Id|,
+    |Id|) gather of J's mask, a block of rows of about _CHUNK_CELLS cells
+    at a time; with J = {0} every idempotent leads a class of its own."""
+    k, lead = len(idem), np.ones(len(idem), dtype=bool)
+    if len(bundle.jacobson) == 1:
+        return lead
+    step = max(1, _CHUNK_CELLS // k)
+    for r in range(0, k, step):
+        same = bundle.jacobson.mask()[sums(ring, idem[r : r + step, None], ring.neg[idem])]  # [i, j]: e_i - e_j in J
+        lead &= ~(same & (np.arange(r, r + len(same))[:, None] < np.arange(k))).any(axis=0)
+    return lead
+
+
+def _class_masks(ring: TableRing, bundle: InvariantBundle, names, a: np.ndarray) -> dict[str, np.ndarray]:
+    """`_clean_masks` for the a in the index array `a` and classes that
+    need neither ea = ae nor a count: decided first on the idempotents
+    that lead their class modulo J (`_class_leads`), then on the others
+    for only the a that some class has not yet decomposed; each gather of
+    pool codes (`_pool_codes`) reads at most _CHUNK_CELLS cells.
+
+    The masks are exact on any bundle, as every idempotent is tried on
+    every a not yet decomposed. On a computed bundle the second stage
+    reads only the a that fail a class: a - e and a - e' differ by e' - e,
+    which lies in J when e and e' share a class, and U, J# and Nil are
+    unions of cosets of J (1 + J lies in U, and J# + J = J#).
+    """
+    pools = sorted({_CLEAN_CLASSES[name][0] for name in names})
+    code, want = _pool_codes(bundle, pools), (1 << len(pools)) - 1
+    idem = bundle.idempotents.index_array()
+    lead = _class_leads(ring, bundle, idem)
+    found = np.zeros(len(a), dtype=np.uint8)  # bit i: some idempotent e so far has a - e in pools[i]
+    for e in (idem[lead], idem[~lead]):
+        todo = np.flatnonzero(found != want) if len(e) else []
+        step = max(1, _CHUNK_CELLS // max(len(e), 1))
+        for r in range(0, len(todo), step):
+            cols = todo[r : r + step]
+            found[cols] |= np.bitwise_or.reduce(np.take(code, sums(ring, ring.neg[e][:, None], a[cols])), axis=0)
+    return {name: found & (1 << pools.index(_CLEAN_CLASSES[name][0])) != 0 for name in names}
 
 
 def clean_family(ring: TableRing, bundle: InvariantBundle, names=None) -> dict[str, Verdict]:
@@ -352,7 +409,9 @@ def clean_family(ring: TableRing, bundle: InvariantBundle, names=None) -> dict[s
     Otherwise the a are scanned in growing blocks (`_growing_blocks`, up
     to _CHUNK_CELLS cells a block), each class only until its first
     failing a, so a pool or the commute mask is gathered only while a
-    class still needs it.
+    class still needs it. Once only classes that need neither ea = ae nor
+    a count are left, such as jsharp_clean, the rest of the a is decided
+    at once, on one idempotent per class modulo J first (`_class_masks`).
     """
     if names is None:
         clean_decomposable(ring, bundle)
@@ -364,7 +423,13 @@ def clean_family(ring: TableRing, bundle: InvariantBundle, names=None) -> dict[s
     for block in blocks:
         searched = [name for name in pending if name != "uniquely_clean"]
         counted = len(searched) < len(pending)
-        decomposable, counts = clean_decomposable(ring, bundle) if whole else _clean_masks(ring, bundle, searched, block, counted)
+        if whole:
+            decomposable, counts = clean_decomposable(ring, bundle)
+        elif counted or any(_CLEAN_CLASSES[name][1] for name in searched):
+            decomposable, counts = _clean_masks(ring, bundle, searched, block, counted)
+        else:
+            block = slice(block.start, n)
+            decomposable, counts = _class_masks(ring, bundle, searched, np.arange(block.start, n)), None
         for name in pending:
             bad = counts != 1 if name == "uniquely_clean" else ~decomposable[name]
             if not bad.any():
@@ -376,7 +441,7 @@ def clean_family(ring: TableRing, bundle: InvariantBundle, names=None) -> dict[s
             else:
                 out[name] = Verdict(False, f"{a} has no {name.replace('_', ' ')} decomposition")
         pending = [name for name in pending if name not in out]
-        if not pending:
+        if not pending or block.stop == n:
             break
     return {name: out.get(name, Verdict(True)) for name in names}
 

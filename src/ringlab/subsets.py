@@ -33,7 +33,10 @@ element), mul is bi-additive and they generate (R, +), so z is central
 iff it commutes with each generator, and a subgroup S absorbs R on a
 side iff it absorbs each generator there: the center and the ideal
 check read n x k and |S| x k cells (k = log2 n) instead of n x n and
-n x |S|.
+n x |S|. The k generator rows are rows a ring with half tables stores
+(`core.generator_rows`), and `compute_bundle` reads the k columns at the
+basis once, for both the pruning of Nil and the center, and frees them
+before R/J is built.
 
 On a finite ring two of the radicals collapse (Lam, GTM 131):
 
@@ -53,7 +56,8 @@ chain R ⊋ Ra ⊋ ... ⊋ Ra^i ⊋ 0 is strict, each step a proper subgroup of
 index at least 2, and 2^(i+1) <= n. J# follows by the same argument in
 R/J, whose order is at most n. So s = ceil(log2 m) squarings suffice (4
 at order 4096), and `compute_bundle` reads Id off the first of them and
-Nil and J# off the one orbit (`_squaring_orbit`).
+Nil and J# off the one orbit (`_squaring_orbit`); the bundle keeps the
+squares for `predicates.is_semiboolean`.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _CHUNK_CELLS, EXHAUSTIVE_LIMIT, ElemSet, GroupRingMeta, RingError, TableRing, product_columns, products, rows_equal_columns, sums
+from .core import _CHUNK_CELLS, EXHAUSTIVE_LIMIT, ElemSet, GroupRingMeta, RingError, TableRing, generator_rows, product_columns, products, rows_equal_columns, sums
 
 
 class NotAGroupRingError(RingError):
@@ -100,7 +104,10 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     preimage u of a unit of R/J gets v = v0 (1+x)(1+x^2)(1+x^4)..., v0 a
     preimage of the coset's inverse: x = 1 - u*v0 is in J, so u*v =
     1 - x^(2^k) = 1 once x^(2^k) = 0, within ceil(log2 n) squarings.
-    u*v = v*u = 1 is checked for every u, else RingError.
+    u*v = v*u = 1 is checked for every u, else RingError. v0 is the
+    coset's least member, found for every coset by one scatter
+    (`np.minimum.at`), in place of a sort; any preimage would serve, as
+    the two-sided inverse it leads to is unique.
     """
     if radical is None:
         a, b = product_one_pairs(ring)
@@ -109,7 +116,8 @@ def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, in
     quotient, projection = radical[:2]
     inverse, coset_inverse = unit_inverses(quotient), np.full(quotient.order, -1)
     coset_inverse[list(inverse)] = list(inverse.values())
-    lowest = np.unique(projection, return_index=True)[1]  # each coset's smallest member
+    lowest = np.full(quotient.order, ring.order)
+    np.minimum.at(lowest, projection, np.arange(ring.order))  # each coset's least member
     u = np.flatnonzero(coset_inverse[projection] >= 0)
     v = lowest[coset_inverse[projection[u]]]
     one = ring.one
@@ -158,18 +166,22 @@ def nilpotents(ring: TableRing, power: np.ndarray | None = None) -> ElemSet:
     return ElemSet.from_mask(ring, _orbit_masks(ring, zero, power))
 
 
-def center(ring: TableRing) -> ElemSet:
+def center(ring: TableRing, columns: np.ndarray | None = None) -> ElemSet:
     """Z(R): the a whose row of the multiplication table equals its column.
 
     On a ring with a `basis`, z is central iff zg = gz for each generator
-    g, since mul is bi-additive: an n x k compare instead of n x n, a
-    block of about _CHUNK_CELLS cells at a time.
+    g, since mul is bi-additive: the generator rows (`generator_rows`)
+    against their columns, an n x k compare instead of n x n, a block of
+    about _CHUNK_CELLS cells at a time. `columns`, if given, holds the
+    columns x*g at the basis as rows (`product_columns`), which are then
+    not taken again.
     """
     if ring.basis is not None:
-        gens, central = np.array(ring.basis), np.ones(ring.order, dtype=bool)
+        gens, central = list(ring.basis), np.ones(ring.order, dtype=bool)
         step = max(1, _CHUNK_CELLS // ring.order)
-        for g in (gens[r : r + step] for r in range(0, len(gens), step)):
-            central &= (product_columns(ring, g) == products(ring, g)).all(axis=0)
+        for r in range(0, len(gens), step):
+            block = product_columns(ring, gens[r : r + step]) if columns is None else columns[r : r + step]
+            central &= (block == generator_rows(ring, gens[r : r + step])).all(axis=0)
         return ElemSet.from_mask(ring, central)
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
@@ -177,24 +189,31 @@ def center(ring: TableRing) -> ElemSet:
 def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Greedy generators of the subgroup spanned by `members`, and its
     mask: the first member outside the span S joins, and S grows to
-    S + <x> by doubling (S | S + 2^i x, until it stops growing)."""
+    S + <x> by doubling (S | S + 2^i x, until it stops growing or 2^i x
+    is 0)."""
     span = np.zeros(ring.order, dtype=bool)
     span[ring.zero] = True
     arr, gens = np.array([ring.zero]), []  # arr: the members of span
     while (rest := members[~span[members]]).size:
         gens.append(x := int(rest[0]))
-        while (new := (moved := sums(ring, arr, x))[~span[moved]]).size:
+        while x != ring.zero and (new := (moved := sums(ring, arr, x))[~span[moved]]).size:
             span[new] = True
             arr, x = np.concatenate([arr, new]), sums(ring, x, x)
     return gens, span
 
 
-def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, list[int] | None]:
+def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray, columns: np.ndarray | None = None) -> tuple[np.ndarray, list[int] | None]:
     """(C, generators): Nil pruned of every x with g*x or x*g outside it,
     to a fixpoint C, and the greedy generators of C (`additive_generators`)
-    if C is additively closed (its span is C), else None."""
+    if C is additively closed (its span is C), else None.
+
+    g*x is read off the generator rows (`generator_rows`: stored rows on a
+    ring with half tables), and x*g off `columns`, the columns at `gens`
+    as rows (`product_columns`), taken here when not given.
+    """
     gens = list(gens)
-    left, right = products(ring, gens), product_columns(ring, gens)  # g*x and x*g, k x n
+    left = generator_rows(ring, gens)  # g*x, k x n
+    right = product_columns(ring, gens) if columns is None else columns  # x*g, k x n
     keep = nil_mask.copy()
     while True:
         arr = np.flatnonzero(keep)
@@ -206,7 +225,12 @@ def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray) -> tuple[np.ndarray, 
 
 
 def jacobson_radical(
-    ring: TableRing, unit_mask: np.ndarray | None = None, nil_mask: np.ndarray | None = None, gens=None, spanning: list | None = None
+    ring: TableRing,
+    unit_mask: np.ndarray | None = None,
+    nil_mask: np.ndarray | None = None,
+    gens=None,
+    spanning: list | None = None,
+    columns: np.ndarray | None = None,
 ) -> ElemSet:
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
@@ -216,12 +240,12 @@ def jacobson_radical(
 
     A list passed as `spanning` receives the pruning's greedy generators
     of J, which `_build_quotient` can reuse; it stays empty when J comes
-    from the criterion.
+    from the criterion. `columns` goes to `prune_nil`.
     """
     gens = ring.basis if gens is None else gens
     cand = np.ones(ring.order, dtype=bool)
     if gens is not None:
-        cand, generators = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask)
+        cand, generators = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask, columns)
         if generators is not None:
             if spanning is not None:
                 spanning += generators
@@ -266,8 +290,8 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
         i, j = np.argwhere(~closed)[0]
         return False, ("add", int(arr[i]), int(arr[j]))
     if ring.basis is not None:
-        gens = np.array(ring.basis)
-        if mask[products(ring, *np.ix_(gens, arr))].all() and mask[products(ring, *np.ix_(arr, gens))].all():
+        gens = list(ring.basis)
+        if mask[generator_rows(ring, gens)[:, arr]].all() and mask[products(ring, *np.ix_(arr, gens))].all():
             return True, None
     left = mask[np.take(ring.mul, arr, axis=1)]  # take: twice as fast as mul[:, arr]
     if not left.all():
@@ -319,6 +343,8 @@ class InvariantBundle:
     prime_radical: ElemSet
     _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _clean_decomposable: tuple | None = field(default=None, init=False, repr=False, compare=False)  # predicates.clean_decomposable
+    _units_minus_one: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # predicates._units_minus_one_in
+    _squares: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # every a^2, set by `_compute_bundle`
 
     def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
         """(R/J, projection, bundle of R/J), computed on first use and kept;
@@ -399,29 +425,40 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
 
 
 def _compute_bundle(ring: TableRing) -> InvariantBundle:
-    """Id, Nil and J# off one squaring orbit; Nil, then J, then U: lifted
-    from R/J, which the bundle keeps, on a ring with a basis and J != {0}
-    (see the module docstring). R/J's coset minima reuse the greedy
+    """Id, Nil and J# off one squaring orbit, whose squares the bundle
+    keeps; Nil, then J and Z, then U: lifted from R/J, which the bundle
+    keeps, on a ring with a basis and J != {0} (see the module docstring).
+    The pruning and the center share one read of the columns at the basis,
+    freed before R/J is built; R/J's coset minima reuse the greedy
     generators of J that the pruning took."""
     square, power = _squaring_orbit(ring)
     nil = nilpotents(ring, power)
-    spanning: list[int] = []
-    jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning) if ring.basis is not None else None
-    radical = _radical_quotient(ring, jac, spanning=spanning or None) if jac is not None and len(jac) > 1 else None  # R/{0} = R gains nothing
+    jac = z = radical = None
+    if ring.basis is not None:
+        spanning: list[int] = []
+        columns = product_columns(ring, list(ring.basis))
+        jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning, columns=columns)
+        z = center(ring, columns)
+        del columns
+        if len(jac) > 1:  # R/{0} = R gains nothing
+            radical = _radical_quotient(ring, jac, spanning=spanning or None)  # empty when J came from the criterion
     u = units(ring, radical)
     if jac is None:  # no basis: the criterion reads the scan's U
         jac = jacobson_radical(ring, u.mask(), nil.mask())
+        z = center(ring)
     bundle = InvariantBundle(
         ring=ring,
         units=u,
         idempotents=idempotents(ring, square),
         nilpotents=nil,
-        center=center(ring),
+        center=z,
         jacobson=jac,
         jsharp=jsharp(ring, jac, power),
         prime_radical=prime_radical(ring, jac),
     )
     bundle._radical_quotient = radical
+    square.setflags(write=False)
+    bundle._squares = square
     _assert_bundle_sanity(bundle)
     return bundle
 

@@ -47,14 +47,18 @@ def test_serialize_roundtrip():
         assert getattr(back, name).members == getattr(bundle, name).members
 
 
-@pytest.mark.parametrize("text", ["z(12)", "group(z(2),c(2))", "m(2,z(2))", "t(2,z(16))"])
+@pytest.mark.parametrize("text", ["z(12)", "group(z(2),c(2))", "m(2,z(2))", "t(2,z(16))", "m(2,z(8))", "group(z(2),c(12))", "m(2,gf(8))", "t(3,z(4))"])
 def test_loaded_sets_compare_and_list_as_computed_ones(text):
     # a loaded mask is the cache's unpacked bits, wrapped as it is; `==`
-    # reads its bytes and `index_array` its nonzero cells
+    # reads its bytes and `index_array` its nonzero cells. `classify` gives
+    # the same verdicts and witnesses on both, the loaded bundle with no
+    # squares or R/J kept from a computation
     ring = compile_text(text)
     bundle = compute_bundle(ring)
     save_bundle(bundle)
     loaded = load_bundle(ring)
+    assert bundle._squares is not None and loaded._squares is None and loaded._radical_quotient is None
+    assert list(P.classify(ring, loaded).items()) == list(P.classify(ring, bundle).items())
     names = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp")
     for name in names:
         got, want = getattr(loaded, name), getattr(bundle, name)

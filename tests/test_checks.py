@@ -1,11 +1,14 @@
+import ast
 import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ringlab import ElemSet, checks, compile_text
+from ringlab import ElemSet, RingError, checks, compile_text
 from ringlab import predicates as P
 from ringlab.construct import additive_closure, ideal_closure
 from ringlab.subsets import compute_bundle
@@ -101,6 +104,28 @@ def test_run_suite_compile_error_annotated():
     assert "corner" in err.value.expr_text
 
 
+def test_run_suite_compiles_ring_by_ring(monkeypatch):
+    # each corpus ring is compiled once the one before it is checked and
+    # released, so at most one is alive at a time; a bad text after good
+    # ones still raises with its own text, the first bad one
+    refs, alive, real = [], [], checks.compile_text
+
+    def compiling(text, cap=None):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        ring = real(text, cap)
+        refs.append(weakref.ref(ring))
+        return ring
+
+    monkeypatch.setattr(checks, "compile_text", compiling)
+    report = run_suite(["z(4)", "group(z(9),c(3))", "m(2,z(2))", "z(4)"], deep=True)
+    assert alive == [0, 0, 0, 0] and report.summary["fail"] == 0
+    alive.clear()
+    with pytest.raises(CorpusError) as err:
+        run_suite(["z(8)", "t(2,z(2))", "corner(m(2,z(2)),2)", "nope(3)"])
+    assert err.value.expr_text == "corner(m(2,z(2)),2)" and alive == [0, 0, 0]
+
+
 def test_run_suite_empty_corpus_rejected():
     with pytest.raises(CorpusError):
         run_suite([])
@@ -192,6 +217,40 @@ def test_ujsharp_rings_have_two_and_not_three_in_jsharp(corpus_bundles):
         three = int(ring.add[two, ring.one])
         assert two in bundle.jsharp, text
         assert three not in bundle.jsharp, text
+
+
+def test_g3grp_passes_through_its_contrapositive_on_every_test_group_ring():
+    # on every group ring a test file spells out whose coefficient ring R has
+    # 3 in J#(R), RG is not UJ#: 3 lies in J#(RG), were RG UJ# the unit -1
+    # would put 2 there too, and 2, 3 in J#(RG) would make 1 = 3 - 2
+    # nilpotent modulo J; so G-3grp's body passes through its contrapositive
+    # branch, and the check passes so wherever it applies
+    texts = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("group("):
+                texts.add(node.value)
+    texts = {text for text in texts if "@" not in text}  # a group table file exists only inside its own test
+    contrapositive = checks._ok(note="hypothesis fails here (contrapositive instance)")
+    seen, applied = [], 0
+    for text in sorted(texts):
+        try:
+            ring = compile_text(text)
+        except (RingError, ValueError):  # malformed or above the cap on purpose, or not an expression
+            continue
+        base = ring.meta.base
+        if int(base.add[base.one, base.add[base.one, base.one]]) not in compute_bundle(base).jsharp:
+            continue
+        bundle = compute_bundle(ring)
+        ctx = checks.CheckContext(ring, bundle)
+        assert not P.is_ujsharp(ring, bundle).value, text
+        assert checks._chk_g3grp(ctx) == contrapositive, text
+        result = checks._evaluate(get_check("G-3grp"), ctx, text)
+        if result.status != "skip":
+            assert (result.status, result.note) == ("pass", contrapositive.note), text
+            applied += 1
+        seen.append(text)
+    assert len(seen) >= 5 and applied >= 3, seen
 
 
 def test_suite_summary_counts_are_consistent(suite_report):

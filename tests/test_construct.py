@@ -52,7 +52,7 @@ from ringlab.core import (
     validate_ring,
 )
 from ringlab.groups import cyclic, quaternion8
-from ringlab.subsets import compute_bundle, is_two_sided_ideal, jacobson_radical
+from ringlab.subsets import compute_bundle, is_two_sided_ideal, jacobson_radical, unit_inverses
 
 from ringtables import BITWISE_RINGS, CAP_RINGS, EXTRA_RINGS, tables_equal, two_sided_ideals, without_basis
 
@@ -1224,28 +1224,40 @@ def test_bitwise_add_formula_matches_the_take_fill(corpus_bundles, monkeypatch):
 
 
 def test_coset_minima_match_the_scan_of_every_member(corpus_bundles):
-    # the quotient's projection against the minimum over every member,
-    # add[I].min(axis=0): every proper two-sided ideal of the corpus rings up
-    # to order 64 (the row minima), and on order-4096 rings, each also read
-    # through its filled table, J and the ideal one element of J generates
-    # (coset minima grown over greedy generators by doubling)
+    # the quotient's projection and coset minima (its names) against the
+    # sorted minimum over every member, np.unique(add[I].min(axis=0)): every
+    # proper two-sided ideal of the corpus rings up to order 64 (the row
+    # minima), the radical ideals of every corpus ring, J of every bitwise
+    # ring, and on order-4096 rings, each also read through its filled
+    # table, J and the ideal one element of J generates (coset minima grown
+    # over greedy generators by doubling). On an ideal inside J, the units
+    # lifted from R/I, each from its coset's least member, are the scan's
     def cases():
-        for text, ring, _ in corpus_bundles:
+        for text, ring, bundle in corpus_bundles:
             if ring.order <= 64:
-                yield from ((text, ring, ElemSet.of(ring, list(i))) for i in two_sided_ideals(ring) if len(i) < ring.order)
-        for text in CAP_RINGS + ("m(2,gf(8))",):
+                yield from ((text, ring, ElemSet.of(ring, list(i)), bundle.jacobson) for i in two_sided_ideals(ring) if len(i) < ring.order)
+            yield from ((text, ring, ideal, bundle.jacobson) for ideal in CheckContext(ring, bundle).radical_ideals())
+        for text in dict.fromkeys(CAP_RINGS + ("m(2,gf(8))",) + BITWISE_RINGS):
             ring = compile_text(text)  # one order-4096 ring at a time
             jac = jacobson_radical(ring)
-            for on in (ring, without_basis(ring)):
-                yield text, on, ElemSet.from_mask(on, jac.mask())
-                yield text, on, ideal_closure(on, ElemSet.of(on, [int(jac.index_array()[-1])]))
-    seen = doubled = 0
-    for text, ring, ideal in cases():
+            for on in (ring, without_basis(ring)) if text in CAP_RINGS + ("m(2,gf(8))",) else (ring,):
+                on_jac = ElemSet.from_mask(on, jac.mask())
+                yield text, on, on_jac, on_jac
+                yield text, on, ideal_closure(on, ElemSet.of(on, [int(jac.index_array()[-1])])), on_jac
+    seen = doubled = lifted = 0
+    scans = {}
+    for text, ring, ideal, jac in cases():
         reps, projection = np.unique(ring.add[ideal.index_array()].min(axis=0), return_inverse=True)
         quotient, got = build_quotient(ring, ideal)
         assert np.array_equal(got, projection) and quotient.order == len(reps), (text, ideal.indices()[:8])
+        assert quotient.names == tuple(f"[{ring.name_of(int(r))}]" for r in reps), (text, ideal.indices()[:8])
         seen, doubled = seen + 1, doubled + (len(ideal) > 64)
-    assert seen > 100 and doubled >= 6
+        if ideal <= jac:
+            if text not in scans:
+                scans[text] = unit_inverses(ring)
+            assert unit_inverses(ring, (quotient, got)) == scans[text], (text, ideal.indices()[:8])
+            lifted += 1
+    assert seen > 100 and doubled >= 6 and lifted > 50
 
 
 def raw_derived_tables(ring, projection=None, embedding=None):

@@ -1137,7 +1137,8 @@ def test_products_match_the_filled_table(text):
     # above order 512 the products and columns of products come from the
     # half tables and leave mul unfilled; read afterwards, mul is the table
     # that the generator rows fill by row extension. Up to 512 mul is whole,
-    # and they are gathers
+    # and they are gathers. `generator_rows` equals `products` on the same
+    # rows, read off the half tables where they are stored
     ring = compile_text(text)
     n, lazy = ring.order, ring.order > 512
     assert (ring.mul_halves is not None) == lazy == (ring._mul[0] is None), text
@@ -1165,8 +1166,18 @@ def test_products_match_the_filled_table(text):
     cuts = [slice(None), slice(5, n - 3), slice(n // 2 + 1, n // 2 + 2), slice(1, n // 2 + 9), slice(3, 3)]
     cut_columns = [core.product_columns(ring, x[:9], cut) for cut in cuts]
     assert core.product_columns(ring, x[:0]).shape == (0, n), text
+    # the rows at the bit generators (stored rows on half tables), at some of
+    # them out of order, and at elements that are not all generators
+    bits = [1 << b for b in range(n.bit_length() - 1)]
+    row_sets = [bits, [g, 1, bits[-1]], [g, 3], x[:4]]
+    gen_rows = [core.generator_rows(ring, gens) for gens in row_sets]
+    basis_columns = core.product_columns(ring, bits)
     assert (ring._mul[0] is None) == lazy, text
     mul = ring.mul
+    for gens, value in zip(row_sets, gen_rows):
+        want = core.products(ring, list(gens))
+        assert value.dtype == np.uint16 and np.array_equal(value, want) and np.array_equal(value, mul[list(gens)]), (text, gens)
+    assert np.array_equal(basis_columns, mul[:, bits].T), text
     for value, (_, index) in zip(got, forms):
         want = mul[index if len(index) > 1 else index[0]]
         assert type(value) is type(want) and np.asarray(value).dtype == np.uint16, (text, index)

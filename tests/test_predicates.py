@@ -454,50 +454,70 @@ def test_clean_masks_read_rows_as_the_column_gather_did():
 
 
 def test_clean_block_scan_matches_the_per_element_oracle(monkeypatch):
-    # classify's clean verdicts, each the first failing a in index order: on the
-    # cap rings (m(2,z(8)) scans blocks, the other two read the whole masks), and
-    # on m(2,z(4)) and t(2,z(8)) whole and, with _CHUNK_CELLS cut to 64 |Id|, in
-    # blocks of 1, 2, 4, ... 64 elements, with their own and with cut idempotents
+    # classify's clean verdicts, each the first failing a in index order, on
+    # m(2,z(4)), t(2,z(8)) and the cap rings (m(2,z(8)) scans blocks, the other
+    # two read the whole masks), whole and, with _CHUNK_CELLS cut to 64 |Id|,
+    # in blocks of 1, 2, 4, ... 64 elements: with their own and with cut
+    # idempotents, and with J cut to R, which puts every idempotent in one
+    # class modulo J, so that the classes without ea = ae are decided on the
+    # idempotents that lead no class (the oracle does not read J)
     names = P._SEARCHED_CLEAN
-    for text in CAP_RINGS:
-        ring, b = ring_and_bundle(text)
-        want = clean_family_oracle(ring, b)
-        assert P.clean_family(ring, b, names) == {name: want[name] for name in names}, text
-        assert P.clean_family(ring, b) == want, text
     failed = set()
-    for text in ("m(2,z(4))", "t(2,z(8))"):
+    for text in ("m(2,z(4))", "t(2,z(8))", *CAP_RINGS):
         ring, b = ring_and_bundle(text)
+        full = clean_family_oracle(ring, b)
         idem = b.idempotents.indices()
-        for cut in (b, _trivial_idempotents(ring, b), dataclasses.replace(b, idempotents=ElemSet.of(ring, idem[len(idem) // 2 :]))):
-            want = {name: verdict for name, verdict in clean_family_oracle(ring, cut).items() if name in names}
-            failed |= {name for name, verdict in want.items() if not verdict.value}
-            assert P.clean_family(ring, cut, names) == want, text
-            with monkeypatch.context() as patch:
-                patch.setattr(P, "_CHUNK_CELLS", 64 * len(cut.idempotents))
-                fresh = dataclasses.replace(cut)  # no masks kept
-                assert P.clean_family(ring, fresh, names) == want, text
-                assert fresh._clean_decomposable is None, text
+        cuts = [(b, full), (dataclasses.replace(b, jacobson=ElemSet.of(ring, range(ring.order))), full), (_trivial_idempotents(ring, b), None)]
+        if ring.order < 4096:  # the oracle reads every a
+            cuts.append((dataclasses.replace(b, idempotents=ElemSet.of(ring, idem[len(idem) // 2 :])), None))
+        for cut, oracle in cuts:
+            oracle = clean_family_oracle(ring, cut) if oracle is None else oracle
+            failed |= {name for name in names if not oracle[name].value}
+            for run in (names, ("clean", "jsharp_clean")):  # the second: two pools, neither with ea = ae
+                want = {name: oracle[name] for name in run}
+                assert P.clean_family(ring, dataclasses.replace(cut), run) == want, (text, run)
+                with monkeypatch.context() as patch:
+                    patch.setattr(P, "_CHUNK_CELLS", 64 * len(cut.idempotents))
+                    fresh = dataclasses.replace(cut)  # no masks kept
+                    assert P.clean_family(ring, fresh, run) == want, (text, run)
+                    assert fresh._clean_decomposable is None, text
+        assert P.clean_family(ring, b) == full, text
     assert failed == set(names)
 
 
 def test_clean_block_scan_finds_late_failures_on_each_block_edge(monkeypatch):
-    # in a Boolean ring J# = Nil = {0}, so with Id cut to the indices below k,
-    # a has a jsharp clean (or strongly jsharp or strongly nil clean)
-    # decomposition exactly when a < k: the first failing a is k
-    ring, b = ring_and_bundle("prod(" + ",".join(["z(2)"] * 8) + ")")
-    assert b.jsharp.indices() == b.nilpotents.indices() == (ring.zero,) == (0,)
+    # with J# and Nil cut to {0} (index 0) and Id to the indices below k, a has
+    # a jsharp clean (or strongly jsharp or strongly nil clean) decomposition
+    # exactly when a = e < k, so the first failing a is k: in a Boolean ring,
+    # where J# = Nil = {0} already, against the per-element oracle, and on the
+    # cap rings. Each is scanned as classify does and in forced blocks of 1, 2,
+    # 4, ... 64 elements; jsharp_clean alone, which is decided on one
+    # idempotent per class modulo J first, also with J cut to R (one class)
     names = P._SEARCHED_CLEAN
-    for k in (1, 2, 3, 6, 7, 62, 63, 64, 127, 200, 255):
-        cut = dataclasses.replace(b, idempotents=ElemSet.of(ring, range(k)))
-        want = {name: verdict for name, verdict in clean_family_oracle(ring, cut).items() if name in names}
-        for name in names[:3]:
-            assert want[name].witness.endswith(f"(#{k}) has no {name.replace('_', ' ')} decomposition"), (k, name)
-        assert P.clean_family(ring, cut, names) == want, k
-        with monkeypatch.context() as patch:
-            patch.setattr(P, "_CHUNK_CELLS", 64 * k)  # blocks of 1, 2, 4, ... 64 elements
-            fresh = dataclasses.replace(cut)
-            assert P.clean_family(ring, fresh, names) == want, k
-            assert fresh._clean_decomposable is None, k
+    boolean = "prod(" + ",".join(["z(2)"] * 8) + ")"
+    for text in (boolean, *CAP_RINGS):
+        ring, b = ring_and_bundle(text)
+        zero = ElemSet.of(ring, [0])
+        if text == boolean:
+            assert b.jsharp == b.nilpotents == zero and ring.zero == 0
+        b = dataclasses.replace(b, jsharp=zero, nilpotents=zero)
+        for k in (1, 2, 3, 6, 7, 62, 63, 64, 127, 200, 255):
+            cut = dataclasses.replace(b, idempotents=ElemSet.of(ring, range(k)))
+            want = {name: P.Verdict(False, f"{ring.describe(k)} has no {name.replace('_', ' ')} decomposition") for name in names[:3]}
+            searched = names if text == boolean else names[:3]
+            if text == boolean:
+                want = {name: verdict for name, verdict in clean_family_oracle(ring, cut).items() if name in names}
+                for name in names[:3]:
+                    assert want[name].witness.endswith(f"(#{k}) has no {name.replace('_', ' ')} decomposition"), (k, name)
+            one_class = dataclasses.replace(cut, jacobson=ElemSet.of(ring, range(ring.order)))
+            runs = [(cut, searched), (cut, ("jsharp_clean",)), (one_class, ("jsharp_clean",))]
+            for bundle, run in runs:
+                assert P.clean_family(ring, dataclasses.replace(bundle), run) == {name: want[name] for name in run}, (text, k, run)
+                with monkeypatch.context() as patch:
+                    patch.setattr(P, "_CHUNK_CELLS", 64 * k)  # blocks of 1, 2, 4, ... 64 elements
+                    fresh = dataclasses.replace(bundle)
+                    assert P.clean_family(ring, fresh, run) == {name: want[name] for name in run}, (text, k, run)
+                    assert fresh._clean_decomposable is None, (text, k)
 
 
 def test_classify_keeps_the_clean_masks_on_every_corpus_ring(corpus_bundles):

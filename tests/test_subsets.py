@@ -328,7 +328,7 @@ def scanned_orders(monkeypatch, text, open_fixpoint=False):
 
     monkeypatch.setattr(subsets, "product_one_pairs", counting)
     if open_fixpoint:
-        monkeypatch.setattr(subsets, "prune_nil", lambda on, gens, nil: (nil.copy(), None))
+        monkeypatch.setattr(subsets, "prune_nil", lambda on, gens, nil, columns: (nil.copy(), None))
     b = compute_bundle(ring)
     monkeypatch.undo()
     assert b.units == units(ring), text
@@ -446,7 +446,7 @@ def test_an_open_fixpoint_falls_back_to_the_unit_criterion(monkeypatch):
     want = jacobson_radical(without_basis(ring))
     seen, guards, real_guard = [], [], subsets.is_two_sided_ideal
 
-    def open_fixpoint(on, gens, nil):
+    def open_fixpoint(on, gens, nil, columns):
         seen.append(tuple(gens))
         return nil.copy(), None
 
