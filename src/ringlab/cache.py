@@ -15,9 +15,8 @@ The table checksum hashes only the rows of `add` and `mul` at the ring's
 additive generators (`TableRing.basis`), or every row on a ring without
 one; see `table_checksum` for why those rows fix both tables. It reads
 the rows of `add` through `core.sums` and those of `mul` through
-`core.generator_rows` (or `core.products` without a basis), so a ring
-whose tables are deferred (a cap ring built bitwise) is checked without
-filling either, and its mul rows at the basis are rows it stores.
+`core.products`, so a ring whose tables are deferred (a cap ring built
+bitwise) is checked without filling either.
 A miss computes the bundle, then saves it.
 """
 
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ElemSet, TableRing, generator_rows, products, sums
+from .core import ElemSet, TableRing, products, sums
 from .subsets import InvariantBundle, compute_bundle
 
 MAGIC = b"RGLB"
@@ -63,15 +62,14 @@ def table_checksum(ring: TableRing) -> bytes:
     such sum, associativity gives every row of `add` (add[g + x] =
     add[g][add[x]]) and right distributivity every row of `mul` (mul[x +
     g] = add[mul[x], mul[g]]). The row count keeps these checksums apart
-    from whole-table ones. The rows are read as `sums` and
-    `generator_rows` (`products` without a basis) give them, so a
-    deferred table is not filled, and a ring with half tables hands over
-    its stored rows; the bytes are those of the filled table's rows.
+    from whole-table ones. The rows are read as `sums` and `products`
+    give them, so a deferred table is not filled; the bytes are those of
+    the filled table's rows.
     """
     rows = slice(None) if ring.basis is None else list(ring.basis)
     h = hashlib.sha256()
     h.update(struct.pack("<IIII", ring.order, ring.zero, ring.one, ring.order if ring.basis is None else len(rows)))
-    for read in (sums, products if ring.basis is None else generator_rows):  # without a basis, the whole tables as views; one read alive at a time
+    for read in (sums, products):  # without a basis, the whole tables as views; one read alive at a time
         h.update(np.ascontiguousarray(read(ring, rows), dtype="<u2"))
     return h.digest()
 

@@ -31,12 +31,13 @@ add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]], and the
 tables go through `validate_ring`. Over bases whose addition is bitwise
 on their index, the builder asks only for the K monomials that are bit
 generators (c a power of two) and hands their product rows to
-`core.bitwise_ring`. It splits each index into a low and a high half at
-its middle bit; add is the word formula, and each row of mul is a sum
-of two rows, each summed from the generator rows on one side of the
-split, both tables filled only when read whole above order
-512 (add above 64); it then proves the ring from the relations on the
-generator rows (see `_digit_vector_tables`). A base's products are read
+`core.bitwise_ring`. add is the word formula; above order 512 it splits
+both operands of a product into a low and a high half at the middle bit
+and keeps only the quarter tables, the products of each half of x with
+the corner columns, summed from the generator rows, so both tables are
+filled only when read whole above order 512 (add above 64); it then
+proves the ring from the relations on the generator rows (see
+`_digit_vector_tables`). A base's products are read
 through `core.products`, so a deferred base table stays unfilled.
 """
 
@@ -241,10 +242,10 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
     their K product rows are made here, written into one (K, n) block;
-    `core.bitwise_ring` builds both tables from them, with each index
-    split into a low and a high half at its middle bit (a field may cross
-    it, as the two halves share no bit), and checks the relations on
-    those rows.
+    `core.bitwise_ring` builds both tables from them, with both operands
+    of a product split into a low and a high half at the middle bit (a
+    field may cross it, as the two halves share no bit), and checks the
+    relations on those rows.
 
     Otherwise both tables are gathered, in TABLE_DTYPE, and go through
     `validate_ring`: every row follows by row extension, x = x' + c*e_w

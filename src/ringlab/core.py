@@ -7,9 +7,9 @@ which holds every index of a ring of order at most 65536. A ring that
 `bitwise_ring` builds above order 64 keeps the top bits of its addition
 instead of an addition table: `add` is filled from them on first read,
 and `sums` reads sums and rows of sums from the word formula without
-filling it. Above order 512 it also keeps two half tables instead of a
-multiplication table: `mul` is filled from them on first read, and
-`products` reads products and rows of products off the halves without
+filling it. Above order 512 it also keeps two quarter tables instead of
+a multiplication table: `mul` is filled from them on first read, and
+`products` reads products and rows of products off the quarters without
 filling it. Every constructor in this package funnels its tables through
 `validate_ring`, or, for a digit-vector ring over bases whose addition is
 bitwise on the index, its K bit-generator rows through `bitwise_ring`, so
@@ -167,8 +167,8 @@ class TableRing:
     ring can be shared freely across threads. The one state it changes is
     a deferred table: an addition table kept as its top bits (`top_bits`
     set, `add` given as None), or a multiplication table kept as its two
-    half tables (`mul_halves` set, `mul` given as None). The first read of
-    `add` or `mul` fills that table and keeps it, read-only. Two threads
+    quarter tables (`mul_quarters` set, `mul` given as None). The first
+    read of `add` or `mul` fills that table and keeps it, read-only. Two threads
     racing on a first read each fill the same table, and both get a
     read-only table with the same entries.
 
@@ -188,21 +188,24 @@ class TableRing:
     filled only when read, else None; `sums` reads its sums off the word
     formula.
 
-    `mul_halves` is (ML, MH, s) for a ring whose `mul` is filled only
+    `mul_quarters` is (QL, QH, s) for a ring whose `mul` is filled only
     when read, else None: an index x splits into xh = x >> s and xl = x
-    mod 2^s, and x*y = ML[xl, y] + MH[xh, y] in the bitwise addition
-    (see `bitwise_ring`); `products` reads its products off the halves.
+    mod 2^s, and each quarter holds the products of one half of x with
+    the corner columns 0..2^s - 1 (yl) and 2^s + yh (the column of
+    yh * 2^s), so x*y = QL[xl, yl] + QL[xl, 2^s + yh] + QH[xh, yl] +
+    QH[xh, 2^s + yh] in the bitwise addition (see `bitwise_ring`);
+    `products` reads its products off the quarters.
     """
 
-    __slots__ = ("order", "_add", "top_bits", "_mul", "mul_halves", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text", "__weakref__")
+    __slots__ = ("order", "_add", "top_bits", "_mul", "mul_quarters", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text", "__weakref__")
 
-    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None, mul_halves=None):
+    def __init__(self, order, add, mul, neg, zero, one, names, meta, validation, basis=None, top_bits=None, mul_quarters=None):
         self.order = order
         # one cell per table, shared by a ring over the same tables (`relabelled`)
         self._add = [add]
         self.top_bits = top_bits
         self._mul = [mul]
-        self.mul_halves = mul_halves
+        self.mul_quarters = mul_quarters
         self.neg = neg
         self.zero = zero
         self.one = one
@@ -227,8 +230,8 @@ class TableRing:
     def mul(self) -> np.ndarray:
         """The multiplication table; a deferred one is filled on first read."""
         cell = self._mul
-        if cell[0] is None and self.mul_halves is not None:
-            table = _bitwise_mul_table(self.mul_halves, self.top_bits)
+        if cell[0] is None and self.mul_quarters is not None:
+            table = _bitwise_mul_table(self.mul_quarters, self.top_bits)
             table.setflags(write=False)
             cell[0] = table
         return cell[0]
@@ -242,7 +245,7 @@ class TableRing:
         """A ring over these very tables, with this validation and basis,
         under other names and meta (R/{0}). Deferred tables are shared as
         well: whichever ring reads one first fills it for both."""
-        out = TableRing(self.order, None, None, self.neg, self.zero, self.one, names, meta, self.validation, self.basis, self.top_bits, self.mul_halves)
+        out = TableRing(self.order, None, None, self.neg, self.zero, self.one, names, meta, self.validation, self.basis, self.top_bits, self.mul_quarters)
         out._add, out._mul = self._add, self._mul
         return out
 
@@ -407,44 +410,58 @@ def products(ring: TableRing, x, y=None):
     broadcasts them (so `np.ix_` pairs too), as TABLE_DTYPE. A slice y
     cuts the rows of x to those columns.
 
-    On a ring that keeps its half tables (`TableRing.mul_halves`) each
-    product is ML[x & (2^s - 1), y] + MH[x >> s, y] in the bitwise
-    addition, so its multiplication table is never filled for them, and
-    many rows are read a block at a time (`_by_row_blocks`); on every
-    other ring they are the gather.
+    On a ring that keeps its quarter tables (`TableRing.mul_quarters`)
+    its multiplication table is never filled for them: each product is
+    four lookups in the quarters and three word sums (`_quarter_products`),
+    and a row is one sum of two rows over the corner columns, spread
+    across the columns the y-slice crosses by one broadcast sum
+    (`_quarter_rows`), many rows a block at a time (`_by_row_blocks`). On
+    every other ring they are the gather.
     """
-    if ring.mul_halves is None:
+    quarters = ring.mul_quarters
+    if quarters is None:
         return ring.mul[x] if y is None else ring.mul[x, y]
-    low_rows, high_rows, split = ring.mul_halves
+    top = ring.top_bits
     if y is None or isinstance(y, slice):
-        y = y or slice(None)
-
-        def rows(x):
-            xl, xh = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp), np.right_shift(x, split, dtype=np.intp)
-            return bitwise_sum(low_rows[xl, y], high_rows[xh, y], ring.top_bits)
-
-        return _by_row_blocks(rows, x, len(range(*y.indices(ring.order))))
-    xl = np.bitwise_and(x, (1 << split) - 1, dtype=np.intp)
-    xh = np.right_shift(x, split, dtype=np.intp)
-    # a flat take on intp offsets gathers faster than the two-index gather
-    n = ring.order
-    return bitwise_sum(np.take(low_rows, xl * n + y), np.take(high_rows, xh * n + y), ring.top_bits)
+        start, stop, step = (y or slice(None)).indices(ring.order)
+        if step != 1:  # a stepped slice is read as its columns
+            cols = np.arange(start, stop, step)
+            return _by_row_blocks(lambda x: _quarter_products(quarters, top, np.asarray(x)[..., None], cols), x, len(cols))
+        return _by_row_blocks(lambda x: _quarter_rows(quarters, top, x, start, stop), x, max(stop - start, 0))
+    return _quarter_products(quarters, top, x, y)
 
 
-def generator_rows(ring: TableRing, gens) -> np.ndarray:
-    """The rows mul[g] for the elements g of `gens`, as `products(ring,
-    gens)` gives them.
+def _quarter_products(quarters, top: int, x, y):
+    """x * y for indices or index arrays broadcast together, read off the
+    quarter tables (QL, QH, s): with x = (xh, xl) and y = (yh, yl) split at
+    bit s, x * y = QL[xl, yl] + QL[xl, yh'] + QH[xh, yl] + QH[xh, yh'],
+    yh' = 2^s + yh the corner column of yh * 2^s, each a flat take on intp
+    offsets (faster than the two-index gather)."""
+    low_rows, high_rows, split = quarters
+    mask, width = (1 << split) - 1, low_rows.shape[1]
+    xl, xh = np.bitwise_and(x, mask, dtype=np.intp) * width, np.right_shift(x, split, dtype=np.intp) * width
+    yl, yh = np.bitwise_and(y, mask, dtype=np.intp), np.right_shift(y, split, dtype=np.intp) + (mask + 1)
+    by_low = bitwise_sum(np.take(low_rows, xl + yl), np.take(low_rows, xl + yh), top)
+    return bitwise_sum(by_low, bitwise_sum(np.take(high_rows, xh + yl), np.take(high_rows, xh + yh), top), top)
 
-    On a ring that keeps its half tables (ML, MH, s), with each g a bit
-    generator 2^b (as in a `basis`), each row is one the ring stores,
-    read with no sum: mul[2^b] is ML[2^b] below the split and MH[2^(b-s)]
-    above it, as the other half's row is row 0, which is 0.
-    """
-    gens = [int(g) for g in gens]
-    if ring.mul_halves is None or not all(g > 0 and g & (g - 1) == 0 for g in gens):
-        return products(ring, gens)
-    low_rows, high_rows, split = ring.mul_halves
-    return np.stack([low_rows[g] if g >> split == 0 else high_rows[g >> split] for g in gens])
+
+def _quarter_rows(quarters, top: int, x, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows mul[x, start:stop] for an index or index array x, read off
+    the quarter tables (QL, QH, s): row x over the corner columns is r =
+    QL[xl] + QH[xh], and mul[x, y] = r[yl] + r[yh'], so the columns of
+    the high halves yh that start:stop crosses are one broadcast sum of r's
+    low block and its high entries, then cut to start:stop. With `out`
+    (of shape x.shape + (n,)), the whole rows are written into it."""
+    low_rows, high_rows, split = quarters
+    nl = 1 << split
+    first, last = start >> split, -(-stop >> split)  # the high halves start:stop crosses
+    xl, xh = np.bitwise_and(x, nl - 1, dtype=np.intp), np.right_shift(x, split, dtype=np.intp)
+    row = bitwise_sum(low_rows[xl], high_rows[xh], top)
+    blocks = None if out is None else out.reshape(*out.shape[:-1], last - first, nl)
+    spread = bitwise_sum(row[..., None, :nl], row[..., nl + first : nl + last, None], top, out=blocks)
+    spread = spread.reshape(*spread.shape[:-2], spread.shape[-2] * nl)
+    offset = first << split
+    return spread[..., start - offset : stop - offset]
 
 
 def _by_row_blocks(rows, x, width: int) -> np.ndarray:
@@ -466,24 +483,31 @@ def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
     1-d integer index array y, as TABLE_DTYPE; a slice x of step 1 cuts
     each row to those x.
 
-    On a ring that keeps its half tables, row k is ML[:, y[k]] tiled
-    across the low halves plus MH[:, y[k]] repeated along the high ones
-    that x crosses, one broadcast sum a block of rows at a time
-    (`_by_row_blocks`), then cut to x; on every other ring it is the
-    gather of the columns, transposed (a view).
+    On a ring that keeps its quarter tables (QL, QH, s), x * y[k] = a[xl]
+    + b[xh], where a = QL[:, yl] + QL[:, yh'] and b = QH[:, yl] +
+    QH[:, yh'] are read at the corner columns of y[k] (see
+    `_quarter_products`): row k is a tiled across the low halves plus b
+    repeated along the high ones that x crosses, one broadcast sum a
+    block of rows at a time (`_by_row_blocks`), then cut to x; on every
+    other ring it is the gather of the columns, transposed (a view).
     """
-    if ring.mul_halves is None:
+    quarters = ring.mul_quarters
+    if quarters is None:
         return np.take(ring.mul[x], y, axis=1).T
-    low_rows, high_rows, split = ring.mul_halves
+    low_rows, high_rows, split = quarters
+    top, nl = ring.top_bits, 1 << split
     start, stop, _ = x.indices(ring.order)
     first, last = start >> split, -(-stop >> split)  # the high halves x crosses
     offset = first << split
 
     def rows(y):
-        out = bitwise_sum(low_rows[:, y].T[:, None, :], high_rows[first:last, y].T[:, :, None], ring.top_bits)
+        yl, yh = np.bitwise_and(y, nl - 1, dtype=np.intp), np.right_shift(y, split, dtype=np.intp) + nl
+        by_low = bitwise_sum(low_rows[:, yl], low_rows[:, yh], top).T  # [k, xl]
+        by_high = bitwise_sum(high_rows[first:last, yl], high_rows[first:last, yh], top).T  # [k, xh - first]
+        out = bitwise_sum(by_low[:, None, :], by_high[:, :, None], top)
         return out.reshape(len(out), (last - first) << split)[:, start - offset : stop - offset]
 
-    return _by_row_blocks(rows, y, stop - start)
+    return _by_row_blocks(rows, y, max(stop - start, 0))
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
@@ -574,7 +598,7 @@ def _prove_bitwise(add, mul, high: int) -> tuple[bool, Violation | None]:
     if cell is not None:
         return False, _additive_witness(add, *cell)
     gens = 1 << np.arange(n.bit_length() - 1)
-    _fill_bitwise_mul(filled, mul[gens], high, _field_split(n))
+    _fill_bitwise_mul(mul[gens], high, filled)
     cell = _first_difference(mul, filled)
     if cell is not None:
         x, y = cell
@@ -890,10 +914,10 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
     return _table_ring(add, mul, first_zero if neg is None else neg, zero, one, names, meta, mode)
 
 
-def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None, mul_halves=None) -> TableRing:
+def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None, mul_quarters=None) -> TableRing:
     """The TableRing on tables whose axioms were decided with `mode`; with
     `top_bits`, `add` is None and filled on first read, and with
-    `mul_halves`, so is `mul`."""
+    `mul_quarters`, so is `mul`."""
     n = neg.shape[0]
     if names is None:
         names = str
@@ -901,7 +925,7 @@ def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_
         names = tuple(names)
         if len(names) != n:
             raise ValueError("names length mismatch")
-    for table in (add, mul, neg, *(mul_halves or ())[:2]):
+    for table in (add, mul, neg, *(mul_quarters or ())[:2]):
         if table is not None:
             table.setflags(write=False)
     # the generator forms of the subsets need a decided (bi-additive) mul;
@@ -910,7 +934,7 @@ def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_
     # distinct bit generators sum without a carry to every element.
     exhaustive = mode == "exhaustive" and n > EXHAUSTIVE_LIMIT
     basis = tuple(1 << b for b in range(n.bit_length() - 1)) if exhaustive else None
-    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits, mul_halves)
+    return TableRing(n, add, mul, neg, zero, one, names, meta, mode, basis, top_bits, mul_quarters)
 
 
 def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None) -> TableRing:
@@ -919,24 +943,30 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     or raise RingValidationError. Zero is index 0; `neg`, `names` and
     `meta` are as in `validate_ring`.
 
-    Each index x splits into a low and a high half, x = (xh, xl), at the
-    middle bit s = K // 2 (`_field_split`), and mul[x] = ML[xl] + MH[xh],
-    by bi-additivity: ML (2^s rows) sums the generator rows below the
-    split, and MH (n / 2^s rows) those above it (`_mul_halves`). A field
-    may cross the split, as xl and xh share no bit and so add without a
-    carry: whatever the split, each row of mul is the sum of the
-    generator rows at its bits, corrupt rows included. A table that fits
-    one chunk (order <= 512) splits at K, so ML is the whole table, and
-    the ring keeps it as `mul`. A larger ring keeps ML, MH and s as its
-    `mul_halves` and fills mul only when it is read whole, as `products`
-    gives its products and rows from the halves. add is filled from the
-    word formula (`_bitwise_add_table`) up to order 64; above it the ring
-    keeps `high` as its `top_bits` and fills add only when it is read, as
-    `sums` gives its sums and rows from the formula. Only the facts this
-    build does not guarantee are then checked, on the generator rows
-    (`_generator_relations`, which are mul's rows at the generators as
-    built) and through `products`, in O(K n + K^3) cells instead of the
-    n^2 compares and range scans of whole tables:
+    A table that fits one chunk (order <= 512) is filled whole, each row
+    the sum of the generator rows at its bits (`_fill_bitwise_mul`), and
+    kept as `mul`. A larger ring splits both operands at the middle bit s
+    = K // 2 (`_field_split`), x = (xh, xl) and y = (yh, yl), and keeps
+    only the quarter tables QL and QH over the corner columns, the low
+    halves 0..2^s - 1 and the high ones 0, 2^s, 2 * 2^s, ...
+    (`_mul_quarters`: 2^s and n / 2^s rows of 2^s + n / 2^s cells, 32 KiB
+    in all at order 4096): x * y is QL[xl, yl] + QL[xl, yh'] + QH[xh, yl] +
+    QH[xh, yh'], with yh' the corner column of yh * 2^s. It keeps QL, QH
+    and s as its `mul_quarters` and fills mul only when it is read whole,
+    as `products` and `product_columns` give its products and rows from
+    the quarters. A field may cross the split, as the halves of an index
+    share no bit and so add without a carry. add is filled from the word
+    formula (`_bitwise_add_table`) up to order 64; above it the ring keeps
+    `high` as its `top_bits` and fills add only when it is read, as `sums`
+    gives its sums and rows from the formula.
+
+    The quarters read each generator row at the corner columns only, so
+    the ring built from them is bi-additive by construction and equals
+    the table the rows fill exactly when each row is additive along y.
+    Only the facts this build does not guarantee are then checked, on the
+    generator rows as given, read whole (`_generator_relations`), and
+    through `products`, in O(K n + K^3) cells instead of the n^2 compares
+    and range scans of whole tables:
 
     - the formula is the group (+) Z/2^k, one summand per field, so the
       additive axioms hold;
@@ -945,7 +975,8 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
       2^(b+1), a generator, or 0 at a field's top bit: right
       distributivity;
     - every row is a sum of generator rows, and a sum of additive rows is
-      additive, so additive generator rows give left distributivity;
+      additive, so additive generator rows give left distributivity (and
+      make the quarters' products the rows' own);
     - a bi-additive mul that is associative on the K^3 generator triples
       is associative on every triple;
 
@@ -953,9 +984,9 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     row and column of `one` in mul are the identity (0 + x = x holds by
     the formula). The ring reports "exhaustive" at every order, and keeps
     the bit generators, which the formula sums without a carry, as its
-    basis above order 64. If any check fails, the built tables, both
-    filled, go through `validate_ring` unchanged, so the error names the
-    witness its whole-table scan finds on them.
+    basis above order 64. If any check fails, add and the mul that the
+    generator rows fill whole go through `validate_ring`, so the error
+    names the witness its whole-table scan finds on them.
     """
     rows = np.asarray(generator_rows)
     bits = rows.shape[0] if rows.ndim == 2 else 0
@@ -971,30 +1002,29 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
     split = _field_split(n)
-    low_rows, high_rows = _mul_halves(rows, high, split)
-    whole = len(high_rows) == 1
-    lazy = n > EXHAUSTIVE_LIMIT
+    whole, lazy = split == bits, n > EXHAUSTIVE_LIMIT
     ring = _table_ring(
         None if lazy else _bitwise_add_table(n, high),
-        low_rows if whole else None,
+        _fill_bitwise_mul(rows, high) if whole else None,
         neg, 0, one, names, meta, "exhaustive",
         high if lazy else None,
-        None if whole else (low_rows, high_rows, split),
+        None if whole else (*_mul_quarters(rows, high, split), split),
     )
     idx, gens = np.arange(n, dtype=TABLE_DTYPE), 1 << np.arange(bits)
     identities = not bitwise_sum(idx, neg, high).any() and (products(ring, one) == idx).all() and (product_columns(ring, [one])[0] == idx).all()
     if identities and _generator_relations(rows, lambda v: products(ring, v[..., None], gens), high) is None:
         return ring
-    return validate_ring(ring.add, ring.mul, 0, one, neg=neg, names=names, meta=meta)
+    return validate_ring(ring.add, ring.mul if whole else _fill_bitwise_mul(rows, high), 0, one, neg=neg, names=names, meta=meta)
 
 
 def _field_split(n: int) -> int:
-    """Where the bitwise multiplication of order n = 2^K splits each index
-    into its half tables (`_mul_halves`): K (filled whole) for a table
-    that fits one chunk, else the middle bit K // 2, so ML and MH hold
-    about sqrt(n) rows each. Any split is exact, a field that crosses it
-    too: x is the carry-free sum of its bits, so by bi-additivity mul[x]
-    is the sum of the generator rows at them, whichever half holds each."""
+    """Where the bitwise multiplication of order n = 2^K splits both
+    operands into the quarter tables (`_mul_quarters`): K for a table that
+    fits one chunk, which is filled whole, else the middle bit K // 2, so
+    QL and QH hold about sqrt(n) rows of about 2 sqrt(n) corner columns
+    each. On a bi-additive mul any split is exact, a field that crosses it
+    too: an index is the carry-free sum of its two halves, so x * y is the
+    sum of the four products of the halves of x and y."""
     bits = n.bit_length() - 1
     return bits if n * n <= _CHUNK_CELLS else bits // 2
 
@@ -1010,46 +1040,47 @@ def _bitwise_add_table(n: int, high: int) -> np.ndarray:
     return add
 
 
-def _mul_halves(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ML, MH): the sums of the generator rows `rows[b]` at the bits of
-    each index below the split (ML, 2^split rows) and above it (MH, one
-    row per index >> split), in the bitwise addition with top bits `high`."""
-    n = rows.shape[1]
-    halves = []
-    for count, gens in ((1 << split, rows[:split]), (n >> split, rows[split:])):
-        half = np.empty((count, n), dtype=TABLE_DTYPE)
-        half[0] = 0
-        half[1 << np.arange(len(gens))] = gens
-        _extend_bitwise(half, high)
-        halves.append(half)
-    return halves[0], halves[1]
+def _mul_quarters(rows: np.ndarray, high: int, split: int) -> tuple[np.ndarray, np.ndarray]:
+    """(QL, QH): the sums of the generator rows `rows[b]` at the bits of
+    each index below the split (QL, 2^split rows) and above it (QH, one
+    row per index >> split), in the bitwise addition with top bits `high`,
+    each read only at the corner columns: 0..2^split - 1, then 0, 2^split,
+    2 * 2^split, ... (n >> split of them)."""
+    n, nl = rows.shape[1], 1 << split
+    corners = rows[:, np.concatenate([np.arange(nl), np.arange(0, n, nl)])]
+    quarters = []
+    for count, gens in ((nl, corners[:split]), (n >> split, corners[split:])):
+        quarter = np.empty((count, corners.shape[1]), dtype=TABLE_DTYPE)
+        quarter[0] = 0
+        quarter[1 << np.arange(len(gens))] = gens
+        _extend_bitwise(quarter, high)
+        quarters.append(quarter)
+    return quarters[0], quarters[1]
 
 
-def _fill_bitwise_mul(mul: np.ndarray, rows: np.ndarray, high: int, split: int) -> None:
-    """Fill `mul` with the sum of the generator rows `rows[b]` at the bits
-    of each index, in the bitwise addition with top bits `high`, from its
-    halves split at bit `split` (`_mul_halves`, `_join_halves`)."""
-    _join_halves(mul, *_mul_halves(rows, high, split), high)
-
-
-def _bitwise_mul_table(mul_halves, high: int) -> np.ndarray:
-    """A fresh multiplication table filled from `TableRing.mul_halves`."""
-    low_rows = mul_halves[0]
-    mul = np.empty((low_rows.shape[1],) * 2, dtype=TABLE_DTYPE)
-    _join_halves(mul, low_rows, mul_halves[1], high)
+def _fill_bitwise_mul(rows: np.ndarray, high: int, mul: np.ndarray | None = None) -> np.ndarray:
+    """`mul`, or a fresh n x n table, filled with the sum of the generator
+    rows `rows[b]` at the bits of each index, in the bitwise addition with
+    top bits `high`: row 0 is 0, row 2^b is rows[b], read whole, and every
+    other row is extended from them (`_extend_bitwise`)."""
+    if mul is None:
+        mul = np.empty((rows.shape[1],) * 2, dtype=TABLE_DTYPE)
+    mul[0] = 0
+    mul[1 << np.arange(len(rows))] = rows
+    _extend_bitwise(mul, high)
     return mul
 
 
-def _join_halves(mul: np.ndarray, low_rows: np.ndarray, high_rows: np.ndarray, high: int) -> None:
-    """mul[x] = ML[xl] + MH[xh], with x = (xh, xl) = (x >> s, x mod 2^s)
-    and ML of 2^s rows: ML is copied in as mul[:2^s], and each further
-    block of 2^s rows is written once from the two halves, a few blocks,
-    about _CHUNK_CELLS cells, at a time."""
-    nl = len(low_rows)
-    mul[:nl] = low_rows
-    blocks, step = mul.reshape(len(high_rows), nl, -1), max(1, _CHUNK_CELLS // low_rows.size)
-    for a in range(1, len(high_rows), step):
-        bitwise_sum(low_rows, high_rows[a : a + step, None], high, out=blocks[a : a + step])
+def _bitwise_mul_table(mul_quarters, high: int) -> np.ndarray:
+    """A fresh multiplication table filled from `TableRing.mul_quarters`,
+    each block of about _CHUNK_CELLS cells written once (`_quarter_rows`)."""
+    low_rows, high_rows, _ = mul_quarters
+    n = len(low_rows) * len(high_rows)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    x, step = np.arange(n), max(1, _CHUNK_CELLS // n)
+    for r in range(0, n, step):
+        _quarter_rows(mul_quarters, high, x[r : r + step], 0, n, out=mul[r : r + step])
+    return mul
 
 
 def _extend_bitwise(mul: np.ndarray, high: int) -> None:

@@ -265,7 +265,7 @@ def is_semiboolean(ring: TableRing, bundle: InvariantBundle) -> Verdict:
     if r * len(members) <= _CHUNK_CELLS:
         coset = int((sums(ring, idx[:r, None], members).min(axis=1) == idx[:r]).sum())
     else:
-        coset = int(bundle.radical_quotient()[1][r])
+        coset = int(bundle.modulo_radical()[1][r])
     return Verdict(False, f"R/J not Boolean: [{ring.name_of(r)}] (#{coset}) is not idempotent")
 
 

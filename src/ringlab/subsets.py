@@ -20,7 +20,7 @@ false. Elsewhere (J = {0}, no basis), inside the criterion of an open
 fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1,
 read through `core.products` a block of rows at a time
 (`product_one_pairs`), so a ring with deferred products (see
-`TableRing.mul_halves`) is scanned without filling its table.
+`TableRing.mul_quarters`) is scanned without filling its table.
 
 Every product the bundle reads comes through `core.products`, so on a
 cap ring built bitwise the whole multiplication table is never filled.
@@ -33,10 +33,11 @@ element), mul is bi-additive and they generate (R, +), so z is central
 iff it commutes with each generator, and a subgroup S absorbs R on a
 side iff it absorbs each generator there: the center and the ideal
 check read n x k and |S| x k cells (k = log2 n) instead of n x n and
-n x |S|. The k generator rows are rows a ring with half tables stores
-(`core.generator_rows`), and `compute_bundle` reads the k columns at the
-basis once, for both the pruning of Nil and the center, and frees them
-before R/J is built.
+n x |S|. The k generator rows are read through `core.products`, each
+one sum over the corner columns on a ring with quarter tables spread
+across n columns, and `compute_bundle` reads the k columns at the basis
+once, for both the pruning of Nil and the center, and frees them before
+R/J is built.
 
 On a finite ring two of the radicals collapse (Lam, GTM 131):
 
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _CHUNK_CELLS, EXHAUSTIVE_LIMIT, ElemSet, GroupRingMeta, RingError, TableRing, generator_rows, product_columns, products, rows_equal_columns, sums
+from .core import _CHUNK_CELLS, EXHAUSTIVE_LIMIT, ElemSet, GroupRingMeta, RingError, TableRing, product_columns, products, rows_equal_columns, sums
 
 
 class NotAGroupRingError(RingError):
@@ -84,7 +85,7 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     and the hits of each block are its `np.flatnonzero` cells.
     """
     n = ring.order
-    if ring.mul_halves is None and n * n <= _CHUNK_CELLS:
+    if n * n <= _CHUNK_CELLS:  # no ring this small defers its products
         return np.nonzero(ring.mul == ring.one)
     step = max(1, _CHUNK_CELLS // n)
     cells = [r * n + np.flatnonzero(products(ring, np.arange(r, min(r + step, n))) == ring.one) for r in range(0, n, step)]
@@ -170,9 +171,9 @@ def center(ring: TableRing, columns: np.ndarray | None = None) -> ElemSet:
     """Z(R): the a whose row of the multiplication table equals its column.
 
     On a ring with a `basis`, z is central iff zg = gz for each generator
-    g, since mul is bi-additive: the generator rows (`generator_rows`)
-    against their columns, an n x k compare instead of n x n, a block of
-    about _CHUNK_CELLS cells at a time. `columns`, if given, holds the
+    g, since mul is bi-additive: the generator rows against their
+    columns, an n x k compare instead of n x n, a block of about
+    _CHUNK_CELLS cells at a time. `columns`, if given, holds the
     columns x*g at the basis as rows (`product_columns`), which are then
     not taken again.
     """
@@ -181,7 +182,7 @@ def center(ring: TableRing, columns: np.ndarray | None = None) -> ElemSet:
         step = max(1, _CHUNK_CELLS // ring.order)
         for r in range(0, len(gens), step):
             block = product_columns(ring, gens[r : r + step]) if columns is None else columns[r : r + step]
-            central &= (block == generator_rows(ring, gens[r : r + step])).all(axis=0)
+            central &= (block == products(ring, gens[r : r + step])).all(axis=0)
         return ElemSet.from_mask(ring, central)
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
@@ -207,12 +208,12 @@ def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray, columns: np.ndarray |
     to a fixpoint C, and the greedy generators of C (`additive_generators`)
     if C is additively closed (its span is C), else None.
 
-    g*x is read off the generator rows (`generator_rows`: stored rows on a
-    ring with half tables), and x*g off `columns`, the columns at `gens`
-    as rows (`product_columns`), taken here when not given.
+    g*x is read off the generator rows (`products`), and x*g off
+    `columns`, the columns at `gens` as rows (`product_columns`), taken
+    here when not given.
     """
     gens = list(gens)
-    left = generator_rows(ring, gens)  # g*x, k x n
+    left = products(ring, gens)  # g*x, k x n
     right = product_columns(ring, gens) if columns is None else columns  # x*g, k x n
     keep = nil_mask.copy()
     while True:
@@ -291,7 +292,7 @@ def is_two_sided_ideal(ring: TableRing, subset: ElemSet) -> tuple[bool, tuple | 
         return False, ("add", int(arr[i]), int(arr[j]))
     if ring.basis is not None:
         gens = list(ring.basis)
-        if mask[generator_rows(ring, gens)[:, arr]].all() and mask[products(ring, *np.ix_(arr, gens))].all():
+        if mask[products(ring, gens)[:, arr]].all() and mask[products(ring, *np.ix_(arr, gens))].all():
             return True, None
     left = mask[np.take(ring.mul, arr, axis=1)]  # take: twice as fast as mul[:, arr]
     if not left.all():
@@ -341,21 +342,32 @@ class InvariantBundle:
     jacobson: ElemSet
     jsharp: ElemSet
     prime_radical: ElemSet
+    _modulo_radical: tuple | None = field(default=None, init=False, repr=False, compare=False)  # (R/J, projection), set by the unit lift
     _radical_quotient: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _clean_decomposable: tuple | None = field(default=None, init=False, repr=False, compare=False)  # predicates.clean_decomposable
     _units_minus_one: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # predicates._units_minus_one_in
     _squares: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)  # every a^2, set by `_compute_bundle`
 
-    def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
-        """(R/J, projection, bundle of R/J), computed on first use and kept;
-        `compute_bundle` fills it when it lifts U from R/J.
+    def modulo_radical(self) -> tuple[TableRing, np.ndarray]:
+        """(R/J, projection), built on first use and kept; `compute_bundle`
+        keeps the one it lifts U from.
 
         J is not re-proved an ideal here: `jacobson_radical` proved it, and
         a cache-loaded J passed the payload digest. R/J's tables are still
         validated.
         """
+        if self._modulo_radical is None:
+            self._modulo_radical = _radical_quotient(self.ring, self.jacobson)
+        return self._modulo_radical
+
+    def radical_quotient(self) -> tuple[TableRing, np.ndarray, InvariantBundle]:
+        """(R/J, projection, bundle of R/J), computed on first use and kept
+        (`modulo_radical`, then R/J's bundle); R/{0} shares R's tables and
+        this bundle."""
         if self._radical_quotient is None:
-            self._radical_quotient = _radical_quotient(self.ring, self.jacobson, self)
+            quotient, projection = self.modulo_radical()
+            shared = quotient.shares_tables(self.ring)
+            self._radical_quotient = quotient, projection, self.on_copy(quotient) if shared else compute_bundle(quotient)
         return self._radical_quotient
 
     def on_copy(self, ring: TableRing) -> InvariantBundle:
@@ -373,14 +385,11 @@ def _wrap_masks(ring: TableRing, masks) -> InvariantBundle:
     return InvariantBundle(ring=ring, **{name: ElemSet.from_mask(ring, mask) for name, mask in zip(_SETS, masks)})
 
 
-def _radical_quotient(ring: TableRing, jacobson: ElemSet, bundle: InvariantBundle | None = None, spanning=None) -> tuple:
-    """(R/J, projection, bundle of R/J); R/{0} shares R's tables and
-    `bundle`. `spanning`, if given, holds greedy generators of J."""
+def _radical_quotient(ring: TableRing, jacobson: ElemSet, spanning=None) -> tuple[TableRing, np.ndarray]:
+    """(R/J, projection); `spanning`, if given, holds greedy generators of J."""
     from .construct import _build_quotient  # local import; construct sits above
 
-    quotient, projection = _build_quotient(ring, jacobson, spanning=spanning)
-    shared = quotient.shares_tables(ring)  # R/{0}
-    return quotient, projection, bundle.on_copy(quotient) if shared else compute_bundle(quotient)
+    return _build_quotient(ring, jacobson, spanning=spanning)
 
 
 # The bundle memo of the `run_suite` or `run_check` call under way, or None
@@ -427,7 +436,8 @@ def compute_bundle(ring: TableRing) -> InvariantBundle:
 def _compute_bundle(ring: TableRing) -> InvariantBundle:
     """Id, Nil and J# off one squaring orbit, whose squares the bundle
     keeps; Nil, then J and Z, then U: lifted from R/J, which the bundle
-    keeps, on a ring with a basis and J != {0} (see the module docstring).
+    keeps, on a ring with a basis and J != {0} (see the module docstring);
+    R/J's own bundle waits for `InvariantBundle.radical_quotient`.
     The pruning and the center share one read of the columns at the basis,
     freed before R/J is built; R/J's coset minima reuse the greedy
     generators of J that the pruning took."""
@@ -456,7 +466,7 @@ def _compute_bundle(ring: TableRing) -> InvariantBundle:
         jsharp=jsharp(ring, jac, power),
         prime_radical=prime_radical(ring, jac),
     )
-    bundle._radical_quotient = radical
+    bundle._modulo_radical = radical
     square.setflags(write=False)
     bundle._squares = square
     _assert_bundle_sanity(bundle)

@@ -291,29 +291,30 @@ def test_inspect_above_the_default_cap_keeps_its_derived_rings(capsys):
     assert [line.split() for line in lines if line.startswith("semiboolean")] == [["semiboolean", "no"]]
 
 
-def test_an_inspect_above_the_default_cap_reads_only_half_tables(capsys, monkeypatch):
+def test_an_inspect_above_the_default_cap_reads_only_quarter_tables(capsys, monkeypatch):
     # order 16384 with J != {0}: a whole table of R would be 512 MiB, and any
-    # n^2 temporary 256 MiB or more, so the peak is bounded by the half tables
-    # ML and MH (uint16 cells) plus a constant. R/J, of order 128, keeps whole
-    # tables; nothing larger is filled, cold or warm
-    inspect_reads_only_half_tables(capsys, monkeypatch, "group(z(2),c(14))", 16384, 128)
+    # n^2 temporary 256 MiB or more; the quarter tables QL and QH are 128 KiB.
+    # R/J, of order 128, keeps whole tables; nothing larger is filled, cold or
+    # warm, and the peak stays within 8 MiB (16 MiB with the half tables)
+    inspect_reads_only_quarter_tables(capsys, monkeypatch, "group(z(2),c(14))", 16384, 128, 8)
 
 
-def test_an_inspect_at_order_65536_reads_only_half_tables(capsys, monkeypatch):
-    # the largest order 16-bit storage holds: a whole table would be 8 GiB, and
-    # ML and MH, 256 rows each, are 64 MiB; R/J = m(2,z(2)) has order 16
-    inspect_reads_only_half_tables(capsys, monkeypatch, "m(2,z(16))", 65536, 16)
+def test_an_inspect_at_order_65536_reads_only_quarter_tables(capsys, monkeypatch):
+    # the largest order 16-bit storage holds: a whole table would be 8 GiB, the
+    # half tables were 64 MiB (a 72 MiB bound), and QL and QH, 256 rows of 512
+    # corner columns each, are 512 KiB; R/J = m(2,z(2)) has order 16
+    inspect_reads_only_quarter_tables(capsys, monkeypatch, "m(2,z(16))", 65536, 16, 16)
 
 
-def inspect_reads_only_half_tables(capsys, monkeypatch, text, order, quotient_order):
+def inspect_reads_only_quarter_tables(capsys, monkeypatch, text, order, quotient_order, bound_mib):
     """Inspect `text` under --max-order `order`, cold and then warm: no table
-    above `quotient_order` is filled, R's tables stay deferred, and the
-    tracemalloc peak is at most the half tables' uint16 cells plus 8 MiB."""
+    above `quotient_order` is filled, R's tables stay deferred as its
+    quarter tables, and the tracemalloc peak is at most `bound_mib` MiB."""
     rings, fills = [], []
     compile_real, fill_add, fill_mul = cli.compile_text, core._bitwise_add_table, core._bitwise_mul_table
     monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
     monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
-    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda quarters, high: fills.append(("mul", quarters_order(quarters))) or fill_mul(quarters, high))
     for _ in range(2):
         tracemalloc.start()
         try:
@@ -323,10 +324,15 @@ def inspect_reads_only_half_tables(capsys, monkeypatch, text, order, quotient_or
             tracemalloc.stop()
         assert code == 0 and err == "" and out.splitlines()[1].split() == ["order", str(order)]
         ring = rings.pop()
-        low_rows, high_rows, _ = ring.mul_halves
-        assert ring._add[0] is None and ring._mul[0] is None
+        assert ring._add[0] is None and ring._mul[0] is None and quarters_order(ring.mul_quarters) == order
         assert [f for f in fills if f[1] > quotient_order] == []
-        assert peak <= (len(low_rows) + len(high_rows)) * ring.order * 2 + (8 << 20), peak
+        assert peak <= bound_mib << 20, peak
+
+
+def quarters_order(quarters):
+    """The order of the ring whose quarter tables (QL, QH, s) these are:
+    one row of QL per low half and one of QH per high half."""
+    return len(quarters[0]) * len(quarters[1])
 
 
 @pytest.mark.parametrize(
@@ -350,13 +356,13 @@ def test_endomorphism_file_rejects_bad_source_indices(capsys, tmp_path, monkeypa
 def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatch, text):
     # cold, warm and --no-cache: every read of add on the inspect path is a
     # sum from the word formula, and every read of mul a product from the
-    # half tables; a later read fills each table. m(2,gf(8)) has J = {0},
+    # quarter tables; a later read fills each table. m(2,gf(8)) has J = {0},
     # so its U comes from the scan of every product, by blocks of rows
     rings, fills = [], []
     compile_real, fill_add, fill_mul = cli.compile_text, core._bitwise_add_table, core._bitwise_mul_table
     monkeypatch.setattr(cli, "compile_text", lambda *a: rings.append(compile_real(*a)) or rings[-1])
     monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
-    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda quarters, high: fills.append(("mul", quarters_order(quarters))) or fill_mul(quarters, high))
     for argv in ((), (), ("--no-cache",)):
         assert run_cli(capsys, "inspect", text, "--json", *argv)[0] == 0
         ring = rings.pop()  # at most one order-4096 ring is held
@@ -367,8 +373,7 @@ def test_inspect_of_a_cap_ring_never_fills_its_addition_table(capsys, monkeypatc
     for table in (add, mul):
         assert table.dtype == np.uint16 and not table.flags.writeable and table.flags.c_contiguous
     assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits))
-    want = np.empty_like(mul)  # the table the generator rows fill, read off the halves
-    core._fill_bitwise_mul(want, core.products(ring, list(ring.basis)), ring.top_bits, ring.mul_halves[2])
+    want = core._fill_bitwise_mul(core.products(ring, list(ring.basis)), ring.top_bits)  # the table the generator rows fill
     assert np.array_equal(mul, want)
 
 
@@ -404,10 +409,10 @@ def test_inspect_of_the_cap_rings_matches_the_recorded_golden(capsys):
 @pytest.mark.parametrize("check_id, text", [("L1.2.1", "t(2,z(16))"), ("C2.7", "m(2,z(8))")])
 def test_a_check_on_a_cap_ring_fills_no_table(capsys, monkeypatch, check_id, text):
     # the check bodies and the searches C2.7 runs read products from the
-    # half tables and sums from the word formula
+    # quarter tables and sums from the word formula
     fills, fill_add, fill_mul = [], core._bitwise_add_table, core._bitwise_mul_table
     monkeypatch.setattr(core, "_bitwise_add_table", lambda n, high: fills.append(("add", n)) or fill_add(n, high))
-    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(("mul", len(halves[0][0]))) or fill_mul(halves, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda quarters, high: fills.append(("mul", quarters_order(quarters))) or fill_mul(quarters, high))
     code, out, _ = run_cli(capsys, "check", check_id, text, "--json", "--no-cache")
     assert code == 0
     payload = json.loads(out)

@@ -1058,19 +1058,19 @@ def outer_bitwise_build(text, monkeypatch):
         patch.setattr(construct, "bitwise_ring", lambda *a: calls.append(a) or build(*a))
         ring = compile_text(text)
     high, rows = calls[-1][:2]
-    split = ring.order.bit_length() - 1 if ring.mul_halves is None else ring.mul_halves[2]
+    split = ring.order.bit_length() - 1 if ring.mul_quarters is None else ring.mul_quarters[2]
     return ring, high, core._index_table(np.asarray(rows), ring.order), split
 
 
 def test_a_one_field_ring_is_filled_whole_in_place(monkeypatch):
     # z(256)'s addition is one field; with chunks too small to hold the table it
-    # is still split at its middle bit, inside that field: ML and MH have 16 rows
-    # each, and the tables filled from them equal z(256)'s own
+    # is still split at its middle bit, inside that field: QL and QH have 16 rows
+    # of 32 corner columns each, and the tables filled from them equal z(256)'s own
     z = build_zmod(256)
     monkeypatch.setattr(core, "_CHUNK_CELLS", 1 << 10)
     ring = core.bitwise_ring(0x80, z.mul[[1 << b for b in range(8)]], z.one, z.neg)
-    low_rows, high_rows, split = ring.mul_halves
-    assert split == 4 and len(low_rows) == len(high_rows) == 16
+    low_rows, high_rows, split = ring.mul_quarters
+    assert split == 4 and low_rows.shape == high_rows.shape == (16, 32)
     assert tables_equal(ring, z) and ring.validation == "exhaustive"
 
 
@@ -1078,15 +1078,16 @@ def test_a_one_field_ring_is_filled_whole_in_place(monkeypatch):
 def test_every_field_boundary_splits_to_the_same_tables(text, split, monkeypatch):
     # the first ring fits one chunk and is filled whole; the second is split at
     # its middle bit, between z(4) (bits 3-4) and z(16) (bits 5-8); mul filled
-    # from its halves at every split 1..K-1, field boundaries and bits inside a
-    # field alike, is the ring's mul, and the ring's tables equal the gathered ones
+    # from its quarter tables at every split 1..K-1, field boundaries and bits
+    # inside a field alike, is the ring's mul, which is the table the rows fill
+    # whole, and the ring's tables equal the gathered ones
     ring, high, rows, used = outer_bitwise_build(text, monkeypatch)
     assert used == split
     bits = ring.order.bit_length() - 1
     assert sum(high >> b & 1 for b in range(bits - 1)) >= 3  # boundaries below the top bit
+    assert np.array_equal(core._fill_bitwise_mul(rows, high), ring.mul), text
     for at in range(1, bits):
-        mul = np.empty_like(ring.mul)
-        core._fill_bitwise_mul(mul, rows, high, at)
+        mul = core._bitwise_mul_table((*core._mul_quarters(rows, high, at), at), high)
         assert np.array_equal(mul, ring.mul), (text, at)
     assert tables_equal(ring, gathered_ring(text, monkeypatch))
 
@@ -1105,32 +1106,32 @@ def test_a_base_built_bitwise_keeps_its_addition_unfilled(monkeypatch):
 @pytest.mark.parametrize("high", [0x8000, 0xFFFF, 0xAAAA, 0x8888, 0x8080, 0x8000 | 0x0888, 0x8000 | 0x0001])
 @pytest.mark.parametrize("chunk", [1 << 10, 1 << 18])
 def test_block_sums_keep_every_field_inside_its_16_bit_lane(high, chunk, monkeypatch):
-    # _join_halves on random halves over the full 16-bit range, so the top field
-    # reaches bit 15, compared with the formula in int64, one block a pass and all
-    # in one pass; and the addition table of order 512 with the same fields below
-    # bit 8 (bit 8 a top bit), two rows a pass and all in one pass
+    # _bitwise_mul_table on random quarter tables over the full 16-bit range
+    # (order 32 x 16 = 512, split at bit 5), so the top field reaches bit 15,
+    # compared with the formula in int64, a few rows a pass and all in one pass;
+    # and the addition table of order 512 with the same fields below bit 8 (bit
+    # 8 a top bit), two rows a pass and all in one pass
     monkeypatch.setattr(core, "_CHUNK_CELLS", chunk)
     rng = np.random.default_rng(high)
-    low_rows = rng.integers(0, 1 << 16, size=(3, 512), dtype=np.uint16)
-    high_rows = rng.integers(0, 1 << 16, size=(5, 512), dtype=np.uint16)
+    low_rows = rng.integers(0, 1 << 16, size=(32, 48), dtype=np.uint16)
+    high_rows = rng.integers(0, 1 << 16, size=(16, 48), dtype=np.uint16)
 
     def formula(a, b, high):
         a, b, low = a.astype(np.int64), b.astype(np.int64), 0xFFFF & ~high
         return ((a & low) + (b & low)) ^ ((a ^ b) & high)
 
-    want = formula(low_rows, high_rows[:, None], high)
-    mul = np.empty((15, 512), dtype=np.uint16)
-    core._join_halves(mul, low_rows, high_rows, high)
-    blocks = mul.reshape(5, 3, 512)
-    assert want.max() < 1 << 16 and np.array_equal(blocks[1:], want[1:]) and np.array_equal(blocks[0], low_rows)
+    row = formula(low_rows, high_rows[:, None], high)  # row[xh, xl] over the corner columns
+    want = formula(row[..., None, :32], row[..., 32:, None], high).reshape(512, 512)  # x * y = r[yl] + r[32 + yh]
+    mul = core._bitwise_mul_table((low_rows, high_rows, 5), high)
+    assert want.max() < 1 << 16 and np.array_equal(mul, want)
     cut = high & 0xFF | 0x100
     x = np.arange(512, dtype=np.uint16)
     assert np.array_equal(core._bitwise_add_table(512, cut), formula(x[:, None], x, cut))
 
 
-def test_a_cap_ring_build_peaks_at_its_half_tables_plus_4_mib(monkeypatch):
+def test_a_cap_ring_build_peaks_at_its_quarter_tables_plus_4_mib(monkeypatch):
     # a build that fills add or mul, or makes an n^2 temporary, fails here:
-    # above order 512 the ring keeps only ML (nl x n) and MH (nh x n)
+    # above order 512 the ring keeps only QL (nl x (nl + nh)) and QH (nh x (nl + nh))
     for text in CAP_RINGS:
         ring, high, rows, _ = outer_bitwise_build(text, monkeypatch)
         n, one, neg = ring.order, ring.one, ring.neg
@@ -1141,10 +1142,10 @@ def test_a_cap_ring_build_peaks_at_its_half_tables_plus_4_mib(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        low_rows, high_rows, split = built.mul_halves
+        low_rows, high_rows, split = built.mul_quarters
         nl, nh = 1 << split, n >> split
-        assert low_rows.shape == (nl, n) and high_rows.shape == (nh, n) and 1 < nh < n, text
-        assert peak <= (nl + nh) * n * 2 + (4 << 20), (text, peak)
+        assert low_rows.shape == (nl, nl + nh) and high_rows.shape == (nh, nl + nh) and 1 < nh < n, text
+        assert peak <= (nl + nh) ** 2 * 2 + (4 << 20), (text, peak)
 
 
 def test_every_table_is_uint16_read_only_and_contiguous(corpus_bundles):

@@ -18,6 +18,7 @@ from ringlab import (
     validate_ring,
 )
 from ringlab import core
+from ringlab import construct
 from ringlab.construct import build_matrix, build_quotient, build_zmod, matrix_unit_index
 from ringlab.core import (
     MAX_TABLE_ORDER,
@@ -257,11 +258,11 @@ def test_powers_fill_no_table_and_match_the_whole_table(monkeypatch):
     # on a cap ring built bitwise no table is filled; on a small ring every
     # element, and on the cap ring a sample, matches the filled table
     fills, fill_mul = [], core._bitwise_mul_table
-    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(1) or fill_mul(halves, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda quarters, high: fills.append(1) or fill_mul(quarters, high))
     cap = compile_text("t(2,z(16))")
     sample = [0, 1, 5, 7, 1234, 4095]
     got = [(elem_pow(cap, a, k), power_orbit(cap, a)) for a in sample for k in (0, 5, 7)]
-    assert fills == [] and cap.mul_halves is not None
+    assert fills == [] and cap.mul_quarters is not None
     assert got == [table_powers(cap, a, k) for a in sample for k in (0, 5, 7)]
     for ring in (build_zmod(12), build_matrix(build_zmod(2), 2), compile_text("t(2,z(4))")):
         for a in range(ring.order):
@@ -837,8 +838,7 @@ def test_generator_relations_report_the_loops_first_witness(text):
     # the entry, so both doubling relations that read the row still hold
     # and the rows' own check decides; every fourth trial corrupts a second
     # such row too, so the witness must come from the smallest g, not the
-    # smallest b. mul is refilled from the corrupt rows, split at the middle
-    # bit at order 1024
+    # smallest b. mul is refilled from the corrupt rows, read whole
     ring = compile_text(text)
     n, high, bits = ring.order, field_top_bits(ring.add), ring.order.bit_length() - 1
     gens = [1 << b for b in range(bits)]
@@ -853,8 +853,7 @@ def test_generator_relations_report_the_loops_first_witness(text):
         if trial % 4 == 3:
             b2, y2 = rng.choice(lowest), rng.randrange(n)
             corrupt[b2, y2] = int(corrupt[b2, y2]) ^ rng.choice(tops)
-        mul = np.empty((n, n), dtype=np.uint16)
-        core._fill_bitwise_mul(mul, corrupt, high, core._field_split(n))
+        mul = core._fill_bitwise_mul(corrupt, high)
         found = _generator_relations(corrupt, mul[:, gens].__getitem__, high)
         assert found == generator_relations_loop(corrupt, mul[:, gens], high) and found is not None, (b, y, flip)
         assert witness_fails(ring.add, mul, ring.zero, ring.one, ring.neg, found), (b, y, flip)
@@ -953,6 +952,28 @@ def test_a_corrupt_generator_row_neg_or_one_is_rejected_as_the_whole_tables_are(
     neg[-1] = (int(neg[-1]) + 1) % ring.order
     assert_rejected_as_whole_tables(high, rows, ring.one, neg, tables)
     assert_rejected_as_whole_tables(high, rows, (ring.one + 1) % ring.order, ring.neg, tables)
+
+
+@pytest.mark.parametrize("text", ["t(2,z(16))", "m(2,gf(8))"])
+def test_a_generator_row_corrupt_off_the_corner_columns_is_rejected_as_the_whole_tables_are(text):
+    # the quarter tables read each generator row only at the corner columns
+    # 0..63 and 0, 64, 128, ..., so a cell off them leaves the quarters as
+    # they were and the built ring bi-additive; the relations read the rows
+    # whole and reject it, with the witness of the table the corrupt rows fill
+    ring = compile_text(text)
+    high, gens = field_top_bits(ring.add), [1 << b for b in range(ring.order.bit_length() - 1)]
+    rows, split = ring.mul[gens], ring.mul_quarters[2]
+    corners = set(range(1 << split)) | set(range(0, ring.order, 1 << split))
+    rng = np.random.default_rng(ring.order + 1)
+    for _ in range(3):
+        corrupt = rows.copy()
+        b, y = int(rng.integers(len(gens))), int(rng.integers(ring.order))
+        while y in corners:
+            y = int(rng.integers(ring.order))
+        corrupt[b, y] = (int(corrupt[b, y]) + int(rng.integers(1, ring.order))) % ring.order
+        quarters = core._mul_quarters(corrupt, high, split)
+        assert all(np.array_equal(q, r) for q, r in zip(quarters, ring.mul_quarters)), (b, y)
+        assert_rejected_as_whole_tables(high, corrupt, ring.one, ring.neg)
 
 
 def test_bitwise_ring_rejects_malformed_arguments():
@@ -1132,63 +1153,135 @@ def test_sums_match_the_filled_table(text):
         assert np.array_equal(add, bitwise_add_formula(ring.order, ring.top_bits)), text
 
 
-@pytest.mark.parametrize("text", BITWISE_RINGS)
-def test_products_match_the_filled_table(text):
-    # above order 512 the products and columns of products come from the
-    # half tables and leave mul unfilled; read afterwards, mul is the table
-    # that the generator rows fill by row extension. Up to 512 mul is whole,
-    # and they are gathers. `generator_rows` equals `products` on the same
-    # rows, read off the half tables where they are stored
-    ring = compile_text(text)
-    n, lazy = ring.order, ring.order > 512
-    assert (ring.mul_halves is not None) == lazy == (ring._mul[0] is None), text
-    rng = np.random.default_rng(n)
+def built_from_rows(text, monkeypatch, cap=None):
+    """(ring, high, generator rows) of the outermost `bitwise_ring` call
+    compiling `text`: the rows as the construction hands them over."""
+    calls, build = [], construct.bitwise_ring
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "bitwise_ring", lambda *a: calls.append(a) or build(*a))
+        ring = compile_text(text, cap)
+    high, rows = calls[-1][:2]
+    return ring, high, np.asarray(rows)
+
+
+def swar_sum(a, b, high):
+    """a + b in the bitwise addition with top bits `high`, on int64 words."""
+    a, b, low = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), 0xFFFF & ~high
+    return ((a & low) + (b & low)) ^ ((a ^ b) & high)
+
+
+def product_forms(n, rng):
+    """(products arguments, the matching index into the whole mul) pairs:
+    scalars, index arrays, broadcasts, `np.ix_`, rows and rows cut to
+    slices with a start, a stop, a step, and partial ranges of the high
+    halves, at order n."""
     x, y = rng.integers(0, n, size=(2, 40))
     a, b = int(x[0]), int(y[0])
     g = 1 << int(rng.integers(n.bit_length() - 1))
-    forms = [
+    bits = [1 << k for k in range(n.bit_length() - 1)]
+    return [
         ((a, b), (a, b)),  # scalar
         ((x, y), (x, y)),  # 1-d pairs
         ((x, np.uint16(b)), (x, np.uint16(b))),  # 1-d against a scalar
         ((x[:5],), (x[:5],)),  # rows
+        ((x[:0],), (x[:0],)),  # no rows
         ((a,), (a,)),  # one row
+        ((x[:6].reshape(2, 3),), (x[:6].reshape(2, 3),)),  # a 2-d block of rows
         ((x[:, None], y), (x[:, None], y)),  # broadcast 2-d
         (np.ix_(x[:7], y), (np.ix_(x[:7], y),)),
         ((np.arange(n), g), (slice(None), g)),  # a whole column
         ((np.arange(n)[:, None], [1, g]), (slice(None), [1, g])),  # two whole columns
-        ((ring.one, ring.neg), (ring.one, ring.neg)),
+        ((1, np.arange(n, dtype=np.uint16)), (1, slice(None))),
         ((x[:5], slice(3, 90)), (x[:5], slice(3, 90))),  # rows cut to a slice of columns
         ((a, slice(7, None)), (a, slice(7, None))),  # one row, cut
+        ((x[:5], slice(n // 2 + 1, n // 2 + 2)), (x[:5], slice(n // 2 + 1, n // 2 + 2))),  # inside one high half
+        ((x[:5], slice(5, n - 3, 7)), (x[:5], slice(5, n - 3, 7))),  # with a step
+        ((x[:3], slice(None, None, n // 16 or 1)), (x[:3], slice(None, None, n // 16 or 1))),
+        ((a, slice(n - 2, 3, -5)), (a, slice(n - 2, 3, -5))),  # a negative step
+        ((x[:5], slice(9, 9)), (x[:5], slice(9, 9))),  # empty
+        ((bits,), (bits,)),  # the rows at the bit generators, as the subsets and the cache read them
+        (([g, 1, bits[-1], 3],), ([g, 1, bits[-1], 3],)),
     ]
+
+
+# the columns cut to slices of z: whole, inside one half, across halves, one z, none
+def column_cuts(n):
+    return [slice(None), slice(5, n - 3), slice(n // 2 + 1, n // 2 + 2), slice(1, n // 2 + 9), slice(3, 3)]
+
+
+@pytest.mark.parametrize("text", BITWISE_RINGS)
+def test_products_match_the_filled_table(text, monkeypatch):
+    # above order 512 the products and columns of products come from the
+    # quarter tables and leave mul unfilled; read afterwards (`_bitwise_mul_table`),
+    # mul is the table that the input generator rows fill, read whole, by row
+    # extension. Up to 512 mul is whole, and they are gathers
+    ring, high, rows = built_from_rows(text, monkeypatch)
+    n, lazy = ring.order, ring.order > 512
+    assert (ring.mul_quarters is not None) == lazy == (ring._mul[0] is None), text
+    rng = np.random.default_rng(n)
+    forms = product_forms(n, rng)
     got = [core.products(ring, *args) for args, _ in forms]
-    columns = core.product_columns(ring, x[:9])  # columns[k, z] = z * x[k]
-    # the columns cut to slices of z: whole, inside one half, across halves, one z, none
-    cuts = [slice(None), slice(5, n - 3), slice(n // 2 + 1, n // 2 + 2), slice(1, n // 2 + 9), slice(3, 3)]
-    cut_columns = [core.product_columns(ring, x[:9], cut) for cut in cuts]
+    x = rng.integers(0, n, size=9)
+    columns = core.product_columns(ring, x)  # columns[k, z] = z * x[k]
+    cut_columns = [core.product_columns(ring, x, cut) for cut in column_cuts(n)]
     assert core.product_columns(ring, x[:0]).shape == (0, n), text
-    # the rows at the bit generators (stored rows on half tables), at some of
-    # them out of order, and at elements that are not all generators
-    bits = [1 << b for b in range(n.bit_length() - 1)]
-    row_sets = [bits, [g, 1, bits[-1]], [g, 3], x[:4]]
-    gen_rows = [core.generator_rows(ring, gens) for gens in row_sets]
-    basis_columns = core.product_columns(ring, bits)
     assert (ring._mul[0] is None) == lazy, text
     mul = ring.mul
-    for gens, value in zip(row_sets, gen_rows):
-        want = core.products(ring, list(gens))
-        assert value.dtype == np.uint16 and np.array_equal(value, want) and np.array_equal(value, mul[list(gens)]), (text, gens)
-    assert np.array_equal(basis_columns, mul[:, bits].T), text
+    assert np.array_equal(mul, gathered_tables(high, rows)[1]), text
     for value, (_, index) in zip(got, forms):
         want = mul[index if len(index) > 1 else index[0]]
         assert type(value) is type(want) and np.asarray(value).dtype == np.uint16, (text, index)
         assert np.shape(value) == np.shape(want) and np.array_equal(value, want), (text, index)
-    assert columns.dtype == np.uint16 and columns.shape == (9, n) and np.array_equal(columns, mul[:, x[:9]].T), text
-    for cut, value in zip(cuts, cut_columns):
-        want = mul[cut, x[:9]].T
+    assert columns.dtype == np.uint16 and columns.shape == (9, n) and np.array_equal(columns, mul[:, x].T), text
+    for cut, value in zip(column_cuts(n), cut_columns):
+        want = mul[cut, x].T
         assert value.dtype == np.uint16 and value.shape == want.shape and np.array_equal(value, want), (text, cut)
-    if lazy:
-        rows = mul[[1 << b for b in range(n.bit_length() - 1)]]
-        assert np.array_equal(mul, gathered_tables(ring.top_bits, rows)[1]), text
+
+
+def test_products_at_order_65536_match_the_rows_filled_from_the_input(monkeypatch):
+    # m(2,z(16)): a whole table would be 8 GiB, so sampled rows of it, each the
+    # int64 sum of the input generator rows at its bits, and every row's
+    # entries at sampled columns, filled the same way along x, are the
+    # reference for the products, rows and columns that the quarters give
+    ring, high, rows = built_from_rows("m(2,z(16))", monkeypatch, 1 << 16)
+    n, (low_rows, high_rows, split) = ring.order, ring.mul_quarters
+    assert n == 1 << 16 and split == 8 and low_rows.shape == high_rows.shape == (256, 512)
+    rng = np.random.default_rng(65536)
+    whole_rows = {}
+
+    def row(v):  # mul[v], the sum of the input generator rows at the bits of v
+        if v not in whole_rows:
+            out = np.zeros(n, dtype=np.int64)
+            for b in (b for b in range(16) if v >> b & 1):
+                out = swar_sum(out, rows[b], high)
+            whole_rows[v] = out
+        return whole_rows[v]
+
+    checked = 0
+    for args, index in product_forms(n, rng):
+        if isinstance(index[0], tuple):  # an np.ix_ pair
+            index = index[0]
+        if isinstance(index[0], slice):
+            continue  # whole columns, which product_columns gives below
+        value = core.products(ring, *args)
+        if len(index) == 1 or isinstance(index[1], slice):  # rows, cut to a slice
+            xs, cut = np.asarray(index[0]), index[1] if len(index) > 1 else slice(None)
+            want = np.array([row(v)[cut] for v in xs.ravel().tolist()], dtype=np.int64).reshape(*xs.shape, len(range(n)[cut]))
+        else:
+            xs, ys = np.broadcast_arrays(np.asarray(index[0]), np.asarray(index[1]))
+            want = np.array([row(v)[w] for v, w in zip(xs.ravel().tolist(), ys.ravel().tolist())]).reshape(xs.shape)
+        assert np.asarray(value).dtype == np.uint16 and np.shape(value) == np.shape(want), index
+        assert np.array_equal(value, want), index
+        checked += 1
+    assert checked == 19
+    y = rng.integers(0, n, size=9)
+    by_x = np.zeros((n, len(y)), dtype=np.int64)  # by_x[v, k] = v * y[k], extended along v
+    for b in range(16):
+        by_x[1 << b : 2 << b] = swar_sum(by_x[: 1 << b], rows[b, y], high)
+    for cut in column_cuts(n):
+        value = core.product_columns(ring, y, cut)
+        assert value.dtype == np.uint16 and np.array_equal(value, by_x[cut].T), cut
+    assert ring._mul[0] is None
 
 
 @pytest.mark.parametrize("text", ["m(2,gf(8))", "t(2,z(16))"])

@@ -274,11 +274,10 @@ def squarings(monkeypatch, text):
 
 def test_a_cap_ring_bundle_makes_one_short_squaring_orbit(monkeypatch):
     # Id from the first squaring, then 3 more up to a^16, 16 >= floor(log2 4096);
-    # Nil and J# read the same orbit, so there is no second one (R/J, of
-    # order <= 16, makes its own short orbit)
+    # Nil and J# read the same orbit, so there is no second one, and R/J's
+    # bundle waits for its first read, so R/J makes no orbit either
     for text in CAP_RINGS:
-        seen = squarings(monkeypatch, text)
-        assert seen.count(4096) == 4 and set(seen) - {4096} and max(set(seen) - {4096}) <= 16, text
+        assert squarings(monkeypatch, text) == [4096] * 4, text
     assert squarings(monkeypatch, "m(2,gf(8))") == [4096] * 4  # J = {0}: R/J is R, no second bundle
     assert squarings(monkeypatch, "z(2)") == [2]  # index <= 1: the squaring for Id alone
 
@@ -304,9 +303,9 @@ def test_lifted_units_match_the_scan():
         ring = compile_text(text)
         b = compute_bundle(ring)
         if len(b.jacobson) == 1:
-            assert text not in CAP_RINGS and b._radical_quotient is None, text
+            assert text not in CAP_RINGS and b._modulo_radical is None, text
             continue
-        assert (b._radical_quotient is not None) == (ring.basis is not None), text
+        assert (b._modulo_radical is not None) == (ring.basis is not None) and b._radical_quotient is None, text
         lifted += ring.basis is not None
         scan = unit_inverses(ring)
         assert unit_inverses(ring, b.radical_quotient()) == scan, text
@@ -337,7 +336,7 @@ def scanned_orders(monkeypatch, text, open_fixpoint=False):
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_r_mod_zero_and_its_bundle_share_the_deferred_products(first, monkeypatch):
-    # R/{0} is built over R's half tables and mul cell, and the checks'
+    # R/{0} is built over R's quarter tables and mul cell, and the checks'
     # bundle of it is R's, wrapped, found by the shared cell without filling
     # mul (m(2,gf(8)) has J = {0}, so R/J is R/{0} too); the first whole
     # read, through either ring, fills one table for both
@@ -345,7 +344,7 @@ def test_r_mod_zero_and_its_bundle_share_the_deferred_products(first, monkeypatc
     from ringlab.construct import build_quotient
 
     fills, fill = [], core._bitwise_mul_table
-    monkeypatch.setattr(core, "_bitwise_mul_table", lambda halves, high: fills.append(1) or fill(halves, high))
+    monkeypatch.setattr(core, "_bitwise_mul_table", lambda quarters, high: fills.append(1) or fill(quarters, high))
     ring = compile_text("m(2,gf(8))")
     bundle = compute_bundle(ring)
     quotient = build_quotient(ring, ElemSet.of(ring, [ring.zero]))[0]
@@ -354,7 +353,7 @@ def test_r_mod_zero_and_its_bundle_share_the_deferred_products(first, monkeypatc
     qb, (rq, _, rqb) = ctx.bundle_of(quotient), ctx.radical_quotient()
     assert quotient.shares_tables(ring) and rq.shares_tables(ring) and ctx.bundle_of(rq) is rqb
     assert qb.ring is quotient and qb.units.mask() is bundle.units.mask() is rqb.units.mask()
-    assert quotient.mul_halves is ring.mul_halves and fills == [] and ring._mul[0] is None
+    assert quotient.mul_quarters is ring.mul_quarters and fills == [] and ring._mul[0] is None
     pair = (ring, quotient) if first == 0 else (quotient, ring)
     assert pair[0].mul is pair[1].mul is rq.mul and fills == [1]
 
@@ -362,10 +361,32 @@ def test_r_mod_zero_and_its_bundle_share_the_deferred_products(first, monkeypatc
 def test_a_cap_ring_scans_only_its_radical_quotient(monkeypatch):
     for text in CAP_RINGS:
         seen, quotient_order = scanned_orders(monkeypatch, text)
-        assert quotient_order <= 16 and seen == [quotient_order] * 2, text  # R/J's bundle, then its inverses
+        assert quotient_order <= 16 and seen == [quotient_order], text  # R/J's inverses; its bundle waits for a read
     assert scanned_orders(monkeypatch, "m(2,gf(8))") == ([4096], 4096)  # J = {0}
     assert scanned_orders(monkeypatch, "group(z(5),c(5))") == ([3125], 5)  # no basis
-    assert scanned_orders(monkeypatch, "m(2,z(8))", open_fixpoint=True) == ([4096, 16, 16], 16)  # the criterion's U, then R/J's
+    assert scanned_orders(monkeypatch, "m(2,z(8))", open_fixpoint=True) == ([4096, 16], 16)  # the criterion's U, then R/J's
+
+
+def test_the_radical_quotients_bundle_waits_for_its_first_read(capsys, monkeypatch):
+    # the unit lift keeps R/J and its projection; R/J's own bundle is computed
+    # on the first `radical_quotient` read, once, and never by `ring inspect`
+    from ringlab import cli, subsets
+
+    computed, real = [], subsets._compute_bundle
+    monkeypatch.setattr(subsets, "_compute_bundle", lambda ring: computed.append(ring.order) or real(ring))
+    for text in CAP_RINGS:
+        computed.clear()
+        assert cli.main(["inspect", "--json", "--no-cache", text]) == 0
+        assert computed == [4096], text
+        b = compute_bundle(compile_text(text))
+        quotient, projection = b.modulo_radical()
+        assert b._radical_quotient is None and b.modulo_radical()[0] is quotient, text
+        assert computed == [4096] * 2, text
+        rq, rp, qb = b.radical_quotient()
+        assert rq is quotient and rp is projection and qb.ring is quotient and computed == [4096] * 2 + [quotient.order], text
+        assert b.radical_quotient()[2] is qb and len(computed) == 3, text
+        assert qb.units == subsets.units(quotient) and qb.jacobson.members == {quotient.zero}, text
+    capsys.readouterr()
 
 
 def test_jacobson_candidate_gather_matches_the_full_gather():
@@ -630,7 +651,7 @@ except RingValidationError as exc:
     print("generator rows:", exc)
 # a wrong neg entry, a wrong one and a corrupt generator row below the split
 # at order 4096, where bitwise_ring leaves add and mul unfilled: its checks
-# on the word formula and the half tables fail, and the whole-table
+# on the word formula and the quarter tables fail, and the whole-table
 # fallback, on both tables filled, names the witness
 import ringlab.core as core
 whole = core.validate_ring
@@ -709,7 +730,7 @@ def assert_pairs_match_nonzero(ring, label):
 
 def test_word_scan_matches_nonzero_on_rings(corpus_bundles):
     # a whole table of at most _CHUNK_CELLS cells (order <= 512) is read in one
-    # step; the bitwise rings above order 512 keep half tables and are scanned
+    # step; the bitwise rings above order 512 keep quarter tables and are scanned
     # in blocks of rows, and so is a larger whole table (m(2,z(6)), 1296 x 1296)
     for text, ring, _ in corpus_bundles:
         assert_pairs_match_nonzero(ring, text)
@@ -742,8 +763,8 @@ def assert_word_scan_matches_nonzero_on_raw_tables(n):
     cases["a row of ones"][0, 1:] = 1
     cases["last cell"][n - 1, n - 1] = 1
     for label, mul in cases.items():
-        assert_pairs_match_nonzero(SimpleNamespace(mul=mul, mul_halves=None, one=1, order=n), (n, label))
-    assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], mul_halves=None, one=1, order=n))[0])
+        assert_pairs_match_nonzero(SimpleNamespace(mul=mul, mul_quarters=None, one=1, order=n), (n, label))
+    assert not len(product_one_pairs(SimpleNamespace(mul=cases["none"], mul_quarters=None, one=1, order=n))[0])
 
 
 SET_FIELDS = ("units", "idempotents", "nilpotents", "center", "jacobson", "jsharp", "prime_radical")
