@@ -28,8 +28,8 @@ from .core import (
     TriangularMeta,
     TrivialExtMeta,
     ZmodMeta,
+    all_digits,
     products,
-    rows_equal_columns,
     validate_ring,
 )
 from .construct import (
@@ -352,10 +352,9 @@ def _chk_l125(ctx: CheckContext) -> Outcome:
 def _chk_l126(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
     meta: ProductMeta = ring.meta
-    x, componentwise = np.arange(ring.order), np.ones(ring.order, dtype=bool)
-    for f in meta.factors:  # the first factor is the lowest digit
-        x, r = np.divmod(x, f.order)
-        componentwise &= ctx.bundle_of(f).jsharp.mask()[r]
+    digits, componentwise = all_digits([f.order for f in meta.factors]), np.ones(ring.order, dtype=bool)
+    for w, f in enumerate(meta.factors):  # the first factor is the lowest digit
+        componentwise &= ctx.bundle_of(f).jsharp.mask()[digits[:, w]]
     a = (ElemSet.from_mask(ring, componentwise) ^ b.jsharp).first()
     if a is not None:
         return _fail(f"{ring.describe(a)}: componentwise J# membership disagrees")
@@ -364,7 +363,7 @@ def _chk_l126(ctx: CheckContext) -> Outcome:
 
 def _chk_l127(ctx: CheckContext) -> Outcome:
     ring, b = ctx.ring, ctx.bundle
-    loose = np.flatnonzero(~rows_equal_columns(ring.mul))  # ab = ba unless a, b are both outside the centre
+    loose = np.flatnonzero(~b.center.mask())  # ab = ba unless a, b are both outside the centre
     mask = b.jsharp.mask()[ring.mul[np.ix_(loose, loose)]]
     bad = np.argwhere(mask & ~mask.T)
     if len(bad):
@@ -550,11 +549,9 @@ def _chk_lmatrix(ctx: CheckContext) -> Outcome:
     if ctx.holds("ujsharp"):
         return _fail("matrix ring reported as UJ#")
     # the distinguished unit [[0,1],[1,1]] (identity block elsewhere)
-    w = ring.zero
-    base = meta.base
-    k = meta.size
+    w, k = ring.zero, meta.size
     for (i, j) in [(0, 1), (1, 0), (1, 1)] + [(d, d) for d in range(2, k)]:
-        w = int(ring.add[w, int(base.one) * base.order ** (i * k + j)])
+        w = int(ring.add[w, matrix_unit_index(ring, i, j)])
     if w not in b.units:
         return _fail(f"distinguished matrix {ring.describe(w)} is not a unit")
     if k == 2:

@@ -31,14 +31,16 @@ add[x'][add[c*e_w]] and mul[x] = add[mul[x'], mul[c*e_w]], and the
 tables go through `validate_ring`. Over bases whose addition is bitwise
 on their index, the builder asks only for the K monomials that are bit
 generators (c a power of two) and hands their product rows to
-`core.bitwise_ring`. add is the word formula; above order 512 it splits
-both operands of a product into a low and a high half at the middle bit
-and keeps only the quarter tables, the products of each half of x with
-the corner columns, summed from the generator rows, so both tables are
-filled only when read whole above order 512 (add above 64); it then
+`core.bitwise_ring`. Up to order 512 that fills both tables whole.
+Above 512 the ring keeps the top bits of the word formula for add, and
+for mul splits both operands of a product into a low and a high half at
+the middle bit and keeps only the quarter tables, the products of each
+half of x with the corner columns, summed from the generator rows, so
+both tables are filled only when read whole. `core.bitwise_ring` then
 proves the ring from the relations on the generator rows (see
-`_digit_vector_tables`). A base's products are read
-through `core.products`, so a deferred base table stays unfilled.
+`_digit_vector_tables`). A
+base's products are read through `core.products`, so a deferred base
+table stays unfilled.
 """
 
 from __future__ import annotations
@@ -70,12 +72,12 @@ from .core import (
     _CHUNK_CELLS,
     _index_table,
     all_digits,
-    bitwise_high_bits,
     bitwise_ring,
     elem_pow,
     encode_digits,
     products,
     sums,
+    top_bits_of,
     validate_ring,
 )
 from .groups import GroupTable
@@ -233,7 +235,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     rows whose rule returns one images array (matrices, group rings and
     trivial extensions keep one per c) take one product between them.
 
-    When every base's addition is bitwise (`_base_top_bits`: z(2^k),
+    When every base's addition is bitwise (`core.top_bits_of`: z(2^k),
     gf(2^d), and digit vectors over those) and there are at least
     two digits, each index x is the concatenation of the bits of its
     digits, and each digit's fields are added on their own; a base's top
@@ -242,10 +244,10 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     digit's offset, is therefore exactly the ring's addition, and the bit
     generators 2^b are the monomials c*e_w with c a power of two. Only
     their K product rows are made here, written into one (K, n) block;
-    `core.bitwise_ring` builds both tables from them, with both operands
-    of a product split into a low and a high half at the middle bit (a
-    field may cross it, as the two halves share no bit), and checks the
-    relations on those rows.
+    `core.bitwise_ring` builds both tables from them, whole up to order
+    512 and above it with both operands of a product split into a low and
+    a high half at the middle bit (a field may cross it, as the two halves
+    share no bit), and checks the relations on those rows.
 
     Otherwise both tables are gathered, in TABLE_DTYPE, and go through
     `validate_ring`: every row follows by row extension, x = x' + c*e_w
@@ -262,7 +264,7 @@ def _digit_vector_tables(bases: list[TableRing], mono_rule):
     neg = encode_digits(bases[0].neg[digits] if len(distinct) == 1 else np.stack([base.neg[digits[:, w]] for w, base in enumerate(bases)], axis=1), radices)
     high = None
     if len(bases) > 1:  # a single digit extends no row, so skip the r x r compares
-        highs = {key: _base_top_bits(base) for key, base in distinct.items()}
+        highs = {key: top_bits_of(base) for key, base in distinct.items()}
         if None not in highs.values():
             high = sum(highs[id(base)] << (place[w].bit_length() - 1) for w, base in enumerate(bases))
     if high is not None:
@@ -299,12 +301,6 @@ def _encode_monomials(mono_rule, monomials, digits: np.ndarray, out: np.ndarray)
     for images, rows in shared.values():
         at, weights = zip(*rows)
         out[list(at)] = np.array(weights, dtype=np.float64) @ images.T.astype(np.float64)
-
-
-def _base_top_bits(base: TableRing) -> int | None:
-    """The top bits H of `base`'s addition if it is bitwise, else None; a
-    kept `TableRing.top_bits` is read as is, so a deferred table stays unfilled."""
-    return base.top_bits if base.top_bits is not None else bitwise_high_bits(base.add)
 
 
 def _extend_by_gather(add: np.ndarray, mul: np.ndarray, blocks) -> None:

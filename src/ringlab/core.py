@@ -4,17 +4,15 @@ A ring of order n has dense n x n addition and multiplication tables
 over element indices 0..n-1 together with the distinguished `zero` and
 `one` indices. Every table (`add`, `mul`, `neg`) is stored as uint16,
 which holds every index of a ring of order at most 65536. A ring that
-`bitwise_ring` builds above order 64 keeps the top bits of its addition
-instead of an addition table: `add` is filled from them on first read,
-and `sums` reads sums and rows of sums from the word formula without
-filling it. Above order 512 it also keeps two quarter tables instead of
-a multiplication table: `mul` is filled from them on first read, and
-`products` reads products and rows of products off the quarters without
-filling it. Every constructor in this package funnels its tables through
-`validate_ring`, or, for a digit-vector ring over bases whose addition is
-bitwise on the index, its K bit-generator rows through `bitwise_ring`, so
-a `TableRing` in hand always satisfies the ring axioms; the `validation`
-attribute records how they were checked:
+`bitwise_ring` builds above order 512 keeps the top bits of its addition
+and two quarter tables of its multiplication instead of both tables:
+each table is filled from them on first read, and `sums` and `products`
+read sums, products and rows of them without filling it. Every
+constructor in this package funnels its tables through `validate_ring`,
+or, for a digit-vector ring over bases whose addition is bitwise on the
+index, its K bit-generator rows through `bitwise_ring`, so a `TableRing`
+in hand always satisfies the ring axioms; the `validation` attribute
+records how they were checked:
 
 - "exhaustive": decided for every triple. By `bitwise_ring` on the
   relations of the generator rows it built the tables from, at every
@@ -165,12 +163,12 @@ class TableRing:
 
     Immutable after construction; all operations are pure lookups, so a
     ring can be shared freely across threads. The one state it changes is
-    a deferred table: an addition table kept as its top bits (`top_bits`
-    set, `add` given as None), or a multiplication table kept as its two
-    quarter tables (`mul_quarters` set, `mul` given as None). The first
-    read of `add` or `mul` fills that table and keeps it, read-only. Two threads
-    racing on a first read each fill the same table, and both get a
-    read-only table with the same entries.
+    its deferred tables: a ring keeps either both tables whole, or the top
+    bits of its addition and the two quarter tables of its multiplication
+    (`top_bits` and `mul_quarters` set, `add` and `mul` given as None).
+    The first read of `add` or `mul` fills that table and keeps it,
+    read-only. Two threads racing on a first read each fill the same
+    table, and both get a read-only table with the same entries.
 
     `names` is the tuple of element names, or a function from an index to
     its name; then each name is formatted when asked for, and the tuple
@@ -184,17 +182,17 @@ class TableRing:
     that holds on the basis holds on every element.
 
     `top_bits` is the mask of field top bits of a ring whose addition is
-    the bitwise one (see "bitwise addition" below) and whose `add` is
+    the bitwise one (see "bitwise addition" below) and whose tables are
     filled only when read, else None; `sums` reads its sums off the word
     formula.
 
-    `mul_quarters` is (QL, QH, s) for a ring whose `mul` is filled only
-    when read, else None: an index x splits into xh = x >> s and xl = x
-    mod 2^s, and each quarter holds the products of one half of x with
-    the corner columns 0..2^s - 1 (yl) and 2^s + yh (the column of
-    yh * 2^s), so x*y = QL[xl, yl] + QL[xl, 2^s + yh] + QH[xh, yl] +
-    QH[xh, 2^s + yh] in the bitwise addition (see `bitwise_ring`);
-    `products` reads its products off the quarters.
+    `mul_quarters` is (QL, QH, s) for that same ring, else None: an
+    index x splits into xh = x >> s and xl = x mod 2^s, and each quarter
+    holds the products of one half of x with the corner columns
+    0..2^s - 1 (yl) and 2^s + yh (the column of yh * 2^s), so x*y =
+    QL[xl, yl] + QL[xl, 2^s + yh] + QH[xh, yl] + QH[xh, 2^s + yh] in the
+    bitwise addition (see `bitwise_ring`); `products` reads its products
+    off the quarters.
     """
 
     __slots__ = ("order", "_add", "top_bits", "_mul", "mul_quarters", "neg", "zero", "one", "_names", "_name_of", "meta", "validation", "basis", "expr_text", "__weakref__")
@@ -387,9 +385,8 @@ def sums(ring: TableRing, x, y=None):
     cuts the rows of x to those columns.
 
     On a ring that keeps its top bits (`TableRing.top_bits`) the sums are
-    the word formula, so its addition table is never filled for them, and
-    many rows are summed a block at a time (`_by_row_blocks`); on every
-    other ring they are the gather.
+    the word formula, so its addition table is never filled for them; on
+    every other ring they are the gather.
     """
     top = ring.top_bits
     if top is None:
@@ -400,7 +397,7 @@ def sums(ring: TableRing, x, y=None):
     x = np.asarray(x, dtype=TABLE_DTYPE)
     if y is None or isinstance(y, slice):
         cols = np.arange(ring.order, dtype=TABLE_DTYPE)[y or slice(None)]
-        return _by_row_blocks(lambda rows: bitwise_sum(rows[..., None], cols, top), x, len(cols))
+        return bitwise_sum(x[..., None], cols, top)
     return bitwise_sum(x, np.asarray(y, dtype=TABLE_DTYPE), top)
 
 
@@ -415,8 +412,8 @@ def products(ring: TableRing, x, y=None):
     four lookups in the quarters and three word sums (`_quarter_products`),
     and a row is one sum of two rows over the corner columns, spread
     across the columns the y-slice crosses by one broadcast sum
-    (`_quarter_rows`), many rows a block at a time (`_by_row_blocks`). On
-    every other ring they are the gather.
+    (`_quarter_rows`); a stepped y-slice is read as its columns. On every
+    other ring they are the gather.
     """
     quarters = ring.mul_quarters
     if quarters is None:
@@ -424,10 +421,9 @@ def products(ring: TableRing, x, y=None):
     top = ring.top_bits
     if y is None or isinstance(y, slice):
         start, stop, step = (y or slice(None)).indices(ring.order)
-        if step != 1:  # a stepped slice is read as its columns
-            cols = np.arange(start, stop, step)
-            return _by_row_blocks(lambda x: _quarter_products(quarters, top, np.asarray(x)[..., None], cols), x, len(cols))
-        return _by_row_blocks(lambda x: _quarter_rows(quarters, top, x, start, stop), x, max(stop - start, 0))
+        if step != 1:
+            return _quarter_products(quarters, top, np.asarray(x)[..., None], np.arange(start, stop, step))
+        return _quarter_rows(quarters, top, x, start, stop)
     return _quarter_products(quarters, top, x, y)
 
 
@@ -464,20 +460,6 @@ def _quarter_rows(quarters, top: int, x, start: int, stop: int, out: np.ndarray 
     return spread[..., start - offset : stop - offset]
 
 
-def _by_row_blocks(rows, x, width: int) -> np.ndarray:
-    """rows(x): the rows x, each `width` wide, of a table read without
-    filling it, for an index or index array x. A 1-d x of more than
-    _CHUNK_CELLS cells is read a block of rows at a time into one output,
-    so the temporaries stay about _CHUNK_CELLS cells."""
-    step = max(1, _CHUNK_CELLS // max(width, 1))
-    if np.ndim(x) != 1 or len(x) <= step:
-        return rows(x)
-    out = np.empty((len(x), width), dtype=TABLE_DTYPE)
-    for r in range(0, len(x), step):
-        out[r : r + step] = rows(x[r : r + step])
-    return out
-
-
 def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
     """The columns `ring.mul[:, y]` as rows, out[k, x] = x * y[k], for a
     1-d integer index array y, as TABLE_DTYPE; a slice x of step 1 cuts
@@ -487,9 +469,9 @@ def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
     + b[xh], where a = QL[:, yl] + QL[:, yh'] and b = QH[:, yl] +
     QH[:, yh'] are read at the corner columns of y[k] (see
     `_quarter_products`): row k is a tiled across the low halves plus b
-    repeated along the high ones that x crosses, one broadcast sum a
-    block of rows at a time (`_by_row_blocks`), then cut to x; on every
-    other ring it is the gather of the columns, transposed (a view).
+    repeated along the high ones that x crosses, one broadcast sum, then
+    cut to x; on every other ring it is the gather of the columns,
+    transposed (a view).
     """
     quarters = ring.mul_quarters
     if quarters is None:
@@ -499,15 +481,11 @@ def product_columns(ring: TableRing, y, x=slice(None)) -> np.ndarray:
     start, stop, _ = x.indices(ring.order)
     first, last = start >> split, -(-stop >> split)  # the high halves x crosses
     offset = first << split
-
-    def rows(y):
-        yl, yh = np.bitwise_and(y, nl - 1, dtype=np.intp), np.right_shift(y, split, dtype=np.intp) + nl
-        by_low = bitwise_sum(low_rows[:, yl], low_rows[:, yh], top).T  # [k, xl]
-        by_high = bitwise_sum(high_rows[first:last, yl], high_rows[first:last, yh], top).T  # [k, xh - first]
-        out = bitwise_sum(by_low[:, None, :], by_high[:, :, None], top)
-        return out.reshape(len(out), (last - first) << split)[:, start - offset : stop - offset]
-
-    return _by_row_blocks(rows, y, max(stop - start, 0))
+    yl, yh = np.bitwise_and(y, nl - 1, dtype=np.intp), np.right_shift(y, split, dtype=np.intp) + nl
+    by_low = bitwise_sum(low_rows[:, yl], low_rows[:, yh], top).T  # [k, xl]
+    by_high = bitwise_sum(high_rows[first:last, yl], high_rows[first:last, yh], top).T  # [k, xh - first]
+    out = bitwise_sum(by_low[:, None, :], by_high[:, :, None], top)
+    return out.reshape(len(out), (last - first) << split)[:, start - offset : stop - offset]
 
 
 _CHUNK_CELLS = 1 << 18  # table cells per block of rows, so temporaries stay ~2 MB
@@ -529,6 +507,12 @@ def bitwise_high_bits(add: np.ndarray) -> int | None:
     """H if `add` is the bitwise addition with top bits H, else None."""
     high = field_top_bits(add)
     return high if high is not None and _first_difference(add, _bitwise_add_table(len(add), high)) is None else None
+
+
+def top_bits_of(ring: TableRing) -> int | None:
+    """The top bits H of `ring`'s addition if it is bitwise, else None; a
+    kept `TableRing.top_bits` is read as is, so a deferred table stays unfilled."""
+    return ring.top_bits if ring.top_bits is not None else bitwise_high_bits(ring.add)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +900,8 @@ def validate_ring(add, mul, zero: int, one: int, neg=None, names=None, meta=None
 
 def _table_ring(add, mul, neg, zero: int, one: int, names, meta, mode: str, top_bits: int | None = None, mul_quarters=None) -> TableRing:
     """The TableRing on tables whose axioms were decided with `mode`; with
-    `top_bits`, `add` is None and filled on first read, and with
-    `mul_quarters`, so is `mul`."""
+    `top_bits` and `mul_quarters`, `add` and `mul` are None and filled on
+    first read."""
     n = neg.shape[0]
     if names is None:
         names = str
@@ -943,22 +927,22 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
     or raise RingValidationError. Zero is index 0; `neg`, `names` and
     `meta` are as in `validate_ring`.
 
-    A table that fits one chunk (order <= 512) is filled whole, each row
-    the sum of the generator rows at its bits (`_fill_bitwise_mul`), and
-    kept as `mul`. A larger ring splits both operands at the middle bit s
-    = K // 2 (`_field_split`), x = (xh, xl) and y = (yh, yl), and keeps
-    only the quarter tables QL and QH over the corner columns, the low
-    halves 0..2^s - 1 and the high ones 0, 2^s, 2 * 2^s, ...
-    (`_mul_quarters`: 2^s and n / 2^s rows of 2^s + n / 2^s cells, 32 KiB
-    in all at order 4096): x * y is QL[xl, yl] + QL[xl, yh'] + QH[xh, yl] +
-    QH[xh, yh'], with yh' the corner column of yh * 2^s. It keeps QL, QH
-    and s as its `mul_quarters` and fills mul only when it is read whole,
-    as `products` and `product_columns` give its products and rows from
-    the quarters. A field may cross the split, as the halves of an index
-    share no bit and so add without a carry. add is filled from the word
-    formula (`_bitwise_add_table`) up to order 64; above it the ring keeps
-    `high` as its `top_bits` and fills add only when it is read, as `sums`
-    gives its sums and rows from the formula.
+    A ring whose tables fit one chunk (order <= 512) fills both whole:
+    add from the word formula (`_bitwise_add_table`), and mul with each
+    row the sum of the generator rows at its bits (`_fill_bitwise_mul`).
+    A larger ring fills neither. It keeps `high` as its `top_bits`, as
+    `sums` gives its sums and rows from the formula, and splits both
+    operands of a product at the middle bit s = K // 2 (`_field_split`),
+    x = (xh, xl) and y = (yh, yl), keeping only the quarter tables QL and
+    QH over the corner columns, the low halves 0..2^s - 1 and the high
+    ones 0, 2^s, 2 * 2^s, ... (`_mul_quarters`: 2^s and n / 2^s rows of
+    2^s + n / 2^s cells, 32 KiB in all at order 4096): x * y is QL[xl, yl]
+    + QL[xl, yh'] + QH[xh, yl] + QH[xh, yh'], with yh' the corner column
+    of yh * 2^s. It keeps QL, QH and s as its `mul_quarters`, as
+    `products` and `product_columns` give its products and rows from the
+    quarters. Each table is filled only when it is read whole. A field
+    may cross the split, as the halves of an index share no bit and so
+    add without a carry.
 
     The quarters read each generator row at the corner columns only, so
     the ring built from them is bi-additive by construction and equals
@@ -1002,14 +986,11 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
         raise ValueError("neg must list one entry per element")
     rows, neg = _index_table(rows, n), _index_table(neg, n)
     split = _field_split(n)
-    whole, lazy = split == bits, n > EXHAUSTIVE_LIMIT
-    ring = _table_ring(
-        None if lazy else _bitwise_add_table(n, high),
-        _fill_bitwise_mul(rows, high) if whole else None,
-        neg, 0, one, names, meta, "exhaustive",
-        high if lazy else None,
-        None if whole else (*_mul_quarters(rows, high, split), split),
-    )
+    whole = split == bits
+    if whole:
+        ring = _table_ring(_bitwise_add_table(n, high), _fill_bitwise_mul(rows, high), neg, 0, one, names, meta, "exhaustive")
+    else:
+        ring = _table_ring(None, None, neg, 0, one, names, meta, "exhaustive", high, (*_mul_quarters(rows, high, split), split))
     idx, gens = np.arange(n, dtype=TABLE_DTYPE), 1 << np.arange(bits)
     identities = not bitwise_sum(idx, neg, high).any() and (products(ring, one) == idx).all() and (product_columns(ring, [one])[0] == idx).all()
     if identities and _generator_relations(rows, lambda v: products(ring, v[..., None], gens), high) is None:
@@ -1019,12 +1000,14 @@ def bitwise_ring(high: int, generator_rows, one: int, neg, names=None, meta=None
 
 def _field_split(n: int) -> int:
     """Where the bitwise multiplication of order n = 2^K splits both
-    operands into the quarter tables (`_mul_quarters`): K for a table that
-    fits one chunk, which is filled whole, else the middle bit K // 2, so
-    QL and QH hold about sqrt(n) rows of about 2 sqrt(n) corner columns
-    each. On a bi-additive mul any split is exact, a field that crosses it
-    too: an index is the carry-free sum of its two halves, so x * y is the
-    sum of the four products of the halves of x and y."""
+    operands into the quarter tables (`_mul_quarters`): K for tables that
+    fit one chunk (n^2 <= _CHUNK_CELLS, order <= 512), which `bitwise_ring`
+    fills whole, add and mul alike, else the middle bit K // 2, so QL and
+    QH hold about sqrt(n) rows of about 2 sqrt(n) corner columns each,
+    and both tables are deferred. On a bi-additive mul any split is
+    exact, a field that crosses it too: an index is the carry-free sum of
+    its two halves, so x * y is the sum of the four products of the
+    halves of x and y."""
     bits = n.bit_length() - 1
     return bits if n * n <= _CHUNK_CELLS else bits // 2
 

@@ -19,8 +19,8 @@ an explicit inverse checked on R's table (`unit_inverses`), so none is
 false. Elsewhere (J = {0}, no basis), inside the criterion of an open
 fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1,
 read through `core.products` a block of rows at a time
-(`product_one_pairs`), so a ring with deferred products (see
-`TableRing.mul_quarters`) is scanned without filling its table.
+(`product_one_pairs`), so a ring with deferred tables (order above 512,
+see `TableRing`) is scanned without filling its table.
 
 Every product the bundle reads comes through `core.products`, so on a
 cap ring built bitwise the whole multiplication table is never filled.
@@ -79,13 +79,14 @@ class NotAGroupRingError(RingError):
 def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (a, b) with ab = 1, row-major: `np.nonzero(mul == one)`.
 
-    A whole table of at most _CHUNK_CELLS cells is read in that one step.
-    Otherwise the rows are read through `products` a block of about
-    _CHUNK_CELLS cells at a time, so a deferred table is never filled,
-    and the hits of each block are its `np.flatnonzero` cells.
+    A ring whose table fits one chunk (n^2 <= _CHUNK_CELLS, order <= 512)
+    keeps it whole, and it is read in that one step. A larger ring's rows
+    are read through `products` a block of about _CHUNK_CELLS cells at a
+    time, so a deferred table is never filled, and the hits of each block
+    are its `np.flatnonzero` cells.
     """
     n = ring.order
-    if n * n <= _CHUNK_CELLS:  # no ring this small defers its products
+    if n * n <= _CHUNK_CELLS:  # no ring this small defers its tables
         return np.nonzero(ring.mul == ring.one)
     step = max(1, _CHUNK_CELLS // n)
     cells = [r * n + np.flatnonzero(products(ring, np.arange(r, min(r + step, n))) == ring.one) for r in range(0, n, step)]
@@ -171,19 +172,15 @@ def center(ring: TableRing, columns: np.ndarray | None = None) -> ElemSet:
     """Z(R): the a whose row of the multiplication table equals its column.
 
     On a ring with a `basis`, z is central iff zg = gz for each generator
-    g, since mul is bi-additive: the generator rows against their
-    columns, an n x k compare instead of n x n, a block of about
-    _CHUNK_CELLS cells at a time. `columns`, if given, holds the
-    columns x*g at the basis as rows (`product_columns`), which are then
-    not taken again.
+    g, since mul is bi-additive: the k generator rows against their
+    columns, one n x k compare instead of n x n. `columns`, if given,
+    holds the columns x*g at the basis as rows (`product_columns`), which
+    are then not taken again.
     """
     if ring.basis is not None:
-        gens, central = list(ring.basis), np.ones(ring.order, dtype=bool)
-        step = max(1, _CHUNK_CELLS // ring.order)
-        for r in range(0, len(gens), step):
-            block = product_columns(ring, gens[r : r + step]) if columns is None else columns[r : r + step]
-            central &= (block == products(ring, gens[r : r + step])).all(axis=0)
-        return ElemSet.from_mask(ring, central)
+        gens = list(ring.basis)
+        right = product_columns(ring, gens) if columns is None else columns
+        return ElemSet.from_mask(ring, (right == products(ring, gens)).all(axis=0))
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
 
 

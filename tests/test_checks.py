@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringlab import ElemSet, RingError, checks, compile_text
+from ringlab import ElemSet, RingError, checks, compile_text, core
 from ringlab import predicates as P
 from ringlab.construct import additive_closure, ideal_closure
-from ringlab.subsets import compute_bundle
+from ringlab.subsets import additive_generators, compute_bundle
 from ringlab.checks import CorpusError, UnknownCheckError, get_check, registry, run_check, run_suite
 
 from conftest import results_for
@@ -527,6 +527,26 @@ def test_deep_verify_report_matches_the_recorded_golden():
     for check_id, want in golden["checks"].items():
         assert view["checks"][check_id] == want, check_id
     assert view == golden
+
+
+def test_a_deep_verify_with_generators_on_every_ring_is_the_same(monkeypatch):
+    # every ring decided on every triple that keeps no basis is given the
+    # greedy generators of (R, +), so the pruning of Nil, the unit lift from
+    # R/J, the generator centre and the ideal test on the basis run on every
+    # corpus ring and every ring the checks derive; the report stays the same
+    plain = run_suite(deep=True).to_json_dict(include_millis=False)
+    forced, build = [], core._table_ring
+
+    def with_generators(*args, **kwargs):
+        ring = build(*args, **kwargs)
+        if ring.validation == "exhaustive" and ring.basis is None:
+            ring.basis = tuple(additive_generators(ring, np.arange(ring.order))[0])
+            forced.append(ring.order)
+        return ring
+
+    monkeypatch.setattr(core, "_table_ring", with_generators)
+    assert run_suite(deep=True).to_json_dict(include_millis=False) == plain
+    assert len(forced) > 100
 
 
 def test_run_suite_rejects_a_filter_matching_no_check():

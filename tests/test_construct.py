@@ -917,8 +917,8 @@ def test_bitwise_addition_is_detected(text, high):
 @pytest.mark.parametrize("text, calls", [("m(2,z(2))", 1), ("prod(z(2),z(4))", 2)])
 def test_the_bitwise_test_runs_once_per_distinct_base(text, calls, monkeypatch):
     tested = []
-    detect = construct.bitwise_high_bits
-    monkeypatch.setattr(construct, "bitwise_high_bits", lambda add: tested.append(add) or detect(add))
+    detect = core.bitwise_high_bits
+    monkeypatch.setattr(core, "bitwise_high_bits", lambda add: tested.append(add) or detect(add))
     compile_text(text)
     assert len(tested) == calls
 
@@ -973,7 +973,7 @@ def gathered_ring(text, monkeypatch):
     are gathered; fails unless `_extend_by_gather` ran."""
     gathers, gather = [], construct._extend_by_gather
     with monkeypatch.context() as patch:
-        patch.setattr(construct, "_base_top_bits", lambda base: None)
+        patch.setattr(construct, "top_bits_of", lambda base: None)
         patch.setattr(construct, "_extend_by_gather", lambda *a: gathers.append(a[0].shape[0]) or gather(*a))
         ring = compile_text(text)
     assert gathers and gathers[-1] == ring.order, text  # the outermost build was gathered

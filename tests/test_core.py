@@ -504,6 +504,26 @@ def test_only_core_reads_members():
     assert members_reads("checks.py", probe) == (["checks.py:2", "checks.py:6"], 0)
 
 
+def layout_reads(name, source):
+    """The reads of `top_bits` or `mul_quarters` in module `name`'s source, as "name:line"."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr in ("top_bits", "mul_quarters")]
+
+
+def test_only_core_reads_the_table_layout():
+    # which tables a ring keeps is core's to know: every other module reads
+    # them through `sums`, `products`, `product_columns` and `top_bits_of`
+    import ringlab
+
+    readers = []
+    for path in sorted(Path(ringlab.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            readers += layout_reads(path.name, path.read_text())
+    assert readers == []
+    # the scan does see both reads
+    probe = "def split(ring):\n    return ring.top_bits, ring.mul_quarters[2]\n"
+    assert layout_reads("probe.py", probe) == ["probe.py:2", "probe.py:2"]
+
+
 def unreferenced_definitions(sources):
     """The module-level `def`s and `class`es of `sources` (file name ->
     source) that no AST `Name` or `Attribute` of the sources names, outside
@@ -1120,13 +1140,23 @@ def test_non_integer_tables_and_orders_past_16_bits_are_refused():
         validate_ring(big, big, 0, 1)
 
 
+def keeps_whole_tables(ring, text):
+    """Whether a ring built bitwise keeps both tables whole, after asserting
+    its one layout: add and mul whole exactly when a table fits one chunk
+    (order <= 512), else the top bits and the quarter tables, neither table
+    filled."""
+    whole = ring.order**2 <= core._CHUNK_CELLS
+    assert (ring.top_bits is None) == (ring.mul_quarters is None) == whole, text
+    assert (ring._add[0] is not None) == (ring._mul[0] is not None) == whole, text
+    return whole
+
+
 @pytest.mark.parametrize("text", BITWISE_RINGS)
 def test_sums_match_the_filled_table(text):
-    # above order 64 the sums come from the word formula and leave add unfilled;
+    # above order 512 the sums come from the word formula and leave add unfilled;
     # read afterwards, add is the formula's table
     ring = compile_text(text)
-    lazy = ring.order > 64
-    assert (ring.top_bits is not None) == lazy == (ring._add[0] is None), text
+    lazy = not keeps_whole_tables(ring, text)
     rng = np.random.default_rng(ring.order)
     x, y = rng.integers(0, ring.order, size=(2, 40))
     a, b = int(x[0]), int(y[0])
@@ -1216,8 +1246,7 @@ def test_products_match_the_filled_table(text, monkeypatch):
     # mul is the table that the input generator rows fill, read whole, by row
     # extension. Up to 512 mul is whole, and they are gathers
     ring, high, rows = built_from_rows(text, monkeypatch)
-    n, lazy = ring.order, ring.order > 512
-    assert (ring.mul_quarters is not None) == lazy == (ring._mul[0] is None), text
+    n, lazy = ring.order, not keeps_whole_tables(ring, text)
     rng = np.random.default_rng(n)
     forms = product_forms(n, rng)
     got = [core.products(ring, *args) for args, _ in forms]
