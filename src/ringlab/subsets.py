@@ -16,9 +16,12 @@ On a ring with a basis and J != {0}, U is lifted from R/J: J is a
 proved ideal, so R -> R/J is a ring homomorphism and no unit of R is
 missed among the preimages of U(R/J); and each of them is certified by
 an explicit inverse checked on R's table (`unit_inverses`), so none is
-false. Elsewhere (J = {0}, no basis), inside the criterion of an open
-fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab = ba = 1,
-read through `core.products` a block of rows at a time
+false. The lift squares x in J by the gather square[x] on the bundle's
+squares, and its certificate u*v = v*u = 1 is one product over both
+orders of every pair; U's mask is read straight off the lifted
+preimages. Elsewhere (J = {0}, no basis), inside the criterion of an
+open fixpoint, and for Dedekind-finiteness, U is the n^2 scan for ab =
+ba = 1, read through `core.products` a block of rows at a time
 (`product_one_pairs`), so a ring with deferred tables (order above 512,
 see `TableRing`) is scanned without filling its table.
 
@@ -35,9 +38,9 @@ side iff it absorbs each generator there: the center and the ideal
 check read n x k and |S| x k cells (k = log2 n) instead of n x n and
 n x |S|. The k generator rows are read through `core.products`, each
 one sum over the corner columns on a ring with quarter tables spread
-across n columns, and `compute_bundle` reads the k columns at the basis
-once, for both the pruning of Nil and the center, and frees them before
-R/J is built.
+across n columns, and `compute_bundle` reads the k rows and the k
+columns at the basis once, for both the pruning of Nil and the center,
+and frees them before R/J is built.
 
 On a finite ring two of the radicals collapse (Lam, GTM 131):
 
@@ -57,8 +60,11 @@ chain R ⊋ Ra ⊋ ... ⊋ Ra^i ⊋ 0 is strict, each step a proper subgroup of
 index at least 2, and 2^(i+1) <= n. J# follows by the same argument in
 R/J, whose order is at most n. So s = ceil(log2 m) squarings suffice (4
 at order 4096), and `compute_bundle` reads Id off the first of them and
-Nil and J# off the one orbit (`_squaring_orbit`); the bundle keeps the
-squares for `predicates.is_semiboolean`.
+Nil and J# off the one orbit (`_squaring_orbit`). Only the first is a
+product: a^(2^(j+1)) is the square of a^(2^j), so each later squaring
+is the gather square[a^(2^j)] on the squares table, n lookups. The
+bundle keeps the squares for the lift of U and for
+`predicates.is_semiboolean`.
 """
 
 from __future__ import annotations
@@ -93,45 +99,58 @@ def product_one_pairs(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.concatenate(cells), n)
 
 
-def units(ring: TableRing, radical: tuple | None = None) -> ElemSet:
-    """The unit group; lifted from `radical` as in `unit_inverses`."""
-    return ElemSet.of(ring, list(unit_inverses(ring, radical)))
+def units(ring: TableRing, radical: tuple | None = None, square: np.ndarray | None = None) -> ElemSet:
+    """The unit group; lifted from `radical` as in `unit_inverses`, its
+    mask read straight off the units found."""
+    return ElemSet.of(ring, _unit_pairs(ring, radical, square)[0])
 
 
-def unit_inverses(ring: TableRing, radical: tuple | None = None) -> dict[int, int]:
+def unit_inverses(ring: TableRing, radical: tuple | None = None, square: np.ndarray | None = None) -> dict[int, int]:
     """Each unit with its inverse: the pairs ab = 1 that also have ba = 1
     (a two-sided inverse is unique).
 
     Given `radical` = (R/J, projection, ...) for a proved ideal J, each
     preimage u of a unit of R/J gets v = v0 (1+x)(1+x^2)(1+x^4)..., v0 a
     preimage of the coset's inverse: x = 1 - u*v0 is in J, so u*v =
-    1 - x^(2^k) = 1 once x^(2^k) = 0, within ceil(log2 n) squarings.
-    u*v = v*u = 1 is checked for every u, else RingError. v0 is the
-    coset's least member, found for every coset by one scatter
-    (`np.minimum.at`), in place of a sort; any preimage would serve, as
-    the two-sided inverse it leads to is unique.
+    1 - x^(2^k) = 1 once x^(2^k) = 0, within ceil(log2 n) squarings, each
+    the gather x <- square[x] on `square`, which holds every a^2
+    (`_squaring_orbit`; one full-width product when not given). u*v =
+    v*u = 1 is checked for every u in one product over both orders of the
+    pairs, else RingError naming the least u that fails. v0 is the
+    coset's least member: R/J numbers its cosets by their least members
+    (`construct._build_quotient`), so coset c's is the first x with
+    projection[x] = c, where the running maximum of the projection first
+    reaches c; any preimage would serve, as the two-sided inverse it
+    leads to is unique.
     """
+    u, v = _unit_pairs(ring, radical, square)
+    return dict(zip(u.tolist(), v.tolist()))
+
+
+def _unit_pairs(ring: TableRing, radical: tuple | None, square: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(units, their inverses) in ascending order of the units (`unit_inverses`)."""
     if radical is None:
         a, b = product_one_pairs(ring)
         two_sided = products(ring, b, a) == ring.one
-        return dict(zip(a[two_sided].tolist(), b[two_sided].tolist()))
+        return a[two_sided], b[two_sided]
     quotient, projection = radical[:2]
     inverse, coset_inverse = unit_inverses(quotient), np.full(quotient.order, -1)
     coset_inverse[list(inverse)] = list(inverse.values())
-    lowest = np.full(quotient.order, ring.order)
-    np.minimum.at(lowest, projection, np.arange(ring.order))  # each coset's least member
     u = np.flatnonzero(coset_inverse[projection] >= 0)
-    v = lowest[coset_inverse[projection[u]]]
+    v = np.searchsorted(np.maximum.accumulate(projection), coset_inverse[projection[u]])  # each coset's least member
+    if square is None:
+        idx = np.arange(ring.order)
+        square = products(ring, idx, idx)
     one = ring.one
     x = sums(ring, one, ring.neg[products(ring, u, v)])
     for _ in range((ring.order - 1).bit_length()):
         if (x == ring.zero).all():
             break
-        v, x = products(ring, v, sums(ring, one, x)), products(ring, x, x)
-    certified = (products(ring, u, v) == one) & (products(ring, v, u) == one)
+        v, x = products(ring, v, sums(ring, one, x)), square[x]
+    certified = (products(ring, np.concatenate([u, v]), np.concatenate([v, u])) == one).reshape(2, -1).all(axis=0)  # u*v and v*u
     if not certified.all():  # unreachable on a valid ring; guards table corruption
         raise RingError(f"unit lifted from R/J failed its inverse check at {int(u[np.argmin(certified)])}")
-    return dict(zip(u.tolist(), v.tolist()))
+    return u, v
 
 
 def idempotents(ring: TableRing, square: np.ndarray | None = None) -> ElemSet:
@@ -143,11 +162,12 @@ def idempotents(ring: TableRing, square: np.ndarray | None = None) -> ElemSet:
 def _squaring_orbit(ring: TableRing) -> tuple[np.ndarray, np.ndarray]:
     """(a^2, a^(2^s)) for every element a, with s = max(1, ceil(log2 m))
     squarings and m = floor(log2 n), which bounds the index of a nilpotent
-    (see the module docstring)."""
+    (see the module docstring). The squares are one full-width product;
+    each later squaring is the gather square[a^(2^j)] = a^(2^(j+1)) on them."""
     idx, m = np.arange(ring.order), ring.order.bit_length() - 1
     square = power = products(ring, idx, idx)
     for _ in range((m - 1).bit_length() - 1):  # the squarings after the first
-        power = products(ring, power, power)
+        power = square[power]
     return square, power
 
 
@@ -168,20 +188,27 @@ def nilpotents(ring: TableRing, power: np.ndarray | None = None) -> ElemSet:
     return ElemSet.from_mask(ring, _orbit_masks(ring, zero, power))
 
 
-def center(ring: TableRing, columns: np.ndarray | None = None) -> ElemSet:
+def center(ring: TableRing, sides: tuple[np.ndarray, np.ndarray] | None = None) -> ElemSet:
     """Z(R): the a whose row of the multiplication table equals its column.
 
     On a ring with a `basis`, z is central iff zg = gz for each generator
     g, since mul is bi-additive: the k generator rows against their
-    columns, one n x k compare instead of n x n. `columns`, if given,
-    holds the columns x*g at the basis as rows (`product_columns`), which
-    are then not taken again.
+    columns, one n x k compare instead of n x n. `sides`, if given, holds
+    the rows and columns at the basis (`_generator_sides`), which are then
+    not taken again.
     """
     if ring.basis is not None:
-        gens = list(ring.basis)
-        right = product_columns(ring, gens) if columns is None else columns
-        return ElemSet.from_mask(ring, (right == products(ring, gens)).all(axis=0))
+        left, right = _generator_sides(ring, ring.basis) if sides is None else sides
+        return ElemSet.from_mask(ring, (right == left).all(axis=0))
     return ElemSet.from_mask(ring, rows_equal_columns(ring.mul))
+
+
+def _generator_sides(ring: TableRing, gens) -> tuple[np.ndarray, np.ndarray]:
+    """(g*x, x*g) for each g in `gens` and every x, as two k x n arrays:
+    the generator rows (`products`) and the columns at them as rows
+    (`product_columns`)."""
+    gens = list(gens)
+    return products(ring, gens), product_columns(ring, gens)
 
 
 def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -200,18 +227,15 @@ def additive_generators(ring: TableRing, members: np.ndarray) -> tuple[list[int]
     return gens, span
 
 
-def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray, columns: np.ndarray | None = None) -> tuple[np.ndarray, list[int] | None]:
+def prune_nil(ring: TableRing, gens, nil_mask: np.ndarray, sides: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, list[int] | None]:
     """(C, generators): Nil pruned of every x with g*x or x*g outside it,
     to a fixpoint C, and the greedy generators of C (`additive_generators`)
     if C is additively closed (its span is C), else None.
 
-    g*x is read off the generator rows (`products`), and x*g off
-    `columns`, the columns at `gens` as rows (`product_columns`), taken
-    here when not given.
+    g*x and x*g are read off `sides`, the rows and columns at `gens`
+    (`_generator_sides`), taken here when not given.
     """
-    gens = list(gens)
-    left = products(ring, gens)  # g*x, k x n
-    right = product_columns(ring, gens) if columns is None else columns  # x*g, k x n
+    left, right = _generator_sides(ring, gens) if sides is None else sides  # g*x and x*g, k x n each
     keep = nil_mask.copy()
     while True:
         arr = np.flatnonzero(keep)
@@ -228,7 +252,7 @@ def jacobson_radical(
     nil_mask: np.ndarray | None = None,
     gens=None,
     spanning: list | None = None,
-    columns: np.ndarray | None = None,
+    sides: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ElemSet:
     """J(R), the largest nil ideal, by pruning Nil on `gens` (default
     `ring.basis`) or else by the quasi-regularity criterion (see the
@@ -238,12 +262,12 @@ def jacobson_radical(
 
     A list passed as `spanning` receives the pruning's greedy generators
     of J, which `_build_quotient` can reuse; it stays empty when J comes
-    from the criterion. `columns` goes to `prune_nil`.
+    from the criterion. `sides` goes to `prune_nil`.
     """
     gens = ring.basis if gens is None else gens
     cand = np.ones(ring.order, dtype=bool)
     if gens is not None:
-        cand, generators = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask, columns)
+        cand, generators = prune_nil(ring, gens, nilpotents(ring).mask() if nil_mask is None else nil_mask, sides)
         if generators is not None:
             if spanning is not None:
                 spanning += generators
@@ -435,21 +459,22 @@ def _compute_bundle(ring: TableRing) -> InvariantBundle:
     keeps; Nil, then J and Z, then U: lifted from R/J, which the bundle
     keeps, on a ring with a basis and J != {0} (see the module docstring);
     R/J's own bundle waits for `InvariantBundle.radical_quotient`.
-    The pruning and the center share one read of the columns at the basis,
-    freed before R/J is built; R/J's coset minima reuse the greedy
-    generators of J that the pruning took."""
+    The pruning and the center share one read of the rows and columns at
+    the basis, freed before R/J is built; R/J's coset minima reuse the
+    greedy generators of J that the pruning took, and the lift of U reads
+    its squares off the orbit's."""
     square, power = _squaring_orbit(ring)
     nil = nilpotents(ring, power)
     jac = z = radical = None
     if ring.basis is not None:
         spanning: list[int] = []
-        columns = product_columns(ring, list(ring.basis))
-        jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning, columns=columns)
-        z = center(ring, columns)
-        del columns
+        sides = _generator_sides(ring, ring.basis)
+        jac = jacobson_radical(ring, nil_mask=nil.mask(), spanning=spanning, sides=sides)
+        z = center(ring, sides)
+        del sides
         if len(jac) > 1:  # R/{0} = R gains nothing
             radical = _radical_quotient(ring, jac, spanning=spanning or None)  # empty when J came from the criterion
-    u = units(ring, radical)
+    u = units(ring, radical, square)
     if jac is None:  # no basis: the criterion reads the scan's U
         jac = jacobson_radical(ring, u.mask(), nil.mask())
         z = center(ring)

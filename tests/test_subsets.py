@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 from ringlab import ElemSet, compile_text, compute_bundle, power_orbit
-from ringlab.core import rows_equal_columns
+from ringlab.core import products, rows_equal_columns, sums
 from ringlab.construct import additive_closure, build_matrix, build_triangular, build_zmod, ideal_closure, matrix_unit_index
 from ringlab.subsets import (
     NotAGroupRingError,
     _prime_rows,
+    _squaring_orbit,
     additive_generators,
     augmentation_ideal,
     center,
@@ -273,13 +275,55 @@ def squarings(monkeypatch, text):
 
 
 def test_a_cap_ring_bundle_makes_one_short_squaring_orbit(monkeypatch):
-    # Id from the first squaring, then 3 more up to a^16, 16 >= floor(log2 4096);
-    # Nil and J# read the same orbit, so there is no second one, and R/J's
+    # one squaring product, which Id reads; the 3 squarings after it, up to
+    # a^16, 16 >= floor(log2 4096), are gathers on it, and the lift of U
+    # squares by the same gathers; Nil and J# read the one orbit, and R/J's
     # bundle waits for its first read, so R/J makes no orbit either
     for text in CAP_RINGS:
-        assert squarings(monkeypatch, text) == [4096] * 4, text
-    assert squarings(monkeypatch, "m(2,gf(8))") == [4096] * 4  # J = {0}: R/J is R, no second bundle
+        assert squarings(monkeypatch, text) == [4096], text
+    assert squarings(monkeypatch, "m(2,gf(8))") == [4096]  # J = {0}: R/J is R, no second bundle
     assert squarings(monkeypatch, "z(2)") == [2]  # index <= 1: the squaring for Id alone
+
+
+def test_the_squaring_orbit_matches_repeated_products():
+    # the gathers on the squares against a^(2^s) taken by s products, with
+    # s = max(1, ceil(log2 floor(log2 n))) as the module docstring bounds it
+    for text in BITWISE_RINGS:
+        ring = compile_text(text)
+        idx, m = np.arange(ring.order), ring.order.bit_length() - 1
+        square, power = _squaring_orbit(ring)
+        want = products(ring, idx, idx)
+        assert np.array_equal(square, want), text
+        for _ in range(max(1, math.ceil(math.log2(m))) - 1):
+            want = products(ring, want, want)
+        assert np.array_equal(power, want), text
+
+
+def test_a_cap_ring_lift_squares_by_gathers_and_certifies_in_one_product(monkeypatch):
+    # on R: u*v0, one product (v, 1 + x) a Newton step, then u*v and v*u in
+    # one product; the steps are counted off x = 1 - u*v0 on the squares
+    from ringlab import subsets
+
+    for text in CAP_RINGS:
+        ring = compile_text(text)
+        b, calls, real = compute_bundle(ring), [], subsets.products
+
+        def spying(on, x, y=None):
+            out = real(on, x, y)
+            if on is ring:  # not R/J's own unit scan
+                calls.append((len(x), len(y), out))
+            return out
+
+        monkeypatch.setattr(subsets, "products", spying)
+        lifted = units(ring, b._modulo_radical, b._squares)
+        monkeypatch.undo()
+        k, bound = len(b.units), (ring.order - 1).bit_length()
+        x, steps = sums(ring, ring.one, ring.neg[calls[0][2]]), 0
+        while (x != ring.zero).any() and steps <= bound:
+            x, steps = b._squares[x], steps + 1
+        assert 1 <= steps <= bound, text
+        assert [c[:2] for c in calls] == [(k, k)] * (1 + steps) + [(2 * k, 2 * k)], text
+        assert lifted == b.units, text
 
 
 def test_prime_radical_is_jacobson_on_the_corpus(corpus_bundles):
@@ -308,7 +352,7 @@ def test_lifted_units_match_the_scan():
         assert (b._modulo_radical is not None) == (ring.basis is not None) and b._radical_quotient is None, text
         lifted += ring.basis is not None
         scan = unit_inverses(ring)
-        assert unit_inverses(ring, b.radical_quotient()) == scan, text
+        assert unit_inverses(ring, b.radical_quotient()) == unit_inverses(ring, b.radical_quotient(), b._squares) == scan, text
         assert units(ring, b.radical_quotient()) == units(ring) == b.units, text
         assert set(scan) == b.units.members, text
     assert lifted >= 12
@@ -692,6 +736,19 @@ for cell in ((3656, 73), (74, 72)):
         sys.exit("corrupt table gave a unit group")
     except RingError as exc:
         print("units:", exc)
+# a squares table with one wrong entry fed to the lift: (4 E11)^2 is 0,
+# read as 4 E11, so an x that meets 4 E11 never squares to 0; u = 104
+# ([[0,5],[1,0]]), the least such unit, starts from v0 = [[0,1],[1,0]] and
+# x = 1 - u*v0 = 4 E11, and fails the certificate
+from ringlab.subsets import units
+bundle = compute_bundle(ring)
+square = bundle._squares.copy()
+square[4] = 4
+try:
+    units(ring, bundle.modulo_radical(), square)
+    sys.exit("wrong squares gave a unit group")
+except RingError as exc:
+    print("squares:", exc)
 left = ElemSet.of(ring, ring.mul[:, matrix_unit_index(ring, 0, 0)])  # R*E11, a left ideal only
 try:
     build_quotient(ring, left)
@@ -718,6 +775,7 @@ def test_internal_guards_survive_python_O():
     assert "radical: radical failed the ideal check at ('add', 4, 6)\n" in proc.stdout
     assert "units: unit lifted from R/J failed its inverse check at 73\n" in proc.stdout
     assert "units: unit lifted from R/J failed its inverse check at 74\n" in proc.stdout
+    assert "squares: unit lifted from R/J failed its inverse check at 104\n" in proc.stdout
     assert "ideal: generating set is not a two-sided ideal: ('right', 1, 8)" in proc.stdout
 
 
